@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidModelError
+
 #: Magnitude below which comparisons fall back from relative to absolute.
 SMALL = 1e-8
 
@@ -51,3 +53,15 @@ def operator_norm_bound(a: np.ndarray) -> float:
     one = float(np.abs(a).sum(axis=0).max(initial=0.0))
     inf = float(np.abs(a).sum(axis=1).max(initial=0.0))
     return min(fro, np.sqrt(one * inf))
+
+
+def validate_grid(t_grid) -> np.ndarray:
+    """A time grid as a float array: 1-d, non-empty, from 0, strictly increasing."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 1:
+        raise InvalidModelError("time grid must be a non-empty 1-d array")
+    if abs(t[0]) > 1e-12:
+        raise InvalidModelError(f"time grid must start at 0, got {t[0]}")
+    if t.size > 1 and not np.all(np.diff(t) > 0.0):
+        raise InvalidModelError("time grid must be strictly increasing")
+    return t

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,7 +107,13 @@ def _as_list(value: Any, where: str) -> list:
 def _as_float(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is beyond the floating-point range") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return out
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -273,7 +280,11 @@ def load_config(path: str | Path) -> RunConfig:
 
     traj = _as_dict(doc.get("trajectories", {}), "trajectories")
     n_traj = _as_int(traj.get("n_traj", 500), "trajectories.n_traj")
+    if n_traj < 1:
+        raise ConfigError("trajectories.n_traj must be at least 1")
     seed = _as_int(traj.get("seed", 0), "trajectories.seed")
+    if seed < 0:
+        raise ConfigError(f"trajectories.seed must be non-negative, got {seed}")
 
     output = _as_dict(doc.get("output", {}), "output")
     out_path = output.get("path")
@@ -345,23 +356,29 @@ def _observable_ops(cfg: RunConfig) -> dict[str, np.ndarray]:
     return ops
 
 
-def resolve_generator_kind(kind: str, modes: DiscreteModeSet) -> str:
+def resolve_generator_kind(
+    kind: str, modes: DiscreteModeSet
+) -> tuple[str, RegularizedModeSet | None]:
     """Pick a concrete generator kind for 'auto' configs.
 
     Real couplings evolve directly; a complex pair is rotated when the
-    rotated rates stay non-negative and handled verbatim otherwise.
+    rotated rates stay non-negative and handled verbatim otherwise.  Returns
+    the kind with its rotated mode set, which is present exactly when the
+    kind is ``lindblad_regularized``.  An explicit ``lindblad_regularized``
+    request raises RegularizationError when the rotation is infeasible.
     """
+    if kind == "lindblad_regularized":
+        return kind, two_mode_regularize(modes)
     if kind != "auto":
-        return kind
+        return kind, None
     if modes.is_all_real:
-        return "lindblad_direct"
+        return "lindblad_direct", None
     if len(modes) == 2:
         try:
-            two_mode_regularize(modes)
+            return "lindblad_regularized", two_mode_regularize(modes)
         except RegularizationError:
-            return "pathological"
-        return "lindblad_regularized"
-    return "pathological"
+            return "pathological", None
+    return "pathological", None
 
 
 def _layout_for(cfg: RunConfig, n_modes: int) -> SpaceLayout:
@@ -390,14 +407,10 @@ class ModelBundle:
 
 def build_model(cfg: RunConfig) -> ModelBundle:
     modes = build_discrete_modes(cfg.pole_set, cfg.system.strengths)
-    kind = resolve_generator_kind(cfg.generator_kind, modes)
+    kind, regularized = resolve_generator_kind(cfg.generator_kind, modes)
     layout = _layout_for(cfg, len(modes))
-    regularized = None
-    if kind == "lindblad_regularized":
-        regularized = two_mode_regularize(modes)
-        spec = GeneratorSpec(kind, cfg.system, regularized, layout, frame=cfg.frame)
-    else:
-        spec = GeneratorSpec(kind, cfg.system, modes, layout, frame=cfg.frame)
+    mode_set = modes if regularized is None else regularized
+    spec = GeneratorSpec(kind, cfg.system, mode_set, layout, frame=cfg.frame)
     return ModelBundle(modes, regularized, kind, layout, build_generator(spec))
 
 
@@ -754,8 +767,10 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
 
     # Reduced-population cross check against the single-excitation solver.
     if cfg.system.dim == 2 and cfg.system.n_channels == 1 and cfg.initial_level == 1:
-        kind = resolve_generator_kind("auto", modes)
-        mset = regularized if kind == "lindblad_regularized" else modes
+        if regularized is not None:
+            kind, mset = "lindblad_regularized", regularized
+        else:
+            kind, mset = resolve_generator_kind("auto", modes)[0], modes
         gen = build_generator(GeneratorSpec(kind, cfg.system, mset, layout))
         pop_grid = np.linspace(0.0, horizon, 51)
         ee = np.diag([0.0, 1.0]).astype(complex)

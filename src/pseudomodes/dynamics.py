@@ -21,10 +21,16 @@ Time dependence enters either through an optional system drive (Schrodinger
 picture) or through rotating interaction terms (interaction picture); both
 feed A(t), never K or the jump operators.
 
-Integration is fixed-step classical RK4 with the step chosen from a cheap
-upper bound on the generator norm, h <= 0.01 / ||L||_est, additionally capped
-by the output grid spacing.  A truncation guard aborts the run as soon as the
-top Fock level of any mode accumulates population beyond 1e-6.
+A time-independent generator (Schrodinger frame, no drive) is propagated
+exactly: each output row is rho(t + dt) = exp(dt L) rho(t), evaluated as a
+truncated Taylor series that only applies L to d x d matrices (Al-Mohy and
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)), so memory stays O(d**2) and the
+cost follows the output rows.  A time-dependent generator (drive or
+interaction frame) is integrated by fixed-step classical RK4 with the step
+chosen from a cheap upper bound on the generator norm,
+h <= 0.01 / ||L||_est, additionally capped by the output grid spacing.  A
+truncation guard aborts the run as soon as the top Fock level of any mode
+accumulates population beyond 1e-6.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_complex_matrix, is_hermitian, operator_norm_bound
+from ._util import as_complex_matrix, is_hermitian, operator_norm_bound, validate_grid
 from .errors import (
     ClassificationError,
     InvalidModelError,
@@ -59,7 +65,7 @@ from .mapping import DiscreteModeSet, RegularizedModeSet
 KINDS = ("lindblad_direct", "pathological", "lindblad_regularized")
 FRAMES = ("schrodinger", "interaction")
 
-#: Dimensionless step control: h * ||L||_est <= this.
+#: Dimensionless RK4 step control: h * ||L||_est <= this.
 STEP_CONTROL = 0.01
 #: Snapshot population of any top Fock level beyond this aborts the run.
 TRUNCATION_LIMIT = 1e-6
@@ -67,8 +73,18 @@ TRUNCATION_LIMIT = 1e-6
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
 POSITIVITY_TOL = -1e-8
-#: Intervals needing more substeps than this indicate a runaway norm estimate.
+#: Intervals needing more RK4 substeps than this indicate a runaway norm estimate.
 MAX_SUBSTEPS = 50_000_000
+#: Taylor degrees m with the largest ||h L|| each one evaluates to double
+#: precision (unit roundoff 2**-53): Al-Mohy and Higham (2011), Table 3.1.
+TAYLOR_THETA = (
+    (5, 2.4e-3), (10, 1.4e-1), (15, 6.4e-1), (20, 1.4), (25, 2.4), (30, 3.5),
+    (35, 4.7), (40, 6.0), (45, 7.2), (50, 8.5), (55, 9.9),
+)
+UNIT_ROUNDOFF = 2.0**-53
+#: Rows needing more Taylor sub-intervals than this indicate a runaway norm
+#: estimate or step_scale.
+MAX_TAYLOR_INTERVALS = 1_000_000
 
 
 class InvariantViolationError(InvalidModelError):
@@ -175,7 +191,10 @@ class Generator:
         return out
 
     def norm_estimate(self) -> float:
-        """Upper bound on the superoperator norm used for step control."""
+        """Upper bound on the superoperator norm induced by the Frobenius norm.
+
+        It plans the Taylor series of the exact action and sets the RK4 step.
+        """
         est = operator_norm_bound(self._left) + operator_norm_bound(self._right)
         for term in self.rotating:
             est += 2.0 * (
@@ -462,17 +481,6 @@ class EvolutionResult:
     kind: str
 
 
-def _validate_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise InvalidModelError("time grid must be a non-empty 1-d array")
-    if abs(t[0]) > 1e-12:
-        raise InvalidModelError(f"time grid must start at 0, got {t[0]}")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
-        raise InvalidModelError("time grid must be strictly increasing")
-    return t
-
-
 def _snapshot_checks(kind: str, rho: np.ndarray, t: float) -> None:
     tr = abs(complex(np.trace(rho)) - 1.0)
     if tr > TRACE_TOL:
@@ -503,20 +511,23 @@ def evolve(
     check: bool = True,
     store_states: bool = True,
 ) -> EvolutionResult:
-    """Integrate d rho / dt = L(t)[rho] over the grid with fixed-step RK4.
+    """Propagate d rho / dt = L(t)[rho] over the grid.
 
+    A time-independent generator is advanced from row to row by the exact
+    action exp(dt L) rho; a time-dependent one by fixed-step RK4.
     ``observables`` maps names to matrices either on the system factor (then
     evaluated on the reduced state) or on the full space.  ``step_scale``
-    multiplies the stability-bounded step; pass 0.5 to halve it for
-    convergence studies.  Snapshot invariants (trace for every kind;
-    Hermiticity and positivity for the completely positive kinds) are
-    enforced when ``check`` is true.
+    multiplies the RK4 step, and likewise the sub-interval length of the
+    exact action's Taylor plan; pass 0.5 to halve either for convergence
+    studies.  Snapshot invariants (trace for every kind; Hermiticity and
+    positivity for the completely positive kinds) are enforced when
+    ``check`` is true.
 
     Raises TruncationGuardError as soon as any mode's top Fock population
     exceeds 1e-6 at a snapshot; the exception carries the clean prefix of the
     result.
     """
-    t = _validate_grid(t_grid)
+    t = validate_grid(t_grid)
     d = gen.dim
     rho = as_complex_matrix(rho0, "initial state")
     if rho.shape != (d, d):
@@ -527,8 +538,8 @@ def evolve(
         raise InvalidModelError("initial state must have unit trace")
     if not is_hermitian(rho, 1e-10):
         raise InvalidModelError("initial state must be Hermitian")
-    if not step_scale > 0.0:
-        raise InvalidModelError("step_scale must be positive")
+    if not (step_scale > 0.0 and math.isfinite(step_scale)):
+        raise InvalidModelError("step_scale must be positive and finite")
 
     observables = observables or {}
     layout = gen.layout
@@ -545,7 +556,8 @@ def evolve(
             )
 
     est = gen.norm_estimate()
-    if t.size > 1:
+    td = gen.time_dependent
+    if td and t.size > 1:
         spacing = float(np.diff(t).min())
         h_cap = spacing if est == 0.0 else min(STEP_CONTROL / est, spacing)
         h_cap *= step_scale
@@ -597,34 +609,87 @@ def evolve(
             obs_out[name][i] = expectation(target, mat)
 
     record(0)
-    td = gen.time_dependent
     apply = gen.apply
     for i in range(1, n_t):
         t0, t1 = float(t[i - 1]), float(t[i])
-        span = t1 - t0
-        n_sub = max(1, int(math.ceil(span / h_cap)))
-        if n_sub > MAX_SUBSTEPS:
-            raise StepUnderflowError(
-                f"interval [{t0:g}, {t1:g}] needs {n_sub} substeps; "
-                "the norm estimate is too large to integrate"
-            )
-        h = span / n_sub
-        tc = t0
-        for _ in range(n_sub):
-            if td:
-                k1 = apply(tc, rho)
-                k2 = apply(tc + 0.5 * h, rho + (0.5 * h) * k1)
-                k3 = apply(tc + 0.5 * h, rho + (0.5 * h) * k2)
-                k4 = apply(tc + h, rho + h * k3)
-            else:
-                k1 = apply(0.0, rho)
-                k2 = apply(0.0, rho + (0.5 * h) * k1)
-                k3 = apply(0.0, rho + (0.5 * h) * k2)
-                k4 = apply(0.0, rho + h * k3)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            tc += h
+        if td:
+            rho = _rk4_interval(apply, rho, t0, t1, h_cap)
+        else:
+            rho = _taylor_interval(apply, rho, t1 - t0, est, step_scale)
         record(i)
     return finalize(n_t)
+
+
+def _rk4_interval(apply, rho: np.ndarray, t0: float, t1: float,
+                  h_cap: float) -> np.ndarray:
+    """Classical RK4 from t0 to t1 in equal substeps no longer than h_cap."""
+    span = t1 - t0
+    n_sub = max(1, int(math.ceil(span / h_cap)))
+    if n_sub > MAX_SUBSTEPS:
+        raise StepUnderflowError(
+            f"interval [{t0:g}, {t1:g}] needs {n_sub} substeps; "
+            "the norm estimate is too large to integrate"
+        )
+    h = span / n_sub
+    tc = t0
+    for _ in range(n_sub):
+        k1 = apply(tc, rho)
+        k2 = apply(tc + 0.5 * h, rho + (0.5 * h) * k1)
+        k3 = apply(tc + 0.5 * h, rho + (0.5 * h) * k2)
+        k4 = apply(tc + h, rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        tc += h
+    return rho
+
+
+def taylor_plan(norm: float, step_scale: float = 1.0) -> tuple[int, int]:
+    """Taylor degree m and sub-interval count s for exp(A) b, ||A|| <= norm.
+
+    m and s minimise the number of applications of A, m * s, subject to
+    norm / s <= theta_m (``TAYLOR_THETA``); ties go to the lower degree.
+    ``step_scale`` then multiplies the sub-interval length, as it multiplies
+    the RK4 step: 0.5 doubles s at the same degree.
+    """
+    if not 0.0 <= norm < math.inf:
+        raise StepUnderflowError(f"unusable norm bound {norm!r}")
+    if norm == 0.0:
+        return 0, 1
+    m, s = min(
+        ((m, math.ceil(norm / theta)) for m, theta in TAYLOR_THETA),
+        key=lambda plan: plan[0] * plan[1],
+    )
+    scaled = s / step_scale
+    if not scaled <= MAX_TAYLOR_INTERVALS:
+        raise StepUnderflowError(
+            f"{scaled:.3g} Taylor sub-intervals for ||A|| = {norm:.3g} at "
+            f"step_scale {step_scale:g}; the norm estimate is too large to propagate"
+        )
+    return m, math.ceil(scaled)
+
+
+def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float,
+                     step_scale: float) -> np.ndarray:
+    """exp(span L) rho for a time-independent L with ||L|| <= norm_rate.
+
+    Algorithm 3.2 of Al-Mohy and Higham (2011) without shift or balancing:
+    s sub-intervals, each a Taylor series of degree at most m that stops once
+    two successive terms fall below the unit roundoff relative to the partial
+    sum.  Norms are Frobenius norms, the ones ``Generator.norm_estimate``
+    bounds the superoperator in.
+    """
+    m, s = taylor_plan(norm_rate * span, step_scale)
+    h = span / s
+    for _ in range(s):
+        term = rho
+        c1 = np.linalg.norm(term)
+        for k in range(1, m + 1):
+            term = (h / k) * apply(0.0, term)
+            c2 = np.linalg.norm(term)
+            rho = rho + term
+            if c1 + c2 <= UNIT_ROUNDOFF * np.linalg.norm(rho):
+                break
+            c1 = c2
+    return rho
 
 
 def equivalence_check(

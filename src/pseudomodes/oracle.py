@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen
+from ._util import frozen, validate_grid
 from .errors import InvalidModelError
 from .mapping import DiscreteModeSet
 from .spectral import PoleSet, eval_density
@@ -86,17 +86,6 @@ def damped_rabi_amplitude(strength: float, damping: float, t):
     return out
 
 
-def _validate_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise InvalidModelError("time grid must be a non-empty 1-d array")
-    if abs(t[0]) > 1e-12:
-        raise InvalidModelError(f"time grid must start at 0, got {t[0]}")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
-        raise InvalidModelError("time grid must be strictly increasing")
-    return t
-
-
 def _rk4_linear(matrix: np.ndarray, c0: np.ndarray, t: np.ndarray, h_nominal: float):
     """Fixed-step RK4 for dc/dt = M c, recording at every grid time."""
     n_t = t.size
@@ -141,7 +130,7 @@ def single_excitation_solve(
         raise InvalidModelError(
             f"strength {strength} disagrees with the mode set's {w_stored}"
         )
-    t = _validate_grid(t_grid)
+    t = validate_grid(t_grid)
     n = len(modes)
     couplings = np.array([m.couplings[channel] for m in modes.modes])
     detunings = np.array([frequency - m.frequency for m in modes.modes])
@@ -274,7 +263,7 @@ def discretized_bath_solve(
         raise InvalidModelError(
             f"{bath.n_oscillators} oscillators exceeds the dense-solver limit of 4000"
         )
-    t = _validate_grid(t_grid)
+    t = validate_grid(t_grid)
     if bath.n_oscillators > 1:
         # a lone oscillator has no neighbor to beat against, so the comb
         # revival argument only applies from two tones upward

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_complex_matrix, frozen
+from ._util import as_complex_matrix, frozen, validate_grid
 from .errors import ClassificationError, InvalidModelError
-from .dynamics import Generator, _validate_grid
+from .dynamics import Generator
 from .hilbert import embed_system
 
 #: Relative precision of the bisection-refined jump times.
@@ -44,7 +44,9 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise InvalidModelError("n_traj must be at least 1")
-        object.__setattr__(self, "times", frozen(_validate_grid(self.times)))
+        if self.seed < 0:
+            raise InvalidModelError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "times", frozen(validate_grid(self.times)))
 
 
 @dataclass

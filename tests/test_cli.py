@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from pseudomodes import ConfigError, lorentzian_to_poles, LorentzianSum, LorentzianTerm
 from pseudomodes.cli import (
@@ -21,7 +22,8 @@ from pseudomodes.cli import (
     serialize_config,
     _observable_ops,
 )
-from pseudomodes.mapping import build_discrete_modes
+from pseudomodes.errors import RegularizationError
+from pseudomodes.mapping import build_discrete_modes, two_mode_regularize
 
 SINGLE_DOC = {
     "spectral": {
@@ -125,6 +127,60 @@ def test_load_config_rejections(tmp_path):
         load_config(write_doc(tmp_path, doc, "h.yaml"))
 
 
+@pytest.mark.parametrize("command", ["evolve", "trajectories"])
+@pytest.mark.parametrize("block,key,value", [
+    ("run", "t_max", math.nan),
+    ("run", "t_max", math.inf),
+    ("run", "step_scale", math.nan),
+    ("run", "step_scale", math.inf),
+    ("trajectories", "seed", -1),
+])
+def test_bad_numeric_values_exit_2_naming_the_key(tmp_path, capsys, block, key,
+                                                  value, command):
+    doc = with_run(SINGLE_DOC, t_max=1.0, n_steps=10)
+    doc["trajectories"] = {"n_traj": 5}
+    doc[block][key] = value
+    code = main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and f"{block}.{key}" in err
+
+
+#: The numeric fields of the run and trajectories blocks.
+NUMERIC_FIELDS = [f"run.{k}" for k in
+                  ("t_max", "n_steps", "fock_levels", "initial_level", "step_scale")]
+NUMERIC_FIELDS += ["trajectories.n_traj", "trajectories.seed"]
+
+_field_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.integers(min_value=-3, max_value=12),
+    st.booleans(),
+    st.text(max_size=6),
+)
+
+
+def test_load_config_returns_a_config_or_raises_config_error(tmp_path):
+    path = tmp_path / "fuzz.yaml"
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={k: _field_values for k in NUMERIC_FIELDS}))
+    def check(fields):
+        doc = with_run(SINGLE_DOC)
+        doc["trajectories"] = {}
+        for name, value in fields.items():
+            block, key = name.split(".")
+            doc[block][key] = value
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+
+    check()
+
+
 def test_raw_poles_config_matches_lorentzian_path(tmp_path):
     density = LorentzianSum((
         LorentzianTerm(weight=2.0, center=1.0, width=2.0),
@@ -176,15 +232,20 @@ def test_generator_kind_resolution():
         return build_discrete_modes(lorentzian_to_poles(density), (1.0,))
 
     single = modes_for([(1.0, 1.0, 4.0)])
-    assert resolve_generator_kind("auto", single) == "lindblad_direct"
+    assert resolve_generator_kind("auto", single) == ("lindblad_direct", None)
     gap = modes_for([(2.0, 1.0, 2.0), (-1.0, 1.0, 1.0)])
-    assert resolve_generator_kind("auto", gap) == "lindblad_regularized"
+    kind, reg = resolve_generator_kind("auto", gap)
+    assert kind == "lindblad_regularized"
+    assert reg == two_mode_regularize(gap)
+    assert resolve_generator_kind("lindblad_regularized", gap) == (kind, reg)
     infeasible = modes_for([(2.0, 1.0, 3.0), (-1.0, 1.0, 1.0)])
-    assert resolve_generator_kind("auto", infeasible) == "pathological"
+    assert resolve_generator_kind("auto", infeasible) == ("pathological", None)
+    with pytest.raises(RegularizationError):
+        resolve_generator_kind("lindblad_regularized", infeasible)
     triple = modes_for([(2.0, 0.0, 2.0), (-0.5, 0.0, 1.0), (-0.5, 0.0, 0.5)])
     assert len(triple) == 3
-    assert resolve_generator_kind("auto", triple) == "pathological"
-    assert resolve_generator_kind("pathological", gap) == "pathological"
+    assert resolve_generator_kind("auto", triple) == ("pathological", None)
+    assert resolve_generator_kind("pathological", gap) == ("pathological", None)
 
 
 def test_fock_levels_list_must_match_mode_count(tmp_path):

@@ -1,5 +1,7 @@
 """Generator construction, invariants, and master-equation integration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,11 @@ from pseudomodes import (
     lorentzian_to_poles,
     partial_trace_modes,
     rotate_frame,
+    StepUnderflowError,
     two_mode_regularize,
     vacuum_embedding,
 )
+from pseudomodes.dynamics import taylor_plan
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -37,6 +41,12 @@ SINGLE = lorentzian_to_poles(LorentzianSum((
 BAND_GAP = lorentzian_to_poles(LorentzianSum((
     LorentzianTerm(weight=2.0, center=1.0, width=2.0),
     LorentzianTerm(weight=-1.0, center=1.0, width=1.0),
+)))
+
+#: Two positive lines: a real-coupled mode pair on the band-gap layout.
+REAL_PAIR = lorentzian_to_poles(LorentzianSum((
+    LorentzianTerm(weight=0.5, center=0.5, width=1.0),
+    LorentzianTerm(weight=0.5, center=1.5, width=2.0),
 )))
 
 TLS = SystemSpec(energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,), strengths=(1.0,))
@@ -188,6 +198,66 @@ def test_step_halving_is_converged():
     assert np.abs(full.observables["ee"] - half.observables["ee"]).max() < 1e-8
 
 
+def test_exact_action_matches_rk4_all_kinds():
+    # A zero drive leaves the physics alone but makes the generator time
+    # dependent, which routes it through RK4 instead of the exact action.
+    # RK4 runs at eight times its default step (h ||L||_est = 0.08), where it
+    # still agrees to about 2e-12; the default step costs minutes here.
+    zero_drive = SystemSpec(
+        energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
+        strengths=(1.0,), drive=lambda t: 0 * SX,
+    )
+    gap = build_discrete_modes(BAND_GAP, (1.0,))
+    cases = (
+        ("lindblad_direct", build_discrete_modes(REAL_PAIR, (1.0,))),
+        ("pathological", gap),
+        ("lindblad_regularized", two_mode_regularize(gap)),
+    )
+    layout = SpaceLayout(2, (2, 2))
+    rho0 = vacuum_embedding(layout, EE)
+    t = np.linspace(0.0, 20.0, 41)
+    for kind, mode_set in cases:
+        exact = build_generator(GeneratorSpec(kind, TLS, mode_set, layout))
+        stepped = build_generator(GeneratorSpec(kind, zero_drive, mode_set, layout))
+        assert not exact.time_dependent and stepped.time_dependent
+        a = evolve(exact, rho0, t, store_states=False)
+        b = evolve(stepped, rho0, t, store_states=False, step_scale=8.0)
+        assert np.abs(a.system_states - b.system_states).max() <= 1e-8, kind
+
+
+def test_autonomous_evolve_cost_follows_rows(monkeypatch):
+    _, gen, layout = band_gap_generators()
+    calls = []
+    apply = gen.apply
+
+    def counting(t, rho):
+        calls.append(t)
+        return apply(t, rho)
+
+    monkeypatch.setattr(gen, "apply", counting)
+    t = np.linspace(0.0, 20.0, 201)
+    rho0 = vacuum_embedding(layout, EE)
+    evolve(gen, rho0, t, store_states=False)
+    full = len(calls)
+    assert 0 < full <= 60 * (t.size - 1)  # no silent fall back to RK4
+    calls.clear()
+    evolve(gen, rho0, t, store_states=False, step_scale=0.5)
+    assert len(calls) > full  # halving the sub-interval is a distinct computation
+
+
+def test_taylor_plan_minimises_applications():
+    assert taylor_plan(0.0) == (0, 1)
+    assert taylor_plan(3.33) == (30, 1)
+    assert taylor_plan(3.33, step_scale=0.5) == (30, 2)
+    assert taylor_plan(8.3) == (50, 1)
+    assert taylor_plan(1000.0) == (55, 102)
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(StepUnderflowError):
+            taylor_plan(bad)
+    with pytest.raises(StepUnderflowError):
+        taylor_plan(3.33, step_scale=1e-300)
+
+
 def test_constant_drive_equals_augmented_hamiltonian():
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (4,))
@@ -260,6 +330,9 @@ def test_evolve_validates_inputs():
         evolve(gen, bad, np.array([0.0, 1.0]))  # hermiticity
     with pytest.raises(InvalidModelError):
         evolve(gen, rho0, np.array([0.0, 1.0]), observables={"x": np.ones((3, 3))})
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidModelError):
+            evolve(gen, rho0, np.array([0.0, 1.0]), step_scale=bad)
 
 
 def test_store_states_flag():
