@@ -17,17 +17,18 @@ with K = sum_k rate_k b_k^dag b_k Hermitian and J_k = sqrt(2 rate_k) b_k:
 * ``lindblad_regularized``: the rotated two-mode form with real couplings, a
   real intermode hopping term and non-negative rates.  Valid Lindblad form.
 
-Time dependence enters either through an optional system drive (Schrodinger
-picture) or through rotating interaction terms (interaction picture); both
-feed A(t), never K or the jump operators.
+Every generator is built in the Schrodinger picture.  The only time
+dependence is an optional system drive, which feeds A(t), never K or the jump
+operators.  The frame is a way of viewing the state: in the interaction frame
+each recorded state is rho_I(t) = exp(i H0 t) rho(t) exp(-i H0 t) with
+H0 = H_S0 + sum_l xi_l n_l over the modes the generator was built from.
 
-A time-independent generator (Schrodinger frame, no drive) is propagated
-exactly: each output row is rho(t + dt) = exp(dt L) rho(t), evaluated as a
-truncated Taylor series that only applies L to d x d matrices (Al-Mohy and
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)), so memory stays O(d**2) and the
-cost follows the output rows.  A time-dependent generator (drive or
-interaction frame) is integrated by fixed-step classical RK4 with the step
-chosen from a cheap upper bound on the generator norm,
+A time-independent generator (no drive) is propagated exactly: each output
+row is rho(t + dt) = exp(dt L) rho(t), evaluated as a truncated Taylor series
+that only applies L to d x d matrices (Al-Mohy and Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)), so memory stays O(d**2) and the cost follows the
+output rows.  A driven generator is integrated by fixed-step classical RK4
+with the step chosen from a cheap upper bound on the generator norm,
 h <= 0.01 / ||L||_est, additionally capped by the output grid spacing.  A
 truncation guard aborts the run as soon as the top Fock level of any mode
 accumulates population beyond 1e-6.
@@ -91,22 +92,15 @@ class InvariantViolationError(InvalidModelError):
     """A snapshot broke trace, Hermiticity or positivity beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class RotatingTerm:
-    """Contribution forward * e^{+i w t} + backward * e^{-i w t} to A(t)."""
-
-    forward: np.ndarray
-    backward: np.ndarray
-    frequency: float
-
-
 class Generator:
     """Concrete generator: matrices for A and K plus scaled jump channels.
 
     Instances are immutable by convention; every array is kept internally and
     never handed out for mutation.  ``apply`` is deliberately matrix-free in
     the superoperator sense: it performs only d x d matrix products, so the
-    memory footprint stays O(d**2) rather than O(d**4).
+    memory footprint stays O(d**2) rather than O(d**4).  ``h0`` is the
+    diagonal of the free Hamiltonian H0 that the interaction frame rotates
+    with; the Schrodinger frame does not need it.
     """
 
     def __init__(
@@ -117,9 +111,9 @@ class Generator:
         static_both: np.ndarray,
         damping: np.ndarray,
         channels: tuple[tuple[float, np.ndarray], ...],
-        rotating: tuple[RotatingTerm, ...] = (),
         drive: Callable[[float], np.ndarray] | None = None,
         system: SystemSpec | None = None,
+        h0: np.ndarray | None = None,
     ):
         if kind not in KINDS:
             raise InvalidModelError(f"unknown generator kind {kind!r}")
@@ -140,7 +134,9 @@ class Generator:
         for rate, _ in self.channels:
             if rate < 0.0:
                 raise InvalidModelError(f"negative jump rate {rate}")
-        self.rotating = tuple(rotating)
+        if frame == "interaction" and (h0 is None or np.shape(h0) != (d,)):
+            raise InvalidModelError("the interaction frame needs the diagonal of H0")
+        self.h0 = h0
         self.drive = drive
         self._jumps = tuple(
             (np.sqrt(2.0 * rate) * b, np.sqrt(2.0 * rate) * b.conj().T)
@@ -156,20 +152,32 @@ class Generator:
 
     @property
     def time_dependent(self) -> bool:
-        return bool(self.rotating) or self.drive is not None
+        return self.drive is not None
 
     def both_sides(self, t: float) -> np.ndarray:
         """The operator A(t) entering from both sides of the commutator."""
-        a = self.static_both
-        if self.rotating or self.drive is not None:
-            a = a.copy()
-            for term in self.rotating:
-                ph = np.exp(1j * term.frequency * t)
-                a += ph * term.forward
-                a += np.conj(ph) * term.backward
-            if self.drive is not None:
-                a += embed_system(self.layout, as_complex_matrix(self.drive(t), "drive"))
-        return a
+        if self.drive is None:
+            return self.static_both
+        return self.static_both + embed_system(
+            self.layout, as_complex_matrix(self.drive(t), "drive")
+        )
+
+    def frame_view(self) -> Callable[[np.ndarray, float], np.ndarray] | None:
+        """Map (Schrodinger state, t) to the state seen in ``frame``.
+
+        The state is a density matrix or a ket.  Returns None in the
+        Schrodinger frame, where the view is the identity.
+        """
+        if self.frame == "schrodinger":
+            return None
+        h0 = self.h0
+
+        def view(state: np.ndarray, t: float) -> np.ndarray:
+            if state.ndim == 1:
+                return np.exp(1j * h0 * t) * state
+            return rotate_frame(state, h0, -t)
+
+        return view
 
     def drift_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(A(t) - iK, A(t) + iK), the two one-sided drift operators."""
@@ -196,10 +204,6 @@ class Generator:
         It plans the Taylor series of the exact action and sets the RK4 step.
         """
         est = operator_norm_bound(self._left) + operator_norm_bound(self._right)
-        for term in self.rotating:
-            est += 2.0 * (
-                operator_norm_bound(term.forward) + operator_norm_bound(term.backward)
-            )
         if self.drive is not None:
             est += 2.0 * operator_norm_bound(
                 np.asarray(self.drive(0.0), dtype=complex)
@@ -242,22 +246,20 @@ def _mode_number_sum(layout: SpaceLayout, coeffs) -> np.ndarray:
 def _coupling_terms(
     layout: SpaceLayout,
     system: SystemSpec,
-    frequencies,
     couplings,
     conjugate_right: bool,
-):
-    """Static and rotating pieces of sum_jl g_jl (c_j^dag b_l + b_l^dag c_j).
+) -> np.ndarray:
+    """The coupling sum_jl g_jl (c_j^dag b_l + b_l^dag c_j).
 
     With ``conjugate_right`` the right-moving piece uses conj(g) (Hermitian
     combination); without it the same g multiplies both pieces, which is the
     one-sided convention of the pathological form.
     """
     static = np.zeros((layout.dim, layout.dim), dtype=complex)
-    rotating = []
     for j in range(system.n_channels):
         c = embed_system(layout, eigenoperator(system, j))
         cdag = c.conj().T
-        for l, xi in enumerate(frequencies):
+        for l in range(layout.n_modes):
             g = complex(couplings[j][l])
             if g == 0.0:
                 continue
@@ -265,10 +267,8 @@ def _coupling_terms(
             g_right = np.conj(g) if conjugate_right else g
             forward = g * (cdag @ b)
             backward = g_right * (bdag @ c)
-            delta = system.frequencies[j] - xi
-            rotating.append(RotatingTerm(forward, backward, delta))
             static += forward + backward
-    return static, rotating
+    return static
 
 
 def _assemble(
@@ -279,31 +279,14 @@ def _assemble(
     mode_frequencies,
     rates,
     static_coupling: np.ndarray,
-    rotating_coupling,
-    interaction_static: np.ndarray | None = None,
 ) -> Generator:
-    if frame not in FRAMES:
-        raise InvalidModelError(f"unknown frame {frame!r}")
-    if frame == "interaction" and system.drive is not None:
-        raise InvalidModelError(
-            "a system drive is only supported in the schrodinger frame"
-        )
     damping = _mode_number_sum(layout, rates).real.astype(complex)
     channels = tuple(
         (float(r), mode_ops(layout, l)[0]) for l, r in enumerate(rates)
     )
-    if frame == "schrodinger":
-        static = embed_system(layout, system.bare_hamiltonian)
-        static += _mode_number_sum(layout, mode_frequencies)
-        static += static_coupling
-        rotating = ()
-        drive = system.drive
-    else:
-        static = np.zeros((layout.dim, layout.dim), dtype=complex)
-        if interaction_static is not None:
-            static += interaction_static
-        rotating = tuple(rotating_coupling)
-        drive = None
+    static = embed_system(layout, system.bare_hamiltonian)
+    static += _mode_number_sum(layout, mode_frequencies)
+    static += static_coupling
     return Generator(
         kind=kind,
         frame=frame,
@@ -311,9 +294,9 @@ def _assemble(
         static_both=static,
         damping=damping,
         channels=channels,
-        rotating=rotating,
-        drive=drive,
+        drive=system.drive,
         system=system,
+        h0=free_hamiltonian_diagonal(layout, system, mode_frequencies),
     )
 
 
@@ -332,19 +315,15 @@ def build_lindblad_direct(
             "build_lindblad_regularized."
         )
     g = modes.coupling_matrix.real
-    freqs = [m.frequency for m in modes.modes]
-    static, rotating = _coupling_terms(
-        layout, system, freqs, g, conjugate_right=True
-    )
+    static = _coupling_terms(layout, system, g, conjugate_right=True)
     return _assemble(
         "lindblad_direct",
         frame,
         layout,
         system,
-        freqs,
+        [m.frequency for m in modes.modes],
         [m.damping for m in modes.modes],
         static,
-        rotating,
     )
 
 
@@ -363,19 +342,15 @@ def build_pathological(
     """
     _check_consistency(system, modes.strengths, len(modes), layout)
     g = modes.coupling_matrix
-    freqs = [m.frequency for m in modes.modes]
-    static, rotating = _coupling_terms(
-        layout, system, freqs, g, conjugate_right=False
-    )
+    static = _coupling_terms(layout, system, g, conjugate_right=False)
     return _assemble(
         "pathological",
         frame,
         layout,
         system,
-        freqs,
+        [m.frequency for m in modes.modes],
         [m.damping for m in modes.modes],
         static,
-        rotating,
     )
 
 
@@ -388,32 +363,18 @@ def build_lindblad_regularized(
     """Completely positive generator for the rotated two-mode family."""
     _check_consistency(system, reg.strengths, 2, layout)
     g = reg.coupling_matrix
-    freqs = [m.frequency for m in reg.modes]
-    static, rotating = _coupling_terms(
-        layout, system, freqs, g, conjugate_right=True
-    )
+    static = _coupling_terms(layout, system, g, conjugate_right=True)
     b1, b1d = mode_ops(layout, 0)
     b2, b2d = mode_ops(layout, 1)
-    hop_f = reg.intermode * (b1d @ b2)
-    hop_b = reg.intermode * (b2d @ b1)
-    hop = hop_f + hop_b
-    delta = freqs[0] - freqs[1]
-    interaction_static = None
-    if abs(delta) <= 1e-14 * max(1.0, abs(freqs[0]), abs(freqs[1])):
-        # Degenerate rotated frequencies: the hop does not rotate.
-        interaction_static = hop
-    else:
-        rotating = rotating + [RotatingTerm(hop_f, hop_b, delta)]
+    hop = reg.intermode * (b1d @ b2 + b2d @ b1)
     return _assemble(
         "lindblad_regularized",
         frame,
         layout,
         system,
-        freqs,
+        [m.frequency for m in reg.modes],
         [m.damping for m in reg.modes],
         static + hop,
-        rotating,
-        interaction_static=interaction_static,
     )
 
 
@@ -514,7 +475,8 @@ def evolve(
     """Propagate d rho / dt = L(t)[rho] over the grid.
 
     A time-independent generator is advanced from row to row by the exact
-    action exp(dt L) rho; a time-dependent one by fixed-step RK4.
+    action exp(dt L) rho; a driven one by fixed-step RK4.  Every recorded
+    quantity is taken from the state as seen in ``gen.frame``.
     ``observables`` maps names to matrices either on the system factor (then
     evaluated on the reduced state) or on the full space.  ``step_scale``
     multiplies the RK4 step, and likewise the sub-interval length of the
@@ -584,7 +546,11 @@ def evolve(
             kind=gen.kind,
         )
 
-    def record(i: int) -> None:
+    view = gen.frame_view()
+
+    def record(i: int, rho: np.ndarray) -> None:
+        if view is not None:
+            rho = view(rho, float(t[i]))
         tr_err = abs(complex(np.trace(rho)) - 1.0)
         tops = top_fock_populations(rho, layout)
         worst = float(tops.max())
@@ -608,7 +574,7 @@ def evolve(
             target = rho_s if kind_ == "system" else rho
             obs_out[name][i] = expectation(target, mat)
 
-    record(0)
+    record(0, rho)
     apply = gen.apply
     for i in range(1, n_t):
         t0, t1 = float(t[i - 1]), float(t[i])
@@ -616,7 +582,7 @@ def evolve(
             rho = _rk4_interval(apply, rho, t0, t1, h_cap)
         else:
             rho = _taylor_interval(apply, rho, t1 - t0, est, step_scale)
-        record(i)
+        record(i, rho)
     return finalize(n_t)
 
 

@@ -21,7 +21,7 @@ class ClassificationError(EngineError):
 
 
 class RegularizationError(EngineError):
-    """Base class for failures while rotating a two-mode model into Lindblad form."""
+    """Base class for failures of the two-mode rotation into Lindblad form."""
 
 
 class PositivityViolationError(RegularizationError):

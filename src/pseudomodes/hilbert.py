@@ -183,10 +183,12 @@ def embed(layout: SpaceLayout, factor: int, op: np.ndarray) -> np.ndarray:
         raise InvalidModelError(
             f"operator shape {op.shape} does not match factor dimension {dims[factor]}"
         )
-    out = np.array([[1.0 + 0.0j]])
-    for i, d in enumerate(dims):
-        out = np.kron(out, op if i == factor else np.eye(d, dtype=complex))
-    return out
+    left = math.prod(dims[:factor])
+    right = math.prod(dims[factor + 1:])
+    # I_left (x) op (x) I_right in one broadcast product: entry
+    # (a, i, b; a', j, b') is delta_aa' delta_bb' op_ij.
+    ident = np.eye(left * right).reshape(left, 1, right, left, 1, right)
+    return (ident * op[:, None, None, :, None]).reshape(layout.dim, layout.dim)
 
 
 def embed_system(layout: SpaceLayout, op: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Everything here stays in the single-excitation sector of a two-level system
 exchanging one quantum with its environment, where the full problem collapses
-to a small linear ODE for probability amplitudes.  Three routes are provided:
+to a small linear ODE for probability amplitudes.  Two routes are provided:
 
 * :func:`single_excitation_solve` integrates the amplitudes of the excited
   level and of each damped discrete mode.  Its excited-amplitude magnitude
@@ -12,12 +12,13 @@ to a small linear ODE for probability amplitudes.  Three routes are provided:
   but finite comb of undamped oscillators sampled from the spectral density,
   evolved unitarily.  As the comb refines, its reduced dynamics converges to
   the discrete-mode answer; no part of the mode construction enters.
-* :func:`auxiliary_correlation_check` evaluates the environment correlation
-  function two algebraically independent ways (complex pole exponentials vs
-  separately assembled phase and decay factors of each mode).
 
-All amplitudes are kept in the frame rotating at the system transition
-frequency, so comparisons are phase-stable.
+The mode family's correlation function has no second route here: its
+reference is the pole sum :func:`pseudomodes.spectral.correlation`, against
+which :func:`pseudomodes.mapping.mode_correlation` is checked.
+
+All amplitudes carry the free phase of the system transition removed
+(the interaction frame at w0), so comparisons are phase-stable.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def single_excitation_solve(
 ) -> AmplitudeState:
     """Amplitude dynamics of |e, vacuum> exchanging one quantum with the modes.
 
-    In the frame rotating at the transition frequency w0:
+    With the free phase of the transition frequency w0 removed:
 
         dc_e/dt = -i sum_l g_l c_l,
         dc_l/dt = (i (w0 - xi_l) - lam_l) c_l - i g_l c_e,
@@ -285,42 +286,3 @@ def discretized_bath_solve(
     amps = (phases * weights) @ evecs.T  # lab frame amplitudes, all factors
     amps *= np.exp(1j * frequency * t)[:, None]  # rotate at the transition
     return AmplitudeState(times=t, excited=amps[:, 0], modes=amps[:, 1:])
-
-
-def auxiliary_correlation_check(
-    modes: DiscreteModeSet, t: float, s: float, j: int = 0, k: int = 0
-) -> tuple[complex, complex]:
-    """Correlation of the mode environment computed two independent ways.
-
-    analytic: complex pole exponentials, sum_l g_jl g_kl exp(-i z_l (t-s)).
-    reconstructed: the two-time mode functions assembled from separate
-    oscillation and decay factors, sum_il delta_il g_jl g_ki
-    exp(-i xi_l t) exp(i xi_i s) exp(-lam_l (t-s)); input-noise terms drop on
-    the vacuum, which is what kills the cross terms.
-
-    Both depend on t - s only; equality of the pair at machine precision is
-    the content of the mode family being an exact environment replacement.
-    """
-    t = float(t)
-    s = float(s)
-    if s < 0.0 or t < s:
-        raise ValueError("need t >= s >= 0")
-    n_tr = modes.n_transitions
-    if not (0 <= j < n_tr and 0 <= k < n_tr):
-        raise ValueError(f"transition indices ({j}, {k}) out of range")
-    tau = t - s
-    analytic = 0.0 + 0.0j
-    for m in modes.modes:
-        analytic += m.couplings[j] * m.couplings[k] * np.exp(-1j * m.location * tau)
-    reconstructed = 0.0 + 0.0j
-    mode_list = modes.modes
-    for i_idx in range(len(mode_list)):
-        for l_idx in range(len(mode_list)):
-            if i_idx != l_idx:
-                continue  # vacuum input noise leaves no cross-mode terms
-            ml = mode_list[l_idx]
-            mi = mode_list[i_idx]
-            phase = np.exp(-1j * ml.frequency * t) * np.exp(1j * mi.frequency * s)
-            decay = math.exp(-ml.damping * tau)
-            reconstructed += ml.couplings[j] * mi.couplings[k] * phase * decay
-    return complex(analytic), complex(reconstructed)

@@ -6,11 +6,14 @@ since K is positive semidefinite); a jump fires when the norm crosses a
 uniform threshold; the channel is drawn proportionally to 2 rate_k
 ||b_k psi||**2 and the state is projected and renormalized.
 
-Because the acceptance-grade generators here are time independent, the
-no-jump segments are propagated with the exact exponential of D obtained from
-one eigendecomposition, not with a stepper.  Monotonicity of the norm then
+Only undriven generators are unraveled, so the no-jump segments are
+propagated with the exact exponential of D obtained from one
+eigendecomposition, not with a stepper.  Monotonicity of the norm then
 makes threshold detection exact on arbitrarily long segments, and the jump
-time itself is refined by bisection to 1e-10 relative precision.
+time itself is refined by bisection to 1e-10 relative precision.  The
+generator's frame only changes how the recorded states are viewed
+(psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times do
+not depend on it.
 
 Trajectories are statistically independent with counter-based RNG streams
 derived from (seed, trajectory index), so any execution order, including a
@@ -123,7 +126,7 @@ def mcwf_run(
     if gen.time_dependent:
         raise InvalidModelError(
             "trajectory unraveling is implemented for time-independent "
-            "generators (schrodinger frame, no drive)"
+            "generators (no drive)"
         )
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if psi0.size != gen.dim:
@@ -163,6 +166,7 @@ def mcwf_run(
     jump_counts = np.zeros((n_traj, len(channels)), dtype=np.int64)
     all_records: list[tuple[tuple[float, int], ...]] = []
     stream_keys: list[tuple[int, int]] = []
+    view = gen.frame_view()
 
     def emission_weights(psi: np.ndarray) -> np.ndarray:
         return np.array(
@@ -196,6 +200,8 @@ def mcwf_run(
         def record(i: int, psi: np.ndarray) -> None:
             n2 = _norm2(psi)
             normed = psi / np.sqrt(n2)
+            if view is not None:
+                normed = view(normed, float(t[i]))
             for name, mat in obs_mats.items():
                 samples[name][idx, i] = np.vdot(normed, mat @ normed)
             density_sum[i] += np.outer(normed, normed.conj())

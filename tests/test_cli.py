@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from pseudomodes import ConfigError, lorentzian_to_poles, LorentzianSum, LorentzianTerm
+import pseudomodes.cli
 from pseudomodes.cli import (
     RunConfig,
     build_model,
     cmd_map,
+    cmd_validate,
     load_config,
     main,
     resolve_generator_kind,
@@ -49,6 +52,8 @@ BAND_GAP_DOC = {
         "channels": [{"frequency": 1.0, "strength": 1.0}],
     },
 }
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 INFEASIBLE_DOC = {
     "spectral": {
@@ -356,6 +361,35 @@ def test_main_validate_passes_and_fails(tmp_path, capsys):
     by_name = {c["name"]: c for c in doc["checks"]}
     assert by_name["spectral_positivity"]["status"] == "fail"
     assert by_name["rotation_closed_forms"]["status"] == "skip"
+
+
+@pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
+@pytest.mark.parametrize("config", ["band_gap.yaml", "tls_lorentzian.yaml"])
+def test_interaction_frame_runs_every_subcommand(tmp_path, capsys, command, config):
+    doc = yaml.safe_load((CONFIGS / config).read_text(encoding="utf-8"))
+    doc["run"]["frame"] = "interaction"
+    doc["output"]["path"] = str(tmp_path / "out.csv")
+    assert main([command, write_doc(tmp_path, doc)]) == 0
+    capsys.readouterr()
+
+
+def test_validate_rotates_an_infeasible_pair_once(tmp_path, monkeypatch):
+    doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    doc["spectral"]["terms"][0]["width"] = 3.0
+    calls = []
+    regularize = pseudomodes.cli.two_mode_regularize
+
+    def counting(modes):
+        calls.append(modes)
+        return regularize(modes)
+
+    monkeypatch.setattr(pseudomodes.cli, "two_mode_regularize", counting)
+    summary = cmd_validate(load_config(write_doc(tmp_path, doc)))
+    assert len(calls) == 1
+    by_name = {c.name: c for c in summary.checks}
+    assert by_name["rotation_closed_forms"].status == "skip"
+    assert by_name["generator_equivalence"].status == "skip"
+    assert by_name["oracle_population"].status == "pass"
 
 
 def test_evolve_output_is_deterministic(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from pseudomodes import (
     ClassificationError,
+    Generator,
     GeneratorSpec,
     InvalidModelError,
     LorentzianSum,
@@ -148,7 +149,10 @@ def test_uncorrected_and_rotated_generators_share_reduced_dynamics():
 
 
 def test_frame_equivalence_all_kinds():
-    # evolve in the interaction frame, rotate back, compare snapshots
+    # Record in the interaction frame, rotate back, compare snapshots.  Both
+    # runs propagate the same Schrodinger-frame generator, so this checks the
+    # frame transform; test_exact_action_matches_rk4_all_kinds checks the
+    # propagation against an independent integrator.
     detuned = lorentzian_to_poles(LorentzianSum((
         LorentzianTerm(weight=2.0, center=0.4, width=2.0),
         LorentzianTerm(weight=-1.0, center=0.4, width=1.0),
@@ -176,17 +180,33 @@ def test_frame_equivalence_all_kinds():
         )
         assert dev < 1e-9, kind
     lay1 = SpaceLayout(2, (2,))
-    gs = build_lindblad_direct(TLS, single_modes, lay1)
-    gi = build_lindblad_direct(TLS, single_modes, lay1, frame="interaction")
-    rho1 = vacuum_embedding(lay1, EE)
-    rs = evolve(gs, rho1, t)
-    ri = evolve(gi, rho1, t)
-    h0 = free_hamiltonian_diagonal(lay1, TLS, [m.frequency for m in single_modes.modes])
-    dev = max(
-        np.abs(rotate_frame(ri.states[i], h0, t[i]) - rs.states[i]).max()
-        for i in range(len(t))
+    driven = SystemSpec(
+        energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
+        strengths=(1.0,), drive=lambda t: 0.1 * SX,
     )
-    assert dev < 1e-9
+    rho1 = vacuum_embedding(lay1, EE)
+    h0 = free_hamiltonian_diagonal(lay1, TLS, [m.frequency for m in single_modes.modes])
+    for system in (TLS, driven):
+        gs = build_lindblad_direct(system, single_modes, lay1)
+        gi = build_lindblad_direct(system, single_modes, lay1, frame="interaction")
+        assert gi.time_dependent == (system.drive is not None)
+        rs = evolve(gs, rho1, t)
+        ri = evolve(gi, rho1, t)
+        dev = max(
+            np.abs(rotate_frame(ri.states[i], h0, t[i]) - rs.states[i]).max()
+            for i in range(len(t))
+        )
+        assert dev < 1e-9
+
+
+def test_interaction_frame_needs_the_free_hamiltonian():
+    gen, layout = tls_direct()
+    parts = dict(kind=gen.kind, layout=layout, static_both=gen.static_both,
+                 damping=gen.damping, channels=gen.channels)
+    with pytest.raises(InvalidModelError):
+        Generator(frame="interaction", **parts)
+    assert Generator(frame="interaction", h0=gen.h0, **parts).frame_view() is not None
+    assert Generator(frame="schrodinger", **parts).frame_view() is None
 
 
 def test_step_halving_is_converged():
@@ -288,16 +308,6 @@ def test_constant_drive_equals_augmented_hamiltonian():
     np.testing.assert_allclose(
         res_a.observables["ee"], res_b.observables["ee"], atol=1e-9
     )
-
-
-def test_drive_refused_in_interaction_frame():
-    modes = build_discrete_modes(SINGLE, (1.0,))
-    driven_sys = SystemSpec(
-        energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
-        strengths=(1.0,), drive=lambda t: 0.1 * SX,
-    )
-    with pytest.raises(InvalidModelError):
-        build_lindblad_direct(driven_sys, modes, SpaceLayout(2, (2,)), frame="interaction")
 
 
 def test_truncation_guard_aborts_with_partial_prefix():

@@ -77,10 +77,24 @@ def test_embed_factors_commute():
     assert np.abs(b1 @ b2 - b2 @ b1).max() < 1e-15
 
 
+def kron_chain(layout, factor, op):
+    """Explicit I (x) ... (x) op (x) ... (x) I, one np.kron per factor."""
+    out = np.array([[1.0 + 0.0j]])
+    for i, d in enumerate(layout.dims):
+        out = np.kron(out, op if i == factor else np.eye(d, dtype=complex))
+    return out
+
+
 def test_embed_system_matches_kron():
     layout = SpaceLayout(2, (1, 2))
     expected = np.kron(SX, np.eye(2 * 3))
     np.testing.assert_allclose(embed_system(layout, SX), expected, atol=1e-15)
+    # three factors: every one of them against the explicit kron chain
+    layout3 = SpaceLayout(3, (1, 2, 3))
+    rng = np.random.default_rng(8)
+    for factor, d in enumerate(layout3.dims):
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        assert np.array_equal(embed(layout3, factor, op), kron_chain(layout3, factor, op))
 
 
 def test_mode_ops_against_kron():
@@ -89,6 +103,12 @@ def test_mode_ops_against_kron():
     expected = np.kron(np.eye(2 * 3), destroy(1))
     np.testing.assert_allclose(b, expected, atol=1e-15)
     np.testing.assert_allclose(bdag, expected.conj().T, atol=1e-15)
+    layout3 = SpaceLayout(3, (1, 2, 3))
+    for l, n_max in enumerate(layout3.fock_levels):
+        b, bdag = mode_ops(layout3, l)
+        expected = kron_chain(layout3, 1 + l, destroy(n_max))
+        assert np.array_equal(b, expected)
+        assert np.array_equal(bdag, expected.conj().T)
 
 
 def test_partial_trace_matches_loop_oracle():

@@ -9,12 +9,12 @@ from pseudomodes import (
     InvalidModelError,
     LorentzianSum,
     LorentzianTerm,
-    auxiliary_correlation_check,
     build_discrete_modes,
     correlation,
     damped_rabi_amplitude,
     discretized_bath_solve,
     lorentzian_to_poles,
+    mode_correlation,
     single_excitation_solve,
 )
 
@@ -175,44 +175,23 @@ def test_discretized_bath_rejects_indefinite_density():
 
 def test_auxiliary_correlation_trivial_cases():
     modes = build_discrete_modes(SINGLE, (1.5,))
-    analytic, recon = auxiliary_correlation_check(modes, 2.0, 2.0)
-    assert analytic == pytest.approx(1.5 * 1.5, abs=1e-12)
-    assert recon == pytest.approx(1.5 * 1.5, abs=1e-12)
+    assert mode_correlation(modes, 0, 0, 0.0) == pytest.approx(1.5 * 1.5, abs=1e-12)
     # single Lorentzian at lag 1: strength^2 * exp(-i xi - lambda)
     modes1 = build_discrete_modes(SINGLE, (1.0,))
-    analytic, recon = auxiliary_correlation_check(modes1, 3.0, 2.0)
     expected = np.exp(-1j * 1.0 - 4.0)
-    assert analytic == pytest.approx(expected, abs=1e-12)
-    assert recon == pytest.approx(expected, abs=1e-12)
+    assert mode_correlation(modes1, 0, 0, 1.0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_auxiliary_correlation_rejects_reversed_times():
     modes = build_discrete_modes(SINGLE, (1.0,))
     with pytest.raises(ValueError):
-        auxiliary_correlation_check(modes, 1.0, 2.0)
-
-
-def test_auxiliary_correlation_depends_only_on_lag():
-    modes = build_discrete_modes(BAND_GAP, (1.0,))
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        s = rng.uniform(0.0, 4.0)
-        tau = rng.uniform(0.0, 4.0)
-        shift = rng.uniform(0.0, 3.0)
-        a1, r1 = auxiliary_correlation_check(modes, s + tau, s)
-        a2, r2 = auxiliary_correlation_check(modes, s + tau + shift, s + shift)
-        assert abs(a1 - a2) < 1e-12
-        assert abs(r1 - r2) < 1e-12
+        mode_correlation(modes, 0, 0, -1.0)
 
 
 def test_auxiliary_correlation_matches_pole_sum():
     spec = CorrelationSpec(BAND_GAP, (1.0,))
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     rng = np.random.default_rng(10)
-    for _ in range(25):
-        s = rng.uniform(0.0, 3.0)
-        tau = rng.uniform(0.0, 3.0)
-        analytic, recon = auxiliary_correlation_check(modes, s + tau, s)
+    for tau in rng.uniform(0.0, 3.0, size=25):
         ref = correlation(spec, 0, 0, tau)
-        assert abs(analytic - ref) <= 1e-12 * abs(ref)
-        assert abs(recon - ref) <= 1e-12 * max(abs(ref), 1e-3)
+        assert abs(mode_correlation(modes, 0, 0, tau) - ref) <= 1e-12 * abs(ref)

@@ -164,6 +164,28 @@ def test_one_sided_generator_is_refused():
                  TrajectoryConfig(n_traj=1, seed=0, times=np.array([0.0, 1.0])))
 
 
+def test_interaction_frame_only_rotates_the_recorded_states():
+    modes = build_discrete_modes(BAND_GAP, (1.0,))
+    reg = two_mode_regularize(modes)
+    layout = SpaceLayout(2, (2, 2))
+    cfg = TrajectoryConfig(n_traj=20, seed=3, times=np.linspace(0.0, 5.0, 11))
+    obs = {"ee": EE, "coh": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)}
+    psi0 = (basis_state(layout, 0) + basis_state(layout, 1)) / np.sqrt(2.0)
+    schro, inter = (
+        mcwf_run(build_lindblad_regularized(TLS, reg, layout, frame=frame),
+                 psi0, cfg, observables=obs)
+        for frame in ("schrodinger", "interaction")
+    )
+    assert sum(len(r) for r in schro.jump_records) > 0
+    assert inter.jump_records == schro.jump_records
+    assert np.abs(inter.observables["ee"] - schro.observables["ee"]).max() <= 1e-12
+    # <0|rho_I|1> = e^{i (e_0 - e_1) t} <0|rho|1>: the free system phase is removed
+    phase = np.exp(-1j * cfg.times)
+    assert np.abs(schro.observables["coh"]).max() > 0.1
+    np.testing.assert_allclose(inter.observables["coh"],
+                               phase * schro.observables["coh"], atol=1e-12)
+
+
 def test_time_dependent_generator_is_refused():
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (2,))
