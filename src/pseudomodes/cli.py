@@ -703,7 +703,8 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     spec = CorrelationSpec(cfg.pole_set, cfg.system.strengths)
     rng = np.random.default_rng(20260817)
     worst = 0.0
-    scale = max(w * w for w in cfg.system.strengths)
+    # All-zero strengths make every correlation vanish; compare absolutely then.
+    scale = max(w * w for w in cfg.system.strengths) or 1.0
     for _ in range(50):
         s = rng.uniform(0.0, horizon)
         t = s + rng.uniform(0.0, horizon)

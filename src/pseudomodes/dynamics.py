@@ -112,7 +112,6 @@ class Generator:
         damping: np.ndarray,
         channels: tuple[tuple[float, np.ndarray], ...],
         drive: Callable[[float], np.ndarray] | None = None,
-        system: SystemSpec | None = None,
         h0: np.ndarray | None = None,
     ):
         if kind not in KINDS:
@@ -123,7 +122,6 @@ class Generator:
         self.kind = kind
         self.frame = frame
         self.layout = layout
-        self.system = system
         self.static_both = as_complex_matrix(static_both, "static part")
         self.damping = as_complex_matrix(damping, "damping part")
         if self.static_both.shape != (d, d) or self.damping.shape != (d, d):
@@ -162,22 +160,21 @@ class Generator:
             self.layout, as_complex_matrix(self.drive(t), "drive")
         )
 
-    def frame_view(self) -> Callable[[np.ndarray, float], np.ndarray] | None:
+    def frame_view(
+        self, kets: bool = False
+    ) -> Callable[[np.ndarray, float], np.ndarray] | None:
         """Map (Schrodinger state, t) to the state seen in ``frame``.
 
-        The state is a density matrix or a ket.  Returns None in the
-        Schrodinger frame, where the view is the identity.
+        The state is a density matrix, or with ``kets`` a ket or an (n, d)
+        stack of kets.  Returns None in the Schrodinger frame, where the view
+        is the identity.
         """
         if self.frame == "schrodinger":
             return None
         h0 = self.h0
-
-        def view(state: np.ndarray, t: float) -> np.ndarray:
-            if state.ndim == 1:
-                return np.exp(1j * h0 * t) * state
-            return rotate_frame(state, h0, -t)
-
-        return view
+        if kets:
+            return lambda state, t: np.exp(1j * h0 * t) * state
+        return lambda state, t: rotate_frame(state, h0, -t)
 
     def drift_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(A(t) - iK, A(t) + iK), the two one-sided drift operators."""
@@ -295,7 +292,6 @@ def _assemble(
         damping=damping,
         channels=channels,
         drive=system.drive,
-        system=system,
         h0=free_hamiltonian_diagonal(layout, system, mode_frequencies),
     )
 

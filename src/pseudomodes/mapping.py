@@ -378,14 +378,18 @@ def two_mode_regularize(modes: DiscreteModeSet) -> RegularizedModeSet:
 
     # Moment matching pins the hopping sign compatible with gt >= 0.  With a
     # vanishing coupling the sign is immaterial and the magnitude is kept.
+    # Both sides scale with the strength squared, so they are matched per
+    # unit strength: a tiny strength must not underflow the denominator.
     zt11 = complex(xt1, -gam1)
     zt22 = complex(xt2, -gam2)
     j_ref = max(range(len(modes.strengths)), key=lambda j: modes.strengths[j])
-    g_row = modes.coupling_matrix[j_ref]
-    if fr1 > 0.0 and fr2 > 0.0:
+    w_ref = modes.strengths[j_ref]
+    if fr1 > 0.0 and fr2 > 0.0 and w_ref > 0.0:
+        g_row = modes.coupling_matrix[j_ref] / w_ref
+        gt_row = gt[j_ref] / w_ref
         moment = g_row[0] ** 2 * z1 + g_row[1] ** 2 * z2
-        v_c = (moment - gt[j_ref, 0] ** 2 * zt11 - gt[j_ref, 1] ** 2 * zt22) / (
-            2.0 * gt[j_ref, 0] * gt[j_ref, 1]
+        v_c = (moment - gt_row[0] ** 2 * zt11 - gt_row[1] ** 2 * zt22) / (
+            2.0 * gt_row[0] * gt_row[1]
         )
         scale = max(1.0, abs(moment))
         if abs(v_c.imag) > 1e-9 * scale:

@@ -1,39 +1,49 @@
 """Monte Carlo wave-function unraveling of the Lindblad-kind generators.
 
-Standard first-order quantum-jump scheme: between jumps the state follows the
-non-Hermitian drift D = A - iK (so the squared norm decays monotonically,
-since K is positive semidefinite); a jump fires when the norm crosses a
-uniform threshold; the channel is drawn proportionally to 2 rate_k
-||b_k psi||**2 and the state is projected and renormalized.
+Standard first-order quantum-jump scheme (Dalibard, Castin and Molmer, PRL
+68, 580 (1992)): between jumps the state follows the non-Hermitian drift
+D = A - iK (so the squared norm decays monotonically, since K is positive
+semidefinite); a jump fires when the norm crosses a uniform threshold; the
+channel is drawn proportionally to 2 rate_k ||b_k psi||**2 and the state is
+projected and renormalized.
 
-Only undriven generators are unraveled, so the no-jump segments are
-propagated with the exact exponential of D obtained from one
-eigendecomposition, not with a stepper.  Monotonicity of the norm then
-makes threshold detection exact on arbitrarily long segments, and the jump
-time itself is refined by bisection to 1e-10 relative precision.  The
-generator's frame only changes how the recorded states are viewed
-(psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times do
-not depend on it.
+Only undriven generators are unraveled, so the no-jump evolution is the
+exact exponential exp(-i D dt), computed by the truncated Taylor action of
+``dynamics`` rather than by an eigendecomposition, which a defective drift
+(an exceptional point) would not have.  The whole ensemble advances
+together: each output row is one product of the (n_traj, d) ket stack with
+exp(-i D dt) and one vectorised norm check.  Only the trajectories whose
+norm fell below their threshold are then handled one at a time: monotonicity
+of the norm lets a walk down the dyadic steps dt 2**-k, k = 0..K, locate
+the crossing to 1e-10 relative precision, one matrix-vector product per
+step.  The generator's frame only changes how the recorded states are
+viewed (psi_I = exp(i H0 t) psi in the interaction frame); jumps and their
+times do not depend on it.
 
 Trajectories are statistically independent with counter-based RNG streams
-derived from (seed, trajectory index), so any execution order, including a
-parallel one, reproduces the same ensemble bit for bit.  This implementation
-runs them sequentially.
+derived from (seed, trajectory index), each drawing in a fixed order.  The
+batched products are contracted in a fixed order too, so a trajectory's
+jumps do not depend on how many others run beside it.
 """
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import as_complex_matrix, frozen, validate_grid
 from .errors import ClassificationError, InvalidModelError
-from .dynamics import Generator
+from .dynamics import Generator, _taylor_interval
 from .hilbert import embed_system
 
-#: Relative precision of the bisection-refined jump times.
+#: Relative precision of the jump times.
 JUMP_TIME_TOL = 1e-10
+#: Exponentials a NoJumpPropagator keeps: the dyadic tables (about 30 levels
+#: each) of the few row spacings in use, however many rows the grid has.
+PROPAGATOR_CACHE = 128
 
 
 @dataclass(frozen=True)
@@ -70,38 +80,54 @@ class EnsembleResult:
 
 
 class NoJumpPropagator:
-    """Exact propagator exp(-i D dt) for a time-independent drift D.
+    """Exact no-jump propagator exp(-i D dt) for a time-independent drift D.
 
-    Diagonalizes once; each application is three small matrix-vector
-    products.  The reconstruction residual is checked so silently inaccurate
-    eigenbases are rejected rather than trusted.
+    Each exp(-i D dt) is evaluated once per distinct dt, directly (never by
+    squaring), with the truncated Taylor action that ``dynamics.evolve`` uses:
+    A = -i D applied to the identity, with ||D||_F bounding ||A||.  No
+    eigendecomposition is involved, so a defective drift (an exceptional
+    point) is propagated like any other.  The ``PROPAGATOR_CACHE`` most
+    recently used exponentials are kept.  ``apply`` takes a ket or an (n, d)
+    stack of kets.  A stack is contracted in a fixed order, so no row of the
+    result depends on how many other rows the stack has.
     """
 
     def __init__(self, drift: np.ndarray):
         d = as_complex_matrix(drift, "drift")
-        evals, evecs = np.linalg.eig(d)
-        try:
-            inv = np.linalg.inv(evecs)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidModelError("drift is not diagonalizable") from exc
-        recon = (evecs * evals) @ inv
-        scale = max(1.0, float(np.abs(d).max()))
-        if float(np.abs(recon - d).max()) > 1e-9 * scale:
-            raise InvalidModelError(
-                "drift eigendecomposition is too ill-conditioned to trust"
-            )
-        self._evals = evals
-        self._evecs = evecs
-        self._inv = inv
+        self._a = -1j * d
+        self._norm = float(np.linalg.norm(d))
+        self._cache: OrderedDict[float, np.ndarray] = OrderedDict()
 
     def apply(self, psi: np.ndarray, dt: float) -> np.ndarray:
-        coeff = self._inv @ psi
-        coeff = coeff * np.exp(-1j * self._evals * dt)
-        return self._evecs @ coeff
+        """exp(-i D dt) psi for dt >= 0."""
+        u = self._cache.get(dt)
+        if u is None:
+            a = self._a
+            u = _taylor_interval(lambda _t, x: a @ x, np.eye(a.shape[0], dtype=complex),
+                                 dt, self._norm, 1.0)
+            self._cache[dt] = u
+            if len(self._cache) > PROPAGATOR_CACHE:
+                self._cache.popitem(last=False)
+        else:
+            self._cache.move_to_end(dt)
+        if np.ndim(psi) == 1:
+            return u @ psi
+        return np.einsum("ij,nj->ni", u, psi)
 
 
-def _norm2(psi: np.ndarray) -> float:
-    return float(np.real(np.vdot(psi, psi)))
+def _norm2(psi: np.ndarray):
+    """Squared norm of a ket, or of each ket of an (n, d) stack in a fixed order."""
+    if psi.ndim == 1:
+        return float(np.vdot(psi, psi).real)
+    return (psi.real**2 + psi.imag**2).sum(axis=1)
+
+
+def _dyadic_levels(dt: float, tol: float) -> int:
+    """Smallest K >= 0 with dt 2**-K <= tol."""
+    levels = 0
+    while math.ldexp(dt, -levels) > tol:
+        levels += 1
+    return levels
 
 
 def mcwf_run(
@@ -133,8 +159,7 @@ def mcwf_run(
         raise InvalidModelError(
             f"initial state has dimension {psi0.size}, generator needs {gen.dim}"
         )
-    n0 = _norm2(psi0)
-    if abs(n0 - 1.0) > 1e-10:
+    if abs(_norm2(psi0) - 1.0) > 1e-10:
         raise InvalidModelError("initial state must be normalized")
 
     observables = observables or {}
@@ -162,79 +187,89 @@ def mcwf_run(
     d = gen.dim
 
     samples = {name: np.empty((n_traj, n_t), dtype=complex) for name in obs_mats}
-    density_sum = np.zeros((n_t, d, d), dtype=complex)
+    density_sum = np.empty((n_t, d, d), dtype=complex)
     jump_counts = np.zeros((n_traj, len(channels)), dtype=np.int64)
-    all_records: list[tuple[tuple[float, int], ...]] = []
-    stream_keys: list[tuple[int, int]] = []
-    view = gen.frame_view()
+    records: list[list[tuple[float, int]]] = [[] for _ in range(n_traj)]
+    rngs = [
+        np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(idx,)))
+        )
+        for idx in range(n_traj)
+    ]
+    eta = np.array([rng.random() for rng in rngs])
+    view = gen.frame_view(kets=True)
 
-    def emission_weights(psi: np.ndarray) -> np.ndarray:
-        return np.array(
+    def record(i: int, psi: np.ndarray) -> None:
+        normed = psi / np.sqrt(_norm2(psi))[:, None]
+        if view is not None:
+            normed = view(normed, float(t[i]))
+        for name, mat in obs_mats.items():
+            samples[name][:, i] = np.einsum("ni,ni->n", normed.conj(), normed @ mat.T)
+        density_sum[i] = normed.T @ normed.conj()
+
+    def jump(idx: int, psi: np.ndarray, t_jump: float) -> np.ndarray:
+        """Project the ket that reached its threshold; the normalized result."""
+        weights = np.array(
             [
                 2.0 * rate * _norm2(op @ psi) if rate > 0.0 else 0.0
                 for rate, op in channels
             ]
         )
+        total = float(weights.sum())
+        if total <= 0.0:
+            raise InvalidModelError(
+                "norm decayed with no open emission channel; "
+                "the generator data is inconsistent"
+            )
+        draw = rngs[idx].random() * total
+        ch = int(np.searchsorted(np.cumsum(weights), draw, side="right"))
+        ch = min(ch, len(channels) - 1)
+        post = ops[ch] @ psi
+        eta[idx] = rngs[idx].random()
+        jump_counts[idx, ch] += 1
+        records[idx].append((t_jump, ch))
+        return post / np.sqrt(_norm2(post))
 
-    def refine_jump(psi_lo, t_lo: float, t_hi: float, eta: float):
-        """Bisect the norm threshold crossing inside (t_lo, t_hi]."""
-        lo, hi = t_lo, t_hi
-        tol = JUMP_TIME_TOL * max(1.0, abs(t_hi))
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            psi_mid = prop.apply(psi_lo, mid - lo)
-            if _norm2(psi_mid) >= eta:
-                lo, psi_lo = mid, psi_mid
-            else:
-                hi = mid
-        return hi, prop.apply(psi_lo, hi - lo)
+    def cross_row(idx: int, psi: np.ndarray, psi_end: np.ndarray,
+                  t_lo: float, t_hi: float) -> np.ndarray:
+        """Carry one ket over a row in which its norm falls below its threshold.
 
-    for idx in range(n_traj):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(idx,)))
-        )
-        psi = psi0.copy()
-        eta = rng.random()
-        records: list[tuple[float, int]] = []
+        Positions are multiples of dt 2**-K, with K from JUMP_TIME_TOL.  From
+        the last position known to be above the threshold, the walk tries
+        steps dt 2**-k for k = 0..K (one product each with a cached
+        exponential) and keeps every step that stays above: the crossing is
+        then the next position.  After a jump the walk restarts there with the
+        new threshold, so further jumps in the same row are found the same way.
+        """
+        dt = t_hi - t_lo
+        levels = _dyadic_levels(dt, JUMP_TIME_TOL * max(1.0, t_hi))
+        end = 1 << levels
+        steps = [(1 << (levels - k), math.ldexp(dt, -k)) for k in range(levels + 1)]
+        pos, below, psi_below = 0, end, psi_end
+        while True:
+            for step, h in steps:
+                if pos + step >= below:
+                    continue
+                cand = prop.apply(psi, h)
+                if _norm2(cand) >= eta[idx]:
+                    pos, psi = pos + step, cand
+                else:
+                    below, psi_below = pos + step, cand
+            if pos == end:
+                return psi
+            t_jump = min(t_lo + math.ldexp(dt * below, -levels), t_hi)
+            psi = jump(idx, psi_below, t_jump)
+            pos, below = below, end + 1
 
-        def record(i: int, psi: np.ndarray) -> None:
-            n2 = _norm2(psi)
-            normed = psi / np.sqrt(n2)
-            if view is not None:
-                normed = view(normed, float(t[i]))
-            for name, mat in obs_mats.items():
-                samples[name][idx, i] = np.vdot(normed, mat @ normed)
-            density_sum[i] += np.outer(normed, normed.conj())
-
-        record(0, psi)
-        for i in range(1, n_t):
-            tcur = float(t[i - 1])
-            t_target = float(t[i])
-            while True:
-                psi_cand = prop.apply(psi, t_target - tcur)
-                if not jumps_possible or _norm2(psi_cand) >= eta:
-                    psi = psi_cand
-                    break
-                t_jump, psi_at = refine_jump(psi, tcur, t_target, eta)
-                weights = emission_weights(psi_at)
-                total = float(weights.sum())
-                if total <= 0.0:
-                    raise InvalidModelError(
-                        "norm decayed with no open emission channel; "
-                        "the generator data is inconsistent"
-                    )
-                draw = rng.random() * total
-                ch = int(np.searchsorted(np.cumsum(weights), draw, side="right"))
-                ch = min(ch, len(channels) - 1)
-                post = ops[ch] @ psi_at
-                psi = post / np.sqrt(_norm2(post))
-                eta = rng.random()
-                records.append((t_jump, ch))
-                jump_counts[idx, ch] += 1
-                tcur = t_jump
-            record(i, psi)
-        all_records.append(tuple(records))
-        stream_keys.append((config.seed, idx))
+    psi = np.tile(psi0, (n_traj, 1))
+    record(0, psi)
+    for i in range(1, n_t):
+        t_lo, t_hi = float(t[i - 1]), float(t[i])
+        start, psi = psi, prop.apply(psi, t_hi - t_lo)
+        if jumps_possible:
+            for idx in np.flatnonzero(_norm2(psi) < eta):
+                psi[idx] = cross_row(idx, start[idx], psi[idx], t_lo, t_hi)
+        record(i, psi)
 
     means = {name: s.mean(axis=0) for name, s in samples.items()}
     stderr = {}
@@ -250,6 +285,6 @@ def mcwf_run(
         stderr=stderr,
         mean_density=density_sum / n_traj,
         jump_counts=jump_counts,
-        jump_records=tuple(all_records),
-        stream_keys=tuple(stream_keys),
+        jump_records=tuple(tuple(r) for r in records),
+        stream_keys=tuple((config.seed, idx) for idx in range(n_traj)),
     )

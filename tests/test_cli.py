@@ -26,6 +26,7 @@ from pseudomodes.cli import (
     _observable_ops,
 )
 from pseudomodes.errors import RegularizationError
+from pseudomodes.dynamics import FRAMES, KINDS
 from pseudomodes.mapping import build_discrete_modes, two_mode_regularize
 
 SINGLE_DOC = {
@@ -182,6 +183,60 @@ def test_load_config_returns_a_config_or_raises_config_error(tmp_path):
         except ConfigError:
             return
         assert isinstance(cfg, RunConfig)
+
+    check()
+
+
+#: One field set to a value every command must refuse.
+BREAKAGES = (
+    ("spectral", "terms", [{"weight": 1.0, "center": 1.0, "width": 0.0}]),
+    ("run", "generator", "bogus"),
+    ("run", "frame", "bogus"),
+    ("run", "fock_levels", 0),
+    ("trajectories", "n_traj", 0),
+    ("trajectories", "seed", -1),
+)
+
+
+@st.composite
+def _documents(draw):
+    """Small whole run documents: one to three Lorentzian lines on a two-level system."""
+    terms = [
+        {"weight": draw(st.floats(-1.5, 2.0)), "center": draw(st.floats(-2.0, 2.0)),
+         "width": draw(st.floats(0.5, 4.0))}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    terms[-1]["weight"] = 1.0 - sum(t["weight"] for t in terms[:-1])
+    gap = draw(st.floats(0.5, 2.0))
+    doc = {
+        "spectral": {"type": "lorentzian_sum", "terms": terms},
+        "system": {"energies": [0.0, gap],
+                   "channels": [{"frequency": gap, "strength": draw(st.floats(0.0, 2.0))}]},
+        "run": {"generator": draw(st.sampled_from(("auto",) + KINDS)),
+                "frame": draw(st.sampled_from(FRAMES)),
+                "t_max": draw(st.floats(0.0, 2.0)),
+                "n_steps": draw(st.integers(1, 8)),
+                "fock_levels": draw(st.integers(1, 2))},
+        "trajectories": {"n_traj": draw(st.integers(1, 6)),
+                         "seed": draw(st.integers(0, 2**64))},
+    }
+    broken = draw(st.none() | st.sampled_from(BREAKAGES))
+    if broken is not None:
+        block, key, value = broken
+        doc[block][key] = value
+    return doc
+
+
+def test_main_returns_an_exit_code_for_any_document(tmp_path, capsys):
+    path = tmp_path / "doc.yaml"
+    out = str(tmp_path / "out.csv")
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(["map", "evolve", "trajectories", "validate"]), _documents())
+    def check(command, doc):
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main([command, str(path), "--out", out]) in range(5)
+        capsys.readouterr()
 
     check()
 
@@ -371,6 +426,22 @@ def test_interaction_frame_runs_every_subcommand(tmp_path, capsys, command, conf
     doc["output"]["path"] = str(tmp_path / "out.csv")
     assert main([command, write_doc(tmp_path, doc)]) == 0
     capsys.readouterr()
+
+
+def test_trajectories_run_at_an_exceptional_point(tmp_path, capsys):
+    # width 2.0 critically damps the single line: the drift is defective,
+    # which an eigendecomposition-based propagator refused with exit 2
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["spectral"]["terms"][0]["width"] = 2.0
+    path = write_doc(tmp_path, doc)
+    columns = {}
+    for command in ("evolve", "trajectories"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, path, "--out", str(out)]) == 0
+        columns[command] = np.genfromtxt(out, delimiter=",", names=True)
+    exact = columns["evolve"]["pop_1_re"]
+    ens = columns["trajectories"]
+    assert np.all(np.abs(ens["pop_1_re"] - exact) <= 3.0 * ens["pop_1_se"])
 
 
 def test_validate_rotates_an_infeasible_pair_once(tmp_path, monkeypatch):

@@ -302,7 +302,6 @@ def test_constant_drive_equals_augmented_hamiltonian():
         static_both=gen_plain.static_both + embed_system(layout, eps * SX),
         damping=gen_plain.damping,
         channels=gen_plain.channels,
-        system=TLS,
     )
     res_b = evolve(gen_b, rho0, t, observables={"ee": EE}, store_states=False)
     np.testing.assert_allclose(

@@ -146,6 +146,24 @@ def test_band_gap_rotation_frozen_values():
     assert reg.intermode == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
+def test_rotation_does_not_depend_on_the_strength_scale():
+    # both mode couplings non-zero, so the hopping sign comes from moment
+    # matching; a strength of 5e-256 once underflowed its denominator
+    poles = lorentzian_to_poles(LorentzianSum((
+        LorentzianTerm(weight=-0.6355982826661527, center=0.0, width=2.00001),
+        LorentzianTerm(weight=1.6355982826661526, center=1.2465123498171318, width=2.00001),
+    )))
+    unit = two_mode_regularize(build_discrete_modes(poles, (1.0,)))
+    assert all(c[0] > 0.0 for c in unit.coupling_matrix.T)
+    for w in (5e-256, 1e-3, 7.0):
+        reg = two_mode_regularize(build_discrete_modes(poles, (w,)))
+        assert reg.intermode == pytest.approx(unit.intermode, rel=1e-12)
+        for got, want in zip(reg.modes, unit.modes):
+            assert got.frequency == pytest.approx(want.frequency, rel=1e-12)
+            assert got.damping == pytest.approx(want.damping, rel=1e-12)
+            assert got.couplings[0] == pytest.approx(w * want.couplings[0], rel=1e-12)
+
+
 def test_gap_family_rates_follow_width_weight_pattern():
     # For a gapped two-Lorentzian difference the rotated rates come out as
     # (w1*lam2 - w2*lam1, w1*lam1 - w2*lam2) with the weights (w1, -w2).

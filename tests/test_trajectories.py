@@ -1,5 +1,6 @@
 """Quantum-jump unraveling against the deterministic master equation."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -26,6 +27,7 @@ from pseudomodes import (
     two_mode_regularize,
     vacuum_embedding,
 )
+from pseudomodes.trajectories import JUMP_TIME_TOL
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -34,6 +36,11 @@ TLS = SystemSpec(energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,), str
 
 SINGLE = lorentzian_to_poles(LorentzianSum((
     LorentzianTerm(weight=1.0, center=1.0, width=4.0),
+)))
+#: A single line at width 2.0, the critically damped case: the drift has an
+#: exceptional point and no trustworthy eigenbasis.
+CRITICAL = lorentzian_to_poles(LorentzianSum((
+    LorentzianTerm(weight=1.0, center=1.0, width=2.0),
 )))
 BAND_GAP = lorentzian_to_poles(LorentzianSum((
     LorentzianTerm(weight=2.0, center=1.0, width=2.0),
@@ -88,6 +95,22 @@ def test_no_jump_propagator_composes_and_decays():
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
+def test_no_jump_propagator_is_exact_at_an_exceptional_point():
+    modes = build_discrete_modes(CRITICAL, (1.0,))
+    layout = SpaceLayout(2, (2,))
+    drift = build_lindblad_direct(TLS, modes, layout).drift(0.0)
+    assert np.linalg.cond(np.linalg.eig(drift)[1]) > 1e6
+    prop = NoJumpPropagator(drift)
+    rng = np.random.default_rng(12)
+    kets = rng.standard_normal((3, layout.dim)) + 1j * rng.standard_normal((3, layout.dim))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    stacked = prop.apply(kets, 0.7)
+    for ket, out in zip(kets, stacked):
+        expected = rk4_state(drift, ket, 0.7, 4000)
+        np.testing.assert_allclose(prop.apply(ket, 0.7), expected, atol=1e-9)
+        np.testing.assert_allclose(out, expected, atol=1e-9)
+
+
 def test_ensemble_tracks_master_equation():
     gen, layout = tls_generator()
     t = np.linspace(0.0, 2.5, 26)
@@ -125,6 +148,43 @@ def test_trajectory_streams_do_not_depend_on_ensemble_size():
     small = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=4, seed=5, times=t))
     assert big.jump_records[:4] == small.jump_records
     assert np.array_equal(big.jump_counts[:4], small.jump_counts)
+
+
+def test_jump_records_do_not_depend_on_batch_size():
+    gen, layout = band_gap_regularized()
+    t = np.linspace(0.0, 4.0, 21)
+    psi0 = basis_state(layout, 1)
+    full = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=100, seed=8, times=t))
+    assert full.jump_counts.sum() > 20
+    for n in (1, 4, 37):
+        part = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=n, seed=8, times=t))
+        assert part.jump_records == full.jump_records[:n]
+        assert np.array_equal(part.jump_counts, full.jump_counts[:n])
+
+
+def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
+    gen, layout = tls_generator()
+    t = np.linspace(0.0, 2.5, 251)
+    # a crossing search and a walk to the row end, each at most one product
+    # per dyadic level dt 2**-k, k <= K
+    levels = math.ceil(math.log2((t[1] - t[0]) / JUMP_TIME_TOL))
+    per_jump = 2 * levels + 1
+    calls = []
+    apply = NoJumpPropagator.apply
+
+    def counting(self, psi, dt):
+        calls.append(np.ndim(psi))
+        return apply(self, psi, dt)
+
+    monkeypatch.setattr(NoJumpPropagator, "apply", counting)
+    for n_traj in (10, 100):
+        calls.clear()
+        ens = mcwf_run(gen, basis_state(layout, 1),
+                       TrajectoryConfig(n_traj=n_traj, seed=4, times=t))
+        jumps = int(ens.jump_counts.sum())
+        assert jumps > 0
+        assert calls.count(2) == t.size - 1  # one product per row for the ensemble
+        assert len(calls) <= (t.size - 1) + per_jump * jumps
 
 
 def test_zero_rate_channel_never_fires():
