@@ -12,13 +12,13 @@ exact exponential exp(-i D dt), computed by the truncated Taylor action of
 ``dynamics`` rather than by an eigendecomposition, which a defective drift
 (an exceptional point) would not have.  The whole ensemble advances
 together: each output row is one product of the (n_traj, d) ket stack with
-exp(-i D dt) and one vectorised norm check.  Only the trajectories whose
-norm fell below their threshold are then handled one at a time: monotonicity
-of the norm lets a walk down the dyadic steps dt 2**-k, k = 0..K, locate
-the crossing to 1e-10 relative precision, one matrix-vector product per
-step.  The generator's frame only changes how the recorded states are
-viewed (psi_I = exp(i H0 t) psi in the interaction frame); jumps and their
-times do not depend on it.
+exp(-i D dt) and one vectorised norm check.  The trajectories whose norm
+fell below their threshold then locate their jumps together: monotonicity
+of the norm lets a bisection over power-of-two steps place each jump on a
+lattice of spacing at most 1e-10 max(1, t), one product of the crossing
+kets' stack per step.  The generator's frame only changes how the recorded
+states are viewed (psi_I = exp(i H0 t) psi in the interaction frame); jumps
+and their times do not depend on it.
 
 Trajectories are statistically independent with counter-based RNG streams
 derived from (seed, trajectory index), each drawing in a fixed order.  The
@@ -36,14 +36,17 @@ import numpy as np
 
 from ._util import as_complex_matrix, frozen, validate_grid
 from .errors import ClassificationError, InvalidModelError
-from .dynamics import Generator, _taylor_interval
+from .dynamics import TAYLOR_THETA, Generator, _taylor_interval
 from .hilbert import embed_system
 
 #: Relative precision of the jump times.
 JUMP_TIME_TOL = 1e-10
-#: Exponentials a NoJumpPropagator keeps: the dyadic tables (about 30 levels
-#: each) of the few row spacings in use, however many rows the grid has.
-PROPAGATOR_CACHE = 128
+#: Power-of-two steps the jump search of one row takes at most: a row of
+#: length dt <= max(1, t) spans fewer than 2 / JUMP_TIME_TOL lattice steps.
+SEARCH_LEVELS = math.ceil(math.log2(2.0 / JUMP_TIME_TOL))
+#: Exponentials a NoJumpPropagator keeps: all those one row uses (its search
+#: steps, its spacing and its tail), so none is computed twice within a row.
+PROPAGATOR_CACHE = SEARCH_LEVELS + 2
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,17 @@ class EnsembleResult:
 class NoJumpPropagator:
     """Exact no-jump propagator exp(-i D dt) for a time-independent drift D.
 
-    Each exp(-i D dt) is evaluated once per distinct dt, directly (never by
-    squaring), with the truncated Taylor action that ``dynamics.evolve`` uses:
-    A = -i D applied to the identity, with ||D||_F bounding ||A||.  No
-    eigendecomposition is involved, so a defective drift (an exceptional
-    point) is propagated like any other.  The ``PROPAGATOR_CACHE`` most
-    recently used exponentials are kept.  ``apply`` takes a ket or an (n, d)
-    stack of kets.  A stack is contracted in a fixed order, so no row of the
-    result depends on how many other rows the stack has.
+    exp(-i D h) is evaluated directly with the truncated Taylor action that
+    ``dynamics.evolve`` uses (A = -i D applied to the identity, ||D||_F
+    bounding ||A||) while ||D||_F h stays within the largest degree's
+    ``TAYLOR_THETA``, where the series needs a single sub-interval; a longer
+    span is the square of the half span.  No eigendecomposition is involved,
+    so a defective drift (an exceptional point) is propagated like any other.
+    The ``PROPAGATOR_CACHE`` most recently used exponentials are kept:
+    PROPAGATOR_CACHE d**2 complex numbers, 0.2 MB at d = 18 and 35 MB at
+    d = 242.  ``apply`` takes a ket or an (n, d) stack of kets and contracts
+    them in a fixed order, so no row of the result depends on how many other
+    rows the stack has.
     """
 
     def __init__(self, drift: np.ndarray):
@@ -98,36 +104,32 @@ class NoJumpPropagator:
         self._norm = float(np.linalg.norm(d))
         self._cache: OrderedDict[float, np.ndarray] = OrderedDict()
 
+    def _exp(self, dt: float) -> np.ndarray:
+        halvings = 0
+        while self._norm * math.ldexp(dt, -halvings) > TAYLOR_THETA[-1][1]:
+            halvings += 1
+        a = self._a
+        u = _taylor_interval(lambda _t, x: a @ x, np.eye(a.shape[0], dtype=complex),
+                             math.ldexp(dt, -halvings), self._norm, 1.0)
+        for _ in range(halvings):
+            u = u @ u
+        return u
+
     def apply(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """exp(-i D dt) psi for dt >= 0."""
         u = self._cache.get(dt)
         if u is None:
-            a = self._a
-            u = _taylor_interval(lambda _t, x: a @ x, np.eye(a.shape[0], dtype=complex),
-                                 dt, self._norm, 1.0)
-            self._cache[dt] = u
+            u = self._cache[dt] = self._exp(dt)
             if len(self._cache) > PROPAGATOR_CACHE:
                 self._cache.popitem(last=False)
         else:
             self._cache.move_to_end(dt)
-        if np.ndim(psi) == 1:
-            return u @ psi
-        return np.einsum("ij,nj->ni", u, psi)
+        return np.einsum("ij,nj->ni", u, np.atleast_2d(psi)).reshape(np.shape(psi))
 
 
 def _norm2(psi: np.ndarray):
     """Squared norm of a ket, or of each ket of an (n, d) stack in a fixed order."""
-    if psi.ndim == 1:
-        return float(np.vdot(psi, psi).real)
-    return (psi.real**2 + psi.imag**2).sum(axis=1)
-
-
-def _dyadic_levels(dt: float, tol: float) -> int:
-    """Smallest K >= 0 with dt 2**-K <= tol."""
-    levels = 0
-    while math.ldexp(dt, -levels) > tol:
-        levels += 1
-    return levels
+    return (psi.real**2 + psi.imag**2).sum(axis=-1)
 
 
 def mcwf_run(
@@ -230,36 +232,53 @@ def mcwf_run(
         records[idx].append((t_jump, ch))
         return post / np.sqrt(_norm2(post))
 
-    def cross_row(idx: int, psi: np.ndarray, psi_end: np.ndarray,
-                  t_lo: float, t_hi: float) -> np.ndarray:
-        """Carry one ket over a row in which its norm falls below its threshold.
+    def cross_row(idx: np.ndarray, psi: np.ndarray, t_lo: float,
+                  t_hi: float) -> np.ndarray:
+        """Carry the kets ``idx`` over a row in which their norms fall below
+        their thresholds; ``psi`` holds them at t_lo.
 
-        Positions are multiples of dt 2**-K, with K from JUMP_TIME_TOL.  From
-        the last position known to be above the threshold, the walk tries
-        steps dt 2**-k for k = 0..K (one product each with a cached
-        exponential) and keeps every step that stays above: the crossing is
-        then the next position.  After a jump the walk restarts there with the
-        new threshold, so further jumps in the same row are found the same way.
+        Jumps are placed on the lattice t_lo + p q, p = 0..n, where q is the
+        largest power of two within JUMP_TIME_TOL max(1, t_hi), and
+        t_hi = t_lo + n q + rest with 0 <= rest < q.  A pass moves every ket
+        from its lattice position through the steps 2**j q, j = J..0, keeping
+        each step after which the norm stays at or above the threshold, so it
+        stops just before the first lattice point below it.  A ket that
+        crosses at a lattice point jumps there and walks on in the next pass
+        with its new threshold; a ket that stays above up to p = n takes the
+        step rest to t_hi and jumps there if it falls below.  The kets of a
+        pass take each step together, as one stack.
         """
         dt = t_hi - t_lo
-        levels = _dyadic_levels(dt, JUMP_TIME_TOL * max(1.0, t_hi))
-        end = 1 << levels
-        steps = [(1 << (levels - k), math.ldexp(dt, -k)) for k in range(levels + 1)]
-        pos, below, psi_below = 0, end, psi_end
-        while True:
+        e = math.frexp(JUMP_TIME_TOL * max(1.0, t_hi))[1] - 1
+        n = math.floor(math.ldexp(dt, -e))
+        rest = dt - math.ldexp(n, e)
+        steps = [(1 << j, math.ldexp(1.0, e + j)) for j in reversed(range(n.bit_length()))]
+        live, at, kets = np.arange(idx.size), np.zeros(idx.size, dtype=np.int64), psi.copy()
+        while live.size:
+            th = eta[idx[live]]
+            below = np.full(live.size, n + 1, dtype=np.int64)
+            kets_below = np.empty_like(kets)
             for step, h in steps:
-                if pos + step >= below:
-                    continue
-                cand = prop.apply(psi, h)
-                if _norm2(cand) >= eta[idx]:
-                    pos, psi = pos + step, cand
-                else:
-                    below, psi_below = pos + step, cand
-            if pos == end:
-                return psi
-            t_jump = min(t_lo + math.ldexp(dt * below, -levels), t_hi)
-            psi = jump(idx, psi_below, t_jump)
-            pos, below = below, end + 1
+                sel = np.flatnonzero(at + step < below)
+                if sel.size:
+                    cand = prop.apply(kets[sel], h)
+                    up = _norm2(cand) >= th[sel]
+                    at[sel[up]] += step
+                    kets[sel[up]] = cand[up]
+                    below[sel[~up]] = at[sel[~up]] + step
+                    kets_below[sel[~up]] = cand[~up]
+            crossed = below <= n
+            for k in np.flatnonzero(crossed):
+                t_jump = min(t_lo + math.ldexp(float(below[k]), e), t_hi)
+                kets[k] = jump(idx[live[k]], kets_below[k], t_jump)
+            fin = np.flatnonzero(~crossed)
+            if fin.size:
+                end = kets[fin] if rest == 0.0 else prop.apply(kets[fin], rest)
+                for k in np.flatnonzero(_norm2(end) < th[fin]):
+                    end[k] = jump(idx[live[fin[k]]], end[k], t_hi)
+                psi[live[fin]] = end
+            live, at, kets = live[crossed], below[crossed], kets[crossed]
+        return psi
 
     psi = np.tile(psi0, (n_traj, 1))
     record(0, psi)
@@ -267,8 +286,9 @@ def mcwf_run(
         t_lo, t_hi = float(t[i - 1]), float(t[i])
         start, psi = psi, prop.apply(psi, t_hi - t_lo)
         if jumps_possible:
-            for idx in np.flatnonzero(_norm2(psi) < eta):
-                psi[idx] = cross_row(idx, start[idx], psi[idx], t_lo, t_hi)
+            cross = np.flatnonzero(_norm2(psi) < eta)
+            if cross.size:
+                psi[cross] = cross_row(cross, start[cross], t_lo, t_hi)
         record(i, psi)
 
     means = {name: s.mean(axis=0) for name, s in samples.items()}

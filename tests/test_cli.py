@@ -444,6 +444,17 @@ def test_trajectories_run_at_an_exceptional_point(tmp_path, capsys):
     assert np.all(np.abs(ens["pop_1_re"] - exact) <= 3.0 * ens["pop_1_se"])
 
 
+def test_trajectories_run_a_row_of_a_million_time_units(tmp_path, capsys):
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["run"].update(t_max=1e6, n_steps=1)
+    doc["trajectories"]["n_traj"] = 20
+    out = tmp_path / "long.csv"
+    assert main(["trajectories", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+    rows = np.genfromtxt(out, delimiter=",", names=True)
+    assert rows["t"].tolist() == [0.0, 1e6]
+    assert rows["pop_1_re"].tolist() == [1.0, 0.0]
+
+
 def test_validate_rotates_an_infeasible_pair_once(tmp_path, monkeypatch):
     doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
     doc["spectral"]["terms"][0]["width"] = 3.0

@@ -165,26 +165,48 @@ def test_jump_records_do_not_depend_on_batch_size():
 def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
     gen, layout = tls_generator()
     t = np.linspace(0.0, 2.5, 251)
-    # a crossing search and a walk to the row end, each at most one product
-    # per dyadic level dt 2**-k, k <= K
-    levels = math.ceil(math.log2((t[1] - t[0]) / JUMP_TIME_TOL))
-    per_jump = 2 * levels + 1
+    spacings = set(np.diff(t).tolist())
+    # a pass of the jump search takes at most one product per power-of-two
+    # step of the row and one more to the row end; a row with crossings takes
+    # one pass, plus one for each jump of the ket that jumps most often in it
+    levels = math.ceil(math.log2(2.0 * (t[1] - t[0]) / JUMP_TIME_TOL))
     calls = []
     apply = NoJumpPropagator.apply
 
     def counting(self, psi, dt):
-        calls.append(np.ndim(psi))
+        calls.append(dt)
         return apply(self, psi, dt)
 
     monkeypatch.setattr(NoJumpPropagator, "apply", counting)
-    for n_traj in (10, 100):
+    for n_traj in (10, 100, 1000):
         calls.clear()
         ens = mcwf_run(gen, basis_state(layout, 1),
                        TrajectoryConfig(n_traj=n_traj, seed=4, times=t))
         jumps = int(ens.jump_counts.sum())
         assert jumps > 0
-        assert calls.count(2) == t.size - 1  # one product per row for the ensemble
-        assert len(calls) <= (t.size - 1) + per_jump * jumps
+        row_calls = sum(dt in spacings for dt in calls)
+        assert row_calls == t.size - 1  # one product per row for the ensemble
+        per_ket = [Counter(np.searchsorted(t, [tj for tj, _ in rec]).tolist())
+                   for rec in ens.jump_records]
+        passes = sum(1 + max(c[row] for c in per_ket) for row in set().union(*per_ket))
+        assert len(calls) - row_calls <= (levels + 1) * passes <= 2 * (levels + 1) * jumps
+
+
+def test_a_long_row_jumps_as_a_fine_grid_does():
+    gen, layout = tls_generator()
+    psi0 = basis_state(layout, 1)
+    fine = np.append(np.linspace(0.0, 20.0, 201), 1e6)
+    cfg = dict(n_traj=40, seed=6)
+    one_row = mcwf_run(gen, psi0, TrajectoryConfig(times=np.array([0.0, 1e6]), **cfg),
+                       observables={"ee": EE})
+    rows = mcwf_run(gen, psi0, TrajectoryConfig(times=fine, **cfg), observables={"ee": EE})
+    assert np.array_equal(one_row.jump_counts, rows.jump_counts)
+    assert one_row.jump_counts.sum() == 40  # every emitter has decayed
+    for a, b in zip(one_row.jump_records, rows.jump_records):
+        assert [ch for _, ch in a] == [ch for _, ch in b]
+        # jump times are placed to JUMP_TIME_TOL relative to the row end
+        assert all(abs(ta - tb) <= JUMP_TIME_TOL * 1e6 for (ta, _), (tb, _) in zip(a, b))
+    assert one_row.observables["ee"][-1] == 0.0
 
 
 def test_zero_rate_channel_never_fires():
