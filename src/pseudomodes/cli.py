@@ -31,7 +31,6 @@ from .dynamics import (
     FRAMES,
     KINDS,
     Generator,
-    GeneratorSpec,
     build_generator,
     equivalence_check,
     evolve,
@@ -366,10 +365,19 @@ def resolve_generator_kind(
     rotated rates stay non-negative and handled verbatim otherwise.  Returns
     the kind with its rotated mode set, which is present exactly when the
     kind is ``lindblad_regularized``.  An explicit ``lindblad_regularized``
-    request raises RegularizationError when the rotation is infeasible.
+    request raises RegularizationError when the rotation is infeasible, and
+    an explicit ``lindblad_direct`` one ClassificationError when the
+    couplings are complex.  ``build_generator`` labels the generator by the
+    mode set it gets, so ``pathological`` on real couplings builds the
+    ``lindblad_direct`` generator, which is the same matrices.
     """
     if kind == "lindblad_regularized":
         return kind, two_mode_regularize(modes)
+    if kind == "lindblad_direct" and not modes.is_all_real:
+        raise ClassificationError(
+            "couplings are complex; a direct Lindblad form would be wrong. "
+            "Use generator: pathological or lindblad_regularized."
+        )
     if kind != "auto":
         return kind, None
     if modes.is_all_real:
@@ -395,24 +403,13 @@ def _layout_for(cfg: RunConfig, n_modes: int) -> SpaceLayout:
     return SpaceLayout(cfg.system.dim, levels)
 
 
-@dataclass(frozen=True)
-class ModelBundle:
-    """Everything needed to run dynamics for one config."""
-
-    modes: DiscreteModeSet
-    regularized: RegularizedModeSet | None
-    kind: str
-    layout: SpaceLayout
-    generator: Generator
-
-
-def build_model(cfg: RunConfig) -> ModelBundle:
+def build_model(cfg: RunConfig) -> Generator:
+    """The generator a config describes; it carries its layout and kind."""
     modes = build_discrete_modes(cfg.pole_set, cfg.system.strengths)
-    kind, regularized = resolve_generator_kind(cfg.generator_kind, modes)
+    _, regularized = resolve_generator_kind(cfg.generator_kind, modes)
     layout = _layout_for(cfg, len(modes))
     mode_set = modes if regularized is None else regularized
-    spec = GeneratorSpec(kind, cfg.system, mode_set, layout, frame=cfg.frame)
-    return ModelBundle(modes, regularized, kind, layout, build_generator(spec))
+    return build_generator(cfg.system, mode_set, layout, cfg.frame)
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
@@ -554,12 +551,12 @@ def cmd_evolve(cfg: RunConfig, out_override: str | None = None) -> RunOutput:
     is closed with an `# ABORTED` comment line, and the error is re-raised
     for the exit-code mapping.
     """
-    bundle = build_model(cfg)
+    gen = build_model(cfg)
     ops = _observable_ops(cfg)
     grid = _time_grid(cfg)
     rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
     rho_s[cfg.initial_level, cfg.initial_level] = 1.0
-    rho0 = vacuum_embedding(bundle.layout, rho_s)
+    rho0 = vacuum_embedding(gen.layout, rho_s)
 
     header = ["t"]
     for name in ops:
@@ -580,7 +577,7 @@ def cmd_evolve(cfg: RunConfig, out_override: str | None = None) -> RunOutput:
 
     try:
         result = evolve(
-            bundle.generator, rho0, grid, observables=ops,
+            gen, rho0, grid, observables=ops,
             step_scale=cfg.step_scale, store_states=False,
         )
     except TruncationGuardError as exc:
@@ -601,13 +598,13 @@ def cmd_evolve(cfg: RunConfig, out_override: str | None = None) -> RunOutput:
 def cmd_trajectories(cfg: RunConfig, out_override: str | None = None,
                      seed_override: int | None = None) -> RunOutput:
     """Run the stochastic unraveling ensemble and write mean/stderr columns."""
-    bundle = build_model(cfg)
+    gen = build_model(cfg)
     ops = _observable_ops(cfg)
     grid = _time_grid(cfg)
-    psi0 = basis_state(bundle.layout, cfg.initial_level)
+    psi0 = basis_state(gen.layout, cfg.initial_level)
     seed = cfg.seed if seed_override is None else seed_override
     traj_cfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=seed, times=grid)
-    ens = mcwf_run(bundle.generator, psi0, traj_cfg, observables=ops)
+    ens = mcwf_run(gen, psi0, traj_cfg, observables=ops)
 
     header = ["t"]
     for name in ops:
@@ -621,7 +618,7 @@ def cmd_trajectories(cfg: RunConfig, out_override: str | None = None,
             row += [v.real, v.imag, float(ens.stderr[name][i])]
         rho = ens.mean_density[i]
         row += [
-            float(top_fock_populations(rho, bundle.layout).max()),
+            float(top_fock_populations(rho, gen.layout).max()),
             abs(float(np.trace(rho).real) - 1.0),
         ]
         rows.append(row)
@@ -745,9 +742,8 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     rho_s[cfg.initial_level, cfg.initial_level] = 1.0
     layout = _layout_for(cfg, len(modes))
     if regularized is not None:
-        gen_a = build_generator(GeneratorSpec("pathological", cfg.system, modes, layout))
-        gen_b = build_generator(
-            GeneratorSpec("lindblad_regularized", cfg.system, regularized, layout))
+        gen_a = build_generator(cfg.system, modes, layout)
+        gen_b = build_generator(cfg.system, regularized, layout)
         dev = equivalence_check(gen_a, gen_b, rho_s, eq_grid,
                                 step_scale=cfg.step_scale)
         checks.append(_check(
@@ -755,28 +751,18 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
             "reduced state: uncorrected generator vs rotated Lindblad form",
         ))
     elif modes.is_all_real:
-        gen_a = build_generator(GeneratorSpec("lindblad_direct", cfg.system, modes, layout))
-        gen_b = build_generator(GeneratorSpec("pathological", cfg.system, modes, layout))
-        dev = equivalence_check(gen_a, gen_b, rho_s, eq_grid,
-                                step_scale=cfg.step_scale)
-        checks.append(_check(
-            "generator_equivalence", dev, EQUIVALENCE_TOL,
-            "reduced state: direct Lindblad form vs general-coupling form",
+        checks.append(_skip(
+            "generator_equivalence",
+            "couplings already real: the uncorrected form is the direct one",
         ))
     else:
         checks.append(_skip("generator_equivalence", "no second generator available"))
 
     # Reduced-population cross check against the single-excitation solver.
     if cfg.system.dim == 2 and cfg.system.n_channels == 1 and cfg.initial_level == 1:
-        # The same choice as resolve_generator_kind("auto", ...), reusing the
-        # rotation attempted above.
-        if regularized is not None:
-            kind, mset = "lindblad_regularized", regularized
-        elif modes.is_all_real:
-            kind, mset = "lindblad_direct", modes
-        else:
-            kind, mset = "pathological", modes
-        gen = build_generator(GeneratorSpec(kind, cfg.system, mset, layout))
+        # The generator "auto" would build, reusing the rotation attempted above.
+        gen = build_generator(
+            cfg.system, regularized if regularized is not None else modes, layout)
         pop_grid = np.linspace(0.0, horizon, 51)
         ee = np.diag([0.0, 1.0]).astype(complex)
         res = evolve(gen, vacuum_embedding(layout, rho_s), pop_grid,

@@ -1,21 +1,24 @@
-"""Master equation generators for the enlarged system+modes model.
+"""Master equation generator for the enlarged system+modes model.
 
-Three generator kinds share one algebraic shape,
+The auxiliary configuration has one master equation,
 
     L[rho] = -i (D_l rho - rho D_r) + sum_k J_k rho J_k^dag,
     D_l = A - i K,   D_r = A + i K,
 
-with K = sum_k rate_k b_k^dag b_k Hermitian and J_k = sqrt(2 rate_k) b_k:
+with K = sum_k rate_k b_k^dag b_k Hermitian, J_k = sqrt(2 rate_k) b_k, and
+one coupling convention: A holds sum_jl g_jl (c_j^dag b_l + b_l^dag c_j),
+the same g on both pieces.  ``build_generator`` derives the kind from the
+mode set it is given:
 
-* ``lindblad_direct``: A is the Hermitian Hamiltonian of system plus modes
-  with real couplings.  Valid completely positive Lindblad form.
-* ``pathological``: complex couplings kept as they are, appearing identically
-  on both sides of the commutator (A is then non-Hermitian and is NOT
-  conjugated on the right; only the mode frequencies pick up the conjugate).
-  Trace is conserved but Hermiticity of rho is not; the reduced system state
-  is still exact, which is precisely what makes this form a useful oracle.
-* ``lindblad_regularized``: the rotated two-mode form with real couplings, a
-  real intermode hopping term and non-negative rates.  Valid Lindblad form.
+* ``lindblad_direct``: a ``DiscreteModeSet`` with real couplings.  A is then
+  Hermitian and L is a valid completely positive Lindblad form.
+* ``pathological``: a ``DiscreteModeSet`` with complex couplings.  A is not
+  Hermitian; trace is conserved but Hermiticity of rho is not, while the
+  reduced system state is still exact, which is what makes this form a
+  useful oracle.
+* ``lindblad_regularized``: a ``RegularizedModeSet``, the rotated two-mode
+  form with real couplings, a real intermode hopping term and non-negative
+  rates.  Valid Lindblad form.
 
 Every generator is built in the Schrodinger picture.  The only time
 dependence is an optional system drive, which feeds A(t), never K or the jump
@@ -44,7 +47,6 @@ import numpy as np
 
 from ._util import as_complex_matrix, is_hermitian, operator_norm_bound, validate_grid
 from .errors import (
-    ClassificationError,
     InvalidModelError,
     StepUnderflowError,
     TruncationGuardError,
@@ -210,9 +212,8 @@ class Generator:
         return est
 
 
-def _check_consistency(
-    system: SystemSpec, strengths, n_modes: int, layout: SpaceLayout
-) -> None:
+def _check_consistency(system: SystemSpec, modes, layout: SpaceLayout) -> None:
+    strengths, n_modes = modes.strengths, len(modes.modes)
     if layout.system_dim != system.dim:
         raise InvalidModelError("layout system dimension disagrees with the system")
     if layout.n_modes != n_modes:
@@ -240,17 +241,12 @@ def _mode_number_sum(layout: SpaceLayout, coeffs) -> np.ndarray:
     return out
 
 
-def _coupling_terms(
-    layout: SpaceLayout,
-    system: SystemSpec,
-    couplings,
-    conjugate_right: bool,
-) -> np.ndarray:
+def _coupling_terms(layout: SpaceLayout, system: SystemSpec, couplings) -> np.ndarray:
     """The coupling sum_jl g_jl (c_j^dag b_l + b_l^dag c_j).
 
-    With ``conjugate_right`` the right-moving piece uses conj(g) (Hermitian
-    combination); without it the same g multiplies both pieces, which is the
-    one-sided convention of the pathological form.
+    The same g multiplies both pieces.  For real couplings this is the
+    Hermitian coupling; for complex ones it is the one-sided convention of
+    the pathological form.
     """
     static = np.zeros((layout.dim, layout.dim), dtype=complex)
     for j in range(system.n_channels):
@@ -261,150 +257,58 @@ def _coupling_terms(
             if g == 0.0:
                 continue
             b, bdag = mode_ops(layout, l)
-            g_right = np.conj(g) if conjugate_right else g
             forward = g * (cdag @ b)
-            backward = g_right * (bdag @ c)
+            backward = g * (bdag @ c)
             static += forward + backward
     return static
 
 
-def _assemble(
-    kind: str,
-    frame: str,
-    layout: SpaceLayout,
+def build_generator(
     system: SystemSpec,
-    mode_frequencies,
-    rates,
-    static_coupling: np.ndarray,
+    modes: DiscreteModeSet | RegularizedModeSet,
+    layout: SpaceLayout,
+    frame: str = "schrodinger",
 ) -> Generator:
-    damping = _mode_number_sum(layout, rates).real.astype(complex)
-    channels = tuple(
-        (float(r), mode_ops(layout, l)[0]) for l, r in enumerate(rates)
-    )
+    """Generator of the auxiliary master equation; its kind follows from ``modes``.
+
+    A ``RegularizedModeSet`` gives ``lindblad_regularized``, with its
+    intermode hopping.  A ``DiscreteModeSet`` gives ``lindblad_direct`` when
+    its couplings are real and ``pathological`` otherwise.
+    """
+    if isinstance(modes, RegularizedModeSet):
+        kind, g = "lindblad_regularized", modes.coupling_matrix
+    elif isinstance(modes, DiscreteModeSet):
+        if modes.is_all_real:
+            kind, g = "lindblad_direct", modes.coupling_matrix.real
+        else:
+            kind, g = "pathological", modes.coupling_matrix
+    else:
+        raise InvalidModelError(
+            f"cannot build a generator from a {type(modes).__name__}"
+        )
+    _check_consistency(system, modes, layout)
+    coupling = _coupling_terms(layout, system, g)
+    if kind == "lindblad_regularized":
+        b1, b1d = mode_ops(layout, 0)
+        b2, b2d = mode_ops(layout, 1)
+        coupling = coupling + modes.intermode * (b1d @ b2 + b2d @ b1)
+    frequencies = [m.frequency for m in modes.modes]
+    rates = [m.damping for m in modes.modes]
     static = embed_system(layout, system.bare_hamiltonian)
-    static += _mode_number_sum(layout, mode_frequencies)
-    static += static_coupling
+    static += _mode_number_sum(layout, frequencies)
+    static += coupling
     return Generator(
         kind=kind,
         frame=frame,
         layout=layout,
         static_both=static,
-        damping=damping,
-        channels=channels,
+        damping=_mode_number_sum(layout, rates).real.astype(complex),
+        channels=tuple(
+            (float(r), mode_ops(layout, l)[0]) for l, r in enumerate(rates)
+        ),
         drive=system.drive,
-        h0=free_hamiltonian_diagonal(layout, system, mode_frequencies),
+        h0=free_hamiltonian_diagonal(layout, system, frequencies),
     )
-
-
-def build_lindblad_direct(
-    system: SystemSpec,
-    modes: DiscreteModeSet,
-    layout: SpaceLayout,
-    frame: str = "schrodinger",
-) -> Generator:
-    """Completely positive generator for an all-real coupling mode family."""
-    _check_consistency(system, modes.strengths, len(modes), layout)
-    if not modes.is_all_real:
-        raise ClassificationError(
-            "couplings are complex; a direct Lindblad form would be wrong. "
-            "Use build_pathological, or two_mode_regularize followed by "
-            "build_lindblad_regularized."
-        )
-    g = modes.coupling_matrix.real
-    static = _coupling_terms(layout, system, g, conjugate_right=True)
-    return _assemble(
-        "lindblad_direct",
-        frame,
-        layout,
-        system,
-        [m.frequency for m in modes.modes],
-        [m.damping for m in modes.modes],
-        static,
-    )
-
-
-def build_pathological(
-    system: SystemSpec,
-    modes: DiscreteModeSet,
-    layout: SpaceLayout,
-    frame: str = "schrodinger",
-) -> Generator:
-    """One-sided generator that keeps complex couplings uncorrected.
-
-    Reduces exactly to the direct Lindblad generator when all couplings are
-    real.  Not completely positive in general and never unraveled into
-    trajectories, but its reduced system dynamics is exact, making it the
-    cross-check for the regularized form.
-    """
-    _check_consistency(system, modes.strengths, len(modes), layout)
-    g = modes.coupling_matrix
-    static = _coupling_terms(layout, system, g, conjugate_right=False)
-    return _assemble(
-        "pathological",
-        frame,
-        layout,
-        system,
-        [m.frequency for m in modes.modes],
-        [m.damping for m in modes.modes],
-        static,
-    )
-
-
-def build_lindblad_regularized(
-    system: SystemSpec,
-    reg: RegularizedModeSet,
-    layout: SpaceLayout,
-    frame: str = "schrodinger",
-) -> Generator:
-    """Completely positive generator for the rotated two-mode family."""
-    _check_consistency(system, reg.strengths, 2, layout)
-    g = reg.coupling_matrix
-    static = _coupling_terms(layout, system, g, conjugate_right=True)
-    b1, b1d = mode_ops(layout, 0)
-    b2, b2d = mode_ops(layout, 1)
-    hop = reg.intermode * (b1d @ b2 + b2d @ b1)
-    return _assemble(
-        "lindblad_regularized",
-        frame,
-        layout,
-        system,
-        [m.frequency for m in reg.modes],
-        [m.damping for m in reg.modes],
-        static + hop,
-    )
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative recipe for a generator, routed by ``build_generator``."""
-
-    kind: str
-    system: SystemSpec
-    modes: DiscreteModeSet | RegularizedModeSet
-    layout: SpaceLayout
-    frame: str = "schrodinger"
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidModelError(f"unknown generator kind {self.kind!r}")
-        if self.frame not in FRAMES:
-            raise InvalidModelError(f"unknown frame {self.frame!r}")
-        needs_reg = self.kind == "lindblad_regularized"
-        if needs_reg and not isinstance(self.modes, RegularizedModeSet):
-            raise InvalidModelError(
-                "lindblad_regularized requires a RegularizedModeSet"
-            )
-        if not needs_reg and not isinstance(self.modes, DiscreteModeSet):
-            raise InvalidModelError(f"{self.kind} requires a DiscreteModeSet")
-
-
-def build_generator(spec: GeneratorSpec) -> Generator:
-    """Build the generator named by ``spec.kind``."""
-    if spec.kind == "lindblad_direct":
-        return build_lindblad_direct(spec.system, spec.modes, spec.layout, spec.frame)
-    if spec.kind == "pathological":
-        return build_pathological(spec.system, spec.modes, spec.layout, spec.frame)
-    return build_lindblad_regularized(spec.system, spec.modes, spec.layout, spec.frame)
 
 
 def free_hamiltonian_diagonal(
@@ -465,7 +369,6 @@ def evolve(
     t_grid,
     observables: dict[str, np.ndarray] | None = None,
     step_scale: float = 1.0,
-    check: bool = True,
     store_states: bool = True,
 ) -> EvolutionResult:
     """Propagate d rho / dt = L(t)[rho] over the grid.
@@ -477,9 +380,8 @@ def evolve(
     evaluated on the reduced state) or on the full space.  ``step_scale``
     multiplies the RK4 step, and likewise the sub-interval length of the
     exact action's Taylor plan; pass 0.5 to halve either for convergence
-    studies.  Snapshot invariants (trace for every kind; Hermiticity and
-    positivity for the completely positive kinds) are enforced when
-    ``check`` is true.
+    studies.  Snapshot invariants are always enforced: trace for every kind,
+    Hermiticity and positivity for the completely positive kinds.
 
     Raises TruncationGuardError as soon as any mode's top Fock population
     exceeds 1e-6 at a snapshot; the exception carries the clean prefix of the
@@ -558,8 +460,7 @@ def evolve(
                 population=worst,
                 partial=finalize(i),
             )
-        if check:
-            _snapshot_checks(gen.kind, rho, float(t[i]))
+        _snapshot_checks(gen.kind, rho, float(t[i]))
         if store_states:
             states[i] = rho
         rho_s = partial_trace_modes(rho, layout)

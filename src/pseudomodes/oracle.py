@@ -5,8 +5,10 @@ exchanging one quantum with its environment, where the full problem collapses
 to a small linear ODE for probability amplitudes.  Two routes are provided:
 
 * :func:`single_excitation_solve` integrates the amplitudes of the excited
-  level and of each damped discrete mode.  Its excited-amplitude magnitude
-  must reproduce the populations that the full density-matrix integrator
+  level and of each damped discrete mode with the classical RK4 stepper of
+  :mod:`pseudomodes.dynamics`, on its own small amplitude matrix rather than
+  a master-equation generator.  Its excited-amplitude magnitude must
+  reproduce the populations that the full density-matrix propagation
   yields, and for one resonant mode it has a closed form.
 * :func:`discretized_bath_solve` brute-forces the original continuum: a large
   but finite comb of undamped oscillators sampled from the spectral density,
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import frozen, validate_grid
+from .dynamics import _rk4_interval
 from .errors import InvalidModelError
 from .mapping import DiscreteModeSet
 from .spectral import PoleSet, eval_density
@@ -87,26 +90,6 @@ def damped_rabi_amplitude(strength: float, damping: float, t):
     return out
 
 
-def _rk4_linear(matrix: np.ndarray, c0: np.ndarray, t: np.ndarray, h_nominal: float):
-    """Fixed-step RK4 for dc/dt = M c, recording at every grid time."""
-    n_t = t.size
-    out = np.empty((n_t, c0.size), dtype=complex)
-    out[0] = c0
-    c = c0.astype(complex)
-    for i in range(1, n_t):
-        span = float(t[i] - t[i - 1])
-        n_sub = max(1, int(math.ceil(span / h_nominal)))
-        h = span / n_sub
-        for _ in range(n_sub):
-            k1 = matrix @ c
-            k2 = matrix @ (c + (0.5 * h) * k1)
-            k3 = matrix @ (c + (0.5 * h) * k2)
-            k4 = matrix @ (c + h * k3)
-            c = c + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out[i] = c
-    return out
-
-
 def single_excitation_solve(
     modes: DiscreteModeSet,
     strength: float,
@@ -146,9 +129,12 @@ def single_excitation_solve(
         float(np.abs(detunings).max(initial=0.0)),
         1e-12,
     )
-    c0 = np.zeros(n + 1, dtype=complex)
-    c0[0] = 1.0
-    amps = _rk4_linear(mat, c0, t, 1e-3 / scale)
+    amps = np.zeros((t.size, n + 1), dtype=complex)
+    amps[0, 0] = 1.0
+    h_cap = 1e-3 / scale
+    for i in range(1, t.size):
+        amps[i] = _rk4_interval(lambda _t, c: mat @ c, amps[i - 1],
+                                float(t[i - 1]), float(t[i]), h_cap)
     return AmplitudeState(times=t, excited=amps[:, 0], modes=amps[:, 1:])
 
 

@@ -20,9 +20,7 @@ from pseudomodes import (
     TrajectoryConfig,
     basis_state,
     build_discrete_modes,
-    build_lindblad_direct,
-    build_lindblad_regularized,
-    build_pathological,
+    build_generator,
     correlation,
     damped_rabi_amplitude,
     discretized_bath_solve,
@@ -124,7 +122,7 @@ def test_criterion_2_damped_rabi():
     start = time.perf_counter()
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (2,))
-    gen = build_lindblad_direct(TLS, modes, layout)
+    gen = build_generator(TLS, modes, layout)
     t = np.linspace(0.0, 2.5, 26)  # ten damping times 1/lambda
     res = evolve(gen, vacuum_embedding(layout, EE), t, observables={"ee": EE},
                  store_states=False)
@@ -158,8 +156,8 @@ def test_criterion_4_regularized_equivalence():
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     reg = two_mode_regularize(modes)
     layout = SpaceLayout(2, (2, 2))
-    gen_path = build_pathological(TLS, modes, layout)
-    gen_reg = build_lindblad_regularized(TLS, reg, layout)
+    gen_path = build_generator(TLS, modes, layout)
+    gen_reg = build_generator(TLS, reg, layout)
     t = np.linspace(0.0, 20.0, 81)  # twenty times the slower damping 1/lambda_2
     dev = equivalence_check(gen_path, gen_reg, EE, t)
     elapsed = time.perf_counter() - start
@@ -230,7 +228,7 @@ def test_criterion_7_trajectories():
     start = time.perf_counter()
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (2,))
-    gen = build_lindblad_direct(TLS, modes, layout)
+    gen = build_generator(TLS, modes, layout)
     t = np.linspace(0.0, 2.5, 26)
     exact = evolve(gen, vacuum_embedding(layout, EE), t, observables={"ee": EE},
                    store_states=False).observables["ee"].real
@@ -264,9 +262,9 @@ def test_criterion_8_invariants():
     reg_b = two_mode_regularize(modes_b)
     layout_b = SpaceLayout(2, (2, 2))
     gens = (
-        build_lindblad_direct(TLS, modes_s, layout_s),
-        build_pathological(TLS, modes_b, layout_b),
-        build_lindblad_regularized(TLS, reg_b, layout_b),
+        build_generator(TLS, modes_s, layout_s),
+        build_generator(TLS, modes_b, layout_b),
+        build_generator(TLS, reg_b, layout_b),
     )
 
     worst_trace = 0.0

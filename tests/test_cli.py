@@ -25,7 +25,7 @@ from pseudomodes.cli import (
     serialize_config,
     _observable_ops,
 )
-from pseudomodes.errors import RegularizationError
+from pseudomodes.errors import ClassificationError, RegularizationError
 from pseudomodes.dynamics import FRAMES, KINDS
 from pseudomodes.mapping import build_discrete_modes, two_mode_regularize
 
@@ -306,6 +306,8 @@ def test_generator_kind_resolution():
     assert len(triple) == 3
     assert resolve_generator_kind("auto", triple) == ("pathological", None)
     assert resolve_generator_kind("pathological", gap) == ("pathological", None)
+    with pytest.raises(ClassificationError):
+        resolve_generator_kind("lindblad_direct", gap)
 
 
 def test_fock_levels_list_must_match_mode_count(tmp_path):
@@ -483,6 +485,50 @@ def test_evolve_output_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert b"\r" not in a.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["map", "validate"])
+@pytest.mark.parametrize("config", ["band_gap.yaml", "tls_lorentzian.yaml"])
+def test_report_output_is_deterministic(tmp_path, capsys, command, config):
+    a, b = tmp_path / "a.out", tmp_path / "b.out"
+    assert main([command, str(CONFIGS / config), "--out", str(a)]) == 0
+    assert main([command, str(CONFIGS / config), "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+    assert b"\r" not in a.read_bytes()
+
+
+def test_direct_kind_refuses_complex_couplings(tmp_path, capsys):
+    doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    doc["run"]["generator"] = "lindblad_direct"
+    path = write_doc(tmp_path, doc)
+    for command in ("evolve", "trajectories"):
+        assert main([command, path, "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid model: couplings are complex")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_pathological_on_real_couplings_is_the_direct_generator(tmp_path, capsys):
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    auto = tmp_path / "auto.csv"
+    assert main(["evolve", write_doc(tmp_path, doc, "auto.yaml"), "--out", str(auto)]) == 0
+    doc["run"]["generator"] = "pathological"
+    path = write_doc(tmp_path, doc, "pathological.yaml")
+    explicit = tmp_path / "pathological.csv"
+    assert main(["evolve", path, "--out", str(explicit)]) == 0
+    assert explicit.read_bytes() == auto.read_bytes()
+    assert main(["trajectories", path, "--out", str(tmp_path / "traj.csv")]) == 0
+    capsys.readouterr()
+
+
+def test_validate_skips_generator_equivalence_for_real_couplings():
+    summary = cmd_validate(load_config(CONFIGS / "tls_lorentzian.yaml"))
+    by_name = {c.name: c for c in summary.checks}
+    assert by_name["generator_equivalence"].status == "skip"
+    assert by_name["oracle_population"].status == "pass"
+    assert summary.passed
 
 
 def test_trajectories_csv_and_seed_override(tmp_path, capsys):

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from pseudomodes import (
-    ClassificationError,
     Generator,
-    GeneratorSpec,
     InvalidModelError,
     LorentzianSum,
     LorentzianTerm,
@@ -17,9 +15,6 @@ from pseudomodes import (
     TruncationGuardError,
     build_discrete_modes,
     build_generator,
-    build_lindblad_direct,
-    build_lindblad_regularized,
-    build_pathological,
     damped_rabi_amplitude,
     equivalence_check,
     evolve,
@@ -56,7 +51,7 @@ TLS = SystemSpec(energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,), str
 def tls_direct():
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (2,))
-    return build_lindblad_direct(TLS, modes, layout), layout
+    return build_generator(TLS, modes, layout), layout
 
 
 def band_gap_generators():
@@ -64,8 +59,8 @@ def band_gap_generators():
     reg = two_mode_regularize(modes)
     layout = SpaceLayout(2, (2, 2))
     return (
-        build_pathological(TLS, modes, layout),
-        build_lindblad_regularized(TLS, reg, layout),
+        build_generator(TLS, modes, layout),
+        build_generator(TLS, reg, layout),
         layout,
     )
 
@@ -88,23 +83,6 @@ def test_trace_conserved_per_application_all_kinds():
         for _ in range(5):
             rho = random_hermitian_density(rng, gen.dim)
             assert abs(np.trace(gen.apply(0.0, rho))) < 1e-12
-
-
-def test_direct_and_general_coupling_agree_for_real_couplings():
-    modes = build_discrete_modes(SINGLE, (1.0,))
-    layout = SpaceLayout(2, (2,))
-    gen_d = build_lindblad_direct(TLS, modes, layout)
-    gen_p = build_pathological(TLS, modes, layout)
-    np.testing.assert_allclose(gen_d.drift(), gen_p.drift(), atol=1e-12)
-    rng = np.random.default_rng(4)
-    rho = random_hermitian_density(rng, layout.dim)
-    np.testing.assert_allclose(gen_d.apply(0.0, rho), gen_p.apply(0.0, rho), atol=1e-12)
-
-
-def test_direct_builder_refuses_complex_couplings():
-    modes = build_discrete_modes(BAND_GAP, (1.0,))
-    with pytest.raises(ClassificationError):
-        build_lindblad_direct(TLS, modes, SpaceLayout(2, (2, 2)))
 
 
 def test_tls_population_matches_closed_form():
@@ -169,8 +147,8 @@ def test_frame_equivalence_all_kinds():
     single_modes = build_discrete_modes(SINGLE, (1.0,))
     for kind, mode_set in cases:
         freqs = [m.frequency for m in mode_set.modes]
-        gs = build_generator(GeneratorSpec(kind, TLS, mode_set, layout))
-        gi = build_generator(GeneratorSpec(kind, TLS, mode_set, layout, frame="interaction"))
+        gs = build_generator(TLS, mode_set, layout)
+        gi = build_generator(TLS, mode_set, layout, frame="interaction")
         rs = evolve(gs, rho0, t)
         ri = evolve(gi, rho0, t)
         h0 = free_hamiltonian_diagonal(layout, TLS, freqs)
@@ -187,8 +165,8 @@ def test_frame_equivalence_all_kinds():
     rho1 = vacuum_embedding(lay1, EE)
     h0 = free_hamiltonian_diagonal(lay1, TLS, [m.frequency for m in single_modes.modes])
     for system in (TLS, driven):
-        gs = build_lindblad_direct(system, single_modes, lay1)
-        gi = build_lindblad_direct(system, single_modes, lay1, frame="interaction")
+        gs = build_generator(system, single_modes, lay1)
+        gi = build_generator(system, single_modes, lay1, frame="interaction")
         assert gi.time_dependent == (system.drive is not None)
         rs = evolve(gs, rho1, t)
         ri = evolve(gi, rho1, t)
@@ -237,8 +215,8 @@ def test_exact_action_matches_rk4_all_kinds():
     rho0 = vacuum_embedding(layout, EE)
     t = np.linspace(0.0, 20.0, 41)
     for kind, mode_set in cases:
-        exact = build_generator(GeneratorSpec(kind, TLS, mode_set, layout))
-        stepped = build_generator(GeneratorSpec(kind, zero_drive, mode_set, layout))
+        exact = build_generator(TLS, mode_set, layout)
+        stepped = build_generator(zero_drive, mode_set, layout)
         assert not exact.time_dependent and stepped.time_dependent
         a = evolve(exact, rho0, t, store_states=False)
         b = evolve(stepped, rho0, t, store_states=False, step_scale=8.0)
@@ -286,9 +264,9 @@ def test_constant_drive_equals_augmented_hamiltonian():
         energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
         strengths=(1.0,), drive=lambda t: eps * SX,
     )
-    gen_driven = build_lindblad_direct(driven_sys, modes, layout)
+    gen_driven = build_generator(driven_sys, modes, layout)
     assert gen_driven.time_dependent
-    gen_plain = build_lindblad_direct(TLS, modes, layout)
+    gen_plain = build_generator(TLS, modes, layout)
     t = np.linspace(0.0, 2.0, 21)
     rho0 = vacuum_embedding(layout, EE)
     res_a = evolve(gen_driven, rho0, t, observables={"ee": EE}, store_states=False)
@@ -312,7 +290,7 @@ def test_constant_drive_equals_augmented_hamiltonian():
 def test_truncation_guard_aborts_with_partial_prefix():
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (1,))  # one excitation already reaches the cap
-    gen = build_lindblad_direct(TLS, modes, layout)
+    gen = build_generator(TLS, modes, layout)
     t = np.linspace(0.0, 2.5, 26)
     with pytest.raises(TruncationGuardError) as err:
         evolve(gen, vacuum_embedding(layout, EE), t, observables={"ee": EE})
@@ -364,26 +342,26 @@ def test_full_space_observables_accepted():
     assert res.observables["n_mode"].real.max() > 1e-3
 
 
-def test_generator_spec_validation_and_dispatch():
-    modes = build_discrete_modes(BAND_GAP, (1.0,))
-    reg = two_mode_regularize(modes)
+def test_generator_kind_follows_the_mode_set():
+    gap = build_discrete_modes(BAND_GAP, (1.0,))
     layout = SpaceLayout(2, (2, 2))
+    cases = (
+        (two_mode_regularize(gap), "lindblad_regularized"),
+        (gap, "pathological"),
+        (build_discrete_modes(REAL_PAIR, (1.0,)), "lindblad_direct"),
+    )
+    for mode_set, kind in cases:
+        assert build_generator(TLS, mode_set, layout).kind == kind
     with pytest.raises(InvalidModelError):
-        GeneratorSpec("nonsense", TLS, modes, layout)
-    with pytest.raises(InvalidModelError):
-        GeneratorSpec("lindblad_regularized", TLS, modes, layout)
-    with pytest.raises(InvalidModelError):
-        GeneratorSpec("pathological", TLS, reg, layout)
-    gen = build_generator(GeneratorSpec("lindblad_regularized", TLS, reg, layout))
-    assert gen.kind == "lindblad_regularized"
+        build_generator(TLS, BAND_GAP, layout)  # poles are not a mode set
 
 
 def test_generator_layout_consistency_checked():
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     with pytest.raises(InvalidModelError):
-        build_pathological(TLS, modes, SpaceLayout(2, (2,)))  # one mode short
+        build_generator(TLS, modes, SpaceLayout(2, (2,)))  # one mode short
     with pytest.raises(InvalidModelError):
-        build_pathological(TLS, modes, SpaceLayout(3, (2, 2)))  # wrong system dim
+        build_generator(TLS, modes, SpaceLayout(3, (2, 2)))  # wrong system dim
 
 
 def test_norm_estimate_bounds_application():

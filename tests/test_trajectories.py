@@ -18,9 +18,7 @@ from pseudomodes import (
     TrajectoryConfig,
     basis_state,
     build_discrete_modes,
-    build_lindblad_direct,
-    build_lindblad_regularized,
-    build_pathological,
+    build_generator,
     evolve,
     lorentzian_to_poles,
     mcwf_run,
@@ -51,14 +49,14 @@ BAND_GAP = lorentzian_to_poles(LorentzianSum((
 def tls_generator():
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (2,))
-    return build_lindblad_direct(TLS, modes, layout), layout
+    return build_generator(TLS, modes, layout), layout
 
 
 def band_gap_regularized():
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     reg = two_mode_regularize(modes)
     layout = SpaceLayout(2, (2, 2))
-    return build_lindblad_regularized(TLS, reg, layout), layout
+    return build_generator(TLS, reg, layout), layout
 
 
 def rk4_state(drift, psi0, t_final, n_steps):
@@ -98,7 +96,7 @@ def test_no_jump_propagator_composes_and_decays():
 def test_no_jump_propagator_is_exact_at_an_exceptional_point():
     modes = build_discrete_modes(CRITICAL, (1.0,))
     layout = SpaceLayout(2, (2,))
-    drift = build_lindblad_direct(TLS, modes, layout).drift(0.0)
+    drift = build_generator(TLS, modes, layout).drift(0.0)
     assert np.linalg.cond(np.linalg.eig(drift)[1]) > 1e6
     prop = NoJumpPropagator(drift)
     rng = np.random.default_rng(12)
@@ -240,7 +238,7 @@ def test_jump_records_consistent_with_counts():
 def test_one_sided_generator_is_refused():
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     layout = SpaceLayout(2, (2, 2))
-    gen = build_pathological(TLS, modes, layout)
+    gen = build_generator(TLS, modes, layout)
     with pytest.raises(ClassificationError):
         mcwf_run(gen, basis_state(layout, 1),
                  TrajectoryConfig(n_traj=1, seed=0, times=np.array([0.0, 1.0])))
@@ -254,7 +252,7 @@ def test_interaction_frame_only_rotates_the_recorded_states():
     obs = {"ee": EE, "coh": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)}
     psi0 = (basis_state(layout, 0) + basis_state(layout, 1)) / np.sqrt(2.0)
     schro, inter = (
-        mcwf_run(build_lindblad_regularized(TLS, reg, layout, frame=frame),
+        mcwf_run(build_generator(TLS, reg, layout, frame=frame),
                  psi0, cfg, observables=obs)
         for frame in ("schrodinger", "interaction")
     )
@@ -273,7 +271,7 @@ def test_time_dependent_generator_is_refused():
     layout = SpaceLayout(2, (2,))
     driven = SystemSpec(energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
                         strengths=(1.0,), drive=lambda t: 0.1 * SX)
-    gen = build_lindblad_direct(driven, modes, layout)
+    gen = build_generator(driven, modes, layout)
     with pytest.raises(InvalidModelError):
         mcwf_run(gen, basis_state(layout, 1),
                  TrajectoryConfig(n_traj=1, seed=0, times=np.array([0.0, 1.0])))
