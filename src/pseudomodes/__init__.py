@@ -33,15 +33,10 @@ from .spectral import (
     lorentzian_to_poles,
 )
 from .mapping import (
-    DiscreteMode,
-    DiscreteModeSet,
-    RegularizedMode,
-    RegularizedModeSet,
+    ModeSet,
     RotationCheck,
-    TwoModeRotation,
     build_discrete_modes,
     mode_correlation,
-    regularized_correlation,
     two_mode_regularize,
     verify_rotation_numeric,
 )
@@ -90,8 +85,6 @@ __all__ = [
     "ClassificationError",
     "ConfigError",
     "CorrelationSpec",
-    "DiscreteMode",
-    "DiscreteModeSet",
     "DiscretizedBath",
     "EngineError",
     "EnsembleResult",
@@ -101,14 +94,13 @@ __all__ = [
     "InvariantViolationError",
     "LorentzianSum",
     "LorentzianTerm",
+    "ModeSet",
     "NoJumpPropagator",
     "Pole",
     "PoleSet",
     "PositivityReport",
     "PositivityViolationError",
     "RegularizationError",
-    "RegularizedMode",
-    "RegularizedModeSet",
     "RotationCheck",
     "SingularRotationError",
     "SpaceLayout",
@@ -116,7 +108,6 @@ __all__ = [
     "SystemSpec",
     "TrajectoryConfig",
     "TruncationGuardError",
-    "TwoModeRotation",
     "UnsupportedRegularizationError",
     "basis_state",
     "build_discrete_modes",
@@ -140,7 +131,6 @@ __all__ = [
     "mode_correlation",
     "mode_ops",
     "partial_trace_modes",
-    "regularized_correlation",
     "rotate_frame",
     "single_excitation_solve",
     "top_fock_populations",

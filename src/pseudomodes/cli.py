@@ -30,10 +30,13 @@ import yaml
 from .dynamics import (
     FRAMES,
     KINDS,
+    MAX_TAYLOR_INTERVALS,
+    TAYLOR_THETA,
     Generator,
     build_generator,
     equivalence_check,
     evolve,
+    taylor_plan,
 )
 from .errors import (
     ClassificationError,
@@ -41,6 +44,7 @@ from .errors import (
     EngineError,
     InvalidModelError,
     RegularizationError,
+    StepUnderflowError,
     TruncationGuardError,
 )
 from .hilbert import (
@@ -52,8 +56,7 @@ from .hilbert import (
     vacuum_embedding,
 )
 from .mapping import (
-    DiscreteModeSet,
-    RegularizedModeSet,
+    ModeSet,
     RotationCheck,
     build_discrete_modes,
     mode_correlation,
@@ -356,38 +359,31 @@ def _observable_ops(cfg: RunConfig) -> dict[str, np.ndarray]:
     return ops
 
 
-def resolve_generator_kind(
-    kind: str, modes: DiscreteModeSet
-) -> tuple[str, RegularizedModeSet | None]:
-    """Pick a concrete generator kind for 'auto' configs.
+def resolve_generator_kind(kind: str, modes: ModeSet) -> ModeSet:
+    """The mode set to build the configured generator from.
 
-    Real couplings evolve directly; a complex pair is rotated when the
-    rotated rates stay non-negative and handled verbatim otherwise.  Returns
-    the kind with its rotated mode set, which is present exactly when the
-    kind is ``lindblad_regularized``.  An explicit ``lindblad_regularized``
-    request raises RegularizationError when the rotation is infeasible, and
-    an explicit ``lindblad_direct`` one ClassificationError when the
-    couplings are complex.  ``build_generator`` labels the generator by the
-    mode set it gets, so ``pathological`` on real couplings builds the
-    ``lindblad_direct`` generator, which is the same matrices.
+    ``build_generator`` reads the kind off the set it gets.  'auto' keeps
+    real couplings as they are and rotates a complex pair when the rotated
+    rates stay non-negative, keeping the complex set otherwise.  An explicit
+    ``lindblad_regularized`` request raises RegularizationError when the
+    rotation is infeasible, and an explicit ``lindblad_direct`` one
+    ClassificationError when the couplings are complex.  ``pathological`` on
+    real couplings therefore builds the ``lindblad_direct`` generator, which
+    is the same matrices.
     """
     if kind == "lindblad_regularized":
-        return kind, two_mode_regularize(modes)
+        return two_mode_regularize(modes)
     if kind == "lindblad_direct" and not modes.is_all_real:
         raise ClassificationError(
             "couplings are complex; a direct Lindblad form would be wrong. "
             "Use generator: pathological or lindblad_regularized."
         )
-    if kind != "auto":
-        return kind, None
-    if modes.is_all_real:
-        return "lindblad_direct", None
-    if len(modes) == 2:
-        try:
-            return "lindblad_regularized", two_mode_regularize(modes)
-        except RegularizationError:
-            return "pathological", None
-    return "pathological", None
+    if kind != "auto" or modes.is_all_real or len(modes) != 2:
+        return modes
+    try:
+        return two_mode_regularize(modes)
+    except RegularizationError:
+        return modes
 
 
 def _layout_for(cfg: RunConfig, n_modes: int) -> SpaceLayout:
@@ -406,10 +402,37 @@ def _layout_for(cfg: RunConfig, n_modes: int) -> SpaceLayout:
 def build_model(cfg: RunConfig) -> Generator:
     """The generator a config describes; it carries its layout and kind."""
     modes = build_discrete_modes(cfg.pole_set, cfg.system.strengths)
-    _, regularized = resolve_generator_kind(cfg.generator_kind, modes)
+    mode_set = resolve_generator_kind(cfg.generator_kind, modes)
     layout = _layout_for(cfg, len(modes))
-    mode_set = modes if regularized is None else regularized
     return build_generator(cfg.system, mode_set, layout, cfg.frame)
+
+
+def _check_row_length(gen: Generator, cfg: RunConfig) -> None:
+    """Refuse rows whose exp(dt L) needs over MAX_TAYLOR_INTERVALS sub-intervals.
+
+    The message names the smallest run.n_steps whose rows t_max / n_steps fit.
+    """
+    norm = gen.norm_estimate() * cfg.t_max
+    if gen.time_dependent or not 0.0 < norm < math.inf:
+        return  # nothing to plan, or evolve reports the unusable norm itself
+
+    def fits(n_steps: int) -> bool:
+        try:
+            taylor_plan(norm / n_steps, cfg.step_scale)
+        except StepUnderflowError:
+            return False
+        return True
+
+    if fits(cfg.n_steps):
+        return
+    n_steps = math.ceil(norm / (TAYLOR_THETA[-1][1] * MAX_TAYLOR_INTERVALS * cfg.step_scale))
+    while not fits(n_steps):
+        n_steps += 1
+    raise ConfigError(
+        f"rows of {cfg.t_max / cfg.n_steps:.6g} time units need more than "
+        f"{MAX_TAYLOR_INTERVALS} Taylor sub-intervals each; set run.n_steps "
+        f"to at least {n_steps} (rows of {cfg.t_max / n_steps:.6g})"
+    )
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
@@ -426,11 +449,21 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
 class MapReport:
     """Mode-family report produced by cmd_map."""
 
-    modes: DiscreteModeSet
+    modes: ModeSet
     positivity: PositivityReport
-    regularized: RegularizedModeSet | None
+    regularized: ModeSet | None
     rotation_check: RotationCheck | None
     text: str
+
+
+def _mode_lines(modes: ModeSet, coupling_text) -> list[str]:
+    """One report line per mode: the diagonal of Z and the mode's couplings."""
+    return [
+        f"  mode {l}: frequency={_fmt(xi)} damping={_fmt(rate)} "
+        f"couplings=[{', '.join(coupling_text(g) for g in column)}]"
+        for l, (xi, rate, column) in enumerate(
+            zip(modes.frequencies, modes.rates, modes.coupling_matrix.T))
+    ]
 
 
 def cmd_map(cfg: RunConfig) -> MapReport:
@@ -441,13 +474,8 @@ def cmd_map(cfg: RunConfig) -> MapReport:
         f"classification: {modes.classification}",
         f"channel strengths: {', '.join(_fmt(w) for w in modes.strengths)}",
         "modes:",
+        *_mode_lines(modes, lambda g: f"{g.real:.12g}{g.imag:+.12g}j"),
     ]
-    for l, m in enumerate(modes.modes):
-        gs = ", ".join(f"{g.real:.12g}{g.imag:+.12g}j" for g in m.couplings)
-        lines.append(
-            f"  mode {l}: frequency={_fmt(m.frequency)} damping={_fmt(m.damping)} "
-            f"couplings=[{gs}]"
-        )
     lines.append(
         f"density positivity: min {_fmt(report.min_value)} at "
         f"omega={_fmt(report.min_location)} over {report.grid_size} points -> "
@@ -462,13 +490,9 @@ def cmd_map(cfg: RunConfig) -> MapReport:
         regularized = two_mode_regularize(modes)
         check = verify_rotation_numeric(modes, regularized)
         lines.append("regularized modes:")
-        for l, m in enumerate(regularized.modes):
-            gs = ", ".join(_fmt(g) for g in m.couplings)
-            lines.append(
-                f"  mode {l}: frequency={_fmt(m.frequency)} damping={_fmt(m.damping)} "
-                f"couplings=[{gs}]"
-            )
-        lines.append(f"  intermode hopping: {_fmt(regularized.intermode)}")
+        lines += _mode_lines(regularized, _fmt)
+        hopping = regularized.frequency_matrix[0, 1].real
+        lines.append(f"  intermode hopping: {_fmt(hopping)}")
         lines.append(
             f"  rotation verified numerically: max deviation {_fmt(check.max_deviation)} "
             f"over {check.candidates_checked} candidates"
@@ -552,6 +576,7 @@ def cmd_evolve(cfg: RunConfig, out_override: str | None = None) -> RunOutput:
     for the exit-code mapping.
     """
     gen = build_model(cfg)
+    _check_row_length(gen, cfg)
     ops = _observable_ops(cfg)
     grid = _time_grid(cfg)
     rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
@@ -683,7 +708,7 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     """Run every consistency check applicable to the configured model."""
     modes = build_discrete_modes(cfg.pole_set, cfg.system.strengths)
     checks: list[CheckResult] = []
-    lam_min = float(min(m.damping for m in modes.modes))
+    lam_min = float(modes.rates.min())
     horizon = 5.0 / lam_min
 
     # Density positivity on the default grid.
@@ -741,10 +766,11 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
     rho_s[cfg.initial_level, cfg.initial_level] = 1.0
     layout = _layout_for(cfg, len(modes))
+    rotated = None
     if regularized is not None:
-        gen_a = build_generator(cfg.system, modes, layout)
-        gen_b = build_generator(cfg.system, regularized, layout)
-        dev = equivalence_check(gen_a, gen_b, rho_s, eq_grid,
+        uncorrected = build_generator(cfg.system, modes, layout)
+        rotated = build_generator(cfg.system, regularized, layout)
+        dev = equivalence_check(uncorrected, rotated, rho_s, eq_grid,
                                 step_scale=cfg.step_scale)
         checks.append(_check(
             "generator_equivalence", dev, EQUIVALENCE_TOL,
@@ -760,9 +786,9 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
 
     # Reduced-population cross check against the single-excitation solver.
     if cfg.system.dim == 2 and cfg.system.n_channels == 1 and cfg.initial_level == 1:
-        # The generator "auto" would build, reusing the rotation attempted above.
-        gen = build_generator(
-            cfg.system, regularized if regularized is not None else modes, layout)
+        # The generator "auto" would build, reusing the rotated one above.
+        gen = rotated if rotated is not None else build_generator(
+            cfg.system, modes, layout)
         pop_grid = np.linspace(0.0, horizon, 51)
         ee = np.diag([0.0, 1.0]).astype(complex)
         res = evolve(gen, vacuum_embedding(layout, rho_s), pop_grid,

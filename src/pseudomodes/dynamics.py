@@ -7,18 +7,17 @@ The auxiliary configuration has one master equation,
 
 with K = sum_k rate_k b_k^dag b_k Hermitian, J_k = sqrt(2 rate_k) b_k, and
 one coupling convention: A holds sum_jl g_jl (c_j^dag b_l + b_l^dag c_j),
-the same g on both pieces.  ``build_generator`` derives the kind from the
-mode set it is given:
+the same g on both pieces.  ``build_generator`` reads everything from the
+mode set (Z = H - i*Gamma, g): A also holds sum_lm H_lm b_l^dag b_m, and the
+rates are the diagonal of Gamma.  The kind follows from the set:
 
-* ``lindblad_direct``: a ``DiscreteModeSet`` with real couplings.  A is then
-  Hermitian and L is a valid completely positive Lindblad form.
-* ``pathological``: a ``DiscreteModeSet`` with complex couplings.  A is not
-  Hermitian; trace is conserved but Hermiticity of rho is not, while the
-  reduced system state is still exact, which is what makes this form a
-  useful oracle.
-* ``lindblad_regularized``: a ``RegularizedModeSet``, the rotated two-mode
-  form with real couplings, a real intermode hopping term and non-negative
-  rates.  Valid Lindblad form.
+* ``lindblad_direct``: real couplings and no hopping.  A is then Hermitian
+  and L is a valid completely positive Lindblad form.
+* ``pathological``: complex couplings.  A is not Hermitian; trace is
+  conserved but Hermiticity of rho is not, while the reduced system state is
+  still exact, which is what makes this form a useful oracle.
+* ``lindblad_regularized``: real couplings with a real intermode hopping,
+  the rotated two-mode form.  Valid Lindblad form.
 
 Every generator is built in the Schrodinger picture.  The only time
 dependence is an optional system drive, which feeds A(t), never K or the jump
@@ -63,7 +62,7 @@ from .hilbert import (
     top_fock_populations,
     vacuum_embedding,
 )
-from .mapping import DiscreteModeSet, RegularizedModeSet
+from .mapping import ModeSet
 
 KINDS = ("lindblad_direct", "pathological", "lindblad_regularized")
 FRAMES = ("schrodinger", "interaction")
@@ -213,7 +212,12 @@ class Generator:
 
 
 def _check_consistency(system: SystemSpec, modes, layout: SpaceLayout) -> None:
-    strengths, n_modes = modes.strengths, len(modes.modes)
+    try:
+        strengths, n_modes = modes.strengths, len(modes)
+    except (AttributeError, TypeError):
+        raise InvalidModelError(
+            f"cannot build a generator from a {type(modes).__name__}"
+        ) from None
     if layout.system_dim != system.dim:
         raise InvalidModelError("layout system dimension disagrees with the system")
     if layout.n_modes != n_modes:
@@ -265,35 +269,34 @@ def _coupling_terms(layout: SpaceLayout, system: SystemSpec, couplings) -> np.nd
 
 def build_generator(
     system: SystemSpec,
-    modes: DiscreteModeSet | RegularizedModeSet,
+    modes: ModeSet,
     layout: SpaceLayout,
     frame: str = "schrodinger",
 ) -> Generator:
     """Generator of the auxiliary master equation; its kind follows from ``modes``.
 
-    A ``RegularizedModeSet`` gives ``lindblad_regularized``, with its
-    intermode hopping.  A ``DiscreteModeSet`` gives ``lindblad_direct`` when
-    its couplings are real and ``pathological`` otherwise.
+    With Z = H - i*Gamma, A = H_S + sum_l H_ll n_l + coupling
+    + sum_{l<m} H_lm (b_l^dag b_m + b_m^dag b_l), K = sum_l Gamma_ll n_l, and
+    one channel b_l at rate Gamma_ll per mode, zero rates included.  Complex
+    couplings give ``pathological``; real ones give ``lindblad_regularized``
+    with a hopping and ``lindblad_direct`` without.
     """
-    if isinstance(modes, RegularizedModeSet):
-        kind, g = "lindblad_regularized", modes.coupling_matrix
-    elif isinstance(modes, DiscreteModeSet):
-        if modes.is_all_real:
-            kind, g = "lindblad_direct", modes.coupling_matrix.real
-        else:
-            kind, g = "pathological", modes.coupling_matrix
-    else:
-        raise InvalidModelError(
-            f"cannot build a generator from a {type(modes).__name__}"
-        )
     _check_consistency(system, modes, layout)
+    h = modes.frequency_matrix.real
+    hops = [(l, m) for l in range(len(modes)) for m in range(l + 1, len(modes))
+            if h[l, m] != 0.0]
+    g = modes.coupling_matrix
+    if not modes.is_all_real:
+        kind = "pathological"
+    else:
+        kind = "lindblad_regularized" if hops else "lindblad_direct"
+        g = g.real
     coupling = _coupling_terms(layout, system, g)
-    if kind == "lindblad_regularized":
-        b1, b1d = mode_ops(layout, 0)
-        b2, b2d = mode_ops(layout, 1)
-        coupling = coupling + modes.intermode * (b1d @ b2 + b2d @ b1)
-    frequencies = [m.frequency for m in modes.modes]
-    rates = [m.damping for m in modes.modes]
+    for l, m in hops:
+        bl, bld = mode_ops(layout, l)
+        bm, bmd = mode_ops(layout, m)
+        coupling = coupling + h[l, m] * (bld @ bm + bmd @ bl)
+    frequencies, rates = modes.frequencies, modes.rates
     static = embed_system(layout, system.bare_hamiltonian)
     static += _mode_number_sum(layout, frequencies)
     static += coupling

@@ -1,24 +1,28 @@
 """Discrete damped modes equivalent to a structured environment.
 
-Each pole z_l = xi_l - i*lambda_l of the spectral density becomes one
-harmonic mode at frequency xi_l with local damping rate lambda_l, coupled to
-system transition j with amplitude
+Every mode family is one ``ModeSet``: a complex-symmetric mode matrix
+Z = H - i*Gamma (frequencies and hopping in H, local damping rates on the
+diagonal of Gamma) and couplings g indexed [transition, mode].  Its
+correlation function is
+
+    f_jk(tau) = g_j^T exp(-i Z tau) g_k        (tau >= 0),
+
+note the plain transpose, not a conjugate one.  Each pole z_l = xi_l -
+i*lambda_l of the spectral density becomes one mode, Z = diag(z_l), coupled
+to system transition j with amplitude
 
     g_jl = W_j * sqrt(-i r_l)            (principal square root),
 
 where W_j is the transition strength and r_l the residue.  The residue
 normalization sum_l(-i r_l) = 1 then reproduces the environment correlation
-function exactly:
-
-    f_jk(tau) = sum_l g_jl g_kl exp(-i z_l tau)        (tau >= 0),
-
-note the plain product, not a conjugated one.  When every g_jl is real this
-feeds straight into a completely positive master equation.  Signed densities
-(gap structures) force some -i r_l negative, hence imaginary couplings, and
-the direct equation loses Lindblad form.  For exactly two modes a complex
-orthogonal rotation of the mode pair restores it in closed form; that
-rotation, its feasibility conditions, and an independent numeric check of the
-closed forms live here too.
+function exactly.  When every g_jl is real this feeds straight into a
+completely positive master equation.  Signed densities (gap structures)
+force some -i r_l negative, hence imaginary couplings, and the direct
+equation loses Lindblad form.  For exactly two modes a complex orthogonal
+rotation of the pair restores it in closed form: Z picks up a real hopping
+off the diagonal and the couplings turn real.  That rotation, its
+feasibility conditions, and an independent numeric check of the closed
+forms live here too.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import close
+from ._util import close, frozen
 from .errors import (
     InvalidModelError,
     PositivityViolationError,
@@ -47,81 +51,73 @@ REAL_COUPLING_TOL = 1e-12
 GAMMA_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class DiscreteMode:
-    """One damped mode: frequency xi, damping lambda, coupling per transition."""
+@dataclass(frozen=True, eq=False)
+class ModeSet:
+    """Damped modes as one mode matrix Z plus their couplings g.
 
-    frequency: float
-    damping: float
-    couplings: tuple[complex, ...]
-
-    def __post_init__(self):
-        if not self.damping > 0.0:
-            raise InvalidModelError(
-                f"mode damping must be positive, got {self.damping}"
-            )
-
-    @property
-    def location(self) -> complex:
-        """Pole position xi - i*lambda this mode descends from."""
-        return complex(self.frequency, -self.damping)
-
-
-@dataclass(frozen=True)
-class DiscreteModeSet:
-    """A family of damped modes plus the transition strengths they resolve.
-
-    The square-sum rule sum_l g_jl**2 = W_j**2 (complex squares, no
-    conjugation) is equivalent to the residue normalization and is enforced
-    at construction for every transition.
+    ``frequency_matrix`` Z = H - i*Gamma is N x N and complex symmetric: H
+    holds the frequencies and any hopping, Gamma is diagonal and
+    non-negative.  ``coupling_matrix`` g is indexed [transition, mode].  The
+    constructor enforces the shapes, the form of Z and the square-sum rule
+    sum_l g_jl**2 = W_j**2 per strength W_j, and stores read-only arrays:
+    compare sets with ``np.array_equal`` on their matrices.
     """
 
-    modes: tuple[DiscreteMode, ...]
+    frequency_matrix: np.ndarray
+    coupling_matrix: np.ndarray
     strengths: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.modes:
-            raise InvalidModelError("DiscreteModeSet needs at least one mode")
-        n_tr = len(self.strengths)
-        for m in self.modes:
-            if len(m.couplings) != n_tr:
-                raise InvalidModelError(
-                    f"mode has {len(m.couplings)} couplings for {n_tr} transitions"
-                )
-        locs = [m.location for m in self.modes]
-        scale = max(1.0, max(abs(z) for z in locs))
-        for a in range(len(locs)):
-            for b in range(a + 1, len(locs)):
-                if abs(locs[a] - locs[b]) <= 1e-12 * scale:
-                    raise InvalidModelError(
-                        f"coincident modes at {locs[a]}; merge them first"
-                    )
-        for j, w in enumerate(self.strengths):
+        z = np.asarray(self.frequency_matrix, dtype=complex)
+        g = np.asarray(self.coupling_matrix)
+        g = g.astype(complex if np.iscomplexobj(g) else float)
+        strengths = tuple(float(w) for w in self.strengths)
+        n = len(z) if z.ndim else 0
+        if z.shape != (n, n) or n == 0:
+            raise InvalidModelError(f"mode matrix must be square and non-empty, got {z.shape}")
+        if g.shape != (len(strengths), n):
+            raise InvalidModelError(
+                f"coupling matrix has shape {g.shape}; {len(strengths)} transitions "
+                f"and {n} modes need {(len(strengths), n)}"
+            )
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(g))):
+            raise InvalidModelError("mode and coupling matrices must be finite")
+        if not np.array_equal(z, z.T):
+            raise InvalidModelError("mode matrix must be symmetric, Z = Z^T")
+        gamma = -z.imag
+        if np.any(gamma[~np.eye(n, dtype=bool)] != 0.0):
+            raise InvalidModelError("damping matrix -Im Z must be diagonal")
+        if np.any(np.diag(gamma) < 0.0):
+            raise InvalidModelError(f"damping rates must be >= 0, got {np.diag(gamma)}")
+        for j, w in enumerate(strengths):
             if not (np.isfinite(w) and w >= 0.0):
                 raise InvalidModelError(f"strength {j} must be finite and >= 0")
-            sq = sum(m.couplings[j] ** 2 for m in self.modes)
+            sq = (g[j] ** 2).sum().item()
             if not close(sq, w**2, COUPLING_NORM_TOL):
                 raise InvalidModelError(
                     f"transition {j}: sum of squared couplings {sq!r} does not "
                     f"match strength squared {w**2!r}"
                 )
+        object.__setattr__(self, "frequency_matrix", frozen(z))
+        object.__setattr__(self, "coupling_matrix", frozen(g))
+        object.__setattr__(self, "strengths", strengths)
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return len(self.frequency_matrix)
 
     @property
     def n_transitions(self) -> int:
         return len(self.strengths)
 
     @property
-    def locations(self) -> np.ndarray:
-        return np.array([m.location for m in self.modes])
+    def frequencies(self) -> np.ndarray:
+        """Mode frequencies, the diagonal of H = Re Z."""
+        return np.diag(self.frequency_matrix).real
 
     @property
-    def coupling_matrix(self) -> np.ndarray:
-        """Couplings as an array indexed [transition, mode]."""
-        return np.array([[m.couplings[j] for m in self.modes]
-                         for j in range(self.n_transitions)])
+    def rates(self) -> np.ndarray:
+        """Damping rates, the diagonal of Gamma = -Im Z."""
+        return -np.diag(self.frequency_matrix).imag
 
     @property
     def classification(self) -> str:
@@ -146,102 +142,32 @@ def _coupling_root(value: complex) -> complex:
     return s
 
 
-def build_discrete_modes(pole_set: PoleSet, strengths) -> DiscreteModeSet:
-    """Construct the damped-mode family for the given poles and strengths."""
+def build_discrete_modes(pole_set: PoleSet, strengths) -> ModeSet:
+    """The damped-mode family of the poles: Z = diag(z_l), g_jl = W_j sqrt(-i r_l)."""
     strengths = tuple(float(s) for s in strengths)
-    modes = []
-    for p in pole_set.poles:
-        unit = _coupling_root(-1j * p.residue)
-        modes.append(
-            DiscreteMode(
-                frequency=p.center,
-                damping=p.width,
-                couplings=tuple(w * unit for w in strengths),
-            )
-        )
-    return DiscreteModeSet(modes=tuple(modes), strengths=strengths)
+    units = [_coupling_root(-1j * p.residue) for p in pole_set.poles]
+    couplings = np.array([[w * u for u in units] for w in strengths], dtype=complex)
+    return ModeSet(
+        frequency_matrix=np.diag(pole_set.locations),
+        coupling_matrix=couplings.reshape(len(strengths), len(units)),
+        strengths=strengths,
+    )
 
 
-def mode_correlation(modes: DiscreteModeSet, j: int, k: int, tau):
-    """Correlation function reconstructed from the discrete modes.
+def mode_correlation(modes: ModeSet, j: int, k: int, tau):
+    """Correlation function reconstructed from the modes: g_j^T exp(-i Z tau) g_k.
 
     Must agree with :func:`pseudomodes.spectral.correlation` identically; the
     equality is the statement that the mode family is exact, not approximate.
+    For the diagonal Z of a pole family the eigenvectors are the identity, so
+    this is the plain sum over modes of g_jl g_kl exp(-i z_l tau).
     """
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("correlation is defined for tau >= 0 only")
-    acc = np.zeros(t.shape, dtype=complex)
-    for m in modes.modes:
-        acc = acc + m.couplings[j] * m.couplings[k] * np.exp(-1j * m.location * t)
-    if np.ndim(tau) == 0:
-        return complex(acc[()])
-    return acc
-
-
-@dataclass(frozen=True)
-class RegularizedMode:
-    """Rotated mode: real frequency, non-negative damping, real couplings."""
-
-    frequency: float
-    damping: float
-    couplings: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.damping < -GAMMA_CLAMP:
-            raise InvalidModelError(
-                f"regularized damping must be >= 0, got {self.damping}"
-            )
-
-
-@dataclass(frozen=True)
-class RegularizedModeSet:
-    """Two rotated modes with a real intermode hopping amplitude.
-
-    The rotation preserves the square-sum rule, now over real couplings:
-    sum_m gt_jm**2 = W_j**2.
-    """
-
-    modes: tuple[RegularizedMode, ...]
-    intermode: float
-    strengths: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.modes) != 2:
-            raise InvalidModelError("RegularizedModeSet holds exactly two modes")
-        for j, w in enumerate(self.strengths):
-            sq = sum(m.couplings[j] ** 2 for m in self.modes)
-            if not close(sq, w**2, COUPLING_NORM_TOL):
-                raise InvalidModelError(
-                    f"transition {j}: rotated couplings break the square-sum rule"
-                )
-
-    @property
-    def coupling_matrix(self) -> np.ndarray:
-        return np.array([[m.couplings[j] for m in self.modes]
-                         for j in range(len(self.strengths))], dtype=float)
-
-    @property
-    def frequency_matrix(self) -> np.ndarray:
-        """Complex symmetric 2x2 matrix diag(xi - i*Gamma) + off-diagonal V."""
-        m1, m2 = self.modes
-        return np.array(
-            [
-                [m1.frequency - 1j * m1.damping, self.intermode],
-                [self.intermode, m2.frequency - 1j * m2.damping],
-            ]
-        )
-
-
-def regularized_correlation(reg: RegularizedModeSet, j: int, k: int, tau):
-    """Correlation reconstructed from the rotated pair: g^T exp(-i Z tau) g."""
-    t = np.asarray(tau, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("correlation is defined for tau >= 0 only")
-    zmat = reg.frequency_matrix
-    vals, vecs = np.linalg.eig(zmat)
+    vals, vecs = np.linalg.eig(modes.frequency_matrix)
     vinv = np.linalg.inv(vecs)
-    g = reg.coupling_matrix
+    g = modes.coupling_matrix
     left = g[j] @ vecs
     right = vinv @ g[k]
     acc = np.zeros(t.shape, dtype=complex)
@@ -252,7 +178,7 @@ def regularized_correlation(reg: RegularizedModeSet, j: int, k: int, tau):
     return acc
 
 
-def _uniform_ratio(modes: DiscreteModeSet) -> complex:
+def _uniform_ratio(modes: ModeSet) -> complex:
     """Coupling ratio mu = g_j2 / g_j1, demanded identical across transitions."""
     g = modes.coupling_matrix
     ratios = []
@@ -319,14 +245,16 @@ def _clamp_rate(value: float) -> float:
     return value
 
 
-def two_mode_regularize(modes: DiscreteModeSet) -> RegularizedModeSet:
+def two_mode_regularize(modes: ModeSet) -> ModeSet:
     """Rotate a two-mode family with complex couplings into real-coupling form.
 
     The rotated pair has real frequencies xt_m, non-negative dampings G_m, a
     real hopping amplitude V between the modes, and real non-negative
-    couplings gt_jm.  Feasibility is not guaranteed: when either G_m comes
-    out negative no completely positive description on two modes exists and
-    PositivityViolationError is raised.
+    couplings gt_jm: Z = [[xt_1 - i G_1, V], [V, xt_2 - i G_2]].  Feasibility
+    is not guaranteed: when either G_m comes out negative no completely
+    positive description on two modes exists and PositivityViolationError is
+    raised.  A family whose couplings are already real is returned as it is:
+    the square-root gauge of ``build_discrete_modes`` makes them non-negative.
 
     Coupling signs are a gauge choice (flipping mode m's sign flips gt_jm and
     V together), fixed here as gt_jm >= 0 with V's sign recovered from the
@@ -337,22 +265,11 @@ def two_mode_regularize(modes: DiscreteModeSet) -> RegularizedModeSet:
             f"closed-form regularization handles exactly 2 modes, got {len(modes)}; "
             "larger complex-coupled families have no rotated Lindblad form here"
         )
-    m1, m2 = modes.modes
     if modes.is_all_real:
-        # Already regular; the identity rotation is the canonical answer.
-        return RegularizedModeSet(
-            modes=(
-                RegularizedMode(m1.frequency, m1.damping,
-                                tuple(abs(c) for c in m1.couplings)),
-                RegularizedMode(m2.frequency, m2.damping,
-                                tuple(abs(c) for c in m2.couplings)),
-            ),
-            intermode=0.0,
-            strengths=modes.strengths,
-        )
+        return modes
 
     mu = _uniform_ratio(modes)
-    z1, z2 = m1.location, m2.location
+    z1, z2 = (complex(z) for z in np.diag(modes.frequency_matrix))
     xt1, xt2, gam1, gam2, s_frac, v_raw = _closed_form_parameters(z1, z2, mu)
 
     gam1 = _clamp_rate(gam1)
@@ -405,52 +322,17 @@ def two_mode_regularize(modes: DiscreteModeSet) -> RegularizedModeSet:
     else:
         v12 = abs(v_raw)
 
-    lam_sum = m1.damping + m2.damping
+    lam_sum = float(modes.rates.sum())
     if not close(gam1 + gam2, lam_sum, 1e-10):
         raise InvalidModelError(
             f"rotated rates sum to {gam1 + gam2!r}, expected {lam_sum!r}"
         )
 
-    return RegularizedModeSet(
-        modes=(
-            RegularizedMode(xt1, gam1, tuple(float(x) for x in gt[:, 0])),
-            RegularizedMode(xt2, gam2, tuple(float(x) for x in gt[:, 1])),
-        ),
-        intermode=v12,
+    return ModeSet(
+        frequency_matrix=np.array([[zt11, v12], [v12, zt22]]),
+        coupling_matrix=gt,
         strengths=modes.strengths,
     )
-
-
-@dataclass(frozen=True)
-class TwoModeRotation:
-    """Parameters of the complex orthogonal rotation U(theta0) of a mode pair.
-
-    theta1 parametrizes the coupling direction (tan(theta1) = mu); the
-    realness of the rotated couplings fixes Im(theta0) = Im(theta1) exactly,
-    leaving a one-real-parameter root problem for Re(theta0).
-    """
-
-    mu: complex
-    delta_z: complex
-    theta_z: float
-    theta0: complex
-    theta1: complex
-
-    def __post_init__(self):
-        if abs(self.theta0.imag - self.theta1.imag) > 1e-10:
-            raise InvalidModelError(
-                "rotation angle violates the realness constraint "
-                f"Im(theta0)={self.theta0.imag!r} != Im(theta1)={self.theta1.imag!r}"
-            )
-
-    def matrix(self) -> np.ndarray:
-        th = self.theta0
-        return np.array(
-            [
-                [np.cos(th), np.sin(th)],
-                [-np.sin(th), np.cos(th)],
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -458,7 +340,6 @@ class RotationCheck:
     """Best agreement between closed-form and numerically rotated parameters."""
 
     max_deviation: float
-    rotation: TwoModeRotation
     roots_found: int
     candidates_checked: int
 
@@ -501,7 +382,7 @@ def _realness_roots(delta_z: complex, beta: float, samples: int = 1441) -> list[
 
 
 def verify_rotation_numeric(
-    modes: DiscreteModeSet, reg: RegularizedModeSet
+    modes: ModeSet, reg: ModeSet
 ) -> RotationCheck:
     """Cross-check the closed forms against a direct numeric rotation.
 
@@ -522,9 +403,8 @@ def verify_rotation_numeric(
         )
     theta1 = complex(np.arctan(complex(mu)))
     beta = theta1.imag
-    z1, z2 = modes.modes[0].location, modes.modes[1].location
+    z1, z2 = (complex(z) for z in np.diag(modes.frequency_matrix))
     delta_z = z2 - z1
-    theta_z = cmath.phase(delta_z)
     g = modes.coupling_matrix  # [transition, mode]
 
     zt_ref = reg.frequency_matrix
@@ -533,7 +413,6 @@ def verify_rotation_numeric(
 
     roots = _realness_roots(delta_z, beta)
     best = math.inf
-    best_theta0 = None
     checked = 0
     feasible = 0
     for a in roots:
@@ -564,20 +443,14 @@ def verify_rotation_numeric(
                     float(np.abs(gt_g - gt_ref).max()),
                 )
                 checked += 1
-                if dev < best:
-                    best = dev
-                    best_theta0 = theta0
-    if feasible == 0 or best_theta0 is None:
+                best = min(best, dev)
+    if feasible == 0 or math.isinf(best):
         raise PositivityViolationError(
             "no rotation angle satisfies realness and positivity together",
             rates=(math.nan, math.nan),
         )
-    rotation = TwoModeRotation(
-        mu=mu, delta_z=delta_z, theta_z=theta_z, theta0=best_theta0, theta1=theta1
-    )
     return RotationCheck(
         max_deviation=best,
-        rotation=rotation,
         roots_found=len(roots),
         candidates_checked=checked,
     )

@@ -5,11 +5,12 @@ exchanging one quantum with its environment, where the full problem collapses
 to a small linear ODE for probability amplitudes.  Two routes are provided:
 
 * :func:`single_excitation_solve` integrates the amplitudes of the excited
-  level and of each damped discrete mode with the classical RK4 stepper of
-  :mod:`pseudomodes.dynamics`, on its own small amplitude matrix rather than
-  a master-equation generator.  Its excited-amplitude magnitude must
-  reproduce the populations that the full density-matrix propagation
-  yields, and for one resonant mode it has a closed form.
+  level and of each mode of a mode set with the classical RK4 stepper of
+  :mod:`pseudomodes.dynamics`, on its own small amplitude matrix built from
+  the mode matrix Z rather than a master-equation generator.  Its
+  excited-amplitude magnitude must reproduce the populations that the full
+  density-matrix propagation yields, and for one resonant mode it has a
+  closed form.
 * :func:`discretized_bath_solve` brute-forces the original continuum: a large
   but finite comb of undamped oscillators sampled from the spectral density,
   evolved unitarily.  As the comb refines, its reduced dynamics converges to
@@ -33,7 +34,7 @@ import numpy as np
 from ._util import frozen, validate_grid
 from .dynamics import _rk4_interval
 from .errors import InvalidModelError
-from .mapping import DiscreteModeSet
+from .mapping import ModeSet
 from .spectral import PoleSet, eval_density
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -91,7 +92,7 @@ def damped_rabi_amplitude(strength: float, damping: float, t):
 
 
 def single_excitation_solve(
-    modes: DiscreteModeSet,
+    modes: ModeSet,
     strength: float,
     frequency: float,
     t_grid,
@@ -102,10 +103,12 @@ def single_excitation_solve(
     With the free phase of the transition frequency w0 removed:
 
         dc_e/dt = -i sum_l g_l c_l,
-        dc_l/dt = (i (w0 - xi_l) - lam_l) c_l - i g_l c_e,
+        dc_l/dt = -i sum_m (Z - w0)_lm c_m - i g_l c_e,
 
-    integrated by RK4 with step 1e-3 / max(lam, W, |detuning|).  The system is
-    a two-level one by construction here: one amplitude, one transition.
+    which for a diagonal Z is (i (w0 - xi_l) - lam_l) c_l - i g_l c_e.  It is
+    integrated by RK4 with step 1e-3 / max(lam, W, |detuning|), taken over
+    the diagonal of Z.  The system is a two-level one by construction here:
+    one amplitude, one transition.
     """
     if not 0 <= channel < modes.n_transitions:
         raise InvalidModelError(f"channel {channel} out of range")
@@ -116,13 +119,13 @@ def single_excitation_solve(
         )
     t = validate_grid(t_grid)
     n = len(modes)
-    couplings = np.array([m.couplings[channel] for m in modes.modes])
-    detunings = np.array([frequency - m.frequency for m in modes.modes])
-    dampings = np.array([m.damping for m in modes.modes])
+    couplings = modes.coupling_matrix[channel]
+    detunings = frequency - modes.frequencies
+    dampings = modes.rates
     mat = np.zeros((n + 1, n + 1), dtype=complex)
     mat[0, 1:] = -1j * couplings
     mat[1:, 0] = -1j * couplings
-    mat[np.arange(1, n + 1), np.arange(1, n + 1)] = 1j * detunings - dampings
+    mat[1:, 1:] = -1j * (modes.frequency_matrix - frequency * np.eye(n))
     scale = max(
         float(dampings.max()),
         float(strength),

@@ -24,14 +24,13 @@ from pseudomodes import (
     correlation,
     damped_rabi_amplitude,
     discretized_bath_solve,
-    DiscreteMode,
-    DiscreteModeSet,
     DiscretizedBath,
     equivalence_check,
     evolve,
     lorentzian_to_poles,
     mcwf_run,
     mode_correlation,
+    ModeSet,
     PositivityViolationError,
     single_excitation_solve,
     two_mode_regularize,
@@ -83,11 +82,9 @@ def random_feasible_pair(rng):
             continue
         g1 = 1.0 / np.sqrt(1.0 + mu * mu)
         g2 = mu * g1
-        modes = DiscreteModeSet(
-            modes=(
-                DiscreteMode(z1.real, -z1.imag, (complex(g1),)),
-                DiscreteMode(z2.real, -z2.imag, (complex(g2),)),
-            ),
+        modes = ModeSet(
+            frequency_matrix=np.diag([z1, z2]),
+            coupling_matrix=[[g1, g2]],
             strengths=(1.0,),
         )
         try:
@@ -186,17 +183,17 @@ def test_criterion_5_map_report(tmp_path):
     report = cmd_map(load_config(path))
     reg = report.regularized
     assert reg is not None, "rotation section missing from the report"
-    g1, g2 = reg.modes[0].couplings[0], reg.modes[1].couplings[0]
+    g1, g2 = reg.coupling_matrix[0]
+    hopping = reg.frequency_matrix[0, 1]
+    rate1, rate2 = reg.rates
     assert g1 == 0.0, f"first rotated coupling is {g1!r}, expected exactly 0.0"
     assert abs(g2 - 1.0) < 1e-12, f"second rotated coupling {g2!r} != 1"
-    assert abs(reg.intermode - math.sqrt(2.0)) < 1e-12, (
-        f"hopping {reg.intermode!r} != sqrt(2)"
-    )
-    assert abs(reg.modes[0].damping) < 1e-12, f"rate 1 is {reg.modes[0].damping!r}"
-    assert abs(reg.modes[1].damping - 3.0) < 1e-12, f"rate 2 is {reg.modes[1].damping!r}"
+    assert abs(hopping - math.sqrt(2.0)) < 1e-12, f"hopping {hopping!r} != sqrt(2)"
+    assert abs(rate1) < 1e-12, f"rate 1 is {rate1!r}"
+    assert abs(rate2 - 3.0) < 1e-12, f"rate 2 is {rate2!r}"
     return (
-        f"couplings ({g1:g}, {g2:.12g}), hopping {reg.intermode:.12g}, "
-        f"rates ({reg.modes[0].damping:g}, {reg.modes[1].damping:.12g})"
+        f"couplings ({g1:g}, {g2:.12g}), hopping {hopping.real:.12g}, "
+        f"rates ({rate1:g}, {rate2:.12g})"
     )
 
 

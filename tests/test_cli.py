@@ -26,7 +26,8 @@ from pseudomodes.cli import (
     _observable_ops,
 )
 from pseudomodes.errors import ClassificationError, RegularizationError
-from pseudomodes.dynamics import FRAMES, KINDS
+from pseudomodes.dynamics import FRAMES, KINDS, build_generator, taylor_plan
+from pseudomodes.hilbert import SpaceLayout
 from pseudomodes.mapping import build_discrete_modes, two_mode_regularize
 
 SINGLE_DOC = {
@@ -291,21 +292,32 @@ def test_generator_kind_resolution():
         density = LorentzianSum(tuple(LorentzianTerm(*t) for t in terms))
         return build_discrete_modes(lorentzian_to_poles(density), (1.0,))
 
+    system = load_config(CONFIGS / "band_gap.yaml").system
+
+    def kind_of(mode_set):
+        return build_generator(system, mode_set, SpaceLayout(2, (2,) * len(mode_set))).kind
+
     single = modes_for([(1.0, 1.0, 4.0)])
-    assert resolve_generator_kind("auto", single) == ("lindblad_direct", None)
+    assert resolve_generator_kind("auto", single) is single
+    assert kind_of(single) == "lindblad_direct"
     gap = modes_for([(2.0, 1.0, 2.0), (-1.0, 1.0, 1.0)])
-    kind, reg = resolve_generator_kind("auto", gap)
-    assert kind == "lindblad_regularized"
-    assert reg == two_mode_regularize(gap)
-    assert resolve_generator_kind("lindblad_regularized", gap) == (kind, reg)
+    rotated = resolve_generator_kind("auto", gap)
+    expected = two_mode_regularize(gap)
+    for mode_set in (rotated, resolve_generator_kind("lindblad_regularized", gap)):
+        assert np.array_equal(mode_set.frequency_matrix, expected.frequency_matrix)
+        assert np.array_equal(mode_set.coupling_matrix, expected.coupling_matrix)
+        assert kind_of(mode_set) == "lindblad_regularized"
     infeasible = modes_for([(2.0, 1.0, 3.0), (-1.0, 1.0, 1.0)])
-    assert resolve_generator_kind("auto", infeasible) == ("pathological", None)
+    assert resolve_generator_kind("auto", infeasible) is infeasible
+    assert kind_of(infeasible) == "pathological"
     with pytest.raises(RegularizationError):
         resolve_generator_kind("lindblad_regularized", infeasible)
     triple = modes_for([(2.0, 0.0, 2.0), (-0.5, 0.0, 1.0), (-0.5, 0.0, 0.5)])
     assert len(triple) == 3
-    assert resolve_generator_kind("auto", triple) == ("pathological", None)
-    assert resolve_generator_kind("pathological", gap) == ("pathological", None)
+    assert resolve_generator_kind("auto", triple) is triple
+    assert kind_of(triple) == "pathological"
+    assert resolve_generator_kind("pathological", gap) is gap
+    assert resolve_generator_kind("pathological", single) is single  # builds direct
     with pytest.raises(ClassificationError):
         resolve_generator_kind("lindblad_direct", gap)
 
@@ -324,11 +336,11 @@ def test_cmd_map_band_gap_fields(tmp_path):
     assert report.positivity.passed
     reg = report.regularized
     assert reg is not None
-    assert reg.modes[0].couplings[0] == 0.0
-    assert reg.modes[1].couplings[0] == pytest.approx(1.0, abs=1e-12)
-    assert reg.intermode == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert reg.modes[0].damping == pytest.approx(0.0, abs=1e-12)
-    assert reg.modes[1].damping == pytest.approx(3.0, abs=1e-12)
+    assert reg.coupling_matrix[0, 0] == 0.0
+    assert reg.coupling_matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert reg.frequency_matrix[0, 1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert reg.rates[0] == pytest.approx(0.0, abs=1e-12)
+    assert reg.rates[1] == pytest.approx(3.0, abs=1e-12)
     assert report.rotation_check.max_deviation < 1e-8
     assert "regularized modes:" in report.text
     assert report.text.endswith("\n")
@@ -474,6 +486,41 @@ def test_validate_rotates_an_infeasible_pair_once(tmp_path, monkeypatch):
     assert by_name["rotation_closed_forms"].status == "skip"
     assert by_name["generator_equivalence"].status == "skip"
     assert by_name["oracle_population"].status == "pass"
+
+
+def test_validate_builds_each_generator_once(tmp_path, monkeypatch):
+    # band_gap: the uncorrected and the rotated generator; the oracle check
+    # reuses the rotated one
+    built = []
+    build = pseudomodes.cli.build_generator
+
+    def counting(system, modes, layout, *args):
+        gen = build(system, modes, layout, *args)
+        built.append(gen.kind)
+        return gen
+
+    monkeypatch.setattr(pseudomodes.cli, "build_generator", counting)
+    summary = cmd_validate(load_config(CONFIGS / "band_gap.yaml"))
+    assert built == ["pathological", "lindblad_regularized"]
+    assert summary.passed
+    built.clear()
+    cmd_validate(load_config(CONFIGS / "tls_lorentzian.yaml"))
+    assert built == ["lindblad_direct"]
+
+
+def test_evolve_refuses_a_long_row_naming_n_steps_that_fit(tmp_path, capsys):
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["run"].update(t_max=1e6, n_steps=1)
+    path = write_doc(tmp_path, doc)
+    assert main(["evolve", path, "--out", str(tmp_path / "long.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Taylor sub-intervals" in err
+    named = int(err.split("run.n_steps to at least ")[1].split()[0])
+    norm = build_model(load_config(path)).norm_estimate() * 1e6
+    taylor_plan(norm / named)  # rows of t_max / named are accepted
+    with pytest.raises(pseudomodes.errors.StepUnderflowError):
+        taylor_plan(norm / (named - 1))  # and named is the smallest such count
 
 
 def test_evolve_output_is_deterministic(tmp_path, capsys):

@@ -20,6 +20,7 @@ from pseudomodes import (
     evolve,
     free_hamiltonian_diagonal,
     lorentzian_to_poles,
+    ModeSet,
     partial_trace_modes,
     rotate_frame,
     StepUnderflowError,
@@ -126,6 +127,31 @@ def test_uncorrected_and_rotated_generators_share_reduced_dynamics():
     assert dev < 1e-8
 
 
+def test_real_rotation_of_equal_rate_modes_keeps_reduced_dynamics():
+    # With equal rates Gamma = gamma * I, a real orthogonal O maps (Z, g) to
+    # (O Z O^T, g O^T) with Gamma still diagonal: three modes that hop among
+    # each other.  The generator must read every off-diagonal entry of Z.
+    poles = lorentzian_to_poles(LorentzianSum((
+        LorentzianTerm(weight=0.5, center=-1.0, width=1.5),
+        LorentzianTerm(weight=0.3, center=0.5, width=1.5),
+        LorentzianTerm(weight=0.2, center=2.0, width=1.5),
+    )))
+    modes = build_discrete_modes(poles, (1.0,))
+    o, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+    h = o @ np.diag(modes.frequencies) @ o.T
+    hopping = ModeSet(
+        frequency_matrix=0.5 * (h + h.T) - 1.5j * np.eye(3),
+        coupling_matrix=modes.coupling_matrix.real @ o.T,
+        strengths=modes.strengths,
+    )
+    layout = SpaceLayout(2, (2, 2, 2))
+    gen = build_generator(TLS, hopping, layout)
+    assert gen.kind == "lindblad_regularized"
+    dev = equivalence_check(build_generator(TLS, modes, layout), gen, EE,
+                            np.linspace(0.0, 4.0, 21))
+    assert dev < 1e-8
+
+
 def test_frame_equivalence_all_kinds():
     # Record in the interaction frame, rotate back, compare snapshots.  Both
     # runs propagate the same Schrodinger-frame generator, so this checks the
@@ -146,7 +172,7 @@ def test_frame_equivalence_all_kinds():
     ]
     single_modes = build_discrete_modes(SINGLE, (1.0,))
     for kind, mode_set in cases:
-        freqs = [m.frequency for m in mode_set.modes]
+        freqs = mode_set.frequencies
         gs = build_generator(TLS, mode_set, layout)
         gi = build_generator(TLS, mode_set, layout, frame="interaction")
         rs = evolve(gs, rho0, t)
@@ -163,7 +189,7 @@ def test_frame_equivalence_all_kinds():
         strengths=(1.0,), drive=lambda t: 0.1 * SX,
     )
     rho1 = vacuum_embedding(lay1, EE)
-    h0 = free_hamiltonian_diagonal(lay1, TLS, [m.frequency for m in single_modes.modes])
+    h0 = free_hamiltonian_diagonal(lay1, TLS, single_modes.frequencies)
     for system in (TLS, driven):
         gs = build_generator(system, single_modes, lay1)
         gi = build_generator(system, single_modes, lay1, frame="interaction")

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from pseudomodes import (
-    DiscreteMode,
-    DiscreteModeSet,
     InvalidModelError,
     LorentzianSum,
     LorentzianTerm,
+    ModeSet,
     PositivityViolationError,
-    RegularizedMode,
-    RegularizedModeSet,
     UnsupportedRegularizationError,
     build_discrete_modes,
     correlation,
     CorrelationSpec,
     lorentzian_to_poles,
     mode_correlation,
-    regularized_correlation,
     two_mode_regularize,
     verify_rotation_numeric,
 )
@@ -45,11 +41,9 @@ def random_feasible_pair(rng):
             continue
         g1 = 1.0 / np.sqrt(1.0 + mu * mu)
         g2 = mu * g1
-        modes = DiscreteModeSet(
-            modes=(
-                DiscreteMode(z1.real, -z1.imag, (complex(g1),)),
-                DiscreteMode(z2.real, -z2.imag, (complex(g2),)),
-            ),
+        modes = ModeSet(
+            frequency_matrix=np.diag([z1, z2]),
+            coupling_matrix=[[g1, g2]],
             strengths=(1.0,),
         )
         try:
@@ -64,8 +58,8 @@ def test_single_lorentzian_couples_with_real_strength():
     assert modes.classification == "all_real"
     assert modes.is_all_real
     np.testing.assert_allclose(modes.coupling_matrix, [[1.0]], atol=1e-15)
-    assert modes.modes[0].frequency == pytest.approx(1.0)
-    assert modes.modes[0].damping == pytest.approx(4.0)
+    assert modes.frequencies[0] == pytest.approx(1.0)
+    assert modes.rates[0] == pytest.approx(4.0)
 
 
 def test_band_gap_couplings_are_root_two_and_i():
@@ -88,25 +82,31 @@ def test_coupling_root_principal_branch_gauge():
 def test_coupling_normalization_enforced():
     # complex squares must sum to the strength squared, not magnitudes
     with pytest.raises(InvalidModelError):
-        DiscreteModeSet(
-            modes=(
-                DiscreteMode(0.0, 1.0, (1.0 + 0.0j,)),
-                DiscreteMode(1.0, 2.0, (1.0j,)),
-            ),
+        ModeSet(
+            frequency_matrix=np.diag([-1.0j, 1.0 - 2.0j]),
+            coupling_matrix=[[1.0, 1.0j]],
             strengths=(1.0,),
         )
 
 
-def test_mode_set_rejects_coincident_modes():
-    g = 1.0 / np.sqrt(2.0)
-    with pytest.raises(InvalidModelError):
-        DiscreteModeSet(
-            modes=(
-                DiscreteMode(0.0, 1.0, (g,)),
-                DiscreteMode(0.0, 1.0, (g,)),
-            ),
-            strengths=(1.0,),
-        )
+def test_mode_set_rejects_malformed_matrices():
+    z_ok = np.array([[0.0, np.sqrt(2.0)], [np.sqrt(2.0), -3.0j]])
+    good = ModeSet(frequency_matrix=z_ok, coupling_matrix=[[0.0, 1.0]], strengths=(1.0,))
+    assert good.rates[0] == 0.0 and good.rates[1] == 3.0  # an exact zero rate is allowed
+    assert not good.frequency_matrix.flags.writeable
+    bad = {
+        "non-symmetric Z": (np.array([[0.0, 1.0], [2.0, -3.0j]]), [[0.0, 1.0]]),
+        "off-diagonal damping": (np.array([[-1.0j, -0.5j], [-0.5j, -3.0j]]), [[0.0, 1.0]]),
+        "negative damping": (np.diag([1.0j, -3.0j]), [[0.0, 1.0]]),
+        "coupling rows": (z_ok, [[0.0, 1.0], [0.0, 1.0]]),
+        "coupling columns": (z_ok, [[1.0]]),
+        "non-square Z": (np.array([[-1.0j, 0.0]]), [[1.0, 0.0]]),
+        "non-finite Z": (np.diag([np.nan - 1.0j, -3.0j]), [[0.0, 1.0]]),
+    }
+    for name, (z, g) in bad.items():
+        with pytest.raises(InvalidModelError):
+            ModeSet(frequency_matrix=z, coupling_matrix=g, strengths=(1.0,))
+            pytest.fail(f"accepted a mode set with {name}")
 
 
 def test_mode_correlation_equals_pole_sum():
@@ -120,6 +120,22 @@ def test_mode_correlation_equals_pole_sum():
             correlation(spec, 0, 0, taus),
             atol=1e-13,
         )
+    # The rotated pair's hopping makes Z non-diagonal; its correlation is
+    # still the pole sum of the family it was rotated from.
+    reg = two_mode_regularize(build_discrete_modes(BAND_GAP, (1.0,)))
+    lags = np.linspace(0.0, 6.0, 61)
+    np.testing.assert_allclose(
+        mode_correlation(reg, 0, 0, lags),
+        correlation(CorrelationSpec(BAND_GAP, (1.0,)), 0, 0, lags),
+        atol=1e-12,
+    )
+    rng = np.random.default_rng(23)
+    lags = rng.uniform(0.0, 4.0, 32)
+    for _ in range(5):
+        modes, reg = random_feasible_pair(rng)
+        g, z = modes.coupling_matrix[0], np.diag(modes.frequency_matrix)
+        pole_sum = sum(g[l] ** 2 * np.exp(-1j * z[l] * lags) for l in range(2))
+        np.testing.assert_allclose(mode_correlation(reg, 0, 0, lags), pole_sum, atol=1e-10)
 
 
 def test_multichannel_coupling_rows_scale_with_strength():
@@ -137,13 +153,13 @@ def test_multichannel_coupling_rows_scale_with_strength():
 def test_band_gap_rotation_frozen_values():
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     reg = two_mode_regularize(modes)
-    assert reg.modes[0].frequency == pytest.approx(0.0, abs=1e-12)
-    assert reg.modes[1].frequency == pytest.approx(0.0, abs=1e-12)
-    assert reg.modes[0].damping == pytest.approx(0.0, abs=1e-12)
-    assert reg.modes[1].damping == pytest.approx(3.0, abs=1e-12)
-    assert reg.modes[0].couplings[0] == 0.0
-    assert reg.modes[1].couplings[0] == pytest.approx(1.0, abs=1e-12)
-    assert reg.intermode == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert reg.frequencies[0] == pytest.approx(0.0, abs=1e-12)
+    assert reg.frequencies[1] == pytest.approx(0.0, abs=1e-12)
+    assert reg.rates[0] == pytest.approx(0.0, abs=1e-12)
+    assert reg.rates[1] == pytest.approx(3.0, abs=1e-12)
+    assert reg.coupling_matrix[0, 0] == 0.0
+    assert reg.coupling_matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert reg.frequency_matrix[0, 1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_rotation_does_not_depend_on_the_strength_scale():
@@ -157,11 +173,13 @@ def test_rotation_does_not_depend_on_the_strength_scale():
     assert all(c[0] > 0.0 for c in unit.coupling_matrix.T)
     for w in (5e-256, 1e-3, 7.0):
         reg = two_mode_regularize(build_discrete_modes(poles, (w,)))
-        assert reg.intermode == pytest.approx(unit.intermode, rel=1e-12)
-        for got, want in zip(reg.modes, unit.modes):
-            assert got.frequency == pytest.approx(want.frequency, rel=1e-12)
-            assert got.damping == pytest.approx(want.damping, rel=1e-12)
-            assert got.couplings[0] == pytest.approx(w * want.couplings[0], rel=1e-12)
+        assert reg.frequency_matrix[0, 1] == pytest.approx(
+            unit.frequency_matrix[0, 1], rel=1e-12)
+        for l in range(2):
+            assert reg.frequencies[l] == pytest.approx(unit.frequencies[l], rel=1e-12)
+            assert reg.rates[l] == pytest.approx(unit.rates[l], rel=1e-12)
+            assert reg.coupling_matrix[0, l] == pytest.approx(
+                w * unit.coupling_matrix[0, l], rel=1e-12)
 
 
 def test_gap_family_rates_follow_width_weight_pattern():
@@ -173,7 +191,7 @@ def test_gap_family_rates_follow_width_weight_pattern():
             LorentzianTerm(weight=-w2, center=0.5, width=lam2),
         )))
         reg = two_mode_regularize(build_discrete_modes(poles, (1.0,)))
-        rates = sorted(m.damping for m in reg.modes)
+        rates = sorted(reg.rates)
         expected = sorted((w1 * lam2 - w2 * lam1, w1 * lam1 - w2 * lam2))
         np.testing.assert_allclose(rates, expected, atol=1e-10)
 
@@ -182,11 +200,11 @@ def test_rotation_preserves_rate_sum_and_first_moment():
     rng = np.random.default_rng(17)
     for _ in range(10):
         modes, reg = random_feasible_pair(rng)
-        lam_sum = sum(m.damping for m in modes.modes)
-        assert sum(m.damping for m in reg.modes) == pytest.approx(lam_sum, abs=1e-9)
+        lam_sum = sum(modes.rates)
+        assert sum(reg.rates) == pytest.approx(lam_sum, abs=1e-9)
         # first moment sum_l g_l^2 z_l is carried to gt^T Z gt
-        g = modes.coupling_matrix[0]
-        moment = g[0] ** 2 * modes.modes[0].location + g[1] ** 2 * modes.modes[1].location
+        g, z = modes.coupling_matrix[0], np.diag(modes.frequency_matrix)
+        moment = g[0] ** 2 * z[0] + g[1] ** 2 * z[1]
         gt = reg.coupling_matrix[0]
         rotated = complex(gt @ reg.frequency_matrix @ gt)
         assert abs(moment - rotated) < 1e-9
@@ -198,35 +216,9 @@ def test_real_couplings_regularize_to_themselves():
         LorentzianTerm(weight=0.5, center=2.0, width=3.0),
     ))), (1.0,))
     assert modes.is_all_real
-    reg = two_mode_regularize(modes)
-    assert reg.intermode == 0.0
-    for before, after in zip(modes.modes, reg.modes):
-        assert after.frequency == pytest.approx(before.frequency)
-        assert after.damping == pytest.approx(before.damping)
-        assert after.couplings[0] == pytest.approx(abs(before.couplings[0]))
-
-
-def test_regularized_correlation_matches_complex_form():
-    rng = np.random.default_rng(23)
-    taus = rng.uniform(0.0, 4.0, 32)
-    for _ in range(5):
-        modes, reg = random_feasible_pair(rng)
-        np.testing.assert_allclose(
-            regularized_correlation(reg, 0, 0, taus),
-            mode_correlation(modes, 0, 0, taus),
-            atol=1e-10,
-        )
-
-
-def test_band_gap_regularized_correlation():
-    modes = build_discrete_modes(BAND_GAP, (1.0,))
-    reg = two_mode_regularize(modes)
-    taus = np.linspace(0.0, 6.0, 61)
-    np.testing.assert_allclose(
-        regularized_correlation(reg, 0, 0, taus),
-        mode_correlation(modes, 0, 0, taus),
-        atol=1e-12,
-    )
+    # the square-root gauge already makes real couplings non-negative
+    assert np.all(modes.coupling_matrix.real > 0.0)
+    assert two_mode_regularize(modes) is modes
 
 
 def test_infeasible_rotation_raises_with_rates():
@@ -251,15 +243,6 @@ def test_three_modes_are_unsupported():
     assert modes.classification == "complex"
     with pytest.raises(UnsupportedRegularizationError):
         two_mode_regularize(modes)
-
-
-def test_regularized_mode_set_shape_validation():
-    with pytest.raises(InvalidModelError):
-        RegularizedModeSet(
-            modes=(RegularizedMode(0.0, 1.0, (1.0,)),),
-            intermode=0.0,
-            strengths=(1.0,),
-        )
 
 
 def test_verify_rotation_band_gap():

@@ -16,6 +16,7 @@ from pseudomodes import (
     lorentzian_to_poles,
     mode_correlation,
     single_excitation_solve,
+    two_mode_regularize,
 )
 
 SINGLE = lorentzian_to_poles(LorentzianSum((
@@ -102,6 +103,21 @@ def test_band_gap_population_traps_at_four_ninths():
     # and it is genuinely flat at the end
     tail = np.abs(sol.excited[-20:]) ** 2
     assert tail.max() - tail.min() < 1e-10
+
+
+def test_single_excitation_solve_reads_the_whole_mode_matrix():
+    # The rotated pair couples through its hopping, off the diagonal of Z;
+    # the excited amplitude must not notice the rotation.
+    detuned = lorentzian_to_poles(LorentzianSum((
+        LorentzianTerm(weight=2.0, center=0.4, width=2.0),
+        LorentzianTerm(weight=-1.0, center=0.4, width=1.0),
+    )))
+    t = np.linspace(0.0, 6.0, 31)
+    for poles in (BAND_GAP, detuned):
+        modes = build_discrete_modes(poles, (1.0,))
+        direct = single_excitation_solve(modes, 1.0, 1.0, t).excited
+        rotated = single_excitation_solve(two_mode_regularize(modes), 1.0, 1.0, t).excited
+        np.testing.assert_allclose(rotated, direct, atol=1e-9)
 
 
 def test_discretized_bath_single_degenerate_mode_rabi():
