@@ -120,22 +120,39 @@ def test_mode_correlation_equals_pole_sum():
             correlation(spec, 0, 0, taus),
             atol=1e-13,
         )
+
+
+def test_regularized_correlation_matches_complex_form():
     # The rotated pair's hopping makes Z non-diagonal; its correlation is
-    # still the pole sum of the family it was rotated from.
-    reg = two_mode_regularize(build_discrete_modes(BAND_GAP, (1.0,)))
-    lags = np.linspace(0.0, 6.0, 61)
-    np.testing.assert_allclose(
-        mode_correlation(reg, 0, 0, lags),
-        correlation(CorrelationSpec(BAND_GAP, (1.0,)), 0, 0, lags),
-        atol=1e-12,
-    )
+    # still that of the complex-coupled family it was rotated from.
     rng = np.random.default_rng(23)
-    lags = rng.uniform(0.0, 4.0, 32)
+    taus = rng.uniform(0.0, 4.0, 32)
     for _ in range(5):
         modes, reg = random_feasible_pair(rng)
         g, z = modes.coupling_matrix[0], np.diag(modes.frequency_matrix)
-        pole_sum = sum(g[l] ** 2 * np.exp(-1j * z[l] * lags) for l in range(2))
-        np.testing.assert_allclose(mode_correlation(reg, 0, 0, lags), pole_sum, atol=1e-10)
+        pole_sum = sum(g[l] ** 2 * np.exp(-1j * z[l] * taus) for l in range(2))
+        np.testing.assert_allclose(mode_correlation(modes, 0, 0, taus), pole_sum, atol=1e-10)
+        np.testing.assert_allclose(
+            mode_correlation(reg, 0, 0, taus),
+            mode_correlation(modes, 0, 0, taus),
+            atol=1e-10,
+        )
+
+
+def test_band_gap_regularized_correlation():
+    modes = build_discrete_modes(BAND_GAP, (1.0,))
+    reg = two_mode_regularize(modes)
+    taus = np.linspace(0.0, 6.0, 61)
+    np.testing.assert_allclose(
+        mode_correlation(reg, 0, 0, taus),
+        mode_correlation(modes, 0, 0, taus),
+        atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        mode_correlation(reg, 0, 0, taus),
+        correlation(CorrelationSpec(BAND_GAP, (1.0,)), 0, 0, taus),
+        atol=1e-12,
+    )
 
 
 def test_multichannel_coupling_rows_scale_with_strength():
