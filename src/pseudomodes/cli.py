@@ -413,8 +413,9 @@ def _check_row_length(gen: Generator, cfg: RunConfig) -> None:
     The message names the smallest run.n_steps whose rows t_max / n_steps fit.
     """
     norm = gen.norm_estimate() * cfg.t_max
-    if gen.time_dependent or not 0.0 < norm < math.inf:
-        return  # nothing to plan, or evolve reports the unusable norm itself
+    no_row_fits = not 1.0 / cfg.step_scale <= MAX_TAYLOR_INTERVALS
+    if gen.time_dependent or no_row_fits or not 0.0 < norm < math.inf:
+        return  # nothing to plan, or evolve reports the unusable norm or step_scale
 
     def fits(n_steps: int) -> bool:
         try:
@@ -425,7 +426,9 @@ def _check_row_length(gen: Generator, cfg: RunConfig) -> None:
 
     if fits(cfg.n_steps):
         return
-    n_steps = math.ceil(norm / (TAYLOR_THETA[-1][1] * MAX_TAYLOR_INTERVALS * cfg.step_scale))
+    # Shorter counts need more whole sub-intervals of the top degree than fit.
+    cap = max(1, math.floor(MAX_TAYLOR_INTERVALS * cfg.step_scale))
+    n_steps = math.ceil(norm / (TAYLOR_THETA[-1][1] * cap))
     while not fits(n_steps):
         n_steps += 1
     raise ConfigError(

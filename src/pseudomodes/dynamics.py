@@ -211,13 +211,10 @@ class Generator:
         return est
 
 
-def _check_consistency(system: SystemSpec, modes, layout: SpaceLayout) -> None:
-    try:
-        strengths, n_modes = modes.strengths, len(modes)
-    except (AttributeError, TypeError):
-        raise InvalidModelError(
-            f"cannot build a generator from a {type(modes).__name__}"
-        ) from None
+def _check_consistency(system: SystemSpec, modes: ModeSet, layout: SpaceLayout) -> None:
+    if not isinstance(modes, ModeSet):
+        raise InvalidModelError(f"cannot build a generator from a {type(modes).__name__}")
+    strengths, n_modes = modes.strengths, len(modes)
     if layout.system_dim != system.dim:
         raise InvalidModelError("layout system dimension disagrees with the system")
     if layout.n_modes != n_modes:

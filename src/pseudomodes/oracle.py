@@ -106,9 +106,9 @@ def single_excitation_solve(
         dc_l/dt = -i sum_m (Z - w0)_lm c_m - i g_l c_e,
 
     which for a diagonal Z is (i (w0 - xi_l) - lam_l) c_l - i g_l c_e.  It is
-    integrated by RK4 with step 1e-3 / max(lam, W, |detuning|), taken over
-    the diagonal of Z.  The system is a two-level one by construction here:
-    one amplitude, one transition.
+    integrated by RK4 with step 1e-3 / max(lam, W, |detuning|, |hopping|),
+    taken over every entry of Z.  The system is a two-level one by
+    construction here: one amplitude, one transition.
     """
     if not 0 <= channel < modes.n_transitions:
         raise InvalidModelError(f"channel {channel} out of range")
@@ -130,6 +130,7 @@ def single_excitation_solve(
         float(dampings.max()),
         float(strength),
         float(np.abs(detunings).max(initial=0.0)),
+        float(np.abs(modes.frequency_matrix - np.diag(np.diag(modes.frequency_matrix))).max()),
         1e-12,
     )
     amps = np.zeros((t.size, n + 1), dtype=complex)

@@ -508,9 +508,10 @@ def test_validate_builds_each_generator_once(tmp_path, monkeypatch):
     assert built == ["lindblad_direct"]
 
 
-def test_evolve_refuses_a_long_row_naming_n_steps_that_fit(tmp_path, capsys):
+@pytest.mark.parametrize("step_scale", [1.0, 0.3, 8.7e-6])
+def test_evolve_refuses_a_long_row_naming_n_steps_that_fit(tmp_path, capsys, step_scale):
     doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
-    doc["run"].update(t_max=1e6, n_steps=1)
+    doc["run"].update(t_max=1e6, n_steps=1, step_scale=step_scale)
     path = write_doc(tmp_path, doc)
     assert main(["evolve", path, "--out", str(tmp_path / "long.csv")]) == 2
     err = capsys.readouterr().err
@@ -518,9 +519,19 @@ def test_evolve_refuses_a_long_row_naming_n_steps_that_fit(tmp_path, capsys):
     assert "Taylor sub-intervals" in err
     named = int(err.split("run.n_steps to at least ")[1].split()[0])
     norm = build_model(load_config(path)).norm_estimate() * 1e6
-    taylor_plan(norm / named)  # rows of t_max / named are accepted
+    taylor_plan(norm / named, step_scale)  # rows of t_max / named are accepted
     with pytest.raises(pseudomodes.errors.StepUnderflowError):
-        taylor_plan(norm / (named - 1))  # and named is the smallest such count
+        taylor_plan(norm / (named - 1), step_scale)  # and named is the smallest such count
+
+
+def test_evolve_refuses_a_step_scale_no_row_length_fits(tmp_path, capsys):
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["run"].update(t_max=1.0, n_steps=10, step_scale=1e-7)
+    path = write_doc(tmp_path, doc)
+    assert main(["evolve", path, "--out", str(tmp_path / "tiny.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "step_scale 1e-07" in err
 
 
 def test_evolve_output_is_deterministic(tmp_path, capsys):

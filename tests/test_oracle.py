@@ -9,6 +9,7 @@ from pseudomodes import (
     InvalidModelError,
     LorentzianSum,
     LorentzianTerm,
+    ModeSet,
     build_discrete_modes,
     correlation,
     damped_rabi_amplitude,
@@ -118,6 +119,22 @@ def test_single_excitation_solve_reads_the_whole_mode_matrix():
         direct = single_excitation_solve(modes, 1.0, 1.0, t).excited
         rotated = single_excitation_solve(two_mode_regularize(modes), 1.0, 1.0, t).excited
         np.testing.assert_allclose(rotated, direct, atol=1e-9)
+
+
+def test_single_excitation_step_follows_a_strong_hopping():
+    # A hopping far above every rate, strength and detuning sets the RK4 step.
+    z = np.array([[0.0, 3000.0], [3000.0, -1.0j]])
+    modes = ModeSet(z, np.array([[1.0, 0.0]]), (1.0,))
+    t = np.linspace(0.0, 0.01, 3)
+    got = single_excitation_solve(modes, 1.0, 0.0, t)
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 1:] = m[1:, 0] = -1j * modes.coupling_matrix[0]
+    m[1:, 1:] = -1j * z
+    vals, vecs = np.linalg.eig(m)
+    c0 = np.linalg.solve(vecs, np.array([1.0, 0.0, 0.0], dtype=complex))
+    exact = np.array([vecs @ (np.exp(vals * ti) * c0) for ti in t])
+    np.testing.assert_allclose(got.excited, exact[:, 0], atol=1e-6)
+    np.testing.assert_allclose(got.modes, exact[:, 1:], atol=1e-6)
 
 
 def test_discretized_bath_single_degenerate_mode_rabi():
