@@ -486,14 +486,7 @@ def evolve(
 def _rk4_interval(apply, rho: np.ndarray, t0: float, t1: float,
                   h_cap: float) -> np.ndarray:
     """Classical RK4 from t0 to t1 in equal substeps no longer than h_cap."""
-    span = t1 - t0
-    n_sub = max(1, int(math.ceil(span / h_cap)))
-    if n_sub > MAX_SUBSTEPS:
-        raise StepUnderflowError(
-            f"interval [{t0:g}, {t1:g}] needs {n_sub} substeps; "
-            "the norm estimate is too large to integrate"
-        )
-    h = span / n_sub
+    n_sub, h = _rk4_substeps(t0, t1, h_cap)
     tc = t0
     for _ in range(n_sub):
         k1 = apply(tc, rho)
@@ -503,6 +496,17 @@ def _rk4_interval(apply, rho: np.ndarray, t0: float, t1: float,
         rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         tc += h
     return rho
+
+
+def _rk4_substeps(t0: float, t1: float, h_cap: float) -> tuple[int, float]:
+    """Count and length of the equal RK4 substeps, none over h_cap, on [t0, t1]."""
+    n_sub = max(1, int(math.ceil((t1 - t0) / h_cap)))
+    if n_sub > MAX_SUBSTEPS:
+        raise StepUnderflowError(
+            f"interval [{t0:g}, {t1:g}] needs {n_sub} substeps; "
+            "the norm estimate is too large to integrate"
+        )
+    return n_sub, (t1 - t0) / n_sub
 
 
 def taylor_plan(norm: float, step_scale: float = 1.0) -> tuple[int, int]:

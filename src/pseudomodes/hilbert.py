@@ -72,16 +72,12 @@ class SystemSpec:
             frozen_obs.append(frozen(mat))
         object.__setattr__(self, "observables", tuple(frozen_obs))
         scale = max(1.0, max(abs(e) for e in self.energies))
+        gaps = [em - en for em in self.energies for en in self.energies]
         for j, w in enumerate(self.frequencies):
             if not w > 0.0:
                 raise InvalidModelError(
                     f"transition frequency {j} must be positive, got {w}"
                 )
-            gaps = [
-                em - en
-                for em in self.energies
-                for en in self.energies
-            ]
             if not any(abs(gap - w) <= GAP_TOL * scale for gap in gaps):
                 raise InvalidModelError(
                     f"transition frequency {w} matches no energy difference"

@@ -166,10 +166,8 @@ def mode_correlation(modes: ModeSet, j: int, k: int, tau):
     if np.any(t < 0.0):
         raise ValueError("correlation is defined for tau >= 0 only")
     vals, vecs = np.linalg.eig(modes.frequency_matrix)
-    vinv = np.linalg.inv(vecs)
-    g = modes.coupling_matrix
-    left = g[j] @ vecs
-    right = vinv @ g[k]
+    left = modes.coupling_matrix[j] @ vecs
+    right = np.linalg.inv(vecs) @ modes.coupling_matrix[k]
     acc = np.zeros(t.shape, dtype=complex)
     for lv, rv, w in zip(left, right, vals):
         acc = acc + lv * rv * np.exp(-1j * w * t)

@@ -5,12 +5,12 @@ exchanging one quantum with its environment, where the full problem collapses
 to a small linear ODE for probability amplitudes.  Two routes are provided:
 
 * :func:`single_excitation_solve` integrates the amplitudes of the excited
-  level and of each mode of a mode set with the classical RK4 stepper of
-  :mod:`pseudomodes.dynamics`, on its own small amplitude matrix built from
-  the mode matrix Z rather than a master-equation generator.  Its
-  excited-amplitude magnitude must reproduce the populations that the full
-  density-matrix propagation yields, and for one resonant mode it has a
-  closed form.
+  level and of each mode of a mode set by fixed-step RK4, each output row as
+  one power of the RK4 step matrix of its own small amplitude matrix, built
+  from the mode matrix Z rather than a master-equation generator (and apart
+  from the Taylor action of ``evolve``).  Its excited-amplitude magnitude
+  must reproduce the populations that the full density-matrix propagation
+  yields, and for one resonant mode it has a closed form.
 * :func:`discretized_bath_solve` brute-forces the original continuum: a large
   but finite comb of undamped oscillators sampled from the spectral density,
   evolved unitarily.  As the comb refines, its reduced dynamics converges to
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import frozen, validate_grid
-from .dynamics import _rk4_interval
+from .dynamics import _rk4_substeps
 from .errors import InvalidModelError
 from .mapping import ModeSet
 from .spectral import PoleSet, eval_density
@@ -59,9 +59,8 @@ class AmplitudeState:
     modes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", frozen(self.times))
-        object.__setattr__(self, "excited", frozen(self.excited))
-        object.__setattr__(self, "modes", frozen(self.modes))
+        for name in ("times", "excited", "modes"):
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     def norms(self) -> np.ndarray:
         """Total excitation norm |c_e|**2 + sum_l |c_l|**2 per grid time."""
@@ -106,9 +105,10 @@ def single_excitation_solve(
         dc_l/dt = -i sum_m (Z - w0)_lm c_m - i g_l c_e,
 
     which for a diagonal Z is (i (w0 - xi_l) - lam_l) c_l - i g_l c_e.  It is
-    integrated by RK4 with step 1e-3 / max(lam, W, |detuning|, |hopping|),
-    taken over every entry of Z.  The system is a two-level one by
-    construction here: one amplitude, one transition.
+    integrated by RK4 with step at most 1e-3 / max(lam, W, |detuning|,
+    |hopping|), taken over every entry of Z, each row as one cached power of
+    the RK4 step matrix.  The system is a two-level one by construction here:
+    one amplitude, one transition.
     """
     if not 0 <= channel < modes.n_transitions:
         raise InvalidModelError(f"channel {channel} out of range")
@@ -119,27 +119,43 @@ def single_excitation_solve(
         )
     t = validate_grid(t_grid)
     n = len(modes)
-    couplings = modes.coupling_matrix[channel]
-    detunings = frequency - modes.frequencies
-    dampings = modes.rates
+    z = modes.frequency_matrix
     mat = np.zeros((n + 1, n + 1), dtype=complex)
-    mat[0, 1:] = -1j * couplings
-    mat[1:, 0] = -1j * couplings
-    mat[1:, 1:] = -1j * (modes.frequency_matrix - frequency * np.eye(n))
-    scale = max(
-        float(dampings.max()),
-        float(strength),
-        float(np.abs(detunings).max(initial=0.0)),
-        float(np.abs(modes.frequency_matrix - np.diag(np.diag(modes.frequency_matrix))).max()),
-        1e-12,
-    )
+    mat[0, 1:] = mat[1:, 0] = -1j * modes.coupling_matrix[channel]
+    mat[1:, 1:] = -1j * (z - frequency * np.eye(n))
+    detuning = float(np.abs(frequency - modes.frequencies).max(initial=0.0))
+    hopping = float(np.abs(z - np.diag(np.diag(z))).max())
+    scale = max(float(modes.rates.max()), float(strength), detuning, hopping, 1e-12)
     amps = np.zeros((t.size, n + 1), dtype=complex)
     amps[0, 0] = 1.0
     h_cap = 1e-3 / scale
+    powers: dict[tuple[int, float], np.ndarray] = {}
     for i in range(1, t.size):
-        amps[i] = _rk4_interval(lambda _t, c: mat @ c, amps[i - 1],
-                                float(t[i - 1]), float(t[i]), h_cap)
+        plan = _rk4_substeps(float(t[i - 1]), float(t[i]), h_cap)
+        if plan not in powers:
+            powers[plan] = _rk4_step_power(mat, *plan)
+        amps[i] = powers[plan] @ amps[i - 1]
     return AmplitudeState(times=t, excited=amps[:, 0], modes=amps[:, 1:])
+
+
+def _rk4_step_power(mat: np.ndarray, n_sub: int, h: float) -> np.ndarray:
+    """(I + E)**n_sub, n_sub RK4 steps of size h on dc/dt = M c (M = mat).
+
+    E = hM (I + hM/2 + (hM)**2/6 + (hM)**3/24).  Binary powering keeps only
+    small parts, E <- 2E + E**2 and (I + A)(I + B) = I + (A + B + AB), so I,
+    added once at the end, never swamps them.
+    """
+    a = h * mat
+    eye = np.eye(len(mat))
+    base = a @ (eye + a @ (eye / 2.0 + a @ (eye / 6.0 + a / 24.0)))
+    acc = np.zeros_like(base)
+    while True:
+        if n_sub & 1:
+            acc = acc + base + acc @ base
+        n_sub >>= 1
+        if not n_sub:
+            return eye + acc
+        base = 2.0 * base + base @ base
 
 
 @dataclass(frozen=True)

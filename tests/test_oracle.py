@@ -19,6 +19,9 @@ from pseudomodes import (
     single_excitation_solve,
     two_mode_regularize,
 )
+from pseudomodes.dynamics import MAX_SUBSTEPS, _rk4_interval, _rk4_substeps
+from pseudomodes.errors import StepUnderflowError
+from pseudomodes.oracle import _rk4_step_power
 
 SINGLE = lorentzian_to_poles(LorentzianSum((
     LorentzianTerm(weight=1.0, center=1.0, width=4.0),
@@ -135,6 +138,85 @@ def test_single_excitation_step_follows_a_strong_hopping():
     exact = np.array([vecs @ (np.exp(vals * ti) * c0) for ti in t])
     np.testing.assert_allclose(got.excited, exact[:, 0], atol=1e-6)
     np.testing.assert_allclose(got.modes, exact[:, 1:], atol=1e-6)
+
+
+def rk4_loop_amplitudes(modes, strength, frequency, t):
+    """The oracle's amplitudes stepped one RK4 substep at a time."""
+    n = len(modes)
+    z = modes.frequency_matrix
+    mat = np.zeros((n + 1, n + 1), dtype=complex)
+    mat[0, 1:] = mat[1:, 0] = -1j * modes.coupling_matrix[0]
+    mat[1:, 1:] = -1j * (z - frequency * np.eye(n))
+    scale = max(
+        float(modes.rates.max()),
+        strength,
+        float(np.abs(frequency - modes.frequencies).max()),
+        float(np.abs(z - np.diag(np.diag(z))).max()),
+        1e-12,
+    )
+    amps = np.zeros((t.size, n + 1), dtype=complex)
+    amps[0, 0] = 1.0
+    for i in range(1, t.size):
+        amps[i] = _rk4_interval(lambda _t, c: mat @ c, amps[i - 1],
+                                float(t[i - 1]), float(t[i]), 1e-3 / scale)
+    return amps
+
+
+STEP_POWER_FAMILIES = {
+    "band_gap": (lambda: build_discrete_modes(BAND_GAP, (1.0,)), 1.0, 50.0),
+    "single_line": (lambda: build_discrete_modes(SINGLE, (1.0,)), 1.0, 2.5),
+    "detuned_gap": (lambda: build_discrete_modes(lorentzian_to_poles(LorentzianSum((
+        LorentzianTerm(weight=2.0, center=0.4, width=2.0),
+        LorentzianTerm(weight=-1.0, center=0.4, width=1.0),
+    ))), (1.0,)), 1.0, 6.0),
+    "rotated_pair": (lambda: two_mode_regularize(build_discrete_modes(BAND_GAP, (1.0,))),
+                     1.0, 6.0),
+    "hopping_3000": (lambda: ModeSet(np.array([[0.0, 3000.0], [3000.0, -1.0j]]),
+                                     np.array([[1.0, 0.0]]), (1.0,)), 0.0, 0.01),
+}
+
+
+@pytest.mark.parametrize("family", sorted(STEP_POWER_FAMILIES))
+def test_step_power_matches_the_per_substep_rk4_loop(family):
+    build, frequency, t_max = STEP_POWER_FAMILIES[family]
+    modes = build()
+    t = np.linspace(0.0, t_max, 26)
+    sol = single_excitation_solve(modes, 1.0, frequency, t)
+    loop = rk4_loop_amplitudes(modes, 1.0, frequency, t)
+    np.testing.assert_allclose(sol.excited, loop[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sol.modes, loop[:, 1:], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_sub", [1, 2, 3, 7, 64, 1000])
+def test_step_power_is_the_rk4_step_matrix_to_a_power(n_sub):
+    # Steps with ||hM|| ~ 0.3 make every Taylor coefficient of the step count.
+    rng = np.random.default_rng(3)
+    mat = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 4.0 - 0.5 * np.eye(4)
+    h = 0.15
+    loop = _rk4_interval(lambda _t, c: mat @ c, np.eye(4, dtype=complex),
+                         0.0, n_sub * h, h * (1.0 + 1e-12))
+    got = _rk4_step_power(mat, n_sub, h)
+    assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
+def test_step_power_keeps_the_trapped_population_over_long_rows():
+    # Each row spans millions of RK4 substeps; the per-substep loop would
+    # take minutes, the step power a few matrix products per row.
+    modes = build_discrete_modes(BAND_GAP, (1.0,))
+    t = np.linspace(0.0, 1e4, 4)
+    # The band-gap step scale is its largest damping rate.
+    n_sub, _ = _rk4_substeps(0.0, float(t[1]), 1e-3 / float(modes.rates.max()))
+    assert n_sub > 10**6
+    sol = single_excitation_solve(modes, 1.0, 1.0, t)
+    np.testing.assert_allclose(np.abs(sol.excited[1:]) ** 2, 4.0 / 9.0, rtol=0, atol=1e-9)
+
+
+def test_step_power_refuses_a_row_beyond_max_substeps():
+    modes = build_discrete_modes(BAND_GAP, (1.0,))
+    h_cap = 1e-3 / float(modes.rates.max())
+    t = np.array([0.0, 2.0 * MAX_SUBSTEPS * h_cap])
+    with pytest.raises(StepUnderflowError, match="substeps"):
+        single_excitation_solve(modes, 1.0, 1.0, t)
 
 
 def test_discretized_bath_single_degenerate_mode_rabi():
