@@ -15,15 +15,17 @@ together: each output row is one product of the (n_traj, d) ket stack with
 exp(-i D dt) and one vectorised norm check.  The trajectories whose norm
 fell below their threshold then locate their jumps together: monotonicity
 of the norm lets a bisection over power-of-two steps place each jump on a
-lattice of spacing at most 1e-10 max(1, t), one product of the crossing
-kets' stack per step.  The generator's frame only changes how the recorded
-states are viewed (psi_I = exp(i H0 t) psi in the interaction frame); jumps
-and their times do not depend on it.
+lattice of spacing at most 1e-10 max(1, t), one product of the searching
+kets' stack per step, with masks choosing the kets that keep it.  The
+generator's frame only changes how the recorded states are viewed
+(psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times
+do not depend on it.
 
 Trajectories are statistically independent with counter-based RNG streams
-derived from (seed, trajectory index), each drawing in a fixed order.  The
-batched products are contracted in a fixed order too, so a trajectory's
-jumps do not depend on how many others run beside it.
+derived from (seed, trajectory index), each drawing in a fixed order.  A
+stack product multiplies each ket by its own BLAS call of one fixed shape,
+so a ket's result, and with it a trajectory's jumps, does not depend on
+how many others run beside it or on their values.
 """
 
 from __future__ import annotations
@@ -93,9 +95,11 @@ class NoJumpPropagator:
     so a defective drift (an exceptional point) is propagated like any other.
     The ``PROPAGATOR_CACHE`` most recently used exponentials are kept:
     PROPAGATOR_CACHE d**2 complex numbers, 0.2 MB at d = 18 and 35 MB at
-    d = 242.  ``apply`` takes a ket or an (n, d) stack of kets and contracts
-    them in a fixed order, so no row of the result depends on how many other
-    rows the stack has.
+    d = 242.  ``apply`` takes a ket or an (n, d) stack of kets and multiplies
+    each ket by its own (1, d) x (d, d) BLAS product, of a shape that does not
+    depend on n, so no row of the result depends on how many other rows the
+    stack has or on their values.  One (n, d) x (d, d) product would not do:
+    its kernel follows n, and its row at n = 1 differs from the full stack's.
     """
 
     def __init__(self, drift: np.ndarray):
@@ -124,7 +128,7 @@ class NoJumpPropagator:
                 self._cache.popitem(last=False)
         else:
             self._cache.move_to_end(dt)
-        return np.einsum("ij,nj->ni", u, np.atleast_2d(psi)).reshape(np.shape(psi))
+        return (np.atleast_2d(psi)[:, None, :] @ u.T)[:, 0, :].reshape(np.shape(psi))
 
 
 def _norm2(psi: np.ndarray):
@@ -202,12 +206,12 @@ def mcwf_run(
     view = gen.frame_view(kets=True)
 
     def record(i: int, psi: np.ndarray) -> None:
-        normed = psi / np.sqrt(_norm2(psi))[:, None]
+        w = 1.0 / _norm2(psi)
         if view is not None:
-            normed = view(normed, float(t[i]))
+            psi = view(psi, float(t[i]))
         for name, mat in obs_mats.items():
-            samples[name][:, i] = np.einsum("ni,ni->n", normed.conj(), normed @ mat.T)
-        density_sum[i] = normed.T @ normed.conj()
+            samples[name][:, i] = np.einsum("ni,ni->n", psi.conj(), psi @ mat.T) * w
+        density_sum[i] = psi.T @ (psi.conj() * w[:, None])
 
     def jump(idx: int, psi: np.ndarray, t_jump: float) -> np.ndarray:
         """Project the ket that reached its threshold; the normalized result."""
@@ -246,7 +250,9 @@ def mcwf_run(
         crosses at a lattice point jumps there and walks on in the next pass
         with its new threshold; a ket that stays above up to p = n takes the
         step rest to t_hi and jumps there if it falls below.  The kets of a
-        pass take each step together, as one stack.
+        pass take each step together, as one stack; masks keep the step for
+        the kets still open below their ``below`` bound, the others ride
+        along unchanged.
         """
         dt = t_hi - t_lo
         e = math.frexp(JUMP_TIME_TOL * max(1.0, t_hi))[1] - 1
@@ -259,14 +265,15 @@ def mcwf_run(
             below = np.full(live.size, n + 1, dtype=np.int64)
             kets_below = np.empty_like(kets)
             for step, h in steps:
-                sel = np.flatnonzero(at + step < below)
-                if sel.size:
-                    cand = prop.apply(kets[sel], h)
-                    up = _norm2(cand) >= th[sel]
-                    at[sel[up]] += step
-                    kets[sel[up]] = cand[up]
-                    below[sel[~up]] = at[sel[~up]] + step
-                    kets_below[sel[~up]] = cand[~up]
+                open_ = at + step < below
+                if open_.any():
+                    cand = prop.apply(kets, h)
+                    up = _norm2(cand) >= th
+                    down, up = open_ & ~up, open_ & up
+                    below = np.where(down, at + step, below)
+                    kets_below = np.where(down[:, None], cand, kets_below)
+                    at = np.where(up, at + step, at)
+                    kets = np.where(up[:, None], cand, kets)
             crossed = below <= n
             for k in np.flatnonzero(crossed):
                 t_jump = min(t_lo + math.ldexp(float(below[k]), e), t_hi)

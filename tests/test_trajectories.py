@@ -1,11 +1,16 @@
 """Quantum-jump unraveling against the deterministic master equation."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudomodes
 from pseudomodes import (
     ClassificationError,
     EnsembleResult,
@@ -19,6 +24,7 @@ from pseudomodes import (
     basis_state,
     build_discrete_modes,
     build_generator,
+    embed_system,
     evolve,
     lorentzian_to_poles,
     mcwf_run,
@@ -107,6 +113,61 @@ def test_no_jump_propagator_is_exact_at_an_exceptional_point():
         expected = rk4_state(drift, ket, 0.7, 4000)
         np.testing.assert_allclose(prop.apply(ket, 0.7), expected, atol=1e-9)
         np.testing.assert_allclose(out, expected, atol=1e-9)
+
+
+#: Stack prefixes around the 64-row blocks a BLAS kernel may use, and past them.
+ROW_PREFIXES = (1, 4, 37, 63, 64, 65, 200, 499)
+
+
+def stack_rows_stand_alone(d: int) -> list[bool]:
+    """Whether ``NoJumpPropagator.apply`` on a stack of 500 random kets gives
+    each row bit for bit as the full stack does: for every prefix in
+    ``ROW_PREFIXES``, for a permuted subset of 123 kets, and for one ket whose
+    neighbours were all scaled by 3.7."""
+    rng = np.random.default_rng(d)
+    drift = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    prop = NoJumpPropagator(2.0 * drift / np.linalg.norm(drift))
+    kets = rng.standard_normal((500, d)) + 1j * rng.standard_normal((500, d))
+    full = prop.apply(kets, 0.3)
+    same = [np.array_equal(prop.apply(kets[:n], 0.3), full[:n]) for n in ROW_PREFIXES]
+    subset = rng.permutation(500)[:123]
+    same.append(np.array_equal(prop.apply(kets[subset], 0.3), full[subset]))
+    scaled = 3.7 * kets
+    scaled[250] = kets[250]
+    same.append(np.array_equal(prop.apply(scaled, 0.3)[250], full[250]))
+    return same
+
+
+@pytest.mark.parametrize("d", [6, 18, 98])
+def test_stack_rows_do_not_depend_on_the_stack(d):
+    assert all(stack_rows_stand_alone(d))
+
+
+def test_stack_rows_do_not_depend_on_the_stack_with_two_blas_threads():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+                   [str(Path(pseudomodes.__file__).resolve().parents[1]),
+                    str(Path(__file__).resolve().parent)]))
+    code = ("from test_trajectories import stack_rows_stand_alone as f\n"
+            "print(all(all(f(d)) for d in (6, 18, 98)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("frame", ["schrodinger", "interaction"])
+def test_recorded_observables_match_the_mean_density(frame):
+    layout = SpaceLayout(2, (2, 2))
+    reg = two_mode_regularize(build_discrete_modes(BAND_GAP, (1.0,)))
+    gen = build_generator(TLS, reg, layout, frame=frame)
+    psi0 = (basis_state(layout, 0) + basis_state(layout, 1)) / np.sqrt(2.0)
+    cfg = TrajectoryConfig(n_traj=60, seed=5, times=np.linspace(0.0, 4.0, 21))
+    ens = mcwf_run(gen, psi0, cfg, observables={"sx": SX})
+    assert ens.jump_counts.sum() > 0
+    from_density = np.einsum("ij,tji->t", embed_system(layout, SX), ens.mean_density)
+    assert np.abs(ens.observables["sx"].real).max() > 0.1
+    assert np.abs(ens.observables["sx"] - from_density).max() <= 1e-12
 
 
 def test_ensemble_tracks_master_equation():
