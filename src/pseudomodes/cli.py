@@ -7,7 +7,15 @@ Subcommands:
     validate      run the model's consistency checks, emit a JSON summary
 
 Exit codes: 0 success, 1 validation-suite failure, 2 config error,
-3 regularization infeasibility, 4 truncation abort.
+3 regularization infeasibility, 4 truncation abort.  A config key that no
+block knows is a config error naming its full key path.
+
+``evolve`` and ``trajectories`` share one CSV writer: a ``t`` column, then
+``_re``/``_im`` (and for the ensemble ``_se``) columns per observable, then
+the worst top Fock population and the trace error per row.  Both stop on
+the truncation guard of ``dynamics``, ``trajectories`` on the ensemble's
+mean density; the clean rows are kept and the file ends in an
+``# ABORTED`` line.
 
 Outputs are deterministic: identical configs produce byte-identical files.
 Numbers are printed with 17 significant digits so CSV round-trips preserve
@@ -51,8 +59,6 @@ from .hilbert import (
     SpaceLayout,
     SystemSpec,
     basis_state,
-    expectation,
-    top_fock_populations,
     vacuum_embedding,
 )
 from .mapping import (
@@ -77,7 +83,7 @@ from .spectral import (
     default_grid,
     lorentzian_to_poles,
 )
-from .trajectories import TrajectoryConfig, mcwf_run
+from .trajectories import EnsembleResult, TrajectoryConfig, mcwf_run
 
 CORRELATION_TOL = 1e-12
 ROTATION_TOL = 1e-8
@@ -95,9 +101,16 @@ def _require(block: dict, key: str, where: str) -> Any:
     return block[key]
 
 
-def _as_dict(value: Any, where: str) -> dict:
+def _as_dict(value: Any, where: str, keys: tuple[str, ...]) -> dict:
+    """The mapping at key path ``where`` ('' for the document), keys in ``keys``."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
+        raise ConfigError(
+            f"{where or 'config document'} must be a mapping, got {type(value).__name__}"
+        )
+    for key in value:
+        if key not in keys:
+            path = f"{where}.{key}" if where else str(key)
+            raise ConfigError(f"unknown key {path!r} (expected one of: {', '.join(keys)})")
     return value
 
 
@@ -117,6 +130,10 @@ def _as_float(value: Any, where: str) -> float:
     if not math.isfinite(out):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return out
+
+
+def _number(block: dict, key: str, where: str) -> float:
+    return _as_float(_require(block, key, where), f"{where}.{key}")
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -174,36 +191,36 @@ class RunConfig:
     raw: dict
 
 
-def _parse_spectral(block: dict) -> tuple[PoleSet, LorentzianSum | None]:
-    kind = _require(block, "type", "spectral")
+def _parse_spectral(value: Any) -> tuple[PoleSet, LorentzianSum | None]:
+    kind = _require(_as_dict(value, "spectral", ("type", "terms", "poles")), "type", "spectral")
+    if kind not in ("lorentzian_sum", "raw_poles"):
+        raise ConfigError(
+            f"spectral.type must be 'lorentzian_sum' or 'raw_poles', got {kind!r}"
+        )
+    key = "terms" if kind == "lorentzian_sum" else "poles"
+    items = _as_list(_require(_as_dict(value, "spectral", ("type", key)), key, "spectral"),
+                     f"spectral.{key}")
     if kind == "lorentzian_sum":
-        items = _as_list(_require(block, "terms", "spectral"), "spectral.terms")
         terms = []
         for i, item in enumerate(items):
-            d = _as_dict(item, f"spectral.terms[{i}]")
+            where = f"spectral.terms[{i}]"
+            d = _as_dict(item, where, ("weight", "center", "width"))
             terms.append(LorentzianTerm(
-                weight=_as_float(_require(d, "weight", f"spectral.terms[{i}]"), "weight"),
-                center=_as_float(_require(d, "center", f"spectral.terms[{i}]"), "center"),
-                width=_as_float(_require(d, "width", f"spectral.terms[{i}]"), "width"),
+                weight=_number(d, "weight", where),
+                center=_number(d, "center", where),
+                width=_number(d, "width", where),
             ))
         density = LorentzianSum(tuple(terms))
         return lorentzian_to_poles(density), density
-    if kind == "raw_poles":
-        items = _as_list(_require(block, "poles", "spectral"), "spectral.poles")
-        poles = []
-        for i, item in enumerate(items):
-            d = _as_dict(item, f"spectral.poles[{i}]")
-            center = _as_float(_require(d, "center", f"spectral.poles[{i}]"), "center")
-            width = _as_float(_require(d, "width", f"spectral.poles[{i}]"), "width")
-            residue = _entry_to_complex(
-                _require(d, "residue", f"spectral.poles[{i}]"),
-                f"spectral.poles[{i}].residue",
-            )
-            poles.append(Pole(z=complex(center, -width), residue=residue))
-        return PoleSet(tuple(poles)), None
-    raise ConfigError(
-        f"spectral.type must be 'lorentzian_sum' or 'raw_poles', got {kind!r}"
-    )
+    poles = []
+    for i, item in enumerate(items):
+        where = f"spectral.poles[{i}]"
+        d = _as_dict(item, where, ("center", "width", "residue"))
+        center = _number(d, "center", where)
+        width = _number(d, "width", where)
+        residue = _entry_to_complex(_require(d, "residue", where), f"{where}.residue")
+        poles.append(Pole(z=complex(center, -width), residue=residue))
+    return PoleSet(tuple(poles)), None
 
 
 def _parse_system(block: dict) -> SystemSpec:
@@ -215,11 +232,12 @@ def _parse_system(block: dict) -> SystemSpec:
     channels = _as_list(_require(block, "channels", "system"), "system.channels")
     freqs, strengths, observables = [], [], []
     for i, item in enumerate(channels):
-        d = _as_dict(item, f"system.channels[{i}]")
-        freqs.append(_as_float(_require(d, "frequency", f"system.channels[{i}]"), "frequency"))
-        strengths.append(_as_float(_require(d, "strength", f"system.channels[{i}]"), "strength"))
+        where = f"system.channels[{i}]"
+        d = _as_dict(item, where, ("frequency", "strength", "observable"))
+        freqs.append(_number(d, "frequency", where))
+        strengths.append(_number(d, "strength", where))
         if "observable" in d:
-            observables.append(_parse_matrix(d["observable"], dim, f"system.channels[{i}].observable"))
+            observables.append(_parse_matrix(d["observable"], dim, f"{where}.observable"))
         else:
             # Uniform coupling pattern; the gap filter keeps only the
             # matching transition elements anyway.
@@ -243,15 +261,18 @@ def load_config(path: str | Path) -> RunConfig:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {p} is not valid YAML: {exc}") from exc
-    doc = _as_dict(doc, "config document")
+    doc = _as_dict(doc, "", ("spectral", "system", "run", "trajectories", "output"))
 
     try:
-        pole_set, density = _parse_spectral(_as_dict(_require(doc, "spectral", "config"), "spectral"))
-        system = _parse_system(_as_dict(_require(doc, "system", "config"), "system"))
+        pole_set, density = _parse_spectral(_require(doc, "spectral", "config"))
+        system = _parse_system(
+            _as_dict(_require(doc, "system", "config"), "system", ("energies", "channels")))
     except (InvalidModelError, ValueError) as exc:
         raise ConfigError(f"invalid model in config {p}: {exc}") from exc
 
-    run = _as_dict(doc.get("run", {}), "run")
+    run = _as_dict(doc.get("run", {}), "run", (
+        "generator", "frame", "t_max", "n_steps", "fock_levels", "initial_level",
+        "step_scale"))
     generator_kind = run.get("generator", "auto")
     if generator_kind not in ("auto",) + KINDS:
         raise ConfigError(
@@ -269,7 +290,7 @@ def load_config(path: str | Path) -> RunConfig:
     fock_raw = run.get("fock_levels", 2)
     fock: tuple[int, ...] | int
     if isinstance(fock_raw, list):
-        fock = tuple(_as_int(x, "run.fock_levels") for x in fock_raw)
+        fock = tuple(_as_int(x, f"run.fock_levels[{i}]") for i, x in enumerate(fock_raw))
     else:
         fock = _as_int(fock_raw, "run.fock_levels")
     initial_level = _as_int(run.get("initial_level", system.dim - 1), "run.initial_level")
@@ -281,7 +302,7 @@ def load_config(path: str | Path) -> RunConfig:
     if step_scale <= 0.0:
         raise ConfigError("run.step_scale must be positive")
 
-    traj = _as_dict(doc.get("trajectories", {}), "trajectories")
+    traj = _as_dict(doc.get("trajectories", {}), "trajectories", ("n_traj", "seed"))
     n_traj = _as_int(traj.get("n_traj", 500), "trajectories.n_traj")
     if n_traj < 1:
         raise ConfigError("trajectories.n_traj must be at least 1")
@@ -289,7 +310,7 @@ def load_config(path: str | Path) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"trajectories.seed must be non-negative, got {seed}")
 
-    output = _as_dict(doc.get("output", {}), "output")
+    output = _as_dict(doc.get("output", {}), "output", ("path", "observables"))
     out_path = output.get("path")
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError("output.path must be a string")
@@ -508,16 +529,6 @@ def cmd_map(cfg: RunConfig) -> MapReport:
 # evolve / trajectories CSV plumbing
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[float]],
-               tail_comment: str | None = None) -> None:
-    parts = [",".join(header)]
-    for row in rows:
-        parts.append(",".join(_fmt(x) for x in row))
-    if tail_comment is not None:
-        parts.append(f"# {tail_comment}")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
-
-
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
 """Plot the observable columns of {csv_name}."""
 import csv
@@ -550,106 +561,79 @@ print("wrote", out)
 '''
 
 
-def _emit_plot_script(csv_path: Path) -> Path:
-    script = csv_path.with_name(csv_path.stem + "_plot.py")
-    script.write_text(_PLOT_TEMPLATE.format(csv_name=csv_path.name),
-                      encoding="utf-8", newline="\n")
-    return script
-
-
-def _resolve_out(cfg: RunConfig, override: str | None) -> Path:
-    out = override if override is not None else cfg.out_path
-    if out is None:
-        raise ConfigError("no output path: set output.path or pass --out")
-    return Path(out)
-
-
 @dataclass(frozen=True)
 class RunOutput:
     csv_path: Path
     plot_path: Path
-    aborted: bool
 
 
-def cmd_evolve(cfg: RunConfig, out_override: str | None = None) -> RunOutput:
-    """Integrate the configured master equation and write the CSV trace.
+def _write_trace(cfg: RunConfig, out_override: str | None, run) -> RunOutput:
+    """Run ``run(ops)`` and write its rows as the CSV trace plus a plot script.
 
-    On a truncation abort the rows accumulated so far are written, the file
-    is closed with an `# ABORTED` comment line, and the error is re-raised
-    for the exit-code mapping.
+    ``run`` returns an EvolutionResult or an EnsembleResult, whose rows also
+    get a ``_se`` column after each observable's ``_re`` and ``_im``.  The
+    output path is resolved before the run.  On a truncation abort the clean
+    prefix is written, the file is closed with an `# ABORTED` comment line,
+    and the error is re-raised for the exit-code mapping.
     """
-    gen = build_model(cfg)
-    _check_row_length(gen, cfg)
-    ops = _observable_ops(cfg)
-    grid = _time_grid(cfg)
-    rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
-    rho_s[cfg.initial_level, cfg.initial_level] = 1.0
-    rho0 = vacuum_embedding(gen.layout, rho_s)
+    out = out_override if out_override is not None else cfg.out_path
+    if out is None:
+        raise ConfigError("no output path: set output.path or pass --out")
+    csv_path, ops = Path(out), _observable_ops(cfg)
 
-    header = ["t", *(f"{name}_{part}" for name in ops for part in ("re", "im")),
-              "top_fock_pop", "trace_err"]
-    csv_path = _resolve_out(cfg, out_override)
-
-    def rows_from(result) -> list[list[float]]:
-        rows = []
+    def write(result, tail: str | None = None) -> RunOutput:
+        se = isinstance(result, EnsembleResult)
+        parts = ("re", "im", "se") if se else ("re", "im")
+        lines = [",".join(["t", *(f"{name}_{part}" for name in ops for part in parts),
+                           "top_fock_pop", "trace_err"])]
         for i, t in enumerate(result.times):
             row = [t]
             for name in ops:
                 v = result.observables[name][i]
-                row += [v.real, v.imag]
-            row += [float(result.top_fock[i].max()), float(result.trace_error[i])]
-            rows.append(row)
-        return rows
+                row += [v.real, v.imag, result.stderr[name][i]] if se else [v.real, v.imag]
+            row += [result.top_fock[i], result.trace_error[i]]
+            lines.append(",".join(_fmt(x) for x in row))
+        if tail is not None:
+            lines.append(f"# {tail}")
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        plot = csv_path.with_name(csv_path.stem + "_plot.py")
+        plot.write_text(_PLOT_TEMPLATE.format(csv_name=csv_path.name),
+                        encoding="utf-8", newline="\n")
+        return RunOutput(csv_path, plot)
 
     try:
-        result = evolve(
-            gen, rho0, grid, observables=ops,
-            step_scale=cfg.step_scale, store_states=False,
-        )
+        return write(run(ops))
     except TruncationGuardError as exc:
-        rows = rows_from(exc.partial) if exc.partial is not None else []
-        tail = (
-            f"ABORTED t={_fmt(exc.time)} top_fock_pop={_fmt(exc.population)} "
-            "exceeds truncation guard"
-        )
-        _write_csv(csv_path, header, rows, tail_comment=tail)
-        _emit_plot_script(csv_path)
+        write(exc.partial, f"ABORTED t={_fmt(exc.time)} top_fock_pop="
+                           f"{_fmt(exc.population)} exceeds truncation guard")
         raise
 
-    _write_csv(csv_path, header, rows_from(result))
-    plot = _emit_plot_script(csv_path)
-    return RunOutput(csv_path, plot, aborted=False)
+
+def cmd_evolve(cfg: RunConfig, out_override: str | None = None) -> RunOutput:
+    """Integrate the configured master equation and write the CSV trace."""
+    def run(ops):
+        gen = build_model(cfg)
+        _check_row_length(gen, cfg)
+        rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
+        rho_s[cfg.initial_level, cfg.initial_level] = 1.0
+        return evolve(gen, vacuum_embedding(gen.layout, rho_s), _time_grid(cfg),
+                      observables=ops, step_scale=cfg.step_scale,
+                      store_states=False)
+
+    return _write_trace(cfg, out_override, run)
 
 
 def cmd_trajectories(cfg: RunConfig, out_override: str | None = None,
                      seed_override: int | None = None) -> RunOutput:
     """Run the stochastic unraveling ensemble and write mean/stderr columns."""
-    gen = build_model(cfg)
-    ops = _observable_ops(cfg)
-    grid = _time_grid(cfg)
-    psi0 = basis_state(gen.layout, cfg.initial_level)
-    seed = cfg.seed if seed_override is None else seed_override
-    traj_cfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=seed, times=grid)
-    ens = mcwf_run(gen, psi0, traj_cfg, observables=ops)
+    def run(ops):
+        gen = build_model(cfg)
+        seed = cfg.seed if seed_override is None else seed_override
+        traj_cfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=seed, times=_time_grid(cfg))
+        return mcwf_run(gen, basis_state(gen.layout, cfg.initial_level), traj_cfg,
+                        observables=ops)
 
-    header = ["t", *(f"{name}_{part}" for name in ops for part in ("re", "im", "se")),
-              "top_fock_pop", "trace_err"]
-    rows = []
-    for i, t in enumerate(ens.times):
-        row = [t]
-        for name in ops:
-            v = ens.observables[name][i]
-            row += [v.real, v.imag, float(ens.stderr[name][i])]
-        rho = ens.mean_density[i]
-        row += [
-            float(top_fock_populations(rho, gen.layout).max()),
-            abs(float(np.trace(rho).real) - 1.0),
-        ]
-        rows.append(row)
-    csv_path = _resolve_out(cfg, out_override)
-    _write_csv(csv_path, header, rows)
-    plot = _emit_plot_script(csv_path)
-    return RunOutput(csv_path, plot, aborted=False)
+    return _write_trace(cfg, out_override, run)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +694,29 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
         f"min density {rep.min_value:.6g} at omega={rep.min_location:.6g}",
     ))
 
-    # Correlation reconstructed from the damped-mode solution vs the pole sum.
+    # Rotation closed forms: the rotated pair is the set "auto" runs.
+    regularized = None
+    if modes.is_all_real:
+        rotation = _skip("rotation_closed_forms", "couplings already real")
+    elif len(modes) != 2:
+        rotation = _skip(
+            "rotation_closed_forms",
+            f"{len(modes)} complex-coupled modes have no rotated form here",
+        )
+    else:
+        try:
+            regularized = two_mode_regularize(modes)
+        except RegularizationError as exc:
+            rotation = _skip("rotation_closed_forms", f"infeasible: {exc}")
+        else:
+            rot = verify_rotation_numeric(modes, regularized)
+            rotation = _check(
+                "rotation_closed_forms", rot.max_deviation, ROTATION_TOL,
+                "closed-form rotated parameters vs numeric root search",
+            )
+
+    # Correlation of the mode set the run generator is built from vs the pole sum.
+    run_modes = modes if regularized is None else regularized
     spec = CorrelationSpec(cfg.pole_set, cfg.system.strengths)
     worst = 0.0
     # All-zero strengths make every correlation vanish; compare absolutely then.
@@ -721,35 +727,19 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     for j in range(modes.n_transitions):
         for k in range(modes.n_transitions):
             refs = correlation(spec, j, k, lags).tolist()
-            vals = mode_correlation(modes, j, k, lags).tolist()
+            vals = mode_correlation(run_modes, j, k, lags).tolist()
             for ref, val in zip(refs, vals):
                 worst = max(worst, abs(val - ref) / max(abs(ref), 1e-6 * scale))
+    used = (
+        "mode sum in the square-root gauge g_jl = W_j sqrt(-i r_l) vs the pole "
+        "sum over the same poles" if regularized is None else
+        "rotated pair g^T exp(-i Z tau) g (real g, hopping in Z) vs the pole sum"
+    )
     checks.append(_check(
         "correlation_equivalence", worst, CORRELATION_TOL,
-        "mode sum in the square-root gauge g_jl = W_j sqrt(-i r_l) vs the "
-        "pole sum over the same poles, 50 random (t, s) pairs",
+        f"{used}, 50 random (t, s) pairs",
     ))
-
-    # Rotation closed forms and the two-generator cross check.
-    regularized = None
-    if modes.is_all_real:
-        checks.append(_skip("rotation_closed_forms", "couplings already real"))
-    elif len(modes) != 2:
-        checks.append(_skip(
-            "rotation_closed_forms",
-            f"{len(modes)} complex-coupled modes have no rotated form here",
-        ))
-    else:
-        try:
-            regularized = two_mode_regularize(modes)
-        except RegularizationError as exc:
-            checks.append(_skip("rotation_closed_forms", f"infeasible: {exc}"))
-        else:
-            rot = verify_rotation_numeric(modes, regularized)
-            checks.append(_check(
-                "rotation_closed_forms", rot.max_deviation, ROTATION_TOL,
-                "closed-form rotated parameters vs numeric root search",
-            ))
+    checks.append(rotation)
 
     eq_grid = np.linspace(0.0, 2.0 * horizon, 41)
     rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
@@ -839,14 +829,9 @@ def main(argv: list[str] | None = None) -> int:
             if out is not None:
                 Path(out).write_text(report.text, encoding="utf-8", newline="\n")
             return 0
-        if args.command == "evolve":
-            output = cmd_evolve(cfg, out_override=args.out)
-            print(f"wrote {output.csv_path}")
-            print(f"wrote {output.plot_path}")
-            return 0
-        if args.command == "trajectories":
-            output = cmd_trajectories(cfg, out_override=args.out,
-                                      seed_override=args.seed)
+        if args.command in ("evolve", "trajectories"):
+            output = (cmd_evolve(cfg, args.out) if args.command == "evolve"
+                      else cmd_trajectories(cfg, args.out, args.seed))
             print(f"wrote {output.csv_path}")
             print(f"wrote {output.plot_path}")
             return 0

@@ -33,7 +33,8 @@ output rows.  A driven generator is integrated by fixed-step classical RK4
 with the step chosen from a cheap upper bound on the generator norm,
 h <= 0.01 / ||L||_est, additionally capped by the output grid spacing.  A
 truncation guard aborts the run as soon as the top Fock level of any mode
-accumulates population beyond 1e-6.
+accumulates population beyond 1e-6; the trajectory ensemble applies the same
+``truncation_guard`` to its mean density.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .hilbert import (
     SpaceLayout,
     SystemSpec,
     eigenoperator,
-    embed,
     embed_system,
     expectation,
     mode_ops,
@@ -232,13 +232,11 @@ def _check_consistency(system: SystemSpec, modes: ModeSet, layout: SpaceLayout) 
             )
 
 
-def _mode_number_sum(layout: SpaceLayout, coeffs) -> np.ndarray:
-    out = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for l, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        a, adag = mode_ops(layout, l)
-        out += c * (adag @ a)
+def _mode_bilinear(ops, m: np.ndarray) -> np.ndarray:
+    """sum_lm M_lm b_l^dag b_m over the nonzero entries of M; ops[l] = (b_l, b_l^dag)."""
+    out = np.zeros_like(ops[0][0])
+    for l, k in zip(*np.nonzero(m)):
+        out += m[l, k] * (ops[l][1] @ ops[k][0])
     return out
 
 
@@ -272,42 +270,34 @@ def build_generator(
 ) -> Generator:
     """Generator of the auxiliary master equation; its kind follows from ``modes``.
 
-    With Z = H - i*Gamma, A = H_S + sum_l H_ll n_l + coupling
-    + sum_{l<m} H_lm (b_l^dag b_m + b_m^dag b_l), K = sum_l Gamma_ll n_l, and
-    one channel b_l at rate Gamma_ll per mode, zero rates included.  Complex
+    With Z = H - i*Gamma, A = H_S + sum_lm H_lm b_l^dag b_m + coupling,
+    K = sum_lm Gamma_lm b_l^dag b_m, and one channel b_l at rate Gamma_ll per
+    mode, zero rates included (``ModeSet`` keeps Gamma diagonal).  Complex
     couplings give ``pathological``; real ones give ``lindblad_regularized``
-    with a hopping and ``lindblad_direct`` without.
+    with a hopping (an off-diagonal H) and ``lindblad_direct`` without.
     """
     _check_consistency(system, modes, layout)
-    h = modes.frequency_matrix.real
-    hops = [(l, m) for l in range(len(modes)) for m in range(l + 1, len(modes))
-            if h[l, m] != 0.0]
+    z = modes.frequency_matrix
     g = modes.coupling_matrix
     if not modes.is_all_real:
         kind = "pathological"
     else:
-        kind = "lindblad_regularized" if hops else "lindblad_direct"
+        hopping = np.any(z.real[~np.eye(len(modes), dtype=bool)] != 0.0)
+        kind = "lindblad_regularized" if hopping else "lindblad_direct"
         g = g.real
-    coupling = _coupling_terms(layout, system, g)
-    for l, m in hops:
-        bl, bld = mode_ops(layout, l)
-        bm, bmd = mode_ops(layout, m)
-        coupling = coupling + h[l, m] * (bld @ bm + bmd @ bl)
-    frequencies, rates = modes.frequencies, modes.rates
+    ops = [mode_ops(layout, l) for l in range(len(modes))]
     static = embed_system(layout, system.bare_hamiltonian)
-    static += _mode_number_sum(layout, frequencies)
-    static += coupling
+    static += _mode_bilinear(ops, z.real)
+    static += _coupling_terms(layout, system, g)
     return Generator(
         kind=kind,
         frame=frame,
         layout=layout,
         static_both=static,
-        damping=_mode_number_sum(layout, rates).real.astype(complex),
-        channels=tuple(
-            (float(r), mode_ops(layout, l)[0]) for l, r in enumerate(rates)
-        ),
+        damping=_mode_bilinear(ops, -z.imag),
+        channels=tuple((float(r), b) for r, (b, _) in zip(modes.rates, ops)),
         drive=system.drive,
-        h0=free_hamiltonian_diagonal(layout, system, frequencies),
+        h0=free_hamiltonian_diagonal(layout, system, modes.frequencies),
     )
 
 
@@ -340,6 +330,39 @@ class EvolutionResult:
     top_fock: np.ndarray
     trace_error: np.ndarray
     kind: str
+
+
+def resolve_observables(observables: dict[str, np.ndarray] | None,
+                        layout: SpaceLayout) -> dict[str, tuple[bool, np.ndarray]]:
+    """Each observable as (on the system factor?, matrix).
+
+    A matrix of the system dimension acts on the system factor, one of the
+    full dimension on the whole space; any other shape is refused.
+    """
+    out = {}
+    for name, op in (observables or {}).items():
+        mat = as_complex_matrix(op, f"observable {name}")
+        if mat.shape not in ((layout.system_dim,) * 2, (layout.dim,) * 2):
+            raise InvalidModelError(
+                f"observable {name} has shape {mat.shape}; expected system or full"
+            )
+        out[name] = (mat.shape[0] == layout.system_dim, mat)
+    return out
+
+
+def truncation_guard(rho: np.ndarray, layout: SpaceLayout, t: float,
+                     partial: Callable[[], object]) -> float:
+    """The worst top Fock population of the density rho at time t.
+
+    Raises TruncationGuardError when it exceeds TRUNCATION_LIMIT, carrying
+    ``partial()``: the clean prefix of the result, the rows before t.
+    """
+    worst = float(top_fock_populations(rho, layout).max())
+    if worst > TRUNCATION_LIMIT:
+        raise TruncationGuardError(
+            f"top Fock population {worst:.3e} exceeded {TRUNCATION_LIMIT:g} "
+            f"at t={t:g}; raise the cutoffs", time=t, population=worst, partial=partial())
+    return worst
 
 
 def _snapshot_checks(kind: str, rho: np.ndarray, t: float) -> None:
@@ -401,19 +424,8 @@ def evolve(
     if not (step_scale > 0.0 and math.isfinite(step_scale)):
         raise InvalidModelError("step_scale must be positive and finite")
 
-    observables = observables or {}
     layout = gen.layout
-    obs_full = {}
-    for name, op in observables.items():
-        mat = as_complex_matrix(op, f"observable {name}")
-        if mat.shape == (layout.system_dim, layout.system_dim):
-            obs_full[name] = ("system", mat)
-        elif mat.shape == (d, d):
-            obs_full[name] = ("full", mat)
-        else:
-            raise InvalidModelError(
-                f"observable {name} has shape {mat.shape}; expected system or full"
-            )
+    obs_full = resolve_observables(observables, layout)
 
     est = gen.norm_estimate()
     td = gen.time_dependent
@@ -450,16 +462,7 @@ def evolve(
         if view is not None:
             rho = view(rho, float(t[i]))
         tr_err = abs(complex(np.trace(rho)) - 1.0)
-        tops = top_fock_populations(rho, layout)
-        worst = float(tops.max())
-        if worst > TRUNCATION_LIMIT:
-            raise TruncationGuardError(
-                f"top Fock population {worst:.3e} exceeded {TRUNCATION_LIMIT:g} "
-                f"at t={t[i]:g}; raise the cutoffs",
-                time=float(t[i]),
-                population=worst,
-                partial=finalize(i),
-            )
+        worst = truncation_guard(rho, layout, float(t[i]), lambda: finalize(i))
         _snapshot_checks(gen.kind, rho, float(t[i]))
         if store_states:
             states[i] = rho
@@ -467,8 +470,8 @@ def evolve(
         system_states[i] = rho_s
         top_fock[i] = worst
         trace_error[i] = tr_err
-        for name, (kind_, mat) in obs_full.items():
-            target = rho_s if kind_ == "system" else rho
+        for name, (on_system, mat) in obs_full.items():
+            target = rho_s if on_system else rho
             obs_out[name][i] = expectation(target, mat)
 
     record(0, rho)

@@ -38,7 +38,8 @@ import numpy as np
 
 from ._util import as_complex_matrix, frozen, validate_grid
 from .errors import ClassificationError, InvalidModelError
-from .dynamics import TAYLOR_THETA, Generator, _taylor_interval
+from .dynamics import (TAYLOR_THETA, Generator, _taylor_interval, resolve_observables,
+                       truncation_guard)
 from .hilbert import embed_system
 
 #: Relative precision of the jump times.
@@ -69,12 +70,15 @@ class TrajectoryConfig:
 
 @dataclass
 class EnsembleResult:
-    """Ensemble averages, errors and the raw jump bookkeeping."""
+    """Ensemble averages, errors, guard values of the mean density per row
+    (worst top Fock population, |Re tr - 1|) and the raw jump bookkeeping."""
 
     times: np.ndarray
     observables: dict[str, np.ndarray]
     stderr: dict[str, np.ndarray]
     mean_density: np.ndarray
+    top_fock: np.ndarray
+    trace_error: np.ndarray
     jump_counts: np.ndarray
     jump_records: tuple[tuple[tuple[float, int], ...], ...]
     stream_keys: tuple[tuple[int, int], ...]
@@ -149,6 +153,10 @@ def mcwf_run(
     is refused outright.  Zero-rate channels are kept in the channel indexing
     (they simply never fire), which keeps jump statistics aligned with the
     generator's channel list.
+
+    The truncation guard of ``evolve`` runs on the mean density of each row:
+    TruncationGuardError carries the rows before the first one whose top Fock
+    population exceeds the limit, with the jumps made up to that row.
     """
     if gen.kind not in ("lindblad_direct", "lindblad_regularized"):
         raise ClassificationError(
@@ -168,18 +176,11 @@ def mcwf_run(
     if abs(_norm2(psi0) - 1.0) > 1e-10:
         raise InvalidModelError("initial state must be normalized")
 
-    observables = observables or {}
     layout = gen.layout
-    obs_mats: dict[str, np.ndarray] = {}
-    for name, op in observables.items():
-        mat = as_complex_matrix(op, f"observable {name}")
-        if mat.shape == (layout.system_dim, layout.system_dim):
-            mat = embed_system(layout, mat)
-        elif mat.shape != (gen.dim, gen.dim):
-            raise InvalidModelError(
-                f"observable {name} has shape {mat.shape}; expected system or full"
-            )
-        obs_mats[name] = mat
+    obs_mats = {
+        name: embed_system(layout, mat) if on_system else mat
+        for name, (on_system, mat) in resolve_observables(observables, layout).items()
+    }
 
     prop = NoJumpPropagator(gen.drift(0.0))
     channels = gen.channels
@@ -194,6 +195,8 @@ def mcwf_run(
 
     samples = {name: np.empty((n_traj, n_t), dtype=complex) for name in obs_mats}
     density_sum = np.empty((n_t, d, d), dtype=complex)
+    top_fock = np.empty(n_t)
+    trace_error = np.empty(n_t)
     jump_counts = np.zeros((n_traj, len(channels)), dtype=np.int64)
     records: list[list[tuple[float, int]]] = [[] for _ in range(n_traj)]
     rngs = [
@@ -205,6 +208,23 @@ def mcwf_run(
     eta = np.array([rng.random() for rng in rngs])
     view = gen.frame_view(kets=True)
 
+    def finalize(upto: int) -> EnsembleResult:
+        rows = {name: v[:, :upto] for name, v in samples.items()}
+        ddof = min(n_traj - 1, 1)  # a single trajectory has a zero error
+        return EnsembleResult(
+            times=t[:upto].copy(),
+            observables={name: v.mean(axis=0) for name, v in rows.items()},
+            stderr={name: np.sqrt((v.real.var(axis=0, ddof=ddof)
+                                   + v.imag.var(axis=0, ddof=ddof)) / n_traj)
+                    for name, v in rows.items()},
+            mean_density=density_sum[:upto] / n_traj,
+            top_fock=top_fock[:upto].copy(),
+            trace_error=trace_error[:upto].copy(),
+            jump_counts=jump_counts.copy(),
+            jump_records=tuple(tuple(r) for r in records),
+            stream_keys=tuple((config.seed, idx) for idx in range(n_traj)),
+        )
+
     def record(i: int, psi: np.ndarray) -> None:
         w = 1.0 / _norm2(psi)
         if view is not None:
@@ -212,6 +232,9 @@ def mcwf_run(
         for name, mat in obs_mats.items():
             samples[name][:, i] = np.einsum("ni,ni->n", psi.conj(), psi @ mat.T) * w
         density_sum[i] = psi.T @ (psi.conj() * w[:, None])
+        rho = density_sum[i] / n_traj
+        trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
+        top_fock[i] = truncation_guard(rho, layout, float(t[i]), lambda: finalize(i))
 
     def jump(idx: int, psi: np.ndarray, t_jump: float) -> np.ndarray:
         """Project the ket that reached its threshold; the normalized result."""
@@ -298,20 +321,4 @@ def mcwf_run(
                 psi[cross] = cross_row(cross, start[cross], t_lo, t_hi)
         record(i, psi)
 
-    means = {name: s.mean(axis=0) for name, s in samples.items()}
-    stderr = {}
-    for name, s in samples.items():
-        if n_traj > 1:
-            var = s.real.var(axis=0, ddof=1) + s.imag.var(axis=0, ddof=1)
-            stderr[name] = np.sqrt(var / n_traj)
-        else:
-            stderr[name] = np.zeros(n_t)
-    return EnsembleResult(
-        times=t.copy(),
-        observables=means,
-        stderr=stderr,
-        mean_density=density_sum / n_traj,
-        jump_counts=jump_counts,
-        jump_records=tuple(tuple(r) for r in records),
-        stream_keys=tuple((config.seed, idx) for idx in range(n_traj)),
-    )
+    return finalize(n_t)

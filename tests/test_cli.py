@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -151,6 +152,63 @@ def test_bad_numeric_values_exit_2_naming_the_key(tmp_path, capsys, block, key,
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and f"{block}.{key}" in err
+
+
+RAW_POLES_DOC = {
+    "spectral": {"type": "raw_poles",
+                 "poles": [{"center": 1.0, "width": 4.0, "residue": [0.0, 1.0]}]},
+    "system": SINGLE_DOC["system"],
+}
+
+
+def doc_with(tmp_path, path, value):
+    """band_gap.yaml, or a raw-pole document for a pole key, with ``path`` set."""
+    doc = (json.loads(json.dumps(RAW_POLES_DOC)) if "poles[" in path else
+           yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8")))
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    return write_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("path", [
+    "trajectory", "spectral.poles", "spectral.terms[0].wdth", "spectral.poles[0].weight",
+    "system.channel", "system.channels[0].freq", "run.n_step", "trajectories.ntraj",
+    "output.paths",
+])
+def test_unknown_keys_exit_2_naming_the_key_path(tmp_path, capsys, path):
+    config = doc_with(tmp_path, path, 3)
+    with pytest.raises(ConfigError, match=rf"^unknown key '{re.escape(path)}'"):
+        load_config(config)
+    code = main(["evolve", config, "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1 and f"'{path}'" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("path,value,message", [
+    ("spectral.terms[1].width", "x", "spectral.terms[1].width must be a number"),
+    ("spectral.poles[0].center", None, "spectral.poles[0].center must be a number"),
+    ("system.channels[0].strength", True, "system.channels[0].strength must be a number"),
+    ("run.fock_levels", [2, 2.5], "run.fock_levels[1] must be an integer"),
+])
+def test_type_errors_name_the_full_key_path(tmp_path, path, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        load_config(doc_with(tmp_path, path, value))
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Config format"):]
+    start = section.index("```yaml\n") + len("```yaml\n")
+    block = section[start:section.index("\n```", start)]
+    path = tmp_path / "readme.yaml"
+    path.write_text(block, encoding="utf-8")
+    cfg = load_config(path)
+    assert set(cfg.raw) == {"spectral", "system", "run", "trajectories", "output"}
+    assert list(_observable_ops(cfg)) == list(cfg.observable_names)
 
 
 #: The numeric fields of the run and trajectories blocks.
@@ -393,13 +451,20 @@ def test_main_exit_code_sequence(tmp_path, capsys):
 
 def test_main_truncation_abort(tmp_path, capsys):
     doc = with_run(SINGLE_DOC, fock_levels=1, t_max=2.0, n_steps=20)
-    csv_path = tmp_path / "abort.csv"
-    code = main(["evolve", write_doc(tmp_path, doc), "--out", str(csv_path)])
-    assert code == 4
-    capsys.readouterr()
-    lines = csv_path.read_text(encoding="utf-8").splitlines()
-    assert lines[-1].startswith("# ABORTED t=")
-    assert len(lines) >= 2  # header plus at least the clean prefix
+    config = write_doc(tmp_path, doc)
+    tails = {}
+    for command in ("evolve", "trajectories"):
+        csv_path = tmp_path / f"{command}.csv"
+        assert main([command, config, "--out", str(csv_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("truncation abort: ") and err.count("\n") == 1
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        assert lines[-1].startswith("# ABORTED t=")
+        assert len(lines) >= 3  # header, the clean prefix, the abort line
+        top = lines[0].split(",").index("top_fock_pop")
+        assert all(float(row.split(",")[top]) <= 1e-6 for row in lines[1:-1])
+        tails[command] = lines[-1].split()[2]
+    assert tails["evolve"] == tails["trajectories"] == "t=0.10000000000000001"
 
 
 def test_main_validate_passes_and_fails(tmp_path, capsys):
@@ -579,6 +644,31 @@ def test_pathological_on_real_couplings_is_the_direct_generator(tmp_path, capsys
     assert explicit.read_bytes() == auto.read_bytes()
     assert main(["trajectories", path, "--out", str(tmp_path / "traj.csv")]) == 0
     capsys.readouterr()
+
+
+def test_correlation_check_reads_the_mode_set_the_run_is_built_from(monkeypatch):
+    seen = []
+    real = pseudomodes.cli.mode_correlation
+
+    def spy(modes, *args):
+        seen.append(modes)
+        return real(modes, *args)
+
+    monkeypatch.setattr(pseudomodes.cli, "mode_correlation", spy)
+    for config, rotated in (("band_gap.yaml", True), ("tls_lorentzian.yaml", False)):
+        seen.clear()
+        cfg = load_config(CONFIGS / config)
+        summary = cmd_validate(cfg)
+        check = summary.checks[1]
+        assert [c.name for c in summary.checks] == [
+            "spectral_positivity", "correlation_equivalence", "rotation_closed_forms",
+            "generator_equivalence", "oracle_population"]
+        assert check.status == "pass"
+        z = seen[0].frequency_matrix
+        assert all(m is seen[0] for m in seen)
+        assert (z[0, 1] != 0.0) if rotated else np.array_equal(z, np.diag(np.diag(z)))
+        assert check.detail.startswith("rotated pair" if rotated else "mode sum")
+        assert seen[0].is_all_real
 
 
 def test_validate_skips_generator_equivalence_for_real_couplings():

@@ -31,6 +31,9 @@ from pseudomodes import (
     two_mode_regularize,
     vacuum_embedding,
 )
+from pseudomodes.dynamics import TRUNCATION_LIMIT
+from pseudomodes.errors import TruncationGuardError
+from pseudomodes.hilbert import top_fock_populations
 from pseudomodes.trajectories import JUMP_TIME_TOL
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -168,6 +171,35 @@ def test_recorded_observables_match_the_mean_density(frame):
     from_density = np.einsum("ij,tji->t", embed_system(layout, SX), ens.mean_density)
     assert np.abs(ens.observables["sx"].real).max() > 0.1
     assert np.abs(ens.observables["sx"] - from_density).max() <= 1e-12
+
+
+def test_truncation_guard_keeps_the_rows_before_the_first_bad_one():
+    layout = SpaceLayout(2, (1,))
+    gen = build_generator(TLS, build_discrete_modes(SINGLE, (1.0,)), layout)
+    t = np.linspace(0.0, 0.004, 21)
+    psi0 = basis_state(layout, 1)
+    with pytest.raises(TruncationGuardError) as info:
+        mcwf_run(gen, psi0, TrajectoryConfig(n_traj=50, seed=3, times=t),
+                 observables={"ee": EE})
+    exc, part = info.value, info.value.partial
+    i = len(part.times)
+    assert 1 < i < t.size
+    assert exc.time == t[i] and exc.population > TRUNCATION_LIMIT
+    assert np.array_equal(part.times, t[:i])
+    assert np.all(part.top_fock <= TRUNCATION_LIMIT)
+    for rows in (part.observables["ee"], part.stderr["ee"], part.mean_density,
+                 part.trace_error):
+        assert len(rows) == i
+    for rho, top, err in zip(part.mean_density, part.top_fock, part.trace_error):
+        assert top == top_fock_populations(rho, layout).max()
+        assert err == abs(float(np.trace(rho).real) - 1.0)
+    # The clean rows are those of a run that stops before the bad one.
+    clean = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=50, seed=3, times=t[:i]),
+                     observables={"ee": EE})
+    for name in ("mean_density", "top_fock", "trace_error"):
+        assert np.array_equal(getattr(part, name), getattr(clean, name))
+    assert np.array_equal(part.observables["ee"], clean.observables["ee"])
+    assert np.array_equal(part.stderr["ee"], clean.stderr["ee"])
 
 
 def test_ensemble_tracks_master_equation():
