@@ -319,7 +319,7 @@ def load_config(path: str | Path) -> RunConfig:
     if names_raw is not None:
         names = tuple(str(x) for x in _as_list(names_raw, "output.observables"))
 
-    return RunConfig(
+    cfg = RunConfig(
         pole_set=pole_set,
         density=density,
         system=system,
@@ -336,6 +336,8 @@ def load_config(path: str | Path) -> RunConfig:
         observable_names=names,
         raw=doc,
     )
+    _observable_ops(cfg)  # an unknown name is refused whatever the subcommand
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -682,7 +684,11 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     """Run every consistency check applicable to the configured model."""
     modes = build_discrete_modes(cfg.pole_set, cfg.system.strengths)
     checks: list[CheckResult] = []
+    # Five decay times of the slowest mode, but no longer than the run: a
+    # narrow line would otherwise stretch every check's time axis without end.
     horizon = 5.0 / float(modes.rates.min())
+    if cfg.t_max > 0.0:
+        horizon = min(horizon, cfg.t_max)
 
     # Density positivity on the default grid.
     rep = check_positivity_grid(cfg.pole_set, default_grid(cfg.pole_set))

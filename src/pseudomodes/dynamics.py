@@ -25,14 +25,23 @@ operators.  The frame is a way of viewing the state: in the interaction frame
 each recorded state is rho_I(t) = exp(i H0 t) rho(t) exp(-i H0 t) with
 H0 = H_S0 + sum_l xi_l n_l over the modes the generator was built from.
 
+Propagation runs on the reachable support S of the initial state: the basis
+states that D_l, D_r^T and the jumps can reach from its nonzero rows and
+columns (``Generator.reachable_support``).  Because S is closed, L maps the
+S x S block into itself and every entry outside it stays exactly 0.0, so
+propagating the block alone is exact.  One excitation with every mode in
+vacuum stays in the one-excitation sector plus the ground state (Garraway,
+PRA 55, 2290 (1997)): 4 of the 18 basis states of a two-mode band gap.  A
+driven generator, or a state with full support, has S = every index.
+
 A time-independent generator (no drive) is propagated exactly: each output
 row is rho(t + dt) = exp(dt L) rho(t), evaluated as a truncated Taylor series
-that only applies L to d x d matrices (Al-Mohy and Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)), so memory stays O(d**2) and the cost follows the
-output rows.  A driven generator is integrated by fixed-step classical RK4
-with the step chosen from a cheap upper bound on the generator norm,
-h <= 0.01 / ||L||_est, additionally capped by the output grid spacing.  A
-truncation guard aborts the run as soon as the top Fock level of any mode
+that only applies L to |S| x |S| blocks (Al-Mohy and Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)), so memory stays O(|S|**2) per term and the cost
+follows the output rows.  A driven generator is integrated by fixed-step
+classical RK4 with the step chosen from a cheap upper bound on the generator
+norm, h <= 0.01 / ||L||_est, additionally capped by the output grid spacing.
+A truncation guard aborts the run as soon as the top Fock level of any mode
 accumulates population beyond 1e-6; the trajectory ensemble applies the same
 ``truncation_guard`` to its mean density.
 """
@@ -101,7 +110,9 @@ class Generator:
     the superoperator sense: it performs only d x d matrix products, so the
     memory footprint stays O(d**2) rather than O(d**4).  ``h0`` is the
     diagonal of the free Hamiltonian H0 that the interaction frame rotates
-    with; the Schrodinger frame does not need it.
+    with; the Schrodinger frame does not need it.  ``support`` lists the
+    product-basis indices of ``layout`` the matrices act on, every index by
+    default; ``restricted`` builds the generator of an invariant block.
     """
 
     def __init__(
@@ -114,12 +125,14 @@ class Generator:
         channels: tuple[tuple[float, np.ndarray], ...],
         drive: Callable[[float], np.ndarray] | None = None,
         h0: np.ndarray | None = None,
+        support: np.ndarray | None = None,
     ):
         if kind not in KINDS:
             raise InvalidModelError(f"unknown generator kind {kind!r}")
         if frame not in FRAMES:
             raise InvalidModelError(f"unknown frame {frame!r}")
-        d = layout.dim
+        self.support = np.arange(layout.dim) if support is None else np.asarray(support)
+        d = self.support.size
         self.kind = kind
         self.frame = frame
         self.layout = layout
@@ -147,7 +160,7 @@ class Generator:
 
     @property
     def dim(self) -> int:
-        return self.layout.dim
+        return self.support.size
 
     @property
     def time_dependent(self) -> bool:
@@ -187,6 +200,53 @@ class Generator:
     def drift(self, t: float = 0.0) -> np.ndarray:
         """Non-Hermitian drift A(t) - iK governing no-jump evolution."""
         return self.drift_pair(t)[0]
+
+    def reachable_support(self, state: np.ndarray) -> np.ndarray:
+        """The sorted basis indices S that propagation from ``state`` reaches.
+
+        S starts from the rows and columns where the density matrix (or the
+        ket) ``state`` is nonzero and is closed under the exact nonzero
+        patterns of D_l, D_r^T and every jump with a positive rate.  L then
+        maps a density supported on S x S into S x S, so every entry outside
+        the block stays exactly 0.0.  A drive has no fixed pattern: a driven
+        generator's support is every index.
+        """
+        if self.time_dependent:
+            return np.arange(self.dim)
+        nonzero = np.asarray(state) != 0
+        reached = nonzero if nonzero.ndim == 1 else nonzero.any(axis=0) | nonzero.any(axis=1)
+        step = (self._left != 0) | (self._right.T != 0)
+        for jop, _ in self._jumps:
+            step |= jop != 0
+        while True:
+            grown = reached | step[:, reached].any(axis=1)
+            if np.array_equal(grown, reached):
+                return np.flatnonzero(reached)
+            reached = grown
+
+    def restricted(self, support: np.ndarray) -> Generator:
+        """The generator on the block ``support`` x ``support``.
+
+        ``support`` indexes this generator's basis and should come from
+        ``reachable_support``: only then is the block invariant and its
+        propagation exact.  Every index gives this generator itself.
+        """
+        s = np.asarray(support)
+        if s.size == self.dim:
+            return self
+        if self.time_dependent:
+            raise InvalidModelError("a driven generator is propagated on every index")
+        block = np.ix_(s, s)
+        return Generator(
+            kind=self.kind,
+            frame=self.frame,
+            layout=self.layout,
+            static_both=self.static_both[block],
+            damping=self.damping[block],
+            channels=tuple((rate, b[block]) for rate, b in self.channels),
+            h0=None if self.h0 is None else self.h0[s],
+            support=self.support[s],
+        )
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
         """Evaluate L(t)[rho]."""
@@ -397,7 +457,10 @@ def evolve(
     """Propagate d rho / dt = L(t)[rho] over the grid.
 
     A time-independent generator is advanced from row to row by the exact
-    action exp(dt L) rho; a driven one by fixed-step RK4.  Every recorded
+    action exp(dt L) rho; a driven one by fixed-step RK4.  Either advances
+    only the block of rho on ``gen.reachable_support(rho0)``, planned with the
+    full generator's norm bound, and each row is recorded from the full
+    matrix with that block filled in, every other entry 0.  Every recorded
     quantity is taken from the state as seen in ``gen.frame``.
     ``observables`` maps names to matrices either on the system factor (then
     evaluated on the reduced state) or on the full space.  ``step_scale``
@@ -457,8 +520,12 @@ def evolve(
         )
 
     view = gen.frame_view()
+    support = gen.reachable_support(rho)
+    block = np.ix_(support, support)
 
-    def record(i: int, rho: np.ndarray) -> None:
+    def record(i: int, rho_block: np.ndarray) -> None:
+        rho = np.zeros((d, d), dtype=complex)
+        rho[block] = rho_block
         if view is not None:
             rho = view(rho, float(t[i]))
         tr_err = abs(complex(np.trace(rho)) - 1.0)
@@ -474,8 +541,9 @@ def evolve(
             target = rho_s if on_system else rho
             obs_out[name][i] = expectation(target, mat)
 
+    rho = rho[block]
     record(0, rho)
-    apply = gen.apply
+    apply = gen.restricted(support).apply
     for i in range(1, n_t):
         t0, t1 = float(t[i - 1]), float(t[i])
         if td:

@@ -10,9 +10,12 @@ projected and renormalized.
 Only undriven generators are unraveled, so the no-jump evolution is the
 exact exponential exp(-i D dt), computed by the truncated Taylor action of
 ``dynamics`` rather than by an eigendecomposition, which a defective drift
-(an exceptional point) would not have.  The whole ensemble advances
-together: each output row is one product of the (n_traj, d) ket stack with
-exp(-i D dt) and one vectorised norm check.  The trajectories whose norm
+(an exceptional point) would not have.  Kets live on the reachable support
+S of the initial ket (``Generator.reachable_support``): the drift and the
+jumps never leave it, so every amplitude outside S stays exactly 0 and the
+ensemble carries only the |S| that remain.  The whole ensemble advances
+together: each output row is one product of the (n_traj, |S|) ket stack
+with exp(-i D dt) and one vectorised norm check.  The trajectories whose norm
 fell below their threshold then locate their jumps together: monotonicity
 of the norm lets a bisection over power-of-two steps place each jump on a
 lattice of spacing at most 1e-10 max(1, t), one product of the searching
@@ -97,9 +100,11 @@ class NoJumpPropagator:
     ``TAYLOR_THETA``, where the series needs a single sub-interval; a longer
     span is the square of the half span.  No eigendecomposition is involved,
     so a defective drift (an exceptional point) is propagated like any other.
-    The ``PROPAGATOR_CACHE`` most recently used exponentials are kept:
-    PROPAGATOR_CACHE d**2 complex numbers, 0.2 MB at d = 18 and 35 MB at
-    d = 242.  ``apply`` takes a ket or an (n, d) stack of kets and multiplies
+    ``mcwf_run`` builds it from the drift on the reachable support, so d
+    here is |S|.  The ``PROPAGATOR_CACHE`` most recently used exponentials
+    are kept: PROPAGATOR_CACHE d**2 complex numbers, 0.2 MB at d = 18 and
+    35 MB at d = 242; 10 kB for the |S| = 4 of a band gap started with one
+    excitation.  ``apply`` takes a ket or an (n, d) stack of kets and multiplies
     each ket by its own (1, d) x (d, d) BLAS product, of a shape that does not
     depend on n, so no row of the result depends on how many other rows the
     stack has or on their values.  One (n, d) x (d, d) product would not do:
@@ -154,6 +159,10 @@ def mcwf_run(
     (they simply never fire), which keeps jump statistics aligned with the
     generator's channel list.
 
+    Kets, the no-jump propagator, the jump operators and the observables
+    all act on the reachable support of ``psi0``; each row's mean density
+    is that block filled into the full d x d matrix.
+
     The truncation guard of ``evolve`` runs on the mean density of each row:
     TruncationGuardError carries the rows before the first one whose top Fock
     population exceeds the limit, with the jumps made up to that row.
@@ -177,13 +186,16 @@ def mcwf_run(
         raise InvalidModelError("initial state must be normalized")
 
     layout = gen.layout
+    support = gen.reachable_support(psi0)
+    block = np.ix_(support, support)
+    sub = gen.restricted(support)
     obs_mats = {
-        name: embed_system(layout, mat) if on_system else mat
+        name: (embed_system(layout, mat) if on_system else mat)[block]
         for name, (on_system, mat) in resolve_observables(observables, layout).items()
     }
 
-    prop = NoJumpPropagator(gen.drift(0.0))
-    channels = gen.channels
+    prop = NoJumpPropagator(sub.drift(0.0))
+    channels = sub.channels
     rates = np.array([r for r, _ in channels])
     ops = [b for _, b in channels]
     jumps_possible = bool(np.any(rates > 0.0))
@@ -194,7 +206,7 @@ def mcwf_run(
     d = gen.dim
 
     samples = {name: np.empty((n_traj, n_t), dtype=complex) for name in obs_mats}
-    density_sum = np.empty((n_t, d, d), dtype=complex)
+    density_sum = np.zeros((n_t, d, d), dtype=complex)
     top_fock = np.empty(n_t)
     trace_error = np.empty(n_t)
     jump_counts = np.zeros((n_traj, len(channels)), dtype=np.int64)
@@ -206,7 +218,7 @@ def mcwf_run(
         for idx in range(n_traj)
     ]
     eta = np.array([rng.random() for rng in rngs])
-    view = gen.frame_view(kets=True)
+    view = sub.frame_view(kets=True)
 
     def finalize(upto: int) -> EnsembleResult:
         rows = {name: v[:, :upto] for name, v in samples.items()}
@@ -231,7 +243,7 @@ def mcwf_run(
             psi = view(psi, float(t[i]))
         for name, mat in obs_mats.items():
             samples[name][:, i] = np.einsum("ni,ni->n", psi.conj(), psi @ mat.T) * w
-        density_sum[i] = psi.T @ (psi.conj() * w[:, None])
+        density_sum[i][block] = psi.T @ (psi.conj() * w[:, None])
         rho = density_sum[i] / n_traj
         trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
         top_fock[i] = truncation_guard(rho, layout, float(t[i]), lambda: finalize(i))
@@ -310,7 +322,7 @@ def mcwf_run(
             live, at, kets = live[crossed], below[crossed], kets[crossed]
         return psi
 
-    psi = np.tile(psi0, (n_traj, 1))
+    psi = np.tile(psi0[support], (n_traj, 1))
     record(0, psi)
     for i in range(1, n_t):
         t_lo, t_hi = float(t[i - 1]), float(t[i])

@@ -340,9 +340,41 @@ def test_observable_tokens(tmp_path):
     for bad in ("pop_5", "xyz", "coh_0", "coh_a_b"):
         doc_bad = dict(SINGLE_DOC)
         doc_bad["output"] = {"observables": [bad]}
-        cfg_bad = load_config(write_doc(tmp_path, doc_bad, "bad_obs.yaml"))
-        with pytest.raises(ConfigError):
-            _observable_ops(cfg_bad)
+        with pytest.raises(ConfigError, match=f"^unknown observable '{bad}'"):
+            load_config(write_doc(tmp_path, doc_bad, "bad_obs.yaml"))
+
+
+@pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
+def test_unknown_observable_exits_2_from_every_subcommand(tmp_path, capsys, command):
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["output"]["observables"] = ["bogus"]
+    code = main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: unknown observable 'bogus' (expected pop_<n>")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_validate_horizon_stops_at_t_max(tmp_path, monkeypatch):
+    # A line 1e-7 wide decays over 5 / lambda_min = 5e7 time units: without
+    # the cap each of the oracle's 50 rows spans 1e6 and needs 689,741 Taylor
+    # sub-intervals.  The spy fails at the first such row instead of hanging.
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["spectral"]["terms"][0]["width"] = 1.0e-7
+    spans = []
+    plan = taylor_plan
+
+    def counting(norm, step_scale=1.0):
+        m, s = plan(norm, step_scale)
+        assert s <= 1, f"{s} Taylor sub-intervals in one row"
+        spans.append(s)
+        return m, s
+
+    monkeypatch.setattr(pseudomodes.dynamics, "taylor_plan", counting)
+    summary = cmd_validate(load_config(write_doc(tmp_path, doc)))
+    assert summary.passed
+    assert len(spans) == 50  # the oracle's rows, on [0, t_max]
 
 
 def test_generator_kind_resolution():

@@ -24,10 +24,11 @@ from pseudomodes import (
     partial_trace_modes,
     rotate_frame,
     StepUnderflowError,
+    basis_state,
     two_mode_regularize,
     vacuum_embedding,
 )
-from pseudomodes.dynamics import taylor_plan
+from pseudomodes.dynamics import _taylor_interval, taylor_plan
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -38,6 +39,13 @@ SINGLE = lorentzian_to_poles(LorentzianSum((
 BAND_GAP = lorentzian_to_poles(LorentzianSum((
     LorentzianTerm(weight=2.0, center=1.0, width=2.0),
     LorentzianTerm(weight=-1.0, center=1.0, width=1.0),
+)))
+
+#: Two negative-weight lines: three complex-coupled modes, no rotated form.
+THREE = lorentzian_to_poles(LorentzianSum((
+    LorentzianTerm(weight=2.0, center=1.0, width=4.0),
+    LorentzianTerm(weight=-0.5, center=0.0, width=2.0),
+    LorentzianTerm(weight=-0.5, center=2.0, width=2.0),
 )))
 
 #: Two positive lines: a real-coupled mode pair on the band-gap layout.
@@ -252,21 +260,82 @@ def test_exact_action_matches_rk4_all_kinds():
 def test_autonomous_evolve_cost_follows_rows(monkeypatch):
     _, gen, layout = band_gap_generators()
     calls = []
-    apply = gen.apply
+    apply = Generator.apply
 
-    def counting(t, rho):
-        calls.append(t)
-        return apply(t, rho)
+    def counting(self, t, rho):
+        calls.append(rho.shape)
+        return apply(self, t, rho)
 
-    monkeypatch.setattr(gen, "apply", counting)
+    # On the class, so the restricted generator evolve propagates is counted.
+    monkeypatch.setattr(Generator, "apply", counting)
     t = np.linspace(0.0, 20.0, 201)
     rho0 = vacuum_embedding(layout, EE)
     evolve(gen, rho0, t, store_states=False)
     full = len(calls)
     assert 0 < full <= 60 * (t.size - 1)  # no silent fall back to RK4
+    assert set(calls) == {(4, 4)}  # |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
     calls.clear()
     evolve(gen, rho0, t, store_states=False, step_scale=0.5)
     assert len(calls) > full  # halving the sub-interval is a distinct computation
+
+
+def test_reachable_support_is_the_one_excitation_sector():
+    pathological, rotated, layout = band_gap_generators()
+    sector = [basis_state(layout, 1, (0, 0)), basis_state(layout, 0, (1, 0)),
+              basis_state(layout, 0, (0, 1)), basis_state(layout, 0, (0, 0))]
+    want = sorted(int(np.flatnonzero(ket)[0]) for ket in sector)
+    assert want == [0, 1, 3, 9] and layout.dim == 18
+    for gen in (pathological, rotated):
+        np.testing.assert_array_equal(
+            gen.reachable_support(vacuum_embedding(layout, EE)), want)
+        np.testing.assert_array_equal(gen.reachable_support(sector[0]), want)
+    gen, layout = tls_direct()
+    assert gen.reachable_support(vacuum_embedding(layout, EE)).size == 3
+    assert layout.dim == 6
+    layout = SpaceLayout(2, (2, 2, 2))
+    gen = build_generator(TLS, build_discrete_modes(THREE, (1.0,)), layout)
+    assert gen.kind == "pathological"
+    assert gen.reachable_support(vacuum_embedding(layout, EE)).size == 5
+    assert layout.dim == 54
+
+
+def test_reachable_support_is_every_index_when_driven_or_full_rank():
+    _, gen, layout = band_gap_generators()
+    full = random_hermitian_density(np.random.default_rng(3), layout.dim)
+    np.testing.assert_array_equal(gen.reachable_support(full), np.arange(18))
+    assert gen.restricted(np.arange(18)) is gen
+    driven = SystemSpec(
+        energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
+        strengths=(1.0,), drive=lambda t: 0 * SX,
+    )
+    gen = build_generator(driven, build_discrete_modes(BAND_GAP, (1.0,)), layout)
+    np.testing.assert_array_equal(
+        gen.reachable_support(vacuum_embedding(layout, EE)), np.arange(18))
+
+
+@pytest.mark.parametrize("frame", ["schrodinger", "interaction"])
+def test_restricted_row_matches_the_full_space_row(frame):
+    gap = build_discrete_modes(BAND_GAP, (1.0,))
+    pair = SpaceLayout(2, (2, 2))
+    cases = (
+        ("lindblad_direct", build_discrete_modes(REAL_PAIR, (1.0,)), pair),
+        ("pathological", gap, pair),
+        ("lindblad_regularized", two_mode_regularize(gap), pair),
+        ("pathological", build_discrete_modes(THREE, (1.0,)), SpaceLayout(2, (2, 2, 2))),
+    )
+    dt = 0.5
+    for kind, mode_set, layout in cases:
+        gen = build_generator(TLS, mode_set, layout, frame=frame)
+        assert gen.kind == kind
+        rho0 = vacuum_embedding(layout, EE)
+        assert gen.reachable_support(rho0).size < layout.dim
+        row = evolve(gen, rho0, [0.0, dt]).states[1]
+        # The unrestricted propagation of the same row, seen in the same frame.
+        full = _taylor_interval(gen.apply, rho0, dt, gen.norm_estimate(), 1.0)
+        view = gen.frame_view()
+        if view is not None:
+            full = view(full, dt)
+        assert np.abs(row - full).max() <= 1e-14, kind
 
 
 def test_taylor_plan_minimises_applications():

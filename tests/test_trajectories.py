@@ -283,6 +283,25 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
         assert len(calls) - row_calls <= (levels + 1) * passes <= 2 * (levels + 1) * jumps
 
 
+def test_ensemble_carries_only_the_reachable_support(monkeypatch):
+    gen, layout = band_gap_regularized()
+    widths = set()
+    apply = NoJumpPropagator.apply
+
+    def recording(self, psi, dt):
+        widths.add(np.shape(psi)[-1])
+        return apply(self, psi, dt)
+
+    monkeypatch.setattr(NoJumpPropagator, "apply", recording)
+    ens = mcwf_run(gen, basis_state(layout, 1),
+                   TrajectoryConfig(n_traj=40, seed=2, times=np.linspace(0.0, 4.0, 21)))
+    assert ens.jump_counts.sum() > 0
+    assert widths == {4}  # |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
+    outside = np.ones((18, 18), dtype=bool)
+    outside[np.ix_([0, 1, 3, 9], [0, 1, 3, 9])] = False
+    assert not ens.mean_density[:, outside].any()
+
+
 def test_a_long_row_jumps_as_a_fine_grid_does():
     gen, layout = tls_generator()
     psi0 = basis_state(layout, 1)
