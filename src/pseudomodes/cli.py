@@ -299,8 +299,8 @@ def load_config(path: str | Path) -> RunConfig:
             f"run.initial_level must be in [0, {system.dim}), got {initial_level}"
         )
     step_scale = _as_float(run.get("step_scale", 1.0), "run.step_scale")
-    if step_scale <= 0.0:
-        raise ConfigError("run.step_scale must be positive")
+    if not 0.0 < step_scale <= 1.0:
+        raise ConfigError(f"run.step_scale must lie in (0, 1], got {step_scale:g}")
 
     traj = _as_dict(doc.get("trajectories", {}), "trajectories", ("n_traj", "seed"))
     n_traj = _as_int(traj.get("n_traj", 500), "trajectories.n_traj")
@@ -437,7 +437,7 @@ def _check_row_length(gen: Generator, cfg: RunConfig) -> None:
     """
     norm = gen.norm_estimate() * cfg.t_max
     no_row_fits = not 1.0 / cfg.step_scale <= MAX_TAYLOR_INTERVALS
-    if gen.time_dependent or no_row_fits or not 0.0 < norm < math.inf:
+    if no_row_fits or not 0.0 < norm < math.inf:
         return  # nothing to plan, or evolve reports the unusable norm or step_scale
 
     def fits(n_steps: int) -> bool:

@@ -19,11 +19,11 @@ rates are the diagonal of Gamma.  The kind follows from the set:
 * ``lindblad_regularized``: real couplings with a real intermode hopping,
   the rotated two-mode form.  Valid Lindblad form.
 
-Every generator is built in the Schrodinger picture.  The only time
-dependence is an optional system drive, which feeds A(t), never K or the jump
-operators.  The frame is a way of viewing the state: in the interaction frame
-each recorded state is rho_I(t) = exp(i H0 t) rho(t) exp(-i H0 t) with
-H0 = H_S0 + sum_l xi_l n_l over the modes the generator was built from.
+Every generator is built in the Schrodinger picture and is time
+independent, as the auxiliary model is.  The frame is a way of viewing the
+state: in the interaction frame each recorded state is
+rho_I(t) = exp(i H0 t) rho(t) exp(-i H0 t) with H0 = H_S0 + sum_l xi_l n_l
+over the modes the generator was built from.
 
 Propagation runs on the reachable support S of the initial state: the basis
 states that D_l, D_r^T and the jumps can reach from its nonzero rows and
@@ -32,18 +32,15 @@ S x S block into itself and every entry outside it stays exactly 0.0, so
 propagating the block alone is exact.  One excitation with every mode in
 vacuum stays in the one-excitation sector plus the ground state (Garraway,
 PRA 55, 2290 (1997)): 4 of the 18 basis states of a two-mode band gap.  A
-driven generator, or a state with full support, has S = every index.
+state with full support has S = every index.
 
-A time-independent generator (no drive) is propagated exactly: each output
-row is rho(t + dt) = exp(dt L) rho(t), evaluated as a truncated Taylor series
-that only applies L to |S| x |S| blocks (Al-Mohy and Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)), so memory stays O(|S|**2) per term and the cost
-follows the output rows.  A driven generator is integrated by fixed-step
-classical RK4 with the step chosen from a cheap upper bound on the generator
-norm, h <= 0.01 / ||L||_est, additionally capped by the output grid spacing.
-A truncation guard aborts the run as soon as the top Fock level of any mode
-accumulates population beyond 1e-6; the trajectory ensemble applies the same
-``truncation_guard`` to its mean density.
+Every generator is propagated exactly: each output row is
+rho(t + dt) = exp(dt L) rho(t), evaluated as a truncated Taylor series that
+only applies L to |S| x |S| blocks (Al-Mohy and Higham, SIAM J. Sci. Comput.
+33, 488 (2011)), so memory stays O(|S|**2) per term and the cost follows the
+output rows.  A truncation guard aborts the run as soon as the top Fock
+level of any mode accumulates population beyond 1e-6; the trajectory
+ensemble applies the same ``truncation_guard`` to its mean density.
 """
 
 from __future__ import annotations
@@ -76,16 +73,12 @@ from .mapping import ModeSet
 KINDS = ("lindblad_direct", "pathological", "lindblad_regularized")
 FRAMES = ("schrodinger", "interaction")
 
-#: Dimensionless RK4 step control: h * ||L||_est <= this.
-STEP_CONTROL = 0.01
 #: Snapshot population of any top Fock level beyond this aborts the run.
 TRUNCATION_LIMIT = 1e-6
 #: Snapshot invariant tolerances.
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
 POSITIVITY_TOL = -1e-8
-#: Intervals needing more RK4 substeps than this indicate a runaway norm estimate.
-MAX_SUBSTEPS = 50_000_000
 #: Taylor degrees m with the largest ||h L|| each one evaluates to double
 #: precision (unit roundoff 2**-53): Al-Mohy and Higham (2011), Table 3.1.
 TAYLOR_THETA = (
@@ -123,7 +116,6 @@ class Generator:
         static_both: np.ndarray,
         damping: np.ndarray,
         channels: tuple[tuple[float, np.ndarray], ...],
-        drive: Callable[[float], np.ndarray] | None = None,
         h0: np.ndarray | None = None,
         support: np.ndarray | None = None,
     ):
@@ -149,7 +141,6 @@ class Generator:
         if frame == "interaction" and (h0 is None or np.shape(h0) != (d,)):
             raise InvalidModelError("the interaction frame needs the diagonal of H0")
         self.h0 = h0
-        self.drive = drive
         self._jumps = tuple(
             (np.sqrt(2.0 * rate) * b, np.sqrt(2.0 * rate) * b.conj().T)
             for rate, b in self.channels
@@ -161,18 +152,6 @@ class Generator:
     @property
     def dim(self) -> int:
         return self.support.size
-
-    @property
-    def time_dependent(self) -> bool:
-        return self.drive is not None
-
-    def both_sides(self, t: float) -> np.ndarray:
-        """The operator A(t) entering from both sides of the commutator."""
-        if self.drive is None:
-            return self.static_both
-        return self.static_both + embed_system(
-            self.layout, as_complex_matrix(self.drive(t), "drive")
-        )
 
     def frame_view(
         self, kets: bool = False
@@ -190,16 +169,9 @@ class Generator:
             return lambda state, t: np.exp(1j * h0 * t) * state
         return lambda state, t: rotate_frame(state, h0, -t)
 
-    def drift_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(A(t) - iK, A(t) + iK), the two one-sided drift operators."""
-        if not self.time_dependent:
-            return self._left, self._right
-        a = self.both_sides(t)
-        return a - 1j * self.damping, a + 1j * self.damping
-
-    def drift(self, t: float = 0.0) -> np.ndarray:
-        """Non-Hermitian drift A(t) - iK governing no-jump evolution."""
-        return self.drift_pair(t)[0]
+    def drift(self) -> np.ndarray:
+        """Non-Hermitian drift A - iK governing no-jump evolution."""
+        return self._left
 
     def reachable_support(self, state: np.ndarray) -> np.ndarray:
         """The sorted basis indices S that propagation from ``state`` reaches.
@@ -208,11 +180,8 @@ class Generator:
         ket) ``state`` is nonzero and is closed under the exact nonzero
         patterns of D_l, D_r^T and every jump with a positive rate.  L then
         maps a density supported on S x S into S x S, so every entry outside
-        the block stays exactly 0.0.  A drive has no fixed pattern: a driven
-        generator's support is every index.
+        the block stays exactly 0.0.
         """
-        if self.time_dependent:
-            return np.arange(self.dim)
         nonzero = np.asarray(state) != 0
         reached = nonzero if nonzero.ndim == 1 else nonzero.any(axis=0) | nonzero.any(axis=1)
         step = (self._left != 0) | (self._right.T != 0)
@@ -234,8 +203,6 @@ class Generator:
         s = np.asarray(support)
         if s.size == self.dim:
             return self
-        if self.time_dependent:
-            raise InvalidModelError("a driven generator is propagated on every index")
         block = np.ix_(s, s)
         return Generator(
             kind=self.kind,
@@ -248,10 +215,9 @@ class Generator:
             support=self.support[s],
         )
 
-    def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
-        """Evaluate L(t)[rho]."""
-        left, right = self.drift_pair(t)
-        out = -1j * (left @ rho - rho @ right)
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """Evaluate L[rho]."""
+        out = -1j * (self._left @ rho - rho @ self._right)
         for jop, jdag in self._jumps:
             out += jop @ (rho @ jdag)
         return out
@@ -259,13 +225,9 @@ class Generator:
     def norm_estimate(self) -> float:
         """Upper bound on the superoperator norm induced by the Frobenius norm.
 
-        It plans the Taylor series of the exact action and sets the RK4 step.
+        It plans the Taylor series of the exact action.
         """
         est = operator_norm_bound(self._left) + operator_norm_bound(self._right)
-        if self.drive is not None:
-            est += 2.0 * operator_norm_bound(
-                np.asarray(self.drive(0.0), dtype=complex)
-            )
         for jop, _ in self._jumps:
             est += operator_norm_bound(jop) ** 2
         return est
@@ -356,7 +318,6 @@ def build_generator(
         static_both=static,
         damping=_mode_bilinear(ops, -z.imag),
         channels=tuple((float(r), b) for r, (b, _) in zip(modes.rates, ops)),
-        drive=system.drive,
         h0=free_hamiltonian_diagonal(layout, system, modes.frequencies),
     )
 
@@ -454,20 +415,18 @@ def evolve(
     step_scale: float = 1.0,
     store_states: bool = True,
 ) -> EvolutionResult:
-    """Propagate d rho / dt = L(t)[rho] over the grid.
+    """Propagate d rho / dt = L[rho] over the grid.
 
-    A time-independent generator is advanced from row to row by the exact
-    action exp(dt L) rho; a driven one by fixed-step RK4.  Either advances
-    only the block of rho on ``gen.reachable_support(rho0)``, planned with the
-    full generator's norm bound, and each row is recorded from the full
-    matrix with that block filled in, every other entry 0.  Every recorded
-    quantity is taken from the state as seen in ``gen.frame``.
-    ``observables`` maps names to matrices either on the system factor (then
-    evaluated on the reduced state) or on the full space.  ``step_scale``
-    multiplies the RK4 step, and likewise the sub-interval length of the
-    exact action's Taylor plan; pass 0.5 to halve either for convergence
-    studies.  Snapshot invariants are always enforced: trace for every kind,
-    Hermiticity and positivity for the completely positive kinds.
+    Each row is advanced from the last by the exact action exp(dt L) rho on
+    the block of rho on ``gen.reachable_support(rho0)``, planned with the
+    full generator's norm bound, and recorded from the full matrix with that
+    block filled in, every other entry 0.  Every recorded quantity is taken
+    from the state as seen in ``gen.frame``.  ``observables`` maps names to
+    matrices either on the system factor (then evaluated on the reduced
+    state) or on the full space.  ``step_scale`` in (0, 1] multiplies the
+    sub-interval length of the Taylor plan; pass 0.5 to halve it for
+    convergence studies.  Snapshot invariants are always enforced: trace for
+    every kind, Hermiticity and positivity for the completely positive kinds.
 
     Raises TruncationGuardError as soon as any mode's top Fock population
     exceeds 1e-6 at a snapshot; the exception carries the clean prefix of the
@@ -484,23 +443,13 @@ def evolve(
         raise InvalidModelError("initial state must have unit trace")
     if not is_hermitian(rho, 1e-10):
         raise InvalidModelError("initial state must be Hermitian")
-    if not (step_scale > 0.0 and math.isfinite(step_scale)):
-        raise InvalidModelError("step_scale must be positive and finite")
+    if not 0.0 < step_scale <= 1.0:
+        raise InvalidModelError("step_scale must lie in (0, 1]")
 
     layout = gen.layout
     obs_full = resolve_observables(observables, layout)
 
     est = gen.norm_estimate()
-    td = gen.time_dependent
-    if td and t.size > 1:
-        spacing = float(np.diff(t).min())
-        h_cap = spacing if est == 0.0 else min(STEP_CONTROL / est, spacing)
-        h_cap *= step_scale
-        if h_cap <= 0.0 or not np.isfinite(h_cap):
-            raise StepUnderflowError(f"unusable step size {h_cap!r}")
-    else:
-        h_cap = None
-
     n_t = t.size
     states = np.empty((n_t, d, d), dtype=complex) if store_states else None
     system_states = np.empty((n_t, layout.system_dim, layout.system_dim), dtype=complex)
@@ -545,39 +494,9 @@ def evolve(
     record(0, rho)
     apply = gen.restricted(support).apply
     for i in range(1, n_t):
-        t0, t1 = float(t[i - 1]), float(t[i])
-        if td:
-            rho = _rk4_interval(apply, rho, t0, t1, h_cap)
-        else:
-            rho = _taylor_interval(apply, rho, t1 - t0, est, step_scale)
+        rho = _taylor_interval(apply, rho, float(t[i] - t[i - 1]), est, step_scale)
         record(i, rho)
     return finalize(n_t)
-
-
-def _rk4_interval(apply, rho: np.ndarray, t0: float, t1: float,
-                  h_cap: float) -> np.ndarray:
-    """Classical RK4 from t0 to t1 in equal substeps no longer than h_cap."""
-    n_sub, h = _rk4_substeps(t0, t1, h_cap)
-    tc = t0
-    for _ in range(n_sub):
-        k1 = apply(tc, rho)
-        k2 = apply(tc + 0.5 * h, rho + (0.5 * h) * k1)
-        k3 = apply(tc + 0.5 * h, rho + (0.5 * h) * k2)
-        k4 = apply(tc + h, rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        tc += h
-    return rho
-
-
-def _rk4_substeps(t0: float, t1: float, h_cap: float) -> tuple[int, float]:
-    """Count and length of the equal RK4 substeps, none over h_cap, on [t0, t1]."""
-    n_sub = max(1, int(math.ceil((t1 - t0) / h_cap)))
-    if n_sub > MAX_SUBSTEPS:
-        raise StepUnderflowError(
-            f"interval [{t0:g}, {t1:g}] needs {n_sub} substeps; "
-            "the norm estimate is too large to integrate"
-        )
-    return n_sub, (t1 - t0) / n_sub
 
 
 def taylor_plan(norm: float, step_scale: float = 1.0) -> tuple[int, int]:
@@ -585,9 +504,12 @@ def taylor_plan(norm: float, step_scale: float = 1.0) -> tuple[int, int]:
 
     m and s minimise the number of applications of A, m * s, subject to
     norm / s <= theta_m (``TAYLOR_THETA``); ties go to the lower degree.
-    ``step_scale`` then multiplies the sub-interval length, as it multiplies
-    the RK4 step: 0.5 doubles s at the same degree.
+    ``step_scale`` in (0, 1] then multiplies the sub-interval length: 0.5
+    doubles s at the same degree.  A larger one would stretch the
+    sub-intervals past theta_m, so it is refused.
     """
+    if not 0.0 < step_scale <= 1.0:
+        raise InvalidModelError(f"step_scale {step_scale!r} must lie in (0, 1]")
     if not 0.0 <= norm < math.inf:
         raise StepUnderflowError(f"unusable norm bound {norm!r}")
     if norm == 0.0:
@@ -621,7 +543,7 @@ def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float,
         term = rho
         c1 = np.linalg.norm(term)
         for k in range(1, m + 1):
-            term = (h / k) * apply(0.0, term)
+            term = (h / k) * apply(term)
             c2 = np.linalg.norm(term)
             rho = rho + term
             if c1 + c2 <= UNIT_ROUNDOFF * np.linalg.norm(rho):
@@ -645,7 +567,6 @@ def equivalence_check(
     """
     if gen_a.layout.system_dim != gen_b.layout.system_dim:
         raise InvalidModelError("generators act on different system dimensions")
-    dev = 0.0
     res = []
     for gen in (gen_a, gen_b):
         rho0 = vacuum_embedding(gen.layout, rho_system)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,15 +39,12 @@ class SystemSpec:
         w_j must match some energy difference e_m - e_n.
     strengths: overall coupling strength W_j >= 0 of the channel (the same
         numbers the mode construction was fed).
-    drive: optional extra Hamiltonian term H(t) added on top of the bare
-        energies, supplied as a callable returning a Hermitian matrix.
     """
 
     energies: tuple[float, ...]
     observables: tuple[np.ndarray, ...]
     frequencies: tuple[float, ...]
     strengths: tuple[float, ...]
-    drive: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
         d = len(self.energies)

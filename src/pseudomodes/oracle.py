@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import frozen, validate_grid
-from .dynamics import _rk4_substeps
-from .errors import InvalidModelError
+from .errors import InvalidModelError, StepUnderflowError
 from .mapping import ModeSet
 from .spectral import PoleSet, eval_density
 
@@ -43,6 +42,8 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 STRENGTH_TOL = 1e-12
 #: Sum of squared couplings must reproduce the windowed density integral.
 SAMPLING_TOL = 0.01
+#: Rows needing more RK4 substeps than this indicate a runaway step scale.
+MAX_SUBSTEPS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,17 @@ def single_excitation_solve(
             powers[plan] = _rk4_step_power(mat, *plan)
         amps[i] = powers[plan] @ amps[i - 1]
     return AmplitudeState(times=t, excited=amps[:, 0], modes=amps[:, 1:])
+
+
+def _rk4_substeps(t0: float, t1: float, h_cap: float) -> tuple[int, float]:
+    """Count and length of the equal RK4 substeps, none over h_cap, on [t0, t1]."""
+    n_sub = max(1, int(math.ceil((t1 - t0) / h_cap)))
+    if n_sub > MAX_SUBSTEPS:
+        raise StepUnderflowError(
+            f"interval [{t0:g}, {t1:g}] needs {n_sub} substeps; "
+            "the norm estimate is too large to integrate"
+        )
+    return n_sub, (t1 - t0) / n_sub
 
 
 def _rk4_step_power(mat: np.ndarray, n_sub: int, h: float) -> np.ndarray:

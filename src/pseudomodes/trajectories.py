@@ -7,8 +7,8 @@ semidefinite); a jump fires when the norm crosses a uniform threshold; the
 channel is drawn proportionally to 2 rate_k ||b_k psi||**2 and the state is
 projected and renormalized.
 
-Only undriven generators are unraveled, so the no-jump evolution is the
-exact exponential exp(-i D dt), computed by the truncated Taylor action of
+The drift is time independent, so the no-jump evolution is the exact
+exponential exp(-i D dt), computed by the truncated Taylor action of
 ``dynamics`` rather than by an eigendecomposition, which a defective drift
 (an exceptional point) would not have.  Kets live on the reachable support
 S of the initial ket (``Generator.reachable_support``): the drift and the
@@ -122,7 +122,7 @@ class NoJumpPropagator:
         while self._norm * math.ldexp(dt, -halvings) > TAYLOR_THETA[-1][1]:
             halvings += 1
         a = self._a
-        u = _taylor_interval(lambda _t, x: a @ x, np.eye(a.shape[0], dtype=complex),
+        u = _taylor_interval(lambda x: a @ x, np.eye(a.shape[0], dtype=complex),
                              math.ldexp(dt, -halvings), self._norm, 1.0)
         for _ in range(halvings):
             u = u @ u
@@ -172,11 +172,6 @@ def mcwf_run(
             f"generator kind {gen.kind!r} cannot be unraveled: jump "
             "probabilities can exceed unity; regularize to a Lindblad form first"
         )
-    if gen.time_dependent:
-        raise InvalidModelError(
-            "trajectory unraveling is implemented for time-independent "
-            "generators (no drive)"
-        )
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if psi0.size != gen.dim:
         raise InvalidModelError(
@@ -194,7 +189,7 @@ def mcwf_run(
         for name, (on_system, mat) in resolve_observables(observables, layout).items()
     }
 
-    prop = NoJumpPropagator(sub.drift(0.0))
+    prop = NoJumpPropagator(sub.drift())
     channels = sub.channels
     rates = np.array([r for r, _ in channels])
     ops = [b for _, b in channels]

@@ -271,7 +271,7 @@ def test_criterion_8_invariants():
                 + 1j * rng.standard_normal((gen.dim, gen.dim))
             rho = a @ a.conj().T
             rho /= np.trace(rho)
-            worst_trace = max(worst_trace, abs(complex(np.trace(gen.apply(0.0, rho)))))
+            worst_trace = max(worst_trace, abs(complex(np.trace(gen.apply(rho)))))
     assert worst_trace < 1e-12, f"generator application moves trace by {worst_trace:.3e}"
 
     t = np.linspace(0.0, 4.0, 21)

@@ -125,6 +125,8 @@ def test_load_config_rejections(tmp_path):
         load_config(write_doc(tmp_path, with_run(SINGLE_DOC, initial_level=7), "f.yaml"))
     with pytest.raises(ConfigError):
         load_config(write_doc(tmp_path, with_run(SINGLE_DOC, step_scale=0.0), "g.yaml"))
+    with pytest.raises(ConfigError):
+        load_config(write_doc(tmp_path, with_run(SINGLE_DOC, step_scale=2.0), "g.yaml"))
     # physically inconsistent model data also surfaces as a config error
     doc = {
         "spectral": SINGLE_DOC["spectral"],

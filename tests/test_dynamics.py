@@ -91,7 +91,7 @@ def test_trace_conserved_per_application_all_kinds():
     for gen in all_three_generators():
         for _ in range(5):
             rho = random_hermitian_density(rng, gen.dim)
-            assert abs(np.trace(gen.apply(0.0, rho))) < 1e-12
+            assert abs(np.trace(gen.apply(rho))) < 1e-12
 
 
 def test_tls_population_matches_closed_form():
@@ -163,8 +163,8 @@ def test_real_rotation_of_equal_rate_modes_keeps_reduced_dynamics():
 def test_frame_equivalence_all_kinds():
     # Record in the interaction frame, rotate back, compare snapshots.  Both
     # runs propagate the same Schrodinger-frame generator, so this checks the
-    # frame transform; test_exact_action_matches_rk4_all_kinds checks the
-    # propagation against an independent integrator.
+    # frame transform; test_exact_action_matches_the_dense_superoperator
+    # checks the propagation against an independent reference.
     detuned = lorentzian_to_poles(LorentzianSum((
         LorentzianTerm(weight=2.0, center=0.4, width=2.0),
         LorentzianTerm(weight=-1.0, center=0.4, width=1.0),
@@ -192,23 +192,15 @@ def test_frame_equivalence_all_kinds():
         )
         assert dev < 1e-9, kind
     lay1 = SpaceLayout(2, (2,))
-    driven = SystemSpec(
-        energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
-        strengths=(1.0,), drive=lambda t: 0.1 * SX,
-    )
     rho1 = vacuum_embedding(lay1, EE)
     h0 = free_hamiltonian_diagonal(lay1, TLS, single_modes.frequencies)
-    for system in (TLS, driven):
-        gs = build_generator(system, single_modes, lay1)
-        gi = build_generator(system, single_modes, lay1, frame="interaction")
-        assert gi.time_dependent == (system.drive is not None)
-        rs = evolve(gs, rho1, t)
-        ri = evolve(gi, rho1, t)
-        dev = max(
-            np.abs(rotate_frame(ri.states[i], h0, t[i]) - rs.states[i]).max()
-            for i in range(len(t))
-        )
-        assert dev < 1e-9
+    rs = evolve(build_generator(TLS, single_modes, lay1), rho1, t)
+    ri = evolve(build_generator(TLS, single_modes, lay1, frame="interaction"), rho1, t)
+    dev = max(
+        np.abs(rotate_frame(ri.states[i], h0, t[i]) - rs.states[i]).max()
+        for i in range(len(t))
+    )
+    assert dev < 1e-9
 
 
 def test_interaction_frame_needs_the_free_hamiltonian():
@@ -230,31 +222,37 @@ def test_step_halving_is_converged():
     assert np.abs(full.observables["ee"] - half.observables["ee"]).max() < 1e-8
 
 
-def test_exact_action_matches_rk4_all_kinds():
-    # A zero drive leaves the physics alone but makes the generator time
-    # dependent, which routes it through RK4 instead of the exact action.
-    # RK4 runs at eight times its default step (h ||L||_est = 0.08), where it
-    # still agrees to about 2e-12; the default step costs minutes here.
-    zero_drive = SystemSpec(
-        energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
-        strengths=(1.0,), drive=lambda t: 0 * SX,
-    )
+def test_exact_action_matches_the_dense_superoperator():
+    # An independent reference: L on the reachable support S as a dense
+    # |S|**2 x |S|**2 matrix, one column per basis matrix E_ab of the block,
+    # exponentiated through its eigendecomposition.
     gap = build_discrete_modes(BAND_GAP, (1.0,))
+    pair = SpaceLayout(2, (2, 2))
     cases = (
-        ("lindblad_direct", build_discrete_modes(REAL_PAIR, (1.0,))),
-        ("pathological", gap),
-        ("lindblad_regularized", two_mode_regularize(gap)),
+        ("lindblad_direct", build_discrete_modes(REAL_PAIR, (1.0,)), pair),
+        ("pathological", gap, pair),
+        ("lindblad_regularized", two_mode_regularize(gap), pair),
+        ("pathological", build_discrete_modes(THREE, (1.0,)), SpaceLayout(2, (2, 2, 2))),
     )
-    layout = SpaceLayout(2, (2, 2))
-    rho0 = vacuum_embedding(layout, EE)
     t = np.linspace(0.0, 20.0, 41)
-    for kind, mode_set in cases:
-        exact = build_generator(TLS, mode_set, layout)
-        stepped = build_generator(zero_drive, mode_set, layout)
-        assert not exact.time_dependent and stepped.time_dependent
-        a = evolve(exact, rho0, t, store_states=False)
-        b = evolve(stepped, rho0, t, store_states=False, step_scale=8.0)
-        assert np.abs(a.system_states - b.system_states).max() <= 1e-8, kind
+    for kind, mode_set, layout in cases:
+        gen = build_generator(TLS, mode_set, layout)
+        assert gen.kind == kind
+        rho0 = vacuum_embedding(layout, EE)
+        support = gen.reachable_support(rho0)
+        block = np.ix_(support, support)
+        sub = gen.restricted(support)
+        n = support.size
+        basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        superop = np.stack([sub.apply(e).ravel() for e in basis], axis=1)
+        evals, vecs = np.linalg.eig(superop)
+        assert np.linalg.cond(vecs) < 1e3, kind
+        coeffs = np.linalg.solve(vecs, rho0[block].ravel())
+        blocks = (np.exp(np.outer(t, evals)) * coeffs) @ vecs.T
+        want = np.zeros((t.size, layout.dim, layout.dim), dtype=complex)
+        want[:, support[:, None], support[None, :]] = blocks.reshape(t.size, n, n)
+        got = evolve(gen, rho0, t).states
+        assert np.abs(got - want).max() <= 1e-8, kind
 
 
 def test_autonomous_evolve_cost_follows_rows(monkeypatch):
@@ -262,9 +260,9 @@ def test_autonomous_evolve_cost_follows_rows(monkeypatch):
     calls = []
     apply = Generator.apply
 
-    def counting(self, t, rho):
+    def counting(self, rho):
         calls.append(rho.shape)
-        return apply(self, t, rho)
+        return apply(self, rho)
 
     # On the class, so the restricted generator evolve propagates is counted.
     monkeypatch.setattr(Generator, "apply", counting)
@@ -272,7 +270,7 @@ def test_autonomous_evolve_cost_follows_rows(monkeypatch):
     rho0 = vacuum_embedding(layout, EE)
     evolve(gen, rho0, t, store_states=False)
     full = len(calls)
-    assert 0 < full <= 60 * (t.size - 1)  # no silent fall back to RK4
+    assert 0 < full <= 60 * (t.size - 1)  # the Taylor plan of each row, no more
     assert set(calls) == {(4, 4)}  # |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
     calls.clear()
     evolve(gen, rho0, t, store_states=False, step_scale=0.5)
@@ -299,18 +297,11 @@ def test_reachable_support_is_the_one_excitation_sector():
     assert layout.dim == 54
 
 
-def test_reachable_support_is_every_index_when_driven_or_full_rank():
+def test_reachable_support_is_every_index_at_full_rank():
     _, gen, layout = band_gap_generators()
     full = random_hermitian_density(np.random.default_rng(3), layout.dim)
     np.testing.assert_array_equal(gen.reachable_support(full), np.arange(18))
     assert gen.restricted(np.arange(18)) is gen
-    driven = SystemSpec(
-        energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
-        strengths=(1.0,), drive=lambda t: 0 * SX,
-    )
-    gen = build_generator(driven, build_discrete_modes(BAND_GAP, (1.0,)), layout)
-    np.testing.assert_array_equal(
-        gen.reachable_support(vacuum_embedding(layout, EE)), np.arange(18))
 
 
 @pytest.mark.parametrize("frame", ["schrodinger", "interaction"])
@@ -351,37 +342,6 @@ def test_taylor_plan_minimises_applications():
         taylor_plan(3.33, step_scale=1e-300)
 
 
-def test_constant_drive_equals_augmented_hamiltonian():
-    modes = build_discrete_modes(SINGLE, (1.0,))
-    layout = SpaceLayout(2, (4,))
-    eps = 0.3
-    driven_sys = SystemSpec(
-        energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
-        strengths=(1.0,), drive=lambda t: eps * SX,
-    )
-    gen_driven = build_generator(driven_sys, modes, layout)
-    assert gen_driven.time_dependent
-    gen_plain = build_generator(TLS, modes, layout)
-    t = np.linspace(0.0, 2.0, 21)
-    rho0 = vacuum_embedding(layout, EE)
-    res_a = evolve(gen_driven, rho0, t, observables={"ee": EE}, store_states=False)
-    # same physics by adding the drive statically to the one-sided operators
-    from pseudomodes.dynamics import Generator
-    from pseudomodes import embed_system
-    gen_b = Generator(
-        kind=gen_plain.kind,
-        frame=gen_plain.frame,
-        layout=layout,
-        static_both=gen_plain.static_both + embed_system(layout, eps * SX),
-        damping=gen_plain.damping,
-        channels=gen_plain.channels,
-    )
-    res_b = evolve(gen_b, rho0, t, observables={"ee": EE}, store_states=False)
-    np.testing.assert_allclose(
-        res_a.observables["ee"], res_b.observables["ee"], atol=1e-9
-    )
-
-
 def test_truncation_guard_aborts_with_partial_prefix():
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (1,))  # one excitation already reaches the cap
@@ -412,7 +372,7 @@ def test_evolve_validates_inputs():
         evolve(gen, bad, np.array([0.0, 1.0]))  # hermiticity
     with pytest.raises(InvalidModelError):
         evolve(gen, rho0, np.array([0.0, 1.0]), observables={"x": np.ones((3, 3))})
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf, 2.0):
         with pytest.raises(InvalidModelError):
             evolve(gen, rho0, np.array([0.0, 1.0]), step_scale=bad)
 
@@ -465,5 +425,5 @@ def test_norm_estimate_bounds_application():
         est = gen.norm_estimate()
         assert est > 0.0
         rho = random_hermitian_density(rng, gen.dim)
-        applied = np.linalg.norm(gen.apply(0.0, rho))
+        applied = np.linalg.norm(gen.apply(rho))
         assert applied <= est * np.linalg.norm(rho) * (1.0 + 1e-9)

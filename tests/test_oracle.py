@@ -19,9 +19,8 @@ from pseudomodes import (
     single_excitation_solve,
     two_mode_regularize,
 )
-from pseudomodes.dynamics import MAX_SUBSTEPS, _rk4_interval, _rk4_substeps
 from pseudomodes.errors import StepUnderflowError
-from pseudomodes.oracle import _rk4_step_power
+from pseudomodes.oracle import MAX_SUBSTEPS, _rk4_step_power, _rk4_substeps
 
 SINGLE = lorentzian_to_poles(LorentzianSum((
     LorentzianTerm(weight=1.0, center=1.0, width=4.0),
@@ -140,6 +139,18 @@ def test_single_excitation_step_follows_a_strong_hopping():
     np.testing.assert_allclose(got.modes, exact[:, 1:], atol=1e-6)
 
 
+def rk4_interval(mat, c, t0, t1, h_cap):
+    """Classical RK4 for dc/dt = mat c from t0 to t1, one substep at a time."""
+    n_sub, h = _rk4_substeps(t0, t1, h_cap)
+    for _ in range(n_sub):
+        k1 = mat @ c
+        k2 = mat @ (c + (0.5 * h) * k1)
+        k3 = mat @ (c + (0.5 * h) * k2)
+        k4 = mat @ (c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return c
+
+
 def rk4_loop_amplitudes(modes, strength, frequency, t):
     """The oracle's amplitudes stepped one RK4 substep at a time."""
     n = len(modes)
@@ -157,8 +168,8 @@ def rk4_loop_amplitudes(modes, strength, frequency, t):
     amps = np.zeros((t.size, n + 1), dtype=complex)
     amps[0, 0] = 1.0
     for i in range(1, t.size):
-        amps[i] = _rk4_interval(lambda _t, c: mat @ c, amps[i - 1],
-                                float(t[i - 1]), float(t[i]), 1e-3 / scale)
+        amps[i] = rk4_interval(mat, amps[i - 1], float(t[i - 1]), float(t[i]),
+                               1e-3 / scale)
     return amps
 
 
@@ -193,8 +204,7 @@ def test_step_power_is_the_rk4_step_matrix_to_a_power(n_sub):
     rng = np.random.default_rng(3)
     mat = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 4.0 - 0.5 * np.eye(4)
     h = 0.15
-    loop = _rk4_interval(lambda _t, c: mat @ c, np.eye(4, dtype=complex),
-                         0.0, n_sub * h, h * (1.0 + 1e-12))
+    loop = rk4_interval(mat, np.eye(4, dtype=complex), 0.0, n_sub * h, h * (1.0 + 1e-12))
     got = _rk4_step_power(mat, n_sub, h)
     assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
 

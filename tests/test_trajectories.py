@@ -83,17 +83,17 @@ def rk4_state(drift, psi0, t_final, n_steps):
 
 def test_no_jump_propagator_matches_stepped_integration():
     gen, layout = tls_generator()
-    prop = NoJumpPropagator(gen.drift(0.0))
+    prop = NoJumpPropagator(gen.drift())
     rng = np.random.default_rng(11)
     psi0 = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
     psi0 /= np.linalg.norm(psi0)
-    expected = rk4_state(gen.drift(0.0), psi0, 0.7, 4000)
+    expected = rk4_state(gen.drift(), psi0, 0.7, 4000)
     np.testing.assert_allclose(prop.apply(psi0, 0.7), expected, atol=1e-9)
 
 
 def test_no_jump_propagator_composes_and_decays():
     gen, layout = tls_generator()
-    prop = NoJumpPropagator(gen.drift(0.0))
+    prop = NoJumpPropagator(gen.drift())
     psi = basis_state(layout, 1)
     np.testing.assert_allclose(prop.apply(psi, 0.0), psi, atol=1e-12)
     two_hops = prop.apply(prop.apply(psi, 0.3), 0.4)
@@ -105,7 +105,7 @@ def test_no_jump_propagator_composes_and_decays():
 def test_no_jump_propagator_is_exact_at_an_exceptional_point():
     modes = build_discrete_modes(CRITICAL, (1.0,))
     layout = SpaceLayout(2, (2,))
-    drift = build_generator(TLS, modes, layout).drift(0.0)
+    drift = build_generator(TLS, modes, layout).drift()
     assert np.linalg.cond(np.linalg.eig(drift)[1]) > 1e6
     prop = NoJumpPropagator(drift)
     rng = np.random.default_rng(12)
@@ -376,17 +376,6 @@ def test_interaction_frame_only_rotates_the_recorded_states():
     assert np.abs(schro.observables["coh"]).max() > 0.1
     np.testing.assert_allclose(inter.observables["coh"],
                                phase * schro.observables["coh"], atol=1e-12)
-
-
-def test_time_dependent_generator_is_refused():
-    modes = build_discrete_modes(SINGLE, (1.0,))
-    layout = SpaceLayout(2, (2,))
-    driven = SystemSpec(energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
-                        strengths=(1.0,), drive=lambda t: 0.1 * SX)
-    gen = build_generator(driven, modes, layout)
-    with pytest.raises(InvalidModelError):
-        mcwf_run(gen, basis_state(layout, 1),
-                 TrajectoryConfig(n_traj=1, seed=0, times=np.array([0.0, 1.0])))
 
 
 def test_initial_state_validation():
