@@ -41,6 +41,7 @@ from .mapping import (
     verify_rotation_numeric,
 )
 from .hilbert import (
+    Sector,
     SpaceLayout,
     SystemSpec,
     basis_state,
@@ -50,8 +51,6 @@ from .hilbert import (
     embed_system,
     expectation,
     mode_ops,
-    partial_trace_modes,
-    top_fock_populations,
     vacuum_embedding,
 )
 from .dynamics import (
@@ -102,6 +101,7 @@ __all__ = [
     "PositivityViolationError",
     "RegularizationError",
     "RotationCheck",
+    "Sector",
     "SingularRotationError",
     "SpaceLayout",
     "StepUnderflowError",
@@ -130,10 +130,8 @@ __all__ = [
     "mcwf_run",
     "mode_correlation",
     "mode_ops",
-    "partial_trace_modes",
     "rotate_frame",
     "single_excitation_solve",
-    "top_fock_populations",
     "two_mode_regularize",
     "vacuum_embedding",
     "verify_rotation_numeric",

@@ -261,6 +261,8 @@ def load_config(path: str | Path) -> RunConfig:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {p} is not valid YAML: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {p} is nested too deeply to parse") from exc
     doc = _as_dict(doc, "", ("spectral", "system", "run", "trajectories", "output"))
 
     try:

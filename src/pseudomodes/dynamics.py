@@ -32,7 +32,8 @@ S x S block into itself and every entry outside it stays exactly 0.0, so
 propagating the block alone is exact.  One excitation with every mode in
 vacuum stays in the one-excitation sector plus the ground state (Garraway,
 PRA 55, 2290 (1997)): 4 of the 18 basis states of a two-mode band gap.  A
-state with full support has S = every index.
+state with full support has S = every index.  Every recorded quantity is
+read from the block as well, through one ``hilbert.Sector``.
 
 Every generator is propagated exactly: each output row is
 rho(t + dt) = exp(dt L) rho(t), evaluated as a truncated Taylor series that
@@ -58,14 +59,13 @@ from .errors import (
     TruncationGuardError,
 )
 from .hilbert import (
+    Sector,
     SpaceLayout,
     SystemSpec,
     eigenoperator,
     embed_system,
     expectation,
     mode_ops,
-    partial_trace_modes,
-    top_fock_populations,
     vacuum_embedding,
 )
 from .mapping import ModeSet
@@ -101,11 +101,10 @@ class Generator:
     Instances are immutable by convention; every array is kept internally and
     never handed out for mutation.  ``apply`` is deliberately matrix-free in
     the superoperator sense: it performs only d x d matrix products, so the
-    memory footprint stays O(d**2) rather than O(d**4).  ``h0`` is the
-    diagonal of the free Hamiltonian H0 that the interaction frame rotates
-    with; the Schrodinger frame does not need it.  ``support`` lists the
-    product-basis indices of ``layout`` the matrices act on, every index by
-    default; ``restricted`` builds the generator of an invariant block.
+    memory footprint stays O(d**2) rather than O(d**4).  d is ``layout.dim``
+    for a built generator and |S| for one ``restricted`` to an invariant
+    block S x S.  ``h0`` is the diagonal of the free Hamiltonian H0 that the
+    interaction frame rotates with; the Schrodinger frame does not need it.
     """
 
     def __init__(
@@ -117,21 +116,19 @@ class Generator:
         damping: np.ndarray,
         channels: tuple[tuple[float, np.ndarray], ...],
         h0: np.ndarray | None = None,
-        support: np.ndarray | None = None,
     ):
         if kind not in KINDS:
             raise InvalidModelError(f"unknown generator kind {kind!r}")
         if frame not in FRAMES:
             raise InvalidModelError(f"unknown frame {frame!r}")
-        self.support = np.arange(layout.dim) if support is None else np.asarray(support)
-        d = self.support.size
         self.kind = kind
         self.frame = frame
         self.layout = layout
         self.static_both = as_complex_matrix(static_both, "static part")
         self.damping = as_complex_matrix(damping, "damping part")
-        if self.static_both.shape != (d, d) or self.damping.shape != (d, d):
-            raise InvalidModelError("generator matrices must match the layout dimension")
+        d = self.static_both.shape[0]
+        if self.damping.shape != (d, d):
+            raise InvalidModelError("generator matrices must have one shape")
         if not is_hermitian(self.damping, 1e-12):
             raise InvalidModelError("damping part K must be Hermitian")
         self.channels = tuple((float(r), as_complex_matrix(b)) for r, b in channels)
@@ -151,7 +148,7 @@ class Generator:
 
     @property
     def dim(self) -> int:
-        return self.support.size
+        return self.static_both.shape[0]
 
     def frame_view(
         self, kets: bool = False
@@ -212,7 +209,6 @@ class Generator:
             damping=self.damping[block],
             channels=tuple((rate, b[block]) for rate, b in self.channels),
             h0=None if self.h0 is None else self.h0[s],
-            support=self.support[s],
         )
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -342,9 +338,12 @@ def rotate_frame(rho: np.ndarray, h0_diag: np.ndarray, t: float) -> np.ndarray:
 
 @dataclass
 class EvolutionResult:
-    """Densities and derived quantities on the requested time grid."""
+    """Densities and derived quantities on the requested time grid; ``states``
+    (None without ``store_states``) holds their (n_t, |S|, |S|) blocks on the
+    reachable support ``support``, outside of which every entry is 0."""
 
     times: np.ndarray
+    support: np.ndarray
     states: np.ndarray | None
     system_states: np.ndarray
     observables: dict[str, np.ndarray]
@@ -353,32 +352,14 @@ class EvolutionResult:
     kind: str
 
 
-def resolve_observables(observables: dict[str, np.ndarray] | None,
-                        layout: SpaceLayout) -> dict[str, tuple[bool, np.ndarray]]:
-    """Each observable as (on the system factor?, matrix).
-
-    A matrix of the system dimension acts on the system factor, one of the
-    full dimension on the whole space; any other shape is refused.
-    """
-    out = {}
-    for name, op in (observables or {}).items():
-        mat = as_complex_matrix(op, f"observable {name}")
-        if mat.shape not in ((layout.system_dim,) * 2, (layout.dim,) * 2):
-            raise InvalidModelError(
-                f"observable {name} has shape {mat.shape}; expected system or full"
-            )
-        out[name] = (mat.shape[0] == layout.system_dim, mat)
-    return out
-
-
-def truncation_guard(rho: np.ndarray, layout: SpaceLayout, t: float,
+def truncation_guard(block: np.ndarray, sector: Sector, t: float,
                      partial: Callable[[], object]) -> float:
-    """The worst top Fock population of the density rho at time t.
+    """The worst top Fock population of the density with S x S block ``block``.
 
-    Raises TruncationGuardError when it exceeds TRUNCATION_LIMIT, carrying
-    ``partial()``: the clean prefix of the result, the rows before t.
+    Raises TruncationGuardError when it exceeds TRUNCATION_LIMIT at time t,
+    carrying ``partial()``: the clean prefix of the result, the rows before t.
     """
-    worst = float(top_fock_populations(rho, layout).max())
+    worst = float(sector.top_fock(block).max())
     if worst > TRUNCATION_LIMIT:
         raise TruncationGuardError(
             f"top Fock population {worst:.3e} exceeded {TRUNCATION_LIMIT:g} "
@@ -418,14 +399,14 @@ def evolve(
     """Propagate d rho / dt = L[rho] over the grid.
 
     Each row is advanced from the last by the exact action exp(dt L) rho on
-    the block of rho on ``gen.reachable_support(rho0)``, planned with the
-    full generator's norm bound, and recorded from the full matrix with that
-    block filled in, every other entry 0.  Every recorded quantity is taken
-    from the state as seen in ``gen.frame``.  ``observables`` maps names to
-    matrices either on the system factor (then evaluated on the reduced
-    state) or on the full space.  ``step_scale`` in (0, 1] multiplies the
-    sub-interval length of the Taylor plan; pass 0.5 to halve it for
-    convergence studies.  Snapshot invariants are always enforced: trace for
+    the block of rho on S = ``gen.reachable_support(rho0)``, planned with the
+    full generator's norm bound, and recorded from that block: every entry
+    outside it is 0, so no d x d matrix is formed.  Every recorded quantity is
+    taken from the state as seen in ``gen.frame``.  ``observables`` maps names
+    to matrices either on the system factor or on the full space; each is
+    restricted to S once (``Sector.operator``).  ``step_scale`` in (0, 1]
+    multiplies the sub-interval length of the Taylor plan; pass 0.5 to halve
+    it for convergence studies.  Snapshot invariants are always enforced: trace for
     every kind, Hermiticity and positivity for the completely positive kinds.
 
     Raises TruncationGuardError as soon as any mode's top Fock population
@@ -447,19 +428,23 @@ def evolve(
         raise InvalidModelError("step_scale must lie in (0, 1]")
 
     layout = gen.layout
-    obs_full = resolve_observables(observables, layout)
+    support = gen.reachable_support(rho)
+    sector = Sector(layout, support)
+    obs = {name: sector.operator(op, f"observable {name}")
+           for name, op in (observables or {}).items()}
 
     est = gen.norm_estimate()
-    n_t = t.size
-    states = np.empty((n_t, d, d), dtype=complex) if store_states else None
+    n_t, n = t.size, support.size
+    states = np.empty((n_t, n, n), dtype=complex) if store_states else None
     system_states = np.empty((n_t, layout.system_dim, layout.system_dim), dtype=complex)
     top_fock = np.empty(n_t)
     trace_error = np.empty(n_t)
-    obs_out = {name: np.empty(n_t, dtype=complex) for name in obs_full}
+    obs_out = {name: np.empty(n_t, dtype=complex) for name in obs}
 
     def finalize(upto: int) -> EvolutionResult:
         return EvolutionResult(
             times=t[:upto].copy(),
+            support=support,
             states=states[:upto].copy() if store_states else None,
             system_states=system_states[:upto].copy(),
             observables={k: v[:upto].copy() for k, v in obs_out.items()},
@@ -468,33 +453,25 @@ def evolve(
             kind=gen.kind,
         )
 
-    view = gen.frame_view()
-    support = gen.reachable_support(rho)
-    block = np.ix_(support, support)
+    sub = gen.restricted(support)
+    view = sub.frame_view()
 
-    def record(i: int, rho_block: np.ndarray) -> None:
-        rho = np.zeros((d, d), dtype=complex)
-        rho[block] = rho_block
+    def record(i: int, rho: np.ndarray) -> None:
         if view is not None:
             rho = view(rho, float(t[i]))
-        tr_err = abs(complex(np.trace(rho)) - 1.0)
-        worst = truncation_guard(rho, layout, float(t[i]), lambda: finalize(i))
+        trace_error[i] = abs(complex(np.trace(rho)) - 1.0)
+        top_fock[i] = truncation_guard(rho, sector, float(t[i]), lambda: finalize(i))
         _snapshot_checks(gen.kind, rho, float(t[i]))
         if store_states:
             states[i] = rho
-        rho_s = partial_trace_modes(rho, layout)
-        system_states[i] = rho_s
-        top_fock[i] = worst
-        trace_error[i] = tr_err
-        for name, (on_system, mat) in obs_full.items():
-            target = rho_s if on_system else rho
-            obs_out[name][i] = expectation(target, mat)
+        system_states[i] = sector.reduced(rho)
+        for name, mat in obs.items():
+            obs_out[name][i] = expectation(rho, mat)
 
-    rho = rho[block]
+    rho = rho[np.ix_(support, support)]
     record(0, rho)
-    apply = gen.restricted(support).apply
     for i in range(1, n_t):
-        rho = _taylor_interval(apply, rho, float(t[i] - t[i - 1]), est, step_scale)
+        rho = _taylor_interval(sub.apply, rho, float(t[i] - t[i - 1]), est, step_scale)
         record(i, rho)
     return finalize(n_t)
 
@@ -567,11 +544,7 @@ def equivalence_check(
     """
     if gen_a.layout.system_dim != gen_b.layout.system_dim:
         raise InvalidModelError("generators act on different system dimensions")
-    res = []
-    for gen in (gen_a, gen_b):
-        rho0 = vacuum_embedding(gen.layout, rho_system)
-        res.append(
-            evolve(gen, rho0, t_grid, store_states=False, **evolve_kwargs)
-        )
-    dev = float(np.abs(res[0].system_states - res[1].system_states).max())
-    return dev
+    a, b = (evolve(gen, vacuum_embedding(gen.layout, rho_system), t_grid,
+                   store_states=False, **evolve_kwargs).system_states
+            for gen in (gen_a, gen_b))
+    return float(np.abs(a - b).max())

@@ -1,4 +1,4 @@
-"""Composite Hilbert space plumbing: system, truncated modes, embeddings.
+"""Composite Hilbert space plumbing: system, truncated modes, embeddings, sectors.
 
 The total space is system (x) mode_1 (x) ... (x) mode_N with each mode
 truncated at a caller-chosen Fock level.  Everything here is dense numpy;
@@ -128,6 +128,47 @@ class SpaceLayout:
         return math.prod(self.dims)
 
 
+class Sector:
+    """Index map of a set S of product-basis states of ``layout``, listed in
+    increasing order by ``support``.
+
+    A state whose entries outside S x S are 0 is read from its S x S block
+    alone: ``operator`` restricts what acts on it, ``reduced`` traces the
+    modes out and ``top_fock`` reads each mode's top-level population.
+    """
+
+    def __init__(self, layout: SpaceLayout, support):
+        self.layout = layout
+        self.support = np.asarray(support)
+        levels = np.unravel_index(self.support, layout.dims)
+        self._system = levels[0]
+        modes = np.ravel_multi_index(levels[1:], layout.dims[1:])
+        self._same_modes = modes[:, None] == modes[None, :]
+        self._pairs = np.nonzero(self._same_modes)
+        self._into = (self._system[self._pairs[0]], self._system[self._pairs[1]])
+        self._top = [lv == n for lv, n in zip(levels[1:], layout.fock_levels)]
+
+    def operator(self, op, name: str = "operator") -> np.ndarray:
+        """The S x S block of an operator on the system factor or the full space."""
+        mat = as_complex_matrix(op, name)
+        if mat.shape == (self.layout.system_dim,) * 2:
+            return self._same_modes * mat[np.ix_(self._system, self._system)]
+        if mat.shape == (self.layout.dim,) * 2:
+            return mat[np.ix_(self.support, self.support)]
+        raise InvalidModelError(f"{name} has shape {mat.shape}; expected system or full")
+
+    def reduced(self, block: np.ndarray) -> np.ndarray:
+        """The system state of the block: every mode traced out."""
+        out = np.zeros((self.layout.system_dim,) * 2, dtype=complex)
+        np.add.at(out, self._into, block[self._pairs])
+        return out
+
+    def top_fock(self, block: np.ndarray) -> np.ndarray:
+        """Population of the highest kept Fock level of the block, one entry per mode."""
+        diag = np.real(np.diagonal(block))
+        return np.array([diag[top].sum() for top in self._top])
+
+
 def eigenoperator(system: SystemSpec, j: int) -> np.ndarray:
     """Lowering eigenoperator of channel j on the system factor.
 
@@ -193,27 +234,6 @@ def mode_ops(layout: SpaceLayout, l: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"mode index {l} out of range")
     a = embed(layout, 1 + l, destroy(layout.fock_levels[l]))
     return a, a.conj().T
-
-
-def partial_trace_modes(rho: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    """Trace out every mode, returning the reduced system matrix."""
-    d_s = layout.system_dim
-    d_m = layout.dim // d_s
-    r = np.asarray(rho).reshape(d_s, d_m, d_s, d_m)
-    return np.einsum("ambm->ab", r)
-
-
-def top_fock_populations(rho: np.ndarray, layout: SpaceLayout) -> np.ndarray:
-    """Population of the highest kept Fock level, one entry per mode.
-
-    Only diagonal data is touched, so this is cheap enough to run at every
-    snapshot as the truncation guard.
-    """
-    diag = np.real(np.diagonal(rho)).reshape(layout.dims)
-    out = np.empty(layout.n_modes)
-    for l in range(layout.n_modes):
-        out[l] = diag.take(indices=layout.fock_levels[l], axis=1 + l).sum()
-    return out
 
 
 def basis_state(layout: SpaceLayout, system_level: int, fock=None) -> np.ndarray:

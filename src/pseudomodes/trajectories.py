@@ -40,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_complex_matrix, frozen, validate_grid
-from .errors import ClassificationError, InvalidModelError
-from .dynamics import (TAYLOR_THETA, Generator, _taylor_interval, resolve_observables,
+from .errors import ClassificationError, InvalidModelError, StepUnderflowError
+from .dynamics import (MAX_TAYLOR_INTERVALS, TAYLOR_THETA, Generator, _taylor_interval,
                        truncation_guard)
-from .hilbert import embed_system
+from .hilbert import Sector
 
 #: Relative precision of the jump times.
 JUMP_TIME_TOL = 1e-10
@@ -74,9 +74,12 @@ class TrajectoryConfig:
 @dataclass
 class EnsembleResult:
     """Ensemble averages, errors, guard values of the mean density per row
-    (worst top Fock population, |Re tr - 1|) and the raw jump bookkeeping."""
+    (worst top Fock population, |Re tr - 1|) and the raw jump bookkeeping.
+    ``mean_density`` holds the (n_t, |S|, |S|) blocks on the reachable support
+    ``support`` of the initial ket, outside of which every entry is 0."""
 
     times: np.ndarray
+    support: np.ndarray
     observables: dict[str, np.ndarray]
     stderr: dict[str, np.ndarray]
     mean_density: np.ndarray
@@ -100,6 +103,8 @@ class NoJumpPropagator:
     ``TAYLOR_THETA``, where the series needs a single sub-interval; a longer
     span is the square of the half span.  No eigendecomposition is involved,
     so a defective drift (an exceptional point) is propagated like any other.
+    A span that needs more than ``MAX_TAYLOR_INTERVALS`` sub-intervals, the
+    bound ``taylor_plan`` puts on them, is refused with StepUnderflowError.
     ``mcwf_run`` builds it from the drift on the reachable support, so d
     here is |S|.  The ``PROPAGATOR_CACHE`` most recently used exponentials
     are kept: PROPAGATOR_CACHE d**2 complex numbers, 0.2 MB at d = 18 and
@@ -121,6 +126,10 @@ class NoJumpPropagator:
         halvings = 0
         while self._norm * math.ldexp(dt, -halvings) > TAYLOR_THETA[-1][1]:
             halvings += 1
+        if 2**halvings > MAX_TAYLOR_INTERVALS:
+            raise StepUnderflowError(
+                f"a span of {dt:.6g} time units needs 2**{halvings} no-jump "
+                f"sub-intervals, more than {MAX_TAYLOR_INTERVALS}; raise run.n_steps")
         a = self._a
         u = _taylor_interval(lambda x: a @ x, np.eye(a.shape[0], dtype=complex),
                              math.ldexp(dt, -halvings), self._norm, 1.0)
@@ -160,8 +169,8 @@ def mcwf_run(
     generator's channel list.
 
     Kets, the no-jump propagator, the jump operators and the observables
-    all act on the reachable support of ``psi0``; each row's mean density
-    is that block filled into the full d x d matrix.
+    all act on the reachable support S of ``psi0``, and each row's mean
+    density is kept as its S x S block, so memory follows |S|, not d.
 
     The truncation guard of ``evolve`` runs on the mean density of each row:
     TruncationGuardError carries the rows before the first one whose top Fock
@@ -180,14 +189,11 @@ def mcwf_run(
     if abs(_norm2(psi0) - 1.0) > 1e-10:
         raise InvalidModelError("initial state must be normalized")
 
-    layout = gen.layout
     support = gen.reachable_support(psi0)
-    block = np.ix_(support, support)
+    sector = Sector(gen.layout, support)
+    obs_mats = {name: sector.operator(op, f"observable {name}")
+                for name, op in (observables or {}).items()}
     sub = gen.restricted(support)
-    obs_mats = {
-        name: (embed_system(layout, mat) if on_system else mat)[block]
-        for name, (on_system, mat) in resolve_observables(observables, layout).items()
-    }
 
     prop = NoJumpPropagator(sub.drift())
     channels = sub.channels
@@ -198,10 +204,9 @@ def mcwf_run(
     t = config.times
     n_t = t.size
     n_traj = config.n_traj
-    d = gen.dim
 
     samples = {name: np.empty((n_traj, n_t), dtype=complex) for name in obs_mats}
-    density_sum = np.zeros((n_t, d, d), dtype=complex)
+    density_sum = np.empty((n_t, support.size, support.size), dtype=complex)
     top_fock = np.empty(n_t)
     trace_error = np.empty(n_t)
     jump_counts = np.zeros((n_traj, len(channels)), dtype=np.int64)
@@ -220,6 +225,7 @@ def mcwf_run(
         ddof = min(n_traj - 1, 1)  # a single trajectory has a zero error
         return EnsembleResult(
             times=t[:upto].copy(),
+            support=support,
             observables={name: v.mean(axis=0) for name, v in rows.items()},
             stderr={name: np.sqrt((v.real.var(axis=0, ddof=ddof)
                                    + v.imag.var(axis=0, ddof=ddof)) / n_traj)
@@ -238,10 +244,10 @@ def mcwf_run(
             psi = view(psi, float(t[i]))
         for name, mat in obs_mats.items():
             samples[name][:, i] = np.einsum("ni,ni->n", psi.conj(), psi @ mat.T) * w
-        density_sum[i][block] = psi.T @ (psi.conj() * w[:, None])
+        density_sum[i] = psi.T @ (psi.conj() * w[:, None])
         rho = density_sum[i] / n_traj
         trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
-        top_fock[i] = truncation_guard(rho, layout, float(t[i]), lambda: finalize(i))
+        top_fock[i] = truncation_guard(rho, sector, float(t[i]), lambda: finalize(i))
 
     def jump(idx: int, psi: np.ndarray, t_jump: float) -> np.ndarray:
         """Project the ket that reached its threshold; the normalized result."""

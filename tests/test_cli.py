@@ -633,6 +633,30 @@ def test_evolve_refuses_a_step_scale_no_row_length_fits(tmp_path, capsys):
     assert "step_scale 1e-07" in err
 
 
+@pytest.mark.parametrize("t_max", [1e12, 1e300])
+def test_trajectories_refuse_a_row_too_long_for_the_no_jump_propagator(tmp_path, capsys,
+                                                                       t_max):
+    # exp(-i D dt) is the 2**k-th power of exp(-i D dt / 2**k); beyond
+    # 2**k = MAX_TAYLOR_INTERVALS the squarings lost the norm (a no-jump norm
+    # of 0.66634 for the exact 2/3 at t_max = 1e12).
+    doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    doc["run"].update(t_max=t_max, n_steps=1)
+    path = write_doc(tmp_path, doc)
+    assert main(["trajectories", path, "--out", str(tmp_path / "long.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "no-jump sub-intervals" in err and "run.n_steps" in err
+
+
+def test_deeply_nested_yaml_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+    assert main(["map", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "nested too deeply" in err
+
+
 def test_evolve_output_is_deterministic(tmp_path, capsys):
     doc = with_run(SINGLE_DOC, t_max=1.0, n_steps=10)
     cfg_path = write_doc(tmp_path, doc)

@@ -1,10 +1,11 @@
-"""Tensor-space layout, embeddings, partial traces, and eigenoperators."""
+"""Tensor-space layout, embeddings, sectors, partial traces, and eigenoperators."""
 
 import numpy as np
 import pytest
 
 from pseudomodes import (
     InvalidModelError,
+    Sector,
     SpaceLayout,
     SystemSpec,
     basis_state,
@@ -14,8 +15,6 @@ from pseudomodes import (
     embed_system,
     expectation,
     mode_ops,
-    partial_trace_modes,
-    top_fock_populations,
     vacuum_embedding,
 )
 
@@ -111,12 +110,24 @@ def test_mode_ops_against_kron():
         assert np.array_equal(bdag, expected.conj().T)
 
 
+def full_sector(layout):
+    return Sector(layout, np.arange(layout.dim))
+
+
 def test_partial_trace_matches_loop_oracle():
     rng = np.random.default_rng(5)
     layout = SpaceLayout(3, (1, 2))
     rho = random_density(rng, layout.dim)
     np.testing.assert_allclose(
-        partial_trace_modes(rho, layout), loop_partial_trace(rho, layout), atol=1e-13
+        full_sector(layout).reduced(rho), loop_partial_trace(rho, layout), atol=1e-13
+    )
+    # A sparse S: the state lives on an S x S block and is read from it alone.
+    support = np.array([0, 2, 5, 7, 8, 13, 16])
+    block = random_density(rng, support.size)
+    rho = np.zeros((layout.dim, layout.dim), dtype=complex)
+    rho[np.ix_(support, support)] = block
+    np.testing.assert_allclose(
+        Sector(layout, support).reduced(block), loop_partial_trace(rho, layout), atol=1e-13
     )
 
 
@@ -125,7 +136,21 @@ def test_partial_trace_of_product_state():
     rng = np.random.default_rng(6)
     rho_s = random_density(rng, 2)
     rho = np.kron(rho_s, np.diag([0.2, 0.3, 0.5]).astype(complex))
-    np.testing.assert_allclose(partial_trace_modes(rho, layout), rho_s, atol=1e-14)
+    np.testing.assert_allclose(full_sector(layout).reduced(rho), rho_s, atol=1e-14)
+
+
+def test_sector_operator_is_the_block_of_the_embedding():
+    layout = SpaceLayout(3, (1, 2))
+    rng = np.random.default_rng(9)
+    support = np.array([1, 4, 6, 10, 11, 17])
+    sector = Sector(layout, support)
+    block = np.ix_(support, support)
+    sys_op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    full_op = rng.normal(size=(layout.dim,) * 2) + 1j * rng.normal(size=(layout.dim,) * 2)
+    assert np.array_equal(sector.operator(sys_op), embed_system(layout, sys_op)[block])
+    assert np.array_equal(sector.operator(full_op), full_op[block])
+    with pytest.raises(InvalidModelError):
+        sector.operator(np.eye(4))
 
 
 def test_vacuum_embedding_and_basis_state():
@@ -134,7 +159,7 @@ def test_vacuum_embedding_and_basis_state():
     rho = vacuum_embedding(layout, rho_s)
     assert rho.shape == (18, 18)
     assert np.trace(rho) == pytest.approx(1.0)
-    np.testing.assert_allclose(partial_trace_modes(rho, layout), rho_s, atol=1e-15)
+    np.testing.assert_allclose(full_sector(layout).reduced(rho), rho_s, atol=1e-15)
     psi = basis_state(layout, 1)
     assert psi[np.flatnonzero(psi)[0]] == 1.0
     np.testing.assert_allclose(
@@ -154,7 +179,12 @@ def test_top_fock_populations():
     layout = SpaceLayout(2, (1, 2))
     psi = basis_state(layout, 0, fock=(1, 0))
     rho = np.outer(psi, psi.conj())
-    np.testing.assert_allclose(top_fock_populations(rho, layout), [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(full_sector(layout).top_fock(rho), [1.0, 0.0], atol=1e-15)
+    # on a block: |0; 0, 2>, |0; 1, 0> and |1; 1, 2> with populations .3, .5, .2
+    support = np.ravel_multi_index(([0, 0, 1], [0, 1, 1], [2, 0, 2]), layout.dims)
+    block = np.diag([0.3, 0.5, 0.2]).astype(complex)
+    np.testing.assert_allclose(Sector(layout, support).top_fock(block), [0.7, 0.5],
+                               atol=1e-15)
 
 
 def test_expectation_equals_trace():

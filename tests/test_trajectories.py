@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from pseudomodes import (
 )
 from pseudomodes.dynamics import TRUNCATION_LIMIT
 from pseudomodes.errors import TruncationGuardError
-from pseudomodes.hilbert import top_fock_populations
 from pseudomodes.trajectories import JUMP_TIME_TOL
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -66,6 +66,13 @@ def band_gap_regularized():
     reg = two_mode_regularize(modes)
     layout = SpaceLayout(2, (2, 2))
     return build_generator(TLS, reg, layout), layout
+
+
+def embedded(blocks, support, dim):
+    """The d x d matrices whose S x S blocks on ``support`` are ``blocks``, 0 elsewhere."""
+    full = np.zeros(blocks.shape[:-2] + (dim, dim), dtype=complex)
+    full[..., support[:, None], support[None, :]] = blocks
+    return full
 
 
 def rk4_state(drift, psi0, t_final, n_steps):
@@ -168,7 +175,8 @@ def test_recorded_observables_match_the_mean_density(frame):
     cfg = TrajectoryConfig(n_traj=60, seed=5, times=np.linspace(0.0, 4.0, 21))
     ens = mcwf_run(gen, psi0, cfg, observables={"sx": SX})
     assert ens.jump_counts.sum() > 0
-    from_density = np.einsum("ij,tji->t", embed_system(layout, SX), ens.mean_density)
+    mean_density = embedded(ens.mean_density, ens.support, layout.dim)
+    from_density = np.einsum("ij,tji->t", embed_system(layout, SX), mean_density)
     assert np.abs(ens.observables["sx"].real).max() > 0.1
     assert np.abs(ens.observables["sx"] - from_density).max() <= 1e-12
 
@@ -190,8 +198,10 @@ def test_truncation_guard_keeps_the_rows_before_the_first_bad_one():
     for rows in (part.observables["ee"], part.stderr["ee"], part.mean_density,
                  part.trace_error):
         assert len(rows) == i
-    for rho, top, err in zip(part.mean_density, part.top_fock, part.trace_error):
-        assert top == top_fock_populations(rho, layout).max()
+    mean_density = embedded(part.mean_density, part.support, layout.dim)
+    for rho, top, err in zip(mean_density, part.top_fock, part.trace_error):
+        # the top level n = 1 of the single mode, read off the full diagonal
+        assert top == np.real(np.diagonal(rho)).reshape(layout.dims)[:, 1].sum()
         assert err == abs(float(np.trace(rho).real) - 1.0)
     # The clean rows are those of a run that stops before the bad one.
     clean = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=50, seed=3, times=t[:i]),
@@ -297,9 +307,29 @@ def test_ensemble_carries_only_the_reachable_support(monkeypatch):
                    TrajectoryConfig(n_traj=40, seed=2, times=np.linspace(0.0, 4.0, 21)))
     assert ens.jump_counts.sum() > 0
     assert widths == {4}  # |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
-    outside = np.ones((18, 18), dtype=bool)
-    outside[np.ix_([0, 1, 3, 9], [0, 1, 3, 9])] = False
-    assert not ens.mean_density[:, outside].any()
+    assert np.array_equal(ens.support, [0, 1, 3, 9])
+    assert ens.mean_density.shape == (21, 4, 4)
+    # the block holds the whole mean density: no population is left outside S
+    tr = np.einsum("tii->t", ens.mean_density)
+    np.testing.assert_allclose(tr.real, np.ones(21), atol=1e-10)
+
+
+def test_memory_follows_the_support_not_the_space():
+    # band_gap.yaml at fock_levels: 6, d = 2 * 7 * 7 = 98 and |S| = 4: one
+    # (201, 98, 98) complex array alone would take 31 MB.
+    layout = SpaceLayout(2, (6, 6))
+    gen = build_generator(TLS, two_mode_regularize(build_discrete_modes(BAND_GAP, (1.0,))),
+                          layout)
+    cfg = TrajectoryConfig(n_traj=50, seed=7, times=np.linspace(0.0, 20.0, 201))
+    tracemalloc.start()
+    try:
+        ens = mcwf_run(gen, basis_state(layout, 1), cfg, observables={"ee": EE})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.jump_counts.sum() > 0
+    assert ens.mean_density.shape == (201, 4, 4)
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_a_long_row_jumps_as_a_fine_grid_does():
