@@ -47,11 +47,13 @@ def operator_norm_bound(a: np.ndarray) -> float:
     """Cheap upper bound on the spectral norm.
 
     min(Frobenius, sqrt(norm_1 * norm_inf)) is a true upper bound for any
-    matrix and stays O(d^2), which matters once spaces get large.
+    matrix and stays O(d^2), which matters once spaces get large.  A bound
+    that overflows is inf, without a warning: callers refuse it.
     """
-    fro = float(np.linalg.norm(a))
-    one = float(np.abs(a).sum(axis=0).max(initial=0.0))
-    inf = float(np.abs(a).sum(axis=1).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(a))
+        one = float(np.abs(a).sum(axis=0).max(initial=0.0))
+        inf = float(np.abs(a).sum(axis=1).max(initial=0.0))
     return min(fro, np.sqrt(one * inf))
 
 

@@ -35,24 +35,13 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .dynamics import (
-    FRAMES,
-    KINDS,
-    MAX_TAYLOR_INTERVALS,
-    TAYLOR_THETA,
-    Generator,
-    build_generator,
-    equivalence_check,
-    evolve,
-    taylor_plan,
-)
+from .dynamics import FRAMES, KINDS, Generator, build_generator, equivalence_check, evolve
 from .errors import (
     ClassificationError,
     ConfigError,
     EngineError,
     InvalidModelError,
     RegularizationError,
-    StepUnderflowError,
     TruncationGuardError,
 )
 from .hilbert import (
@@ -136,9 +125,11 @@ def _number(block: dict, key: str, where: str) -> float:
     return _as_float(_require(block, key, where), f"{where}.{key}")
 
 
-def _as_int(value: Any, where: str) -> int:
+def _as_int(value: Any, where: str, least: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{where} must be at least {least}, got {value}")
     return value
 
 
@@ -183,7 +174,6 @@ class RunConfig:
     n_steps: int
     fock_levels: tuple[int, ...] | int
     initial_level: int
-    step_scale: float
     n_traj: int
     seed: int
     out_path: str | None
@@ -273,8 +263,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"invalid model in config {p}: {exc}") from exc
 
     run = _as_dict(doc.get("run", {}), "run", (
-        "generator", "frame", "t_max", "n_steps", "fock_levels", "initial_level",
-        "step_scale"))
+        "generator", "frame", "t_max", "n_steps", "fock_levels", "initial_level"))
     generator_kind = run.get("generator", "auto")
     if generator_kind not in ("auto",) + KINDS:
         raise ConfigError(
@@ -286,31 +275,23 @@ def load_config(path: str | Path) -> RunConfig:
     t_max = _as_float(run.get("t_max", 10.0), "run.t_max")
     if t_max < 0.0:
         raise ConfigError("run.t_max must be non-negative")
-    n_steps = _as_int(run.get("n_steps", 100), "run.n_steps")
-    if n_steps < 1:
-        raise ConfigError("run.n_steps must be positive")
+    n_steps = _as_int(run.get("n_steps", 100), "run.n_steps", least=1)
     fock_raw = run.get("fock_levels", 2)
     fock: tuple[int, ...] | int
     if isinstance(fock_raw, list):
-        fock = tuple(_as_int(x, f"run.fock_levels[{i}]") for i, x in enumerate(fock_raw))
+        fock = tuple(_as_int(x, f"run.fock_levels[{i}]", least=1)
+                     for i, x in enumerate(fock_raw))
     else:
-        fock = _as_int(fock_raw, "run.fock_levels")
+        fock = _as_int(fock_raw, "run.fock_levels", least=1)
     initial_level = _as_int(run.get("initial_level", system.dim - 1), "run.initial_level")
     if not 0 <= initial_level < system.dim:
         raise ConfigError(
             f"run.initial_level must be in [0, {system.dim}), got {initial_level}"
         )
-    step_scale = _as_float(run.get("step_scale", 1.0), "run.step_scale")
-    if not 0.0 < step_scale <= 1.0:
-        raise ConfigError(f"run.step_scale must lie in (0, 1], got {step_scale:g}")
 
     traj = _as_dict(doc.get("trajectories", {}), "trajectories", ("n_traj", "seed"))
-    n_traj = _as_int(traj.get("n_traj", 500), "trajectories.n_traj")
-    if n_traj < 1:
-        raise ConfigError("trajectories.n_traj must be at least 1")
-    seed = _as_int(traj.get("seed", 0), "trajectories.seed")
-    if seed < 0:
-        raise ConfigError(f"trajectories.seed must be non-negative, got {seed}")
+    n_traj = _as_int(traj.get("n_traj", 500), "trajectories.n_traj", least=1)
+    seed = _as_int(traj.get("seed", 0), "trajectories.seed", least=0)
 
     output = _as_dict(doc.get("output", {}), "output", ("path", "observables"))
     out_path = output.get("path")
@@ -331,7 +312,6 @@ def load_config(path: str | Path) -> RunConfig:
         n_steps=n_steps,
         fock_levels=fock,
         initial_level=initial_level,
-        step_scale=step_scale,
         n_traj=n_traj,
         seed=seed,
         out_path=out_path,
@@ -430,37 +410,6 @@ def build_model(cfg: RunConfig) -> Generator:
     mode_set = resolve_generator_kind(cfg.generator_kind, modes)
     layout = _layout_for(cfg, len(modes))
     return build_generator(cfg.system, mode_set, layout, cfg.frame)
-
-
-def _check_row_length(gen: Generator, cfg: RunConfig) -> None:
-    """Refuse rows whose exp(dt L) needs over MAX_TAYLOR_INTERVALS sub-intervals.
-
-    The message names the smallest run.n_steps whose rows t_max / n_steps fit.
-    """
-    norm = gen.norm_estimate() * cfg.t_max
-    no_row_fits = not 1.0 / cfg.step_scale <= MAX_TAYLOR_INTERVALS
-    if no_row_fits or not 0.0 < norm < math.inf:
-        return  # nothing to plan, or evolve reports the unusable norm or step_scale
-
-    def fits(n_steps: int) -> bool:
-        try:
-            taylor_plan(norm / n_steps, cfg.step_scale)
-        except StepUnderflowError:
-            return False
-        return True
-
-    if fits(cfg.n_steps):
-        return
-    # Shorter counts need more whole sub-intervals of the top degree than fit.
-    cap = max(1, math.floor(MAX_TAYLOR_INTERVALS * cfg.step_scale))
-    n_steps = math.ceil(norm / (TAYLOR_THETA[-1][1] * cap))
-    while not fits(n_steps):
-        n_steps += 1
-    raise ConfigError(
-        f"rows of {cfg.t_max / cfg.n_steps:.6g} time units need more than "
-        f"{MAX_TAYLOR_INTERVALS} Taylor sub-intervals each; set run.n_steps "
-        f"to at least {n_steps} (rows of {cfg.t_max / n_steps:.6g})"
-    )
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
@@ -617,12 +566,10 @@ def cmd_evolve(cfg: RunConfig, out_override: str | None = None) -> RunOutput:
     """Integrate the configured master equation and write the CSV trace."""
     def run(ops):
         gen = build_model(cfg)
-        _check_row_length(gen, cfg)
         rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
         rho_s[cfg.initial_level, cfg.initial_level] = 1.0
         return evolve(gen, vacuum_embedding(gen.layout, rho_s), _time_grid(cfg),
-                      observables=ops, step_scale=cfg.step_scale,
-                      store_states=False)
+                      observables=ops, store_states=False)
 
     return _write_trace(cfg, out_override, run)
 
@@ -757,8 +704,7 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     if regularized is not None:
         uncorrected = build_generator(cfg.system, modes, layout)
         rotated = build_generator(cfg.system, regularized, layout)
-        dev = equivalence_check(uncorrected, rotated, rho_s, eq_grid,
-                                step_scale=cfg.step_scale)
+        dev = equivalence_check(uncorrected, rotated, rho_s, eq_grid)
         checks.append(_check(
             "generator_equivalence", dev, EQUIVALENCE_TOL,
             "reduced state: uncorrected generator vs rotated Lindblad form",
@@ -778,8 +724,7 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
             cfg.system, modes, layout)
         pop_grid = np.linspace(0.0, horizon, 51)
         res = evolve(gen, vacuum_embedding(layout, rho_s), pop_grid,
-                     observables={"ee": np.diag([0.0, 1.0])}, store_states=False,
-                     step_scale=cfg.step_scale)
+                     observables={"ee": np.diag([0.0, 1.0])}, store_states=False)
         amp = single_excitation_solve(
             modes, cfg.system.strengths[0], cfg.system.frequencies[0], pop_grid)
         dev = float(np.abs(res.observables["ee"].real

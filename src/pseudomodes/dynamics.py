@@ -39,9 +39,13 @@ Every generator is propagated exactly: each output row is
 rho(t + dt) = exp(dt L) rho(t), evaluated as a truncated Taylor series that
 only applies L to |S| x |S| blocks (Al-Mohy and Higham, SIAM J. Sci. Comput.
 33, 488 (2011)), so memory stays O(|S|**2) per term and the cost follows the
-output rows.  A truncation guard aborts the run as soon as the top Fock
-level of any mode accumulates population beyond 1e-6; the trajectory
-ensemble applies the same ``truncation_guard`` to its mean density.
+output rows.  The series is planned on the norm bound of the block it
+propagates, and ``taylor_plan`` holds the one row-length rule: a row whose
+plan would need more than MAX_TAYLOR_INTERVALS sub-intervals is refused,
+naming the longest row that fits.  A truncation guard aborts the run as
+soon as the top Fock level of any mode accumulates population beyond 1e-6;
+the trajectory ensemble applies the same ``truncation_guard`` to its mean
+density.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ TAYLOR_THETA = (
 )
 UNIT_ROUNDOFF = 2.0**-53
 #: Rows needing more Taylor sub-intervals than this indicate a runaway norm
-#: estimate or step_scale.
+#: estimate or time span.
 MAX_TAYLOR_INTERVALS = 1_000_000
 
 
@@ -393,21 +397,20 @@ def evolve(
     rho0: np.ndarray,
     t_grid,
     observables: dict[str, np.ndarray] | None = None,
-    step_scale: float = 1.0,
     store_states: bool = True,
 ) -> EvolutionResult:
     """Propagate d rho / dt = L[rho] over the grid.
 
     Each row is advanced from the last by the exact action exp(dt L) rho on
     the block of rho on S = ``gen.reachable_support(rho0)``, planned with the
-    full generator's norm bound, and recorded from that block: every entry
-    outside it is 0, so no d x d matrix is formed.  Every recorded quantity is
-    taken from the state as seen in ``gen.frame``.  ``observables`` maps names
-    to matrices either on the system factor or on the full space; each is
-    restricted to S once (``Sector.operator``).  ``step_scale`` in (0, 1]
-    multiplies the sub-interval length of the Taylor plan; pass 0.5 to halve
-    it for convergence studies.  Snapshot invariants are always enforced: trace for
-    every kind, Hermiticity and positivity for the completely positive kinds.
+    norm bound of the generator restricted to S, and recorded from that
+    block: every entry outside it is 0, so no d x d matrix is formed.  Every
+    recorded quantity is taken from the state as seen in ``gen.frame``.
+    ``observables`` maps names to matrices either on the system factor or on
+    the full space; each is restricted to S once (``Sector.operator``).
+    Snapshot invariants are always enforced: trace for every kind,
+    Hermiticity and positivity for the completely positive kinds.  A row
+    too long for its Taylor plan raises StepUnderflowError (``taylor_plan``).
 
     Raises TruncationGuardError as soon as any mode's top Fock population
     exceeds 1e-6 at a snapshot; the exception carries the clean prefix of the
@@ -424,8 +427,6 @@ def evolve(
         raise InvalidModelError("initial state must have unit trace")
     if not is_hermitian(rho, 1e-10):
         raise InvalidModelError("initial state must be Hermitian")
-    if not 0.0 < step_scale <= 1.0:
-        raise InvalidModelError("step_scale must lie in (0, 1]")
 
     layout = gen.layout
     support = gen.reachable_support(rho)
@@ -433,7 +434,6 @@ def evolve(
     obs = {name: sector.operator(op, f"observable {name}")
            for name, op in (observables or {}).items()}
 
-    est = gen.norm_estimate()
     n_t, n = t.size, support.size
     states = np.empty((n_t, n, n), dtype=complex) if store_states else None
     system_states = np.empty((n_t, layout.system_dim, layout.system_dim), dtype=complex)
@@ -454,6 +454,7 @@ def evolve(
         )
 
     sub = gen.restricted(support)
+    est = sub.norm_estimate()
     view = sub.frame_view()
 
     def record(i: int, rho: np.ndarray) -> None:
@@ -471,41 +472,40 @@ def evolve(
     rho = rho[np.ix_(support, support)]
     record(0, rho)
     for i in range(1, n_t):
-        rho = _taylor_interval(sub.apply, rho, float(t[i] - t[i - 1]), est, step_scale)
+        rho = _taylor_interval(sub.apply, rho, float(t[i] - t[i - 1]), est)
         record(i, rho)
     return finalize(n_t)
 
 
-def taylor_plan(norm: float, step_scale: float = 1.0) -> tuple[int, int]:
-    """Taylor degree m and sub-interval count s for exp(A) b, ||A|| <= norm.
+def taylor_plan(norm_rate: float, span: float) -> tuple[int, int]:
+    """Taylor degree m and sub-interval count s for exp(span L) b, ||L|| <= norm_rate.
 
-    m and s minimise the number of applications of A, m * s, subject to
-    norm / s <= theta_m (``TAYLOR_THETA``); ties go to the lower degree.
-    ``step_scale`` in (0, 1] then multiplies the sub-interval length: 0.5
-    doubles s at the same degree.  A larger one would stretch the
-    sub-intervals past theta_m, so it is refused.
+    m and s minimise the number of applications of L, m * s, subject to
+    norm_rate * span / s <= theta_m (``TAYLOR_THETA``); ties go to the lower
+    degree.  This is the one row-length rule of the package: a non-finite
+    norm bound, or a span longer than MAX_TAYLOR_INTERVALS sub-intervals of
+    the top degree, raises StepUnderflowError, the latter naming the longest
+    span that fits (rounded down to three digits).
     """
-    if not 0.0 < step_scale <= 1.0:
-        raise InvalidModelError(f"step_scale {step_scale!r} must lie in (0, 1]")
-    if not 0.0 <= norm < math.inf:
-        raise StepUnderflowError(f"unusable norm bound {norm!r}")
+    if not 0.0 <= norm_rate < math.inf:
+        raise StepUnderflowError(f"unusable norm bound {norm_rate:g}")
+    norm = norm_rate * span
     if norm == 0.0:
         return 0, 1
-    m, s = min(
+    longest = MAX_TAYLOR_INTERVALS * TAYLOR_THETA[-1][1] / norm_rate
+    if not span <= longest:
+        from decimal import ROUND_FLOOR, Context  # only a refusal pays its 3 ms import
+        fits = float(Context(prec=3, rounding=ROUND_FLOOR).create_decimal(longest))
+        raise StepUnderflowError(
+            f"a row of {span:.6g} time units is too long for the norm bound "
+            f"{norm_rate:.6g}; rows of at most {fits:.3g} time units fit")
+    return min(
         ((m, math.ceil(norm / theta)) for m, theta in TAYLOR_THETA),
         key=lambda plan: plan[0] * plan[1],
     )
-    scaled = s / step_scale
-    if not scaled <= MAX_TAYLOR_INTERVALS:
-        raise StepUnderflowError(
-            f"{scaled:.3g} Taylor sub-intervals for ||A|| = {norm:.3g} at "
-            f"step_scale {step_scale:g}; the norm estimate is too large to propagate"
-        )
-    return m, math.ceil(scaled)
 
 
-def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float,
-                     step_scale: float) -> np.ndarray:
+def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float) -> np.ndarray:
     """exp(span L) rho for a time-independent L with ||L|| <= norm_rate.
 
     Algorithm 3.2 of Al-Mohy and Higham (2011) without shift or balancing:
@@ -514,7 +514,7 @@ def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float,
     sum.  Norms are Frobenius norms, the ones ``Generator.norm_estimate``
     bounds the superoperator in.
     """
-    m, s = taylor_plan(norm_rate * span, step_scale)
+    m, s = taylor_plan(norm_rate, span)
     h = span / s
     for _ in range(s):
         term = rho
@@ -534,7 +534,6 @@ def equivalence_check(
     gen_b: Generator,
     rho_system: np.ndarray,
     t_grid,
-    **evolve_kwargs,
 ) -> float:
     """Max elementwise deviation of the reduced states of two generators.
 
@@ -545,6 +544,6 @@ def equivalence_check(
     if gen_a.layout.system_dim != gen_b.layout.system_dim:
         raise InvalidModelError("generators act on different system dimensions")
     a, b = (evolve(gen, vacuum_embedding(gen.layout, rho_system), t_grid,
-                   store_states=False, **evolve_kwargs).system_states
+                   store_states=False).system_states
             for gen in (gen_a, gen_b))
     return float(np.abs(a - b).max())

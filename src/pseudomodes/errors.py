@@ -58,7 +58,7 @@ class TruncationGuardError(EngineError):
 
 
 class StepUnderflowError(EngineError):
-    """The stability bound drove the integrator step below a usable size."""
+    """A row is too long for the propagator's step plan, or its norm bound is unusable."""
 
 
 class ConfigError(EngineError):

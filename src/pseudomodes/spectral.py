@@ -27,6 +27,7 @@ so it is checked on a grid and reported, not assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,12 @@ WEIGHT_TOL = 1e-12
 RESIDUE_TOL = 1e-10
 #: Values of D more negative than this on the check grid count as violations.
 POSITIVITY_FLOOR = -1e-12
+
+
+def _square_is_finite(x) -> bool:
+    """Whether x * x is finite, as the density's denominators need."""
+    x = float(x)
+    return math.isfinite(x * x)
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,12 @@ class LorentzianTerm:
             raise InvalidModelError(
                 f"Lorentzian width must be positive, got {self.width}"
             )
-        for name in ("weight", "center", "width"):
+        if not np.isfinite(self.weight):
+            raise InvalidModelError(f"Lorentzian weight must be finite, got {self.weight}")
+        for name in ("center", "width"):
             v = getattr(self, name)
-            if not np.isfinite(v):
-                raise InvalidModelError(f"Lorentzian {name} must be finite, got {v}")
+            if not _square_is_finite(v):
+                raise InvalidModelError(f"Lorentzian {name} must have a finite square, got {v}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +110,9 @@ class Pole:
     residue: complex
 
     def __post_init__(self):
-        if not (np.isfinite(self.z.real) and np.isfinite(self.z.imag)):
-            raise InvalidModelError(f"pole location must be finite, got {self.z}")
+        if not (_square_is_finite(self.z.real) and _square_is_finite(self.z.imag)):
+            raise InvalidModelError(
+                f"pole center and width must have finite squares, got {self.z}")
         if not self.z.imag < 0.0:
             raise InvalidModelError(
                 f"pole must lie strictly in the lower half plane, got {self.z}"

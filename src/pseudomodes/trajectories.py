@@ -40,9 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_complex_matrix, frozen, validate_grid
-from .errors import ClassificationError, InvalidModelError, StepUnderflowError
-from .dynamics import (MAX_TAYLOR_INTERVALS, TAYLOR_THETA, Generator, _taylor_interval,
-                       truncation_guard)
+from .errors import ClassificationError, InvalidModelError
+from .dynamics import TAYLOR_THETA, Generator, _taylor_interval, taylor_plan, truncation_guard
 from .hilbert import Sector
 
 #: Relative precision of the jump times.
@@ -103,10 +102,11 @@ class NoJumpPropagator:
     ``TAYLOR_THETA``, where the series needs a single sub-interval; a longer
     span is the square of the half span.  No eigendecomposition is involved,
     so a defective drift (an exceptional point) is propagated like any other.
-    A span that needs more than ``MAX_TAYLOR_INTERVALS`` sub-intervals, the
-    bound ``taylor_plan`` puts on them, is refused with StepUnderflowError.
-    ``mcwf_run`` builds it from the drift on the reachable support, so d
-    here is |S|.  The ``PROPAGATOR_CACHE`` most recently used exponentials
+    A span is checked by ``taylor_plan`` on ||D||_F first, so a non-finite
+    norm or a span too long for the Taylor plan is refused with the same
+    StepUnderflowError as a row of ``evolve``.  ``mcwf_run`` builds it from
+    the drift on the reachable support, so d here is |S|.  The
+    ``PROPAGATOR_CACHE`` most recently used exponentials
     are kept: PROPAGATOR_CACHE d**2 complex numbers, 0.2 MB at d = 18 and
     35 MB at d = 242; 10 kB for the |S| = 4 of a band gap started with one
     excitation.  ``apply`` takes a ket or an (n, d) stack of kets and multiplies
@@ -119,20 +119,18 @@ class NoJumpPropagator:
     def __init__(self, drift: np.ndarray):
         d = as_complex_matrix(drift, "drift")
         self._a = -1j * d
-        self._norm = float(np.linalg.norm(d))
+        with np.errstate(over="ignore"):  # an overflow is inf, which _exp refuses
+            self._norm = float(np.linalg.norm(d))
         self._cache: OrderedDict[float, np.ndarray] = OrderedDict()
 
     def _exp(self, dt: float) -> np.ndarray:
+        taylor_plan(self._norm, dt)  # the row-length rule of evolve
         halvings = 0
         while self._norm * math.ldexp(dt, -halvings) > TAYLOR_THETA[-1][1]:
             halvings += 1
-        if 2**halvings > MAX_TAYLOR_INTERVALS:
-            raise StepUnderflowError(
-                f"a span of {dt:.6g} time units needs 2**{halvings} no-jump "
-                f"sub-intervals, more than {MAX_TAYLOR_INTERVALS}; raise run.n_steps")
         a = self._a
         u = _taylor_interval(lambda x: a @ x, np.eye(a.shape[0], dtype=complex),
-                             math.ldexp(dt, -halvings), self._norm, 1.0)
+                             math.ldexp(dt, -halvings), self._norm)
         for _ in range(halvings):
             u = u @ u
         return u

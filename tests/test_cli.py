@@ -27,9 +27,11 @@ from pseudomodes.cli import (
     _observable_ops,
 )
 from pseudomodes.errors import ClassificationError, RegularizationError
-from pseudomodes.dynamics import FRAMES, KINDS, build_generator, taylor_plan
-from pseudomodes.hilbert import SpaceLayout
+from pseudomodes.dynamics import (FRAMES, KINDS, MAX_TAYLOR_INTERVALS, Generator,
+                                  build_generator, taylor_plan)
+from pseudomodes.hilbert import SpaceLayout, basis_state
 from pseudomodes.mapping import build_discrete_modes, two_mode_regularize
+from pseudomodes.trajectories import NoJumpPropagator
 
 SINGLE_DOC = {
     "spectral": {
@@ -96,7 +98,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.n_steps == 100
     assert cfg.fock_levels == 2
     assert cfg.initial_level == 1
-    assert cfg.step_scale == 1.0
     assert cfg.n_traj == 500
     assert cfg.seed == 0
     assert cfg.out_path is None
@@ -123,10 +124,10 @@ def test_load_config_rejections(tmp_path):
         load_config(write_doc(tmp_path, with_run(SINGLE_DOC, n_steps=0), "e.yaml"))
     with pytest.raises(ConfigError):
         load_config(write_doc(tmp_path, with_run(SINGLE_DOC, initial_level=7), "f.yaml"))
-    with pytest.raises(ConfigError):
-        load_config(write_doc(tmp_path, with_run(SINGLE_DOC, step_scale=0.0), "g.yaml"))
-    with pytest.raises(ConfigError):
-        load_config(write_doc(tmp_path, with_run(SINGLE_DOC, step_scale=2.0), "g.yaml"))
+    with pytest.raises(ConfigError, match=r"^run\.fock_levels must be at least 1"):
+        load_config(write_doc(tmp_path, with_run(SINGLE_DOC, fock_levels=0), "g.yaml"))
+    with pytest.raises(ConfigError, match=r"^run\.fock_levels\[1\] must be at least 1"):
+        load_config(write_doc(tmp_path, with_run(BAND_GAP_DOC, fock_levels=[2, -1]), "g.yaml"))
     # physically inconsistent model data also surfaces as a config error
     doc = {
         "spectral": SINGLE_DOC["spectral"],
@@ -141,8 +142,6 @@ def test_load_config_rejections(tmp_path):
 @pytest.mark.parametrize("block,key,value", [
     ("run", "t_max", math.nan),
     ("run", "t_max", math.inf),
-    ("run", "step_scale", math.nan),
-    ("run", "step_scale", math.inf),
     ("trajectories", "seed", -1),
 ])
 def test_bad_numeric_values_exit_2_naming_the_key(tmp_path, capsys, block, key,
@@ -177,8 +176,8 @@ def doc_with(tmp_path, path, value):
 
 @pytest.mark.parametrize("path", [
     "trajectory", "spectral.poles", "spectral.terms[0].wdth", "spectral.poles[0].weight",
-    "system.channel", "system.channels[0].freq", "run.n_step", "trajectories.ntraj",
-    "output.paths",
+    "system.channel", "system.channels[0].freq", "run.n_step", "run.step_scale",
+    "trajectories.ntraj", "output.paths",
 ])
 def test_unknown_keys_exit_2_naming_the_key_path(tmp_path, capsys, path):
     config = doc_with(tmp_path, path, 3)
@@ -215,7 +214,7 @@ def test_readme_config_block_loads(tmp_path):
 
 #: The numeric fields of the run and trajectories blocks.
 NUMERIC_FIELDS = [f"run.{k}" for k in
-                  ("t_max", "n_steps", "fock_levels", "initial_level", "step_scale")]
+                  ("t_max", "n_steps", "fock_levels", "initial_level")]
 NUMERIC_FIELDS += ["trajectories.n_traj", "trajectories.seed"]
 
 _field_values = st.one_of(
@@ -256,7 +255,19 @@ BREAKAGES = (
     ("run", "fock_levels", 0),
     ("trajectories", "n_traj", 0),
     ("trajectories", "seed", -1),
+    ("spectral", "terms", [{"weight": 1.0, "center": 1.0, "width": 1e300}]),
+    ("spectral", "terms", [{"weight": 1.0, "center": 1e300, "width": 1.0}]),
 )
+
+
+@pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
+@pytest.mark.parametrize("block,key,value", BREAKAGES)
+def test_every_command_refuses_each_breakage(tmp_path, capsys, block, key, value, command):
+    doc = with_run(SINGLE_DOC, t_max=1.0, n_steps=10)
+    doc["trajectories"] = {"n_traj": 5}
+    doc[block][key] = value
+    assert main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.out")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 @st.composite
@@ -367,8 +378,8 @@ def test_validate_horizon_stops_at_t_max(tmp_path, monkeypatch):
     spans = []
     plan = taylor_plan
 
-    def counting(norm, step_scale=1.0):
-        m, s = plan(norm, step_scale)
+    def counting(norm_rate, span):
+        m, s = plan(norm_rate, span)
         assert s <= 1, f"{s} Taylor sub-intervals in one row"
         spans.append(s)
         return m, s
@@ -607,45 +618,77 @@ def test_validate_builds_each_generator_once(tmp_path, monkeypatch):
     assert built == ["lindblad_direct"]
 
 
-@pytest.mark.parametrize("step_scale", [1.0, 0.3, 8.7e-6])
-def test_evolve_refuses_a_long_row_naming_n_steps_that_fit(tmp_path, capsys, step_scale):
-    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
-    doc["run"].update(t_max=1e6, n_steps=1, step_scale=step_scale)
-    path = write_doc(tmp_path, doc)
-    assert main(["evolve", path, "--out", str(tmp_path / "long.csv")]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "Taylor sub-intervals" in err
-    named = int(err.split("run.n_steps to at least ")[1].split()[0])
-    norm = build_model(load_config(path)).norm_estimate() * 1e6
-    taylor_plan(norm / named, step_scale)  # rows of t_max / named are accepted
-    with pytest.raises(pseudomodes.errors.StepUnderflowError):
-        taylor_plan(norm / (named - 1), step_scale)  # and named is the smallest such count
+#: band_gap.yaml changes whose rows need more than MAX_TAYLOR_INTERVALS Taylor
+#: sub-intervals: one row of 1e300 time units, or couplings of 1e150.
+LONG_ROWS = {
+    "t_max": lambda doc: doc["run"].update(t_max=1e300, n_steps=1),
+    "strength": lambda doc: doc["system"]["channels"][0].update(strength=1e150),
+}
 
 
-def test_evolve_refuses_a_step_scale_no_row_length_fits(tmp_path, capsys):
-    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
-    doc["run"].update(t_max=1.0, n_steps=10, step_scale=1e-7)
-    path = write_doc(tmp_path, doc)
-    assert main(["evolve", path, "--out", str(tmp_path / "tiny.csv")]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "step_scale 1e-07" in err
-
-
-@pytest.mark.parametrize("t_max", [1e12, 1e300])
-def test_trajectories_refuse_a_row_too_long_for_the_no_jump_propagator(tmp_path, capsys,
-                                                                       t_max):
-    # exp(-i D dt) is the 2**k-th power of exp(-i D dt / 2**k); beyond
-    # 2**k = MAX_TAYLOR_INTERVALS the squarings lost the norm (a no-jump norm
-    # of 0.66634 for the exact 2/3 at t_max = 1e12).
+@pytest.mark.parametrize("command,case", [
+    ("evolve", "t_max"), ("trajectories", "t_max"),
+    ("evolve", "strength"), ("trajectories", "strength"), ("validate", "strength"),
+])
+def test_long_rows_are_refused_naming_the_longest_row_that_fits(tmp_path, capsys,
+                                                                monkeypatch, command, case):
     doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
-    doc["run"].update(t_max=t_max, n_steps=1)
+    LONG_ROWS[case](doc)
     path = write_doc(tmp_path, doc)
-    assert main(["trajectories", path, "--out", str(tmp_path / "long.csv")]) == 2
+    norms = []
+    plan = taylor_plan
+
+    def spy(norm_rate, span):
+        norms.append(norm_rate)
+        return plan(norm_rate, span)
+
+    monkeypatch.setattr(pseudomodes.dynamics, "taylor_plan", spy)
+    monkeypatch.setattr(pseudomodes.trajectories, "taylor_plan", spy)
+    assert main([command, path, "--out", str(tmp_path / "long.out")]) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "no-jump sub-intervals" in err and "run.n_steps" in err
+    match = re.fullmatch(r"error: a row of \S+ time units is too long for the norm bound "
+                         r"\S+; rows of at most (\S+) time units fit\n", err)
+    assert match, err
+    named = float(match.group(1))
+    # The norm bound the refusing propagator planned on accepts the named row.
+    assert plan(norms[-1], named)[1] <= MAX_TAYLOR_INTERVALS
+    if command == "trajectories":  # and the no-jump propagator runs it
+        gen = build_model(load_config(path))
+        psi = basis_state(gen.layout, 1)
+        support = gen.reachable_support(psi)
+        prop = NoJumpPropagator(gen.restricted(support).drift())
+        assert np.isfinite(prop.apply(psi[support], named)).all()
+
+
+@pytest.mark.parametrize("command", ["evolve", "trajectories", "validate"])
+def test_an_infinite_norm_bound_is_refused_alike(tmp_path, capsys, command):
+    doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    doc["system"]["energies"] = [0.0, 1e300]
+    assert main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.out")]) == 2
+    assert capsys.readouterr().err == "error: unusable norm bound inf\n"
+
+
+def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monkeypatch):
+    # |S| = 4 at every cutoff: the same plan, the same applications, the same bits
+    calls = []
+    apply = Generator.apply
+
+    def counting(self, rho):
+        calls.append(rho.shape)
+        return apply(self, rho)
+
+    monkeypatch.setattr(Generator, "apply", counting)
+    doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    rows = {}
+    for levels in (2, 6):
+        doc["run"]["fock_levels"] = levels
+        out = tmp_path / f"fock{levels}.csv"
+        calls.clear()
+        assert main(["evolve", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        assert len(calls) == 1802 and set(calls) == {(4, 4)}
+        rows[levels] = out.read_bytes()
+    capsys.readouterr()
+    assert rows[2] == rows[6]
 
 
 def test_deeply_nested_yaml_is_a_config_error(tmp_path, capsys):

@@ -233,11 +233,13 @@ def test_interaction_frame_needs_the_free_hamiltonian():
 
 def test_step_halving_is_converged():
     gen, layout = tls_direct()
-    t = np.linspace(0.0, 2.5, 26)
     rho0 = vacuum_embedding(layout, EE)
-    full = evolve(gen, rho0, t, observables={"ee": EE}, store_states=False)
-    half = evolve(gen, rho0, t, observables={"ee": EE}, store_states=False, step_scale=0.5)
-    assert np.abs(full.observables["ee"] - half.observables["ee"]).max() < 1e-8
+    full = evolve(gen, rho0, np.linspace(0.0, 2.5, 26), observables={"ee": EE},
+                  store_states=False)
+    half = evolve(gen, rho0, np.linspace(0.0, 2.5, 51), observables={"ee": EE},
+                  store_states=False)
+    # twice the rows, compared at the shared times
+    assert np.abs(full.observables["ee"] - half.observables["ee"][::2]).max() < 1e-8
 
 
 def test_exact_action_matches_the_dense_superoperator():
@@ -292,8 +294,8 @@ def test_autonomous_evolve_cost_follows_rows(monkeypatch):
     assert 0 < full <= 60 * (t.size - 1)  # the Taylor plan of each row, no more
     assert set(calls) == {(4, 4)}  # |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
     calls.clear()
-    evolve(gen, rho0, t, store_states=False, step_scale=0.5)
-    assert len(calls) > full  # halving the sub-interval is a distinct computation
+    evolve(gen, rho0, np.linspace(0.0, 20.0, 401), store_states=False)
+    assert full < len(calls) <= 60 * 400  # twice the rows: each row's plan, no more
 
 
 def test_reachable_support_is_the_one_excitation_sector():
@@ -342,7 +344,7 @@ def test_restricted_row_matches_the_full_space_row(frame):
         res = evolve(gen, rho0, [0.0, dt])
         row = embedded(res.states[1], res.support, layout.dim)
         # The unrestricted propagation of the same row, seen in the same frame.
-        full = _taylor_interval(gen.apply, rho0, dt, gen.norm_estimate(), 1.0)
+        full = _taylor_interval(gen.apply, rho0, dt, gen.norm_estimate())
         view = gen.frame_view()
         if view is not None:
             full = view(full, dt)
@@ -350,16 +352,29 @@ def test_restricted_row_matches_the_full_space_row(frame):
 
 
 def test_taylor_plan_minimises_applications():
-    assert taylor_plan(0.0) == (0, 1)
-    assert taylor_plan(3.33) == (30, 1)
-    assert taylor_plan(3.33, step_scale=0.5) == (30, 2)
-    assert taylor_plan(8.3) == (50, 1)
-    assert taylor_plan(1000.0) == (55, 102)
+    assert taylor_plan(0.0, 1.0) == (0, 1)
+    assert taylor_plan(3.33, 1.0) == taylor_plan(1.0, 3.33) == (30, 1)
+    assert taylor_plan(3.33, 2.0) == (45, 1)
+    assert taylor_plan(8.3, 1.0) == (50, 1)
+    assert taylor_plan(1000.0, 1.0) == (55, 102)
     for bad in (math.inf, math.nan, -1.0):
-        with pytest.raises(StepUnderflowError):
-            taylor_plan(bad)
-    with pytest.raises(StepUnderflowError):
-        taylor_plan(3.33, step_scale=1e-300)
+        with pytest.raises(StepUnderflowError, match=r"^unusable norm bound (inf|nan|-1)$"):
+            taylor_plan(bad, 1.0)
+
+
+def test_taylor_plan_names_the_longest_row_that_fits():
+    # 10**6 sub-intervals of the top degree, theta_55 = 9.9, at ||L|| = 1
+    assert taylor_plan(1.0, 9.9e6) == (55, 1_000_000)
+    with pytest.raises(StepUnderflowError) as err:
+        taylor_plan(1.0, 1e7)
+    assert str(err.value) == ("a row of 1e+07 time units is too long for the norm bound 1; "
+                              "rows of at most 9.9e+06 time units fit")
+    # the named row is rounded down, so it fits where the exact limit is not decimal
+    for norm_rate in (14.4853, 2e150, 3.0, 7e-290):
+        with pytest.raises(StepUnderflowError) as err:
+            taylor_plan(norm_rate, 1e300)
+        named = float(str(err.value).split("rows of at most ")[1].split()[0])
+        assert taylor_plan(norm_rate, named)[1] <= 1_000_000
 
 
 def test_truncation_guard_aborts_with_partial_prefix():
@@ -392,9 +407,6 @@ def test_evolve_validates_inputs():
         evolve(gen, bad, np.array([0.0, 1.0]))  # hermiticity
     with pytest.raises(InvalidModelError):
         evolve(gen, rho0, np.array([0.0, 1.0]), observables={"x": np.ones((3, 3))})
-    for bad in (0.0, -1.0, math.nan, math.inf, 2.0):
-        with pytest.raises(InvalidModelError):
-            evolve(gen, rho0, np.array([0.0, 1.0]), step_scale=bad)
 
 
 def test_store_states_flag():

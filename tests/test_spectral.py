@@ -71,6 +71,16 @@ def test_lorentzian_term_requires_positive_width():
         LorentzianTerm(weight=1.0, center=0.0, width=0.0)
 
 
+@pytest.mark.parametrize("center,width", [(1e300, 1.0), (1.0, 1e300), (-2e154, 1.0),
+                                          (np.nan, 1.0)])
+def test_centers_and_widths_need_finite_squares(center, width):
+    # eval_density squares both; an overflow there was a traceback
+    with pytest.raises(InvalidModelError, match="finite square"):
+        LorentzianTerm(weight=1.0, center=center, width=width)
+    with pytest.raises(InvalidModelError, match="finite squares"):
+        Pole(z=complex(center, -width), residue=1j)
+
+
 def test_density_integral_is_two_pi():
     # the unit-weight convention normalizes the full integral to 2*pi
     for density in (SINGLE, BAND_GAP):
