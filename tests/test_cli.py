@@ -142,6 +142,8 @@ def test_load_config_rejections(tmp_path):
 @pytest.mark.parametrize("block,key,value", [
     ("run", "t_max", math.nan),
     ("run", "t_max", math.inf),
+    ("run", "step_scale", math.nan),  # a deleted key: refused as unknown, by name
+    ("run", "step_scale", math.inf),
     ("trajectories", "seed", -1),
 ])
 def test_bad_numeric_values_exit_2_naming_the_key(tmp_path, capsys, block, key,
@@ -658,6 +660,21 @@ def test_long_rows_are_refused_naming_the_longest_row_that_fits(tmp_path, capsys
         support = gen.reachable_support(psi)
         prop = NoJumpPropagator(gen.restricted(support).drift())
         assert np.isfinite(prop.apply(psi[support], named)).all()
+
+
+@pytest.mark.parametrize("t_max", [1e12, 1e300])
+def test_trajectories_refuse_a_row_too_long_for_the_no_jump_propagator(tmp_path, capsys,
+                                                                       t_max):
+    # exp(-i D dt) is the 2**k-th power of exp(-i D dt / 2**k); beyond
+    # MAX_TAYLOR_INTERVALS sub-intervals the squarings would lose the norm (a
+    # no-jump norm of 0.66634 for the exact 2/3 at t_max = 1e12).
+    doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    doc["run"].update(t_max=t_max, n_steps=1)
+    path = write_doc(tmp_path, doc)
+    assert main(["trajectories", path, "--out", str(tmp_path / "long.csv")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: a row of \S+ time units is too long for the norm bound "
+                        r"\S+; rows of at most \S+ time units fit\n", err), err
 
 
 @pytest.mark.parametrize("command", ["evolve", "trajectories", "validate"])
