@@ -47,10 +47,7 @@ from .hilbert import (
     basis_state,
     destroy,
     eigenoperator,
-    embed,
-    embed_system,
     expectation,
-    mode_ops,
     vacuum_embedding,
 )
 from .dynamics import (
@@ -60,7 +57,6 @@ from .dynamics import (
     build_generator,
     equivalence_check,
     evolve,
-    free_hamiltonian_diagonal,
     rotate_frame,
 )
 from .trajectories import (
@@ -119,17 +115,13 @@ __all__ = [
     "destroy",
     "discretized_bath_solve",
     "eigenoperator",
-    "embed",
-    "embed_system",
     "equivalence_check",
     "eval_density",
     "evolve",
     "expectation",
-    "free_hamiltonian_diagonal",
     "lorentzian_to_poles",
     "mcwf_run",
     "mode_correlation",
-    "mode_ops",
     "rotate_frame",
     "single_excitation_solve",
     "two_mode_regularize",

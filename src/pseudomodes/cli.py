@@ -404,12 +404,18 @@ def _layout_for(cfg: RunConfig, n_modes: int) -> SpaceLayout:
     return SpaceLayout(cfg.system.dim, levels)
 
 
+def _start(cfg: RunConfig, layout: SpaceLayout) -> list[tuple[int, ...]]:
+    """The label of the initial state: the initial level with every mode in vacuum."""
+    return [(cfg.initial_level,) + (0,) * layout.n_modes]
+
+
 def build_model(cfg: RunConfig) -> Generator:
-    """The generator a config describes; it carries its layout and kind."""
+    """The generator a config describes, on the sector of its initial state;
+    it carries its sector and kind."""
     modes = build_discrete_modes(cfg.pole_set, cfg.system.strengths)
     mode_set = resolve_generator_kind(cfg.generator_kind, modes)
     layout = _layout_for(cfg, len(modes))
-    return build_generator(cfg.system, mode_set, layout, cfg.frame)
+    return build_generator(cfg.system, mode_set, layout, _start(cfg, layout), cfg.frame)
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
@@ -568,7 +574,7 @@ def cmd_evolve(cfg: RunConfig, out_override: str | None = None) -> RunOutput:
         gen = build_model(cfg)
         rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
         rho_s[cfg.initial_level, cfg.initial_level] = 1.0
-        return evolve(gen, vacuum_embedding(gen.layout, rho_s), _time_grid(cfg),
+        return evolve(gen, vacuum_embedding(gen.sector, rho_s), _time_grid(cfg),
                       observables=ops, store_states=False)
 
     return _write_trace(cfg, out_override, run)
@@ -581,7 +587,7 @@ def cmd_trajectories(cfg: RunConfig, out_override: str | None = None,
         gen = build_model(cfg)
         seed = cfg.seed if seed_override is None else seed_override
         traj_cfg = TrajectoryConfig(n_traj=cfg.n_traj, seed=seed, times=_time_grid(cfg))
-        return mcwf_run(gen, basis_state(gen.layout, cfg.initial_level), traj_cfg,
+        return mcwf_run(gen, basis_state(gen.sector, cfg.initial_level), traj_cfg,
                         observables=ops)
 
     return _write_trace(cfg, out_override, run)
@@ -700,10 +706,11 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
     rho_s[cfg.initial_level, cfg.initial_level] = 1.0
     layout = _layout_for(cfg, len(modes))
+    start = _start(cfg, layout)
     rotated = None
     if regularized is not None:
-        uncorrected = build_generator(cfg.system, modes, layout)
-        rotated = build_generator(cfg.system, regularized, layout)
+        uncorrected = build_generator(cfg.system, modes, layout, start)
+        rotated = build_generator(cfg.system, regularized, layout, start)
         dev = equivalence_check(uncorrected, rotated, rho_s, eq_grid)
         checks.append(_check(
             "generator_equivalence", dev, EQUIVALENCE_TOL,
@@ -721,9 +728,9 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     if cfg.system.dim == 2 and cfg.system.n_channels == 1 and cfg.initial_level == 1:
         # The generator "auto" would build, reusing the rotated one above.
         gen = rotated if rotated is not None else build_generator(
-            cfg.system, modes, layout)
+            cfg.system, modes, layout, start)
         pop_grid = np.linspace(0.0, horizon, 51)
-        res = evolve(gen, vacuum_embedding(layout, rho_s), pop_grid,
+        res = evolve(gen, vacuum_embedding(gen.sector, rho_s), pop_grid,
                      observables={"ee": np.diag([0.0, 1.0])}, store_states=False)
         amp = single_excitation_solve(
             modes, cfg.system.strengths[0], cfg.system.frequencies[0], pop_grid)

@@ -25,15 +25,17 @@ state: in the interaction frame each recorded state is
 rho_I(t) = exp(i H0 t) rho(t) exp(-i H0 t) with H0 = H_S0 + sum_l xi_l n_l
 over the modes the generator was built from.
 
-Propagation runs on the reachable support S of the initial state: the basis
-states that D_l, D_r^T and the jumps can reach from its nonzero rows and
-columns (``Generator.reachable_support``).  Because S is closed, L maps the
-S x S block into itself and every entry outside it stays exactly 0.0, so
-propagating the block alone is exact.  One excitation with every mode in
-vacuum stays in the one-excitation sector plus the ground state (Garraway,
-PRA 55, 2290 (1997)): 4 of the 18 basis states of a two-mode band gap.  A
-state with full support has S = every index.  Every recorded quantity is
-read from the block as well, through one ``hilbert.Sector``.
+Every generator is built on the sector S of its start: the product labels
+(level, n_1 ... n_N) within the cutoffs that the terms of L reach from the
+labels ``start`` (``build_generator``).  Because S is closed, L maps the
+S x S block into itself and every entry outside it stays exactly 0.0, so the
+S x S blocks of A, K and the jumps propagate the state exactly.  One
+excitation with every mode in vacuum stays in the one-excitation sector plus
+the ground state (Garraway, PRA 55, 2290 (1997)): 4 of the 18 basis states
+of a two-mode band gap, and 5 of 1,458 for three modes at Fock cutoff 8.
+The full space is the sector of every label.  The initial state is handed
+over on the generator's sector, and every recorded quantity is read from
+the block through the same ``hilbert.Sector``.
 
 Every generator is propagated exactly: each output row is
 rho(t + dt) = exp(dt L) rho(t), evaluated as a truncated Taylor series that
@@ -66,10 +68,9 @@ from .hilbert import (
     Sector,
     SpaceLayout,
     SystemSpec,
+    destroy,
     eigenoperator,
-    embed_system,
     expectation,
-    mode_ops,
     vacuum_embedding,
 )
 from .mapping import ModeSet
@@ -103,19 +104,19 @@ class Generator:
     """Concrete generator: matrices for A and K plus scaled jump channels.
 
     Instances are immutable by convention; every array is kept internally and
-    never handed out for mutation.  ``apply`` is deliberately matrix-free in
+    never handed out for mutation.  Every matrix is an S x S block on
+    ``sector``, so d below is |S|.  ``apply`` is deliberately matrix-free in
     the superoperator sense: it performs only d x d matrix products, so the
-    memory footprint stays O(d**2) rather than O(d**4).  d is ``layout.dim``
-    for a built generator and |S| for one ``restricted`` to an invariant
-    block S x S.  ``h0`` is the diagonal of the free Hamiltonian H0 that the
-    interaction frame rotates with; the Schrodinger frame does not need it.
+    memory footprint stays O(d**2) rather than O(d**4).  ``h0`` is the
+    diagonal of the free Hamiltonian H0 that the interaction frame rotates
+    with; the Schrodinger frame does not need it.
     """
 
     def __init__(
         self,
         kind: str,
         frame: str,
-        layout: SpaceLayout,
+        sector: Sector,
         static_both: np.ndarray,
         damping: np.ndarray,
         channels: tuple[tuple[float, np.ndarray], ...],
@@ -127,12 +128,12 @@ class Generator:
             raise InvalidModelError(f"unknown frame {frame!r}")
         self.kind = kind
         self.frame = frame
-        self.layout = layout
+        self.sector = sector
         self.static_both = as_complex_matrix(static_both, "static part")
         self.damping = as_complex_matrix(damping, "damping part")
-        d = self.static_both.shape[0]
-        if self.damping.shape != (d, d):
-            raise InvalidModelError("generator matrices must have one shape")
+        d = sector.dim
+        if self.static_both.shape != (d, d) or self.damping.shape != (d, d):
+            raise InvalidModelError(f"generator matrices must be {d} x {d}, one row per state")
         if not is_hermitian(self.damping, 1e-12):
             raise InvalidModelError("damping part K must be Hermitian")
         self.channels = tuple((float(r), as_complex_matrix(b)) for r, b in channels)
@@ -174,47 +175,6 @@ class Generator:
         """Non-Hermitian drift A - iK governing no-jump evolution."""
         return self._left
 
-    def reachable_support(self, state: np.ndarray) -> np.ndarray:
-        """The sorted basis indices S that propagation from ``state`` reaches.
-
-        S starts from the rows and columns where the density matrix (or the
-        ket) ``state`` is nonzero and is closed under the exact nonzero
-        patterns of D_l, D_r^T and every jump with a positive rate.  L then
-        maps a density supported on S x S into S x S, so every entry outside
-        the block stays exactly 0.0.
-        """
-        nonzero = np.asarray(state) != 0
-        reached = nonzero if nonzero.ndim == 1 else nonzero.any(axis=0) | nonzero.any(axis=1)
-        step = (self._left != 0) | (self._right.T != 0)
-        for jop, _ in self._jumps:
-            step |= jop != 0
-        while True:
-            grown = reached | step[:, reached].any(axis=1)
-            if np.array_equal(grown, reached):
-                return np.flatnonzero(reached)
-            reached = grown
-
-    def restricted(self, support: np.ndarray) -> Generator:
-        """The generator on the block ``support`` x ``support``.
-
-        ``support`` indexes this generator's basis and should come from
-        ``reachable_support``: only then is the block invariant and its
-        propagation exact.  Every index gives this generator itself.
-        """
-        s = np.asarray(support)
-        if s.size == self.dim:
-            return self
-        block = np.ix_(s, s)
-        return Generator(
-            kind=self.kind,
-            frame=self.frame,
-            layout=self.layout,
-            static_both=self.static_both[block],
-            damping=self.damping[block],
-            channels=tuple((rate, b[block]) for rate, b in self.channels),
-            h0=None if self.h0 is None else self.h0[s],
-        )
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Evaluate L[rho]."""
         out = -1j * (self._left @ rho - rho @ self._right)
@@ -254,32 +214,66 @@ def _check_consistency(system: SystemSpec, modes: ModeSet, layout: SpaceLayout) 
             )
 
 
-def _mode_bilinear(ops, m: np.ndarray) -> np.ndarray:
-    """sum_lm M_lm b_l^dag b_m over the nonzero entries of M; ops[l] = (b_l, b_l^dag)."""
-    out = np.zeros_like(ops[0][0])
+def _reachable(system: SystemSpec, modes: ModeSet, couplings, layout: SpaceLayout,
+               start) -> Sector:
+    """The sector of the labels that L reaches from the labels ``start``.
+
+    S is closed under the moves of the terms of D_l = A - iK, of D_r^T and of
+    the jumps: b_l^dag c_j and c_j^dag b_l for every nonzero g_jl,
+    b_l^dag b_m for every nonzero off-diagonal Z_lm (Z = Z^T, so b_m^dag b_l
+    too), and b_l for every positive rate, each kept only within the
+    cutoffs.  L then maps a density supported on S x S into S x S.
+    """
+    unit = np.eye(layout.n_modes, dtype=int)
+    stay = np.eye(system.dim, dtype=bool)
+    # each move: (hops, shift); a label (level, n) goes to every (to, n + shift)
+    # with hops[to, level] and n + shift within the cutoffs
+    moves = [(stay, unit[l] - unit[m])
+             for l, m in zip(*np.nonzero(modes.frequency_matrix)) if l != m]
+    moves += [(stay, -unit[l]) for l in np.flatnonzero(modes.rates > 0.0)]
+    for j in range(system.n_channels):
+        lower = eigenoperator(system, j) != 0
+        for l in np.flatnonzero(couplings[j]):
+            moves += [(lower, unit[l]), (lower.T, -unit[l])]
+    seen = frontier = set(map(tuple, Sector(layout, start).labels.tolist()))
+    while frontier:
+        grown = set()
+        for level, *fock in frontier:
+            for hops, shift in moves:
+                moved = tuple(int(n + k) for n, k in zip(fock, shift))
+                if all(0 <= n <= top for n, top in zip(moved, layout.fock_levels)):
+                    grown.update((int(to), *moved) for to in np.flatnonzero(hops[:, level]))
+        frontier = grown - seen
+        seen = seen | frontier
+    return Sector(layout, seen)
+
+
+def _mode_bilinear(sector: Sector, ladders, m: np.ndarray) -> np.ndarray:
+    """sum_lm M_lm b_l^dag b_m over the nonzero entries of M; ladders[l] = b_l on its factor."""
+    out = np.zeros((sector.dim,) * 2, dtype=complex)
     for l, k in zip(*np.nonzero(m)):
-        out += m[l, k] * (ops[l][1] @ ops[k][0])
+        bdag, b = ladders[l].conj().T, ladders[k]
+        out += m[l, k] * sector.operator(
+            {1 + l: bdag @ b} if l == k else {1 + l: bdag, 1 + k: b})
     return out
 
 
-def _coupling_terms(layout: SpaceLayout, system: SystemSpec, couplings) -> np.ndarray:
+def _coupling_terms(sector: Sector, system: SystemSpec, couplings, ladders) -> np.ndarray:
     """The coupling sum_jl g_jl (c_j^dag b_l + b_l^dag c_j).
 
     The same g multiplies both pieces.  For real couplings this is the
     Hermitian coupling; for complex ones it is the one-sided convention of
     the pathological form.
     """
-    static = np.zeros((layout.dim, layout.dim), dtype=complex)
+    static = np.zeros((sector.dim,) * 2, dtype=complex)
     for j in range(system.n_channels):
-        c = embed_system(layout, eigenoperator(system, j))
-        cdag = c.conj().T
-        for l in range(layout.n_modes):
+        c = eigenoperator(system, j)
+        for l, b in enumerate(ladders):
             g = complex(couplings[j][l])
             if g == 0.0:
                 continue
-            b, bdag = mode_ops(layout, l)
-            forward = g * (cdag @ b)
-            backward = g * (bdag @ c)
+            forward = g * sector.operator({0: c.conj().T, 1 + l: b})
+            backward = g * sector.operator({0: c, 1 + l: b.conj().T})
             static += forward + backward
     return static
 
@@ -288,11 +282,16 @@ def build_generator(
     system: SystemSpec,
     modes: ModeSet,
     layout: SpaceLayout,
+    start,
     frame: str = "schrodinger",
 ) -> Generator:
-    """Generator of the auxiliary master equation; its kind follows from ``modes``.
+    """Generator of the auxiliary master equation on the sector of ``start``;
+    its kind follows from ``modes``.
 
-    With Z = H - i*Gamma, A = H_S + sum_lm H_lm b_l^dag b_m + coupling,
+    ``start`` lists the product labels (level, n_1 ... n_N) the initial state
+    occupies; the generator's ``sector`` is what L reaches from them within
+    the cutoffs of ``layout``, and every matrix is its S x S block.  With
+    Z = H - i*Gamma, A = H_S + sum_lm H_lm b_l^dag b_m + coupling,
     K = sum_lm Gamma_lm b_l^dag b_m, and one channel b_l at rate Gamma_ll per
     mode, zero rates included (``ModeSet`` keeps Gamma diagonal).  Complex
     couplings give ``pathological``; real ones give ``lindblad_regularized``
@@ -307,31 +306,25 @@ def build_generator(
         hopping = np.any(z.real[~np.eye(len(modes), dtype=bool)] != 0.0)
         kind = "lindblad_regularized" if hopping else "lindblad_direct"
         g = g.real
-    ops = [mode_ops(layout, l) for l in range(len(modes))]
-    static = embed_system(layout, system.bare_hamiltonian)
-    static += _mode_bilinear(ops, z.real)
-    static += _coupling_terms(layout, system, g)
+    sector = _reachable(system, modes, g, layout, start)
+    ladders = [destroy(n) for n in layout.fock_levels]
+    static = sector.operator(system.bare_hamiltonian)
+    static += _mode_bilinear(sector, ladders, z.real)
+    static += _coupling_terms(sector, system, g, ladders)
+    # H0 = H_S0 + sum_l xi_l n_l, the diagonal the interaction frame rotates with
+    h0 = np.asarray(system.energies, dtype=float)[sector.labels[:, 0]]
+    for l, xi in enumerate(modes.frequencies):
+        h0 = h0 + xi * sector.labels[:, 1 + l]
     return Generator(
         kind=kind,
         frame=frame,
-        layout=layout,
+        sector=sector,
         static_both=static,
-        damping=_mode_bilinear(ops, -z.imag),
-        channels=tuple((float(r), b) for r, (b, _) in zip(modes.rates, ops)),
-        h0=free_hamiltonian_diagonal(layout, system, modes.frequencies),
+        damping=_mode_bilinear(sector, ladders, -z.imag),
+        channels=tuple((float(r), sector.operator({1 + l: b}))
+                       for l, (r, b) in enumerate(zip(modes.rates, ladders))),
+        h0=h0,
     )
-
-
-def free_hamiltonian_diagonal(
-    layout: SpaceLayout, system: SystemSpec, mode_frequencies
-) -> np.ndarray:
-    """Diagonal of H0 = H_S0 + sum_l xi_l n_l in the product basis."""
-    if len(mode_frequencies) != layout.n_modes:
-        raise InvalidModelError("one frequency per mode is required")
-    diag = np.array(system.energies, dtype=float)
-    for xi, n_max in zip(mode_frequencies, layout.fock_levels):
-        diag = np.add.outer(diag, xi * np.arange(n_max + 1)).ravel()
-    return diag
 
 
 def rotate_frame(rho: np.ndarray, h0_diag: np.ndarray, t: float) -> np.ndarray:
@@ -344,7 +337,8 @@ def rotate_frame(rho: np.ndarray, h0_diag: np.ndarray, t: float) -> np.ndarray:
 class EvolutionResult:
     """Densities and derived quantities on the requested time grid; ``states``
     (None without ``store_states``) holds their (n_t, |S|, |S|) blocks on the
-    reachable support ``support``, outside of which every entry is 0."""
+    generator's sector, whose indices in the product space are ``support``;
+    every entry outside the block is 0."""
 
     times: np.ndarray
     support: np.ndarray
@@ -401,13 +395,13 @@ def evolve(
 ) -> EvolutionResult:
     """Propagate d rho / dt = L[rho] over the grid.
 
-    Each row is advanced from the last by the exact action exp(dt L) rho on
-    the block of rho on S = ``gen.reachable_support(rho0)``, planned with the
-    norm bound of the generator restricted to S, and recorded from that
-    block: every entry outside it is 0, so no d x d matrix is formed.  Every
-    recorded quantity is taken from the state as seen in ``gen.frame``.
-    ``observables`` maps names to matrices either on the system factor or on
-    the full space; each is restricted to S once (``Sector.operator``).
+    ``rho0`` is the initial state on ``gen.sector`` (``vacuum_embedding``
+    gives one), and each row is advanced from the last by the exact action
+    exp(dt L) rho, planned with ``gen.norm_estimate()``.  Every recorded
+    quantity is taken from the state as seen in ``gen.frame``.
+    ``observables`` maps names to operators, each a matrix on the system
+    factor or a mapping of factor operators, formed on the sector once
+    (``Sector.operator``).
     Snapshot invariants are always enforced: trace for every kind,
     Hermiticity and positivity for the completely positive kinds.  A row
     too long for its Taylor plan raises StepUnderflowError (``taylor_plan``).
@@ -428,15 +422,13 @@ def evolve(
     if not is_hermitian(rho, 1e-10):
         raise InvalidModelError("initial state must be Hermitian")
 
-    layout = gen.layout
-    support = gen.reachable_support(rho)
-    sector = Sector(layout, support)
+    sector = gen.sector
     obs = {name: sector.operator(op, f"observable {name}")
            for name, op in (observables or {}).items()}
 
-    n_t, n = t.size, support.size
-    states = np.empty((n_t, n, n), dtype=complex) if store_states else None
-    system_states = np.empty((n_t, layout.system_dim, layout.system_dim), dtype=complex)
+    n_t = t.size
+    states = np.empty((n_t, d, d), dtype=complex) if store_states else None
+    system_states = np.empty((n_t,) + (sector.layout.system_dim,) * 2, dtype=complex)
     top_fock = np.empty(n_t)
     trace_error = np.empty(n_t)
     obs_out = {name: np.empty(n_t, dtype=complex) for name in obs}
@@ -444,7 +436,7 @@ def evolve(
     def finalize(upto: int) -> EvolutionResult:
         return EvolutionResult(
             times=t[:upto].copy(),
-            support=support,
+            support=sector.support,
             states=states[:upto].copy() if store_states else None,
             system_states=system_states[:upto].copy(),
             observables={k: v[:upto].copy() for k, v in obs_out.items()},
@@ -453,9 +445,8 @@ def evolve(
             kind=gen.kind,
         )
 
-    sub = gen.restricted(support)
-    est = sub.norm_estimate()
-    view = sub.frame_view()
+    est = gen.norm_estimate()
+    view = gen.frame_view()
 
     def record(i: int, rho: np.ndarray) -> None:
         if view is not None:
@@ -469,10 +460,9 @@ def evolve(
         for name, mat in obs.items():
             obs_out[name][i] = expectation(rho, mat)
 
-    rho = rho[np.ix_(support, support)]
     record(0, rho)
     for i in range(1, n_t):
-        rho = _taylor_interval(sub.apply, rho, float(t[i] - t[i - 1]), est)
+        rho = _taylor_interval(gen.apply, rho, float(t[i] - t[i - 1]), est)
         record(i, rho)
     return finalize(n_t)
 
@@ -538,12 +528,11 @@ def equivalence_check(
     """Max elementwise deviation of the reduced states of two generators.
 
     Both generators are started from the same system state with every mode in
-    vacuum (their mode bases may differ; the vacuum is shared by any basis
-    reached through the rotations used here).
+    vacuum, on their own sectors (their mode bases may differ; the vacuum is
+    shared by any basis reached through the rotations used here).  A state
+    of the wrong system dimension is refused by ``vacuum_embedding``.
     """
-    if gen_a.layout.system_dim != gen_b.layout.system_dim:
-        raise InvalidModelError("generators act on different system dimensions")
-    a, b = (evolve(gen, vacuum_embedding(gen.layout, rho_system), t_grid,
+    a, b = (evolve(gen, vacuum_embedding(gen.sector, rho_system), t_grid,
                    store_states=False).system_states
             for gen in (gen_a, gen_b))
     return float(np.abs(a - b).max())

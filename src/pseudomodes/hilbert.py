@@ -1,9 +1,11 @@
-"""Composite Hilbert space plumbing: system, truncated modes, embeddings, sectors.
+"""Composite Hilbert space plumbing: system, truncated modes, sectors.
 
 The total space is system (x) mode_1 (x) ... (x) mode_N with each mode
-truncated at a caller-chosen Fock level.  Everything here is dense numpy;
-problem sizes are meant for a workstation, and the integrators upstream are
-written against plain matrices.
+truncated at a caller-chosen Fock level.  Operators and states live on a
+``Sector``, a set S of product-basis states, as dense S x S blocks: a term
+of the model is the S-block of a tensor product of factor operators, read
+off the sector's labels, so no array ever has the size of the whole space
+unless S is all of it.
 
 The system side is specified by its bare energies and, per environment
 coupling channel j, a Hermitian operator O_j together with a positive
@@ -129,33 +131,72 @@ class SpaceLayout:
 
 
 class Sector:
-    """Index map of a set S of product-basis states of ``layout``, listed in
-    increasing order by ``support``.
+    """A set S of product-basis states of ``layout``: the basis a generator is
+    built, propagated and recorded in.
 
-    A state whose entries outside S x S are 0 is read from its S x S block
-    alone: ``operator`` restricts what acts on it, ``reduced`` traces the
-    modes out and ``top_fock`` reads each mode's top-level population.
+    Each state is a label (level, n_1 ... n_N).  ``labels`` holds them as an
+    (|S|, 1 + N) array in increasing order of their index ``support`` in the
+    product space, and the sector of every label is the whole space.
+    ``operator`` forms the S x S block of a tensor product of factor
+    operators.  A state whose entries outside S x S are 0 is read from its
+    S x S block alone: ``reduced`` traces the modes out and ``top_fock``
+    reads each mode's top-level population.
     """
 
-    def __init__(self, layout: SpaceLayout, support):
+    def __init__(self, layout: SpaceLayout, labels):
+        rows = sorted({tuple(int(v) for v in label) for label in labels})
+        dims = layout.dims
+        for label in rows:
+            if len(label) != len(dims) or not all(0 <= v < d for v, d in zip(label, dims)):
+                raise InvalidModelError(
+                    f"{label} is no basis state of a space with factor dimensions {dims}")
+        if not rows:
+            raise InvalidModelError("a sector needs at least one basis state")
         self.layout = layout
-        self.support = np.asarray(support)
-        levels = np.unravel_index(self.support, layout.dims)
-        self._system = levels[0]
-        modes = np.ravel_multi_index(levels[1:], layout.dims[1:])
-        self._same_modes = modes[:, None] == modes[None, :]
-        self._pairs = np.nonzero(self._same_modes)
-        self._into = (self._system[self._pairs[0]], self._system[self._pairs[1]])
-        self._top = [lv == n for lv, n in zip(levels[1:], layout.fock_levels)]
+        self.labels = frozen(np.array(rows, dtype=np.intp))
+        # in Python integers: a product space beyond the int64 range still indexes S
+        strides = [math.prod(dims[f + 1:]) for f in range(len(dims))]
+        self.support = np.array([sum(v * n for v, n in zip(label, strides)) for label in rows])
+        self._position = {label: i for i, label in enumerate(rows)}
+        same_modes = (self.labels[:, None, 1:] == self.labels[None, :, 1:]).all(axis=2)
+        self._pairs = np.nonzero(same_modes)
+        system = self.labels[:, 0]
+        self._into = (system[self._pairs[0]], system[self._pairs[1]])
+        self._top = [self.labels[:, 1 + l] == n for l, n in enumerate(layout.fock_levels)]
 
-    def operator(self, op, name: str = "operator") -> np.ndarray:
-        """The S x S block of an operator on the system factor or the full space."""
-        mat = as_complex_matrix(op, name)
-        if mat.shape == (self.layout.system_dim,) * 2:
-            return self._same_modes * mat[np.ix_(self._system, self._system)]
-        if mat.shape == (self.layout.dim,) * 2:
-            return mat[np.ix_(self.support, self.support)]
-        raise InvalidModelError(f"{name} has shape {mat.shape}; expected system or full")
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+    def position(self, label) -> int:
+        """The index in S of the basis state ``label``."""
+        key = tuple(int(v) for v in label)
+        if key not in self._position:
+            raise InvalidModelError(f"basis state {key} is not in the sector")
+        return self._position[key]
+
+    def operator(self, factors, name: str = "operator") -> np.ndarray:
+        """The S x S block of a tensor product of factor operators.
+
+        ``factors`` maps a factor index (0 the system, 1 + l mode l) to a
+        matrix on that factor; every other factor is the identity.  A bare
+        matrix is an operator on the system factor.
+        """
+        if not isinstance(factors, dict):
+            factors = {0: factors}
+        dims = self.layout.dims
+        block = np.ones((self.dim,) * 2, dtype=complex)
+        for f, level in enumerate(self.labels.T):
+            if f not in factors:
+                block *= level[:, None] == level[None, :]
+        for f in sorted(factors):
+            mat = np.asarray(factors[f], dtype=complex)
+            if f not in range(len(dims)) or mat.shape != (dims[f],) * 2:
+                raise InvalidModelError(f"{name} has shape {mat.shape} on factor {f} of a "
+                                        f"space with factor dimensions {dims}")
+            level = self.labels[:, f]
+            block = block * mat[level[:, None], level[None, :]]
+        return block
 
     def reduced(self, block: np.ndarray) -> np.ndarray:
         """The system state of the block: every mode traced out."""
@@ -203,68 +244,31 @@ def destroy(levels: int) -> np.ndarray:
     return a
 
 
-def embed(layout: SpaceLayout, factor: int, op: np.ndarray) -> np.ndarray:
-    """Lift an operator on one tensor factor to the full space.
-
-    factor 0 is the system; factor 1 + l is mode l.
-    """
-    dims = layout.dims
-    if not 0 <= factor < len(dims):
-        raise ValueError(f"factor {factor} out of range for {len(dims)} factors")
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (dims[factor], dims[factor]):
-        raise InvalidModelError(
-            f"operator shape {op.shape} does not match factor dimension {dims[factor]}"
-        )
-    left = math.prod(dims[:factor])
-    right = math.prod(dims[factor + 1:])
-    # I_left (x) op (x) I_right in one broadcast product: entry
-    # (a, i, b; a', j, b') is delta_aa' delta_bb' op_ij.
-    ident = np.eye(left * right).reshape(left, 1, right, left, 1, right)
-    return (ident * op[:, None, None, :, None]).reshape(layout.dim, layout.dim)
-
-
-def embed_system(layout: SpaceLayout, op: np.ndarray) -> np.ndarray:
-    return embed(layout, 0, op)
-
-
-def mode_ops(layout: SpaceLayout, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Embedded (annihilation, creation) pair for mode l."""
-    if not 0 <= l < layout.n_modes:
-        raise ValueError(f"mode index {l} out of range")
-    a = embed(layout, 1 + l, destroy(layout.fock_levels[l]))
-    return a, a.conj().T
-
-
-def basis_state(layout: SpaceLayout, system_level: int, fock=None) -> np.ndarray:
-    """Unit vector |system_level> (x) |n_1 ... n_N> (vacuum by default)."""
+def basis_state(sector: Sector, system_level: int, fock=None) -> np.ndarray:
+    """Unit ket |system_level> (x) |n_1 ... n_N> (vacuum by default) on ``sector``."""
     if fock is None:
-        fock = (0,) * layout.n_modes
-    fock = tuple(int(n) for n in fock)
-    if len(fock) != layout.n_modes:
-        raise InvalidModelError("one Fock index per mode is required")
-    idx = (int(system_level),) + fock
-    for i, (v, d) in enumerate(zip(idx, layout.dims)):
-        if not 0 <= v < d:
-            raise InvalidModelError(f"index {v} out of range for factor {i} (dim {d})")
-    vec = np.zeros(layout.dim, dtype=complex)
-    vec[np.ravel_multi_index(idx, layout.dims)] = 1.0
+        fock = (0,) * sector.layout.n_modes
+    vec = np.zeros(sector.dim, dtype=complex)
+    vec[sector.position((system_level, *fock))] = 1.0
     return vec
 
 
-def vacuum_embedding(layout: SpaceLayout, rho_system: np.ndarray) -> np.ndarray:
-    """Extend a system density matrix with every mode in its ground state."""
+def vacuum_embedding(sector: Sector, rho_system: np.ndarray) -> np.ndarray:
+    """A system density matrix with every mode in its ground state, on ``sector``."""
     rho_system = as_complex_matrix(rho_system, "system state")
-    if rho_system.shape != (layout.system_dim, layout.system_dim):
+    d = sector.layout.system_dim
+    if rho_system.shape != (d, d):
         raise InvalidModelError(
-            f"system state has shape {rho_system.shape}, expected "
-            f"{(layout.system_dim, layout.system_dim)}"
-        )
-    out = rho_system
-    for n in layout.fock_levels:
-        vac = np.zeros((n + 1, n + 1), dtype=complex)
-        vac[0, 0] = 1.0
-        out = np.kron(out, vac)
+            f"system state has shape {rho_system.shape}, expected {(d, d)}")
+    vacuum = np.flatnonzero((sector.labels[:, 1:] == 0).all(axis=1))
+    levels = sector.labels[vacuum, 0]
+    occupied = np.flatnonzero((rho_system != 0).any(axis=0) | (rho_system != 0).any(axis=1))
+    missing = sorted(set(occupied.tolist()) - set(levels.tolist()))
+    if missing:
+        raise InvalidModelError(
+            f"system levels {missing} with every mode in vacuum are not in the sector")
+    out = np.zeros((sector.dim,) * 2, dtype=complex)
+    out[np.ix_(vacuum, vacuum)] = rho_system[np.ix_(levels, levels)]
     return out
 
 

@@ -233,6 +233,8 @@ def eval_density(pole_set: PoleSet, omega):
                  / ((w - xi_l)**2 + lambda_l**2),
     which is the real-axis value of the rational function whose lower-half
     poles are the stored ones (assuming real D, i.e. conjugate upper poles).
+    A denominator beyond the floating-point range is inf, and its term 0,
+    which is its limit.
     """
     w = np.asarray(omega, dtype=float)
     out = np.zeros(w.shape)
@@ -240,7 +242,9 @@ def eval_density(pole_set: PoleSet, omega):
         xi = p.center
         lam = p.width
         num = p.residue.real * (w - xi) + lam * p.residue.imag
-        out = out + 2.0 * num / ((w - xi) ** 2 + lam**2)
+        with np.errstate(over="ignore"):
+            den = (w - xi) ** 2 + lam**2
+        out = out + 2.0 * num / den
     if np.ndim(omega) == 0:
         return float(out[()])
     return out

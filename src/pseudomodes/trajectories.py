@@ -10,16 +10,16 @@ projected and renormalized.
 The drift is time independent, so the no-jump evolution is the exact
 exponential exp(-i D dt), computed by the truncated Taylor action of
 ``dynamics`` rather than by an eigendecomposition, which a defective drift
-(an exceptional point) would not have.  Kets live on the reachable support
-S of the initial ket (``Generator.reachable_support``): the drift and the
-jumps never leave it, so every amplitude outside S stays exactly 0 and the
-ensemble carries only the |S| that remain.  The whole ensemble advances
-together: each output row is one product of the (n_traj, |S|) ket stack
-with exp(-i D dt) and one vectorised norm check.  The trajectories whose norm
-fell below their threshold then locate their jumps together: monotonicity
-of the norm lets a bisection over power-of-two steps place each jump on a
-lattice of spacing at most 1e-10 max(1, t), one product of the searching
-kets' stack per step, with masks choosing the kets that keep it.  The
+(an exceptional point) would not have.  Kets live on the generator's
+sector S, the states its terms reach from the initial labels: the drift and
+the jumps never leave it, so the ensemble carries only |S| amplitudes per
+ket.  The whole ensemble advances together: each output row is one product
+of the (n_traj, |S|) ket stack with exp(-i D dt) and one vectorised norm
+check.  The trajectories whose norm fell below their threshold then locate
+their jumps together: monotonicity of the norm lets a bisection over
+power-of-two steps place each jump on a lattice of spacing at most
+1e-10 max(1, t), one product of the searching kets' stack per step, with
+masks choosing the kets that keep it.  The
 generator's frame only changes how the recorded states are viewed
 (psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times
 do not depend on it.
@@ -42,7 +42,6 @@ import numpy as np
 from ._util import as_complex_matrix, frozen, validate_grid
 from .errors import ClassificationError, InvalidModelError
 from .dynamics import TAYLOR_THETA, Generator, _taylor_interval, taylor_plan, truncation_guard
-from .hilbert import Sector
 
 #: Relative precision of the jump times.
 JUMP_TIME_TOL = 1e-10
@@ -74,8 +73,9 @@ class TrajectoryConfig:
 class EnsembleResult:
     """Ensemble averages, errors, guard values of the mean density per row
     (worst top Fock population, |Re tr - 1|) and the raw jump bookkeeping.
-    ``mean_density`` holds the (n_t, |S|, |S|) blocks on the reachable support
-    ``support`` of the initial ket, outside of which every entry is 0."""
+    ``mean_density`` holds the (n_t, |S|, |S|) blocks on the generator's sector,
+    whose indices in the product space are ``support``; every entry outside
+    the block is 0."""
 
     times: np.ndarray
     support: np.ndarray
@@ -105,15 +105,15 @@ class NoJumpPropagator:
     A span is checked by ``taylor_plan`` on ||D||_F first, so a non-finite
     norm or a span too long for the Taylor plan is refused with the same
     StepUnderflowError as a row of ``evolve``.  ``mcwf_run`` builds it from
-    the drift on the reachable support, so d here is |S|.  The
-    ``PROPAGATOR_CACHE`` most recently used exponentials
-    are kept: PROPAGATOR_CACHE d**2 complex numbers, 0.2 MB at d = 18 and
-    35 MB at d = 242; 10 kB for the |S| = 4 of a band gap started with one
-    excitation.  ``apply`` takes a ket or an (n, d) stack of kets and multiplies
-    each ket by its own (1, d) x (d, d) BLAS product, of a shape that does not
-    depend on n, so no row of the result depends on how many other rows the
-    stack has or on their values.  One (n, d) x (d, d) product would not do:
-    its kernel follows n, and its row at n = 1 differs from the full stack's.
+    the generator's drift, so d here is |S|.  The ``PROPAGATOR_CACHE`` most
+    recently used exponentials are kept: PROPAGATOR_CACHE d**2 complex
+    numbers, 0.2 MB at d = 18 and 35 MB at d = 242; 10 kB for the |S| = 4 of
+    a band gap started with one excitation.  ``apply`` takes a ket or an
+    (n, d) stack of kets and multiplies each ket by its own (1, d) x (d, d)
+    BLAS product, of a shape that does not depend on n, so no row of the
+    result depends on how many other rows the stack has or on their values.
+    One (n, d) x (d, d) product would not do: its kernel follows n, and its
+    row at n = 1 differs from the full stack's.
     """
 
     def __init__(self, drift: np.ndarray):
@@ -166,9 +166,10 @@ def mcwf_run(
     (they simply never fire), which keeps jump statistics aligned with the
     generator's channel list.
 
-    Kets, the no-jump propagator, the jump operators and the observables
-    all act on the reachable support S of ``psi0``, and each row's mean
-    density is kept as its S x S block, so memory follows |S|, not d.
+    ``psi0`` is the initial ket on ``gen.sector`` (``basis_state`` gives
+    one).  Kets, the no-jump propagator, the jump operators and the
+    observables all act on the sector S, and each row's mean density is kept
+    as its S x S block, so memory follows |S|, not d.
 
     The truncation guard of ``evolve`` runs on the mean density of each row:
     TruncationGuardError carries the rows before the first one whose top Fock
@@ -187,14 +188,12 @@ def mcwf_run(
     if abs(_norm2(psi0) - 1.0) > 1e-10:
         raise InvalidModelError("initial state must be normalized")
 
-    support = gen.reachable_support(psi0)
-    sector = Sector(gen.layout, support)
+    sector = gen.sector
     obs_mats = {name: sector.operator(op, f"observable {name}")
                 for name, op in (observables or {}).items()}
-    sub = gen.restricted(support)
 
-    prop = NoJumpPropagator(sub.drift())
-    channels = sub.channels
+    prop = NoJumpPropagator(gen.drift())
+    channels = gen.channels
     rates = np.array([r for r, _ in channels])
     ops = [b for _, b in channels]
     jumps_possible = bool(np.any(rates > 0.0))
@@ -204,7 +203,7 @@ def mcwf_run(
     n_traj = config.n_traj
 
     samples = {name: np.empty((n_traj, n_t), dtype=complex) for name in obs_mats}
-    density_sum = np.empty((n_t, support.size, support.size), dtype=complex)
+    density_sum = np.empty((n_t, gen.dim, gen.dim), dtype=complex)
     top_fock = np.empty(n_t)
     trace_error = np.empty(n_t)
     jump_counts = np.zeros((n_traj, len(channels)), dtype=np.int64)
@@ -216,14 +215,14 @@ def mcwf_run(
         for idx in range(n_traj)
     ]
     eta = np.array([rng.random() for rng in rngs])
-    view = sub.frame_view(kets=True)
+    view = gen.frame_view(kets=True)
 
     def finalize(upto: int) -> EnsembleResult:
         rows = {name: v[:, :upto] for name, v in samples.items()}
         ddof = min(n_traj - 1, 1)  # a single trajectory has a zero error
         return EnsembleResult(
             times=t[:upto].copy(),
-            support=support,
+            support=sector.support,
             observables={name: v.mean(axis=0) for name, v in rows.items()},
             stderr={name: np.sqrt((v.real.var(axis=0, ddof=ddof)
                                    + v.imag.var(axis=0, ddof=ddof)) / n_traj)
@@ -321,7 +320,7 @@ def mcwf_run(
             live, at, kets = live[crossed], below[crossed], kets[crossed]
         return psi
 
-    psi = np.tile(psi0[support], (n_traj, 1))
+    psi = np.tile(psi0, (n_traj, 1))
     record(0, psi)
     for i in range(1, n_t):
         t_lo, t_hi = float(t[i - 1]), float(t[i])

@@ -42,6 +42,9 @@ from pseudomodes.cli import cmd_map, load_config
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
 TLS = SystemSpec(energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,), strengths=(1.0,))
+#: The excited level with one or two modes in vacuum: the label each run starts from.
+EXCITED = [(1, 0)]
+EXCITED_PAIR = [(1, 0, 0)]
 
 SINGLE = lorentzian_to_poles(LorentzianSum((
     LorentzianTerm(weight=1.0, center=1.0, width=4.0),
@@ -119,9 +122,9 @@ def test_criterion_2_damped_rabi():
     start = time.perf_counter()
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (2,))
-    gen = build_generator(TLS, modes, layout)
+    gen = build_generator(TLS, modes, layout, EXCITED)
     t = np.linspace(0.0, 2.5, 26)  # ten damping times 1/lambda
-    res = evolve(gen, vacuum_embedding(layout, EE), t, observables={"ee": EE},
+    res = evolve(gen, vacuum_embedding(gen.sector, EE), t, observables={"ee": EE},
                  store_states=False)
     expected = np.abs(damped_rabi_amplitude(1.0, 4.0, t)) ** 2
     dev = float(np.abs(res.observables["ee"].real - expected).max())
@@ -153,8 +156,8 @@ def test_criterion_4_regularized_equivalence():
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     reg = two_mode_regularize(modes)
     layout = SpaceLayout(2, (2, 2))
-    gen_path = build_generator(TLS, modes, layout)
-    gen_reg = build_generator(TLS, reg, layout)
+    gen_path = build_generator(TLS, modes, layout, EXCITED_PAIR)
+    gen_reg = build_generator(TLS, reg, layout, EXCITED_PAIR)
     t = np.linspace(0.0, 20.0, 81)  # twenty times the slower damping 1/lambda_2
     dev = equivalence_check(gen_path, gen_reg, EE, t)
     elapsed = time.perf_counter() - start
@@ -225,12 +228,12 @@ def test_criterion_7_trajectories():
     start = time.perf_counter()
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (2,))
-    gen = build_generator(TLS, modes, layout)
+    gen = build_generator(TLS, modes, layout, EXCITED)
     t = np.linspace(0.0, 2.5, 26)
-    exact = evolve(gen, vacuum_embedding(layout, EE), t, observables={"ee": EE},
+    exact = evolve(gen, vacuum_embedding(gen.sector, EE), t, observables={"ee": EE},
                    store_states=False).observables["ee"].real
     cfg = TrajectoryConfig(n_traj=2000, seed=7, times=t)
-    psi0 = basis_state(layout, 1)
+    psi0 = basis_state(gen.sector, 1)
     ens = mcwf_run(gen, psi0, cfg, observables={"ee": EE})
     dev = np.abs(ens.observables["ee"].real - exact)
     limit = 3.0 * ens.stderr["ee"] + 1e-12
@@ -258,10 +261,11 @@ def test_criterion_8_invariants():
     modes_b = build_discrete_modes(BAND_GAP, (1.0,))
     reg_b = two_mode_regularize(modes_b)
     layout_b = SpaceLayout(2, (2, 2))
+    # on the whole space, the sector of every label, so that random states test it all
     gens = (
-        build_generator(TLS, modes_s, layout_s),
-        build_generator(TLS, modes_b, layout_b),
-        build_generator(TLS, reg_b, layout_b),
+        build_generator(TLS, modes_s, layout_s, np.ndindex(*layout_s.dims)),
+        build_generator(TLS, modes_b, layout_b, np.ndindex(*layout_b.dims)),
+        build_generator(TLS, reg_b, layout_b, np.ndindex(*layout_b.dims)),
     )
 
     worst_trace = 0.0
@@ -278,7 +282,7 @@ def test_criterion_8_invariants():
     worst_herm = 0.0
     worst_eig = 0.0
     for gen in (gens[0], gens[2]):
-        res = evolve(gen, vacuum_embedding(gen.layout, EE), t)
+        res = evolve(gen, vacuum_embedding(gen.sector, EE), t)
         for rho in res.states:
             worst_herm = max(worst_herm, float(np.abs(rho - rho.conj().T).max()))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(
@@ -286,7 +290,7 @@ def test_criterion_8_invariants():
     assert worst_herm < 1e-8, f"Hermiticity drifts by {worst_herm:.3e}"
     assert worst_eig > -1e-8, f"negative population {worst_eig:.3e}"
 
-    rho0 = vacuum_embedding(layout_s, EE)
+    rho0 = vacuum_embedding(gens[0].sector, EE)
     full = evolve(gens[0], rho0, np.linspace(0.0, 2.5, 26), observables={"ee": EE},
                   store_states=False)
     half = evolve(gens[0], rho0, np.linspace(0.0, 2.5, 51), observables={"ee": EE},

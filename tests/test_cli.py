@@ -400,7 +400,8 @@ def test_generator_kind_resolution():
     system = load_config(CONFIGS / "band_gap.yaml").system
 
     def kind_of(mode_set):
-        return build_generator(system, mode_set, SpaceLayout(2, (2,) * len(mode_set))).kind
+        layout = SpaceLayout(2, (2,) * len(mode_set))
+        return build_generator(system, mode_set, layout, [(1,) + (0,) * len(mode_set)]).kind
 
     single = modes_for([(1.0, 1.0, 4.0)])
     assert resolve_generator_kind("auto", single) is single
@@ -656,10 +657,8 @@ def test_long_rows_are_refused_naming_the_longest_row_that_fits(tmp_path, capsys
     assert plan(norms[-1], named)[1] <= MAX_TAYLOR_INTERVALS
     if command == "trajectories":  # and the no-jump propagator runs it
         gen = build_model(load_config(path))
-        psi = basis_state(gen.layout, 1)
-        support = gen.reachable_support(psi)
-        prop = NoJumpPropagator(gen.restricted(support).drift())
-        assert np.isfinite(prop.apply(psi[support], named)).all()
+        prop = NoJumpPropagator(gen.drift())
+        assert np.isfinite(prop.apply(basis_state(gen.sector, 1), named)).all()
 
 
 @pytest.mark.parametrize("t_max", [1e12, 1e300])
@@ -675,6 +674,24 @@ def test_trajectories_refuse_a_row_too_long_for_the_no_jump_propagator(tmp_path,
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: a row of \S+ time units is too long for the norm bound "
                         r"\S+; rows of at most \S+ time units fit\n", err), err
+
+
+def test_a_density_scan_beyond_the_float_range_ends_without_warnings(tmp_path, capsys):
+    # Widths of 1e153 overflow (w - xi)**2 + lambda**2 in the density scan of
+    # map and validate; the suite turns any warning into an error.
+    doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    doc["spectral"]["terms"][0]["width"] = 1e153
+    doc["spectral"]["terms"][1]["width"] = 1e152
+    path = write_doc(tmp_path, doc)
+    codes = {command: main([command, path, "--out", str(tmp_path / f"{command}.out")])
+             for command in ("map", "evolve", "trajectories", "validate")}
+    assert codes == {"map": 3, "evolve": 2, "trajectories": 2, "validate": 0}
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == [
+        "regularization infeasible", "error", "invalid model"]  # one line per refusal
+    report = json.loads((tmp_path / "validate.out").read_text(encoding="utf-8"))
+    assert report["checks"][0]["name"] == "spectral_positivity"
+    assert report["checks"][0]["status"] == "pass"
 
 
 @pytest.mark.parametrize("command", ["evolve", "trajectories", "validate"])
@@ -706,6 +723,23 @@ def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monke
         rows[levels] = out.read_bytes()
     capsys.readouterr()
     assert rows[2] == rows[6]
+
+
+def test_twenty_modes_run_on_their_sector_beyond_the_int64_range(tmp_path, capsys):
+    # 20 lines at fock_levels 8: 2 * 9**20 = 2.4e19 product states, past int64,
+    # but one excitation reaches 22 of them, the same 22 at fock_levels 2.
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["spectral"]["terms"] = [{"weight": 0.05, "center": 0.5 + 0.05 * k,
+                                 "width": 1.0 + 0.1 * k} for k in range(20)]
+    rows = {}
+    for levels in (2, 8):
+        doc["run"]["fock_levels"] = levels
+        out = tmp_path / f"twenty_{levels}.csv"
+        assert main(["evolve", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        rows[levels] = out.read_bytes()
+        assert build_model(load_config(write_doc(tmp_path, doc))).dim == 22
+    capsys.readouterr()
+    assert rows[2] == rows[8]
 
 
 def test_deeply_nested_yaml_is_a_config_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Generator construction, invariants, and master-equation integration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +18,13 @@ from pseudomodes import (
     build_generator,
     damped_rabi_amplitude,
     equivalence_check,
+    destroy,
+    eigenoperator,
     evolve,
-    free_hamiltonian_diagonal,
     lorentzian_to_poles,
     ModeSet,
     rotate_frame,
     StepUnderflowError,
-    basis_state,
     two_mode_regularize,
     vacuum_embedding,
 )
@@ -56,19 +57,29 @@ REAL_PAIR = lorentzian_to_poles(LorentzianSum((
 TLS = SystemSpec(energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,), strengths=(1.0,))
 
 
-def tls_direct():
+def excited(layout):
+    """The label of the excited level with every mode in vacuum."""
+    return [(1,) + (0,) * layout.n_modes]
+
+
+def every(layout):
+    """Every label: its sector is the whole space."""
+    return np.ndindex(*layout.dims)
+
+
+def tls_direct(start=excited):
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (2,))
-    return build_generator(TLS, modes, layout), layout
+    return build_generator(TLS, modes, layout, start(layout)), layout
 
 
-def band_gap_generators():
+def band_gap_generators(start=excited):
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     reg = two_mode_regularize(modes)
     layout = SpaceLayout(2, (2, 2))
     return (
-        build_generator(TLS, modes, layout),
-        build_generator(TLS, reg, layout),
+        build_generator(TLS, modes, layout, start(layout)),
+        build_generator(TLS, reg, layout, start(layout)),
         layout,
     )
 
@@ -94,9 +105,16 @@ def random_hermitian_density(rng, dim):
 
 
 def all_three_generators():
-    gen_d, _ = tls_direct()
-    gen_p, gen_r, _ = band_gap_generators()
+    gen_d, _ = tls_direct(every)
+    gen_p, gen_r, _ = band_gap_generators(every)
     return (gen_d, gen_p, gen_r)
+
+
+def free_diagonal(gen, frequencies):
+    """H0 = H_S0 + sum_l xi_l n_l on the sector's labels."""
+    labels = gen.sector.labels
+    return np.array([TLS.energies[level] + sum(xi * n for xi, n in zip(frequencies, fock))
+                     for level, *fock in labels.tolist()])
 
 
 def test_trace_conserved_per_application_all_kinds():
@@ -110,7 +128,7 @@ def test_trace_conserved_per_application_all_kinds():
 def test_tls_population_matches_closed_form():
     gen, layout = tls_direct()
     t = np.linspace(0.0, 2.5, 26)
-    res = evolve(gen, vacuum_embedding(layout, EE), t, observables={"ee": EE})
+    res = evolve(gen, vacuum_embedding(gen.sector, EE), t, observables={"ee": EE})
     expected = np.abs(damped_rabi_amplitude(1.0, 4.0, t)) ** 2
     np.testing.assert_allclose(res.observables["ee"].real, expected, atol=1e-8)
     assert res.observables["ee"].imag == pytest.approx(np.zeros_like(t), abs=1e-12)
@@ -120,9 +138,8 @@ def test_snapshot_invariants_along_lindblad_evolutions():
     gen_d, _ = tls_direct()
     gen_p, gen_r, layout = band_gap_generators()
     for gen in (gen_d, gen_r):
-        lay = gen.layout
         t = np.linspace(0.0, 4.0, 21)
-        res = evolve(gen, vacuum_embedding(lay, EE), t)
+        res = evolve(gen, vacuum_embedding(gen.sector, EE), t)
         for rho in res.states:
             assert abs(np.trace(rho) - 1.0) < 1e-10
             assert np.abs(rho - rho.conj().T).max() < 1e-10
@@ -132,7 +149,7 @@ def test_snapshot_invariants_along_lindblad_evolutions():
 def test_uncorrected_generator_runs_through_non_hermitian_states():
     gen_p, gen_r, layout = band_gap_generators()
     t = np.linspace(0.0, 5.0, 11)
-    res = evolve(gen_p, vacuum_embedding(layout, EE), t)
+    res = evolve(gen_p, vacuum_embedding(gen_p.sector, EE), t)
     states = embedded(res.states, res.support, layout.dim)
     non_herm = max(np.abs(r - r.conj().T).max() for r in states)
     assert non_herm > 0.5  # the full state is far from Hermitian...
@@ -167,9 +184,9 @@ def test_real_rotation_of_equal_rate_modes_keeps_reduced_dynamics():
         strengths=modes.strengths,
     )
     layout = SpaceLayout(2, (2, 2, 2))
-    gen = build_generator(TLS, hopping, layout)
+    gen = build_generator(TLS, hopping, layout, excited(layout))
     assert gen.kind == "lindblad_regularized"
-    dev = equivalence_check(build_generator(TLS, modes, layout), gen, EE,
+    dev = equivalence_check(build_generator(TLS, modes, layout, excited(layout)), gen, EE,
                             np.linspace(0.0, 4.0, 21))
     assert dev < 1e-8
 
@@ -185,45 +202,30 @@ def test_frame_equivalence_all_kinds():
     )))
     modes = build_discrete_modes(detuned, (1.0,))
     reg = two_mode_regularize(modes)
-    layout = SpaceLayout(2, (2, 2))
     t = np.linspace(0.0, 2.0, 21)
-    rho0 = vacuum_embedding(layout, EE)
     cases = [
-        ("pathological", modes),
-        ("lindblad_regularized", reg),
+        ("pathological", modes, SpaceLayout(2, (2, 2))),
+        ("lindblad_regularized", reg, SpaceLayout(2, (2, 2))),
+        ("lindblad_direct", build_discrete_modes(SINGLE, (1.0,)), SpaceLayout(2, (2,))),
     ]
-    single_modes = build_discrete_modes(SINGLE, (1.0,))
-    for kind, mode_set in cases:
-        freqs = mode_set.frequencies
-        gs = build_generator(TLS, mode_set, layout)
-        gi = build_generator(TLS, mode_set, layout, frame="interaction")
+    for kind, mode_set, layout in cases:
+        gs = build_generator(TLS, mode_set, layout, excited(layout))
+        gi = build_generator(TLS, mode_set, layout, excited(layout), frame="interaction")
+        assert gi.kind == kind
+        rho0 = vacuum_embedding(gs.sector, EE)
         rs = evolve(gs, rho0, t)
         ri = evolve(gi, rho0, t)
-        s_states = embedded(rs.states, rs.support, layout.dim)
-        i_states = embedded(ri.states, ri.support, layout.dim)
-        h0 = free_hamiltonian_diagonal(layout, TLS, freqs)
+        h0 = free_diagonal(gi, mode_set.frequencies)
         dev = max(
-            np.abs(rotate_frame(i_states[i], h0, t[i]) - s_states[i]).max()
+            np.abs(rotate_frame(ri.states[i], h0, t[i]) - rs.states[i]).max()
             for i in range(len(t))
         )
         assert dev < 1e-9, kind
-    lay1 = SpaceLayout(2, (2,))
-    rho1 = vacuum_embedding(lay1, EE)
-    h0 = free_hamiltonian_diagonal(lay1, TLS, single_modes.frequencies)
-    rs = evolve(build_generator(TLS, single_modes, lay1), rho1, t)
-    ri = evolve(build_generator(TLS, single_modes, lay1, frame="interaction"), rho1, t)
-    s_states = embedded(rs.states, rs.support, lay1.dim)
-    i_states = embedded(ri.states, ri.support, lay1.dim)
-    dev = max(
-        np.abs(rotate_frame(i_states[i], h0, t[i]) - s_states[i]).max()
-        for i in range(len(t))
-    )
-    assert dev < 1e-9
 
 
 def test_interaction_frame_needs_the_free_hamiltonian():
     gen, layout = tls_direct()
-    parts = dict(kind=gen.kind, layout=layout, static_both=gen.static_both,
+    parts = dict(kind=gen.kind, sector=gen.sector, static_both=gen.static_both,
                  damping=gen.damping, channels=gen.channels)
     with pytest.raises(InvalidModelError):
         Generator(frame="interaction", **parts)
@@ -233,7 +235,7 @@ def test_interaction_frame_needs_the_free_hamiltonian():
 
 def test_step_halving_is_converged():
     gen, layout = tls_direct()
-    rho0 = vacuum_embedding(layout, EE)
+    rho0 = vacuum_embedding(gen.sector, EE)
     full = evolve(gen, rho0, np.linspace(0.0, 2.5, 26), observables={"ee": EE},
                   store_states=False)
     half = evolve(gen, rho0, np.linspace(0.0, 2.5, 51), observables={"ee": EE},
@@ -243,9 +245,9 @@ def test_step_halving_is_converged():
 
 
 def test_exact_action_matches_the_dense_superoperator():
-    # An independent reference: L on the reachable support S as a dense
-    # |S|**2 x |S|**2 matrix, one column per basis matrix E_ab of the block,
-    # exponentiated through its eigendecomposition.
+    # An independent reference: L on the sector S as a dense |S|**2 x |S|**2
+    # matrix, one column per basis matrix E_ab of the block, exponentiated
+    # through its eigendecomposition.
     gap = build_discrete_modes(BAND_GAP, (1.0,))
     pair = SpaceLayout(2, (2, 2))
     cases = (
@@ -256,24 +258,18 @@ def test_exact_action_matches_the_dense_superoperator():
     )
     t = np.linspace(0.0, 20.0, 41)
     for kind, mode_set, layout in cases:
-        gen = build_generator(TLS, mode_set, layout)
+        gen = build_generator(TLS, mode_set, layout, excited(layout))
         assert gen.kind == kind
-        rho0 = vacuum_embedding(layout, EE)
-        support = gen.reachable_support(rho0)
-        block = np.ix_(support, support)
-        sub = gen.restricted(support)
-        n = support.size
+        rho0 = vacuum_embedding(gen.sector, EE)
+        n = gen.dim
         basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-        superop = np.stack([sub.apply(e).ravel() for e in basis], axis=1)
+        superop = np.stack([gen.apply(e).ravel() for e in basis], axis=1)
         evals, vecs = np.linalg.eig(superop)
         assert np.linalg.cond(vecs) < 1e3, kind
-        coeffs = np.linalg.solve(vecs, rho0[block].ravel())
-        blocks = (np.exp(np.outer(t, evals)) * coeffs) @ vecs.T
-        want = np.zeros((t.size, layout.dim, layout.dim), dtype=complex)
-        want[:, support[:, None], support[None, :]] = blocks.reshape(t.size, n, n)
+        coeffs = np.linalg.solve(vecs, rho0.ravel())
+        want = ((np.exp(np.outer(t, evals)) * coeffs) @ vecs.T).reshape(t.size, n, n)
         res = evolve(gen, rho0, t)
-        got = embedded(res.states, res.support, layout.dim)
-        assert np.abs(got - want).max() <= 1e-8, kind
+        assert np.abs(res.states - want).max() <= 1e-8, kind
 
 
 def test_autonomous_evolve_cost_follows_rows(monkeypatch):
@@ -285,10 +281,10 @@ def test_autonomous_evolve_cost_follows_rows(monkeypatch):
         calls.append(rho.shape)
         return apply(self, rho)
 
-    # On the class, so the restricted generator evolve propagates is counted.
+    # Patched on the class, as the layer tracer patches it.
     monkeypatch.setattr(Generator, "apply", counting)
     t = np.linspace(0.0, 20.0, 201)
-    rho0 = vacuum_embedding(layout, EE)
+    rho0 = vacuum_embedding(gen.sector, EE)
     evolve(gen, rho0, t, store_states=False)
     full = len(calls)
     assert 0 < full <= 60 * (t.size - 1)  # the Taylor plan of each row, no more
@@ -300,29 +296,35 @@ def test_autonomous_evolve_cost_follows_rows(monkeypatch):
 
 def test_reachable_support_is_the_one_excitation_sector():
     pathological, rotated, layout = band_gap_generators()
-    sector = [basis_state(layout, 1, (0, 0)), basis_state(layout, 0, (1, 0)),
-              basis_state(layout, 0, (0, 1)), basis_state(layout, 0, (0, 0))]
-    want = sorted(int(np.flatnonzero(ket)[0]) for ket in sector)
+    sector = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    want = sorted(int(np.ravel_multi_index(label, layout.dims)) for label in sector)
     assert want == [0, 1, 3, 9] and layout.dim == 18
     for gen in (pathological, rotated):
-        np.testing.assert_array_equal(
-            gen.reachable_support(vacuum_embedding(layout, EE)), want)
-        np.testing.assert_array_equal(gen.reachable_support(sector[0]), want)
+        np.testing.assert_array_equal(gen.sector.support, want)
+        assert gen.sector.labels.tolist() == sorted(map(list, sector))
+        # S is closed: starting from all of it gives S again
+        again = build_generator(TLS, build_discrete_modes(BAND_GAP, (1.0,)), layout, sector)
+        np.testing.assert_array_equal(again.sector.support, want)
     gen, layout = tls_direct()
-    assert gen.reachable_support(vacuum_embedding(layout, EE)).size == 3
-    assert layout.dim == 6
+    assert gen.dim == 3 and layout.dim == 6
     layout = SpaceLayout(2, (2, 2, 2))
-    gen = build_generator(TLS, build_discrete_modes(THREE, (1.0,)), layout)
+    gen = build_generator(TLS, build_discrete_modes(THREE, (1.0,)), layout, excited(layout))
     assert gen.kind == "pathological"
-    assert gen.reachable_support(vacuum_embedding(layout, EE)).size == 5
-    assert layout.dim == 54
+    assert gen.dim == 5 and layout.dim == 54
 
 
 def test_reachable_support_is_every_index_at_full_rank():
-    _, gen, layout = band_gap_generators()
+    _, gen, layout = band_gap_generators(every)
+    np.testing.assert_array_equal(gen.sector.support, np.arange(18))
     full = random_hermitian_density(np.random.default_rng(3), layout.dim)
-    np.testing.assert_array_equal(gen.reachable_support(full), np.arange(18))
-    assert gen.restricted(np.arange(18)) is gen
+    assert abs(np.trace(gen.apply(full))) < 1e-12
+    # The whole space is one more sector: its S-block is the sector's generator.
+    _, sub, _ = band_gap_generators()
+    block = np.ix_(sub.sector.support, sub.sector.support)
+    assert np.array_equal(gen.static_both[block], sub.static_both)
+    assert np.array_equal(gen.damping[block], sub.damping)
+    for (rate, b), (sub_rate, sub_b) in zip(gen.channels, sub.channels):
+        assert rate == sub_rate and np.array_equal(b[block], sub_b)
 
 
 @pytest.mark.parametrize("frame", ["schrodinger", "interaction"])
@@ -337,15 +339,16 @@ def test_restricted_row_matches_the_full_space_row(frame):
     )
     dt = 0.5
     for kind, mode_set, layout in cases:
-        gen = build_generator(TLS, mode_set, layout, frame=frame)
-        assert gen.kind == kind
-        rho0 = vacuum_embedding(layout, EE)
-        assert gen.reachable_support(rho0).size < layout.dim
-        res = evolve(gen, rho0, [0.0, dt])
+        gen = build_generator(TLS, mode_set, layout, excited(layout), frame=frame)
+        whole = build_generator(TLS, mode_set, layout, every(layout), frame=frame)
+        assert gen.kind == whole.kind == kind
+        assert gen.dim < whole.dim == layout.dim
+        res = evolve(gen, vacuum_embedding(gen.sector, EE), [0.0, dt])
         row = embedded(res.states[1], res.support, layout.dim)
-        # The unrestricted propagation of the same row, seen in the same frame.
-        full = _taylor_interval(gen.apply, rho0, dt, gen.norm_estimate())
-        view = gen.frame_view()
+        # The same row propagated on the whole space, seen in the same frame.
+        full = _taylor_interval(whole.apply, vacuum_embedding(whole.sector, EE), dt,
+                                whole.norm_estimate())
+        view = whole.frame_view()
         if view is not None:
             full = view(full, dt)
         assert np.abs(row - full).max() <= 1e-14, kind
@@ -380,10 +383,10 @@ def test_taylor_plan_names_the_longest_row_that_fits():
 def test_truncation_guard_aborts_with_partial_prefix():
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (1,))  # one excitation already reaches the cap
-    gen = build_generator(TLS, modes, layout)
+    gen = build_generator(TLS, modes, layout, excited(layout))
     t = np.linspace(0.0, 2.5, 26)
     with pytest.raises(TruncationGuardError) as err:
-        evolve(gen, vacuum_embedding(layout, EE), t, observables={"ee": EE})
+        evolve(gen, vacuum_embedding(gen.sector, EE), t, observables={"ee": EE})
     exc = err.value
     assert exc.population > 1e-6
     assert exc.partial is not None
@@ -394,7 +397,7 @@ def test_truncation_guard_aborts_with_partial_prefix():
 
 def test_evolve_validates_inputs():
     gen, layout = tls_direct()
-    rho0 = vacuum_embedding(layout, EE)
+    rho0 = vacuum_embedding(gen.sector, EE)
     with pytest.raises(InvalidModelError):
         evolve(gen, rho0, np.array([0.5, 1.0]))  # grid must start at zero
     with pytest.raises(InvalidModelError):
@@ -411,7 +414,7 @@ def test_evolve_validates_inputs():
 
 def test_store_states_flag():
     gen, layout = tls_direct()
-    rho0 = vacuum_embedding(layout, EE)
+    rho0 = vacuum_embedding(gen.sector, EE)
     t = np.linspace(0.0, 1.0, 6)
     res = evolve(gen, rho0, t, store_states=False)
     assert res.states is None
@@ -419,14 +422,18 @@ def test_store_states_flag():
 
 
 def test_full_space_observables_accepted():
+    # An operator beyond the system factor is a mapping of factor operators.
     gen, layout = tls_direct()
-    rho0 = vacuum_embedding(layout, EE)
+    rho0 = vacuum_embedding(gen.sector, EE)
     t = np.linspace(0.0, 1.0, 6)
-    from pseudomodes import mode_ops
-    b, bdag = mode_ops(layout, 0)
-    res = evolve(gen, rho0, t, observables={"n_mode": bdag @ b}, store_states=False)
+    b = destroy(2)
+    res = evolve(gen, rho0, t, observables={"n_mode": {1: b.conj().T @ b}})
     assert res.observables["n_mode"].shape == (6,)
     assert res.observables["n_mode"].real.max() > 1e-3
+    # one excitation at most: the mode's number is the population of |g; 1>
+    one = gen.sector.position((0, 1))
+    np.testing.assert_allclose(res.observables["n_mode"], res.states[:, one, one],
+                               atol=1e-15)
 
 
 def test_generator_kind_follows_the_mode_set():
@@ -438,17 +445,20 @@ def test_generator_kind_follows_the_mode_set():
         (build_discrete_modes(REAL_PAIR, (1.0,)), "lindblad_direct"),
     )
     for mode_set, kind in cases:
-        assert build_generator(TLS, mode_set, layout).kind == kind
+        assert build_generator(TLS, mode_set, layout, excited(layout)).kind == kind
     with pytest.raises(InvalidModelError):
-        build_generator(TLS, BAND_GAP, layout)  # poles are not a mode set
+        build_generator(TLS, BAND_GAP, layout, excited(layout))  # poles are not a mode set
 
 
 def test_generator_layout_consistency_checked():
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     with pytest.raises(InvalidModelError):
-        build_generator(TLS, modes, SpaceLayout(2, (2,)))  # one mode short
+        build_generator(TLS, modes, SpaceLayout(2, (2,)), [(1, 0)])  # one mode short
     with pytest.raises(InvalidModelError):
-        build_generator(TLS, modes, SpaceLayout(3, (2, 2)))  # wrong system dim
+        build_generator(TLS, modes, SpaceLayout(3, (2, 2)), [(1, 0, 0)])  # wrong system dim
+    for start in ([(2, 0, 0)], [(1, 0)], [(1, 3, 0)], []):  # no basis state of the layout
+        with pytest.raises(InvalidModelError):
+            build_generator(TLS, modes, SpaceLayout(2, (2, 2)), start)
 
 
 def test_norm_estimate_bounds_application():
@@ -459,3 +469,138 @@ def test_norm_estimate_bounds_application():
         rho = random_hermitian_density(rng, gen.dim)
         applied = np.linalg.norm(gen.apply(rho))
         assert applied <= est * np.linalg.norm(rho) * (1.0 + 1e-9)
+
+
+def kron_all(factors):
+    out = np.ones((1, 1), dtype=complex)
+    for op in factors:
+        out = np.kron(out, op)
+    return out
+
+
+def dense_generator(system, modes, layout):
+    """A, K and the jump operators on the whole product space, from np.kron.
+
+    Terms are summed in the order the builder sums them (bare H_S, then
+    sum_lm Re Z_lm b_l^dag b_m, then the couplings channel by channel and
+    mode by mode), so its blocks can be compared bit for bit.
+    """
+    def lift(factor, op):
+        return kron_all([op if f == factor else np.eye(d) for f, d in enumerate(layout.dims)])
+
+    b = [lift(1 + l, destroy(n)) for l, n in enumerate(layout.fock_levels)]
+    z = modes.frequency_matrix
+    g = modes.coupling_matrix.real if modes.is_all_real else modes.coupling_matrix
+
+    def bilinear(m):
+        out = np.zeros((layout.dim,) * 2, dtype=complex)
+        for l, k in zip(*np.nonzero(m)):
+            out += m[l, k] * (b[l].conj().T @ b[k])
+        return out
+
+    a = lift(0, np.diag(np.asarray(system.energies, dtype=complex)))
+    a += bilinear(z.real)
+    coupling = np.zeros((layout.dim,) * 2, dtype=complex)
+    for j in range(system.n_channels):
+        c = lift(0, eigenoperator(system, j))
+        for l in range(layout.n_modes):
+            if g[j, l] != 0.0:
+                coupling += complex(g[j, l]) * (c.conj().T @ b[l]) \
+                    + complex(g[j, l]) * (b[l].conj().T @ c)
+    a += coupling
+    return a, bilinear(-z.imag), list(zip(modes.rates, b))
+
+
+def pattern_closure(a, k, jumps, start):
+    """The indices reached from ``start`` through the nonzero patterns of
+    D_l = A - iK, D_r^T = (A + iK)^T and every jump of positive rate."""
+    step = ((a - 1j * k) != 0) | ((a + 1j * k).T != 0)
+    for rate, b in jumps:
+        if rate > 0.0:
+            step |= b != 0
+    reached = np.zeros(len(a), dtype=bool)
+    reached[start] = True
+    while True:
+        grown = reached | step[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def random_models(rng):
+    """Small models: 2-3 levels, 1-2 channels, 2-3 modes; complex, real and rotated sets."""
+    def hermitian(d):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return a + a.conj().T
+
+    def lines(*terms):
+        return lorentzian_to_poles(LorentzianSum(tuple(LorentzianTerm(*t) for t in terms)))
+
+    u = rng.uniform(0.8, 1.2, size=7)
+    systems = (
+        SystemSpec(energies=(0.0, 1.0), observables=(hermitian(2),), frequencies=(1.0,),
+                   strengths=(u[0],)),
+        SystemSpec(energies=(0.0, 1.0, 2.0), observables=(hermitian(3),),  # a ladder
+                   frequencies=(1.0,), strengths=(u[1],)),
+        SystemSpec(energies=(-0.5, 1.0, 2.5), observables=(hermitian(3), hermitian(3)),
+                   frequencies=(1.5, 3.0), strengths=(u[2], u[3])),
+    )
+    v = rng.uniform(0.5, 1.0)  # a gap that the rotation keeps completely positive
+    complex_pair = lines((1.0 + v, 1.0, 2.0), (-v, 1.0, 1.0))
+    complex_three = lines((2.0, 1.0, 4.0 * u[4]), (-0.5, 0.0, 2.0), (-0.5, 2.0, 2.0))
+    real_pair = lines((0.5, 0.5, u[5]), (0.5, 1.5, 2.0))
+    real_three = lines((0.5, -1.0, 1.5), (0.3, 0.5, u[6]), (0.2, 2.0, 1.5))
+    for system in systems:
+        w = system.strengths
+        sets = (
+            ("complex", build_discrete_modes(complex_pair, w), (2, 2)),
+            ("complex", build_discrete_modes(complex_three, w), (2, 1, 2)),
+            ("real", build_discrete_modes(real_pair, w), (2, 3)),
+            ("real", build_discrete_modes(real_three, w), (1, 2, 2)),
+            ("rotated", two_mode_regularize(build_discrete_modes(complex_pair, w)), (2, 2)),
+        )
+        for family, modes, fock in sets:
+            yield family, system, modes, SpaceLayout(system.dim, fock)
+
+
+def test_sector_build_matches_the_dense_kron_build():
+    rng = np.random.default_rng(20261018)
+    families = set()
+    for family, system, modes, layout in random_models(rng):
+        families.add(family)
+        a, k, jumps = dense_generator(system, modes, layout)
+        top = (system.dim - 1,) + (0,) * layout.n_modes
+        other = tuple(int(rng.integers(d)) for d in layout.dims)
+        for start in ([top], [top, other], list(np.ndindex(*layout.dims))):
+            gen = build_generator(system, modes, layout, start)
+            flat = [np.ravel_multi_index(label, layout.dims) for label in start]
+            support = pattern_closure(a, k, jumps, flat)
+            assert np.array_equal(gen.sector.support, support), (family, start)
+            block = np.ix_(support, support)
+            assert np.array_equal(gen.static_both, a[block]), family
+            assert np.array_equal(gen.damping, k[block]), family
+            assert len(gen.channels) == len(jumps)
+            for (rate, b), (want_rate, want_b) in zip(gen.channels, jumps):
+                assert rate == want_rate and np.array_equal(b, want_b[block]), family
+    assert families == {"complex", "real", "rotated"}
+
+
+def test_memory_follows_the_sector_not_the_cutoff():
+    # The three-line model at Fock cutoff 8: d = 2 * 9**3 = 1,458 and |S| = 5.
+    # One d x d complex array alone would take 34 MB.
+    modes = build_discrete_modes(THREE, (1.0,))
+    t = np.linspace(0.0, 2.5, 26)
+    layout = SpaceLayout(2, (8, 8, 8))
+    tracemalloc.start()
+    try:
+        gen = build_generator(TLS, modes, layout, excited(layout))
+        res = evolve(gen, vacuum_embedding(gen.sector, EE), t, observables={"ee": EE})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert layout.dim == 1458 and gen.dim == 5
+    assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"
+    small = SpaceLayout(2, (2, 2, 2))
+    gen = build_generator(TLS, modes, small, excited(small))
+    same = evolve(gen, vacuum_embedding(gen.sector, EE), t, observables={"ee": EE})
+    assert np.array_equal(res.observables["ee"], same.observables["ee"])

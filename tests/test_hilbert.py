@@ -1,4 +1,4 @@
-"""Tensor-space layout, embeddings, sectors, partial traces, and eigenoperators."""
+"""Tensor-space layout, sectors and their product blocks, partial traces, and eigenoperators."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,7 @@ from pseudomodes import (
     basis_state,
     destroy,
     eigenoperator,
-    embed,
-    embed_system,
     expectation,
-    mode_ops,
     vacuum_embedding,
 )
 
@@ -67,11 +64,22 @@ def test_layout_validation():
         SpaceLayout(2, (0,))
 
 
+def full_sector(layout):
+    """The sector of every label: the whole product space."""
+    return Sector(layout, np.ndindex(*layout.dims))
+
+
+def sector_of(layout, support):
+    """The sector of the basis states with product-space indices ``support``."""
+    return Sector(layout, zip(*np.unravel_index(support, layout.dims)))
+
+
 def test_embed_factors_commute():
-    layout = SpaceLayout(2, (2, 2))
-    s = embed(layout, 0, SX)
-    b1, _ = mode_ops(layout, 0)
-    b2, _ = mode_ops(layout, 1)
+    # factor operators embedded as blocks of the every-label sector
+    full = full_sector(SpaceLayout(2, (2, 2)))
+    s = full.operator(SX)
+    b1 = full.operator({1: destroy(2)})
+    b2 = full.operator({2: destroy(2)})
     assert np.abs(s @ b1 - b1 @ s).max() < 1e-15
     assert np.abs(b1 @ b2 - b2 @ b1).max() < 1e-15
 
@@ -85,33 +93,29 @@ def kron_chain(layout, factor, op):
 
 
 def test_embed_system_matches_kron():
-    layout = SpaceLayout(2, (1, 2))
-    expected = np.kron(SX, np.eye(2 * 3))
-    np.testing.assert_allclose(embed_system(layout, SX), expected, atol=1e-15)
+    full = full_sector(SpaceLayout(2, (1, 2)))
+    assert np.array_equal(full.operator(SX), np.kron(SX, np.eye(2 * 3)))
     # three factors: every one of them against the explicit kron chain
     layout3 = SpaceLayout(3, (1, 2, 3))
+    full3 = full_sector(layout3)
     rng = np.random.default_rng(8)
     for factor, d in enumerate(layout3.dims):
         op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        assert np.array_equal(embed(layout3, factor, op), kron_chain(layout3, factor, op))
+        assert np.array_equal(full3.operator({factor: op}), kron_chain(layout3, factor, op))
 
 
 def test_mode_ops_against_kron():
-    layout = SpaceLayout(2, (2, 1))
-    b, bdag = mode_ops(layout, 1)
+    full = full_sector(SpaceLayout(2, (2, 1)))
     expected = np.kron(np.eye(2 * 3), destroy(1))
-    np.testing.assert_allclose(b, expected, atol=1e-15)
-    np.testing.assert_allclose(bdag, expected.conj().T, atol=1e-15)
+    assert np.array_equal(full.operator({2: destroy(1)}), expected)
+    assert np.array_equal(full.operator({2: destroy(1).conj().T}), expected.conj().T)
     layout3 = SpaceLayout(3, (1, 2, 3))
+    full3 = full_sector(layout3)
     for l, n_max in enumerate(layout3.fock_levels):
-        b, bdag = mode_ops(layout3, l)
-        expected = kron_chain(layout3, 1 + l, destroy(n_max))
-        assert np.array_equal(b, expected)
-        assert np.array_equal(bdag, expected.conj().T)
-
-
-def full_sector(layout):
-    return Sector(layout, np.arange(layout.dim))
+        b = destroy(n_max)
+        expected = kron_chain(layout3, 1 + l, b)
+        assert np.array_equal(full3.operator({1 + l: b}), expected)
+        assert np.array_equal(full3.operator({1 + l: b.conj().T}), expected.conj().T)
 
 
 def test_partial_trace_matches_loop_oracle():
@@ -127,7 +131,7 @@ def test_partial_trace_matches_loop_oracle():
     rho = np.zeros((layout.dim, layout.dim), dtype=complex)
     rho[np.ix_(support, support)] = block
     np.testing.assert_allclose(
-        Sector(layout, support).reduced(block), loop_partial_trace(rho, layout), atol=1e-13
+        sector_of(layout, support).reduced(block), loop_partial_trace(rho, layout), atol=1e-13
     )
 
 
@@ -143,48 +147,66 @@ def test_sector_operator_is_the_block_of_the_embedding():
     layout = SpaceLayout(3, (1, 2))
     rng = np.random.default_rng(9)
     support = np.array([1, 4, 6, 10, 11, 17])
-    sector = Sector(layout, support)
+    sector = sector_of(layout, support)
+    assert np.array_equal(sector.support, support)
+    assert np.array_equal(sector.labels, np.transpose(np.unravel_index(support, layout.dims)))
     block = np.ix_(support, support)
     sys_op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    full_op = rng.normal(size=(layout.dim,) * 2) + 1j * rng.normal(size=(layout.dim,) * 2)
-    assert np.array_equal(sector.operator(sys_op), embed_system(layout, sys_op)[block])
-    assert np.array_equal(sector.operator(full_op), full_op[block])
-    with pytest.raises(InvalidModelError):
-        sector.operator(np.eye(4))
+    mode_op = rng.normal(size=(3, 3))  # real, as the ladder operators are
+    assert np.array_equal(sector.operator(sys_op), kron_chain(layout, 0, sys_op)[block])
+    # a product over two factors is the block of the product of their embeddings
+    product = kron_chain(layout, 0, sys_op) @ kron_chain(layout, 2, mode_op)
+    assert np.array_equal(sector.operator({0: sys_op, 2: mode_op}), product[block])
+    assert np.array_equal(sector.operator({}), np.eye(layout.dim)[block])
+    for bad in (np.eye(4), {1: np.eye(3)}, {3: np.eye(2)}):
+        with pytest.raises(InvalidModelError):
+            sector.operator(bad)
 
 
 def test_vacuum_embedding_and_basis_state():
     layout = SpaceLayout(2, (2, 2))
-    rho_s = np.diag([0.25, 0.75]).astype(complex)
-    rho = vacuum_embedding(layout, rho_s)
-    assert rho.shape == (18, 18)
-    assert np.trace(rho) == pytest.approx(1.0)
-    np.testing.assert_allclose(full_sector(layout).reduced(rho), rho_s, atol=1e-15)
-    psi = basis_state(layout, 1)
+    full = full_sector(layout)
+    rho_s = np.array([[0.25, 0.1j], [-0.1j, 0.75]])
+    rho = vacuum_embedding(full, rho_s)
+    vacuum = np.zeros((3, 3))
+    vacuum[0, 0] = 1.0
+    assert np.array_equal(rho, np.kron(np.kron(rho_s, vacuum), vacuum))
+    np.testing.assert_allclose(full.reduced(rho), rho_s, atol=1e-15)
+    psi = basis_state(full, 1)
     assert psi[np.flatnonzero(psi)[0]] == 1.0
     np.testing.assert_allclose(
-        np.outer(psi, psi.conj()), vacuum_embedding(layout, np.diag([0.0, 1.0])), atol=1e-15
+        np.outer(psi, psi.conj()), vacuum_embedding(full, np.diag([0.0, 1.0])), atol=1e-15
     )
+    # on a sector: the rows of its vacuum labels, and a refusal for a missing one
+    sector = Sector(layout, [(1, 0, 0), (0, 1, 0), (0, 0, 0)])
+    np.testing.assert_allclose(sector.reduced(vacuum_embedding(sector, rho_s)), rho_s,
+                               atol=1e-15)
+    assert np.array_equal(basis_state(sector, 1), [0, 0, 1])
+    with pytest.raises(InvalidModelError, match=r"levels \[1\]"):
+        vacuum_embedding(Sector(layout, [(0, 0, 0), (1, 1, 0)]), rho_s)
 
 
 def test_basis_state_fock_indices():
     layout = SpaceLayout(2, (2, 2))
-    psi = basis_state(layout, 0, fock=(1, 2))
+    psi = basis_state(full_sector(layout), 0, fock=(1, 2))
     rho = np.outer(psi, psi.conj())
     diag = np.real(np.diag(rho)).reshape(layout.dims)
     assert diag[0, 1, 2] == pytest.approx(1.0)
+    for level, fock in ((0, (1, 1)), (0, (3, 0)), (2, (0, 0)), (0, (0,))):
+        with pytest.raises(InvalidModelError):
+            basis_state(Sector(layout, [(0, 1, 2)]), level, fock)
 
 
 def test_top_fock_populations():
     layout = SpaceLayout(2, (1, 2))
-    psi = basis_state(layout, 0, fock=(1, 0))
+    full = full_sector(layout)
+    psi = basis_state(full, 0, fock=(1, 0))
     rho = np.outer(psi, psi.conj())
-    np.testing.assert_allclose(full_sector(layout).top_fock(rho), [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(full.top_fock(rho), [1.0, 0.0], atol=1e-15)
     # on a block: |0; 0, 2>, |0; 1, 0> and |1; 1, 2> with populations .3, .5, .2
-    support = np.ravel_multi_index(([0, 0, 1], [0, 1, 1], [2, 0, 2]), layout.dims)
+    sector = Sector(layout, [(0, 0, 2), (0, 1, 0), (1, 1, 2)])
     block = np.diag([0.3, 0.5, 0.2]).astype(complex)
-    np.testing.assert_allclose(Sector(layout, support).top_fock(block), [0.7, 0.5],
-                               atol=1e-15)
+    np.testing.assert_allclose(sector.top_fock(block), [0.7, 0.5], atol=1e-15)
 
 
 def test_expectation_equals_trace():

@@ -25,7 +25,6 @@ from pseudomodes import (
     basis_state,
     build_discrete_modes,
     build_generator,
-    embed_system,
     evolve,
     lorentzian_to_poles,
     mcwf_run,
@@ -55,17 +54,27 @@ BAND_GAP = lorentzian_to_poles(LorentzianSum((
 )))
 
 
+def excited(layout):
+    """The label of the excited level with every mode in vacuum."""
+    return [(1,) + (0,) * layout.n_modes]
+
+
+def either(layout):
+    """Both levels with every mode in vacuum."""
+    return [(level,) + (0,) * layout.n_modes for level in (0, 1)]
+
+
 def tls_generator():
     modes = build_discrete_modes(SINGLE, (1.0,))
     layout = SpaceLayout(2, (2,))
-    return build_generator(TLS, modes, layout), layout
+    return build_generator(TLS, modes, layout, excited(layout)), layout
 
 
 def band_gap_regularized():
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     reg = two_mode_regularize(modes)
     layout = SpaceLayout(2, (2, 2))
-    return build_generator(TLS, reg, layout), layout
+    return build_generator(TLS, reg, layout, excited(layout)), layout
 
 
 def embedded(blocks, support, dim):
@@ -92,7 +101,7 @@ def test_no_jump_propagator_matches_stepped_integration():
     gen, layout = tls_generator()
     prop = NoJumpPropagator(gen.drift())
     rng = np.random.default_rng(11)
-    psi0 = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
+    psi0 = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
     psi0 /= np.linalg.norm(psi0)
     expected = rk4_state(gen.drift(), psi0, 0.7, 4000)
     np.testing.assert_allclose(prop.apply(psi0, 0.7), expected, atol=1e-9)
@@ -101,7 +110,7 @@ def test_no_jump_propagator_matches_stepped_integration():
 def test_no_jump_propagator_composes_and_decays():
     gen, layout = tls_generator()
     prop = NoJumpPropagator(gen.drift())
-    psi = basis_state(layout, 1)
+    psi = basis_state(gen.sector, 1)
     np.testing.assert_allclose(prop.apply(psi, 0.0), psi, atol=1e-12)
     two_hops = prop.apply(prop.apply(psi, 0.3), 0.4)
     np.testing.assert_allclose(prop.apply(psi, 0.7), two_hops, atol=1e-12)
@@ -112,11 +121,12 @@ def test_no_jump_propagator_composes_and_decays():
 def test_no_jump_propagator_is_exact_at_an_exceptional_point():
     modes = build_discrete_modes(CRITICAL, (1.0,))
     layout = SpaceLayout(2, (2,))
-    drift = build_generator(TLS, modes, layout).drift()
+    drift = build_generator(TLS, modes, layout, excited(layout)).drift()
     assert np.linalg.cond(np.linalg.eig(drift)[1]) > 1e6
     prop = NoJumpPropagator(drift)
     rng = np.random.default_rng(12)
-    kets = rng.standard_normal((3, layout.dim)) + 1j * rng.standard_normal((3, layout.dim))
+    d = len(drift)
+    kets = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
     kets /= np.linalg.norm(kets, axis=1)[:, None]
     stacked = prop.apply(kets, 0.7)
     for ket, out in zip(kets, stacked):
@@ -170,22 +180,23 @@ def test_stack_rows_do_not_depend_on_the_stack_with_two_blas_threads():
 def test_recorded_observables_match_the_mean_density(frame):
     layout = SpaceLayout(2, (2, 2))
     reg = two_mode_regularize(build_discrete_modes(BAND_GAP, (1.0,)))
-    gen = build_generator(TLS, reg, layout, frame=frame)
-    psi0 = (basis_state(layout, 0) + basis_state(layout, 1)) / np.sqrt(2.0)
+    gen = build_generator(TLS, reg, layout, either(layout), frame=frame)
+    psi0 = (basis_state(gen.sector, 0) + basis_state(gen.sector, 1)) / np.sqrt(2.0)
     cfg = TrajectoryConfig(n_traj=60, seed=5, times=np.linspace(0.0, 4.0, 21))
     ens = mcwf_run(gen, psi0, cfg, observables={"sx": SX})
     assert ens.jump_counts.sum() > 0
     mean_density = embedded(ens.mean_density, ens.support, layout.dim)
-    from_density = np.einsum("ij,tji->t", embed_system(layout, SX), mean_density)
+    sx = np.kron(SX, np.eye(layout.dim // 2))  # SX on the system, the identity on the modes
+    from_density = np.einsum("ij,tji->t", sx, mean_density)
     assert np.abs(ens.observables["sx"].real).max() > 0.1
     assert np.abs(ens.observables["sx"] - from_density).max() <= 1e-12
 
 
 def test_truncation_guard_keeps_the_rows_before_the_first_bad_one():
     layout = SpaceLayout(2, (1,))
-    gen = build_generator(TLS, build_discrete_modes(SINGLE, (1.0,)), layout)
+    gen = build_generator(TLS, build_discrete_modes(SINGLE, (1.0,)), layout, excited(layout))
     t = np.linspace(0.0, 0.004, 21)
-    psi0 = basis_state(layout, 1)
+    psi0 = basis_state(gen.sector, 1)
     with pytest.raises(TruncationGuardError) as info:
         mcwf_run(gen, psi0, TrajectoryConfig(n_traj=50, seed=3, times=t),
                  observables={"ee": EE})
@@ -215,10 +226,10 @@ def test_truncation_guard_keeps_the_rows_before_the_first_bad_one():
 def test_ensemble_tracks_master_equation():
     gen, layout = tls_generator()
     t = np.linspace(0.0, 2.5, 26)
-    exact = evolve(gen, vacuum_embedding(layout, EE), t, observables={"ee": EE},
+    exact = evolve(gen, vacuum_embedding(gen.sector, EE), t, observables={"ee": EE},
                    store_states=False).observables["ee"].real
     cfg = TrajectoryConfig(n_traj=500, seed=7, times=t)
-    ens = mcwf_run(gen, basis_state(layout, 1), cfg, observables={"ee": EE})
+    ens = mcwf_run(gen, basis_state(gen.sector, 1), cfg, observables={"ee": EE})
     dev = np.abs(ens.observables["ee"].real - exact)
     limit = 5.0 * ens.stderr["ee"] + 1e-12
     assert np.all(dev <= limit)
@@ -231,7 +242,7 @@ def test_replay_is_bit_identical():
     gen, layout = tls_generator()
     t = np.linspace(0.0, 2.0, 11)
     cfg = TrajectoryConfig(n_traj=64, seed=123, times=t)
-    psi0 = basis_state(layout, 1)
+    psi0 = basis_state(gen.sector, 1)
     a = mcwf_run(gen, psi0, cfg, observables={"ee": EE})
     b = mcwf_run(gen, psi0, cfg, observables={"ee": EE})
     assert np.array_equal(a.observables["ee"], b.observables["ee"])
@@ -244,7 +255,7 @@ def test_replay_is_bit_identical():
 def test_trajectory_streams_do_not_depend_on_ensemble_size():
     gen, layout = tls_generator()
     t = np.linspace(0.0, 2.0, 11)
-    psi0 = basis_state(layout, 1)
+    psi0 = basis_state(gen.sector, 1)
     big = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=10, seed=5, times=t))
     small = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=4, seed=5, times=t))
     assert big.jump_records[:4] == small.jump_records
@@ -254,7 +265,7 @@ def test_trajectory_streams_do_not_depend_on_ensemble_size():
 def test_jump_records_do_not_depend_on_batch_size():
     gen, layout = band_gap_regularized()
     t = np.linspace(0.0, 4.0, 21)
-    psi0 = basis_state(layout, 1)
+    psi0 = basis_state(gen.sector, 1)
     full = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=100, seed=8, times=t))
     assert full.jump_counts.sum() > 20
     for n in (1, 4, 37):
@@ -281,7 +292,7 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
     monkeypatch.setattr(NoJumpPropagator, "apply", counting)
     for n_traj in (10, 100, 1000):
         calls.clear()
-        ens = mcwf_run(gen, basis_state(layout, 1),
+        ens = mcwf_run(gen, basis_state(gen.sector, 1),
                        TrajectoryConfig(n_traj=n_traj, seed=4, times=t))
         jumps = int(ens.jump_counts.sum())
         assert jumps > 0
@@ -303,7 +314,7 @@ def test_ensemble_carries_only_the_reachable_support(monkeypatch):
         return apply(self, psi, dt)
 
     monkeypatch.setattr(NoJumpPropagator, "apply", recording)
-    ens = mcwf_run(gen, basis_state(layout, 1),
+    ens = mcwf_run(gen, basis_state(gen.sector, 1),
                    TrajectoryConfig(n_traj=40, seed=2, times=np.linspace(0.0, 4.0, 21)))
     assert ens.jump_counts.sum() > 0
     assert widths == {4}  # |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
@@ -319,11 +330,11 @@ def test_memory_follows_the_support_not_the_space():
     # (201, 98, 98) complex array alone would take 31 MB.
     layout = SpaceLayout(2, (6, 6))
     gen = build_generator(TLS, two_mode_regularize(build_discrete_modes(BAND_GAP, (1.0,))),
-                          layout)
+                          layout, excited(layout))
     cfg = TrajectoryConfig(n_traj=50, seed=7, times=np.linspace(0.0, 20.0, 201))
     tracemalloc.start()
     try:
-        ens = mcwf_run(gen, basis_state(layout, 1), cfg, observables={"ee": EE})
+        ens = mcwf_run(gen, basis_state(gen.sector, 1), cfg, observables={"ee": EE})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -334,7 +345,7 @@ def test_memory_follows_the_support_not_the_space():
 
 def test_a_long_row_jumps_as_a_fine_grid_does():
     gen, layout = tls_generator()
-    psi0 = basis_state(layout, 1)
+    psi0 = basis_state(gen.sector, 1)
     fine = np.append(np.linspace(0.0, 20.0, 201), 1e6)
     cfg = dict(n_traj=40, seed=6)
     one_row = mcwf_run(gen, psi0, TrajectoryConfig(times=np.array([0.0, 1e6]), **cfg),
@@ -354,7 +365,7 @@ def test_zero_rate_channel_never_fires():
     rates = [r for r, _ in gen.channels]
     assert rates[0] == 0.0 and rates[1] > 0.0
     t = np.linspace(0.0, 3.0, 16)
-    ens = mcwf_run(gen, basis_state(layout, 1),
+    ens = mcwf_run(gen, basis_state(gen.sector, 1),
                    TrajectoryConfig(n_traj=80, seed=2, times=t))
     assert ens.jump_counts.shape == (80, 2)
     assert np.all(ens.jump_counts[:, 0] == 0)
@@ -364,7 +375,7 @@ def test_zero_rate_channel_never_fires():
 def test_jump_records_consistent_with_counts():
     gen, layout = tls_generator()
     t = np.linspace(0.0, 2.5, 26)
-    ens = mcwf_run(gen, basis_state(layout, 1),
+    ens = mcwf_run(gen, basis_state(gen.sector, 1),
                    TrajectoryConfig(n_traj=40, seed=9, times=t))
     assert isinstance(ens, EnsembleResult)
     assert ens.n_traj == 40
@@ -380,9 +391,9 @@ def test_jump_records_consistent_with_counts():
 def test_one_sided_generator_is_refused():
     modes = build_discrete_modes(BAND_GAP, (1.0,))
     layout = SpaceLayout(2, (2, 2))
-    gen = build_generator(TLS, modes, layout)
+    gen = build_generator(TLS, modes, layout, excited(layout))
     with pytest.raises(ClassificationError):
-        mcwf_run(gen, basis_state(layout, 1),
+        mcwf_run(gen, basis_state(gen.sector, 1),
                  TrajectoryConfig(n_traj=1, seed=0, times=np.array([0.0, 1.0])))
 
 
@@ -392,11 +403,11 @@ def test_interaction_frame_only_rotates_the_recorded_states():
     layout = SpaceLayout(2, (2, 2))
     cfg = TrajectoryConfig(n_traj=20, seed=3, times=np.linspace(0.0, 5.0, 11))
     obs = {"ee": EE, "coh": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)}
-    psi0 = (basis_state(layout, 0) + basis_state(layout, 1)) / np.sqrt(2.0)
     schro, inter = (
-        mcwf_run(build_generator(TLS, reg, layout, frame=frame),
-                 psi0, cfg, observables=obs)
-        for frame in ("schrodinger", "interaction")
+        mcwf_run(gen, (basis_state(gen.sector, 0) + basis_state(gen.sector, 1)) / np.sqrt(2.0),
+                 cfg, observables=obs)
+        for gen in (build_generator(TLS, reg, layout, either(layout), frame=frame)
+                    for frame in ("schrodinger", "interaction"))
     )
     assert sum(len(r) for r in schro.jump_records) > 0
     assert inter.jump_records == schro.jump_records
@@ -412,11 +423,11 @@ def test_initial_state_validation():
     gen, layout = tls_generator()
     cfg = TrajectoryConfig(n_traj=1, seed=0, times=np.array([0.0, 1.0]))
     with pytest.raises(InvalidModelError):
-        mcwf_run(gen, 0.5 * basis_state(layout, 1), cfg)
+        mcwf_run(gen, 0.5 * basis_state(gen.sector, 1), cfg)
     with pytest.raises(InvalidModelError):
-        mcwf_run(gen, np.ones(3) / np.sqrt(3.0), cfg)
+        mcwf_run(gen, np.ones(4) / 2.0, cfg)  # the sector holds 3 states
     with pytest.raises(InvalidModelError):
-        mcwf_run(gen, basis_state(layout, 1), cfg, observables={"x": np.ones((3, 3))})
+        mcwf_run(gen, basis_state(gen.sector, 1), cfg, observables={"x": np.ones((3, 3))})
 
 
 def test_trajectory_config_validation():
@@ -431,7 +442,7 @@ def test_trajectory_config_validation():
 def test_mean_density_is_a_state():
     gen, layout = tls_generator()
     t = np.linspace(0.0, 2.0, 6)
-    ens = mcwf_run(gen, basis_state(layout, 1),
+    ens = mcwf_run(gen, basis_state(gen.sector, 1),
                    TrajectoryConfig(n_traj=50, seed=3, times=t))
     for rho in ens.mean_density:
         assert np.abs(rho - rho.conj().T).max() < 1e-12
