@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -35,7 +36,8 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .dynamics import FRAMES, KINDS, Generator, build_generator, equivalence_check, evolve
+from .dynamics import (FRAMES, KINDS, Generator, build_generator, equivalence_check, evolve,
+                       taylor_plan)
 from .errors import (
     ClassificationError,
     ConfigError,
@@ -240,6 +242,27 @@ def _parse_system(block: dict) -> SystemSpec:
     )
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """The safe loader, plus the YAML 1.2 floats that YAML 1.1 reads as strings.
+
+    YAML 1.1 wants a dot and a signed exponent, so PyYAML's resolver leaves
+    ``1e-3``, ``2E5`` and ``1e300`` as strings.
+    """
+
+
+class _ConfigDumper(yaml.SafeDumper):
+    """The safe dumper, quoting the strings that ``_ConfigLoader`` reads as floats."""
+
+
+# Registered on the subclasses, so yaml.SafeLoader and SafeDumper stay as they are.
+for _resolver in (_ConfigLoader, _ConfigDumper):
+    _resolver.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML run description."""
     p = Path(path)
@@ -248,7 +271,7 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {p} is not valid YAML: {exc}") from exc
     except RecursionError as exc:
@@ -324,7 +347,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical YAML for a loaded config; reloading it runs identically."""
-    return yaml.safe_dump(cfg.raw, sort_keys=True)
+    return yaml.dump(cfg.raw, Dumper=_ConfigDumper, sort_keys=True)
 
 
 def _observable_ops(cfg: RunConfig) -> dict[str, np.ndarray]:
@@ -450,8 +473,16 @@ def _mode_lines(modes: ModeSet, coupling_text) -> list[str]:
 
 
 def cmd_map(cfg: RunConfig) -> MapReport:
-    """Build the discrete modes and, for a complex pair, their rotated form."""
+    """Build the discrete modes and, for a complex pair, their rotated form.
+
+    A model whose generator has no finite norm bound is refused as every
+    propagator refuses it (``taylor_plan``), so ``map`` accepts no model
+    that the other subcommands refuse on it.
+    """
     modes = build_discrete_modes(cfg.pole_set, cfg.system.strengths)
+    layout = _layout_for(cfg, len(modes))
+    taylor_plan(build_generator(cfg.system, modes, layout, _start(cfg, layout))
+                .norm_estimate(), 0.0)
     report = check_positivity_grid(cfg.pole_set, default_grid(cfg.pole_set))
     lines = [
         f"classification: {modes.classification}",

@@ -38,21 +38,28 @@ over on the generator's sector, and every recorded quantity is read from
 the block through the same ``hilbert.Sector``.
 
 Every generator is propagated exactly: each output row is
-rho(t + dt) = exp(dt L) rho(t), evaluated as a truncated Taylor series that
-only applies L to |S| x |S| blocks (Al-Mohy and Higham, SIAM J. Sci. Comput.
-33, 488 (2011)), so memory stays O(|S|**2) per term and the cost follows the
-output rows.  The series is planned on the norm bound of the block it
-propagates, and ``taylor_plan`` holds the one row-length rule: a row whose
-plan would need more than MAX_TAYLOR_INTERVALS sub-intervals is refused,
-naming the longest row that fits.  A truncation guard aborts the run as
-soon as the top Fock level of any mode accumulates population beyond 1e-6;
-the trajectory ensemble applies the same ``truncation_guard`` to its mean
+rho(t + dt) = exp(dt L) rho(t), from a truncated Taylor series that only
+applies L to |S| x |S| blocks (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+488 (2011)).  L is constant, so the row map depends only on the row's span:
+``CachedExponential`` forms exp(dt L) once per distinct span as the
+|S|**2 x |S|**2 matrix P, from the same series applied to the |S|**2 basis
+matrices as one stack, and each row is then one product vec(rho) @ P.
+``evolve`` takes that route when the rows outnumber |S|**2, and otherwise
+applies the series to each row's state, so memory stays O(|S|**2) per term.
+The series is planned on the norm bound of the block it propagates, and
+``taylor_plan`` holds the one row-length rule: a row whose plan would need
+more than MAX_TAYLOR_INTERVALS sub-intervals is refused, naming the longest
+row that fits.  The trajectory ensemble exponentiates its no-jump drift with
+the same ``CachedExponential``.  A truncation guard aborts the run as soon
+as the top Fock level of any mode accumulates population beyond 1e-6; the
+trajectory ensemble applies the same ``truncation_guard`` to its mean
 density.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,6 +101,11 @@ UNIT_ROUNDOFF = 2.0**-53
 #: Rows needing more Taylor sub-intervals than this indicate a runaway norm
 #: estimate or time span.
 MAX_TAYLOR_INTERVALS = 1_000_000
+#: Exponentials a CachedExponential keeps, the least recently used dropped
+#: first: every span one trajectory row takes (the 35 power-of-two steps of
+#: its jump search, ``trajectories.SEARCH_LEVELS``, its spacing and its
+#: tail), so none is computed twice within a row.
+PROPAGATOR_CACHE = 37
 
 
 class InvariantViolationError(InvalidModelError):
@@ -105,11 +117,14 @@ class Generator:
 
     Instances are immutable by convention; every array is kept internally and
     never handed out for mutation.  Every matrix is an S x S block on
-    ``sector``, so d below is |S|.  ``apply`` is deliberately matrix-free in
-    the superoperator sense: it performs only d x d matrix products, so the
-    memory footprint stays O(d**2) rather than O(d**4).  ``h0`` is the
-    diagonal of the free Hamiltonian H0 that the interaction frame rotates
-    with; the Schrodinger frame does not need it.
+    ``sector``, so d below is |S|.  ``apply`` is matrix-free in the
+    superoperator sense: it performs only d x d matrix products, on one
+    density or broadcast over a leading axis of an (n, d, d) stack, so a
+    density costs O(d**2) memory where the superoperator would cost O(d**4).
+    ``evolve`` forms the d**2 x d**2 row map only when enough rows share it
+    (``CachedExponential``).  ``h0`` is the diagonal of the free Hamiltonian
+    H0 that the interaction frame rotates with; the Schrodinger frame does
+    not need it.
     """
 
     def __init__(
@@ -176,7 +191,7 @@ class Generator:
         return self._left
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evaluate L[rho]."""
+        """Evaluate L[rho] for a density or each density of an (n, d, d) stack."""
         out = -1j * (self._left @ rho - rho @ self._right)
         for jop, jdag in self._jumps:
             out += jop @ (rho @ jdag)
@@ -396,9 +411,16 @@ def evolve(
     """Propagate d rho / dt = L[rho] over the grid.
 
     ``rho0`` is the initial state on ``gen.sector`` (``vacuum_embedding``
-    gives one), and each row is advanced from the last by the exact action
-    exp(dt L) rho, planned with ``gen.norm_estimate()``.  Every recorded
-    quantity is taken from the state as seen in ``gen.frame``.
+    gives one), and each row is advanced from the last by exp(dt L), planned
+    with ``gen.norm_estimate()``.  With d = |S|, the row map P = exp(dt L)
+    costs about d**2 row actions per distinct span (one stacked series on the
+    d**2 basis matrices) and holds d**4 entries, after which a row is one
+    product vec(rho) @ P.  So P is formed (``CachedExponential``) when
+    d**2 <= the number of rows: then P holds no more entries than the rows'
+    states, and on an evenly spaced grid, whose rows share a few spans,
+    forming it costs no more arithmetic than a series per row.  With fewer
+    rows each row applies the Taylor series to its own state instead.
+    Every recorded quantity is taken from the state as seen in ``gen.frame``.
     ``observables`` maps names to operators, each a matrix on the system
     factor or a mapping of factor operators, formed on the sector once
     (``Sector.operator``).
@@ -460,9 +482,19 @@ def evolve(
         for name, mat in obs.items():
             obs_out[name][i] = expectation(rho, mat)
 
+    if d * d <= n_t - 1:
+        row_map = CachedExponential(
+            gen.apply, np.eye(d * d, dtype=complex).reshape(-1, d, d), est)
+
+        def advance(rho: np.ndarray, span: float) -> np.ndarray:
+            return (rho.reshape(-1) @ row_map.matrix(span)).reshape(d, d)
+    else:
+        def advance(rho: np.ndarray, span: float) -> np.ndarray:
+            return _taylor_interval(gen.apply, rho, span, est)
+
     record(0, rho)
     for i in range(1, n_t):
-        rho = _taylor_interval(gen.apply, rho, float(t[i] - t[i - 1]), est)
+        rho = advance(rho, float(t[i] - t[i - 1]))
         record(i, rho)
     return finalize(n_t)
 
@@ -517,6 +549,57 @@ def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float) -> n
                 break
             c1 = c2
     return rho
+
+
+class CachedExponential:
+    """exp(h X) as a matrix for a time-independent linear map X, per span h.
+
+    ``identity`` holds the n basis vectors of the space X acts on, laid out
+    as ``apply`` takes them: the (n, n) identity for kets, each column a
+    basis ket, or the n = d**2 basis matrices as one (n, d, d) stack for
+    densities.  ``matrix(h)`` is the Taylor action of ``_taylor_interval``
+    on that identity, reshaped to (n, n): exp(h X) itself for kets, and for
+    densities the matrix P with vec(exp(h L) rho) = vec(rho) @ P.  While
+    norm_rate h stays within the largest degree's ``TAYLOR_THETA`` the
+    series needs one sub-interval; a longer span is the square of the half
+    span, which is a product with ``@`` in both layouts.  No
+    eigendecomposition is involved, so a defective generator (an
+    exceptional point) is exponentiated like any other.  A span is checked
+    by ``taylor_plan`` first, so a non-finite norm or a span too long for the
+    Taylor plan raises the same StepUnderflowError as a row of ``evolve``.
+    The ``PROPAGATOR_CACHE`` most recently used matrices are kept:
+    PROPAGATOR_CACHE n**2 complex numbers.
+    """
+
+    def __init__(self, apply: Callable[[np.ndarray], np.ndarray], identity: np.ndarray,
+                 norm_rate: float):
+        self._apply = apply
+        self._identity = identity
+        self._norm = norm_rate
+        self._cache: OrderedDict[float, np.ndarray] = OrderedDict()
+
+    def _exp(self, h: float) -> np.ndarray:
+        taylor_plan(self._norm, h)  # the row-length rule of evolve
+        halvings = 0
+        while self._norm * math.ldexp(h, -halvings) > TAYLOR_THETA[-1][1]:
+            halvings += 1
+        n = self._identity.shape[0]
+        u = _taylor_interval(self._apply, self._identity, math.ldexp(h, -halvings),
+                             self._norm).reshape(n, n)
+        for _ in range(halvings):
+            u = u @ u
+        return u
+
+    def matrix(self, h: float) -> np.ndarray:
+        """The (n, n) matrix of exp(h X) for h >= 0, formed on the first request."""
+        u = self._cache.get(h)
+        if u is None:
+            u = self._cache[h] = self._exp(h)
+            if len(self._cache) > PROPAGATOR_CACHE:
+                self._cache.popitem(last=False)
+        else:
+            self._cache.move_to_end(h)
+        return u
 
 
 def equivalence_check(

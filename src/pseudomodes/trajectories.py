@@ -8,21 +8,21 @@ channel is drawn proportionally to 2 rate_k ||b_k psi||**2 and the state is
 projected and renormalized.
 
 The drift is time independent, so the no-jump evolution is the exact
-exponential exp(-i D dt), computed by the truncated Taylor action of
-``dynamics`` rather than by an eigendecomposition, which a defective drift
-(an exceptional point) would not have.  Kets live on the generator's
-sector S, the states its terms reach from the initial labels: the drift and
-the jumps never leave it, so the ensemble carries only |S| amplitudes per
-ket.  The whole ensemble advances together: each output row is one product
-of the (n_traj, |S|) ket stack with exp(-i D dt) and one vectorised norm
-check.  The trajectories whose norm fell below their threshold then locate
-their jumps together: monotonicity of the norm lets a bisection over
-power-of-two steps place each jump on a lattice of spacing at most
-1e-10 max(1, t), one product of the searching kets' stack per step, with
-masks choosing the kets that keep it.  The
-generator's frame only changes how the recorded states are viewed
-(psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times
-do not depend on it.
+exponential exp(-i D dt), formed by the ``CachedExponential`` of
+``dynamics`` (which also forms the row maps of ``evolve``) from its
+truncated Taylor series rather than by an eigendecomposition, which a
+defective drift (an exceptional point) would not have.  Kets live on the
+generator's sector S, the states its terms reach from the initial labels:
+the drift and the jumps never leave it, so the ensemble carries only |S|
+amplitudes per ket.  The whole ensemble advances together: each output row
+is one product of the (n_traj, |S|) ket stack with exp(-i D dt) and one
+vectorised norm check.  The trajectories whose norm fell below their
+threshold then locate their jumps together: monotonicity of the norm lets a
+bisection over power-of-two steps place each jump on a lattice of spacing at
+most 1e-10 max(1, t), one product of the searching kets' stack per step,
+with masks choosing the kets that keep it.  The generator's frame only
+changes how the recorded states are viewed (psi_I = exp(i H0 t) psi in the
+interaction frame); jumps and their times do not depend on it.
 
 Trajectories are statistically independent with counter-based RNG streams
 derived from (seed, trajectory index), each drawing in a fixed order.  A
@@ -34,23 +34,20 @@ how many others run beside it or on their values.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import as_complex_matrix, frozen, validate_grid
 from .errors import ClassificationError, InvalidModelError
-from .dynamics import TAYLOR_THETA, Generator, _taylor_interval, taylor_plan, truncation_guard
+from .dynamics import CachedExponential, Generator, truncation_guard
 
 #: Relative precision of the jump times.
 JUMP_TIME_TOL = 1e-10
 #: Power-of-two steps the jump search of one row takes at most: a row of
 #: length dt <= max(1, t) spans fewer than 2 / JUMP_TIME_TOL lattice steps.
+#: ``dynamics.PROPAGATOR_CACHE`` keeps these, the spacing and the tail.
 SEARCH_LEVELS = math.ceil(math.log2(2.0 / JUMP_TIME_TOL))
-#: Exponentials a NoJumpPropagator keeps: all those one row uses (its search
-#: steps, its spacing and its tail), so none is computed twice within a row.
-PROPAGATOR_CACHE = SEARCH_LEVELS + 2
 
 
 @dataclass(frozen=True)
@@ -96,54 +93,30 @@ class EnsembleResult:
 class NoJumpPropagator:
     """Exact no-jump propagator exp(-i D dt) for a time-independent drift D.
 
-    exp(-i D h) is evaluated directly with the truncated Taylor action that
-    ``dynamics.evolve`` uses (A = -i D applied to the identity, ||D||_F
-    bounding ||A||) while ||D||_F h stays within the largest degree's
-    ``TAYLOR_THETA``, where the series needs a single sub-interval; a longer
-    span is the square of the half span.  No eigendecomposition is involved,
-    so a defective drift (an exceptional point) is propagated like any other.
-    A span is checked by ``taylor_plan`` on ||D||_F first, so a non-finite
-    norm or a span too long for the Taylor plan is refused with the same
-    StepUnderflowError as a row of ``evolve``.  ``mcwf_run`` builds it from
-    the generator's drift, so d here is |S|.  The ``PROPAGATOR_CACHE`` most
-    recently used exponentials are kept: PROPAGATOR_CACHE d**2 complex
-    numbers, 0.2 MB at d = 18 and 35 MB at d = 242; 10 kB for the |S| = 4 of
-    a band gap started with one excitation.  ``apply`` takes a ket or an
-    (n, d) stack of kets and multiplies each ket by its own (1, d) x (d, d)
-    BLAS product, of a shape that does not depend on n, so no row of the
-    result depends on how many other rows the stack has or on their values.
-    One (n, d) x (d, d) product would not do: its kernel follows n, and its
-    row at n = 1 differs from the full stack's.
+    exp(-i D h) is the ``CachedExponential`` of A = -i D on the identity,
+    planned on ||D||_F (which bounds ||A||), so a span is refused by the
+    same ``taylor_plan`` rule as a row of ``evolve``, and the
+    ``PROPAGATOR_CACHE`` most recently used spans are kept: 10 kB for the
+    |S| = 4 of a band gap started with one excitation, 35 MB at |S| = 242.
+    ``mcwf_run`` builds it from the generator's drift, so d here is |S|.
+    ``apply`` takes a ket or an (n, d) stack of kets and multiplies each ket
+    by its own (1, d) x (d, d) BLAS product, of a shape that does not depend
+    on n, so no row of the result depends on how many other rows the stack
+    has or on their values.  One (n, d) x (d, d) product would not do: its
+    kernel follows n, and its row at n = 1 differs from the full stack's.
     """
 
     def __init__(self, drift: np.ndarray):
         d = as_complex_matrix(drift, "drift")
-        self._a = -1j * d
-        with np.errstate(over="ignore"):  # an overflow is inf, which _exp refuses
-            self._norm = float(np.linalg.norm(d))
-        self._cache: OrderedDict[float, np.ndarray] = OrderedDict()
-
-    def _exp(self, dt: float) -> np.ndarray:
-        taylor_plan(self._norm, dt)  # the row-length rule of evolve
-        halvings = 0
-        while self._norm * math.ldexp(dt, -halvings) > TAYLOR_THETA[-1][1]:
-            halvings += 1
-        a = self._a
-        u = _taylor_interval(lambda x: a @ x, np.eye(a.shape[0], dtype=complex),
-                             math.ldexp(dt, -halvings), self._norm)
-        for _ in range(halvings):
-            u = u @ u
-        return u
+        a = -1j * d
+        with np.errstate(over="ignore"):  # an overflow is inf, which taylor_plan refuses
+            norm = float(np.linalg.norm(d))
+        self._exp = CachedExponential(lambda x: a @ x, np.eye(d.shape[0], dtype=complex),
+                                      norm)
 
     def apply(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """exp(-i D dt) psi for dt >= 0."""
-        u = self._cache.get(dt)
-        if u is None:
-            u = self._cache[dt] = self._exp(dt)
-            if len(self._cache) > PROPAGATOR_CACHE:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(dt)
+        u = self._exp.matrix(dt)
         return (np.atleast_2d(psi)[:, None, :] @ u.T)[:, 0, :].reshape(np.shape(psi))
 
 

@@ -27,8 +27,8 @@ from pseudomodes.cli import (
     _observable_ops,
 )
 from pseudomodes.errors import ClassificationError, RegularizationError
-from pseudomodes.dynamics import (FRAMES, KINDS, MAX_TAYLOR_INTERVALS, Generator,
-                                  build_generator, taylor_plan)
+from pseudomodes.dynamics import (FRAMES, KINDS, MAX_TAYLOR_INTERVALS, CachedExponential,
+                                  Generator, build_generator, taylor_plan)
 from pseudomodes.hilbert import SpaceLayout, basis_state
 from pseudomodes.mapping import build_discrete_modes, two_mode_regularize
 from pseudomodes.trajectories import NoJumpPropagator
@@ -200,6 +200,31 @@ def test_unknown_keys_exit_2_naming_the_key_path(tmp_path, capsys, path):
 def test_type_errors_name_the_full_key_path(tmp_path, path, value, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         load_config(doc_with(tmp_path, path, value))
+
+
+def tls_with_t_max(tmp_path, t_max):
+    """tls_lorentzian.yaml with its run.t_max written as the YAML text ``t_max``."""
+    text = (CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8")
+    path = tmp_path / "t_max.yaml"
+    path.write_text(text.replace("t_max: 2.5", f"t_max: {t_max}"), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1e-3", 1e-3), ("2E5", 2e5), ("1e300", 1e300), ("1.5E3", 1500.0), (".5e1", 5.0),
+])
+def test_yaml_1_2_floats_are_numbers(tmp_path, text, value):
+    assert yaml.safe_load(f"t_max: {text}") == {"t_max": text}  # YAML 1.1 reads a string
+    assert load_config(tls_with_t_max(tmp_path, text)).t_max == value
+
+
+@pytest.mark.parametrize("text", ['"1e-3"', "'2E5'", "x", "1e-3x"])
+def test_quoted_or_malformed_numbers_are_refused(tmp_path, capsys, text):
+    path = tls_with_t_max(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"^run\.t_max must be a number, got '"):
+        load_config(path)
+    assert main(["map", str(path)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_readme_config_block_loads(tmp_path):
@@ -383,13 +408,16 @@ def test_validate_horizon_stops_at_t_max(tmp_path, monkeypatch):
     def counting(norm_rate, span):
         m, s = plan(norm_rate, span)
         assert s <= 1, f"{s} Taylor sub-intervals in one row"
-        spans.append(s)
+        spans.append(span)
         return m, s
 
     monkeypatch.setattr(pseudomodes.dynamics, "taylor_plan", counting)
     summary = cmd_validate(load_config(write_doc(tmp_path, doc)))
     assert summary.passed
-    assert len(spans) == 50  # the oracle's rows, on [0, t_max]
+    # The oracle's 50 rows on [0, t_max]: each distinct span is checked by the
+    # row-length rule, then planned once for its row map.
+    rows = set(np.diff(np.linspace(0.0, 2.5, 51)).tolist())
+    assert sorted(spans) == sorted(2 * list(rows))
 
 
 def test_generator_kind_resolution():
@@ -646,7 +674,6 @@ def test_long_rows_are_refused_naming_the_longest_row_that_fits(tmp_path, capsys
         return plan(norm_rate, span)
 
     monkeypatch.setattr(pseudomodes.dynamics, "taylor_plan", spy)
-    monkeypatch.setattr(pseudomodes.trajectories, "taylor_plan", spy)
     assert main([command, path, "--out", str(tmp_path / "long.out")]) == 2
     err = capsys.readouterr().err
     match = re.fullmatch(r"error: a row of \S+ time units is too long for the norm bound "
@@ -694,35 +721,88 @@ def test_a_density_scan_beyond_the_float_range_ends_without_warnings(tmp_path, c
     assert report["checks"][0]["status"] == "pass"
 
 
-@pytest.mark.parametrize("command", ["evolve", "trajectories", "validate"])
+@pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
 def test_an_infinite_norm_bound_is_refused_alike(tmp_path, capsys, command):
     doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
     doc["system"]["energies"] = [0.0, 1e300]
     assert main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.out")]) == 2
-    assert capsys.readouterr().err == "error: unusable norm bound inf\n"
+    captured = capsys.readouterr()
+    assert captured.err == "error: unusable norm bound inf\n" and captured.out == ""
+    assert not (tmp_path / "x.out").exists()
+
+
+def spy_row_maps(monkeypatch):
+    """Record Generator.apply's argument shapes, the identity of each row
+    exponential built and the number of row maps looked up."""
+    seen = {"applied": [], "built": [], "rows": 0}
+    apply, init, matrix = (Generator.apply, CachedExponential.__init__,
+                           CachedExponential.matrix)
+
+    def counting(self, rho):
+        seen["applied"].append(rho.shape)
+        return apply(self, rho)
+
+    def building(self, apply, identity, norm_rate):
+        seen["built"].append(identity.shape)
+        init(self, apply, identity, norm_rate)
+
+    def looking_up(self, h):
+        seen["rows"] += 1
+        return matrix(self, h)
+
+    monkeypatch.setattr(Generator, "apply", counting)
+    monkeypatch.setattr(CachedExponential, "__init__", building)
+    monkeypatch.setattr(CachedExponential, "matrix", looking_up)
+    return seen
 
 
 def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monkeypatch):
-    # |S| = 4 at every cutoff: the same plan, the same applications, the same bits
-    calls = []
-    apply = Generator.apply
-
-    def counting(self, rho):
-        calls.append(rho.shape)
-        return apply(self, rho)
-
-    monkeypatch.setattr(Generator, "apply", counting)
+    # |S| = 4 at every cutoff: the same row maps, the same applications, the
+    # same bits.  One stacked series on the 16 basis matrices per distinct
+    # span of the 200 rows, then one product per row.
+    seen = spy_row_maps(monkeypatch)
     doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    assert len(set(np.diff(np.linspace(0.0, 20.0, 201)).tolist())) == 9
     rows = {}
     for levels in (2, 6):
         doc["run"]["fock_levels"] = levels
         out = tmp_path / f"fock{levels}.csv"
-        calls.clear()
+        seen.update(applied=[], built=[], rows=0)
         assert main(["evolve", write_doc(tmp_path, doc), "--out", str(out)]) == 0
-        assert len(calls) == 1802 and set(calls) == {(4, 4)}
+        assert len(seen["applied"]) == 135 and set(seen["applied"]) == {(16, 4, 4)}
+        assert seen["built"] == [(16, 4, 4)] and seen["rows"] == 200
         rows[levels] = out.read_bytes()
     capsys.readouterr()
     assert rows[2] == rows[6]
+
+
+@pytest.mark.parametrize("name,d", [("band_gap", 4), ("tls_lorentzian", 3)])
+def test_each_shipped_run_takes_its_rows_as_row_map_products(tmp_path, capsys, monkeypatch,
+                                                             name, d):
+    # Every shipped evolve and each validate grid (41, 41 and 51 rows on
+    # band_gap, 51 on tls_lorentzian) has at least |S|**2 rows: no row
+    # applies the series to its own state.
+    seen = spy_row_maps(monkeypatch)
+    config = str(CONFIGS / f"{name}.yaml")
+    assert main(["evolve", config, "--out", str(tmp_path / "x.csv")]) == 0
+    stack = (d * d, d, d)
+    assert seen["built"] == [stack] and set(seen["applied"]) == {stack}
+    seen.update(applied=[], built=[])
+    assert cmd_validate(load_config(config)).passed
+    assert seen["built"] == [stack] * (3 if name == "band_gap" else 1)
+    assert set(seen["applied"]) == {stack}
+    capsys.readouterr()
+
+
+def test_a_row_map_refuses_a_row_too_long_for_its_plan(tmp_path, capsys, monkeypatch):
+    seen = spy_row_maps(monkeypatch)
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["run"].update(t_max=1.0e12, n_steps=25)  # 25 rows of 4e10, |S|**2 = 9
+    assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")]) == 2
+    assert seen["built"] == [(9, 3, 3)] and not seen["applied"]
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: a row of 4e\+10 time units is too long for the norm bound "
+                        r"\S+; rows of at most \S+ time units fit\n", err), err
 
 
 def test_twenty_modes_run_on_their_sector_beyond_the_int64_range(tmp_path, capsys):
@@ -869,6 +949,11 @@ def test_serialize_config_round_trip(tmp_path):
     assert serialize_config(cfg2) == text
     assert cfg2.fock_levels == cfg.fock_levels
     assert cfg2.t_max == cfg.t_max
+    # A quoted path that would read as a YAML 1.2 float stays quoted.
+    again.write_text(text.replace("path: x.csv", "path: '1e-3'"), encoding="utf-8")
+    cfg3 = load_config(again)
+    again.write_text(serialize_config(cfg3), encoding="utf-8")
+    assert cfg3.out_path == load_config(again).out_path == "1e-3"
 
 
 def test_plot_script_renders_png(tmp_path, capsys):

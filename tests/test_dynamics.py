@@ -28,7 +28,8 @@ from pseudomodes import (
     two_mode_regularize,
     vacuum_embedding,
 )
-from pseudomodes.dynamics import _taylor_interval, taylor_plan
+from pseudomodes.dynamics import (FRAMES, PROPAGATOR_CACHE, CachedExponential,
+                                  _taylor_interval, taylor_plan)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -108,6 +109,32 @@ def all_three_generators():
     gen_d, _ = tls_direct(every)
     gen_p, gen_r, _ = band_gap_generators(every)
     return (gen_d, gen_p, gen_r)
+
+
+def four_kinds():
+    """(kind, mode set, layout): every generator kind on a mode pair, and three
+    complex-coupled modes."""
+    gap = build_discrete_modes(BAND_GAP, (1.0,))
+    pair = SpaceLayout(2, (2, 2))
+    return (
+        ("lindblad_direct", build_discrete_modes(REAL_PAIR, (1.0,)), pair),
+        ("pathological", gap, pair),
+        ("lindblad_regularized", two_mode_regularize(gap), pair),
+        ("pathological", build_discrete_modes(THREE, (1.0,)), SpaceLayout(2, (2, 2, 2))),
+    )
+
+
+def dense_reference(gen, rho0, t):
+    """exp(t L) rho0 on the grid t from L on the sector as a dense |S|**2 x |S|**2
+    matrix, one column per basis matrix E_ab of the block, exponentiated
+    through its eigendecomposition."""
+    n = gen.dim
+    basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    superop = np.stack([gen.apply(e).ravel() for e in basis], axis=1)
+    evals, vecs = np.linalg.eig(superop)
+    assert np.linalg.cond(vecs) < 1e3, gen.kind
+    coeffs = np.linalg.solve(vecs, rho0.ravel())
+    return ((np.exp(np.outer(t, evals)) * coeffs) @ vecs.T).reshape(len(t), n, n)
 
 
 def free_diagonal(gen, frequencies):
@@ -245,53 +272,87 @@ def test_step_halving_is_converged():
 
 
 def test_exact_action_matches_the_dense_superoperator():
-    # An independent reference: L on the sector S as a dense |S|**2 x |S|**2
-    # matrix, one column per basis matrix E_ab of the block, exponentiated
-    # through its eigendecomposition.
-    gap = build_discrete_modes(BAND_GAP, (1.0,))
-    pair = SpaceLayout(2, (2, 2))
-    cases = (
-        ("lindblad_direct", build_discrete_modes(REAL_PAIR, (1.0,)), pair),
-        ("pathological", gap, pair),
-        ("lindblad_regularized", two_mode_regularize(gap), pair),
-        ("pathological", build_discrete_modes(THREE, (1.0,)), SpaceLayout(2, (2, 2, 2))),
-    )
     t = np.linspace(0.0, 20.0, 41)
-    for kind, mode_set, layout in cases:
+    for kind, mode_set, layout in four_kinds():
         gen = build_generator(TLS, mode_set, layout, excited(layout))
         assert gen.kind == kind
         rho0 = vacuum_embedding(gen.sector, EE)
-        n = gen.dim
-        basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-        superop = np.stack([gen.apply(e).ravel() for e in basis], axis=1)
-        evals, vecs = np.linalg.eig(superop)
-        assert np.linalg.cond(vecs) < 1e3, kind
-        coeffs = np.linalg.solve(vecs, rho0.ravel())
-        want = ((np.exp(np.outer(t, evals)) * coeffs) @ vecs.T).reshape(t.size, n, n)
         res = evolve(gen, rho0, t)
-        assert np.abs(res.states - want).max() <= 1e-8, kind
+        assert np.abs(res.states - dense_reference(gen, rho0, t)).max() <= 1e-8, kind
 
 
-def test_autonomous_evolve_cost_follows_rows(monkeypatch):
-    _, gen, layout = band_gap_generators()
-    calls = []
-    apply = Generator.apply
+def spy_row_maps(monkeypatch):
+    """Record Generator.apply's argument shapes, the span of each row map formed
+    and the cache size after each row map lookup."""
+    seen = {"applied": [], "formed": [], "cached": []}
+    apply, exp, matrix = Generator.apply, CachedExponential._exp, CachedExponential.matrix
 
     def counting(self, rho):
-        calls.append(rho.shape)
+        seen["applied"].append(rho.shape)
         return apply(self, rho)
+
+    def forming(self, h):
+        seen["formed"].append(h)
+        return exp(self, h)
+
+    def looking_up(self, h):
+        out = matrix(self, h)
+        seen["cached"].append(len(self._cache))
+        return out
 
     # Patched on the class, as the layer tracer patches it.
     monkeypatch.setattr(Generator, "apply", counting)
-    t = np.linspace(0.0, 20.0, 201)
+    monkeypatch.setattr(CachedExponential, "_exp", forming)
+    monkeypatch.setattr(CachedExponential, "matrix", looking_up)
+    return seen
+
+
+def test_autonomous_evolve_cost_follows_rows(monkeypatch):
+    # One stacked series per distinct span, then one product per row.
+    _, gen, layout = band_gap_generators()
+    seen = spy_row_maps(monkeypatch)
     rho0 = vacuum_embedding(gen.sector, EE)
-    evolve(gen, rho0, t, store_states=False)
-    full = len(calls)
-    assert 0 < full <= 60 * (t.size - 1)  # the Taylor plan of each row, no more
-    assert set(calls) == {(4, 4)}  # |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
-    calls.clear()
-    evolve(gen, rho0, np.linspace(0.0, 20.0, 401), store_states=False)
-    assert full < len(calls) <= 60 * 400  # twice the rows: each row's plan, no more
+    for rows in (200, 400):
+        for calls in seen.values():
+            calls.clear()
+        t = np.linspace(0.0, 20.0, rows + 1)
+        evolve(gen, rho0, t, store_states=False)
+        spans = set(np.diff(t).tolist())
+        assert sorted(seen["formed"]) == sorted(spans)
+        assert len(seen["cached"]) == rows  # one product with a row map per row
+        # each distinct span's Taylor plan, no more, on the 16 basis matrices
+        # of the block of |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
+        assert 0 < len(seen["applied"]) <= 60 * len(spans)
+        assert set(seen["applied"]) == {(16, 4, 4)}
+
+
+def test_the_row_map_is_formed_from_as_many_rows_as_basis_matrices(monkeypatch):
+    seen = spy_row_maps(monkeypatch)
+    gen, _ = tls_direct()  # |S| = 3: a row map from 9 rows on
+    for rows, applied in ((9, {(9, 3, 3)}), (8, {(3, 3)})):
+        seen["applied"].clear()
+        evolve(gen, vacuum_embedding(gen.sector, EE), np.linspace(0.0, 2.5, rows + 1))
+        assert set(seen["applied"]) == applied, rows
+    # The whole band-gap space, |S| = 18, on a 41-row grid: 324 basis matrices
+    # for 40 rows, so each row takes the action.
+    _, whole, _ = band_gap_generators(every)
+    seen["applied"].clear()
+    seen["formed"].clear()
+    evolve(whole, vacuum_embedding(whole.sector, EE), np.linspace(0.0, 10.0, 41))
+    assert set(seen["applied"]) == {(18, 18)} and not seen["formed"]
+
+
+def test_a_grid_of_more_spans_than_the_cache_holds(monkeypatch):
+    seen = spy_row_maps(monkeypatch)
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 2 * PROPAGATOR_CACHE)))
+    assert len(set(np.diff(t).tolist())) == t.size - 1 > PROPAGATOR_CACHE
+    for gen in band_gap_generators()[:2]:
+        seen["cached"].clear()
+        rho0 = vacuum_embedding(gen.sector, EE)
+        res = evolve(gen, rho0, t)
+        assert np.abs(res.states - dense_reference(gen, rho0, t)).max() <= 1e-8, gen.kind
+        assert len(seen["cached"]) == t.size - 1
+        assert max(seen["cached"]) == PROPAGATOR_CACHE  # full, never beyond
 
 
 def test_reachable_support_is_the_one_excitation_sector():
@@ -327,18 +388,10 @@ def test_reachable_support_is_every_index_at_full_rank():
         assert rate == sub_rate and np.array_equal(b[block], sub_b)
 
 
-@pytest.mark.parametrize("frame", ["schrodinger", "interaction"])
+@pytest.mark.parametrize("frame", FRAMES)
 def test_restricted_row_matches_the_full_space_row(frame):
-    gap = build_discrete_modes(BAND_GAP, (1.0,))
-    pair = SpaceLayout(2, (2, 2))
-    cases = (
-        ("lindblad_direct", build_discrete_modes(REAL_PAIR, (1.0,)), pair),
-        ("pathological", gap, pair),
-        ("lindblad_regularized", two_mode_regularize(gap), pair),
-        ("pathological", build_discrete_modes(THREE, (1.0,)), SpaceLayout(2, (2, 2, 2))),
-    )
     dt = 0.5
-    for kind, mode_set, layout in cases:
+    for kind, mode_set, layout in four_kinds():
         gen = build_generator(TLS, mode_set, layout, excited(layout), frame=frame)
         whole = build_generator(TLS, mode_set, layout, every(layout), frame=frame)
         assert gen.kind == whole.kind == kind
@@ -352,6 +405,24 @@ def test_restricted_row_matches_the_full_space_row(frame):
         if view is not None:
             full = view(full, dt)
         assert np.abs(row - full).max() <= 1e-14, kind
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_the_row_map_matches_the_row_action(frame):
+    # 40 rows, at least the |S|**2 = 16 or 25 of each block: evolve takes each
+    # row as vec(rho) @ exp(dt L); the reference applies the Taylor series to
+    # each row's state.
+    t = np.linspace(0.0, 20.0, 41)
+    for kind, mode_set, layout in four_kinds():
+        gen = build_generator(TLS, mode_set, layout, excited(layout), frame=frame)
+        assert gen.dim ** 2 <= t.size - 1
+        rho = vacuum_embedding(gen.sector, EE)
+        res = evolve(gen, rho, t)
+        view = gen.frame_view()
+        for i in range(1, t.size):
+            rho = _taylor_interval(gen.apply, rho, t[i] - t[i - 1], gen.norm_estimate())
+            want = rho if view is None else view(rho, t[i])
+            assert np.abs(res.states[i] - want).max() <= 1e-13, (kind, i)
 
 
 def test_taylor_plan_minimises_applications():
