@@ -475,9 +475,10 @@ def _mode_lines(modes: ModeSet, coupling_text) -> list[str]:
 def cmd_map(cfg: RunConfig) -> MapReport:
     """Build the discrete modes and, for a complex pair, their rotated form.
 
-    A model whose generator has no finite norm bound is refused as every
-    propagator refuses it (``taylor_plan``), so ``map`` accepts no model
-    that the other subcommands refuse on it.
+    The generator of the mode set is built on the configured layout, so a
+    ``run.fock_levels`` list of the wrong length is refused as the other
+    subcommands refuse it, and so is a generator without a finite norm
+    bound, with the line of every propagator (``taylor_plan``).
     """
     modes = build_discrete_modes(cfg.pole_set, cfg.system.strengths)
     layout = _layout_for(cfg, len(modes))

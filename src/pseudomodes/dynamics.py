@@ -44,8 +44,9 @@ applies L to |S| x |S| blocks (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
 ``CachedExponential`` forms exp(dt L) once per distinct span as the
 |S|**2 x |S|**2 matrix P, from the same series applied to the |S|**2 basis
 matrices as one stack, and each row is then one product vec(rho) @ P.
-``evolve`` takes that route when the rows outnumber |S|**2, and otherwise
-applies the series to each row's state, so memory stays O(|S|**2) per term.
+``evolve`` takes that route when the rows number at least |S|**2 times the
+distinct spans, and otherwise applies the series to each row's state, so
+memory stays O(|S|**2) per term.
 The series is planned on the norm bound of the block it propagates, and
 ``taylor_plan`` holds the one row-length rule: a row whose plan would need
 more than MAX_TAYLOR_INTERVALS sub-intervals is refused, naming the longest
@@ -101,11 +102,6 @@ UNIT_ROUNDOFF = 2.0**-53
 #: Rows needing more Taylor sub-intervals than this indicate a runaway norm
 #: estimate or time span.
 MAX_TAYLOR_INTERVALS = 1_000_000
-#: Exponentials a CachedExponential keeps, the least recently used dropped
-#: first: every span one trajectory row takes (the 35 power-of-two steps of
-#: its jump search, ``trajectories.SEARCH_LEVELS``, its spacing and its
-#: tail), so none is computed twice within a row.
-PROPAGATOR_CACHE = 37
 
 
 class InvariantViolationError(InvalidModelError):
@@ -191,10 +187,29 @@ class Generator:
         return self._left
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evaluate L[rho] for a density or each density of an (n, d, d) stack."""
-        out = -1j * (self._left @ rho - rho @ self._right)
+        """Evaluate L[rho] for a density or each density of an (n, d, d) stack.
+
+        A stack takes each product as one BLAS call: a right product on its
+        (n d, d) rows, a left one on its (d, n d) columns.  Broadcasting
+        ``@`` over the stack would loop over n small products instead, each
+        through a stack-sized temporary, at about twice the time per density
+        at |S| = 22.
+        """
+        if rho.ndim == 2:
+            out = -1j * (self._left @ rho - rho @ self._right)
+            for jop, jdag in self._jumps:
+                out += jop @ (rho @ jdag)
+            return out
+        n, d = rho.shape[0], rho.shape[-1]
+
+        def left(op: np.ndarray, stack: np.ndarray) -> np.ndarray:
+            cols = stack.transpose(1, 0, 2).reshape(d, n * d)
+            return (op @ cols).reshape(d, n, d).transpose(1, 0, 2)
+
+        rows = rho.reshape(n * d, d)
+        out = -1j * (left(self._left, rho) - (rows @ self._right).reshape(n, d, d))
         for jop, jdag in self._jumps:
-            out += jop @ (rho @ jdag)
+            out += left(jop, (rows @ jdag).reshape(n, d, d))
         return out
 
     def norm_estimate(self) -> float:
@@ -412,14 +427,20 @@ def evolve(
 
     ``rho0`` is the initial state on ``gen.sector`` (``vacuum_embedding``
     gives one), and each row is advanced from the last by exp(dt L), planned
-    with ``gen.norm_estimate()``.  With d = |S|, the row map P = exp(dt L)
-    costs about d**2 row actions per distinct span (one stacked series on the
-    d**2 basis matrices) and holds d**4 entries, after which a row is one
-    product vec(rho) @ P.  So P is formed (``CachedExponential``) when
-    d**2 <= the number of rows: then P holds no more entries than the rows'
-    states, and on an evenly spaced grid, whose rows share a few spans,
-    forming it costs no more arithmetic than a series per row.  With fewer
-    rows each row applies the Taylor series to its own state instead.
+    with ``gen.norm_estimate()``.  With d = |S| and k distinct spans on the
+    grid, the row maps P = exp(dt L) take one stacked series on the d**2
+    basis matrices per span, k d**2 series in all, and hold k d**4 entries;
+    a row is then one product vec(rho) @ P.  So the maps are formed, all k
+    kept (``CachedExponential``), when k d**2 <= the number of rows: they
+    then take no more series than the rows would, and hold no more entries
+    than the rows' states (forming one takes a few d**4 stacks at its
+    peak).  A basis matrix's series can need more terms than a row's, once
+    the state has settled into slow components: at |S| = 18 and 22, maps
+    formed just above the count took 1.4 and 2.3 times as long as the
+    rows' own series.  An evenly spaced grid has a few
+    distinct spans, from rounding; a geometric one has one per row and so
+    never takes this route.  Otherwise each row applies the Taylor series
+    to its own state.
     Every recorded quantity is taken from the state as seen in ``gen.frame``.
     ``observables`` maps names to operators, each a matrix on the system
     factor or a mapping of factor operators, formed on the sector once
@@ -482,9 +503,10 @@ def evolve(
         for name, mat in obs.items():
             obs_out[name][i] = expectation(rho, mat)
 
-    if d * d <= n_t - 1:
+    distinct = len(set(np.diff(t).tolist()))
+    if 0 < d * d * distinct <= n_t - 1:
         row_map = CachedExponential(
-            gen.apply, np.eye(d * d, dtype=complex).reshape(-1, d, d), est)
+            gen.apply, np.eye(d * d, dtype=complex).reshape(-1, d, d), est, distinct)
 
         def advance(rho: np.ndarray, span: float) -> np.ndarray:
             return (rho.reshape(-1) @ row_map.matrix(span)).reshape(d, d)
@@ -567,13 +589,15 @@ class CachedExponential:
     exceptional point) is exponentiated like any other.  A span is checked
     by ``taylor_plan`` first, so a non-finite norm or a span too long for the
     Taylor plan raises the same StepUnderflowError as a row of ``evolve``.
-    The ``PROPAGATOR_CACHE`` most recently used matrices are kept:
-    PROPAGATOR_CACHE n**2 complex numbers.
+    The ``capacity`` most recently used matrices are kept, capacity n**2
+    complex numbers; the caller sizes it (``evolve`` to the distinct spans
+    of its grid, ``trajectories.NoJumpPropagator`` to the spans of one row).
     """
 
     def __init__(self, apply: Callable[[np.ndarray], np.ndarray], identity: np.ndarray,
-                 norm_rate: float):
+                 norm_rate: float, capacity: int):
         self._apply = apply
+        self._capacity = capacity
         self._identity = identity
         self._norm = norm_rate
         self._cache: OrderedDict[float, np.ndarray] = OrderedDict()
@@ -595,7 +619,7 @@ class CachedExponential:
         u = self._cache.get(h)
         if u is None:
             u = self._cache[h] = self._exp(h)
-            if len(self._cache) > PROPAGATOR_CACHE:
+            if len(self._cache) > self._capacity:
                 self._cache.popitem(last=False)
         else:
             self._cache.move_to_end(h)

@@ -46,8 +46,11 @@ from .dynamics import CachedExponential, Generator, truncation_guard
 JUMP_TIME_TOL = 1e-10
 #: Power-of-two steps the jump search of one row takes at most: a row of
 #: length dt <= max(1, t) spans fewer than 2 / JUMP_TIME_TOL lattice steps.
-#: ``dynamics.PROPAGATOR_CACHE`` keeps these, the spacing and the tail.
 SEARCH_LEVELS = math.ceil(math.log2(2.0 / JUMP_TIME_TOL))
+#: Exponentials a NoJumpPropagator keeps, the least recently used dropped
+#: first: every span one row takes (its search steps, its spacing and its
+#: tail), so none is computed twice within a row.
+PROPAGATOR_CACHE = SEARCH_LEVELS + 2
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class NoJumpPropagator:
         with np.errstate(over="ignore"):  # an overflow is inf, which taylor_plan refuses
             norm = float(np.linalg.norm(d))
         self._exp = CachedExponential(lambda x: a @ x, np.eye(d.shape[0], dtype=complex),
-                                      norm)
+                                      norm, PROPAGATOR_CACHE)
 
     def apply(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """exp(-i D dt) psi for dt >= 0."""

@@ -408,16 +408,13 @@ def test_validate_horizon_stops_at_t_max(tmp_path, monkeypatch):
     def counting(norm_rate, span):
         m, s = plan(norm_rate, span)
         assert s <= 1, f"{s} Taylor sub-intervals in one row"
-        spans.append(span)
+        spans.append(s)
         return m, s
 
     monkeypatch.setattr(pseudomodes.dynamics, "taylor_plan", counting)
     summary = cmd_validate(load_config(write_doc(tmp_path, doc)))
     assert summary.passed
-    # The oracle's 50 rows on [0, t_max]: each distinct span is checked by the
-    # row-length rule, then planned once for its row map.
-    rows = set(np.diff(np.linspace(0.0, 2.5, 51)).tolist())
-    assert sorted(spans) == sorted(2 * list(rows))
+    assert len(spans) == 50  # the oracle's rows, on [0, t_max]
 
 
 def test_generator_kind_resolution():
@@ -461,6 +458,17 @@ def test_fock_levels_list_must_match_mode_count(tmp_path):
     cfg = load_config(write_doc(tmp_path, doc))
     with pytest.raises(ConfigError):
         build_model(cfg)
+
+
+@pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
+def test_a_fock_levels_list_of_the_wrong_length_is_refused_alike(tmp_path, capsys, command):
+    # map builds the generator's layout to bound its norm, so it refuses the
+    # list as the subcommands that propagate do.
+    doc = with_run(BAND_GAP_DOC, fock_levels=[2, 2, 2])
+    assert main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: run.fock_levels lists 3 modes but the density has 2\n"
+    assert captured.out == "" and not (tmp_path / "x.out").exists()
 
 
 def test_cmd_map_band_gap_fields(tmp_path):
@@ -742,9 +750,9 @@ def spy_row_maps(monkeypatch):
         seen["applied"].append(rho.shape)
         return apply(self, rho)
 
-    def building(self, apply, identity, norm_rate):
+    def building(self, apply, identity, norm_rate, capacity):
         seen["built"].append(identity.shape)
-        init(self, apply, identity, norm_rate)
+        init(self, apply, identity, norm_rate, capacity)
 
     def looking_up(self, h):
         seen["rows"] += 1
@@ -776,28 +784,31 @@ def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monke
     assert rows[2] == rows[6]
 
 
-@pytest.mark.parametrize("name,d", [("band_gap", 4), ("tls_lorentzian", 3)])
-def test_each_shipped_run_takes_its_rows_as_row_map_products(tmp_path, capsys, monkeypatch,
-                                                             name, d):
-    # Every shipped evolve and each validate grid (41, 41 and 51 rows on
-    # band_gap, 51 on tls_lorentzian) has at least |S|**2 rows: no row
-    # applies the series to its own state.
+@pytest.mark.parametrize("name,d,evolve_maps,validate_maps",
+                         [("band_gap", 4, 1, 2), ("tls_lorentzian", 3, 0, 0)])
+def test_each_shipped_run_takes_the_path_its_grid_pays_for(tmp_path, capsys, monkeypatch,
+                                                          name, d, evolve_maps, validate_maps):
+    # Row maps are formed when the rows number at least |S|**2 times the
+    # distinct spans: band_gap's 200 rows of 9 spans and its two 41-row
+    # equivalence grids of one span; not tls_lorentzian's 25 rows of 6
+    # spans, nor either 51-row population grid of 7.
     seen = spy_row_maps(monkeypatch)
     config = str(CONFIGS / f"{name}.yaml")
     assert main(["evolve", config, "--out", str(tmp_path / "x.csv")]) == 0
     stack = (d * d, d, d)
-    assert seen["built"] == [stack] and set(seen["applied"]) == {stack}
+    assert seen["built"] == [stack] * evolve_maps
+    assert set(seen["applied"]) == ({stack} if evolve_maps else {(d, d)})
     seen.update(applied=[], built=[])
     assert cmd_validate(load_config(config)).passed
-    assert seen["built"] == [stack] * (3 if name == "band_gap" else 1)
-    assert set(seen["applied"]) == {stack}
+    assert seen["built"] == [stack] * validate_maps
+    assert set(seen["applied"]) == ({stack, (d, d)} if validate_maps else {(d, d)})
     capsys.readouterr()
 
 
 def test_a_row_map_refuses_a_row_too_long_for_its_plan(tmp_path, capsys, monkeypatch):
     seen = spy_row_maps(monkeypatch)
     doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
-    doc["run"].update(t_max=1.0e12, n_steps=25)  # 25 rows of 4e10, |S|**2 = 9
+    doc["run"].update(t_max=1.0e12, n_steps=25)  # 25 rows of one span, 4e10; |S|**2 = 9
     assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")]) == 2
     assert seen["built"] == [(9, 3, 3)] and not seen["applied"]
     err = capsys.readouterr().err

@@ -28,8 +28,9 @@ from pseudomodes import (
     two_mode_regularize,
     vacuum_embedding,
 )
-from pseudomodes.dynamics import (FRAMES, PROPAGATOR_CACHE, CachedExponential,
+from pseudomodes.dynamics import (FRAMES, CachedExponential,
                                   _taylor_interval, taylor_plan)
+from pseudomodes.trajectories import PROPAGATOR_CACHE
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -326,12 +327,17 @@ def test_autonomous_evolve_cost_follows_rows(monkeypatch):
         assert set(seen["applied"]) == {(16, 4, 4)}
 
 
-def test_the_row_map_is_formed_from_as_many_rows_as_basis_matrices(monkeypatch):
+def test_the_row_maps_are_formed_when_the_rows_pay_for_them(monkeypatch):
     seen = spy_row_maps(monkeypatch)
-    gen, _ = tls_direct()  # |S| = 3: a row map from 9 rows on
-    for rows, applied in ((9, {(9, 3, 3)}), (8, {(3, 3)})):
+    gen, _ = tls_direct()  # |S| = 3: a row map per distinct span from 9 rows on
+    # (rows, distinct spans): 10 rows share one span, 8 are too few for it,
+    # and 9 rows of 3 distinct spans would need 27.
+    for rows, distinct, applied in ((10, 1, {(9, 3, 3)}), (8, 1, {(3, 3)}),
+                                    (9, 3, {(3, 3)})):
+        t = np.linspace(0.0, 2.5, rows + 1)
+        assert len(set(np.diff(t).tolist())) == distinct
         seen["applied"].clear()
-        evolve(gen, vacuum_embedding(gen.sector, EE), np.linspace(0.0, 2.5, rows + 1))
+        evolve(gen, vacuum_embedding(gen.sector, EE), t)
         assert set(seen["applied"]) == applied, rows
     # The whole band-gap space, |S| = 18, on a 41-row grid: 324 basis matrices
     # for 40 rows, so each row takes the action.
@@ -342,17 +348,36 @@ def test_the_row_map_is_formed_from_as_many_rows_as_basis_matrices(monkeypatch):
     assert set(seen["applied"]) == {(18, 18)} and not seen["formed"]
 
 
-def test_a_grid_of_more_spans_than_the_cache_holds(monkeypatch):
+def test_a_geometric_grid_takes_each_row_as_an_action(monkeypatch):
+    # A distinct span per row: a row map would cost 16 row actions per row.
     seen = spy_row_maps(monkeypatch)
     t = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 2 * PROPAGATOR_CACHE)))
-    assert len(set(np.diff(t).tolist())) == t.size - 1 > PROPAGATOR_CACHE
+    assert len(set(np.diff(t).tolist())) == t.size - 1
     for gen in band_gap_generators()[:2]:
-        seen["cached"].clear()
+        seen["applied"].clear()
         rho0 = vacuum_embedding(gen.sector, EE)
         res = evolve(gen, rho0, t)
         assert np.abs(res.states - dense_reference(gen, rho0, t)).max() <= 1e-8, gen.kind
-        assert len(seen["cached"]) == t.size - 1
-        assert max(seen["cached"]) == PROPAGATOR_CACHE  # full, never beyond
+        assert set(seen["applied"]) == {(4, 4)} and not seen["formed"] and not seen["cached"]
+
+
+def test_the_row_map_cache_keeps_its_capacity(monkeypatch):
+    seen = spy_row_maps(monkeypatch)
+    spans = np.geomspace(1e-3, 20.0, 12)
+    for gen in band_gap_generators()[:2]:
+        seen["formed"].clear()
+        seen["cached"].clear()
+        n = gen.dim
+        basis = np.eye(n * n, dtype=complex).reshape(-1, n, n)
+        row_map = CachedExponential(gen.apply, basis, gen.norm_estimate(), 5)
+        rho0 = vacuum_embedding(gen.sector, EE)
+        want = dense_reference(gen, rho0, spans)
+        for _ in range(2):  # least recently used first: each span is gone by its turn
+            for h, ref in zip(spans, want):
+                row = (rho0.reshape(-1) @ row_map.matrix(float(h))).reshape(n, n)
+                assert np.abs(row - ref).max() <= 1e-8, gen.kind
+        assert max(seen["cached"]) == 5  # full, never beyond
+        assert len(seen["formed"]) == 2 * spans.size
 
 
 def test_reachable_support_is_the_one_excitation_sector():
@@ -409,13 +434,13 @@ def test_restricted_row_matches_the_full_space_row(frame):
 
 @pytest.mark.parametrize("frame", FRAMES)
 def test_the_row_map_matches_the_row_action(frame):
-    # 40 rows, at least the |S|**2 = 16 or 25 of each block: evolve takes each
-    # row as vec(rho) @ exp(dt L); the reference applies the Taylor series to
-    # each row's state.
+    # 40 rows of one span, at least the |S|**2 = 16 or 25 of each block: evolve
+    # takes each row as vec(rho) @ exp(dt L); the reference applies the Taylor
+    # series to each row's state.
     t = np.linspace(0.0, 20.0, 41)
     for kind, mode_set, layout in four_kinds():
         gen = build_generator(TLS, mode_set, layout, excited(layout), frame=frame)
-        assert gen.dim ** 2 <= t.size - 1
+        assert len(set(np.diff(t).tolist())) * gen.dim ** 2 <= t.size - 1
         rho = vacuum_embedding(gen.sector, EE)
         res = evolve(gen, rho, t)
         view = gen.frame_view()

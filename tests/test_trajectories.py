@@ -31,9 +31,9 @@ from pseudomodes import (
     two_mode_regularize,
     vacuum_embedding,
 )
-from pseudomodes.dynamics import PROPAGATOR_CACHE, TRUNCATION_LIMIT
+from pseudomodes.dynamics import TRUNCATION_LIMIT
 from pseudomodes.errors import TruncationGuardError
-from pseudomodes.trajectories import JUMP_TIME_TOL, SEARCH_LEVELS
+from pseudomodes.trajectories import JUMP_TIME_TOL
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -133,11 +133,6 @@ def test_no_jump_propagator_is_exact_at_an_exceptional_point():
         expected = rk4_state(drift, ket, 0.7, 4000)
         np.testing.assert_allclose(prop.apply(ket, 0.7), expected, atol=1e-9)
         np.testing.assert_allclose(out, expected, atol=1e-9)
-
-
-def test_the_propagator_cache_holds_every_span_of_a_row():
-    # the power-of-two steps of a row's jump search, its spacing and its tail
-    assert PROPAGATOR_CACHE == SEARCH_LEVELS + 2
 
 
 #: Stack prefixes around the 64-row blocks a BLAS kernel may use, and past them.
