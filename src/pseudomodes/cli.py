@@ -734,11 +734,15 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     ))
     checks.append(rotation)
 
+    layout = _layout_for(cfg, len(modes))
+    start = _start(cfg, layout)
+    if cfg.t_max == 0.0:  # a run without a time axis has no dynamics to check
+        checks += [_skip(name, "the run has no time axis (t_max 0)")
+                   for name in ("generator_equivalence", "oracle_population")]
+        return ValidationSummary(modes.classification, len(modes), tuple(checks))
     eq_grid = np.linspace(0.0, 2.0 * horizon, 41)
     rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
     rho_s[cfg.initial_level, cfg.initial_level] = 1.0
-    layout = _layout_for(cfg, len(modes))
-    start = _start(cfg, layout)
     rotated = None
     if regularized is not None:
         uncorrected = build_generator(cfg.system, modes, layout, start)

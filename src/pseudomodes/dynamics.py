@@ -37,24 +37,26 @@ The full space is the sector of every label.  The initial state is handed
 over on the generator's sector, and every recorded quantity is read from
 the block through the same ``hilbert.Sector``.
 
-Every generator is propagated exactly: each output row is
-rho(t + dt) = exp(dt L) rho(t), from a truncated Taylor series that only
-applies L to |S| x |S| blocks (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
-488 (2011)).  L is constant, so the row map depends only on the row's span:
-``CachedExponential`` forms exp(dt L) once per distinct span as the
-|S|**2 x |S|**2 matrix P, from the same series applied to the |S|**2 basis
-matrices as one stack, and each row is then one product vec(rho) @ P.
-``evolve`` takes that route when the rows number at least |S|**2 times the
-distinct spans, and otherwise applies the series to each row's state, so
-memory stays O(|S|**2) per term.
-The series is planned on the norm bound of the block it propagates, and
+Every generator is propagated exactly, one output row at a time.  Where
+every jump lands in one label g (``Generator.one_excitation_ground``), as
+for one excitation with every mode in vacuum, each row is in closed form,
+
+    exp(h L) rho = U rho V + (tr rho - tr(U rho V)) |g><g|,
+    U = exp(-i h D_l),  V = exp(i h D_r),
+
+two |S| x |S| products, with U and V formed once per distinct span by
+``CachedExponential``, which keeps those of the last ROW_CACHE spans.  Any
+other sector, such as two excitations or the whole space, advances each
+row's state by a truncated Taylor series that only applies L to |S| x |S|
+blocks (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 ``taylor_plan`` holds the one row-length rule: a row whose plan would need
 more than MAX_TAYLOR_INTERVALS sub-intervals is refused, naming the longest
-row that fits.  The trajectory ensemble exponentiates its no-jump drift with
-the same ``CachedExponential``.  A truncation guard aborts the run as soon
-as the top Fock level of any mode accumulates population beyond 1e-6; the
-trajectory ensemble applies the same ``truncation_guard`` to its mean
-density.
+row that fits.  ``evolve`` records its rows in blocks of at most
+BLOCK_ENTRIES complex numbers, each read by stacked numpy calls: trace,
+truncation guard, Hermiticity, positivity, reduced state and observables.
+A truncation guard aborts the run as soon as the top Fock level of any mode
+accumulates population beyond 1e-6; the trajectory ensemble applies the
+same ``truncation_guard`` to its mean density.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .hilbert import (
     SystemSpec,
     destroy,
     eigenoperator,
-    expectation,
     vacuum_embedding,
 )
 from .mapping import ModeSet
@@ -102,6 +103,12 @@ UNIT_ROUNDOFF = 2.0**-53
 #: Rows needing more Taylor sub-intervals than this indicate a runaway norm
 #: estimate or time span.
 MAX_TAYLOR_INTERVALS = 1_000_000
+#: Spans whose U and V the closed-form rows of ``evolve`` keep: every span of
+#: a linspace grid (a few dozen at most), and bounded memory on a geometric one.
+ROW_CACHE = 32
+#: Complex entries of the row block ``evolve`` records at once, 1 MiB: the
+#: whole grid of a small sector, one row at a time from |S| = 256 on.
+BLOCK_ENTRIES = 2**16
 
 
 class InvariantViolationError(InvalidModelError):
@@ -114,13 +121,10 @@ class Generator:
     Instances are immutable by convention; every array is kept internally and
     never handed out for mutation.  Every matrix is an S x S block on
     ``sector``, so d below is |S|.  ``apply`` is matrix-free in the
-    superoperator sense: it performs only d x d matrix products, on one
-    density or broadcast over a leading axis of an (n, d, d) stack, so a
-    density costs O(d**2) memory where the superoperator would cost O(d**4).
-    ``evolve`` forms the d**2 x d**2 row map only when enough rows share it
-    (``CachedExponential``).  ``h0`` is the diagonal of the free Hamiltonian
-    H0 that the interaction frame rotates with; the Schrodinger frame does
-    not need it.
+    superoperator sense: it performs only d x d matrix products, so a density
+    costs O(d**2) memory where the superoperator would cost O(d**4).  ``h0``
+    is the diagonal of the free Hamiltonian H0 that the interaction frame
+    rotates with; the Schrodinger frame does not need it.
     """
 
     def __init__(
@@ -171,9 +175,9 @@ class Generator:
     ) -> Callable[[np.ndarray, float], np.ndarray] | None:
         """Map (Schrodinger state, t) to the state seen in ``frame``.
 
-        The state is a density matrix, or with ``kets`` a ket or an (n, d)
-        stack of kets.  Returns None in the Schrodinger frame, where the view
-        is the identity.
+        The state is a density matrix or an (n, d, d) stack of them, one time
+        each, or with ``kets`` a ket or an (n, d) stack of kets.  Returns
+        None in the Schrodinger frame, where the view is the identity.
         """
         if self.frame == "schrodinger":
             return None
@@ -187,29 +191,10 @@ class Generator:
         return self._left
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evaluate L[rho] for a density or each density of an (n, d, d) stack.
-
-        A stack takes each product as one BLAS call: a right product on its
-        (n d, d) rows, a left one on its (d, n d) columns.  Broadcasting
-        ``@`` over the stack would loop over n small products instead, each
-        through a stack-sized temporary, at about twice the time per density
-        at |S| = 22.
-        """
-        if rho.ndim == 2:
-            out = -1j * (self._left @ rho - rho @ self._right)
-            for jop, jdag in self._jumps:
-                out += jop @ (rho @ jdag)
-            return out
-        n, d = rho.shape[0], rho.shape[-1]
-
-        def left(op: np.ndarray, stack: np.ndarray) -> np.ndarray:
-            cols = stack.transpose(1, 0, 2).reshape(d, n * d)
-            return (op @ cols).reshape(d, n, d).transpose(1, 0, 2)
-
-        rows = rho.reshape(n * d, d)
-        out = -1j * (left(self._left, rho) - (rows @ self._right).reshape(n, d, d))
+        """Evaluate L[rho]."""
+        out = -1j * (self._left @ rho - rho @ self._right)
         for jop, jdag in self._jumps:
-            out += left(jop, (rows @ jdag).reshape(n, d, d))
+            out += jop @ (rho @ jdag)
         return out
 
     def norm_estimate(self) -> float:
@@ -221,6 +206,29 @@ class Generator:
         for jop, _ in self._jumps:
             est += operator_norm_bound(jop) ** 2
         return est
+
+    def one_excitation_ground(self) -> int | None:
+        """The label g of the closed-form row of ``evolve``, or None.
+
+        It holds when every jump's nonzero rows lie in {g} and its column g
+        is 0, D_l and D_r neither enter nor leave g, and sum_k J_k^dag J_k =
+        i (D_l - D_r) to roundoff: each jump term is then a multiple of
+        |g><g| that returns the trace the drift removes.  One excitation
+        with every mode in vacuum has this structure for every kind.
+        """
+        jumps = np.array([jop for jop, _ in self._jumps]).reshape(-1, self.dim, self.dim)
+        rows = np.flatnonzero(jumps.any(axis=(0, 2)))
+        if rows.size != 1:
+            return None
+        g = int(rows[0])
+        rest = np.arange(self.dim) != g
+        loss = sum(jdag @ jop for jop, jdag in self._jumps)
+        gain = 1j * (self._left - self._right)
+        closed = not (jumps[:, :, g].any()
+                      or any(op[g, rest].any() or op[rest, g].any()
+                             for op in (self._left, self._right))
+                      or np.abs(loss - gain).max() > 1e-12 * np.abs((gain, loss)).max())
+        return g if closed else None
 
 
 def _check_consistency(system: SystemSpec, modes: ModeSet, layout: SpaceLayout) -> None:
@@ -357,10 +365,11 @@ def build_generator(
     )
 
 
-def rotate_frame(rho: np.ndarray, h0_diag: np.ndarray, t: float) -> np.ndarray:
-    """Map an interaction-picture state at time t back to the Schrodinger one."""
-    ph = np.exp(-1j * h0_diag * t)
-    return ph[:, None] * rho * ph.conj()[None, :]
+def rotate_frame(rho: np.ndarray, h0_diag: np.ndarray, t) -> np.ndarray:
+    """Map an interaction-picture state at time t back to the Schrodinger one;
+    an (n, d, d) stack of states takes n times."""
+    ph = np.exp(-1j * np.multiply.outer(t, h0_diag))
+    return ph[..., :, None] * rho * ph.conj()[..., None, :]
 
 
 @dataclass
@@ -380,40 +389,19 @@ class EvolutionResult:
     kind: str
 
 
-def truncation_guard(block: np.ndarray, sector: Sector, t: float,
-                     partial: Callable[[], object]) -> float:
-    """The worst top Fock population of the density with S x S block ``block``.
+def truncation_guard(top: np.ndarray, t: float, partial: Callable[[], object]) -> float:
+    """The worst of the top Fock populations ``top``, one per mode
+    (``Sector.top_fock``).
 
     Raises TruncationGuardError when it exceeds TRUNCATION_LIMIT at time t,
     carrying ``partial()``: the clean prefix of the result, the rows before t.
     """
-    worst = float(sector.top_fock(block).max())
+    worst = float(top.max())
     if worst > TRUNCATION_LIMIT:
         raise TruncationGuardError(
             f"top Fock population {worst:.3e} exceeded {TRUNCATION_LIMIT:g} "
             f"at t={t:g}; raise the cutoffs", time=t, population=worst, partial=partial())
     return worst
-
-
-def _snapshot_checks(kind: str, rho: np.ndarray, t: float) -> None:
-    tr = abs(complex(np.trace(rho)) - 1.0)
-    if tr > TRACE_TOL:
-        raise InvariantViolationError(
-            f"trace deviated by {tr:.3e} at t={t:g}"
-        )
-    if kind == "pathological":
-        return
-    scale = max(1.0, float(np.abs(rho).max()))
-    herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > HERMITICITY_TOL * scale:
-        raise InvariantViolationError(
-            f"Hermiticity violated by {herm:.3e} at t={t:g}"
-        )
-    evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if float(evals.min()) < POSITIVITY_TOL:
-        raise InvariantViolationError(
-            f"negative population {evals.min():.3e} at t={t:g}"
-        )
 
 
 def evolve(
@@ -426,28 +414,22 @@ def evolve(
     """Propagate d rho / dt = L[rho] over the grid.
 
     ``rho0`` is the initial state on ``gen.sector`` (``vacuum_embedding``
-    gives one), and each row is advanced from the last by exp(dt L), planned
-    with ``gen.norm_estimate()``.  With d = |S| and k distinct spans on the
-    grid, the row maps P = exp(dt L) take one stacked series on the d**2
-    basis matrices per span, k d**2 series in all, and hold k d**4 entries;
-    a row is then one product vec(rho) @ P.  So the maps are formed, all k
-    kept (``CachedExponential``), when k d**2 <= the number of rows: they
-    then take no more series than the rows would, and hold no more entries
-    than the rows' states (forming one takes a few d**4 stacks at its
-    peak).  A basis matrix's series can need more terms than a row's, once
-    the state has settled into slow components: at |S| = 18 and 22, maps
-    formed just above the count took 1.4 and 2.3 times as long as the
-    rows' own series.  An evenly spaced grid has a few
-    distinct spans, from rounding; a geometric one has one per row and so
-    never takes this route.  Otherwise each row applies the Taylor series
-    to its own state.
-    Every recorded quantity is taken from the state as seen in ``gen.frame``.
+    gives one), and each row is advanced from the last by exp(dt L): in
+    closed form, two products with U and V kept for the last ROW_CACHE
+    spans, when ``gen.one_excitation_ground()`` names a label g; otherwise
+    by a Taylor series planned on ``gen.norm_estimate()``.  Rows are
+    advanced into blocks of max(1, BLOCK_ENTRIES // |S|**2) states, views of
+    ``states`` when they are stored, and each block is recorded by stacked
+    numpy calls, from the states as seen in ``gen.frame``.
     ``observables`` maps names to operators, each a matrix on the system
     factor or a mapping of factor operators, formed on the sector once
     (``Sector.operator``).
     Snapshot invariants are always enforced: trace for every kind,
     Hermiticity and positivity for the completely positive kinds.  A row
     too long for its Taylor plan raises StepUnderflowError (``taylor_plan``).
+    The first row to fail raises what a row-by-row record would, after
+    every earlier row: the truncation guard, then trace, Hermiticity and
+    positivity.
 
     Raises TruncationGuardError as soon as any mode's top Fock population
     exceeds 1e-6 at a snapshot; the exception carries the clean prefix of the
@@ -470,7 +452,8 @@ def evolve(
            for name, op in (observables or {}).items()}
 
     n_t = t.size
-    states = np.empty((n_t, d, d), dtype=complex) if store_states else None
+    per_block = min(n_t, max(1, BLOCK_ENTRIES // (d * d)))
+    states = np.empty((n_t if store_states else per_block, d, d), dtype=complex)
     system_states = np.empty((n_t,) + (sector.layout.system_dim,) * 2, dtype=complex)
     top_fock = np.empty(n_t)
     trace_error = np.empty(n_t)
@@ -488,36 +471,70 @@ def evolve(
             kind=gen.kind,
         )
 
-    est = gen.norm_estimate()
     view = gen.frame_view()
+    checked = gen.kind != "pathological"
 
-    def record(i: int, rho: np.ndarray) -> None:
+    def record(i0: int, block: np.ndarray) -> None:
+        """Record the rows i0, i0 + 1, ... held by ``block``, in place."""
+        times = t[i0:i0 + len(block)]
         if view is not None:
-            rho = view(rho, float(t[i]))
-        trace_error[i] = abs(complex(np.trace(rho)) - 1.0)
-        top_fock[i] = truncation_guard(rho, sector, float(t[i]), lambda: finalize(i))
-        _snapshot_checks(gen.kind, rho, float(t[i]))
-        if store_states:
-            states[i] = rho
-        system_states[i] = sector.reduced(rho)
+            block[...] = view(block, times)
+        trace = np.abs(np.trace(block, axis1=1, axis2=2) - 1.0)
+        top = sector.top_fock(block)
+        worst = top.max(axis=1)
+        fails = (worst > TRUNCATION_LIMIT) | (trace > TRACE_TOL)
+        if checked:
+            adjoint = block.conj().transpose(0, 2, 1)
+            scale = np.maximum(1.0, np.abs(block).max(axis=(1, 2)))
+            herm = np.abs(block - adjoint).max(axis=(1, 2))
+            fails |= herm > HERMITICITY_TOL * scale
+        ok = int(np.argmax(fails)) if fails.any() else len(block)
+        if checked:  # positivity only for the rows that passed the other checks
+            lowest = np.linalg.eigvalsh(0.5 * (block[:ok] + adjoint[:ok])).min(axis=1)
+            negative = np.flatnonzero(lowest < POSITIVITY_TOL)
+            ok = int(negative[0]) if negative.size else ok
+        good = block[:ok]
+        trace_error[i0:i0 + ok] = trace[:ok]
+        top_fock[i0:i0 + ok] = worst[:ok]
+        system_states[i0:i0 + ok] = sector.reduced(good)
         for name, mat in obs.items():
-            obs_out[name][i] = expectation(rho, mat)
+            obs_out[name][i0:i0 + ok] = np.einsum("nij,ji->n", good, mat)
+        if ok == len(block):
+            return
+        at = float(times[ok])
+        truncation_guard(top[ok], at, lambda: finalize(i0 + ok))
+        if trace[ok] > TRACE_TOL:
+            raise InvariantViolationError(f"trace deviated by {trace[ok]:.3e} at t={at:g}")
+        if herm[ok] > HERMITICITY_TOL * scale[ok]:
+            raise InvariantViolationError(f"Hermiticity violated by {herm[ok]:.3e} at t={at:g}")
+        raise InvariantViolationError(f"negative population {lowest[ok]:.3e} at t={at:g}")
 
-    distinct = len(set(np.diff(t).tolist()))
-    if 0 < d * d * distinct <= n_t - 1:
-        row_map = CachedExponential(
-            gen.apply, np.eye(d * d, dtype=complex).reshape(-1, d, d), est, distinct)
+    g = gen.one_excitation_ground()
+    if g is None:
+        est = gen.norm_estimate()
 
-        def advance(rho: np.ndarray, span: float) -> np.ndarray:
-            return (rho.reshape(-1) @ row_map.matrix(span)).reshape(d, d)
-    else:
         def advance(rho: np.ndarray, span: float) -> np.ndarray:
             return _taylor_interval(gen.apply, rho, span, est)
+    else:
+        capacity = min(len(set(np.diff(t).tolist())), ROW_CACHE)
+        left = CachedExponential(-1j * gen.drift(), capacity)
+        right = CachedExponential(1j * gen._right, capacity)
 
-    record(0, rho)
-    for i in range(1, n_t):
-        rho = advance(rho, float(t[i] - t[i - 1]))
-        record(i, rho)
+        def advance(rho: np.ndarray, span: float) -> np.ndarray:
+            out = left.matrix(span) @ rho @ right.matrix(span)
+            out[g, g] += rho.trace() - out.trace()
+            return out
+
+    for i0 in range(0, n_t, per_block):
+        block = states[i0:i0 + per_block] if store_states else states[:n_t - i0]
+        for k, i in enumerate(range(i0, i0 + len(block))):
+            try:
+                rho = advance(rho, float(t[i] - t[i - 1])) if i else rho
+            except StepUnderflowError:  # the rows before it fail first
+                record(i0, block[:k])
+                raise
+            block[k] = rho
+        record(i0, block)
     return finalize(n_t)
 
 
@@ -574,32 +591,26 @@ def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float) -> n
 
 
 class CachedExponential:
-    """exp(h X) as a matrix for a time-independent linear map X, per span h.
+    """exp(h A) of a constant square matrix A, per span h.
 
-    ``identity`` holds the n basis vectors of the space X acts on, laid out
-    as ``apply`` takes them: the (n, n) identity for kets, each column a
-    basis ket, or the n = d**2 basis matrices as one (n, d, d) stack for
-    densities.  ``matrix(h)`` is the Taylor action of ``_taylor_interval``
-    on that identity, reshaped to (n, n): exp(h X) itself for kets, and for
-    densities the matrix P with vec(exp(h L) rho) = vec(rho) @ P.  While
-    norm_rate h stays within the largest degree's ``TAYLOR_THETA`` the
-    series needs one sub-interval; a longer span is the square of the half
-    span, which is a product with ``@`` in both layouts.  No
-    eigendecomposition is involved, so a defective generator (an
-    exceptional point) is exponentiated like any other.  A span is checked
-    by ``taylor_plan`` first, so a non-finite norm or a span too long for the
-    Taylor plan raises the same StepUnderflowError as a row of ``evolve``.
-    The ``capacity`` most recently used matrices are kept, capacity n**2
-    complex numbers; the caller sizes it (``evolve`` to the distinct spans
-    of its grid, ``trajectories.NoJumpPropagator`` to the spans of one row).
+    ``matrix(h)`` is the Taylor action of ``_taylor_interval`` on the
+    identity, planned on ||A||_F.  While ||A||_F h stays within the largest
+    degree's ``TAYLOR_THETA`` the series needs one sub-interval; a longer
+    span is the square of the half span.  No eigendecomposition is involved,
+    so a defective generator (an exceptional point) is exponentiated like any
+    other.  A span is checked by ``taylor_plan`` first, so a non-finite norm
+    or a span too long for the Taylor plan raises the same StepUnderflowError
+    as a row of ``evolve``.  The ``capacity`` most recently used matrices are
+    kept, n**2 complex numbers each; the caller sizes it (``evolve`` to its
+    grid's distinct spans up to ROW_CACHE, ``trajectories.NoJumpPropagator``
+    to one row's).
     """
 
-    def __init__(self, apply: Callable[[np.ndarray], np.ndarray], identity: np.ndarray,
-                 norm_rate: float, capacity: int):
-        self._apply = apply
+    def __init__(self, a: np.ndarray, capacity: int):
+        self._a = a
         self._capacity = capacity
-        self._identity = identity
-        self._norm = norm_rate
+        with np.errstate(over="ignore"):  # an overflow is inf, which taylor_plan refuses
+            self._norm = float(np.linalg.norm(a))
         self._cache: OrderedDict[float, np.ndarray] = OrderedDict()
 
     def _exp(self, h: float) -> np.ndarray:
@@ -607,15 +618,14 @@ class CachedExponential:
         halvings = 0
         while self._norm * math.ldexp(h, -halvings) > TAYLOR_THETA[-1][1]:
             halvings += 1
-        n = self._identity.shape[0]
-        u = _taylor_interval(self._apply, self._identity, math.ldexp(h, -halvings),
-                             self._norm).reshape(n, n)
+        u = _taylor_interval(self._a.__matmul__, np.eye(len(self._a), dtype=complex),
+                             math.ldexp(h, -halvings), self._norm)
         for _ in range(halvings):
             u = u @ u
         return u
 
     def matrix(self, h: float) -> np.ndarray:
-        """The (n, n) matrix of exp(h X) for h >= 0, formed on the first request."""
+        """The (n, n) matrix of exp(h A) for h >= 0, formed on the first request."""
         u = self._cache.get(h)
         if u is None:
             u = self._cache[h] = self._exp(h)

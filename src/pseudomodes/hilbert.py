@@ -140,7 +140,8 @@ class Sector:
     ``operator`` forms the S x S block of a tensor product of factor
     operators.  A state whose entries outside S x S are 0 is read from its
     S x S block alone: ``reduced`` traces the modes out and ``top_fock``
-    reads each mode's top-level population.
+    reads each mode's top-level population, each as one product for a block
+    or for an (n, |S|, |S|) stack of them.
     """
 
     def __init__(self, layout: SpaceLayout, labels):
@@ -158,11 +159,14 @@ class Sector:
         strides = [math.prod(dims[f + 1:]) for f in range(len(dims))]
         self.support = np.array([sum(v * n for v, n in zip(label, strides)) for label in rows])
         self._position = {label: i for i, label in enumerate(rows)}
-        same_modes = (self.labels[:, None, 1:] == self.labels[None, :, 1:]).all(axis=2)
-        self._pairs = np.nonzero(same_modes)
-        system = self.labels[:, 0]
-        self._into = (system[self._pairs[0]], system[self._pairs[1]])
-        self._top = [self.labels[:, 1 + l] == n for l, n in enumerate(layout.fock_levels)]
+        # the partial trace sums each entry (a, b) whose modes agree into
+        # (level of a, level of b): one 0/1 map on those entries
+        a, b = np.nonzero((self.labels[:, None, 1:] == self.labels[None, :, 1:]).all(axis=2))
+        self._pairs = a * len(rows) + b
+        into = self.labels[a, 0] * layout.system_dim + self.labels[b, 0]
+        self._trace_map = np.eye(layout.system_dim**2, dtype=complex)[into]
+        self._top = np.array([level == n for level, n in zip(self.labels[:, 1:].T,
+                                                              layout.fock_levels)], dtype=float)
 
     @property
     def dim(self) -> int:
@@ -199,15 +203,16 @@ class Sector:
         return block
 
     def reduced(self, block: np.ndarray) -> np.ndarray:
-        """The system state of the block: every mode traced out."""
-        out = np.zeros((self.layout.system_dim,) * 2, dtype=complex)
-        np.add.at(out, self._into, block[self._pairs])
-        return out
+        """The system state of the block, or of each block of a stack: every
+        mode traced out."""
+        lead = block.shape[:-2]
+        entries = block.reshape(lead + (self.dim ** 2,))[..., self._pairs]
+        return (entries @ self._trace_map).reshape(lead + (self.layout.system_dim,) * 2)
 
     def top_fock(self, block: np.ndarray) -> np.ndarray:
-        """Population of the highest kept Fock level of the block, one entry per mode."""
-        diag = np.real(np.diagonal(block))
-        return np.array([diag[top].sum() for top in self._top])
+        """Population of the highest kept Fock level of the block, one entry per
+        mode, or one row of them per block of a stack."""
+        return np.real(np.diagonal(block, axis1=-2, axis2=-1)) @ self._top.T
 
 
 def eigenoperator(system: SystemSpec, j: int) -> np.ndarray:

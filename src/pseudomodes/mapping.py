@@ -345,11 +345,11 @@ class RotationCheck:
 def _realness_roots(delta_z: complex, beta: float, samples: int = 1441) -> list[float]:
     """Angles a in [0, pi) where Im[dz * sin(2(a + i*beta))] vanishes."""
 
-    def f(a: float) -> float:
-        return (delta_z * cmath.sin(2.0 * (a + 1j * beta))).imag
+    def f(a):
+        return (delta_z * np.sin(2.0 * (a + 1j * beta))).imag
 
     grid = np.linspace(0.0, math.pi, samples)
-    vals = np.array([f(a) for a in grid])
+    vals = f(grid)
     scale = max(abs(delta_z) * math.cosh(2.0 * beta), 1e-300)
     if np.abs(vals).max() <= 1e-13 * scale:
         # Constraint holds identically (real separation, real ratio); the
@@ -366,7 +366,7 @@ def _realness_roots(delta_z: complex, beta: float, samples: int = 1441) -> list[
             flo = fa
             while hi - lo > 1e-15:
                 mid = 0.5 * (lo + hi)
-                fm = f(mid)
+                fm = float(f(mid))
                 if flo * fm <= 0.0:
                     hi = mid
                 else:

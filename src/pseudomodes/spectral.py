@@ -233,18 +233,18 @@ def eval_density(pole_set: PoleSet, omega):
                  / ((w - xi_l)**2 + lambda_l**2),
     which is the real-axis value of the rational function whose lower-half
     poles are the stored ones (assuming real D, i.e. conjugate upper poles).
-    A denominator beyond the floating-point range is inf, and its term 0,
-    which is its limit.
+    Each term is scaled by the power of two that brings the larger of
+    |w - xi_l| and lambda_l into [1/2, 1): exactly, so in range it is the
+    unscaled term bit for bit, and beyond it neither a wide line's
+    denominator overflows nor a narrow line's lambda_l**2 underflows.
     """
     w = np.asarray(omega, dtype=float)
     out = np.zeros(w.shape)
     for p in pole_set.poles:
-        xi = p.center
-        lam = p.width
-        num = p.residue.real * (w - xi) + lam * p.residue.imag
-        with np.errstate(over="ignore"):
-            den = (w - xi) ** 2 + lam**2
-        out = out + 2.0 * num / den
+        dw = w - p.center
+        s = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(dw), p.width))[1])
+        x, y = dw * s, p.width * s
+        out = out + 2.0 * (p.residue.real * x + y * p.residue.imag) / (x**2 + y**2) * s
     if np.ndim(omega) == 0:
         return float(out[()])
     return out

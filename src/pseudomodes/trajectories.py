@@ -9,7 +9,7 @@ projected and renormalized.
 
 The drift is time independent, so the no-jump evolution is the exact
 exponential exp(-i D dt), formed by the ``CachedExponential`` of
-``dynamics`` (which also forms the row maps of ``evolve``) from its
+``dynamics`` (which also forms ``evolve``'s closed-form U and V) from its
 truncated Taylor series rather than by an eigendecomposition, which a
 defective drift (an exceptional point) would not have.  Kets live on the
 generator's sector S, the states its terms reach from the initial labels:
@@ -111,11 +111,7 @@ class NoJumpPropagator:
 
     def __init__(self, drift: np.ndarray):
         d = as_complex_matrix(drift, "drift")
-        a = -1j * d
-        with np.errstate(over="ignore"):  # an overflow is inf, which taylor_plan refuses
-            norm = float(np.linalg.norm(d))
-        self._exp = CachedExponential(lambda x: a @ x, np.eye(d.shape[0], dtype=complex),
-                                      norm, PROPAGATOR_CACHE)
+        self._exp = CachedExponential(-1j * d, PROPAGATOR_CACHE)
 
     def apply(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """exp(-i D dt) psi for dt >= 0."""
@@ -220,7 +216,7 @@ def mcwf_run(
         density_sum[i] = psi.T @ (psi.conj() * w[:, None])
         rho = density_sum[i] / n_traj
         trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
-        top_fock[i] = truncation_guard(rho, sector, float(t[i]), lambda: finalize(i))
+        top_fock[i] = truncation_guard(sector.top_fock(rho), float(t[i]), lambda: finalize(i))
 
     def jump(idx: int, psi: np.ndarray, t_jump: float) -> np.ndarray:
         """Project the ket that reached its threshold; the normalized result."""

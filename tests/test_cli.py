@@ -398,8 +398,9 @@ def test_unknown_observable_exits_2_from_every_subcommand(tmp_path, capsys, comm
 
 def test_validate_horizon_stops_at_t_max(tmp_path, monkeypatch):
     # A line 1e-7 wide decays over 5 / lambda_min = 5e7 time units: without
-    # the cap each of the oracle's 50 rows spans 1e6 and needs 689,741 Taylor
-    # sub-intervals.  The spy fails at the first such row instead of hanging.
+    # the cap each of the oracle's 50 rows spans 1e6, and its exponential
+    # needs 202,021 Taylor sub-intervals.  The spy fails at the first such
+    # plan instead of hanging.
     doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
     doc["spectral"]["terms"][0]["width"] = 1.0e-7
     spans = []
@@ -414,7 +415,29 @@ def test_validate_horizon_stops_at_t_max(tmp_path, monkeypatch):
     monkeypatch.setattr(pseudomodes.dynamics, "taylor_plan", counting)
     summary = cmd_validate(load_config(write_doc(tmp_path, doc)))
     assert summary.passed
-    assert len(spans) == 50  # the oracle's rows, on [0, t_max]
+    # The oracle's 50 rows on [0, t_max] have 7 distinct spans, and each
+    # forms U = exp(-i dt D_l) and V = exp(i dt D_r) once: one plan checks
+    # the span, one runs it.
+    assert len(set(np.diff(np.linspace(0.0, doc["run"]["t_max"], 51)).tolist())) == 7
+    assert len(spans) == 2 * 2 * 7
+
+
+@pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
+def test_a_run_without_a_time_axis_runs_every_subcommand(tmp_path, capsys, command):
+    # t_max 0 leaves the horizon 5 / lambda_min = 5e7 uncapped; validate has
+    # no dynamics to check, so it reports its two dynamical checks as skipped.
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["spectral"]["terms"][0]["width"] = 1.0e-7
+    doc["run"]["t_max"] = 0.0
+    out = tmp_path / "x.out"
+    assert main([command, write_doc(tmp_path, doc), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "validate":
+        report = json.loads(out.read_text(encoding="utf-8"))
+        statuses = {c["name"]: (c["status"], c["detail"]) for c in report["checks"]}
+        for name in ("generator_equivalence", "oracle_population"):
+            assert statuses[name] == ("skip", "the run has no time axis (t_max 0)")
+        assert report["passed"]
 
 
 def test_generator_kind_resolution():
@@ -463,12 +486,14 @@ def test_fock_levels_list_must_match_mode_count(tmp_path):
 @pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
 def test_a_fock_levels_list_of_the_wrong_length_is_refused_alike(tmp_path, capsys, command):
     # map builds the generator's layout to bound its norm, so it refuses the
-    # list as the subcommands that propagate do.
-    doc = with_run(BAND_GAP_DOC, fock_levels=[2, 2, 2])
-    assert main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.out")]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "config error: run.fock_levels lists 3 modes but the density has 2\n"
-    assert captured.out == "" and not (tmp_path / "x.out").exists()
+    # list as the subcommands that propagate do, with a time axis or without.
+    for t_max in (10.0, 0.0):
+        doc = with_run(BAND_GAP_DOC, fock_levels=[2, 2, 2], t_max=t_max)
+        assert main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: run.fock_levels lists 3 modes but the "
+                                "density has 2\n"), t_max
+        assert captured.out == "" and not (tmp_path / "x.out").exists()
 
 
 def test_cmd_map_band_gap_fields(tmp_path):
@@ -739,9 +764,9 @@ def test_an_infinite_norm_bound_is_refused_alike(tmp_path, capsys, command):
     assert not (tmp_path / "x.out").exists()
 
 
-def spy_row_maps(monkeypatch):
-    """Record Generator.apply's argument shapes, the identity of each row
-    exponential built and the number of row maps looked up."""
+def spy_exponentials(monkeypatch):
+    """Record Generator.apply's argument shapes, the shape of each matrix
+    exponentiated and the number of exponentials looked up."""
     seen = {"applied": [], "built": [], "rows": 0}
     apply, init, matrix = (Generator.apply, CachedExponential.__init__,
                            CachedExponential.matrix)
@@ -750,9 +775,9 @@ def spy_row_maps(monkeypatch):
         seen["applied"].append(rho.shape)
         return apply(self, rho)
 
-    def building(self, apply, identity, norm_rate, capacity):
-        seen["built"].append(identity.shape)
-        init(self, apply, identity, norm_rate, capacity)
+    def building(self, a, capacity):
+        seen["built"].append(a.shape)
+        init(self, a, capacity)
 
     def looking_up(self, h):
         seen["rows"] += 1
@@ -765,52 +790,50 @@ def spy_row_maps(monkeypatch):
 
 
 def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monkeypatch):
-    # |S| = 4 at every cutoff: the same row maps, the same applications, the
-    # same bits.  One stacked series on the 16 basis matrices per distinct
-    # span of the 200 rows, then one product per row.
-    seen = spy_row_maps(monkeypatch)
+    # |S| = 4 at every cutoff: the same closed form, the same bits.  Two
+    # exponentials, U and V, on the 4 x 4 identity, one lookup of each per
+    # row of the 200, and no application of L.
+    seen = spy_exponentials(monkeypatch)
     doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
-    assert len(set(np.diff(np.linspace(0.0, 20.0, 201)).tolist())) == 9
     rows = {}
     for levels in (2, 6):
         doc["run"]["fock_levels"] = levels
         out = tmp_path / f"fock{levels}.csv"
         seen.update(applied=[], built=[], rows=0)
         assert main(["evolve", write_doc(tmp_path, doc), "--out", str(out)]) == 0
-        assert len(seen["applied"]) == 135 and set(seen["applied"]) == {(16, 4, 4)}
-        assert seen["built"] == [(16, 4, 4)] and seen["rows"] == 200
+        assert not seen["applied"]
+        assert seen["built"] == [(4, 4)] * 2 and seen["rows"] == 2 * 200
         rows[levels] = out.read_bytes()
     capsys.readouterr()
     assert rows[2] == rows[6]
 
 
-@pytest.mark.parametrize("name,d,evolve_maps,validate_maps",
+@pytest.mark.parametrize("name,d,pairs,pair_evolves",
                          [("band_gap", 4, 1, 2), ("tls_lorentzian", 3, 0, 0)])
 def test_each_shipped_run_takes_the_path_its_grid_pays_for(tmp_path, capsys, monkeypatch,
-                                                          name, d, evolve_maps, validate_maps):
-    # Row maps are formed when the rows number at least |S|**2 times the
-    # distinct spans: band_gap's 200 rows of 9 spans and its two 41-row
-    # equivalence grids of one span; not tls_lorentzian's 25 rows of 6
-    # spans, nor either 51-row population grid of 7.
-    seen = spy_row_maps(monkeypatch)
+                                                          name, d, pairs, pair_evolves):
+    # Both shipped models start with one excitation, so every evolve of
+    # evolve and validate is in closed form, with no application of L: two
+    # exponentials, U and V, per evolve.  validate runs the oracle's grid on
+    # the run's generator and, for a rotated pair, the equivalence check:
+    # one more evolve of that generator and one of the uncorrected one.
+    seen = spy_exponentials(monkeypatch)
     config = str(CONFIGS / f"{name}.yaml")
     assert main(["evolve", config, "--out", str(tmp_path / "x.csv")]) == 0
-    stack = (d * d, d, d)
-    assert seen["built"] == [stack] * evolve_maps
-    assert set(seen["applied"]) == ({stack} if evolve_maps else {(d, d)})
+    assert seen["built"] == [(d, d)] * 2 and not seen["applied"]
     seen.update(applied=[], built=[])
     assert cmd_validate(load_config(config)).passed
-    assert seen["built"] == [stack] * validate_maps
-    assert set(seen["applied"]) == ({stack, (d, d)} if validate_maps else {(d, d)})
+    assert seen["built"] == [(d, d)] * 2 * (1 + pairs * pair_evolves)
+    assert not seen["applied"]
     capsys.readouterr()
 
 
 def test_a_row_map_refuses_a_row_too_long_for_its_plan(tmp_path, capsys, monkeypatch):
-    seen = spy_row_maps(monkeypatch)
+    seen = spy_exponentials(monkeypatch)
     doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
-    doc["run"].update(t_max=1.0e12, n_steps=25)  # 25 rows of one span, 4e10; |S|**2 = 9
+    doc["run"].update(t_max=1.0e12, n_steps=25)  # 25 rows of one span, 4e10
     assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")]) == 2
-    assert seen["built"] == [(9, 3, 3)] and not seen["applied"]
+    assert seen["built"] == [(3, 3)] * 2 and not seen["applied"]
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: a row of 4e\+10 time units is too long for the norm bound "
                         r"\S+; rows of at most \S+ time units fit\n", err), err
@@ -831,6 +854,20 @@ def test_twenty_modes_run_on_their_sector_beyond_the_int64_range(tmp_path, capsy
         assert build_model(load_config(write_doc(tmp_path, doc))).dim == 22
     capsys.readouterr()
     assert rows[2] == rows[8]
+
+
+def test_twenty_modes_take_the_closed_form(tmp_path, capsys, monkeypatch):
+    # |S| = 22 and 500 rows: U and V on the 22 x 22 identity, one lookup of
+    # each per row, and no application of L.
+    seen = spy_exponentials(monkeypatch)
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["spectral"]["terms"] = [{"weight": 0.05, "center": 0.5 + 0.05 * k,
+                                 "width": 1.0 + 0.1 * k} for k in range(20)]
+    doc["run"].update(t_max=20.0, n_steps=500)
+    assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")]) == 0
+    capsys.readouterr()
+    assert seen["built"] == [(22, 22)] * 2 and seen["rows"] == 2 * 500
+    assert not seen["applied"]
 
 
 def test_deeply_nested_yaml_is_a_config_error(tmp_path, capsys):

@@ -21,6 +21,7 @@ from pseudomodes import (
     destroy,
     eigenoperator,
     evolve,
+    expectation,
     lorentzian_to_poles,
     ModeSet,
     rotate_frame,
@@ -28,9 +29,9 @@ from pseudomodes import (
     two_mode_regularize,
     vacuum_embedding,
 )
-from pseudomodes.dynamics import (FRAMES, CachedExponential,
-                                  _taylor_interval, taylor_plan)
-from pseudomodes.trajectories import PROPAGATOR_CACHE
+from pseudomodes import dynamics
+from pseudomodes.dynamics import (FRAMES, ROW_CACHE, CachedExponential,
+                                  InvariantViolationError, _taylor_interval, taylor_plan)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -69,8 +70,9 @@ def every(layout):
     return np.ndindex(*layout.dims)
 
 
-def tls_direct(start=excited):
-    modes = build_discrete_modes(SINGLE, (1.0,))
+def tls_direct(start=excited, width=4.0):
+    line = LorentzianTerm(weight=1.0, center=1.0, width=width)
+    modes = build_discrete_modes(lorentzian_to_poles(LorentzianSum((line,))), (1.0,))
     layout = SpaceLayout(2, (2,))
     return build_generator(TLS, modes, layout, start(layout)), layout
 
@@ -125,17 +127,42 @@ def four_kinds():
     )
 
 
-def dense_reference(gen, rho0, t):
-    """exp(t L) rho0 on the grid t from L on the sector as a dense |S|**2 x |S|**2
-    matrix, one column per basis matrix E_ab of the block, exponentiated
-    through its eigendecomposition."""
+def superoperator(gen):
+    """L on the sector as a dense |S|**2 x |S|**2 matrix, one column per basis
+    matrix E_ab of the block."""
     n = gen.dim
     basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-    superop = np.stack([gen.apply(e).ravel() for e in basis], axis=1)
-    evals, vecs = np.linalg.eig(superop)
+    return np.stack([gen.apply(e).ravel() for e in basis], axis=1)
+
+
+def dense_reference(gen, rho0, t):
+    """exp(t L) rho0 on the grid t from the dense superoperator, exponentiated
+    through its eigendecomposition."""
+    n = gen.dim
+    evals, vecs = np.linalg.eig(superoperator(gen))
     assert np.linalg.cond(vecs) < 1e3, gen.kind
     coeffs = np.linalg.solve(vecs, rho0.ravel())
     return ((np.exp(np.outer(t, evals)) * coeffs) @ vecs.T).reshape(len(t), n, n)
+
+
+def dense_power_reference(gen, rho0, span, rows):
+    """exp(k span L) rho0 for k = 0 ... rows, powers of the dense superoperator's
+    exp(span L), which scaling and squaring forms from a degree-20 Taylor
+    polynomial of span L / 2**j with 1-norm at most 1/2: no eigenvectors, so
+    an ill-conditioned L is as good as any."""
+    a = span * superoperator(gen)
+    j = max(0, math.ceil(math.log2(2.0 * np.abs(a).sum(axis=0).max())))
+    a = a / 2.0**j
+    step = term = np.eye(a.shape[0], dtype=complex)
+    for k in range(1, 21):
+        term = term @ a / k
+        step = step + term
+    for _ in range(j):
+        step = step @ step
+    out = [rho0.ravel()]
+    for _ in range(rows):
+        out.append(step @ out[-1])
+    return np.array(out).reshape(rows + 1, *rho0.shape)
 
 
 def free_diagonal(gen, frequencies):
@@ -282,9 +309,9 @@ def test_exact_action_matches_the_dense_superoperator():
         assert np.abs(res.states - dense_reference(gen, rho0, t)).max() <= 1e-8, kind
 
 
-def spy_row_maps(monkeypatch):
-    """Record Generator.apply's argument shapes, the span of each row map formed
-    and the cache size after each row map lookup."""
+def spy_exponentials(monkeypatch):
+    """Record Generator.apply's argument shapes, the span of each exponential
+    formed and the cache size after each exponential lookup."""
     seen = {"applied": [], "formed": [], "cached": []}
     apply, exp, matrix = Generator.apply, CachedExponential._exp, CachedExponential.matrix
 
@@ -309,39 +336,37 @@ def spy_row_maps(monkeypatch):
 
 
 def test_autonomous_evolve_cost_follows_rows(monkeypatch):
-    # One stacked series per distinct span, then one product per row.
+    # One series per distinct span for each of U = exp(-i dt D_l) and
+    # V = exp(i dt D_r), then one lookup of each per row, whatever the number
+    # of rows.
     _, gen, layout = band_gap_generators()
-    seen = spy_row_maps(monkeypatch)
+    seen = spy_exponentials(monkeypatch)
     rho0 = vacuum_embedding(gen.sector, EE)
     for rows in (200, 400):
         for calls in seen.values():
             calls.clear()
         t = np.linspace(0.0, 20.0, rows + 1)
         evolve(gen, rho0, t, store_states=False)
-        spans = set(np.diff(t).tolist())
-        assert sorted(seen["formed"]) == sorted(spans)
-        assert len(seen["cached"]) == rows  # one product with a row map per row
-        # each distinct span's Taylor plan, no more, on the 16 basis matrices
-        # of the block of |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
-        assert 0 < len(seen["applied"]) <= 60 * len(spans)
-        assert set(seen["applied"]) == {(16, 4, 4)}
+        assert sorted(seen["formed"]) == sorted(2 * list(set(np.diff(t).tolist())))
+        assert len(seen["cached"]) == 2 * rows
+        assert not seen["applied"]
 
 
 def test_the_row_maps_are_formed_when_the_rows_pay_for_them(monkeypatch):
-    seen = spy_row_maps(monkeypatch)
-    gen, _ = tls_direct()  # |S| = 3: a row map per distinct span from 9 rows on
-    # (rows, distinct spans): 10 rows share one span, 8 are too few for it,
-    # and 9 rows of 3 distinct spans would need 27.
-    for rows, distinct, applied in ((10, 1, {(9, 3, 3)}), (8, 1, {(3, 3)}),
-                                    (9, 3, {(3, 3)})):
+    # The closed form forms U and V once per distinct span, however few rows
+    # share them; the whole band-gap space (|S| = 18) has no single
+    # ground label, so each row applies the series.
+    seen = spy_exponentials(monkeypatch)
+    gen, _ = tls_direct()  # |S| = 3
+    for rows, distinct in ((10, 1), (8, 1), (9, 3)):
         t = np.linspace(0.0, 2.5, rows + 1)
         assert len(set(np.diff(t).tolist())) == distinct
         seen["applied"].clear()
+        seen["formed"].clear()
         evolve(gen, vacuum_embedding(gen.sector, EE), t)
-        assert set(seen["applied"]) == applied, rows
-    # The whole band-gap space, |S| = 18, on a 41-row grid: 324 basis matrices
-    # for 40 rows, so each row takes the action.
+        assert len(seen["formed"]) == 2 * distinct and not seen["applied"], rows
     _, whole, _ = band_gap_generators(every)
+    assert whole.one_excitation_ground() is None
     seen["applied"].clear()
     seen["formed"].clear()
     evolve(whole, vacuum_embedding(whole.sector, EE), np.linspace(0.0, 10.0, 41))
@@ -349,35 +374,107 @@ def test_the_row_maps_are_formed_when_the_rows_pay_for_them(monkeypatch):
 
 
 def test_a_geometric_grid_takes_each_row_as_an_action(monkeypatch):
-    # A distinct span per row: a row map would cost 16 row actions per row.
-    seen = spy_row_maps(monkeypatch)
-    t = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 2 * PROPAGATOR_CACHE)))
-    assert len(set(np.diff(t).tolist())) == t.size - 1
+    # A distinct span per row: each row forms its own U and V, once, and the
+    # cache holds the last ROW_CACHE of them, however many rows there are.
+    seen = spy_exponentials(monkeypatch)
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 2 * ROW_CACHE)))
+    rows = t.size - 1
+    assert len(set(np.diff(t).tolist())) == rows
     for gen in band_gap_generators()[:2]:
-        seen["applied"].clear()
         rho0 = vacuum_embedding(gen.sector, EE)
+        want = dense_reference(gen, rho0, t)
+        for calls in seen.values():
+            calls.clear()
         res = evolve(gen, rho0, t)
-        assert np.abs(res.states - dense_reference(gen, rho0, t)).max() <= 1e-8, gen.kind
-        assert set(seen["applied"]) == {(4, 4)} and not seen["formed"] and not seen["cached"]
+        assert np.abs(res.states - want).max() <= 1e-8, gen.kind
+        assert len(seen["formed"]) == 2 * rows and not seen["applied"]
+        assert max(seen["cached"]) == ROW_CACHE  # full, never beyond
 
 
 def test_the_row_map_cache_keeps_its_capacity(monkeypatch):
-    seen = spy_row_maps(monkeypatch)
+    seen = spy_exponentials(monkeypatch)
     spans = np.geomspace(1e-3, 20.0, 12)
     for gen in band_gap_generators()[:2]:
         seen["formed"].clear()
         seen["cached"].clear()
-        n = gen.dim
-        basis = np.eye(n * n, dtype=complex).reshape(-1, n, n)
-        row_map = CachedExponential(gen.apply, basis, gen.norm_estimate(), 5)
-        rho0 = vacuum_embedding(gen.sector, EE)
-        want = dense_reference(gen, rho0, spans)
+        a = -1j * gen.drift()
+        u = CachedExponential(a, 5)
+        evals, vecs = np.linalg.eig(a)
+        assert np.linalg.cond(vecs) < 1e3, gen.kind
         for _ in range(2):  # least recently used first: each span is gone by its turn
-            for h, ref in zip(spans, want):
-                row = (rho0.reshape(-1) @ row_map.matrix(float(h))).reshape(n, n)
-                assert np.abs(row - ref).max() <= 1e-8, gen.kind
+            for h in spans:
+                want = (vecs * np.exp(h * evals)) @ np.linalg.inv(vecs)
+                assert np.abs(u.matrix(float(h)) - want).max() <= 1e-8, gen.kind
         assert max(seen["cached"]) == 5  # full, never beyond
         assert len(seen["formed"]) == 2 * spans.size
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_the_closed_form_matches_the_dense_superoperator(monkeypatch, frame):
+    # A random density on each one-excitation sector, every kind: each row is
+    # U rho V plus the ground fill, with no application of L.
+    seen = spy_exponentials(monkeypatch)
+    rng = np.random.default_rng(16)
+    t = np.linspace(0.0, 20.0, 41)
+    for kind, mode_set, layout in four_kinds():
+        gen = build_generator(TLS, mode_set, layout, excited(layout), frame=frame)
+        ground = gen.sector.labels[gen.one_excitation_ground()]
+        assert ground.tolist() == [0] * (1 + len(mode_set))
+        rho0 = random_hermitian_density(rng, gen.dim)
+        seen["applied"].clear()
+        res = evolve(gen, rho0, t)
+        assert not seen["applied"]
+        want = dense_reference(gen, rho0, t)
+        view = gen.frame_view()
+        if view is not None:
+            want = np.array([view(rho, ti) for rho, ti in zip(want, t)])
+        assert np.abs(res.states - want).max() <= 1e-12, kind
+
+
+def ladder_generator():
+    """A three-level ladder (energies 0, 1, 2, one channel at frequency 1)
+    started in level 2 with two modes: two excitations, |S| = 10.  Fock
+    cutoff 3 keeps the top level empty, so the truncation guard stays quiet;
+    two quanta reach no further."""
+    x = np.diag([1.0, 1.0], 1)
+    ladder = SystemSpec(energies=(0.0, 1.0, 2.0), observables=(x + x.T,),
+                        frequencies=(1.0,), strengths=(1.0,))
+    layout = SpaceLayout(3, (3, 3))
+    return build_generator(ladder, build_discrete_modes(REAL_PAIR, (1.0,)), layout,
+                           [(2, 0, 0)])
+
+
+def test_sectors_without_one_ground_take_the_series(monkeypatch):
+    # The whole band-gap space, two excitations, and a damping K a part in
+    # 1e9 too strong, so that the jumps no longer return all the trace it
+    # removes (the trace drifts by less than TRACE_TOL), on a line 4 wide
+    # and on one 1e-7 wide: no ground fill is exact, and each row applies
+    # the series.
+    seen = spy_exponentials(monkeypatch)
+    leaky = []
+    for width in (4.0, 1e-7):
+        direct, _ = tls_direct(width=width)
+        leaky.append(Generator(kind=direct.kind, frame=direct.frame, sector=direct.sector,
+                               static_both=direct.static_both,
+                               damping=direct.damping * (1.0 + 1e-9),
+                               channels=direct.channels))
+    ladder = ladder_generator()
+    top = np.zeros((ladder.dim, ladder.dim), dtype=complex)
+    top[-1, -1] = 1.0  # level 2 with both modes in vacuum, the last label
+    assert ladder.sector.labels[-1].tolist() == [2, 0, 0]
+    cases = [(gen, vacuum_embedding(gen.sector, EE))
+             for gen in (*band_gap_generators(every)[:2], *leaky)] + [(ladder, top)]
+    assert [gen.dim for gen, _ in cases] == [18, 18, 3, 3, 10]
+    rows = 20
+    t = np.linspace(0.0, 1.0, rows + 1)
+    for gen, rho0 in cases:
+        assert gen.one_excitation_ground() is None
+        seen["applied"].clear()
+        seen["formed"].clear()
+        res = evolve(gen, rho0, t)
+        assert set(seen["applied"]) == {(gen.dim, gen.dim)} and not seen["formed"]
+        want = dense_power_reference(gen, rho0, t[1], rows)
+        assert np.abs(res.states - want).max() <= 1e-12, (gen.kind, gen.dim)
 
 
 def test_reachable_support_is_the_one_excitation_sector():
@@ -434,13 +531,12 @@ def test_restricted_row_matches_the_full_space_row(frame):
 
 @pytest.mark.parametrize("frame", FRAMES)
 def test_the_row_map_matches_the_row_action(frame):
-    # 40 rows of one span, at least the |S|**2 = 16 or 25 of each block: evolve
-    # takes each row as vec(rho) @ exp(dt L); the reference applies the Taylor
-    # series to each row's state.
+    # Each row in closed form, U rho V plus the ground fill; the reference
+    # applies the Taylor series of L to each row's state.
     t = np.linspace(0.0, 20.0, 41)
     for kind, mode_set, layout in four_kinds():
         gen = build_generator(TLS, mode_set, layout, excited(layout), frame=frame)
-        assert len(set(np.diff(t).tolist())) * gen.dim ** 2 <= t.size - 1
+        assert gen.one_excitation_ground() is not None
         rho = vacuum_embedding(gen.sector, EE)
         res = evolve(gen, rho, t)
         view = gen.frame_view()
@@ -489,6 +585,101 @@ def test_truncation_guard_aborts_with_partial_prefix():
     assert len(exc.partial.times) >= 1
     assert exc.partial.times[-1] < exc.time
     assert float(exc.partial.top_fock.max()) <= 1e-6
+
+
+def evolve_in_blocks(monkeypatch, rows, gen, *args, **kwargs):
+    """``evolve`` recording ``rows`` rows at a time."""
+    monkeypatch.setattr(dynamics, "BLOCK_ENTRIES", rows * gen.dim ** 2)
+    return evolve(gen, *args, **kwargs)
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_a_grid_longer_than_one_block_matches_row_by_row_records(monkeypatch, frame):
+    # The whole band-gap space, |S| = 18, takes the series; its 401 rows fill
+    # two blocks of 202.  Each record matches the row's own state read one
+    # row at a time, and a run recorded row by row.
+    t = np.linspace(0.0, 20.0, 401)
+    assert dynamics.BLOCK_ENTRIES // 18**2 == 202
+    obs = {"ee": EE, "sx": SX}
+    for gen in band_gap_generators(every)[:2]:
+        gen = Generator(kind=gen.kind, frame=frame, sector=gen.sector,
+                        static_both=gen.static_both, damping=gen.damping,
+                        channels=gen.channels, h0=gen.h0)
+        rho0 = vacuum_embedding(gen.sector, EE)
+        res = evolve(gen, rho0, t, observables=obs)
+        by_row = evolve_in_blocks(monkeypatch, 1, gen, rho0, t, observables=obs)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(res.states, by_row.states)
+        layout = gen.sector.layout
+        tops = [gen.sector.labels[:, 1 + l] == n for l, n in enumerate(layout.fock_levels)]
+        for i, rho in enumerate(res.states):
+            assert res.trace_error[i] == pytest.approx(abs(np.trace(rho) - 1.0), abs=1e-15)
+            top = max(float(np.real(np.diagonal(rho))[mask].sum()) for mask in tops)
+            assert res.top_fock[i] == pytest.approx(top, abs=1e-15)
+            full = embedded(rho, gen.sector.support, layout.dim)
+            np.testing.assert_allclose(res.system_states[i], trace_modes(full, layout),
+                                       atol=1e-14)
+            for name, op in obs.items():
+                want = expectation(rho, gen.sector.operator(op))
+                assert res.observables[name][i] == pytest.approx(want, abs=1e-14)
+        for name in ("system_states", "top_fock", "trace_error"):
+            np.testing.assert_allclose(getattr(res, name), getattr(by_row, name), atol=1e-14)
+        for name in obs:
+            np.testing.assert_allclose(res.observables[name], by_row.observables[name],
+                                       atol=1e-14)
+
+
+def assert_same_prefix(a, b):
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.states, b.states)
+    for name in ("system_states", "top_fock", "trace_error"):
+        np.testing.assert_allclose(getattr(a, name), getattr(b, name), atol=1e-15)
+    assert a.observables.keys() == b.observables.keys()
+    for name in a.observables:
+        np.testing.assert_allclose(a.observables[name], b.observables[name], atol=1e-15)
+
+
+def test_a_truncation_trip_in_the_second_block_raises_as_row_by_row(monkeypatch):
+    # Coupling 0.005 at Fock cutoff 1: the top level passes 1e-6 at row 5 of
+    # 101.  Blocks of 3 rows put it in the second block, after two clean rows
+    # of it; the error and its prefix are those of a row-by-row record.
+    weak = SystemSpec(energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,),
+                      strengths=(0.005,))
+    layout = SpaceLayout(2, (1,))
+    gen = build_generator(weak, build_discrete_modes(SINGLE, (0.005,)), layout,
+                          excited(layout))
+    assert gen.one_excitation_ground() is not None
+    rho0 = vacuum_embedding(gen.sector, EE)
+    t = np.linspace(0.0, 10.0, 101)
+    errors = []
+    for rows in (1, 3):
+        with pytest.raises(TruncationGuardError) as err:
+            evolve_in_blocks(monkeypatch, rows, gen, rho0, t, observables={"ee": EE})
+        errors.append(err.value)
+    by_row, blocked = errors
+    assert str(by_row) == str(blocked) == (
+        "top Fock population 1.168e-06 exceeded 1e-06 at t=0.5; raise the cutoffs")
+    assert (by_row.time, by_row.population) == (blocked.time, blocked.population)
+    assert len(blocked.partial.times) == 5
+    assert_same_prefix(by_row.partial, blocked.partial)
+
+
+def test_an_invariant_violation_in_the_second_block_raises_as_row_by_row(monkeypatch):
+    # A damping 4e-8 too strong: the jumps return less trace than the drift
+    # removes, and the trace is off by more than 1e-8 from row 10 on.  Blocks
+    # of 6 rows put it in the second block; rows after it never count.
+    direct, _ = tls_direct()
+    leaky = Generator(kind=direct.kind, frame=direct.frame, sector=direct.sector,
+                      static_both=direct.static_both, damping=direct.damping * (1.0 + 4e-8),
+                      channels=direct.channels)
+    rho0 = vacuum_embedding(leaky.sector, EE)
+    t = np.linspace(0.0, 10.0, 101)
+    messages = []
+    for rows in (1, 6):
+        with pytest.raises(InvariantViolationError) as err:
+            evolve_in_blocks(monkeypatch, rows, leaky, rho0, t)
+        messages.append(str(err.value))
+    assert messages == ["trace deviated by 1.113e-08 at t=1"] * 2
 
 
 def test_evolve_validates_inputs():

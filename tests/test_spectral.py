@@ -170,6 +170,18 @@ def test_eval_density_reconstructs_lorentzians():
         )
 
 
+@pytest.mark.parametrize("width", [1e-160, 1e-300])
+def test_a_narrow_line_keeps_its_peak(width):
+    # width**2 is subnormal at 1e-160 and 0.0 at 1e-300; the suite turns the
+    # divide-by-zero warning an inf would raise into an error.  The peak is
+    # within one ulp of 2 / width, as at any width in range.
+    poles = lorentzian_to_poles(LorentzianSum((
+        LorentzianTerm(weight=1.0, center=1.0, width=width),
+    )))
+    peak = eval_density(poles, np.array([1.0]))[0]
+    assert np.isfinite(peak) and abs(peak - 2.0 / width) <= np.spacing(2.0 / width)
+
+
 def test_band_gap_density_vanishes_at_center():
     assert abs(BAND_GAP.evaluate(0.0)) < 1e-15
 
