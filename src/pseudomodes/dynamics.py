@@ -122,9 +122,11 @@ class Generator:
     never handed out for mutation.  Every matrix is an S x S block on
     ``sector``, so d below is |S|.  ``apply`` is matrix-free in the
     superoperator sense: it performs only d x d matrix products, so a density
-    costs O(d**2) memory where the superoperator would cost O(d**4).  ``h0``
-    is the diagonal of the free Hamiltonian H0 that the interaction frame
-    rotates with; the Schrodinger frame does not need it.
+    costs O(d**2) memory where the superoperator would cost O(d**4).
+    ``one_excitation_ground`` tells ``evolve`` whether its rows take the
+    closed form instead.  ``h0`` is the diagonal of the free Hamiltonian H0
+    that the interaction frame rotates with; the Schrodinger frame does not
+    need it.
     """
 
     def __init__(
