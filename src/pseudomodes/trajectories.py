@@ -13,44 +13,85 @@ exponential exp(-i D dt), formed by the ``CachedExponential`` of
 truncated Taylor series rather than by an eigendecomposition, which a
 defective drift (an exceptional point) would not have.  Kets live on the
 generator's sector S, the states its terms reach from the initial labels:
-the drift and the jumps never leave it, so the ensemble carries only |S|
-amplitudes per ket.  The whole ensemble advances together: each output row
-is one product of the (n_traj, |S|) ket stack with exp(-i D dt) and one
-vectorised norm check.  The trajectories whose norm fell below their
-threshold then locate their jumps together: monotonicity of the norm lets a
-bisection over power-of-two steps place each jump on a lattice of spacing at
-most 1e-10 max(1, t), one product of the searching kets' stack per step,
-with masks choosing the kets that keep it.  The generator's frame only
-changes how the recorded states are viewed (psi_I = exp(i H0 t) psi in the
-interaction frame); jumps and their times do not depend on it.
+the drift and the jumps never leave it, so a ket carries only |S|
+amplitudes.
 
-Trajectories are statistically independent with counter-based RNG streams
-derived from (seed, trajectory index), each drawing in a fixed order.  A
-stack product multiplies each ket by its own BLAS call of one fixed shape,
-so a ket's result, and with it a trajectory's jumps, does not depend on
-how many others run beside it or on their values.
+The ensemble carries each distinct ket once.  Every trajectory that has not
+jumped yet holds the same ket, so the ensemble starts with one row; an index
+``cls`` maps each trajectory to its row.  A trajectory whose norm falls
+below its threshold takes a row of its own, reusing a row that no other
+trajectory stays on, so no row outlives the trajectories on it.  Each output
+row is one product of the (m, |S|) row stack with exp(-i D dt) and one norm
+check per row, and the record weights each row by the number of
+trajectories on it.  The trajectories that crossed then locate their jumps
+together: monotonicity of the norm lets a search from the top of the row
+place each jump on a lattice of spacing q at most 1e-10 max(1, t), b bits
+of the lattice index per round (``digit_bits``).  A round is one product
+per ket with the exponentials of the 2**b - 1 multiples of one power-of-two
+step side by side, with masks choosing, for each ket, the furthest multiple
+that keeps its norm at or above the threshold.  A ket that jumps walks the
+digits of its distance to the row end with the same products, and searches
+again from its jump only if it ends below its new threshold.
+The generator's frame only changes how the recorded states are viewed
+(psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times do
+not depend on it.
+
+Trajectories are statistically independent with counter-based RNG streams,
+the children of ``SeedSequence(seed).spawn(n_traj)``: child idx is the
+stream of (seed, idx), each drawing in a fixed order.  A stack product
+multiplies each ket by its own BLAS call of one fixed shape, so a ket's
+result, and with it a trajectory's jumps, does not depend on how many others
+run beside it or on their values.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import as_complex_matrix, frozen, validate_grid
 from .errors import ClassificationError, InvalidModelError
-from .dynamics import CachedExponential, Generator, truncation_guard
+from .dynamics import BLOCK_ENTRIES, CachedExponential, Generator, truncation_guard
 
 #: Relative precision of the jump times.
 JUMP_TIME_TOL = 1e-10
-#: Power-of-two steps the jump search of one row takes at most: a row of
-#: length dt <= max(1, t) spans fewer than 2 / JUMP_TIME_TOL lattice steps.
+#: Bits of the lattice index one jump search takes at most: a row of length
+#: dt <= max(1, t) spans fewer than 2 / JUMP_TIME_TOL lattice steps.
 SEARCH_LEVELS = math.ceil(math.log2(2.0 / JUMP_TIME_TOL))
-#: Exponentials a NoJumpPropagator keeps, the least recently used dropped
-#: first: every span one row takes (its search steps, its spacing and its
-#: tail), so none is computed twice within a row.
-PROPAGATOR_CACHE = SEARCH_LEVELS + 2
+#: Bits one round of the jump search resolves at most: the rounds fall as 1/b
+#: while the candidates of a round grow as 2**b.
+MAX_DIGIT_BITS = 5
+#: Complex entries of the matrix one search round multiplies each ket with at
+#: most, 64 KiB: past it a round's products outweigh the rounds it saves (in
+#: the timings behind this bound, b = 3 ran fastest at |S| = 22 and b = 1 at
+#: |S| = 78).
+DIGIT_ENTRIES = BLOCK_ENTRIES // 16
+#: Row exponentials a NoJumpPropagator keeps, the least recently used dropped
+#: first: the two spacings a linspace grid alternates between within an
+#: octave of t, and the tail of a row with jumps.
+PROPAGATOR_CACHE = 4
+
+
+def digit_bits(d: int) -> int:
+    """Bits b of the lattice index that one search round resolves on a
+    sector of d states: the largest b <= MAX_DIGIT_BITS whose 2**b - 1
+    exponentials, side by side, hold at most DIGIT_ENTRIES complex numbers,
+    and 1 at least (from d = 37 on)."""
+    b = 1
+    while b < MAX_DIGIT_BITS and ((2 << b) - 1) * d * d <= DIGIT_ENTRIES:
+        b += 1
+    return b
+
+
+def trajectory_streams(seed: int, n_traj: int) -> list[np.random.Generator]:
+    """The Philox stream of each trajectory, (seed, idx) for trajectory idx:
+    child idx of ``SeedSequence(seed).spawn(n_traj)`` carries spawn_key
+    (idx,), so it seeds as ``SeedSequence(seed, spawn_key=(idx,))`` does."""
+    return [np.random.Generator(np.random.Philox(child))
+            for child in np.random.SeedSequence(seed).spawn(n_traj)]
 
 
 @dataclass(frozen=True)
@@ -94,29 +135,68 @@ class EnsembleResult:
 
 
 class NoJumpPropagator:
-    """Exact no-jump propagator exp(-i D dt) for a time-independent drift D.
+    """Exact no-jump propagator exp(-i D t) for a time-independent drift D.
 
     exp(-i D h) is the ``CachedExponential`` of A = -i D on the identity,
     planned on ||D||_F (which bounds ||A||), so a span is refused by the
-    same ``taylor_plan`` rule as a row of ``evolve``, and the
-    ``PROPAGATOR_CACHE`` most recently used spans are kept: 10 kB for the
-    |S| = 4 of a band gap started with one excitation, 35 MB at |S| = 242.
-    ``mcwf_run`` builds it from the generator's drift, so d here is |S|.
+    same ``taylor_plan`` rule as a row of ``evolve``.  ``mcwf_run`` builds it
+    from the generator's drift, so d here is |S|.
+
     ``apply`` takes a ket or an (n, d) stack of kets and multiplies each ket
     by its own (1, d) x (d, d) BLAS product, of a shape that does not depend
     on n, so no row of the result depends on how many other rows the stack
     has or on their values.  One (n, d) x (d, d) product would not do: its
     kernel follows n, and its row at n = 1 differs from the full stack's.
+    The exponentials of the ``PROPAGATOR_CACHE`` spans applied last are kept.
+
+    ``multiples`` is the jump search's product: each ket of an (n, d) stack
+    advanced by every multiple p 2**k, p = 1 ... 2**b - 1, of one
+    power-of-two span, as one (1, d) x (d, (2**b - 1) d) product per ket,
+    again of one fixed shape; b is ``digit_bits(d)``.  Its matrix, the
+    transposed exponentials side by side, is formed from exp(-i D 2**k) by b
+    doublings and kept under k, so rows in every octave of t share it.  The
+    ceil(SEARCH_LEVELS / b) matrices of one search are kept, the least
+    recently used dropped first, each at most DIGIT_ENTRIES complex numbers
+    (64 KiB); the exponential each is formed from is not kept, so the search
+    holds one copy of each.
     """
 
     def __init__(self, drift: np.ndarray):
         d = as_complex_matrix(drift, "drift")
         self._exp = CachedExponential(-1j * d, PROPAGATOR_CACHE)
+        self._base = CachedExponential(-1j * d, 0)  # keeps none
+        self.bits = digit_bits(len(d))
+        self._stacks: OrderedDict[int, np.ndarray] = OrderedDict()
 
     def apply(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """exp(-i D dt) psi for dt >= 0."""
         u = self._exp.matrix(dt)
         return (np.atleast_2d(psi)[:, None, :] @ u.T)[:, 0, :].reshape(np.shape(psi))
+
+    def multiples(self, psi: np.ndarray, k: int) -> np.ndarray:
+        """(n, 2**b - 1, d): exp(-i D p 2**k) psi for p = 1 ... 2**b - 1 and
+        each ket of the (n, d) stack ``psi``."""
+        stack = self._stacks.get(k)
+        if stack is None:
+            stack = self._stacks[k] = self._stack(k)
+            if len(self._stacks) > -(-SEARCH_LEVELS // self.bits):
+                self._stacks.popitem(last=False)
+        else:
+            self._stacks.move_to_end(k)
+        n, d = psi.shape
+        return (psi[:, None, :] @ stack).reshape(n, -1, d)
+
+    def _stack(self, k: int) -> np.ndarray:
+        """exp(-i D p 2**k)^T for p = 1 ... 2**b - 1, side by side, by b
+        doublings: exp(-i D 2**k) and its squares, each also taken times
+        every multiple before it."""
+        u = self._base.matrix(math.ldexp(1.0, k))
+        mats: list[np.ndarray] = []
+        for j in range(self.bits):
+            if j:
+                u = u @ u
+            mats += [u] + [u @ m for m in mats]
+        return np.concatenate([m.T for m in mats], axis=1)
 
 
 def _norm2(psi: np.ndarray):
@@ -180,12 +260,7 @@ def mcwf_run(
     trace_error = np.empty(n_t)
     jump_counts = np.zeros((n_traj, len(channels)), dtype=np.int64)
     records: list[list[tuple[float, int]]] = [[] for _ in range(n_traj)]
-    rngs = [
-        np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(idx,)))
-        )
-        for idx in range(n_traj)
-    ]
+    rngs = trajectory_streams(config.seed, n_traj)
     eta = np.array([rng.random() for rng in rngs])
     view = gen.frame_view(kets=True)
 
@@ -207,13 +282,16 @@ def mcwf_run(
             stream_keys=tuple((config.seed, idx) for idx in range(n_traj)),
         )
 
-    def record(i: int, psi: np.ndarray) -> None:
-        w = 1.0 / _norm2(psi)
+    def record(i: int, kets: np.ndarray, cls: np.ndarray, norm2: np.ndarray) -> None:
+        """Record row i of the trajectories ``cls`` maps onto the distinct
+        ``kets``, whose squared norms are ``norm2``."""
+        w = 1.0 / norm2
         if view is not None:
-            psi = view(psi, float(t[i]))
+            kets = view(kets, float(t[i]))
         for name, mat in obs_mats.items():
-            samples[name][:, i] = np.einsum("ni,ni->n", psi.conj(), psi @ mat.T) * w
-        density_sum[i] = psi.T @ (psi.conj() * w[:, None])
+            samples[name][:, i] = (np.einsum("ni,ni->n", kets.conj(), kets @ mat.T) * w)[cls]
+        w *= np.bincount(cls, minlength=len(kets))
+        density_sum[i] = kets.T @ (kets.conj() * w[:, None])
         rho = density_sum[i] / n_traj
         trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
         top_fock[i] = truncation_guard(sector.top_fock(rho), float(t[i]), lambda: finalize(i))
@@ -243,64 +321,114 @@ def mcwf_run(
 
     def cross_row(idx: np.ndarray, psi: np.ndarray, t_lo: float,
                   t_hi: float) -> np.ndarray:
-        """Carry the kets ``idx`` over a row in which their norms fall below
-        their thresholds; ``psi`` holds them at t_lo.
+        """Carry the trajectories ``idx`` over a row in which their norms fall
+        below their thresholds; ``psi`` holds their kets at t_lo, one each.
 
-        Jumps are placed on the lattice t_lo + p q, p = 0..n, where q is the
-        largest power of two within JUMP_TIME_TOL max(1, t_hi), and
-        t_hi = t_lo + n q + rest with 0 <= rest < q.  A pass moves every ket
-        from its lattice position through the steps 2**j q, j = J..0, keeping
-        each step after which the norm stays at or above the threshold, so it
-        stops just before the first lattice point below it.  A ket that
-        crosses at a lattice point jumps there and walks on in the next pass
-        with its new threshold; a ket that stays above up to p = n takes the
-        step rest to t_hi and jumps there if it falls below.  The kets of a
-        pass take each step together, as one stack; masks keep the step for
-        the kets still open below their ``below`` bound, the others ride
-        along unchanged.
+        Jumps are placed on the lattice t_lo + p q, p = 0..n, where q = 2**e
+        is the largest power of two within JUMP_TIME_TOL max(1, t_hi), and
+        t_hi = t_lo + n q + rest with 0 <= rest < q.  ``search`` stops each
+        ket just before the first lattice point below its threshold.  A ket
+        that crosses at a lattice point jumps there and walks to p = n with
+        its new threshold; a ket that reaches p = n takes the step rest to
+        t_hi.  A searching ket that then falls below jumps at t_hi, and a
+        walking one searches again from its jump.  The results are written
+        into ``psi``.
         """
         dt = t_hi - t_lo
         e = math.frexp(JUMP_TIME_TOL * max(1.0, t_hi))[1] - 1
         n = math.floor(math.ldexp(dt, -e))
         rest = dt - math.ldexp(n, e)
-        steps = [(1 << j, math.ldexp(1.0, e + j)) for j in reversed(range(n.bit_length()))]
-        live, at, kets = np.arange(idx.size), np.zeros(idx.size, dtype=np.int64), psi.copy()
-        while live.size:
-            th = eta[idx[live]]
-            below = np.full(live.size, n + 1, dtype=np.int64)
+        bits = prop.bits
+        top = (1 << bits) - 1
+        multiple = np.arange(1, top + 1)
+        shifts = [max(s, 0) for s in range(n.bit_length() - bits, -bits, -bits)]
+
+        def search(kets, at, th):
+            """Move ``kets``, in place, from the lattice points ``at`` through
+            the digits of the lattice index, b bits each from the top of n
+            down (the lowest digit may overlap the one above it), one product
+            per ket and digit.  At the digit of 2**s q a ket takes the
+            furthest multiple p 2**s q, p = 1 ... 2**b - 1, before its bound
+            ``below`` with no multiple up to it below its threshold ``th``,
+            and the first multiple below becomes the bound.  Returns the
+            bounds, starting at n + 1, and, for the kets whose bound fell to
+            n or less, their positions in the stack and their kets there."""
+            below = np.full(len(at), n + 1, dtype=np.int64)
             kets_below = np.empty_like(kets)
-            for step, h in steps:
-                open_ = at + step < below
-                if open_.any():
-                    cand = prop.apply(kets, h)
-                    up = _norm2(cand) >= th
-                    down, up = open_ & ~up, open_ & up
-                    below = np.where(down, at + step, below)
-                    kets_below = np.where(down[:, None], cand, kets_below)
-                    at = np.where(up, at + step, at)
-                    kets = np.where(up[:, None], cand, kets)
-            crossed = below <= n
-            for k in np.flatnonzero(crossed):
-                t_jump = min(t_lo + math.ldexp(float(below[k]), e), t_hi)
-                kets[k] = jump(idx[live[k]], kets_below[k], t_jump)
-            fin = np.flatnonzero(~crossed)
-            if fin.size:
-                end = kets[fin] if rest == 0.0 else prop.apply(kets[fin], rest)
-                for k in np.flatnonzero(_norm2(end) < th[fin]):
-                    end[k] = jump(idx[live[fin[k]]], end[k], t_hi)
-                psi[live[fin]] = end
-            live, at, kets = live[crossed], below[crossed], kets[crossed]
+            for s in shifts:
+                room = np.minimum((below - 1 - at) >> s, top)
+                if not room.any():
+                    continue
+                cand = prop.multiples(kets, e + s)
+                up = (_norm2(cand) >= th[:, None]) & (multiple <= room[:, None])
+                k = up.cumprod(axis=1).sum(axis=1)
+                down = np.flatnonzero(k < room)
+                below[down] = at[down] + ((k[down] + 1) << s)
+                kets_below[down] = cand[down, k[down]]
+                moved = np.flatnonzero(k)
+                kets[moved] = cand[moved, k[moved] - 1]
+                at = at + (k << s)
+            crossed = np.flatnonzero(below <= n)
+            return below, crossed, kets_below[crossed]
+
+        def walk(kets, at):
+            """Move ``kets``, in place, from the lattice points ``at`` to n
+            by the digits of n - at, with the products of ``search``."""
+            for s in shifts:
+                k = np.minimum((n - at) >> s, top)
+                moved = np.flatnonzero(k)
+                if moved.size:
+                    cand = prop.multiples(kets[moved], e + s)
+                    kets[moved] = cand[np.arange(moved.size), k[moved] - 1]
+                    at = at + (k << s)
+
+        def to_end(kets):
+            return kets if rest == 0.0 else prop.apply(kets, rest)
+
+        live, at, kets = np.arange(idx.size), np.zeros(idx.size, dtype=np.int64), psi
+        while live.size:
+            below, crossed, kets_below = search(kets, at, eta[idx[live]])
+            ended = np.flatnonzero(below > n)
+            if ended.size:
+                end = to_end(kets[ended])
+                for k in np.flatnonzero(_norm2(end) < eta[idx[live[ended]]]):
+                    end[k] = jump(idx[live[ended[k]]], end[k], t_hi)
+                psi[live[ended]] = end
+            live, at = live[crossed], below[crossed]
+            kets = np.array([jump(idx[j], ket, min(t_lo + math.ldexp(float(p), e), t_hi))
+                             for j, ket, p in zip(live, kets_below, at)])
+            if live.size:
+                end = kets.copy()
+                walk(end, at)
+                end = to_end(end)
+                again = _norm2(end) < eta[idx[live]]
+                psi[live[~again]] = end[~again]
+                live, at, kets = live[again], at[again], kets[again]
         return psi
 
-    psi = np.tile(psi0, (n_traj, 1))
-    record(0, psi)
+    # The distinct kets, one row each, and the row of each trajectory.
+    kets, cls = psi0[None, :], np.zeros(n_traj, dtype=np.intp)
+    record(0, kets, cls, _norm2(kets))
     for i in range(1, n_t):
         t_lo, t_hi = float(t[i - 1]), float(t[i])
-        start, psi = psi, prop.apply(psi, t_hi - t_lo)
+        start, kets = kets, prop.apply(kets, t_hi - t_lo)
+        norm2 = _norm2(kets)
         if jumps_possible:
-            cross = np.flatnonzero(_norm2(psi) < eta)
+            cross = np.flatnonzero(norm2[cls] < eta)
             if cross.size:
-                psi[cross] = cross_row(cross, start[cross], t_lo, t_hi)
-        record(i, psi)
+                ends = cross_row(cross, start[cls[cross]], t_lo, t_hi)
+                # Each crossing trajectory takes a row of its own: first the
+                # rows no other trajectory stays on (each had one of them),
+                # then new ones.
+                stay = np.ones(n_traj, dtype=bool)
+                stay[cross] = False
+                free = np.flatnonzero(np.bincount(cls[stay], minlength=len(kets)) == 0)
+                grow = cross.size - free.size
+                if grow:
+                    kets = np.concatenate([kets, np.empty((grow, kets.shape[1]), dtype=complex)])
+                    norm2 = np.concatenate([norm2, np.empty(grow)])
+                slots = np.concatenate([free, np.arange(len(kets) - grow, len(kets))])
+                kets[slots], norm2[slots], cls[cross] = ends, _norm2(ends), slots
+        record(i, kets, cls, norm2)
 
     return finalize(n_t)

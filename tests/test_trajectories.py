@@ -33,7 +33,13 @@ from pseudomodes import (
 )
 from pseudomodes.dynamics import TRUNCATION_LIMIT
 from pseudomodes.errors import TruncationGuardError
-from pseudomodes.trajectories import JUMP_TIME_TOL
+from pseudomodes.trajectories import (
+    DIGIT_ENTRIES,
+    JUMP_TIME_TOL,
+    MAX_DIGIT_BITS,
+    digit_bits,
+    trajectory_streams,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -140,21 +146,23 @@ ROW_PREFIXES = (1, 4, 37, 63, 64, 65, 200, 499)
 
 
 def stack_rows_stand_alone(d: int) -> list[bool]:
-    """Whether ``NoJumpPropagator.apply`` on a stack of 500 random kets gives
-    each row bit for bit as the full stack does: for every prefix in
-    ``ROW_PREFIXES``, for a permuted subset of 123 kets, and for one ket whose
-    neighbours were all scaled by 3.7."""
+    """Whether ``NoJumpPropagator.apply`` and ``multiples`` on a stack of 500
+    random kets give each row bit for bit as the full stack does: for every
+    prefix in ``ROW_PREFIXES``, for a permuted subset of 123 kets, and for
+    one ket whose neighbours were all scaled by 3.7."""
     rng = np.random.default_rng(d)
     drift = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     prop = NoJumpPropagator(2.0 * drift / np.linalg.norm(drift))
     kets = rng.standard_normal((500, d)) + 1j * rng.standard_normal((500, d))
-    full = prop.apply(kets, 0.3)
-    same = [np.array_equal(prop.apply(kets[:n], 0.3), full[:n]) for n in ROW_PREFIXES]
     subset = rng.permutation(500)[:123]
-    same.append(np.array_equal(prop.apply(kets[subset], 0.3), full[subset]))
     scaled = 3.7 * kets
     scaled[250] = kets[250]
-    same.append(np.array_equal(prop.apply(scaled, 0.3)[250], full[250]))
+    same = []
+    for product in (lambda psi: prop.apply(psi, 0.3), lambda psi: prop.multiples(psi, -3)):
+        full = product(kets)
+        same += [np.array_equal(product(kets[:n]), full[:n]) for n in ROW_PREFIXES]
+        same.append(np.array_equal(product(kets[subset]), full[subset]))
+        same.append(np.array_equal(product(scaled)[250], full[250]))
     return same
 
 
@@ -278,30 +286,44 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
     gen, layout = tls_generator()
     t = np.linspace(0.0, 2.5, 251)
     spacings = set(np.diff(t).tolist())
-    # a pass of the jump search takes at most one product per power-of-two
-    # step of the row and one more to the row end; a row with crossings takes
-    # one pass, plus one for each jump of the ket that jumps most often in it
+    # A search pass takes at most one product per b-bit digit of the lattice
+    # index and one more to the row end, and a walk after a jump as many.  A
+    # row with crossings takes at most one search and one walk for each jump
+    # of the ket that jumps most often in it.
     levels = math.ceil(math.log2(2.0 * (t[1] - t[0]) / JUMP_TIME_TOL))
-    calls = []
-    apply = NoJumpPropagator.apply
+    per_pass = math.ceil(levels / digit_bits(gen.dim)) + 1
+    applied, searched = [], []
+    apply, multiples = NoJumpPropagator.apply, NoJumpPropagator.multiples
 
-    def counting(self, psi, dt):
-        calls.append(dt)
+    def counting_apply(self, psi, dt):
+        applied.append((len(np.atleast_2d(psi)), dt))
         return apply(self, psi, dt)
 
-    monkeypatch.setattr(NoJumpPropagator, "apply", counting)
+    def counting_multiples(self, psi, k):
+        searched.append(len(psi))
+        return multiples(self, psi, k)
+
+    monkeypatch.setattr(NoJumpPropagator, "apply", counting_apply)
+    monkeypatch.setattr(NoJumpPropagator, "multiples", counting_multiples)
     for n_traj in (10, 100, 1000):
-        calls.clear()
+        applied.clear()
+        searched.clear()
         ens = mcwf_run(gen, basis_state(gen.sector, 1),
                        TrajectoryConfig(n_traj=n_traj, seed=4, times=t))
         jumps = int(ens.jump_counts.sum())
-        assert jumps > 0
-        row_calls = sum(dt in spacings for dt in calls)
-        assert row_calls == t.size - 1  # one product per row for the ensemble
+        assert jumps > 0 and searched
+        rows = [height for height, dt in applied if dt in spacings]
+        assert len(rows) == t.size - 1  # one product per row for the ensemble
+        # the row stack holds one ket for the trajectories that have not
+        # jumped and one for each that has
+        first = np.sort([rec[0][0] for rec in ens.jump_records if rec])
+        jumped = np.searchsorted(first, t[:-1], side="right")
+        assert np.all(np.array(rows) <= 1 + jumped)
         per_ket = [Counter(np.searchsorted(t, [tj for tj, _ in rec]).tolist())
                    for rec in ens.jump_records]
-        passes = sum(1 + max(c[row] for c in per_ket) for row in set().union(*per_ket))
-        assert len(calls) - row_calls <= (levels + 1) * passes <= 2 * (levels + 1) * jumps
+        passes = sum(2 * max(c[row] for c in per_ket) for row in set().union(*per_ket))
+        products = len(searched) + len(applied) - len(rows)
+        assert products <= per_pass * passes <= 2 * per_pass * jumps
 
 
 def test_ensemble_carries_only_the_reachable_support(monkeypatch):
@@ -448,3 +470,101 @@ def test_mean_density_is_a_state():
         assert np.abs(rho - rho.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-12
         assert abs(np.trace(rho) - 1.0) < 1e-10
+
+
+def test_trajectory_streams_are_the_spawn_key_streams():
+    for seed in (0, 5, 7, 2**40 + 3):
+        streams = trajectory_streams(seed, 300)
+        for idx, rng in enumerate(streams):
+            alone = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(idx,))))
+            assert np.array_equal(rng.random(50), alone.random(50)), (seed, idx)
+
+
+def test_digit_bits_follow_the_sector():
+    bits = {d: digit_bits(d) for d in (1, 3, 4, 11, 12, 22, 36, 37, 78, 105, 256)}
+    assert bits == {1: 5, 3: 5, 4: 5, 11: 5, 12: 4, 22: 3, 36: 2, 37: 1, 78: 1,
+                    105: 1, 256: 1}
+    for d, b in bits.items():
+        assert b == 1 or (2**b - 1) * d * d <= DIGIT_ENTRIES
+        assert b == MAX_DIGIT_BITS or (2 ** (b + 1) - 1) * d * d > DIGIT_ENTRIES
+
+
+def test_multiples_are_the_exponentials_of_the_multiples():
+    gen, layout = band_gap_regularized()
+    prop = NoJumpPropagator(gen.drift())
+    rng = np.random.default_rng(3)
+    kets = rng.standard_normal((5, gen.dim)) + 1j * rng.standard_normal((5, gen.dim))
+    for k in (-34, -20, -3, 0):
+        cand = prop.multiples(kets, k)
+        assert cand.shape == (5, 2**prop.bits - 1, gen.dim)
+        for p in range(1, 2**prop.bits):
+            want = prop.apply(kets, math.ldexp(p, k))
+            assert np.abs(cand[:, p - 1] - want).max() <= 1e-13 * max(1.0, p * 2.0**k)
+
+
+def reference_jumps(gen, psi0, seed, idx, times):
+    """The jumps of trajectory idx of an ensemble, walked alone: its own
+    spawn_key stream, one ket, and a binary search of the jump lattice that
+    tries the steps 2**j q, j from the top bit of n down, one product each."""
+    prop = NoJumpPropagator(gen.drift())
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(idx,))))
+    norm2 = lambda psi: float(np.vdot(psi, psi).real)
+
+    def jump(psi):
+        weights = np.array([2.0 * rate * norm2(op @ psi) if rate > 0.0 else 0.0
+                            for rate, op in gen.channels])
+        draw = rng.random() * weights.sum()
+        ch = min(int(np.searchsorted(np.cumsum(weights), draw, side="right")),
+                 len(weights) - 1)
+        post = gen.channels[ch][1] @ psi
+        return post / math.sqrt(norm2(post)), ch, rng.random()
+
+    eta, psi, jumps = rng.random(), psi0, []
+    for t_lo, t_hi in zip(times[:-1].tolist(), times[1:].tolist()):
+        dt = t_hi - t_lo
+        end = prop.apply(psi, dt)
+        if norm2(end) >= eta:
+            psi = end
+            continue
+        e = math.frexp(JUMP_TIME_TOL * max(1.0, t_hi))[1] - 1
+        n = math.floor(math.ldexp(dt, -e))
+        rest = dt - math.ldexp(n, e)
+        at = 0
+        while True:
+            below, ket = n + 1, psi
+            for j in reversed(range(n.bit_length())):
+                if at + 2**j < below:
+                    cand = prop.apply(ket, math.ldexp(1.0, e + j))
+                    if norm2(cand) >= eta:
+                        at, ket = at + 2**j, cand
+                    else:
+                        below, ket_below = at + 2**j, cand
+            if below <= n:
+                psi, ch, eta = jump(ket_below)
+                jumps.append((min(t_lo + math.ldexp(float(below), e), t_hi), ch))
+                at = below
+                continue
+            end = ket if rest == 0.0 else prop.apply(ket, rest)
+            if norm2(end) < eta:
+                end, ch, eta = jump(end)
+                jumps.append((t_hi, ch))
+            psi = end
+            break
+    return tuple(jumps)
+
+
+@pytest.mark.parametrize("build, times", [
+    (tls_generator, np.linspace(0.0, 2.5, 26)),
+    (band_gap_regularized, np.linspace(0.0, 4.0, 21)),
+])
+def test_jumps_match_a_one_trajectory_binary_search(build, times):
+    gen, layout = build()
+    psi0 = basis_state(gen.sector, 1)
+    total = 0
+    for seed in range(1, 9):
+        ens = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=32, seed=seed, times=times))
+        for idx, rec in enumerate(ens.jump_records):
+            assert rec == reference_jumps(gen, psi0, seed, idx, times), (seed, idx)
+            total += len(rec)
+    assert total > 50

@@ -17,9 +17,9 @@ first on odd seeds.  The output has the layout of BENCH_15.json: per pair the
 end-to-end metrics of both sides and their solve counts; per metric each
 side's q1, median and q3 (25th, 50th and 75th percentiles, linear
 interpolation) and the number of pairs the change read lower in.  With
-``--traced-seed`` one traced run (``--trace 1``) per side of
-``validate_band_gap``, the workload that runs every layer but trajectories,
-adds its per-layer metrics.
+``--traced-seed`` one traced run (``--trace 1``) per side of each workload
+adds its per-layer metrics: ``validate_band_gap`` runs every layer but
+trajectories, and ``trajectories_band_gap`` runs trajectories.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
-TRACED_WORKLOAD = "validate_band_gap"
 
 
 def checkout(rev: str) -> tuple[str, Path]:
@@ -135,15 +134,16 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": workloads,
     }
     if args.traced_seed is not None:
-        command = (f"python3 bench/run.py --workload {TRACED_WORKLOAD} --seed "
-                   f"{args.traced_seed} --seconds {SECONDS:g} --trace 1")
-        result["traced"] = {"command": command,
-                            "note": "one traced run per side; per-layer medians as printed, "
-                                    "tracing on"}
-        for side in SIDES:
-            run = bench(revs[side][1], TRACED_WORKLOAD, args.traced_seed, 1)
-            result["traced"][side] = {k: round(v["value"], 6)
-                                      for k, v in run["summary"]["metrics"].items()}
+        result["traced"] = {"note": "one traced run per side and workload; per-layer "
+                                    "medians as printed, tracing on"}
+        for name in WORKLOADS:
+            traced = result["traced"][name] = {
+                "command": (f"python3 bench/run.py --workload {name} --seed "
+                            f"{args.traced_seed} --seconds {SECONDS:g} --trace 1")}
+            for side in SIDES:
+                run = bench(revs[side][1], name, args.traced_seed, 1)
+                traced[side] = {k: round(v["value"], 6)
+                                for k, v in run["summary"]["metrics"].items()}
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
