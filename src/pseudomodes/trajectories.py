@@ -135,7 +135,7 @@ class EnsembleResult:
 
 
 class NoJumpPropagator:
-    """Exact no-jump propagator exp(-i D t) for a time-independent drift D.
+    """Exact no-jump propagator exp(-i D dt) for a time-independent drift D.
 
     exp(-i D h) is the ``CachedExponential`` of A = -i D on the identity,
     planned on ||D||_F (which bounds ||A||), so a span is refused by the
@@ -179,7 +179,7 @@ class NoJumpPropagator:
         stack = self._stacks.get(k)
         if stack is None:
             stack = self._stacks[k] = self._stack(k)
-            if len(self._stacks) > -(-SEARCH_LEVELS // self.bits):
+            if len(self._stacks) > math.ceil(SEARCH_LEVELS / self.bits):
                 self._stacks.popitem(last=False)
         else:
             self._stacks.move_to_end(k)
