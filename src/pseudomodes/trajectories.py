@@ -29,9 +29,8 @@ place each jump on a lattice of spacing q at most 1e-10 max(1, t), b bits
 of the lattice index per round (``digit_bits``).  A round is one product
 per ket with the exponentials of the 2**b - 1 multiples of one power-of-two
 step side by side, with masks choosing, for each ket, the furthest multiple
-that keeps its norm at or above the threshold.  A ket that jumps walks the
-digits of its distance to the row end with the same products, and searches
-again from its jump only if it ends below its new threshold.
+that keeps its norm at or above the threshold.  A ket that jumps searches
+again from its jump with its new threshold.
 The generator's frame only changes how the recorded states are viewed
 (psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times do
 not depend on it.
@@ -46,8 +45,8 @@ run beside it or on their values.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,9 @@ JUMP_TIME_TOL = 1e-10
 #: dt <= max(1, t) spans fewer than 2 / JUMP_TIME_TOL lattice steps.
 SEARCH_LEVELS = math.ceil(math.log2(2.0 / JUMP_TIME_TOL))
 #: Bits one round of the jump search resolves at most: the rounds fall as 1/b
-#: while the candidates of a round grow as 2**b.
+#: while the candidates of a round grow as 2**b.  On band_gap.yaml (|S| = 4,
+#: where DIGIT_ENTRIES alone would allow b = 8) mcwf_run ran fastest at b = 5
+#: and 6, and 1.4 times as long at b = 8.
 MAX_DIGIT_BITS = 5
 #: Complex entries of the matrix one search round multiplies each ket with at
 #: most, 64 KiB: past it a round's products outweigh the rounds it saves (in
@@ -84,14 +85,6 @@ def digit_bits(d: int) -> int:
     while b < MAX_DIGIT_BITS and ((2 << b) - 1) * d * d <= DIGIT_ENTRIES:
         b += 1
     return b
-
-
-def trajectory_streams(seed: int, n_traj: int) -> list[np.random.Generator]:
-    """The Philox stream of each trajectory, (seed, idx) for trajectory idx:
-    child idx of ``SeedSequence(seed).spawn(n_traj)`` carries spawn_key
-    (idx,), so it seeds as ``SeedSequence(seed, spawn_key=(idx,))`` does."""
-    return [np.random.Generator(np.random.Philox(child))
-            for child in np.random.SeedSequence(seed).spawn(n_traj)]
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,7 @@ class NoJumpPropagator:
         self._exp = CachedExponential(-1j * d, PROPAGATOR_CACHE)
         self._base = CachedExponential(-1j * d, 0)  # keeps none
         self.bits = digit_bits(len(d))
-        self._stacks: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._stack = functools.lru_cache(math.ceil(SEARCH_LEVELS / self.bits))(self._stack)
 
     def apply(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """exp(-i D dt) psi for dt >= 0."""
@@ -176,15 +169,8 @@ class NoJumpPropagator:
     def multiples(self, psi: np.ndarray, k: int) -> np.ndarray:
         """(n, 2**b - 1, d): exp(-i D p 2**k) psi for p = 1 ... 2**b - 1 and
         each ket of the (n, d) stack ``psi``."""
-        stack = self._stacks.get(k)
-        if stack is None:
-            stack = self._stacks[k] = self._stack(k)
-            if len(self._stacks) > math.ceil(SEARCH_LEVELS / self.bits):
-                self._stacks.popitem(last=False)
-        else:
-            self._stacks.move_to_end(k)
         n, d = psi.shape
-        return (psi[:, None, :] @ stack).reshape(n, -1, d)
+        return (psi[:, None, :] @ self._stack(k)).reshape(n, -1, d)
 
     def _stack(self, k: int) -> np.ndarray:
         """exp(-i D p 2**k)^T for p = 1 ... 2**b - 1, side by side, by b
@@ -260,7 +246,9 @@ def mcwf_run(
     trace_error = np.empty(n_t)
     jump_counts = np.zeros((n_traj, len(channels)), dtype=np.int64)
     records: list[list[tuple[float, int]]] = [[] for _ in range(n_traj)]
-    rngs = trajectory_streams(config.seed, n_traj)
+    # Child idx of the spawn carries spawn_key (idx,): the stream of (seed, idx).
+    rngs = [np.random.Generator(np.random.Philox(child))
+            for child in np.random.SeedSequence(config.seed).spawn(n_traj)]
     eta = np.array([rng.random() for rng in rngs])
     view = gen.frame_view(kets=True)
 
@@ -328,11 +316,10 @@ def mcwf_run(
         is the largest power of two within JUMP_TIME_TOL max(1, t_hi), and
         t_hi = t_lo + n q + rest with 0 <= rest < q.  ``search`` stops each
         ket just before the first lattice point below its threshold.  A ket
-        that crosses at a lattice point jumps there and walks to p = n with
-        its new threshold; a ket that reaches p = n takes the step rest to
-        t_hi.  A searching ket that then falls below jumps at t_hi, and a
-        walking one searches again from its jump.  The results are written
-        into ``psi``.
+        that crosses at a lattice point jumps there and searches again from
+        it with its new threshold; a ket that reaches p = n takes the step
+        rest to t_hi and jumps there if it falls below.  The results are
+        written into ``psi``.
         """
         dt = t_hi - t_lo
         e = math.frexp(JUMP_TIME_TOL * max(1.0, t_hi))[1] - 1
@@ -371,39 +358,18 @@ def mcwf_run(
             crossed = np.flatnonzero(below <= n)
             return below, crossed, kets_below[crossed]
 
-        def walk(kets, at):
-            """Move ``kets``, in place, from the lattice points ``at`` to n
-            by the digits of n - at, with the products of ``search``."""
-            for s in shifts:
-                k = np.minimum((n - at) >> s, top)
-                moved = np.flatnonzero(k)
-                if moved.size:
-                    cand = prop.multiples(kets[moved], e + s)
-                    kets[moved] = cand[np.arange(moved.size), k[moved] - 1]
-                    at = at + (k << s)
-
-        def to_end(kets):
-            return kets if rest == 0.0 else prop.apply(kets, rest)
-
         live, at, kets = np.arange(idx.size), np.zeros(idx.size, dtype=np.int64), psi
         while live.size:
             below, crossed, kets_below = search(kets, at, eta[idx[live]])
             ended = np.flatnonzero(below > n)
             if ended.size:
-                end = to_end(kets[ended])
+                end = kets[ended] if rest == 0.0 else prop.apply(kets[ended], rest)
                 for k in np.flatnonzero(_norm2(end) < eta[idx[live[ended]]]):
                     end[k] = jump(idx[live[ended[k]]], end[k], t_hi)
                 psi[live[ended]] = end
             live, at = live[crossed], below[crossed]
             kets = np.array([jump(idx[j], ket, min(t_lo + math.ldexp(float(p), e), t_hi))
                              for j, ket, p in zip(live, kets_below, at)])
-            if live.size:
-                end = kets.copy()
-                walk(end, at)
-                end = to_end(end)
-                again = _norm2(end) < eta[idx[live]]
-                psi[live[~again]] = end[~again]
-                live, at, kets = live[again], at[again], kets[again]
         return psi
 
     # The distinct kets, one row each, and the row of each trajectory.
