@@ -177,12 +177,11 @@ class NoJumpPropagator:
         doublings: exp(-i D 2**k) and its squares, each also taken times
         every multiple before it."""
         u = self._base.matrix(math.ldexp(1.0, k))
-        mats: list[np.ndarray] = []
-        for j in range(self.bits):
-            if j:
-                u = u @ u
-            mats += [u] + [u @ m for m in mats]
-        return np.concatenate([m.T for m in mats], axis=1)
+        mats = u[None]
+        for _ in range(1, self.bits):
+            u = u @ u
+            mats = np.concatenate([mats, u[None], u @ mats])
+        return mats.transpose(2, 0, 1).reshape(len(u), -1)
 
 
 def _norm2(psi: np.ndarray):
@@ -227,7 +226,8 @@ def mcwf_run(
         raise InvalidModelError("initial state must be normalized")
 
     sector = gen.sector
-    obs_mats = {name: sector.operator(op, f"observable {name}")
+    # Transposed, as they act on the kets of row stacks.
+    obs_mats = {name: sector.operator(op, f"observable {name}").T
                 for name, op in (observables or {}).items()}
 
     prop = NoJumpPropagator(gen.drift())
@@ -270,16 +270,18 @@ def mcwf_run(
             stream_keys=tuple((config.seed, idx) for idx in range(n_traj)),
         )
 
-    def record(i: int, kets: np.ndarray, cls: np.ndarray, norm2: np.ndarray) -> None:
+    def record(i: int, kets: np.ndarray, cls: np.ndarray, count: np.ndarray,
+               norm2: np.ndarray) -> None:
         """Record row i of the trajectories ``cls`` maps onto the distinct
-        ``kets``, whose squared norms are ``norm2``."""
+        ``kets``, ``count`` of them on each, whose squared norms are ``norm2``."""
         w = 1.0 / norm2
         if view is not None:
             kets = view(kets, float(t[i]))
-        for name, mat in obs_mats.items():
-            samples[name][:, i] = (np.einsum("ni,ni->n", kets.conj(), kets @ mat.T) * w)[cls]
-        w *= np.bincount(cls, minlength=len(kets))
-        density_sum[i] = kets.T @ (kets.conj() * w[:, None])
+        bra = kets.conj()
+        for name, mat_t in obs_mats.items():
+            samples[name][:, i] = (np.einsum("ni,ni->n", bra, kets @ mat_t) * w)[cls]
+        w *= count
+        density_sum[i] = kets.T @ (bra * w[:, None])
         rho = density_sum[i] / n_traj
         trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
         top_fock[i] = truncation_guard(sector.top_fock(rho), float(t[i]), lambda: finalize(i))
@@ -327,19 +329,20 @@ def mcwf_run(
         rest = dt - math.ldexp(n, e)
         bits = prop.bits
         top = (1 << bits) - 1
-        multiple = np.arange(1, top + 1)
         shifts = [max(s, 0) for s in range(n.bit_length() - bits, -bits, -bits)]
 
         def search(kets, at, th):
-            """Move ``kets``, in place, from the lattice points ``at`` through
-            the digits of the lattice index, b bits each from the top of n
-            down (the lowest digit may overlap the one above it), one product
-            per ket and digit.  At the digit of 2**s q a ket takes the
-            furthest multiple p 2**s q, p = 1 ... 2**b - 1, before its bound
-            ``below`` with no multiple up to it below its threshold ``th``,
-            and the first multiple below becomes the bound.  Returns the
-            bounds, starting at n + 1, and, for the kets whose bound fell to
-            n or less, their positions in the stack and their kets there."""
+            """Move ``kets`` from the lattice points ``at`` through the digits
+            of the lattice index, b bits each from the top of n down (the
+            lowest digit may overlap the one above it), one product per ket
+            and digit.  At the digit of 2**s q a ket takes the furthest
+            multiple p 2**s q, p = 1 ... 2**b - 1, before its bound ``below``
+            with no multiple up to it below its threshold ``th``, and the
+            first multiple below becomes the bound.  Returns the bounds,
+            starting at n + 1, the moved kets and, for the kets whose bound
+            fell to n or less, their positions in the stack and their kets
+            there."""
+            th, rows = th[:, None], np.arange(len(at))
             below = np.full(len(at), n + 1, dtype=np.int64)
             kets_below = np.empty_like(kets)
             for s in shifts:
@@ -347,20 +350,19 @@ def mcwf_run(
                 if not room.any():
                     continue
                 cand = prop.multiples(kets, e + s)
-                up = (_norm2(cand) >= th[:, None]) & (multiple <= room[:, None])
-                k = up.cumprod(axis=1).sum(axis=1)
+                k = np.minimum((_norm2(cand) >= th).cumprod(axis=1).sum(axis=1), room)
                 down = np.flatnonzero(k < room)
-                below[down] = at[down] + ((k[down] + 1) << s)
-                kets_below[down] = cand[down, k[down]]
-                moved = np.flatnonzero(k)
-                kets[moved] = cand[moved, k[moved] - 1]
+                if down.size:
+                    below[down] = at[down] + ((k[down] + 1) << s)
+                    kets_below[down] = cand[down, k[down]]
+                kets = np.where(k[:, None] > 0, cand[rows, k - 1], kets)
                 at = at + (k << s)
             crossed = np.flatnonzero(below <= n)
-            return below, crossed, kets_below[crossed]
+            return below, kets, crossed, kets_below[crossed]
 
         live, at, kets = np.arange(idx.size), np.zeros(idx.size, dtype=np.int64), psi
         while live.size:
-            below, crossed, kets_below = search(kets, at, eta[idx[live]])
+            below, kets, crossed, kets_below = search(kets, at, eta[idx[live]])
             ended = np.flatnonzero(below > n)
             if ended.size:
                 end = kets[ended] if rest == 0.0 else prop.apply(kets[ended], rest)
@@ -372,9 +374,10 @@ def mcwf_run(
                              for j, ket, p in zip(live, kets_below, at)])
         return psi
 
-    # The distinct kets, one row each, and the row of each trajectory.
-    kets, cls = psi0[None, :], np.zeros(n_traj, dtype=np.intp)
-    record(0, kets, cls, _norm2(kets))
+    # The distinct kets, one row each, the row of each trajectory and the
+    # number of trajectories on each row.
+    kets, cls, count = psi0[None, :], np.zeros(n_traj, dtype=np.intp), np.array([n_traj])
+    record(0, kets, cls, count, _norm2(kets))
     for i in range(1, n_t):
         t_lo, t_hi = float(t[i - 1]), float(t[i])
         start, kets = kets, prop.apply(kets, t_hi - t_lo)
@@ -395,6 +398,7 @@ def mcwf_run(
                     norm2 = np.concatenate([norm2, np.empty(grow)])
                 slots = np.concatenate([free, np.arange(len(kets) - grow, len(kets))])
                 kets[slots], norm2[slots], cls[cross] = ends, _norm2(ends), slots
-        record(i, kets, cls, norm2)
+                count = np.bincount(cls, minlength=len(kets))
+        record(i, kets, cls, count, norm2)
 
     return finalize(n_t)
