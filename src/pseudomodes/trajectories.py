@@ -157,9 +157,11 @@ class NoJumpPropagator:
     def __init__(self, drift: np.ndarray):
         d = as_complex_matrix(drift, "drift")
         self._exp = CachedExponential(-1j * d, PROPAGATOR_CACHE)
-        self._base = CachedExponential(-1j * d, 0)  # keeps none
         self.bits = digit_bits(len(d))
-        self._stack = functools.lru_cache(math.ceil(SEARCH_LEVELS / self.bits))(self._stack)
+        # Bound to the exponential, not to self, so a propagator is freed
+        # as soon as it is dropped.
+        self._stack = functools.lru_cache(math.ceil(SEARCH_LEVELS / self.bits))(
+            functools.partial(_multiples_stack, CachedExponential(-1j * d, 0), self.bits))
 
     def apply(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """exp(-i D dt) psi for dt >= 0."""
@@ -172,16 +174,17 @@ class NoJumpPropagator:
         n, d = psi.shape
         return (psi[:, None, :] @ self._stack(k)).reshape(n, -1, d)
 
-    def _stack(self, k: int) -> np.ndarray:
-        """exp(-i D p 2**k)^T for p = 1 ... 2**b - 1, side by side, by b
-        doublings: exp(-i D 2**k) and its squares, each also taken times
-        every multiple before it."""
-        u = self._base.matrix(math.ldexp(1.0, k))
-        mats = u[None]
-        for _ in range(1, self.bits):
-            u = u @ u
-            mats = np.concatenate([mats, u[None], u @ mats])
-        return mats.transpose(2, 0, 1).reshape(len(u), -1)
+
+def _multiples_stack(exp: CachedExponential, bits: int, k: int) -> np.ndarray:
+    """exp(A p 2**k)^T for p = 1 ... 2**bits - 1, side by side, by ``bits``
+    doublings of exp(A 2**k): each square also taken times every multiple
+    before it.  ``exp`` keeps none of its matrices."""
+    u = exp.matrix(math.ldexp(1.0, k))
+    mats = u[None]
+    for _ in range(1, bits):
+        u = u @ u
+        mats = np.concatenate([mats, u[None], u @ mats])
+    return mats.transpose(2, 0, 1).reshape(len(u), -1)
 
 
 def _norm2(psi: np.ndarray):

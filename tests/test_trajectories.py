@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -490,6 +491,16 @@ def test_multiples_are_the_exponentials_of_the_multiples():
         for p in range(1, 2**prop.bits):
             want = prop.apply(kets, math.ldexp(p, k))
             assert np.abs(cand[:, p - 1] - want).max() <= 1e-13 * max(1.0, p * 2.0**k)
+
+
+def test_a_dropped_propagator_is_freed_at_once():
+    gen, layout = band_gap_regularized()
+    prop = NoJumpPropagator(gen.drift())
+    prop.multiples(np.ones((1, gen.dim), dtype=complex), -3)
+    alive = weakref.ref(prop)
+    del prop
+    # no reference cycle keeps it and its cached stacks until a collection
+    assert alive() is None
 
 
 def reference_jumps(gen, psi0, seed, idx, times):
