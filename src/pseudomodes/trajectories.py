@@ -62,8 +62,8 @@ JUMP_TIME_TOL = 1e-10
 SEARCH_LEVELS = math.ceil(math.log2(2.0 / JUMP_TIME_TOL))
 #: Bits one round of the jump search resolves at most: the rounds fall as 1/b
 #: while the candidates of a round grow as 2**b.  On band_gap.yaml (|S| = 4,
-#: where DIGIT_ENTRIES alone would allow b = 8) mcwf_run ran fastest at b = 5
-#: and 6, and 1.4 times as long at b = 8.
+#: where DIGIT_ENTRIES alone would allow b = 8) mcwf_run ran fastest at b = 4
+#: to 6, and 1.2 to 1.4 times as long at b = 8.
 MAX_DIGIT_BITS = 5
 #: Complex entries of the matrix one search round multiplies each ket with at
 #: most, 64 KiB: past it a round's products outweigh the rounds it saves (in
