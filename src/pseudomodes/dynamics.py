@@ -124,7 +124,8 @@ class Generator:
     superoperator sense: it performs only d x d matrix products, so a density
     costs O(d**2) memory where the superoperator would cost O(d**4).
     ``one_excitation_ground`` tells ``evolve`` whether its rows take the
-    closed form instead.  ``h0`` is the diagonal of the free Hamiltonian H0
+    closed form instead, and ``mcwf_run`` whether a jumped trajectory is the
+    ground ket for good.  ``h0`` is the diagonal of the free Hamiltonian H0
     that the interaction frame rotates with; the Schrodinger frame does not
     need it.
     """
@@ -210,13 +211,16 @@ class Generator:
         return est
 
     def one_excitation_ground(self) -> int | None:
-        """The label g of the closed-form row of ``evolve``, or None.
+        """The label g that takes every jump, or None.
 
         It holds when every jump's nonzero rows lie in {g} and its column g
         is 0, D_l and D_r neither enter nor leave g, and sum_k J_k^dag J_k =
         i (D_l - D_r) to roundoff: each jump term is then a multiple of
         |g><g| that returns the trace the drift removes.  One excitation
         with every mode in vacuum has this structure for every kind.
+        ``evolve`` then takes each row in closed form, and ``mcwf_run``
+        records a trajectory that has jumped as |g>, whose norm the drift
+        keeps and which no jump leaves.
         """
         jumps = np.array([jop for jop, _ in self._jumps]).reshape(-1, self.dim, self.dim)
         rows = np.flatnonzero(jumps.any(axis=(0, 2)))

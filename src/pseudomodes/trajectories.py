@@ -31,6 +31,18 @@ per ket with the exponentials of the 2**b - 1 multiples of one power-of-two
 step side by side, with masks choosing, for each ket, the furthest multiple
 that keeps its norm at or above the threshold.  A ket that jumps searches
 again from its jump with its new threshold.
+
+Where every jump lands in one label g (``Generator.one_excitation_ground``),
+as for one excitation with every mode in vacuum, a jumped trajectory is |g>
+for good: the drift keeps that ray and no jump leaves it, so its norm never
+falls again.  There the ensemble is the no-jump ket psi, advanced by one
+product per row, and the number n_j(i) of trajectories that have jumped by
+row i.  Each trajectory crosses in the first row whose norm falls below its
+threshold, read off the running minimum of the norms by one searchsorted;
+every row is then recorded at once, the mean density as
+(n - n_j) psi psi^dag / |psi|^2 + n_j |g><g| and each sample as psi's value
+or O_gg.  The search then places the jumps of each row with crossings in one
+pass, up to the first row the truncation guard refuses.
 The generator's frame only changes how the recorded states are viewed
 (psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times do
 not depend on it.
@@ -53,7 +65,8 @@ import numpy as np
 
 from ._util import as_complex_matrix, frozen, validate_grid
 from .errors import ClassificationError, InvalidModelError
-from .dynamics import BLOCK_ENTRIES, CachedExponential, Generator, truncation_guard
+from .dynamics import (BLOCK_ENTRIES, TRUNCATION_LIMIT, CachedExponential, Generator,
+                       truncation_guard)
 
 #: Relative precision of the jump times.
 JUMP_TIME_TOL = 1e-10
@@ -214,6 +227,13 @@ def mcwf_run(
     The truncation guard of ``evolve`` runs on the mean density of each row:
     TruncationGuardError carries the rows before the first one whose top Fock
     population exceeds the limit, with the jumps made up to that row.
+
+    When ``gen.one_excitation_ground()`` names a label g, the rows take the
+    ground route of the module docstring; any other sector takes the row
+    route, one record of the distinct kets per row.  The routes place the
+    same jumps and give the same samples up to rounding: on the ground route
+    a jumped trajectory reads O_gg itself, where the row route reads it
+    through the normalized jumped ket.
     """
     if gen.kind not in ("lindblad_direct", "lindblad_regularized"):
         raise ClassificationError(
@@ -312,8 +332,8 @@ def mcwf_run(
         records[idx].append((t_jump, ch))
         return post / np.sqrt(_norm2(post))
 
-    def cross_row(idx: np.ndarray, psi: np.ndarray, t_lo: float,
-                  t_hi: float) -> np.ndarray:
+    def cross_row(idx: np.ndarray, psi: np.ndarray, t_lo: float, t_hi: float,
+                  again: bool = True) -> np.ndarray:
         """Carry the trajectories ``idx`` over a row in which their norms fall
         below their thresholds; ``psi`` holds their kets at t_lo, one each.
 
@@ -324,7 +344,9 @@ def mcwf_run(
         that crosses at a lattice point jumps there and searches again from
         it with its new threshold; a ket that reaches p = n takes the step
         rest to t_hi and jumps there if it falls below.  The results are
-        written into ``psi``.
+        written into ``psi``.  Without ``again`` every ket takes one pass: a
+        ket that jumps does not search again, and one that reaches t_hi jumps
+        there, as the row's product put it below its threshold.
         """
         dt = t_hi - t_lo
         e = math.frexp(JUMP_TIME_TOL * max(1.0, t_hi))[1] - 1
@@ -369,13 +391,62 @@ def mcwf_run(
             ended = np.flatnonzero(below > n)
             if ended.size:
                 end = kets[ended] if rest == 0.0 else prop.apply(kets[ended], rest)
-                for k in np.flatnonzero(_norm2(end) < eta[idx[live[ended]]]):
+                fell = (np.flatnonzero(_norm2(end) < eta[idx[live[ended]]]) if again
+                        else range(ended.size))
+                for k in fell:
                     end[k] = jump(idx[live[ended[k]]], end[k], t_hi)
                 psi[live[ended]] = end
             live, at = live[crossed], below[crossed]
             kets = np.array([jump(idx[j], ket, min(t_lo + math.ldexp(float(p), e), t_hi))
                              for j, ket, p in zip(live, kets_below, at)])
+            if not again:
+                break
         return psi
+
+    g = gen.one_excitation_ground()
+    if g is not None:
+        # Every jump lands on the ray of |g>, which the drift keeps and no
+        # jump leaves, so a trajectory that has jumped is |g> from then on:
+        # the rows are the no-jump ket psi and the number of trajectories
+        # that have jumped.
+        psi = np.empty((n_t, gen.dim), dtype=complex)
+        psi[0] = psi0
+        for i in range(1, n_t):
+            psi[i] = prop.apply(psi[i - 1], float(t[i]) - float(t[i - 1]))
+        norm2 = _norm2(psi)
+        # The row each trajectory crosses its threshold in, the first i >= 1
+        # with norm2[i] < eta (n_t for none), the number crossing in each row
+        # and the number that have jumped by each row.
+        first = 1 + np.searchsorted(-np.minimum.accumulate(norm2[1:]), -eta, side="right")
+        crossing = np.bincount(first, minlength=n_t + 1)[:n_t]
+        jumped = np.cumsum(crossing)
+        kets = psi if view is None else view(psi, t[:, None])
+        bra = kets.conj()
+        # psi may have decayed to 0 in rows that every trajectory has left.
+        w = np.zeros(n_t)
+        np.divide(1.0, norm2, out=w, where=jumped < n_traj)
+        before = np.arange(n_t) < first[:, None]
+        for name, mat_t in obs_mats.items():
+            row = np.einsum("ni,ni->n", bra, kets @ mat_t) * w
+            samples[name][...] = mat_t[g, g]
+            np.copyto(samples[name], row, where=before)
+        w *= n_traj - jumped
+        np.multiply(kets[:, :, None], (bra * w[:, None])[:, None, :], out=density_sum)
+        density_sum[:, g, g] += jumped
+        rho = density_sum / n_traj
+        trace_error[:] = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
+        top = sector.top_fock(rho)
+        top_fock[:] = top.max(axis=1)
+        bad = np.flatnonzero(top_fock > TRUNCATION_LIMIT)
+        last = int(bad[0]) if bad.size else n_t - 1
+        # The jumps, up to and including the first row the guard refuses.
+        for i in np.flatnonzero(crossing[:last + 1]):
+            cross = np.flatnonzero(first == i)
+            cross_row(cross, np.repeat(psi[i - 1:i], cross.size, axis=0), float(t[i - 1]),
+                      float(t[i]), again=False)
+        if bad.size:
+            truncation_guard(top[last], float(t[last]), lambda: finalize(last))
+        return finalize(n_t)
 
     # The distinct kets, one row each, the row of each trajectory and the
     # number of trajectories on each row.

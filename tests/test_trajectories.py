@@ -32,7 +32,7 @@ from pseudomodes import (
     two_mode_regularize,
     vacuum_embedding,
 )
-from pseudomodes.dynamics import TRUNCATION_LIMIT
+from pseudomodes.dynamics import TRUNCATION_LIMIT, Generator
 from pseudomodes.errors import TruncationGuardError
 from pseudomodes.trajectories import (
     DIGIT_ENTRIES,
@@ -43,6 +43,8 @@ from pseudomodes.trajectories import (
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
+GG = np.diag([1.0, 0.0]).astype(complex)
+COH = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 TLS = SystemSpec(energies=(0.0, 1.0), observables=(SX,), frequencies=(1.0,), strengths=(1.0,))
 
@@ -58,6 +60,17 @@ BAND_GAP = lorentzian_to_poles(LorentzianSum((
     LorentzianTerm(weight=2.0, center=1.0, width=2.0),
     LorentzianTerm(weight=-1.0, center=1.0, width=1.0),
 )))
+#: A broad line that empties the emitter and one a millionth as strong: at
+#: Fock cutoff 1 its top level crosses the truncation limit only after about
+#: half of 50 trajectories have jumped.
+WEAK_LINE = lorentzian_to_poles(LorentzianSum((
+    LorentzianTerm(weight=1.0 - 1e-6, center=1.0, width=4.0),
+    LorentzianTerm(weight=1e-6, center=1.0, width=0.2),
+)))
+#: 20 lines on one emitter: one excitation reaches 22 of 2 * 3**20 states.
+TWENTY_LINES = lorentzian_to_poles(LorentzianSum(tuple(
+    LorentzianTerm(weight=0.05, center=0.5 + 0.05 * k, width=1.0 + 0.1 * k)
+    for k in range(20))))
 
 
 def excited(layout):
@@ -81,6 +94,45 @@ def band_gap_regularized():
     reg = two_mode_regularize(modes)
     layout = SpaceLayout(2, (2, 2))
     return build_generator(TLS, reg, layout, excited(layout)), layout
+
+
+def ladder_generator():
+    """A three-level ladder (energies 0, 1, 2, one channel at frequency 1)
+    started in level 2 with two modes: two excitations, |S| = 10, where a
+    trajectory jumps up to twice and no label takes every jump."""
+    x = np.diag([1.0, 1.0], 1)
+    ladder = SystemSpec(energies=(0.0, 1.0, 2.0), observables=(x + x.T,),
+                        frequencies=(1.0,), strengths=(1.0,))
+    pair = lorentzian_to_poles(LorentzianSum((
+        LorentzianTerm(weight=0.5, center=0.5, width=1.0),
+        LorentzianTerm(weight=0.5, center=1.5, width=2.0),
+    )))
+    layout = SpaceLayout(3, (3, 3))
+    return build_generator(ladder, build_discrete_modes(pair, (1.0,)), layout, [(2, 0, 0)])
+
+
+def row_route(monkeypatch):
+    """Make mcwf_run take the row route on every sector."""
+    monkeypatch.setattr(Generator, "one_excitation_ground", lambda self: None)
+
+
+def count_products(monkeypatch):
+    """Record each NoJumpPropagator.apply as (stack height, span) and each
+    multiples as (stack height, k)."""
+    applied, searched = [], []
+    apply, multiples = NoJumpPropagator.apply, NoJumpPropagator.multiples
+
+    def counting_apply(self, psi, dt):
+        applied.append((len(np.atleast_2d(psi)), dt))
+        return apply(self, psi, dt)
+
+    def counting_multiples(self, psi, k):
+        searched.append((len(psi), k))
+        return multiples(self, psi, k)
+
+    monkeypatch.setattr(NoJumpPropagator, "apply", counting_apply)
+    monkeypatch.setattr(NoJumpPropagator, "multiples", counting_multiples)
+    return applied, searched
 
 
 def embedded(blocks, support, dim):
@@ -200,35 +252,69 @@ def test_recorded_observables_match_the_mean_density(frame):
     assert np.abs(ens.observables["sx"] - from_density).max() <= 1e-12
 
 
-def test_truncation_guard_keeps_the_rows_before_the_first_bad_one():
-    layout = SpaceLayout(2, (1,))
-    gen = build_generator(TLS, build_discrete_modes(SINGLE, (1.0,)), layout, excited(layout))
-    t = np.linspace(0.0, 0.004, 21)
-    psi0 = basis_state(gen.sector, 1)
-    with pytest.raises(TruncationGuardError) as info:
-        mcwf_run(gen, psi0, TrajectoryConfig(n_traj=50, seed=3, times=t),
-                 observables={"ee": EE})
-    exc, part = info.value, info.value.partial
-    i = len(part.times)
-    assert 1 < i < t.size
-    assert exc.time == t[i] and exc.population > TRUNCATION_LIMIT
-    assert np.array_equal(part.times, t[:i])
-    assert np.all(part.top_fock <= TRUNCATION_LIMIT)
-    for rows in (part.observables["ee"], part.stderr["ee"], part.mean_density,
-                 part.trace_error):
-        assert len(rows) == i
-    mean_density = embedded(part.mean_density, part.support, layout.dim)
-    for rho, top, err in zip(mean_density, part.top_fock, part.trace_error):
-        # the top level n = 1 of the single mode, read off the full diagonal
-        assert top == np.real(np.diagonal(rho)).reshape(layout.dims)[:, 1].sum()
-        assert err == abs(float(np.trace(rho).real) - 1.0)
-    # The clean rows are those of a run that stops before the bad one.
-    clean = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=50, seed=3, times=t[:i]),
-                     observables={"ee": EE})
-    for name in ("mean_density", "top_fock", "trace_error"):
-        assert np.array_equal(getattr(part, name), getattr(clean, name))
-    assert np.array_equal(part.observables["ee"], clean.observables["ee"])
-    assert np.array_equal(part.stderr["ee"], clean.stderr["ee"])
+def test_truncation_guard_keeps_the_rows_before_the_first_bad_one(monkeypatch):
+    # One line at cutoff 1, whose top level crosses the limit before any
+    # jump, and a weak line at cutoff 1 beside a broad one at cutoff 2,
+    # whose top level crosses it after about half the trajectories jumped.
+    for lines, cutoffs, t in ((SINGLE, (1,), np.linspace(0.0, 0.004, 21)),
+                              (WEAK_LINE, (2, 1), np.linspace(0.0, 4.0, 41))):
+        layout = SpaceLayout(2, cutoffs)
+        gen = build_generator(TLS, build_discrete_modes(lines, (1.0,)), layout,
+                              excited(layout))
+        psi0 = basis_state(gen.sector, 1)
+
+        def run(times):
+            return mcwf_run(gen, psi0, TrajectoryConfig(n_traj=50, seed=3, times=times),
+                            observables={"ee": EE})
+
+        with monkeypatch.context() as patch:
+            _, searched = count_products(patch)
+            with pytest.raises(TruncationGuardError) as info:
+                run(t)
+        exc, part = info.value, info.value.partial
+        i = len(part.times)
+        assert 1 < i < t.size
+        assert exc.time == t[i] and exc.population > TRUNCATION_LIMIT
+        assert np.array_equal(part.times, t[:i])
+        assert np.all(part.top_fock <= TRUNCATION_LIMIT)
+        for rows in (part.observables["ee"], part.stderr["ee"], part.mean_density,
+                     part.trace_error):
+            assert len(rows) == i
+        mean_density = embedded(part.mean_density, part.support, layout.dim)
+        for rho, top, err in zip(mean_density, part.top_fock, part.trace_error):
+            # each mode's top level, read off the full diagonal
+            pops = np.real(np.diagonal(rho)).reshape(layout.dims)
+            assert top == max(np.moveaxis(pops, 1 + m, 0)[-1].sum()
+                              for m in range(layout.n_modes))
+            assert err == abs(float(np.trace(rho).real) - 1.0)
+        # The clean rows are those of a run that stops before the bad one.
+        clean = run(t[:i])
+        for name in ("mean_density", "top_fock", "trace_error"):
+            assert np.array_equal(getattr(part, name), getattr(clean, name))
+        assert np.array_equal(part.observables["ee"], clean.observables["ee"])
+        assert np.array_equal(part.stderr["ee"], clean.stderr["ee"])
+        # The partial carries the jumps up to and including the bad row, as
+        # the row route's partial does.
+        assert all(tj <= t[i] for rec in part.jump_records for tj, _ in rec)
+        with monkeypatch.context() as patch:
+            row_route(patch)
+            with pytest.raises(TruncationGuardError) as rows:
+                run(t)
+        assert rows.value.partial.jump_records == part.jump_records
+        assert np.array_equal(rows.value.partial.jump_counts, part.jump_counts)
+        # No row after the bad one was searched: the search made the products
+        # of a run that ends at the bad row, although later rows have
+        # trajectories that cross their thresholds.
+        with monkeypatch.context() as patch:
+            _, upto_bad = count_products(patch)
+            with pytest.raises(TruncationGuardError):
+                run(t[:i + 1])
+        assert searched == upto_bad
+    assert part.jump_counts.sum() > 10
+    eta = np.array([np.random.Generator(np.random.Philox(child)).random()
+                    for child in np.random.SeedSequence(3).spawn(50)])
+    end = NoJumpPropagator(gen.drift()).apply(psi0, t[-1])
+    assert np.any((eta > np.vdot(end, end).real) & (part.jump_counts.sum(axis=1) == 0))
 
 
 def test_ensemble_tracks_master_equation():
@@ -283,31 +369,59 @@ def test_jump_records_do_not_depend_on_batch_size():
 
 
 def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
+    # One excitation: the ground route advances the one no-jump ket, and each
+    # row in which trajectories cross their thresholds takes one search pass
+    # for all of them, with no search after a jump.
     gen, layout = tls_generator()
+    assert gen.one_excitation_ground() is not None
     t = np.linspace(0.0, 2.5, 251)
     spacings = set(np.diff(t).tolist())
-    # A search pass takes at most one product per b-bit digit of the lattice
-    # index and one more to the row end.  A row with crossings takes one pass,
-    # and one more for each jump of the ket that jumps most often in it.
-    levels = math.ceil(math.log2(2.0 * (t[1] - t[0]) / JUMP_TIME_TOL))
-    per_pass = math.ceil(levels / digit_bits(gen.dim)) + 1
-    applied, searched = [], []
-    apply, multiples = NoJumpPropagator.apply, NoJumpPropagator.multiples
-
-    def counting_apply(self, psi, dt):
-        applied.append((len(np.atleast_2d(psi)), dt))
-        return apply(self, psi, dt)
-
-    def counting_multiples(self, psi, k):
-        searched.append(len(psi))
-        return multiples(self, psi, k)
-
-    monkeypatch.setattr(NoJumpPropagator, "apply", counting_apply)
-    monkeypatch.setattr(NoJumpPropagator, "multiples", counting_multiples)
+    digits = math.ceil(math.ceil(math.log2(2.0 * (t[1] - t[0]) / JUMP_TIME_TOL))
+                       / digit_bits(gen.dim))
+    applied, searched = count_products(monkeypatch)
     for n_traj in (10, 100, 1000):
         applied.clear()
         searched.clear()
         ens = mcwf_run(gen, basis_state(gen.sector, 1),
+                       TrajectoryConfig(n_traj=n_traj, seed=4, times=t))
+        rows = [height for height, dt in applied if dt in spacings]
+        assert rows == [1] * (t.size - 1)  # one product of one ket per row
+        # the rows with crossings and the number of trajectories crossing in each
+        crossing = Counter(np.searchsorted(t, rec[0][0]).item()
+                           for rec in ens.jump_records if rec)
+        assert sum(crossing.values()) == ens.jump_counts.sum() > 0
+        # a pass takes the digits of the lattice index from the top down, so
+        # a new one starts where k does not fall
+        passes = [[searched[0]]]
+        for prev, call in zip(searched, searched[1:]):
+            if call[1] < prev[1]:
+                passes[-1].append(call)
+            else:
+                passes.append([call])
+        assert len(passes) == len(crossing)
+        for calls, row in zip(passes, sorted(crossing)):
+            assert len(calls) <= digits
+            assert {height for height, _ in calls} == {crossing[row]}
+        assert len(applied) - len(rows) <= len(crossing)  # one row end per pass
+
+
+def test_row_route_cost_follows_rows_and_jumps(monkeypatch):
+    # Two excitations: no label takes every jump, so the row route carries
+    # each distinct ket.  A search pass takes at most one product per b-bit
+    # digit of the lattice index and one more to the row end.  A row with
+    # crossings takes one pass, and one more for each jump of the ket that
+    # jumps most often in it.
+    gen = ladder_generator()
+    assert gen.one_excitation_ground() is None
+    t = np.linspace(0.0, 2.5, 251)
+    spacings = set(np.diff(t).tolist())
+    levels = math.ceil(math.log2(2.0 * (t[1] - t[0]) / JUMP_TIME_TOL))
+    per_pass = math.ceil(levels / digit_bits(gen.dim)) + 1
+    applied, searched = count_products(monkeypatch)
+    for n_traj in (10, 100, 1000):
+        applied.clear()
+        searched.clear()
+        ens = mcwf_run(gen, basis_state(gen.sector, 2),
                        TrajectoryConfig(n_traj=n_traj, seed=4, times=t))
         jumps = int(ens.jump_counts.sum())
         assert jumps > 0 and searched
@@ -323,6 +437,57 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
         passes = sum(1 + max(c[row] for c in per_ket) for row in set().union(*per_ket))
         products = len(searched) + len(applied) - len(rows)
         assert products <= per_pass * passes <= 2 * per_pass * jumps
+    assert ens.jump_counts.sum(axis=1).max() == 2
+
+
+def ground_models():
+    """Generators on one-excitation sectors, each with its start and grid."""
+    def tls():
+        gen, _ = tls_generator()
+        return gen, basis_state(gen.sector, 1), np.linspace(0.0, 2.5, 26)
+
+    def band_gap():
+        gen, _ = band_gap_regularized()
+        return gen, basis_state(gen.sector, 1), np.linspace(0.0, 20.0, 201)
+
+    def either_start(frame):
+        layout = SpaceLayout(2, (2, 2))
+        reg = two_mode_regularize(build_discrete_modes(BAND_GAP, (1.0,)))
+        gen = build_generator(TLS, reg, layout, either(layout), frame=frame)
+        psi0 = (basis_state(gen.sector, 0) + basis_state(gen.sector, 1)) / np.sqrt(2.0)
+        return gen, psi0, np.linspace(0.0, 20.0, 201)
+
+    def twenty_modes():
+        layout = SpaceLayout(2, (2,) * 20)
+        gen = build_generator(TLS, build_discrete_modes(TWENTY_LINES, (1.0,)), layout,
+                              excited(layout))
+        assert gen.dim == 22
+        return gen, basis_state(gen.sector, 1), np.linspace(0.0, 20.0, 201)
+
+    return {"tls": tls, "band_gap": band_gap,
+            "either_schrodinger": lambda: either_start("schrodinger"),
+            "either_interaction": lambda: either_start("interaction"),
+            "twenty_modes": twenty_modes}
+
+
+@pytest.mark.parametrize("model", sorted(ground_models()))
+def test_ground_route_matches_the_row_route(model, monkeypatch):
+    gen, psi0, t = ground_models()[model]()
+    assert gen.one_excitation_ground() is not None
+    obs = {"ee": EE, "gg": GG, "sx": SX, "coh": COH}
+    cfg = TrajectoryConfig(n_traj=200, seed=5, times=t)
+    ground = mcwf_run(gen, psi0, cfg, observables=obs)
+    row_route(monkeypatch)
+    rows = mcwf_run(gen, psi0, cfg, observables=obs)
+    assert ground.jump_counts.sum() > 20
+    assert ground.jump_records == rows.jump_records
+    assert np.array_equal(ground.jump_counts, rows.jump_counts)
+    for name in obs:
+        assert np.array_equal(ground.observables[name], rows.observables[name]), name
+        assert np.array_equal(ground.stderr[name], rows.stderr[name]), name
+    assert np.array_equal(ground.top_fock, rows.top_fock)
+    assert np.abs(ground.mean_density - rows.mean_density).max() <= 1e-15
+    assert np.abs(ground.trace_error - rows.trace_error).max() <= 1e-15
 
 
 def test_ensemble_carries_only_the_reachable_support(monkeypatch):
