@@ -444,7 +444,11 @@ def build_model(cfg: RunConfig) -> Generator:
 def _time_grid(cfg: RunConfig) -> np.ndarray:
     if cfg.t_max == 0.0:
         return np.array([0.0])
-    return np.linspace(0.0, cfg.t_max, cfg.n_steps + 1)
+    try:
+        return np.linspace(0.0, cfg.t_max, cfg.n_steps + 1)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"run.n_steps is {cfg.n_steps}: a grid of that many rows does not "
+                          f"fit in memory ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +856,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

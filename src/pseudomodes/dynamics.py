@@ -26,16 +26,17 @@ rho_I(t) = exp(i H0 t) rho(t) exp(-i H0 t) with H0 = H_S0 + sum_l xi_l n_l
 over the modes the generator was built from.
 
 Every generator is built on the sector S of its start: the product labels
-(level, n_1 ... n_N) within the cutoffs that the terms of L reach from the
-labels ``start`` (``build_generator``).  Because S is closed, L maps the
-S x S block into itself and every entry outside it stays exactly 0.0, so the
-S x S blocks of A, K and the jumps propagate the state exactly.  One
+(level, n_1 ... n_N) within the cutoffs that the terms of L (``_terms``)
+reach from the labels ``start`` (``Sector.closure``), and A, K and the jumps
+are summed from the same terms as S x S blocks read off the labels.  Because
+S is closed, L maps the S x S block into itself and every entry outside it
+stays exactly 0.0, so these blocks propagate the state exactly.  One
 excitation with every mode in vacuum stays in the one-excitation sector plus
 the ground state (Garraway, PRA 55, 2290 (1997)): 4 of the 18 basis states
 of a two-mode band gap, and 5 of 1,458 for three modes at Fock cutoff 8.
 The full space is the sector of every label.  The initial state is handed
-over on the generator's sector, and every recorded quantity is read from
-the block through the same ``hilbert.Sector``.
+over on the generator's sector, and every recorded quantity is read from the
+block through the same ``hilbert.Sector``.
 
 Every generator is propagated exactly, one output row at a time.  Where
 every jump lands in one label g (``Generator.one_excitation_ground``), as
@@ -45,7 +46,7 @@ for one excitation with every mode in vacuum, each row is in closed form,
     U = exp(-i h D_l),  V = exp(i h D_r),
 
 two |S| x |S| products, with U and V formed once per distinct span by
-``CachedExponential``, which keeps those of the last ROW_CACHE spans.  Any
+``exponential``, cached for the last ROW_CACHE spans.  Any
 other sector, such as two excitations or the whole space, advances each
 row's state by a truncated Taylor series that only applies L to |S| x |S|
 blocks (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
@@ -61,8 +62,8 @@ same ``truncation_guard`` to its mean density.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,7 +79,6 @@ from .hilbert import (
     Sector,
     SpaceLayout,
     SystemSpec,
-    destroy,
     eigenoperator,
     vacuum_embedding,
 )
@@ -258,68 +258,29 @@ def _check_consistency(system: SystemSpec, modes: ModeSet, layout: SpaceLayout) 
             )
 
 
-def _reachable(system: SystemSpec, modes: ModeSet, couplings, layout: SpaceLayout,
-               start) -> Sector:
-    """The sector of the labels that L reaches from the labels ``start``.
-
-    S is closed under the moves of the terms of D_l = A - iK, of D_r^T and of
-    the jumps: b_l^dag c_j and c_j^dag b_l for every nonzero g_jl,
-    b_l^dag b_m for every nonzero off-diagonal Z_lm (Z = Z^T, so b_m^dag b_l
-    too), and b_l for every positive rate, each kept only within the
-    cutoffs.  L then maps a density supported on S x S into S x S.
+def _terms(system: SystemSpec, modes: ModeSet, couplings) -> list[list[tuple]]:
+    """The terms of the auxiliary model, group by group: A's three (H_S,
+    sum_lm Re Z_lm b_l^dag b_m and the couplings sum_jl g_jl (c_j^dag b_l +
+    c_j b_l^dag), the same g on both pieces), then K = sum_lm -Im Z_lm
+    b_l^dag b_m, then one jump b_l at rate Gamma_ll per mode, zero rates
+    included.  Each term is (coefficient, factors) for ``Sector.operator``,
+    a system matrix and ``LADDER`` moves, one per nonzero entry of Z and g.
     """
-    unit = np.eye(layout.n_modes, dtype=int)
-    stay = np.eye(system.dim, dtype=bool)
-    # each move: (hops, shift); a label (level, n) goes to every (to, n + shift)
-    # with hops[to, level] and n + shift within the cutoffs
-    moves = [(stay, unit[l] - unit[m])
-             for l, m in zip(*np.nonzero(modes.frequency_matrix)) if l != m]
-    moves += [(stay, -unit[l]) for l in np.flatnonzero(modes.rates > 0.0)]
-    for j in range(system.n_channels):
-        lower = eigenoperator(system, j) != 0
-        for l in np.flatnonzero(couplings[j]):
-            moves += [(lower, unit[l]), (lower.T, -unit[l])]
-    seen = frontier = set(map(tuple, Sector(layout, start).labels.tolist()))
-    while frontier:
-        grown = set()
-        for level, *fock in frontier:
-            for hops, shift in moves:
-                moved = tuple(int(n + k) for n, k in zip(fock, shift))
-                if all(0 <= n <= top for n, top in zip(moved, layout.fock_levels)):
-                    grown.update((int(to), *moved) for to in np.flatnonzero(hops[:, level]))
-        frontier = grown - seen
-        seen = seen | frontier
-    return Sector(layout, seen)
+    z = modes.frequency_matrix
 
+    def bilinear(m):
+        return [(m[l, k], {1 + l: "b^dag b"} if l == k else {1 + l: "b^dag", 1 + k: "b"})
+                for l, k in zip(*np.nonzero(m))]
 
-def _mode_bilinear(sector: Sector, ladders, m: np.ndarray) -> np.ndarray:
-    """sum_lm M_lm b_l^dag b_m over the nonzero entries of M; ladders[l] = b_l on its factor."""
-    out = np.zeros((sector.dim,) * 2, dtype=complex)
-    for l, k in zip(*np.nonzero(m)):
-        bdag, b = ladders[l].conj().T, ladders[k]
-        out += m[l, k] * sector.operator(
-            {1 + l: bdag @ b} if l == k else {1 + l: bdag, 1 + k: b})
-    return out
-
-
-def _coupling_terms(sector: Sector, system: SystemSpec, couplings, ladders) -> np.ndarray:
-    """The coupling sum_jl g_jl (c_j^dag b_l + b_l^dag c_j).
-
-    The same g multiplies both pieces.  For real couplings this is the
-    Hermitian coupling; for complex ones it is the one-sided convention of
-    the pathological form.
-    """
-    static = np.zeros((sector.dim,) * 2, dtype=complex)
+    coupling = []
     for j in range(system.n_channels):
         c = eigenoperator(system, j)
-        for l, b in enumerate(ladders):
+        for l in np.flatnonzero(couplings[j]):
             g = complex(couplings[j][l])
-            if g == 0.0:
-                continue
-            forward = g * sector.operator({0: c.conj().T, 1 + l: b})
-            backward = g * sector.operator({0: c, 1 + l: b.conj().T})
-            static += forward + backward
-    return static
+            coupling += [(g, {0: c.conj().T, 1 + l: "b"}), (g, {0: c, 1 + l: "b^dag"})]
+    return ([[(1.0, {0: system.bare_hamiltonian})], bilinear(z.real), coupling,
+             bilinear(-z.imag)]
+            + [[(rate, {1 + l: "b"})] for l, rate in enumerate(modes.rates)])
 
 
 def build_generator(
@@ -333,13 +294,12 @@ def build_generator(
     its kind follows from ``modes``.
 
     ``start`` lists the product labels (level, n_1 ... n_N) the initial state
-    occupies; the generator's ``sector`` is what L reaches from them within
-    the cutoffs of ``layout``, and every matrix is its S x S block.  With
-    Z = H - i*Gamma, A = H_S + sum_lm H_lm b_l^dag b_m + coupling,
-    K = sum_lm Gamma_lm b_l^dag b_m, and one channel b_l at rate Gamma_ll per
-    mode, zero rates included (``ModeSet`` keeps Gamma diagonal).  Complex
+    occupies; the generator's ``sector`` is what the terms of ``_terms``
+    reach from them within the cutoffs of ``layout`` (``Sector.closure``),
+    and A, K and each jump are the S x S blocks of their group's sum
+    (``ModeSet`` keeps Gamma diagonal, so K holds the rates).  Complex
     couplings give ``pathological``; real ones give ``lindblad_regularized``
-    with a hopping (an off-diagonal H) and ``lindblad_direct`` without.
+    with a hopping (an off-diagonal Re Z) and ``lindblad_direct`` without.
     """
     _check_consistency(system, modes, layout)
     z = modes.frequency_matrix
@@ -350,11 +310,17 @@ def build_generator(
         hopping = np.any(z.real[~np.eye(len(modes), dtype=bool)] != 0.0)
         kind = "lindblad_regularized" if hopping else "lindblad_direct"
         g = g.real
-    sector = _reachable(system, modes, g, layout, start)
-    ladders = [destroy(n) for n in layout.fock_levels]
-    static = sector.operator(system.bare_hamiltonian)
-    static += _mode_bilinear(sector, ladders, z.real)
-    static += _coupling_terms(sector, system, g, ladders)
+    groups = _terms(system, modes, g)
+    sector = Sector.closure(layout, start, [term for group in groups for term in group])
+
+    def block(group) -> np.ndarray:
+        out = np.zeros((sector.dim,) * 2, dtype=complex)
+        for coefficient, factors in group:
+            out += coefficient * sector.operator(factors)
+        return out
+
+    bare, bilinear, coupling, damping, *jumps = groups
+    static = block(bare) + block(bilinear) + block(coupling)
     # H0 = H_S0 + sum_l xi_l n_l, the diagonal the interaction frame rotates with
     h0 = np.asarray(system.energies, dtype=float)[sector.labels[:, 0]]
     for l, xi in enumerate(modes.frequencies):
@@ -364,9 +330,8 @@ def build_generator(
         frame=frame,
         sector=sector,
         static_both=static,
-        damping=_mode_bilinear(sector, ladders, -z.imag),
-        channels=tuple((float(r), sector.operator({1 + l: b}))
-                       for l, (r, b) in enumerate(zip(modes.rates, ladders))),
+        damping=block(damping),
+        channels=tuple((float(rate), sector.operator(factors)) for [(rate, factors)] in jumps),
         h0=h0,
     )
 
@@ -522,12 +487,11 @@ def evolve(
         def advance(rho: np.ndarray, span: float) -> np.ndarray:
             return _taylor_interval(gen.apply, rho, span, est)
     else:
-        capacity = min(len(set(np.diff(t).tolist())), ROW_CACHE)
-        left = CachedExponential(-1j * gen.drift(), capacity)
-        right = CachedExponential(1j * gen._right, capacity)
+        left = functools.lru_cache(ROW_CACHE)(exponential(-1j * gen.drift()))
+        right = functools.lru_cache(ROW_CACHE)(exponential(1j * gen._right))
 
         def advance(rho: np.ndarray, span: float) -> np.ndarray:
-            out = left.matrix(span) @ rho @ right.matrix(span)
+            out = left(span) @ rho @ right(span)
             out[g, g] += rho.trace() - out.trace()
             return out
 
@@ -596,50 +560,34 @@ def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float) -> n
     return rho
 
 
-class CachedExponential:
-    """exp(h A) of a constant square matrix A, per span h.
+def exponential(a: np.ndarray) -> Callable[[float], np.ndarray]:
+    """h -> exp(h A) for a constant square matrix A and h >= 0.
 
-    ``matrix(h)`` is the Taylor action of ``_taylor_interval`` on the
+    Each matrix is the Taylor action of ``_taylor_interval`` on the
     identity, planned on ||A||_F.  While ||A||_F h stays within the largest
     degree's ``TAYLOR_THETA`` the series needs one sub-interval; a longer
     span is the square of the half span.  No eigendecomposition is involved,
     so a defective generator (an exceptional point) is exponentiated like any
     other.  A span is checked by ``taylor_plan`` first, so a non-finite norm
     or a span too long for the Taylor plan raises the same StepUnderflowError
-    as a row of ``evolve``.  The ``capacity`` most recently used matrices are
-    kept, n**2 complex numbers each; the caller sizes it (``evolve`` to its
-    grid's distinct spans up to ROW_CACHE, ``trajectories.NoJumpPropagator``
-    to one row's).
+    as a row of ``evolve``.  Nothing is kept: a caller that reuses spans
+    caches the function (``evolve``'s U and V at ROW_CACHE spans each).
     """
+    with np.errstate(over="ignore"):  # an overflow is inf, which taylor_plan refuses
+        norm = float(np.linalg.norm(a))
 
-    def __init__(self, a: np.ndarray, capacity: int):
-        self._a = a
-        self._capacity = capacity
-        with np.errstate(over="ignore"):  # an overflow is inf, which taylor_plan refuses
-            self._norm = float(np.linalg.norm(a))
-        self._cache: OrderedDict[float, np.ndarray] = OrderedDict()
-
-    def _exp(self, h: float) -> np.ndarray:
-        taylor_plan(self._norm, h)  # the row-length rule of evolve
+    def exp(h: float) -> np.ndarray:
+        taylor_plan(norm, h)  # the row-length rule of evolve
         halvings = 0
-        while self._norm * math.ldexp(h, -halvings) > TAYLOR_THETA[-1][1]:
+        while norm * math.ldexp(h, -halvings) > TAYLOR_THETA[-1][1]:
             halvings += 1
-        u = _taylor_interval(self._a.__matmul__, np.eye(len(self._a), dtype=complex),
-                             math.ldexp(h, -halvings), self._norm)
+        u = _taylor_interval(a.__matmul__, np.eye(len(a), dtype=complex),
+                             math.ldexp(h, -halvings), norm)
         for _ in range(halvings):
             u = u @ u
         return u
 
-    def matrix(self, h: float) -> np.ndarray:
-        """The (n, n) matrix of exp(h A) for h >= 0, formed on the first request."""
-        u = self._cache.get(h)
-        if u is None:
-            u = self._cache[h] = self._exp(h)
-            if len(self._cache) > self._capacity:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(h)
-        return u
+    return exp
 
 
 def equivalence_check(

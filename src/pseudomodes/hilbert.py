@@ -5,7 +5,8 @@ truncated at a caller-chosen Fock level.  Operators and states live on a
 ``Sector``, a set S of product-basis states, as dense S x S blocks: a term
 of the model is the S-block of a tensor product of factor operators, read
 off the sector's labels, so no array ever has the size of the whole space
-unless S is all of it.
+unless S is all of it, and a ladder move (``LADDER``) is read off them
+too, so none has the size of a mode's cutoff either.
 
 The system side is specified by its bare energies and, per environment
 coupling channel j, a Hermitian operator O_j together with a positive
@@ -18,6 +19,7 @@ satisfies [H_S0, c_j] = -w_j c_j and is the operator the modes couple to.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +30,10 @@ from .errors import InvalidModelError
 
 #: Energy gaps must match transition frequencies this tightly (scale aware).
 GAP_TOL = 1e-12
+#: The moves a mode factor may name: level n goes to n + shift with the entry
+#: of ``destroy`` or its product, sqrt(n), sqrt(n + 1) or sqrt(n) sqrt(n).
+LADDER = {"b": (-1, lambda n: np.sqrt(n)), "b^dag": (1, lambda n: np.sqrt(n + 1)),
+          "b^dag b": (0, lambda n: np.sqrt(n) * np.sqrt(n))}
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,7 @@ class Sector:
     Each state is a label (level, n_1 ... n_N).  ``labels`` holds them as an
     (|S|, 1 + N) array in increasing order of their index ``support`` in the
     product space, and the sector of every label is the whole space.
+    ``closure`` grows a sector through the terms of a model, and
     ``operator`` forms the S x S block of a tensor product of factor
     operators.  A state whose entries outside S x S are 0 is read from its
     S x S block alone: ``reduced`` traces the modes out and ``top_fock``
@@ -179,12 +186,42 @@ class Sector:
             raise InvalidModelError(f"basis state {key} is not in the sector")
         return self._position[key]
 
+    @classmethod
+    def closure(cls, layout: SpaceLayout, start, terms) -> Sector:
+        """The sector of the labels that ``terms``, each (coefficient, factors)
+        with factors as ``operator`` takes them, reach from the labels
+        ``start``: the rows of the nonzero entries in its columns of every
+        term with a nonzero coefficient, each ladder move taken within the
+        cutoff."""
+        def mover(op, dim):
+            """level -> the levels ``op`` takes it to."""
+            if isinstance(op, str):
+                shift, entry = LADDER[op]
+                return lambda n: [n + shift] if n + shift < dim and entry(n) else []
+            return [np.flatnonzero(column).tolist() for column in np.transpose(op)].__getitem__
+
+        dims = layout.dims
+        live = [{f: mover(op, dims[f]) for f, op in factors.items()}
+                for coefficient, factors in terms if coefficient != 0]
+        seen = frontier = set(map(tuple, cls(layout, start).labels.tolist()))
+        while frontier:
+            grown = set()
+            for label, factors in itertools.product(frontier, live):
+                moved = [label]
+                for f, move in factors.items():
+                    moved = [m[:f] + (n,) + m[f + 1:] for m in moved for n in move(m[f])]
+                grown.update(moved)
+            frontier = grown - seen
+            seen = seen | frontier
+        return cls(layout, seen)
+
     def operator(self, factors, name: str = "operator") -> np.ndarray:
         """The S x S block of a tensor product of factor operators.
 
         ``factors`` maps a factor index (0 the system, 1 + l mode l) to a
-        matrix on that factor; every other factor is the identity.  A bare
-        matrix is an operator on the system factor.
+        matrix on that factor, or on a mode to a ``LADDER`` move; every
+        other factor is the identity.  A bare matrix is an operator on the
+        system factor.
         """
         if not isinstance(factors, dict):
             factors = {0: factors}
@@ -194,12 +231,17 @@ class Sector:
             if f not in factors:
                 block *= level[:, None] == level[None, :]
         for f in sorted(factors):
-            mat = np.asarray(factors[f], dtype=complex)
-            if f not in range(len(dims)) or mat.shape != (dims[f],) * 2:
-                raise InvalidModelError(f"{name} has shape {mat.shape} on factor {f} of a "
-                                        f"space with factor dimensions {dims}")
-            level = self.labels[:, f]
-            block = block * mat[level[:, None], level[None, :]]
+            op = factors[f]
+            if f in range(1, len(dims)) and isinstance(op, str) and op in LADDER:
+                shift, entry = LADDER[op]
+                level = self.labels[:, f]
+                block = block * np.where(level[:, None] == level + shift, entry(level), 0.0)
+            elif f in range(len(dims)) and np.shape(op) == (dims[f],) * 2:
+                level = self.labels[:, f]
+                block = block * np.asarray(op, dtype=complex)[level[:, None], level[None, :]]
+            else:
+                raise InvalidModelError(f"{name} of shape {np.shape(op)} is no operator on "
+                                        f"factor {f} of a space with factor dimensions {dims}")
         return block
 
     def reduced(self, block: np.ndarray) -> np.ndarray:

@@ -8,13 +8,12 @@ channel is drawn proportionally to 2 rate_k ||b_k psi||**2 and the state is
 projected and renormalized.
 
 The drift is time independent, so the no-jump evolution is the exact
-exponential exp(-i D dt), formed by the ``CachedExponential`` of
-``dynamics`` (which also forms ``evolve``'s closed-form U and V) from its
-truncated Taylor series rather than by an eigendecomposition, which a
-defective drift (an exceptional point) would not have.  Kets live on the
-generator's sector S, the states its terms reach from the initial labels:
-the drift and the jumps never leave it, so a ket carries only |S|
-amplitudes.
+exponential exp(-i D dt), formed by ``dynamics.exponential`` (which also
+forms ``evolve``'s closed-form U and V) from its truncated Taylor series
+rather than by an eigendecomposition, which a defective drift (an
+exceptional point) would not have.  Kets live on the generator's sector S,
+the states its terms reach from the initial labels: the drift and the jumps
+never leave it, so a ket carries only |S| amplitudes.
 
 The ensemble carries each distinct ket once.  Every trajectory that has not
 jumped yet holds the same ket, so the ensemble starts with one row; an index
@@ -65,7 +64,7 @@ import numpy as np
 
 from ._util import as_complex_matrix, frozen, validate_grid
 from .errors import ClassificationError, InvalidModelError
-from .dynamics import (BLOCK_ENTRIES, TRUNCATION_LIMIT, CachedExponential, Generator,
+from .dynamics import (BLOCK_ENTRIES, TRUNCATION_LIMIT, Generator, exponential,
                        truncation_guard)
 
 #: Relative precision of the jump times.
@@ -143,10 +142,10 @@ class EnsembleResult:
 class NoJumpPropagator:
     """Exact no-jump propagator exp(-i D dt) for a time-independent drift D.
 
-    exp(-i D h) is the ``CachedExponential`` of A = -i D on the identity,
-    planned on ||D||_F (which bounds ||A||), so a span is refused by the
-    same ``taylor_plan`` rule as a row of ``evolve``.  ``mcwf_run`` builds it
-    from the generator's drift, so d here is |S|.
+    exp(-i D h) is the ``exponential`` of A = -i D, planned on ||D||_F
+    (which bounds ||A||), so a span is refused by the same ``taylor_plan``
+    rule as a row of ``evolve``.  ``mcwf_run`` builds it from the
+    generator's drift, so d here is |S|.
 
     ``apply`` takes a ket or an (n, d) stack of kets and multiplies each ket
     by its own (1, d) x (d, d) BLAS product, of a shape that does not depend
@@ -163,22 +162,22 @@ class NoJumpPropagator:
     doublings and kept under k, so rows in every octave of t share it.  The
     ceil(SEARCH_LEVELS / b) matrices of one search are kept, the least
     recently used dropped first, each at most DIGIT_ENTRIES complex numbers
-    (64 KiB); the exponential each is formed from is not kept, so the search
+    (64 KiB); each is formed from the uncached exponential, so the search
     holds one copy of each.
     """
 
     def __init__(self, drift: np.ndarray):
-        d = as_complex_matrix(drift, "drift")
-        self._exp = CachedExponential(-1j * d, PROPAGATOR_CACHE)
-        self.bits = digit_bits(len(d))
+        exp = exponential(-1j * as_complex_matrix(drift, "drift"))
+        self._exp = functools.lru_cache(PROPAGATOR_CACHE)(exp)
+        self.bits = digit_bits(len(drift))
         # Bound to the exponential, not to self, so a propagator is freed
         # as soon as it is dropped.
         self._stack = functools.lru_cache(math.ceil(SEARCH_LEVELS / self.bits))(
-            functools.partial(_multiples_stack, CachedExponential(-1j * d, 0), self.bits))
+            functools.partial(_multiples_stack, exp, self.bits))
 
     def apply(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """exp(-i D dt) psi for dt >= 0."""
-        u = self._exp.matrix(dt)
+        u = self._exp(dt)
         return (np.atleast_2d(psi)[:, None, :] @ u.T)[:, 0, :].reshape(np.shape(psi))
 
     def multiples(self, psi: np.ndarray, k: int) -> np.ndarray:
@@ -188,11 +187,11 @@ class NoJumpPropagator:
         return (psi[:, None, :] @ self._stack(k)).reshape(n, -1, d)
 
 
-def _multiples_stack(exp: CachedExponential, bits: int, k: int) -> np.ndarray:
+def _multiples_stack(exp, bits: int, k: int) -> np.ndarray:
     """exp(A p 2**k)^T for p = 1 ... 2**bits - 1, side by side, by ``bits``
-    doublings of exp(A 2**k): each square also taken times every multiple
-    before it.  ``exp`` keeps none of its matrices."""
-    u = exp.matrix(math.ldexp(1.0, k))
+    doublings of exp(A 2**k), h -> exp(h A) being ``exp``: each square also
+    taken times every multiple before it."""
+    u = exp(math.ldexp(1.0, k))
     mats = u[None]
     for _ in range(1, bits):
         u = u @ u

@@ -27,8 +27,9 @@ from pseudomodes.cli import (
     _observable_ops,
 )
 from pseudomodes.errors import ClassificationError, RegularizationError
-from pseudomodes.dynamics import (FRAMES, KINDS, MAX_TAYLOR_INTERVALS, CachedExponential,
-                                  Generator, build_generator, taylor_plan)
+from pseudomodes import dynamics
+from pseudomodes.dynamics import (FRAMES, KINDS, MAX_TAYLOR_INTERVALS, Generator,
+                                  build_generator, taylor_plan)
 from pseudomodes.hilbert import SpaceLayout, basis_state
 from pseudomodes.mapping import build_discrete_modes, two_mode_regularize
 from pseudomodes.trajectories import NoJumpPropagator
@@ -764,45 +765,72 @@ def test_an_infinite_norm_bound_is_refused_alike(tmp_path, capsys, command):
     assert not (tmp_path / "x.out").exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "trajectories"])
+def test_a_grid_too_large_to_hold_is_a_config_error(tmp_path, capsys, command):
+    # 2**60 rows: numpy refuses the grid's size before it allocates anything.
+    doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    doc["run"]["n_steps"] = 2**60
+    assert main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"config error: run.n_steps is {2**60}: "), captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 149. GiB for an array with shape (100001, 100001)"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(pseudomodes.cli, "evolve", exhausted)
+    out = tmp_path / "x.csv"
+    assert main(["evolve", str(CONFIGS / "band_gap.yaml"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out of memory: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
 def spy_exponentials(monkeypatch):
     """Record Generator.apply's argument shapes, the shape of each matrix
-    exponentiated and the number of exponentials looked up."""
-    seen = {"applied": [], "built": [], "rows": 0}
-    apply, init, matrix = (Generator.apply, CachedExponential.__init__,
-                           CachedExponential.matrix)
+    exponentiated and the number of exponentials formed."""
+    seen = {"applied": [], "built": [], "formed": 0}
+    apply, exponential = Generator.apply, dynamics.exponential
 
     def counting(self, rho):
         seen["applied"].append(rho.shape)
         return apply(self, rho)
 
-    def building(self, a, capacity):
+    def building(a):
         seen["built"].append(a.shape)
-        init(self, a, capacity)
+        exp = exponential(a)
 
-    def looking_up(self, h):
-        seen["rows"] += 1
-        return matrix(self, h)
+        def forming(h):
+            seen["formed"] += 1
+            return exp(h)
+
+        return forming
 
     monkeypatch.setattr(Generator, "apply", counting)
-    monkeypatch.setattr(CachedExponential, "__init__", building)
-    monkeypatch.setattr(CachedExponential, "matrix", looking_up)
+    monkeypatch.setattr(dynamics, "exponential", building)
     return seen
 
 
 def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monkeypatch):
     # |S| = 4 at every cutoff: the same closed form, the same bits.  Two
-    # exponentials, U and V, on the 4 x 4 identity, one lookup of each per
-    # row of the 200, and no application of L.
+    # exponentials, U and V, on the 4 x 4 identity, each formed once per
+    # distinct span of the 200 rows, and no application of L.
     seen = spy_exponentials(monkeypatch)
     doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    spans = len(set(np.diff(np.linspace(0.0, 20.0, 201)).tolist()))
     rows = {}
     for levels in (2, 6):
         doc["run"]["fock_levels"] = levels
         out = tmp_path / f"fock{levels}.csv"
-        seen.update(applied=[], built=[], rows=0)
+        seen.update(applied=[], built=[], formed=0)
         assert main(["evolve", write_doc(tmp_path, doc), "--out", str(out)]) == 0
         assert not seen["applied"]
-        assert seen["built"] == [(4, 4)] * 2 and seen["rows"] == 2 * 200
+        assert seen["built"] == [(4, 4)] * 2 and seen["formed"] == 2 * spans
         rows[levels] = out.read_bytes()
     capsys.readouterr()
     assert rows[2] == rows[6]
@@ -857,8 +885,8 @@ def test_twenty_modes_run_on_their_sector_beyond_the_int64_range(tmp_path, capsy
 
 
 def test_twenty_modes_take_the_closed_form(tmp_path, capsys, monkeypatch):
-    # |S| = 22 and 500 rows: U and V on the 22 x 22 identity, one lookup of
-    # each per row, and no application of L.
+    # |S| = 22 and 500 rows: U and V on the 22 x 22 identity, each formed
+    # once per distinct span, and no application of L.
     seen = spy_exponentials(monkeypatch)
     doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
     doc["spectral"]["terms"] = [{"weight": 0.05, "center": 0.5 + 0.05 * k,
@@ -866,7 +894,8 @@ def test_twenty_modes_take_the_closed_form(tmp_path, capsys, monkeypatch):
     doc["run"].update(t_max=20.0, n_steps=500)
     assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")]) == 0
     capsys.readouterr()
-    assert seen["built"] == [(22, 22)] * 2 and seen["rows"] == 2 * 500
+    spans = len(set(np.diff(np.linspace(0.0, 20.0, 501)).tolist()))
+    assert seen["built"] == [(22, 22)] * 2 and seen["formed"] == 2 * spans
     assert not seen["applied"]
 
 

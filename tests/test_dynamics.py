@@ -1,7 +1,9 @@
 """Generator construction, invariants, and master-equation integration."""
 
+import functools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,8 +32,8 @@ from pseudomodes import (
     vacuum_embedding,
 )
 from pseudomodes import dynamics
-from pseudomodes.dynamics import (FRAMES, ROW_CACHE, CachedExponential,
-                                  InvariantViolationError, _taylor_interval, taylor_plan)
+from pseudomodes.dynamics import (FRAMES, ROW_CACHE, InvariantViolationError,
+                                  _taylor_interval, taylor_plan)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -311,34 +313,37 @@ def test_exact_action_matches_the_dense_superoperator():
 
 def spy_exponentials(monkeypatch):
     """Record Generator.apply's argument shapes, the span of each exponential
-    formed and the cache size after each exponential lookup."""
+    formed and, as each is formed, how many matrices that exponential formed
+    before are still alive: the ones a cache keeps."""
     seen = {"applied": [], "formed": [], "cached": []}
-    apply, exp, matrix = Generator.apply, CachedExponential._exp, CachedExponential.matrix
+    apply, exponential = Generator.apply, dynamics.exponential
 
     def counting(self, rho):
         seen["applied"].append(rho.shape)
         return apply(self, rho)
 
-    def forming(self, h):
-        seen["formed"].append(h)
-        return exp(self, h)
+    def spied(a):
+        exp, formed = exponential(a), []
 
-    def looking_up(self, h):
-        out = matrix(self, h)
-        seen["cached"].append(len(self._cache))
-        return out
+        def forming(h):
+            seen["formed"].append(h)
+            seen["cached"].append(sum(u() is not None for u in formed))
+            u = exp(h)
+            formed.append(weakref.ref(u))
+            return u
+
+        return forming
 
     # Patched on the class, as the layer tracer patches it.
     monkeypatch.setattr(Generator, "apply", counting)
-    monkeypatch.setattr(CachedExponential, "_exp", forming)
-    monkeypatch.setattr(CachedExponential, "matrix", looking_up)
+    monkeypatch.setattr(dynamics, "exponential", spied)
     return seen
 
 
 def test_autonomous_evolve_cost_follows_rows(monkeypatch):
     # One series per distinct span for each of U = exp(-i dt D_l) and
-    # V = exp(i dt D_r), then one lookup of each per row, whatever the number
-    # of rows.
+    # V = exp(i dt D_r), whatever the number of rows, each kept while the
+    # rows reuse it.
     _, gen, layout = band_gap_generators()
     seen = spy_exponentials(monkeypatch)
     rho0 = vacuum_embedding(gen.sector, EE)
@@ -347,8 +352,9 @@ def test_autonomous_evolve_cost_follows_rows(monkeypatch):
             calls.clear()
         t = np.linspace(0.0, 20.0, rows + 1)
         evolve(gen, rho0, t, store_states=False)
-        assert sorted(seen["formed"]) == sorted(2 * list(set(np.diff(t).tolist())))
-        assert len(seen["cached"]) == 2 * rows
+        spans = set(np.diff(t).tolist())
+        assert sorted(seen["formed"]) == sorted(2 * list(spans))
+        assert max(seen["cached"]) == len(spans) - 1 < ROW_CACHE
         assert not seen["applied"]
 
 
@@ -398,13 +404,13 @@ def test_the_row_map_cache_keeps_its_capacity(monkeypatch):
         seen["formed"].clear()
         seen["cached"].clear()
         a = -1j * gen.drift()
-        u = CachedExponential(a, 5)
+        u = functools.lru_cache(5)(dynamics.exponential(a))
         evals, vecs = np.linalg.eig(a)
         assert np.linalg.cond(vecs) < 1e3, gen.kind
         for _ in range(2):  # least recently used first: each span is gone by its turn
             for h in spans:
                 want = (vecs * np.exp(h * evals)) @ np.linalg.inv(vecs)
-                assert np.abs(u.matrix(float(h)) - want).max() <= 1e-8, gen.kind
+                assert np.abs(u(float(h)) - want).max() <= 1e-8, gen.kind
         assert max(seen["cached"]) == 5  # full, never beyond
         assert len(seen["formed"]) == 2 * spans.size
 
@@ -815,7 +821,8 @@ def pattern_closure(a, k, jumps, start):
 
 
 def random_models(rng):
-    """Small models: 2-3 levels, 1-2 channels, 2-3 modes; complex, real and rotated sets."""
+    """Small models: 2-3 levels (a ladder and a Lambda among them), 1-2
+    channels, 2-3 modes; complex, real and rotated sets."""
     def hermitian(d):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         return a + a.conj().T
@@ -837,6 +844,10 @@ def random_models(rng):
     complex_three = lines((2.0, 1.0, 4.0 * u[4]), (-0.5, 0.0, 2.0), (-0.5, 2.0, 2.0))
     real_pair = lines((0.5, 0.5, u[5]), (0.5, 1.5, 2.0))
     real_three = lines((0.5, -1.0, 1.5), (0.3, 0.5, u[6]), (0.2, 2.0, 1.5))
+    # a Lambda: the channel lowers the top level into both degenerate ones,
+    # so a coupling moves one label to two
+    systems += (SystemSpec(energies=(0.0, 0.0, 1.0), observables=(hermitian(3),),
+                           frequencies=(1.0,), strengths=(rng.uniform(0.8, 1.2),)),)
     for system in systems:
         w = system.strengths
         sets = (
@@ -874,20 +885,22 @@ def test_sector_build_matches_the_dense_kron_build():
 
 def test_memory_follows_the_sector_not_the_cutoff():
     # The three-line model at Fock cutoff 8: d = 2 * 9**3 = 1,458 and |S| = 5.
-    # One d x d complex array alone would take 34 MB.
+    # One d x d complex array alone would take 34 MB.  At cutoff 3000 one
+    # mode's ladder matrix alone would take 144 MB, and at 10**5 160 GB.
     modes = build_discrete_modes(THREE, (1.0,))
     t = np.linspace(0.0, 2.5, 26)
-    layout = SpaceLayout(2, (8, 8, 8))
-    tracemalloc.start()
-    try:
-        gen = build_generator(TLS, modes, layout, excited(layout))
-        res = evolve(gen, vacuum_embedding(gen.sector, EE), t, observables={"ee": EE})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert layout.dim == 1458 and gen.dim == 5
-    assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"
     small = SpaceLayout(2, (2, 2, 2))
     gen = build_generator(TLS, modes, small, excited(small))
     same = evolve(gen, vacuum_embedding(gen.sector, EE), t, observables={"ee": EE})
-    assert np.array_equal(res.observables["ee"], same.observables["ee"])
+    for levels in (8, 3000, 10**5):
+        layout = SpaceLayout(2, (levels,) * 3)
+        tracemalloc.start()
+        try:
+            gen = build_generator(TLS, modes, layout, excited(layout))
+            res = evolve(gen, vacuum_embedding(gen.sector, EE), t, observables={"ee": EE})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert layout.dim == 2 * (levels + 1) ** 3 and gen.dim == 5
+        assert peak < 2e6, f"peak {peak / 1e6:.1f} MB at fock levels {levels}"
+        assert np.array_equal(res.observables["ee"], same.observables["ee"]), levels

@@ -158,7 +158,20 @@ def test_sector_operator_is_the_block_of_the_embedding():
     product = kron_chain(layout, 0, sys_op) @ kron_chain(layout, 2, mode_op)
     assert np.array_equal(sector.operator({0: sys_op, 2: mode_op}), product[block])
     assert np.array_equal(sector.operator({}), np.eye(layout.dim)[block])
-    for bad in (np.eye(4), {1: np.eye(3)}, {3: np.eye(2)}):
+    # ladder moves, read off the labels: the blocks of destroy and its products
+    full = full_sector(layout)
+    every = np.ix_(range(layout.dim), range(layout.dim))
+    b1, b2 = destroy(1), destroy(2)
+    for move, op in (("b", b2), ("b^dag", b2.conj().T), ("b^dag b", b2.conj().T @ b2)):
+        want = kron_chain(layout, 2, op)
+        for part, rows in ((sector, block), (full, every)):
+            assert np.array_equal(part.operator({2: move}), want[rows]), move
+            product = kron_chain(layout, 0, sys_op) @ want
+            assert np.array_equal(part.operator({0: sys_op, 2: move}), product[rows]), move
+    hop = kron_chain(layout, 1, b1.conj().T) @ kron_chain(layout, 2, b2)
+    assert np.array_equal(full.operator({1: "b^dag", 2: "b"}), hop)
+    assert np.array_equal(sector.operator({1: "b^dag", 2: "b"}), hop[block])
+    for bad in (np.eye(4), {1: np.eye(3)}, {3: np.eye(2)}, {0: "b"}, {1: "b b"}, {3: "b"}):
         with pytest.raises(InvalidModelError):
             sector.operator(bad)
 
