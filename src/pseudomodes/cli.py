@@ -25,6 +25,7 @@ the underlying doubles exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -798,6 +799,7 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
 # entry point
 
 
+@functools.cache  # built once per process; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudomodes",

@@ -192,7 +192,9 @@ class Sector:
         with factors as ``operator`` takes them, reach from the labels
         ``start``: the rows of the nonzero entries in its columns of every
         term with a nonzero coefficient, each ladder move taken within the
-        cutoff."""
+        cutoff.  A term none of whose factors moves a level (a ladder shift
+        of 0, a matrix with no nonzero off its diagonal) takes a label at
+        most to itself, so it is not walked."""
         def mover(op, dim):
             """level -> the levels ``op`` takes it to."""
             if isinstance(op, str):
@@ -200,9 +202,15 @@ class Sector:
                 return lambda n: [n + shift] if n + shift < dim and entry(n) else []
             return [np.flatnonzero(column).tolist() for column in np.transpose(op)].__getitem__
 
+        def moves(op) -> bool:
+            if isinstance(op, str):
+                return LADDER[op][0] != 0
+            return np.count_nonzero(op) > np.count_nonzero(np.diagonal(op))
+
         dims = layout.dims
         live = [{f: mover(op, dims[f]) for f, op in factors.items()}
-                for coefficient, factors in terms if coefficient != 0]
+                for coefficient, factors in terms
+                if coefficient != 0 and any(map(moves, factors.values()))]
         seen = frontier = set(map(tuple, cls(layout, start).labels.tolist()))
         while frontier:
             grown = set()

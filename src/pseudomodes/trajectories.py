@@ -40,15 +40,21 @@ row i.  Each trajectory crosses in the first row whose norm falls below its
 threshold, read off the running minimum of the norms by one searchsorted;
 every row is then recorded at once, the mean density as
 (n - n_j) psi psi^dag / |psi|^2 + n_j |g><g| and each sample as psi's value
-or O_gg.  The search then places the jumps of each row with crossings in one
-pass, up to the first row the truncation guard refuses.
+or O_gg.  The search then places the jumps up to the first row the
+truncation guard refuses, in one pass for all the rows with crossings that
+share a jump lattice (the same step q and the same count of steps).
 The generator's frame only changes how the recorded states are viewed
 (psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times do
 not depend on it.
 
-Trajectories are statistically independent with counter-based RNG streams,
-the children of ``SeedSequence(seed).spawn(n_traj)``: child idx is the
-stream of (seed, idx), each drawing in a fixed order.  A stack product
+Trajectory idx draws from the stream of numpy's
+``Generator(Philox(SeedSequence(seed, spawn_key=(idx,))))``, bit for bit,
+without building one.  Philox is counter-based (Salmon, Moraes, Dror and
+Shaw, SC'11): a draw is a function of the stream's key and a counter alone,
+so the keys of all streams come from one vectorized pass of SeedSequence's
+hash, and the draws of all the trajectories that jump together from one
+vectorized Philox.  Draw 0 is the first threshold; the m-th jump takes draw
+1 + 2m for its channel and 2 + 2m for the next threshold.  A stack product
 multiplies each ket by its own BLAS call of one fixed shape, so a ket's
 result, and with it a trajectory's jumps, does not depend on how many others
 run beside it or on their values.
@@ -204,6 +210,117 @@ def _norm2(psi: np.ndarray):
     return (psi.real**2 + psi.imag**2).sum(axis=-1)
 
 
+def _lattice(t_lo: np.ndarray, t_hi: np.ndarray):
+    """The jump lattice of each row (t_lo, t_hi): its step q = 2**e, the
+    largest power of two within JUMP_TIME_TOL max(1, t_hi), and the split
+    t_hi - t_lo = n q + rest with 0 <= rest < q, as arrays (e, n, rest)."""
+    dt = t_hi - t_lo
+    e = np.frexp(JUMP_TIME_TOL * np.maximum(1.0, t_hi))[1] - 1
+    n = np.floor(np.ldexp(dt, -e))
+    return e, n, dt - np.ldexp(n, e)
+
+
+# SeedSequence's uint32 hash (numpy.random.bit_generator) and the Philox4x64
+# round constants (Salmon et al., SC'11).
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _stream_keys(seed: int, n: int) -> np.ndarray:
+    """(2, n) uint64: the Philox key that numpy's ``Philox`` takes from
+    ``SeedSequence(seed, spawn_key=(idx,))`` for idx = 0 ... n - 1 (n <= 2**32),
+    its ``generate_state(2, np.uint64)``.
+
+    The entropy is seed's uint32 words, least significant first, padded with
+    zeros to the pool size 4, then idx.  Every word before idx is a (1,)
+    array, so the hash runs once for the seed and broadcasts over idx only
+    from idx's own word on.  Products wrap in uint32, as in numpy's C."""
+    u32, seed = np.uint32, int(seed)
+    words = [np.array([(seed >> s) & _M32], dtype=u32)
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [np.zeros(1, dtype=u32)] * (4 - len(words))
+    words.append(np.arange(n, dtype=u32))
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ u32(h)
+        h = (h * _MULT_A) & _M32
+        v = v * u32(h)
+        return v ^ (v >> u32(16))
+
+    def mix(x, y):
+        r = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return r ^ (r >> u32(16))
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h, state = _INIT_B, []
+    for v in pool:
+        v = v ^ u32(h)
+        h = (h * _MULT_B) & _M32
+        v = v * u32(h)
+        state.append(np.broadcast_to(v ^ (v >> u32(16)), n).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)])
+
+
+def _philox(keys: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """(4, n) uint64: Philox4x64-10 of the counters (counter, 0, 0, 0) under
+    the (2, n) ``keys``.  Words 0 and 2 are multiplied side by side, the
+    128-bit products formed from 32-bit halves."""
+    u64 = np.uint64
+    lo32, s32 = u64(_M32), u64(32)
+    m = np.array(_PHILOX_M, dtype=u64)[:, None]
+    m_hi, m_lo = m >> s32, m & lo32
+    w = np.array(_PHILOX_W, dtype=u64)[:, None]
+    even = np.stack([counter.astype(u64), np.zeros_like(counter, dtype=u64)])
+    odd = np.zeros_like(even)
+    for r in range(10):
+        if r:
+            keys = keys + w
+        x_hi, x_lo = even >> s32, even & lo32
+        ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+        mid = (ll >> s32) + (lh & lo32) + (hl & lo32)
+        hi = m_hi * x_hi + (lh >> s32) + (hl >> s32) + (mid >> s32)
+        even, odd = hi[::-1] ^ odd ^ keys, (m * even)[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]])
+
+
+class _Streams:
+    """The random streams of trajectories 0 ... n - 1 under ``seed``: the
+    stream of trajectory idx is ``Generator(Philox(SeedSequence(seed,
+    spawn_key=(idx,))))``, computed without building one.  Its draw j is
+    word j % 4 of ``_philox`` at counter 1 + j // 4, shifted right by 11 and
+    scaled by 2**-53.  Block 1, draws 0 ... 3 of every stream, is formed at
+    once and kept: it holds each first threshold and the draws of each
+    first jump."""
+
+    def __init__(self, seed: int, n: int):
+        self.keys = _stream_keys(seed, n)
+        self.head = _philox(self.keys, np.ones(n, dtype=np.uint64))
+
+    def draw(self, idx: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Draw j[k] of the stream of trajectory idx[k], for each k."""
+        j = np.asarray(j, dtype=np.uint64)
+        four = np.uint64(4)
+        words = self.head[(j % four).astype(np.intp), idx]
+        late = np.flatnonzero(j >= four)
+        if late.size:
+            block = _philox(self.keys[:, idx[late]], np.uint64(1) + j[late] // four)
+            words[late] = block[(j[late] % four).astype(np.intp), np.arange(late.size)]
+        return (words >> np.uint64(11)) * 2.0**-53
+
+
 def mcwf_run(
     gen: Generator,
     psi0: np.ndarray,
@@ -268,10 +385,8 @@ def mcwf_run(
     trace_error = np.empty(n_t)
     jump_counts = np.zeros((n_traj, len(channels)), dtype=np.int64)
     records: list[list[tuple[float, int]]] = [[] for _ in range(n_traj)]
-    # Child idx of the spawn carries spawn_key (idx,): the stream of (seed, idx).
-    rngs = [np.random.Generator(np.random.Philox(child))
-            for child in np.random.SeedSequence(config.seed).spawn(n_traj)]
-    eta = np.array([rng.random() for rng in rngs])
+    streams = _Streams(config.seed, n_traj)
+    eta = streams.draw(np.arange(n_traj), np.zeros(n_traj, dtype=np.int64))
     view = gen.frame_view(kets=True)
 
     def finalize(upto: int) -> EnsembleResult:
@@ -308,49 +423,57 @@ def mcwf_run(
         trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
         top_fock[i] = truncation_guard(sector.top_fock(rho), float(t[i]), lambda: finalize(i))
 
-    def jump(idx: int, psi: np.ndarray, t_jump: float) -> np.ndarray:
-        """Project the ket that reached its threshold; the normalized result."""
-        weights = np.array(
-            [
-                2.0 * rate * _norm2(op @ psi) if rate > 0.0 else 0.0
-                for rate, op in channels
-            ]
-        )
-        total = float(weights.sum())
-        if total <= 0.0:
+    def jump(idx: np.ndarray, psi: np.ndarray, t_jump: np.ndarray) -> np.ndarray:
+        """Project the kets ``psi`` of the distinct trajectories ``idx`` that
+        reached their thresholds at ``t_jump``; the normalized results.  The
+        m-th jump of a trajectory draws its channel with draw 1 + 2m of its
+        stream and its next threshold with draw 2 + 2m."""
+        # Each channel's weight 2 rate ||b psi||**2 by a product of each ket
+        # of one fixed shape, as b @ psi, and the channel by one comparison
+        # with the cumulative weights.
+        kets = psi[:, :, None]
+        weights = np.zeros((len(idx), len(channels)))
+        for c in np.flatnonzero(rates > 0.0):
+            weights[:, c] = 2.0 * rates[c] * _norm2((ops[c] @ kets)[..., 0])
+        total = weights.sum(axis=1)
+        if np.any(total <= 0.0):
             raise InvalidModelError(
                 "norm decayed with no open emission channel; "
                 "the generator data is inconsistent"
             )
-        draw = rngs[idx].random() * total
-        ch = int(np.searchsorted(np.cumsum(weights), draw, side="right"))
-        ch = min(ch, len(channels) - 1)
-        post = ops[ch] @ psi
-        eta[idx] = rngs[idx].random()
+        m = 2 * jump_counts[idx].sum(axis=1)
+        draws = streams.draw(np.concatenate([idx, idx]), np.concatenate([1 + m, 2 + m]))
+        below = np.cumsum(weights, axis=1) <= (draws[:len(idx)] * total)[:, None]
+        ch = np.minimum(below.sum(axis=1), len(channels) - 1)
+        post = np.empty_like(psi)
+        for c in np.unique(ch):
+            on = np.flatnonzero(ch == c)
+            post[on] = (ops[c] @ kets[on])[..., 0]
+        eta[idx] = draws[len(idx):]
         jump_counts[idx, ch] += 1
-        records[idx].append((t_jump, ch))
-        return post / np.sqrt(_norm2(post))
+        for i, tj, c in zip(idx.tolist(), t_jump.tolist(), ch.tolist()):
+            records[i].append((tj, c))
+        return post / np.sqrt(_norm2(post))[:, None]
 
-    def cross_row(idx: np.ndarray, psi: np.ndarray, t_lo: float, t_hi: float,
+    def cross_row(idx: np.ndarray, psi: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray,
                   again: bool = True) -> np.ndarray:
-        """Carry the trajectories ``idx`` over a row in which their norms fall
-        below their thresholds; ``psi`` holds their kets at t_lo, one each.
+        """Carry the trajectories ``idx`` over rows in which their norms fall
+        below their thresholds; ``psi`` holds their kets at the row starts
+        ``t_lo``, one each, and ``t_hi`` their row ends.
 
-        Jumps are placed on the lattice t_lo + p q, p = 0..n, where q = 2**e
-        is the largest power of two within JUMP_TIME_TOL max(1, t_hi), and
-        t_hi = t_lo + n q + rest with 0 <= rest < q.  ``search`` stops each
-        ket just before the first lattice point below its threshold.  A ket
-        that crosses at a lattice point jumps there and searches again from
-        it with its new threshold; a ket that reaches p = n takes the step
-        rest to t_hi and jumps there if it falls below.  The results are
+        Jumps are placed on each row's ``_lattice`` t_lo + p q, p = 0..n,
+        which every row here shares in (e, n), with its own rest.  ``search``
+        stops each ket just before the first lattice point below its
+        threshold.  A ket that crosses at a lattice point jumps there and
+        searches again from it with its new threshold; a ket that reaches
+        p = n takes the step rest to t_hi and jumps there if it falls below.
+        The kets that jump in one search pass jump together.  The results are
         written into ``psi``.  Without ``again`` every ket takes one pass: a
         ket that jumps does not search again, and one that reaches t_hi jumps
         there, as the row's product put it below its threshold.
         """
-        dt = t_hi - t_lo
-        e = math.frexp(JUMP_TIME_TOL * max(1.0, t_hi))[1] - 1
-        n = math.floor(math.ldexp(dt, -e))
-        rest = dt - math.ldexp(n, e)
+        e, n, rest = _lattice(t_lo, t_hi)
+        e, n = int(e[0]), int(n[0])
         bits = prop.bits
         top = (1 << bits) - 1
         shifts = [max(s, 0) for s in range(n.bit_length() - bits, -bits, -bits)]
@@ -387,17 +510,22 @@ def mcwf_run(
         live, at, kets = np.arange(idx.size), np.zeros(idx.size, dtype=np.int64), psi
         while live.size:
             below, kets, crossed, kets_below = search(kets, at, eta[idx[live]])
-            ended = np.flatnonzero(below > n)
-            if ended.size:
-                end = kets[ended] if rest == 0.0 else prop.apply(kets[ended], rest)
-                fell = (np.flatnonzero(_norm2(end) < eta[idx[live[ended]]]) if again
-                        else range(ended.size))
-                for k in fell:
-                    end[k] = jump(idx[live[ended[k]]], end[k], t_hi)
-                psi[live[ended]] = end
+            ended = live[below > n]
+            end = kets[below > n]
+            for r in np.unique(rest[ended]):  # one product per distinct rest
+                if r > 0.0:
+                    on = np.flatnonzero(rest[ended] == r)
+                    end[on] = prop.apply(end[on], float(r))
+            fell = (np.flatnonzero(_norm2(end) < eta[idx[ended]]) if again
+                    else np.arange(ended.size))
             live, at = live[crossed], below[crossed]
-            kets = np.array([jump(idx[j], ket, min(t_lo + math.ldexp(float(p), e), t_hi))
-                             for j, ket, p in zip(live, kets_below, at)])
+            if fell.size or live.size:
+                jumped = jump(idx[np.concatenate([ended[fell], live])],
+                              np.concatenate([end[fell], kets_below]),
+                              np.concatenate([t_hi[ended[fell]], np.minimum(
+                                  t_lo[live] + np.ldexp(at, e), t_hi[live])]))
+                end[fell], kets = jumped[:fell.size], jumped[fell.size:]
+            psi[ended] = end
             if not again:
                 break
         return psi
@@ -438,11 +566,16 @@ def mcwf_run(
         top_fock[:] = top.max(axis=1)
         bad = np.flatnonzero(top_fock > TRUNCATION_LIMIT)
         last = int(bad[0]) if bad.size else n_t - 1
-        # The jumps, up to and including the first row the guard refuses.
-        for i in np.flatnonzero(crossing[:last + 1]):
-            cross = np.flatnonzero(first == i)
-            cross_row(cross, np.repeat(psi[i - 1:i], cross.size, axis=0), float(t[i - 1]),
-                      float(t[i]), again=False)
+        # The jumps, up to and including the first row the guard refuses: one
+        # search pass for the trajectories of all rows on one jump lattice.
+        rows = np.flatnonzero(crossing[:last + 1])
+        e, n, _ = _lattice(t[rows - 1], t[rows])
+        lattice = np.full(n_t + 1, -1)
+        lattice[rows] = np.unique(np.stack([e, n]), axis=1, return_inverse=True)[1]
+        for k in range(lattice.max() + 1):
+            cross = np.flatnonzero(lattice[first] == k)
+            i = first[cross]
+            cross_row(cross, psi[i - 1], t[i - 1], t[i], again=False)
         if bad.size:
             truncation_guard(top[last], float(t[last]), lambda: finalize(last))
         return finalize(n_t)
@@ -458,7 +591,8 @@ def mcwf_run(
         if jumps_possible:
             cross = np.flatnonzero(norm2[cls] < eta)
             if cross.size:
-                ends = cross_row(cross, start[cls[cross]], t_lo, t_hi)
+                ends = cross_row(cross, start[cls[cross]], np.full(cross.size, t_lo),
+                                 np.full(cross.size, t_hi))
                 # Each crossing trajectory takes a row of its own: first the
                 # rows no other trajectory stays on (each had one of them),
                 # then new ones.

@@ -1005,6 +1005,35 @@ def test_trajectories_csv_and_seed_override(tmp_path, capsys):
     assert len(lines) == 12
 
 
+def test_each_main_call_parses_its_own_arguments(tmp_path, monkeypatch, capsys):
+    # The parser is built once per process, so no call may see the options
+    # of the one before it.
+    doc = with_run(SINGLE_DOC, t_max=1.0, n_steps=10)
+    doc["trajectories"] = {"n_traj": 5, "seed": 4}
+    cfg_path = write_doc(tmp_path, doc)
+    seeds, validated = [], []
+    run_trajectories, run_validate = pseudomodes.cli.cmd_trajectories, pseudomodes.cli.cmd_validate
+
+    def trajectories(cfg, out, seed):
+        seeds.append(seed)
+        return run_trajectories(cfg, out, seed)
+
+    def validate(cfg):
+        validated.append(cfg.seed)
+        return run_validate(cfg)
+
+    monkeypatch.setattr(pseudomodes.cli, "cmd_trajectories", trajectories)
+    monkeypatch.setattr(pseudomodes.cli, "cmd_validate", validate)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["trajectories", cfg_path, "--seed", "5", "--out", str(a)]) == 0
+    assert main(["trajectories", cfg_path, "--out", str(b)]) == 0
+    assert main(["validate", cfg_path]) in (0, 1)
+    capsys.readouterr()
+    assert seeds == [5, None] and validated == [4]
+    assert a.read_bytes() != b.read_bytes()
+    assert pseudomodes.cli._build_parser() is pseudomodes.cli._build_parser()
+
+
 def test_t_max_zero_yields_single_row(tmp_path, capsys):
     doc = with_run(SINGLE_DOC, t_max=0.0)
     csv_path = tmp_path / "zero.csv"

@@ -34,6 +34,7 @@ from pseudomodes import (
 from pseudomodes import dynamics
 from pseudomodes.dynamics import (FRAMES, ROW_CACHE, InvariantViolationError,
                                   _taylor_interval, taylor_plan)
+from pseudomodes.hilbert import LADDER, Sector
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EE = np.diag([0.0, 1.0]).astype(complex)
@@ -881,6 +882,48 @@ def test_sector_build_matches_the_dense_kron_build():
             for (rate, b), (want_rate, want_b) in zip(gen.channels, jumps):
                 assert rate == want_rate and np.array_equal(b, want_b[block]), family
     assert families == {"complex", "real", "rotated"}
+
+
+def full_walk(layout, start, terms):
+    """The labels that every term with a nonzero coefficient reaches from
+    ``start``, each walked from every label, those that move no label too."""
+    def targets(label, factors):
+        moved = [label]
+        for f, op in factors.items():
+            if isinstance(op, str):
+                shift, entry = LADDER[op]
+                step = (lambda n, shift=shift, entry=entry, dim=layout.dims[f]:
+                        [n + shift] if n + shift < dim and entry(n) else [])
+            else:
+                step = lambda n, op=op: np.flatnonzero(np.asarray(op)[:, n]).tolist()
+            moved = [m[:f] + (n,) + m[f + 1:] for m in moved for n in step(m[f])]
+        return moved
+
+    seen = frontier = {tuple(label) for label in start}
+    while frontier:
+        frontier = {moved for label in frontier for coefficient, factors in terms
+                    if coefficient != 0 for moved in targets(label, factors)} - seen
+        seen = seen | frontier
+    return sorted(seen)
+
+
+def test_closure_skips_only_terms_that_move_no_label():
+    rng = np.random.default_rng(20261019)
+    skipped = 0
+    for family, system, modes, layout in random_models(rng):
+        terms = [term for group in dynamics._terms(system, modes, modes.coupling_matrix)
+                 for term in group]
+        # the bare Hamiltonian and every b_l^dag b_l move no label
+        skipped += sum(all(LADDER[op][0] == 0 if isinstance(op, str)
+                           else np.array_equal(op, np.diag(np.diagonal(op)))
+                           for op in factors.values()) for _, factors in terms)
+        top = (system.dim - 1,) + (0,) * layout.n_modes
+        other = tuple(int(rng.integers(d)) for d in layout.dims)
+        for start in ([top], [top, other], list(np.ndindex(*layout.dims))):
+            sector = Sector.closure(layout, start, terms)
+            assert sector.labels.tolist() == [list(label) for label in
+                                              full_walk(layout, start, terms)], family
+    assert skipped > 0
 
 
 def test_memory_follows_the_sector_not_the_cutoff():

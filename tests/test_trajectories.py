@@ -38,6 +38,7 @@ from pseudomodes.trajectories import (
     DIGIT_ENTRIES,
     JUMP_TIME_TOL,
     MAX_DIGIT_BITS,
+    _Streams,
     digit_bits,
 )
 
@@ -369,9 +370,9 @@ def test_jump_records_do_not_depend_on_batch_size():
 
 
 def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
-    # One excitation: the ground route advances the one no-jump ket, and each
-    # row in which trajectories cross their thresholds takes one search pass
-    # for all of them, with no search after a jump.
+    # One excitation: the ground route advances the one no-jump ket, and the
+    # trajectories crossing their thresholds in all rows of one jump lattice
+    # (e, n) take one search pass together, with no search after a jump.
     gen, layout = tls_generator()
     assert gen.one_excitation_ground() is not None
     t = np.linspace(0.0, 2.5, 251)
@@ -390,6 +391,13 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
         crossing = Counter(np.searchsorted(t, rec[0][0]).item()
                            for rec in ens.jump_records if rec)
         assert sum(crossing.values()) == ens.jump_counts.sum() > 0
+        # the lattice of each such row and the trajectories crossing on each
+        lattices = Counter()
+        for row, count in crossing.items():
+            t_lo, t_hi = float(t[row - 1]), float(t[row])
+            e = math.frexp(JUMP_TIME_TOL * max(1.0, t_hi))[1] - 1
+            lattices[e, math.floor(math.ldexp(t_hi - t_lo, -e))] += count
+        assert len(lattices) < len(crossing)
         # a pass takes the digits of the lattice index from the top down, so
         # a new one starts where k does not fall
         passes = [[searched[0]]]
@@ -398,11 +406,14 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
                 passes[-1].append(call)
             else:
                 passes.append([call])
-        assert len(passes) == len(crossing)
-        for calls, row in zip(passes, sorted(crossing)):
+        assert len(passes) == len(lattices)
+        heights = []
+        for calls in passes:
             assert len(calls) <= digits
-            assert {height for height, _ in calls} == {crossing[row]}
-        assert len(applied) - len(rows) <= len(crossing)  # one row end per pass
+            assert len({height for height, _ in calls}) == 1
+            heights.append(calls[0][0])
+        assert sorted(heights) == sorted(lattices.values())
+        assert len(applied) - len(rows) <= len(crossing)  # one row end per row
 
 
 def test_row_route_cost_follows_rows_and_jumps(monkeypatch):
@@ -719,13 +730,14 @@ def reference_jumps(gen, psi0, seed, idx, times):
     return tuple(jumps)
 
 
-@pytest.mark.parametrize("build, times", [
-    (tls_generator, np.linspace(0.0, 2.5, 26)),
-    (band_gap_regularized, np.linspace(0.0, 4.0, 21)),
+@pytest.mark.parametrize("build, level, times", [
+    (lambda: tls_generator()[0], 1, np.linspace(0.0, 2.5, 26)),
+    (lambda: band_gap_regularized()[0], 1, np.linspace(0.0, 4.0, 21)),
+    (ladder_generator, 2, np.linspace(0.0, 2.5, 26)),  # the row route, up to two jumps
 ])
-def test_jumps_match_a_one_trajectory_binary_search(build, times):
-    gen, layout = build()
-    psi0 = basis_state(gen.sector, 1)
+def test_jumps_match_a_one_trajectory_binary_search(build, level, times):
+    gen = build()
+    psi0 = basis_state(gen.sector, level)
     total = 0
     for seed in range(1, 9):
         ens = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=32, seed=seed, times=times))
@@ -733,3 +745,34 @@ def test_jumps_match_a_one_trajectory_binary_search(build, times):
             assert rec == reference_jumps(gen, psi0, seed, idx, times), (seed, idx)
             total += len(rec)
     assert total > 50
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**200])
+def test_streams_are_numpys_philox_streams(seed):
+    # Draws 0 ... 9 cross from the first block of four words into the
+    # third, and seeds span one to seven uint32 words.
+    streams = _Streams(seed, 601)
+    idx, j = np.repeat(np.arange(601), 10), np.tile(np.arange(10), 601)
+    draws = streams.draw(idx, j).reshape(601, 10)
+    for i in range(601):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+        assert draws[i].tolist() == [rng.random() for _ in range(10)], i
+    # each draw stands alone: any order and any subset give the same numbers
+    order = np.random.default_rng(seed % 2**32).permutation(idx.size)[:1000]
+    assert np.array_equal(streams.draw(idx[order], j[order]), draws.reshape(-1)[order])
+
+
+def test_mcwf_run_builds_no_numpy_random_stream(monkeypatch):
+    ground, rows = tls_generator()[0], ladder_generator()
+    runs = [(ground, basis_state(ground.sector, 1)), (rows, basis_state(rows.sector, 2))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy random stream was built")
+
+    for name in ("Generator", "Philox", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, refuse)
+    for gen, psi0 in runs:
+        ens = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=50, seed=3,
+                                                   times=np.linspace(0.0, 2.5, 26)))
+        assert ens.jump_counts.sum() > 0
+    assert ens.jump_counts.sum(axis=1).max() == 2  # a draw past the first block
