@@ -510,8 +510,8 @@ def mcwf_run(
         live, at, kets = np.arange(idx.size), np.zeros(idx.size, dtype=np.int64), psi
         while live.size:
             below, kets, crossed, kets_below = search(kets, at, eta[idx[live]])
-            ended = live[below > n]
-            end = kets[below > n]
+            done = below > n
+            ended, end = live[done], kets[done]
             for r in np.unique(rest[ended]):  # one product per distinct rest
                 if r > 0.0:
                     on = np.flatnonzero(rest[ended] == r)

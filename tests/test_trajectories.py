@@ -730,24 +730,37 @@ def reference_jumps(gen, psi0, seed, idx, times):
     return tuple(jumps)
 
 
-@pytest.mark.parametrize("build, level, times", [
-    (lambda: tls_generator()[0], 1, np.linspace(0.0, 2.5, 26)),
-    (lambda: band_gap_regularized()[0], 1, np.linspace(0.0, 4.0, 21)),
-    (ladder_generator, 2, np.linspace(0.0, 2.5, 26)),  # the row route, up to two jumps
-])
-def test_jumps_match_a_one_trajectory_binary_search(build, level, times):
-    gen = build()
-    psi0 = basis_state(gen.sector, level)
+def jumps_of_the_binary_search(gen, psi0, times) -> int:
+    """Check every jump record of 32 trajectories, seeds 1 ... 8, against
+    ``reference_jumps``; the number of jumps."""
     total = 0
     for seed in range(1, 9):
         ens = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=32, seed=seed, times=times))
         for idx, rec in enumerate(ens.jump_records):
             assert rec == reference_jumps(gen, psi0, seed, idx, times), (seed, idx)
             total += len(rec)
-    assert total > 50
+    return total
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**200])
+@pytest.mark.parametrize("build, times", [
+    (tls_generator, np.linspace(0.0, 2.5, 26)),
+    (band_gap_regularized, np.linspace(0.0, 4.0, 21)),
+])
+def test_jumps_match_a_one_trajectory_binary_search(build, times):
+    gen, layout = build()
+    assert jumps_of_the_binary_search(gen, basis_state(gen.sector, 1), times) > 50
+
+
+def test_row_route_jumps_match_a_one_trajectory_binary_search():
+    # Two excitations: a trajectory jumps up to twice, and a second jump
+    # draws past the first block of four words of its stream.
+    gen = ladder_generator()
+    assert jumps_of_the_binary_search(gen, basis_state(gen.sector, 2),
+                                      np.linspace(0.0, 2.5, 26)) > 50
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**200],
+                         ids=["0", "7", "2**32-1", "2**32", "2**64+1", "2**200"])
 def test_streams_are_numpys_philox_streams(seed):
     # Draws 0 ... 9 cross from the first block of four words into the
     # third, and seeds span one to seven uint32 words.
