@@ -243,8 +243,13 @@ def _parse_system(block: dict) -> SystemSpec:
     )
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """The safe loader, plus the YAML 1.2 floats that YAML 1.1 reads as strings.
+#: Collections a config may nest; the shipped configs nest 4 deep.
+MAX_CONFIG_DEPTH = 100
+
+
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml where PyYAML has it, plus the YAML 1.2
+    floats that YAML 1.1 reads as strings.
 
     YAML 1.1 wants a dot and a signed exponent, so PyYAML's resolver leaves
     ``1e-3``, ``2E5`` and ``1e300`` as strings.
@@ -272,11 +277,20 @@ def load_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
+        # The parsers keep their own stacks, but composing a document
+        # recurses once per level, in PyYAML's C extension as in its Python,
+        # so the depth is bounded from the parse events first.
+        depth = 0
+        for event in yaml.parse(text, Loader=_ConfigLoader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_CONFIG_DEPTH:
+                    raise ConfigError(f"config {p} is nested too deeply to parse")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
         doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {p} is not valid YAML: {exc}") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"config {p} is nested too deeply to parse") from exc
     doc = _as_dict(doc, "", ("spectral", "system", "run", "trajectories", "output"))
 
     try:
@@ -582,13 +596,14 @@ def _write_trace(cfg: RunConfig, out_override: str | None, run) -> RunOutput:
         parts = ("re", "im", "se") if se else ("re", "im")
         lines = [",".join(["t", *(f"{name}_{part}" for name in ops for part in parts),
                            "top_fock_pop", "trace_err"])]
-        for i, t in enumerate(result.times):
-            row = [t]
-            for name in ops:
-                v = result.observables[name][i]
-                row += [v.real, v.imag, result.stderr[name][i]] if se else [v.real, v.imag]
-            row += [result.top_fock[i], result.trace_error[i]]
-            lines.append(",".join(_fmt(x) for x in row))
+        columns = [result.times]
+        for name in ops:
+            v = result.observables[name]
+            columns += [v.real, v.imag, result.stderr[name]] if se else [v.real, v.imag]
+        columns += [result.top_fock, result.trace_error]
+        # "%.17g" of a float is _fmt's text
+        row = ",".join(["%.17g"] * len(columns))
+        lines += [row % x for x in zip(*(c.tolist() for c in columns))]
         if tail is not None:
             lines.append(f"# {tail}")
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -40,9 +40,12 @@ row i.  Each trajectory crosses in the first row whose norm falls below its
 threshold, read off the running minimum of the norms by one searchsorted;
 every row is then recorded at once, the mean density as
 (n - n_j) psi psi^dag / |psi|^2 + n_j |g><g| and each sample as psi's value
-or O_gg.  The search then places the jumps up to the first row the
-truncation guard refuses, in one pass for all the rows with crossings that
-share a jump lattice (the same step q and the same count of steps).
+or O_gg.  No recorded row depends on where in its row a jump falls, so the
+search places the jumps only when the result's jump counts or records are
+first read: up to the first row the truncation guard refuses, in one pass
+for all the rows with crossings that share a jump lattice (the same step q
+and the same count of steps).  The draws are functions of (stream, counter)
+alone, so placing them later changes no bit.
 The generator's frame only changes how the recorded states are viewed
 (psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times do
 not depend on it.
@@ -64,7 +67,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,13 +125,21 @@ class TrajectoryConfig:
         object.__setattr__(self, "times", frozen(validate_grid(self.times)))
 
 
+JumpRecords = tuple[tuple[tuple[float, int], ...], ...]
+
+
 @dataclass
 class EnsembleResult:
     """Ensemble averages, errors, guard values of the mean density per row
     (worst top Fock population, |Re tr - 1|) and the raw jump bookkeeping.
     ``mean_density`` holds the (n_t, |S|, |S|) blocks on the generator's sector,
     whose indices in the product space are ``support``; every entry outside
-    the block is 0."""
+    the block is 0.
+
+    ``jump_counts`` (trajectory x channel) and ``jump_records`` (each
+    trajectory's (time, channel) pairs) are formed on their first read, by
+    one call of ``place_jumps``, and kept: the ground route of ``mcwf_run``
+    places its jumps only then.  ``n_traj`` reads neither."""
 
     times: np.ndarray
     support: np.ndarray
@@ -136,13 +148,27 @@ class EnsembleResult:
     mean_density: np.ndarray
     top_fock: np.ndarray
     trace_error: np.ndarray
-    jump_counts: np.ndarray
-    jump_records: tuple[tuple[tuple[float, int], ...], ...]
     stream_keys: tuple[tuple[int, int], ...]
+    place_jumps: Callable[[], tuple[np.ndarray, JumpRecords]] | None = field(
+        repr=False, compare=False)
+
+    @functools.cached_property
+    def _jumps(self) -> tuple[np.ndarray, JumpRecords]:
+        jumps = self.place_jumps()
+        self.place_jumps = None  # frees the run state it holds
+        return jumps
+
+    @property
+    def jump_counts(self) -> np.ndarray:
+        return self._jumps[0]
+
+    @property
+    def jump_records(self) -> JumpRecords:
+        return self._jumps[1]
 
     @property
     def n_traj(self) -> int:
-        return self.jump_counts.shape[0]
+        return len(self.stream_keys)
 
 
 class NoJumpPropagator:
@@ -153,12 +179,13 @@ class NoJumpPropagator:
     rule as a row of ``evolve``.  ``mcwf_run`` builds it from the
     generator's drift, so d here is |S|.
 
-    ``apply`` takes a ket or an (n, d) stack of kets and multiplies each ket
-    by its own (1, d) x (d, d) BLAS product, of a shape that does not depend
-    on n, so no row of the result depends on how many other rows the stack
-    has or on their values.  One (n, d) x (d, d) product would not do: its
-    kernel follows n, and its row at n = 1 differs from the full stack's.
-    The exponentials of the ``PROPAGATOR_CACHE`` spans applied last are kept.
+    ``exp(dt)`` is exp(-i D dt); the exponentials of the ``PROPAGATOR_CACHE``
+    spans asked for last are kept.  ``apply`` takes a ket or an (n, d) stack
+    of kets and multiplies each ket by its own (1, d) x (d, d) BLAS product,
+    the product ``psi @ exp(dt).T`` of one ket psi, of a shape that does not
+    depend on n, so no row of the result depends on how many other rows the
+    stack has or on their values.  One (n, d) x (d, d) product would not do:
+    its kernel follows n, and its row at n = 1 differs from the full stack's.
 
     ``multiples`` is the jump search's product: each ket of an (n, d) stack
     advanced by every multiple p 2**k, p = 1 ... 2**b - 1, of one
@@ -181,9 +208,13 @@ class NoJumpPropagator:
         self._stack = functools.lru_cache(math.ceil(SEARCH_LEVELS / self.bits))(
             functools.partial(_multiples_stack, exp, self.bits))
 
+    def exp(self, dt: float) -> np.ndarray:
+        """exp(-i D dt) for dt >= 0."""
+        return self._exp(dt)
+
     def apply(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """exp(-i D dt) psi for dt >= 0."""
-        u = self._exp(dt)
+        u = self.exp(dt)
         return (np.atleast_2d(psi)[:, None, :] @ u.T)[:, 0, :].reshape(np.shape(psi))
 
     def multiples(self, psi: np.ndarray, k: int) -> np.ndarray:
@@ -345,11 +376,13 @@ def mcwf_run(
     population exceeds the limit, with the jumps made up to that row.
 
     When ``gen.one_excitation_ground()`` names a label g, the rows take the
-    ground route of the module docstring; any other sector takes the row
-    route, one record of the distinct kets per row.  The routes place the
-    same jumps and give the same samples up to rounding: on the ground route
-    a jumped trajectory reads O_gg itself, where the row route reads it
-    through the normalized jumped ket.
+    ground route of the module docstring, which places the jumps when the
+    result's jump counts or records are first read; any other sector takes
+    the row route, one record of the distinct kets per row, whose jumps feed
+    the rows and are placed as they come.  The routes place the same jumps
+    and give the same samples up to rounding: on the ground route a jumped
+    trajectory reads O_gg itself, where the row route reads it through the
+    normalized jumped ket.
     """
     if gen.kind not in ("lindblad_direct", "lindblad_regularized"):
         raise ClassificationError(
@@ -389,7 +422,13 @@ def mcwf_run(
     eta = streams.draw(np.arange(n_traj), np.zeros(n_traj, dtype=np.int64))
     view = gen.frame_view(kets=True)
 
-    def finalize(upto: int) -> EnsembleResult:
+    def made() -> tuple[np.ndarray, JumpRecords]:
+        return jump_counts, tuple(tuple(r) for r in records)
+
+    def finalize(upto: int, place_jumps=made) -> EnsembleResult:
+        """The result of the rows before ``upto``, whose jumps ``place_jumps``
+        forms when they are first read; by default the jumps the run made,
+        as a run makes none after its result."""
         rows = {name: v[:, :upto] for name, v in samples.items()}
         ddof = min(n_traj - 1, 1)  # a single trajectory has a zero error
         return EnsembleResult(
@@ -402,9 +441,8 @@ def mcwf_run(
             mean_density=density_sum[:upto] / n_traj,
             top_fock=top_fock[:upto].copy(),
             trace_error=trace_error[:upto].copy(),
-            jump_counts=jump_counts.copy(),
-            jump_records=tuple(tuple(r) for r in records),
             stream_keys=tuple((config.seed, idx) for idx in range(n_traj)),
+            place_jumps=place_jumps,
         )
 
     def record(i: int, kets: np.ndarray, cls: np.ndarray, count: np.ndarray,
@@ -539,7 +577,7 @@ def mcwf_run(
         psi = np.empty((n_t, gen.dim), dtype=complex)
         psi[0] = psi0
         for i in range(1, n_t):
-            psi[i] = prop.apply(psi[i - 1], float(t[i]) - float(t[i - 1]))
+            np.matmul(psi[i - 1], prop.exp(float(t[i]) - float(t[i - 1])).T, out=psi[i])
         norm2 = _norm2(psi)
         # The row each trajectory crosses its threshold in, the first i >= 1
         # with norm2[i] < eta (n_t for none), the number crossing in each row
@@ -566,19 +604,24 @@ def mcwf_run(
         top_fock[:] = top.max(axis=1)
         bad = np.flatnonzero(top_fock > TRUNCATION_LIMIT)
         last = int(bad[0]) if bad.size else n_t - 1
-        # The jumps, up to and including the first row the guard refuses: one
-        # search pass for the trajectories of all rows on one jump lattice.
-        rows = np.flatnonzero(crossing[:last + 1])
-        e, n, _ = _lattice(t[rows - 1], t[rows])
-        lattice = np.full(n_t + 1, -1)
-        lattice[rows] = np.unique(np.stack([e, n]), axis=1, return_inverse=True)[1]
-        for k in range(lattice.max() + 1):
-            cross = np.flatnonzero(lattice[first] == k)
-            i = first[cross]
-            cross_row(cross, psi[i - 1], t[i - 1], t[i], again=False)
+
+        def place_jumps() -> tuple[np.ndarray, JumpRecords]:
+            """The jumps, up to and including the first row the guard
+            refuses: one search pass for the trajectories of all rows on one
+            jump lattice."""
+            rows = np.flatnonzero(crossing[:last + 1])
+            e, n, _ = _lattice(t[rows - 1], t[rows])
+            lattice = np.full(n_t + 1, -1)
+            lattice[rows] = np.unique(np.stack([e, n]), axis=1, return_inverse=True)[1]
+            for k in range(lattice.max() + 1):
+                cross = np.flatnonzero(lattice[first] == k)
+                i = first[cross]
+                cross_row(cross, psi[i - 1], t[i - 1], t[i], again=False)
+            return made()
+
         if bad.size:
-            truncation_guard(top[last], float(t[last]), lambda: finalize(last))
-        return finalize(n_t)
+            truncation_guard(top[last], float(t[last]), lambda: finalize(last, place_jumps))
+        return finalize(n_t, place_jumps)
 
     # The distinct kets, one row each, the row of each trajectory and the
     # number of trajectories on each row.

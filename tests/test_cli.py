@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pseudomodes import ConfigError, lorentzian_to_poles, LorentzianSum, LorentzianTerm
 import pseudomodes.cli
 from pseudomodes.cli import (
+    MAX_CONFIG_DEPTH,
     RunConfig,
     build_model,
     cmd_map,
@@ -228,13 +229,16 @@ def test_quoted_or_malformed_numbers_are_refused(tmp_path, capsys, text):
     assert capsys.readouterr().err.count("\n") == 1
 
 
-def test_readme_config_block_loads(tmp_path):
+def readme_config_block() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("### Config format"):]
     start = section.index("```yaml\n") + len("```yaml\n")
-    block = section[start:section.index("\n```", start)]
+    return section[start:section.index("\n```", start)]
+
+
+def test_readme_config_block_loads(tmp_path):
     path = tmp_path / "readme.yaml"
-    path.write_text(block, encoding="utf-8")
+    path.write_text(readme_config_block(), encoding="utf-8")
     cfg = load_config(path)
     assert set(cfg.raw) == {"spectral", "system", "run", "trajectories", "output"}
     assert list(_observable_ops(cfg)) == list(cfg.observable_names)
@@ -906,6 +910,37 @@ def test_deeply_nested_yaml_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("depth", [MAX_CONFIG_DEPTH + 1, 200_000])
+def test_nesting_past_the_depth_bound_exits_2_in_process(tmp_path, capsys, depth):
+    # Composing 200,000 levels would overflow the C stack of PyYAML's
+    # libyaml loader: the depth is refused from the parse events first.
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    assert main(["map", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "nested too deeply" in err
+
+
+def test_nesting_at_the_depth_bound_is_parsed(tmp_path):
+    path = tmp_path / "deep.yaml"
+    depth = MAX_CONFIG_DEPTH - 1  # within the document's mapping
+    path.write_text("spectral: " + "[" * depth + "]" * depth, encoding="utf-8")
+    with pytest.raises(ConfigError, match="spectral must be a mapping"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("config", ["band_gap.yaml", "tls_lorentzian.yaml", "README"])
+def test_the_config_loader_reads_what_the_python_safe_loader_reads(tmp_path, config):
+    if config == "README":
+        path = tmp_path / "readme.yaml"
+        path.write_text(readme_config_block(), encoding="utf-8")
+    else:
+        path = CONFIGS / config
+    text = path.read_text(encoding="utf-8")
+    assert load_config(path).raw == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_evolve_output_is_deterministic(tmp_path, capsys):

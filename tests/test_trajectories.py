@@ -117,11 +117,13 @@ def row_route(monkeypatch):
     monkeypatch.setattr(Generator, "one_excitation_ground", lambda self: None)
 
 
-def count_products(monkeypatch):
+def count_products(monkeypatch, looked=None):
     """Record each NoJumpPropagator.apply as (stack height, span) and each
-    multiples as (stack height, k)."""
+    multiples as (stack height, k); with a list ``looked``, also each span
+    whose exponential is asked for (``exp``, which ``apply`` calls too)."""
     applied, searched = [], []
-    apply, multiples = NoJumpPropagator.apply, NoJumpPropagator.multiples
+    apply, multiples, exp = (NoJumpPropagator.apply, NoJumpPropagator.multiples,
+                             NoJumpPropagator.exp)
 
     def counting_apply(self, psi, dt):
         applied.append((len(np.atleast_2d(psi)), dt))
@@ -131,8 +133,14 @@ def count_products(monkeypatch):
         searched.append((len(psi), k))
         return multiples(self, psi, k)
 
+    def counting_exp(self, dt):
+        looked.append(dt)
+        return exp(self, dt)
+
     monkeypatch.setattr(NoJumpPropagator, "apply", counting_apply)
     monkeypatch.setattr(NoJumpPropagator, "multiples", counting_multiples)
+    if looked is not None:
+        monkeypatch.setattr(NoJumpPropagator, "exp", counting_exp)
     return applied, searched
 
 
@@ -272,6 +280,7 @@ def test_truncation_guard_keeps_the_rows_before_the_first_bad_one(monkeypatch):
             _, searched = count_products(patch)
             with pytest.raises(TruncationGuardError) as info:
                 run(t)
+            info.value.partial.jump_records  # the ground route places its jumps here
         exc, part = info.value, info.value.partial
         i = len(part.times)
         assert 1 < i < t.size
@@ -303,13 +312,17 @@ def test_truncation_guard_keeps_the_rows_before_the_first_bad_one(monkeypatch):
                 run(t)
         assert rows.value.partial.jump_records == part.jump_records
         assert np.array_equal(rows.value.partial.jump_counts, part.jump_counts)
+        # and those of each trajectory walked alone over the rows up to it
+        for idx, rec in enumerate(part.jump_records):
+            assert rec == reference_jumps(gen, psi0, 3, idx, t[:i + 1]), idx
         # No row after the bad one was searched: the search made the products
         # of a run that ends at the bad row, although later rows have
         # trajectories that cross their thresholds.
         with monkeypatch.context() as patch:
             _, upto_bad = count_products(patch)
-            with pytest.raises(TruncationGuardError):
+            with pytest.raises(TruncationGuardError) as bad:
                 run(t[:i + 1])
+            bad.value.partial.jump_records
         assert searched == upto_bad
     assert part.jump_counts.sum() > 10
     eta = np.array([np.random.Generator(np.random.Philox(child)).random()
@@ -379,17 +392,20 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
     spacings = set(np.diff(t).tolist())
     digits = math.ceil(math.ceil(math.log2(2.0 * (t[1] - t[0]) / JUMP_TIME_TOL))
                        / digit_bits(gen.dim))
-    applied, searched = count_products(monkeypatch)
+    looked = []
+    applied, searched = count_products(monkeypatch, looked)
     for n_traj in (10, 100, 1000):
-        applied.clear()
-        searched.clear()
+        for calls in (applied, searched, looked):
+            calls.clear()
         ens = mcwf_run(gen, basis_state(gen.sector, 1),
                        TrajectoryConfig(n_traj=n_traj, seed=4, times=t))
-        rows = [height for height, dt in applied if dt in spacings]
-        assert rows == [1] * (t.size - 1)  # one product of one ket per row
+        # one product of the one ket per row, with no apply; the jumps are
+        # placed when the records are read
+        assert not applied and not searched
+        assert [dt for dt in looked if dt in spacings] == np.diff(t).tolist()
+        records = ens.jump_records
         # the rows with crossings and the number of trajectories crossing in each
-        crossing = Counter(np.searchsorted(t, rec[0][0]).item()
-                           for rec in ens.jump_records if rec)
+        crossing = Counter(np.searchsorted(t, rec[0][0]).item() for rec in records if rec)
         assert sum(crossing.values()) == ens.jump_counts.sum() > 0
         # the lattice of each such row and the trajectories crossing on each
         lattices = Counter()
@@ -413,7 +429,7 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
             assert len({height for height, _ in calls}) == 1
             heights.append(calls[0][0])
         assert sorted(heights) == sorted(lattices.values())
-        assert len(applied) - len(rows) <= len(crossing)  # one row end per row
+        assert len(applied) <= len(crossing)  # one row end per row
 
 
 def test_row_route_cost_follows_rows_and_jumps(monkeypatch):
@@ -501,20 +517,86 @@ def test_ground_route_matches_the_row_route(model, monkeypatch):
     assert np.abs(ground.trace_error - rows.trace_error).max() <= 1e-15
 
 
+@pytest.mark.parametrize("model", sorted(ground_models()))
+def test_deferred_jumps_are_the_row_routes_in_any_read_order(model, monkeypatch):
+    # The ground route places its jumps when they are first read: read after
+    # both runs, B before A, and again later, they are the row route's.
+    gen, psi0, t = ground_models()[model]()
+    runs = [TrajectoryConfig(n_traj=100, seed=seed, times=t) for seed in (5, 6)]
+    ground = [mcwf_run(gen, psi0, cfg) for cfg in runs]
+    assert [ens.n_traj for ens in ground] == [100, 100]
+    jumps = {}
+    for k in (1, 0):
+        jumps[k] = ground[k].jump_records, ground[k].jump_counts
+    with monkeypatch.context() as patch:
+        row_route(patch)
+        rows = [mcwf_run(gen, psi0, cfg) for cfg in runs]
+    for k in (0, 1):
+        assert jumps[k][0] == rows[k].jump_records
+        assert np.array_equal(jumps[k][1], rows[k].jump_counts)
+        assert ground[k].jump_records is jumps[k][0]  # formed once
+        assert ground[k].jump_counts is jumps[k][1]
+    assert sum(int(c.sum()) for _, c in jumps.values()) > 20
+
+
+def test_a_cli_trajectories_solve_places_no_jump(tmp_path, monkeypatch, capsys):
+    # The CLI writes the mean and its error, which need no jump time: the
+    # ground route makes no search pass and draws each threshold alone, and
+    # forms only the row exponentials.
+    from pseudomodes import trajectories
+    from pseudomodes.cli import main
+
+    formed, draws = [], []
+    exponential, draw = trajectories.exponential, _Streams.draw
+
+    def counting_exponential(a):
+        exp = exponential(a)
+
+        def counted(h):
+            formed.append(h)
+            return exp(h)
+
+        return counted
+
+    def counting_draw(self, idx, j):
+        draws.append(len(idx))
+        return draw(self, idx, j)
+
+    monkeypatch.setattr(trajectories, "exponential", counting_exponential)
+    monkeypatch.setattr(_Streams, "draw", counting_draw)
+    applied, searched = count_products(monkeypatch)
+    config = Path(__file__).resolve().parents[1] / "configs" / "band_gap.yaml"
+    assert main(["trajectories", str(config), "--out", str(tmp_path / "bg.csv")]) == 0
+    capsys.readouterr()
+    assert not searched and not applied
+    assert draws == [500]  # the thresholds; a jump would draw its channel
+    # the row spans of a linspace grid, each formed again when the cache of
+    # PROPAGATOR_CACHE spans has dropped it
+    assert len(formed) == 9
+
+
 def test_ensemble_carries_only_the_reachable_support(monkeypatch):
     gen, layout = band_gap_regularized()
     widths = set()
-    apply = NoJumpPropagator.apply
+    exp, multiples = NoJumpPropagator.exp, NoJumpPropagator.multiples
 
-    def recording(self, psi, dt):
+    def recording_exp(self, dt):
+        u = exp(self, dt)
+        widths.add(u.shape)
+        return u
+
+    def recording_multiples(self, psi, k):
         widths.add(np.shape(psi)[-1])
-        return apply(self, psi, dt)
+        return multiples(self, psi, k)
 
-    monkeypatch.setattr(NoJumpPropagator, "apply", recording)
+    monkeypatch.setattr(NoJumpPropagator, "exp", recording_exp)
+    monkeypatch.setattr(NoJumpPropagator, "multiples", recording_multiples)
     ens = mcwf_run(gen, basis_state(gen.sector, 1),
                    TrajectoryConfig(n_traj=40, seed=2, times=np.linspace(0.0, 4.0, 21)))
     assert ens.jump_counts.sum() > 0
-    assert widths == {4}  # |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
+    # the row exponentials and the kets the jump search moves:
+    # |e,0,0>, |g,1,0>, |g,0,1>, |g,0,0> of 18
+    assert widths == {(4, 4), 4}
     assert np.array_equal(ens.support, [0, 1, 3, 9])
     assert ens.mean_density.shape == (21, 4, 4)
     # the block holds the whole mean density: no population is left outside S
@@ -532,10 +614,11 @@ def test_memory_follows_the_support_not_the_space():
     tracemalloc.start()
     try:
         ens = mcwf_run(gen, basis_state(gen.sector, 1), cfg, observables={"ee": EE})
+        jumps = ens.jump_counts.sum()  # the jumps are placed here
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ens.jump_counts.sum() > 0
+    assert jumps > 0
     assert ens.mean_density.shape == (201, 4, 4)
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
