@@ -154,6 +154,8 @@ class Generator:
             raise InvalidModelError(f"generator matrices must be {d} x {d}, one row per state")
         if not is_hermitian(self.damping, 1e-12):
             raise InvalidModelError("damping part K must be Hermitian")
+        if kind != "pathological" and not is_hermitian(self.static_both, 1e-12):
+            raise InvalidModelError(f"static part A must be Hermitian for {kind}")
         self.channels = tuple((float(r), as_complex_matrix(b)) for r, b in channels)
         for rate, _ in self.channels:
             if rate < 0.0:
@@ -385,13 +387,26 @@ def evolve(
     """Propagate d rho / dt = L[rho] over the grid.
 
     ``rho0`` is the initial state on ``gen.sector`` (``vacuum_embedding``
-    gives one), and each row is advanced from the last by exp(dt L): in
-    closed form, two products with U and V kept for the last ROW_CACHE
-    spans, when ``gen.one_excitation_ground()`` names a label g; otherwise
-    by a Taylor series planned on ``gen.norm_estimate()``.  Rows are
-    advanced into blocks of max(1, BLOCK_ENTRIES // |S|**2) states, views of
-    ``states`` when they are stored, and each block is recorded by stacked
-    numpy calls, from the states as seen in ``gen.frame``.
+    gives one).  When ``gen.one_excitation_ground()`` names a label g, rho0
+    is carried as its eigenkets v_k of nonzero weight p_k, one for a pure
+    start, and every row is
+
+        rho(t) = sum_k p_k a_k b_k^dag + f |g><g|,   f = tr rho0 - sum_k p_k b_k^dag a_k,
+
+    with a_k and b_k the ``no_jump_history`` of v_k under exp(-i h D_l) and
+    exp(-i h D_r^dag), each exponential formed once per distinct span and
+    kept for the last ROW_CACHE spans.  For the Lindblad kinds A is
+    Hermitian, so D_r^dag = D_l and b = a: one history, and rho(t) is
+    Hermitian by construction.  Every record is read from the kets: the
+    populations from a o conj(b) plus f on g, the positivity from the
+    (K + 1) x (K + 1) Gram-weighted matrix of [a_1 ... a_K, |g>], the
+    reduced state through the sector's pair map (``Sector.reduced_kets``)
+    and each observable as sum_k p_k b_k^dag O a_k + f O_gg; ``states`` is
+    formed only when stored.  Any other sector advances each row's state by
+    a Taylor series planned on ``gen.norm_estimate()``, into blocks of
+    max(1, BLOCK_ENTRIES // |S|**2) states, views of ``states`` when they
+    are stored, each recorded by stacked numpy calls.  Either way the rows
+    are recorded as seen in ``gen.frame``.
     ``observables`` maps names to operators, each a matrix on the system
     factor or a mapping of factor operators, formed on the sector once
     (``Sector.operator``).
@@ -423,8 +438,7 @@ def evolve(
            for name, op in (observables or {}).items()}
 
     n_t = t.size
-    per_block = min(n_t, max(1, BLOCK_ENTRIES // (d * d)))
-    states = np.empty((n_t if store_states else per_block, d, d), dtype=complex)
+    states = np.empty((n_t, d, d), dtype=complex) if store_states else None
     system_states = np.empty((n_t,) + (sector.layout.system_dim,) * 2, dtype=complex)
     top_fock = np.empty(n_t)
     trace_error = np.empty(n_t)
@@ -442,70 +456,161 @@ def evolve(
             kind=gen.kind,
         )
 
-    view = gen.frame_view()
     checked = gen.kind != "pathological"
 
-    def record(i0: int, block: np.ndarray) -> None:
-        """Record the rows i0, i0 + 1, ... held by ``block``, in place."""
-        times = t[i0:i0 + len(block)]
-        if view is not None:
-            block[...] = view(block, times)
-        trace = np.abs(np.trace(block, axis1=1, axis2=2) - 1.0)
-        top = sector.top_fock(block)
+    def record(i0: int, trace, populations, herm, lowest, write) -> None:
+        """Record the rows i0, i0 + 1, ... up to the first that fails, and
+        raise for that one.  ``trace`` holds each row's |tr - 1| and
+        ``populations`` its diagonal; ``herm`` is None, or each row's largest
+        entry of |rho - rho^dag| and its scale; ``lowest(n)`` gives the
+        lowest eigenvalue of each of the first n rows, asked for the rows
+        that pass the other checks; ``write(i0, n)`` stores the rest of the
+        first n rows."""
+        top = sector.top_fock(populations)
         worst = top.max(axis=1)
         fails = (worst > TRUNCATION_LIMIT) | (trace > TRACE_TOL)
-        if checked:
-            adjoint = block.conj().transpose(0, 2, 1)
-            scale = np.maximum(1.0, np.abs(block).max(axis=(1, 2)))
-            herm = np.abs(block - adjoint).max(axis=(1, 2))
+        if herm is not None:
+            herm, scale = herm
             fails |= herm > HERMITICITY_TOL * scale
-        ok = int(np.argmax(fails)) if fails.any() else len(block)
+        ok = int(np.argmax(fails)) if fails.any() else len(trace)
         if checked:  # positivity only for the rows that passed the other checks
-            lowest = np.linalg.eigvalsh(0.5 * (block[:ok] + adjoint[:ok])).min(axis=1)
-            negative = np.flatnonzero(lowest < POSITIVITY_TOL)
+            low = lowest(ok)
+            negative = np.flatnonzero(low < POSITIVITY_TOL)
             ok = int(negative[0]) if negative.size else ok
-        good = block[:ok]
         trace_error[i0:i0 + ok] = trace[:ok]
         top_fock[i0:i0 + ok] = worst[:ok]
-        system_states[i0:i0 + ok] = sector.reduced(good)
-        for name, mat in obs.items():
-            obs_out[name][i0:i0 + ok] = np.einsum("nij,ji->n", good, mat)
-        if ok == len(block):
+        write(i0, ok)
+        if ok == len(trace):
             return
-        at = float(times[ok])
+        at = float(t[i0 + ok])
         truncation_guard(top[ok], at, lambda: finalize(i0 + ok))
         if trace[ok] > TRACE_TOL:
             raise InvariantViolationError(f"trace deviated by {trace[ok]:.3e} at t={at:g}")
-        if herm[ok] > HERMITICITY_TOL * scale[ok]:
+        if herm is not None and herm[ok] > HERMITICITY_TOL * scale[ok]:
             raise InvariantViolationError(f"Hermiticity violated by {herm[ok]:.3e} at t={at:g}")
-        raise InvariantViolationError(f"negative population {lowest[ok]:.3e} at t={at:g}")
+        raise InvariantViolationError(f"negative population {low[ok]:.3e} at t={at:g}")
 
     g = gen.one_excitation_ground()
     if g is None:
+        per_block = min(n_t, max(1, BLOCK_ENTRIES // (d * d)))
+        work = states if states is not None else np.empty((per_block, d, d), dtype=complex)
+        view = gen.frame_view()
         est = gen.norm_estimate()
 
-        def advance(rho: np.ndarray, span: float) -> np.ndarray:
-            return _taylor_interval(gen.apply, rho, span, est)
-    else:
-        left = functools.lru_cache(ROW_CACHE)(exponential(-1j * gen.drift()))
-        right = functools.lru_cache(ROW_CACHE)(exponential(1j * gen._right))
+        def record_block(i0: int, block: np.ndarray) -> None:
+            """Record the rows i0, i0 + 1, ... held by ``block``, in place."""
+            if view is not None:
+                block[...] = view(block, t[i0:i0 + len(block)])
+            herm = adjoint = None
+            if checked:
+                adjoint = block.conj().transpose(0, 2, 1)
+                herm = (np.abs(block - adjoint).max(axis=(1, 2)),
+                        np.maximum(1.0, np.abs(block).max(axis=(1, 2))))
 
-        def advance(rho: np.ndarray, span: float) -> np.ndarray:
-            out = left(span) @ rho @ right(span)
-            out[g, g] += rho.trace() - out.trace()
-            return out
+            def lowest(upto: int) -> np.ndarray:
+                return np.linalg.eigvalsh(0.5 * (block[:upto] + adjoint[:upto])).min(axis=1)
 
-    for i0 in range(0, n_t, per_block):
-        block = states[i0:i0 + per_block] if store_states else states[:n_t - i0]
-        for k, i in enumerate(range(i0, i0 + len(block))):
-            try:
-                rho = advance(rho, float(t[i] - t[i - 1])) if i else rho
-            except StepUnderflowError:  # the rows before it fail first
-                record(i0, block[:k])
-                raise
-            block[k] = rho
-        record(i0, block)
-    return finalize(n_t)
+            def write(i0: int, upto: int) -> None:
+                good = block[:upto]
+                system_states[i0:i0 + upto] = sector.reduced(good)
+                for name, mat in obs.items():
+                    obs_out[name][i0:i0 + upto] = np.einsum("nij,ji->n", good, mat)
+
+            record(i0, np.abs(np.trace(block, axis1=1, axis2=2) - 1.0),
+                   np.real(np.diagonal(block, axis1=1, axis2=2)), herm, lowest, write)
+
+        for i0 in range(0, n_t, per_block):
+            block = work[i0:i0 + per_block] if states is not None else work[:n_t - i0]
+            for k, i in enumerate(range(i0, i0 + len(block))):
+                try:
+                    if i:
+                        rho = _taylor_interval(gen.apply, rho, float(t[i] - t[i - 1]), est)
+                except StepUnderflowError:  # the rows before it fail first
+                    record_block(i0, block[:k])
+                    raise
+                block[k] = rho
+            record_block(i0, block)
+        return finalize(n_t)
+
+    # rho0 on its support, as eigenkets of nonzero weight
+    occupied = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
+    weights, vecs = np.linalg.eigh(rho[np.ix_(occupied, occupied)])
+    keep = weights != 0.0
+    weights, kets = weights[keep], np.zeros((np.count_nonzero(keep), d), dtype=complex)
+    kets[:, occupied] = vecs[:, keep].T
+    refused = None
+    try:
+        a = no_jump_history(functools.lru_cache(ROW_CACHE)(exponential(-1j * gen.drift())),
+                            kets, t)
+    except StepUnderflowError as exc:  # the rows before it are recorded first
+        refused, a = exc, exc.partial
+    b = a
+    if not checked:
+        try:
+            b = no_jump_history(
+                functools.lru_cache(ROW_CACHE)(exponential(-1j * gen._right.conj().T)),
+                kets, t[:len(a)])
+        except StepUnderflowError as exc:
+            refused, b = exc, exc.partial
+            a = a[:len(b)]
+    n = len(a)
+    populations = np.einsum("k,nki,nki->ni", weights, a, b.conj())
+    fill = np.trace(rho) - populations.sum(axis=1)
+    populations[:, g] += fill
+
+    def lowest(upto: int) -> np.ndarray:
+        # rho = W P W^dag with W = [a_1 ... a_K, |g>] and P = diag(p, f): its
+        # nonzero eigenvalues are those of G^(1/2) P G^(1/2), G = W^dag W.
+        w = np.concatenate([a[:upto], np.broadcast_to(np.eye(1, d, g), (upto, 1, d))], axis=1)
+        lam, q = np.linalg.eigh(w.conj() @ w.transpose(0, 2, 1))
+        p = np.concatenate([np.broadcast_to(weights, (upto, weights.size)),
+                            fill[:upto, None].real], axis=1)
+        root = np.sqrt(np.maximum(lam, 0.0))
+        m = q.conj().transpose(0, 2, 1) @ (p[:, :, None] * q)
+        return np.linalg.eigvalsh(root[:, :, None] * m * root[:, None, :]).min(axis=1)
+
+    view = gen.frame_view(kets=True)
+    level = sector.labels[g, 0]
+
+    def write(_: int, upto: int) -> None:
+        left, right = a[:upto], b[:upto]
+        if view is not None:
+            left = view(left, t[:upto, None, None])
+            right = left if checked else view(right, t[:upto, None, None])
+        system_states[:upto] = sector.reduced_kets(left, right, weights)
+        system_states[:upto, level, level] += fill[:upto]
+        bra = right.conj()
+        for name, mat in obs.items():
+            obs_out[name][:upto] = (np.einsum("k,nki,nki->n", weights, bra, left @ mat.T)
+                                    + fill[:upto] * mat[g, g])
+        if store_states:
+            states[:upto] = np.einsum("k,nki,nkj->nij", weights, left, bra)
+            states[:upto, g, g] += fill[:upto]
+
+    record(0, np.abs(populations.sum(axis=1) - 1.0), populations.real, None, lowest, write)
+    if refused is not None:
+        raise refused
+    return finalize(n)
+
+
+def no_jump_history(exp: Callable[[float], np.ndarray], psi0: np.ndarray,
+                    t: np.ndarray) -> np.ndarray:
+    """Kets advanced over the grid ``t`` by the no-jump exponential ``exp``
+    (h -> exp(-i h D)): psi[0] = psi0 and psi[i] = psi[i - 1] @ exp(t[i] -
+    t[i - 1]).T, one direct product per row into one (n_t,) + psi0.shape
+    array.  ``psi0`` is a ket or a (K, |S|) stack of them.  A span that
+    ``exp`` refuses raises its StepUnderflowError, carrying the rows before
+    it as ``partial``."""
+    psi = np.empty((t.size,) + np.shape(psi0), dtype=complex)
+    psi[0] = psi0
+    for i in range(1, t.size):
+        try:
+            u = exp(float(t[i]) - float(t[i - 1]))
+        except StepUnderflowError as exc:
+            exc.partial = psi[:i]
+            raise
+        np.matmul(psi[i - 1], u.T, out=psi[i])
+    return psi
 
 
 def taylor_plan(norm_rate: float, span: float) -> tuple[int, int]:
@@ -549,15 +654,20 @@ def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float) -> n
     h = span / s
     for _ in range(s):
         term = rho
-        c1 = np.linalg.norm(term)
+        c1 = _frobenius(term)
         for k in range(1, m + 1):
             term = (h / k) * apply(term)
-            c2 = np.linalg.norm(term)
+            c2 = _frobenius(term)
             rho = rho + term
-            if c1 + c2 <= UNIT_ROUNDOFF * np.linalg.norm(rho):
+            if c1 + c2 <= UNIT_ROUNDOFF * _frobenius(rho):
                 break
             c1 = c2
     return rho
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F, by one BLAS dot product."""
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def exponential(a: np.ndarray) -> Callable[[float], np.ndarray]:

@@ -146,9 +146,10 @@ class Sector:
     ``closure`` grows a sector through the terms of a model, and
     ``operator`` forms the S x S block of a tensor product of factor
     operators.  A state whose entries outside S x S are 0 is read from its
-    S x S block alone: ``reduced`` traces the modes out and ``top_fock``
-    reads each mode's top-level population, each as one product for a block
-    or for an (n, |S|, |S|) stack of them.
+    S x S block alone: ``reduced`` traces the modes out, as one product for a
+    block or for an (n, |S|, |S|) stack of them, and ``reduced_kets`` does the
+    same for a state given as weighted ket pairs; ``top_fock`` reads each
+    mode's top-level population off the populations of S.
     """
 
     def __init__(self, layout: SpaceLayout, labels):
@@ -169,7 +170,7 @@ class Sector:
         # the partial trace sums each entry (a, b) whose modes agree into
         # (level of a, level of b): one 0/1 map on those entries
         a, b = np.nonzero((self.labels[:, None, 1:] == self.labels[None, :, 1:]).all(axis=2))
-        self._pairs = a * len(rows) + b
+        self._pairs = a, b
         into = self.labels[a, 0] * layout.system_dim + self.labels[b, 0]
         self._trace_map = np.eye(layout.system_dim**2, dtype=complex)[into]
         self._top = np.array([level == n for level, n in zip(self.labels[:, 1:].T,
@@ -255,14 +256,26 @@ class Sector:
     def reduced(self, block: np.ndarray) -> np.ndarray:
         """The system state of the block, or of each block of a stack: every
         mode traced out."""
-        lead = block.shape[:-2]
-        entries = block.reshape(lead + (self.dim ** 2,))[..., self._pairs]
+        return self._traced(block[..., self._pairs[0], self._pairs[1]])
+
+    def reduced_kets(self, left: np.ndarray, right: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+        """The system state of sum_k weights[k] |left[k]><right[k]|, for (K, |S|)
+        kets, or of each such sum for an (n, K, |S|) stack of them."""
+        rows, cols = self._pairs
+        return self._traced(np.einsum("k,...ki,...ki->...i", weights, left[..., rows],
+                                      right[..., cols].conj()))
+
+    def _traced(self, entries: np.ndarray) -> np.ndarray:
+        """The partial trace of the entries at ``_pairs``, one row per state."""
+        lead = entries.shape[:-1]
         return (entries @ self._trace_map).reshape(lead + (self.layout.system_dim,) * 2)
 
-    def top_fock(self, block: np.ndarray) -> np.ndarray:
-        """Population of the highest kept Fock level of the block, one entry per
-        mode, or one row of them per block of a stack."""
-        return np.real(np.diagonal(block, axis1=-2, axis2=-1)) @ self._top.T
+    def top_fock(self, populations: np.ndarray) -> np.ndarray:
+        """Population of the highest kept Fock level, one entry per mode, from
+        the populations of S (a state's real diagonal), or one row of them per
+        row of a stack."""
+        return populations @ self._top.T
 
 
 def eigenoperator(system: SystemSpec, j: int) -> np.ndarray:

@@ -233,18 +233,23 @@ def eval_density(pole_set: PoleSet, omega):
                  / ((w - xi_l)**2 + lambda_l**2),
     which is the real-axis value of the rational function whose lower-half
     poles are the stored ones (assuming real D, i.e. conjugate upper poles).
-    Each term is scaled by the power of two that brings the larger of
-    |w - xi_l| and lambda_l into [1/2, 1): exactly, so in range it is the
-    unscaled term bit for bit, and beyond it neither a wide line's
-    denominator overflows nor a narrow line's lambda_l**2 underflows.
+    Each term is scaled by the power of two 2**-e that brings the larger of
+    |w - xi_l| and lambda_l into [1/2, 1), and scaled back, each by
+    ``ldexp``: exactly, so in range it is the unscaled term bit for bit, and
+    beyond it neither a wide line's denominator overflows nor a narrow line's
+    lambda_l**2 underflows.  A value beyond the float range is +-inf, and
+    two such values of opposite sign sum to nan, without a warning:
+    ``check_positivity_grid`` fails a nan.
     """
     w = np.asarray(omega, dtype=float)
     out = np.zeros(w.shape)
-    for p in pole_set.poles:
-        dw = w - p.center
-        s = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(dw), p.width))[1])
-        x, y = dw * s, p.width * s
-        out = out + 2.0 * (p.residue.real * x + y * p.residue.imag) / (x**2 + y**2) * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in pole_set.poles:
+            dw = w - p.center
+            e = np.frexp(np.maximum(np.abs(dw), p.width))[1]
+            x, y = np.ldexp(dw, -e), np.ldexp(p.width, -e)
+            out = out + np.ldexp(2.0 * (p.residue.real * x + y * p.residue.imag)
+                                 / (x**2 + y**2), -e)
     if np.ndim(omega) == 0:
         return float(out[()])
     return out
@@ -282,8 +287,8 @@ def check_positivity_grid(pole_set: PoleSet, grid=None) -> PositivityReport:
         grid = default_grid(pole_set)
     grid = np.asarray(grid, dtype=float)
     vals = eval_density(pole_set, grid)
-    bad = vals < POSITIVITY_FLOOR
-    i_min = int(np.argmin(vals))
+    bad = ~(vals >= POSITIVITY_FLOOR)  # a nan decides no sign, so it fails
+    i_min = int(np.argmin(vals))  # the first nan, if any
     violations = tuple(
         (float(w), float(v)) for w, v in zip(grid[bad], vals[bad])
     )

@@ -75,7 +75,7 @@ import numpy as np
 from ._util import as_complex_matrix, frozen, validate_grid
 from .errors import ClassificationError, InvalidModelError
 from .dynamics import (BLOCK_ENTRIES, TRUNCATION_LIMIT, Generator, exponential,
-                       truncation_guard)
+                       no_jump_history, truncation_guard)
 
 #: Relative precision of the jump times.
 JUMP_TIME_TOL = 1e-10
@@ -459,7 +459,8 @@ def mcwf_run(
         density_sum[i] = kets.T @ (bra * w[:, None])
         rho = density_sum[i] / n_traj
         trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
-        top_fock[i] = truncation_guard(sector.top_fock(rho), float(t[i]), lambda: finalize(i))
+        top_fock[i] = truncation_guard(sector.top_fock(np.real(np.diagonal(rho))), float(t[i]),
+                                       lambda: finalize(i))
 
     def jump(idx: np.ndarray, psi: np.ndarray, t_jump: np.ndarray) -> np.ndarray:
         """Project the kets ``psi`` of the distinct trajectories ``idx`` that
@@ -574,10 +575,7 @@ def mcwf_run(
         # jump leaves, so a trajectory that has jumped is |g> from then on:
         # the rows are the no-jump ket psi and the number of trajectories
         # that have jumped.
-        psi = np.empty((n_t, gen.dim), dtype=complex)
-        psi[0] = psi0
-        for i in range(1, n_t):
-            np.matmul(psi[i - 1], prop.exp(float(t[i]) - float(t[i - 1])).T, out=psi[i])
+        psi = no_jump_history(prop.exp, psi0, t)
         norm2 = _norm2(psi)
         # The row each trajectory crosses its threshold in, the first i >= 1
         # with norm2[i] < eta (n_t for none), the number crossing in each row
@@ -600,7 +598,7 @@ def mcwf_run(
         density_sum[:, g, g] += jumped
         rho = density_sum / n_traj
         trace_error[:] = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
-        top = sector.top_fock(rho)
+        top = sector.top_fock(np.real(np.diagonal(rho, axis1=1, axis2=2)))
         top_fock[:] = top.max(axis=1)
         bad = np.flatnonzero(top_fock > TRUNCATION_LIMIT)
         last = int(bad[0]) if bad.size else n_t - 1

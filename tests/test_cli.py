@@ -31,7 +31,7 @@ from pseudomodes.errors import ClassificationError, RegularizationError
 from pseudomodes import dynamics
 from pseudomodes.dynamics import (FRAMES, KINDS, MAX_TAYLOR_INTERVALS, Generator,
                                   build_generator, taylor_plan)
-from pseudomodes.hilbert import SpaceLayout, basis_state
+from pseudomodes.hilbert import Sector, SpaceLayout, basis_state
 from pseudomodes.mapping import build_discrete_modes, two_mode_regularize
 from pseudomodes.trajectories import NoJumpPropagator
 
@@ -421,10 +421,10 @@ def test_validate_horizon_stops_at_t_max(tmp_path, monkeypatch):
     summary = cmd_validate(load_config(write_doc(tmp_path, doc)))
     assert summary.passed
     # The oracle's 50 rows on [0, t_max] have 7 distinct spans, and each
-    # forms U = exp(-i dt D_l) and V = exp(i dt D_r) once: one plan checks
-    # the span, one runs it.
+    # forms U = exp(-i dt D_l) once, the one history of a Lindblad kind: one
+    # plan checks the span, one runs it.
     assert len(set(np.diff(np.linspace(0.0, doc["run"]["t_max"], 51)).tolist())) == 7
-    assert len(spans) == 2 * 2 * 7
+    assert len(spans) == 2 * 7
 
 
 @pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
@@ -759,6 +759,24 @@ def test_a_density_scan_beyond_the_float_range_ends_without_warnings(tmp_path, c
     assert report["checks"][0]["status"] == "pass"
 
 
+def test_a_line_narrower_than_the_float_range_reads_inf_at_its_center(tmp_path, capsys):
+    # D = 2 / width at the center of a line of width 1e-320 is beyond the
+    # float range: +inf, not nan, and the scan passes without a warning (the
+    # suite turns any warning into an error).  Every grid point is omega = 1.
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["spectral"]["terms"][0]["width"] = 1.0e-320
+    path = write_doc(tmp_path, doc)
+    assert main(["map", path, "--out", str(tmp_path / "map.out")]) == 0
+    assert main(["validate", path, "--out", str(tmp_path / "validate.out")]) == 0
+    capsys.readouterr()
+    assert ("density positivity: min inf at omega=1 over 1000 points -> pass\n"
+            in (tmp_path / "map.out").read_text(encoding="utf-8"))
+    report = json.loads((tmp_path / "validate.out").read_text(encoding="utf-8"))
+    assert report["checks"][0] == {"name": "spectral_positivity", "status": "pass",
+                                   "residual": 0.0, "tolerance": 1e-12,
+                                   "detail": "min density inf at omega=1"}
+
+
 @pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
 def test_an_infinite_norm_bound_is_refused_alike(tmp_path, capsys, command):
     doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
@@ -821,9 +839,9 @@ def spy_exponentials(monkeypatch):
 
 
 def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monkeypatch):
-    # |S| = 4 at every cutoff: the same closed form, the same bits.  Two
-    # exponentials, U and V, on the 4 x 4 identity, each formed once per
-    # distinct span of the 200 rows, and no application of L.
+    # |S| = 4 at every cutoff: the same ket rows, the same bits.  One
+    # exponential, U, on the 4 x 4 identity, formed once per distinct span of
+    # the 200 rows, and no application of L.
     seen = spy_exponentials(monkeypatch)
     doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
     spans = len(set(np.diff(np.linspace(0.0, 20.0, 201)).tolist()))
@@ -834,7 +852,7 @@ def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monke
         seen.update(applied=[], built=[], formed=0)
         assert main(["evolve", write_doc(tmp_path, doc), "--out", str(out)]) == 0
         assert not seen["applied"]
-        assert seen["built"] == [(4, 4)] * 2 and seen["formed"] == 2 * spans
+        assert seen["built"] == [(4, 4)] and seen["formed"] == spans
         rows[levels] = out.read_bytes()
     capsys.readouterr()
     assert rows[2] == rows[6]
@@ -845,17 +863,21 @@ def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monke
 def test_each_shipped_run_takes_the_path_its_grid_pays_for(tmp_path, capsys, monkeypatch,
                                                           name, d, pairs, pair_evolves):
     # Both shipped models start with one excitation, so every evolve of
-    # evolve and validate is in closed form, with no application of L: two
-    # exponentials, U and V, per evolve.  validate runs the oracle's grid on
-    # the run's generator and, for a rotated pair, the equivalence check:
-    # one more evolve of that generator and one of the uncorrected one.
+    # evolve and validate takes ket rows, with no application of L: one
+    # exponential, U, per evolve of a Lindblad kind, and U and V for the
+    # pathological one.  validate runs the oracle's grid (51 points, 7
+    # distinct spans) on the run's generator and, for a rotated pair, the
+    # equivalence check (41 points, 1 span): one more evolve of that
+    # generator and one of the uncorrected, pathological one, 3 exponentials
+    # of one span.
     seen = spy_exponentials(monkeypatch)
     config = str(CONFIGS / f"{name}.yaml")
     assert main(["evolve", config, "--out", str(tmp_path / "x.csv")]) == 0
-    assert seen["built"] == [(d, d)] * 2 and not seen["applied"]
-    seen.update(applied=[], built=[])
+    assert seen["built"] == [(d, d)] and not seen["applied"]
+    seen.update(applied=[], built=[], formed=0)
     assert cmd_validate(load_config(config)).passed
-    assert seen["built"] == [(d, d)] * 2 * (1 + pairs * pair_evolves)
+    assert seen["built"] == [(d, d)] * (1 + pairs * (1 + pair_evolves))
+    assert seen["formed"] == 7 + 3 * pairs
     assert not seen["applied"]
     capsys.readouterr()
 
@@ -865,7 +887,7 @@ def test_a_row_map_refuses_a_row_too_long_for_its_plan(tmp_path, capsys, monkeyp
     doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
     doc["run"].update(t_max=1.0e12, n_steps=25)  # 25 rows of one span, 4e10
     assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")]) == 2
-    assert seen["built"] == [(3, 3)] * 2 and not seen["applied"]
+    assert seen["built"] == [(3, 3)] and not seen["applied"]
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: a row of 4e\+10 time units is too long for the norm bound "
                         r"\S+; rows of at most \S+ time units fit\n", err), err
@@ -889,8 +911,8 @@ def test_twenty_modes_run_on_their_sector_beyond_the_int64_range(tmp_path, capsy
 
 
 def test_twenty_modes_take_the_closed_form(tmp_path, capsys, monkeypatch):
-    # |S| = 22 and 500 rows: U and V on the 22 x 22 identity, each formed
-    # once per distinct span, and no application of L.
+    # |S| = 22 and 500 rows: U on the 22 x 22 identity, formed once per
+    # distinct span, and no application of L.
     seen = spy_exponentials(monkeypatch)
     doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
     doc["spectral"]["terms"] = [{"weight": 0.05, "center": 0.5 + 0.05 * k,
@@ -899,8 +921,39 @@ def test_twenty_modes_take_the_closed_form(tmp_path, capsys, monkeypatch):
     assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")]) == 0
     capsys.readouterr()
     spans = len(set(np.diff(np.linspace(0.0, 20.0, 501)).tolist()))
-    assert seen["built"] == [(22, 22)] * 2 and seen["formed"] == 2 * spans
+    assert seen["built"] == [(22, 22)] and seen["formed"] == spans
     assert not seen["applied"]
+
+
+def test_a_pure_start_forms_no_density_row(tmp_path, capsys, monkeypatch):
+    # The 20-mode run (|S| = 22) and validate of band_gap.yaml (|S| = 4) start
+    # from one ket: every row is read off the kets, so the record reduces and
+    # diagonalizes no |S| x |S| block; positivity takes 2 x 2 Gram matrices.
+    seen = {"blocks": [], "diagonalized": []}
+    reduced = Sector.reduced
+
+    def reducing(self, block):
+        seen["blocks"].append(block.shape)
+        return reduced(self, block)
+
+    def spying(fn):
+        def spied(a, *args, **kwargs):
+            seen["diagonalized"].append(np.shape(a)[-2:])
+            return fn(a, *args, **kwargs)
+        return spied
+
+    monkeypatch.setattr(Sector, "reduced", reducing)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(dynamics.np.linalg, name, spying(getattr(np.linalg, name)))
+    doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
+    doc["spectral"]["terms"] = [{"weight": 0.05, "center": 0.5 + 0.05 * k,
+                                 "width": 1.0 + 0.1 * k} for k in range(20)]
+    doc["run"].update(t_max=20.0, n_steps=500)
+    assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")]) == 0
+    assert cmd_validate(load_config(str(CONFIGS / "band_gap.yaml"))).passed
+    capsys.readouterr()
+    assert not seen["blocks"]
+    assert set(seen["diagonalized"]) == {(1, 1), (2, 2)}  # the start's support, then Gram
 
 
 def test_deeply_nested_yaml_is_a_config_error(tmp_path, capsys):

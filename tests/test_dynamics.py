@@ -342,26 +342,26 @@ def spy_exponentials(monkeypatch):
 
 
 def test_autonomous_evolve_cost_follows_rows(monkeypatch):
-    # One series per distinct span for each of U = exp(-i dt D_l) and
-    # V = exp(i dt D_r), whatever the number of rows, each kept while the
-    # rows reuse it.
-    _, gen, layout = band_gap_generators()
+    # One series per distinct span of U = exp(-i dt D_l), and for the
+    # pathological kind of exp(-i dt D_r^dag) too, whatever the number of
+    # rows, each kept while the rows reuse it.  A Lindblad kind forms no V.
     seen = spy_exponentials(monkeypatch)
-    rho0 = vacuum_embedding(gen.sector, EE)
-    for rows in (200, 400):
-        for calls in seen.values():
-            calls.clear()
-        t = np.linspace(0.0, 20.0, rows + 1)
-        evolve(gen, rho0, t, store_states=False)
-        spans = set(np.diff(t).tolist())
-        assert sorted(seen["formed"]) == sorted(2 * list(spans))
-        assert max(seen["cached"]) == len(spans) - 1 < ROW_CACHE
-        assert not seen["applied"]
+    for gen, per_span in zip(band_gap_generators()[:2], (2, 1)):
+        rho0 = vacuum_embedding(gen.sector, EE)
+        for rows in (200, 400):
+            for calls in seen.values():
+                calls.clear()
+            t = np.linspace(0.0, 20.0, rows + 1)
+            evolve(gen, rho0, t, store_states=False)
+            spans = set(np.diff(t).tolist())
+            assert sorted(seen["formed"]) == sorted(per_span * list(spans)), gen.kind
+            assert max(seen["cached"]) == len(spans) - 1 < ROW_CACHE
+            assert not seen["applied"]
 
 
 def test_the_row_maps_are_formed_when_the_rows_pay_for_them(monkeypatch):
-    # The closed form forms U and V once per distinct span, however few rows
-    # share them; the whole band-gap space (|S| = 18) has no single
+    # The ket rows of a Lindblad kind form U once per distinct span, however
+    # few rows share them; the whole band-gap space (|S| = 18) has no single
     # ground label, so each row applies the series.
     seen = spy_exponentials(monkeypatch)
     gen, _ = tls_direct()  # |S| = 3
@@ -371,7 +371,7 @@ def test_the_row_maps_are_formed_when_the_rows_pay_for_them(monkeypatch):
         seen["applied"].clear()
         seen["formed"].clear()
         evolve(gen, vacuum_embedding(gen.sector, EE), t)
-        assert len(seen["formed"]) == 2 * distinct and not seen["applied"], rows
+        assert len(seen["formed"]) == distinct and not seen["applied"], rows
     _, whole, _ = band_gap_generators(every)
     assert whole.one_excitation_ground() is None
     seen["applied"].clear()
@@ -381,20 +381,21 @@ def test_the_row_maps_are_formed_when_the_rows_pay_for_them(monkeypatch):
 
 
 def test_a_geometric_grid_takes_each_row_as_an_action(monkeypatch):
-    # A distinct span per row: each row forms its own U and V, once, and the
-    # cache holds the last ROW_CACHE of them, however many rows there are.
+    # A distinct span per row: each row forms its own U, and for the
+    # pathological kind its own exp(-i dt D_r^dag), once, and each cache
+    # holds the last ROW_CACHE of them, however many rows there are.
     seen = spy_exponentials(monkeypatch)
     t = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 2 * ROW_CACHE)))
     rows = t.size - 1
     assert len(set(np.diff(t).tolist())) == rows
-    for gen in band_gap_generators()[:2]:
+    for gen, per_span in zip(band_gap_generators()[:2], (2, 1)):
         rho0 = vacuum_embedding(gen.sector, EE)
         want = dense_reference(gen, rho0, t)
         for calls in seen.values():
             calls.clear()
         res = evolve(gen, rho0, t)
         assert np.abs(res.states - want).max() <= 1e-8, gen.kind
-        assert len(seen["formed"]) == 2 * rows and not seen["applied"]
+        assert len(seen["formed"]) == per_span * rows and not seen["applied"]
         assert max(seen["cached"]) == ROW_CACHE  # full, never beyond
 
 
@@ -436,6 +437,56 @@ def test_the_closed_form_matches_the_dense_superoperator(monkeypatch, frame):
         if view is not None:
             want = np.array([view(rho, ti) for rho, ti in zip(want, t)])
         assert np.abs(res.states - want).max() <= 1e-12, kind
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_ket_rows_match_the_dense_superoperator_on_random_lorentzian_sums(monkeypatch, frame):
+    # Seeded draws of 1 to 4 Lorentzian lines, with a negative weight now and
+    # then (complex couplings, the pathological kind), each from a pure and
+    # a mixed start: every row, reduced state and observable read off the
+    # kets matches exp(t L) of the dense superoperator.
+    seen = spy_exponentials(monkeypatch)
+    rng = np.random.default_rng(24)
+    t = np.linspace(0.0, 4.0, 21)
+    kinds = set()
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            weights = rng.uniform(0.2, 1.0, n) * np.where(rng.random(n) < 0.3, -0.5, 1.0)
+            if weights.sum() <= 0.1:
+                weights[0] = 1.0
+            terms = tuple(LorentzianTerm(weight=w, center=c, width=x) for w, c, x in zip(
+                weights / weights.sum(), rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 3.0, n)))
+            modes = build_discrete_modes(lorentzian_to_poles(LorentzianSum(terms)), (1.0,))
+            layout = SpaceLayout(2, (2,) * n)
+            gen = build_generator(TLS, modes, layout, excited(layout), frame=frame)
+            assert gen.one_excitation_ground() is not None
+            kinds.add(gen.kind)
+            view = gen.frame_view()
+            obs = {"ee": EE, "sx": SX}
+            for rho0 in (vacuum_embedding(gen.sector, EE), random_hermitian_density(rng, gen.dim)):
+                seen["applied"].clear()
+                res = evolve(gen, rho0, t, observables=obs)
+                assert not seen["applied"]
+                want = dense_power_reference(gen, rho0, t[1], t.size - 1)
+                if view is not None:
+                    want = np.array([view(rho, ti) for rho, ti in zip(want, t)])
+                assert np.abs(res.states - want).max() <= 1e-12, (n, gen.kind)
+                assert np.abs(res.system_states - gen.sector.reduced(want)).max() <= 1e-12
+                for name, op in obs.items():
+                    mat = gen.sector.operator(op)
+                    expected = np.einsum("nij,ji->n", want, mat)
+                    assert np.abs(res.observables[name] - expected).max() <= 1e-12, name
+    assert kinds == {"lindblad_direct", "pathological"}
+
+
+def test_a_start_with_a_negative_eigenvalue_fails_positivity_at_row_0():
+    # Hermitian with unit trace, but rho0 = 1.2 |e><e| - 0.2 |g><g|: the
+    # lowest eigenvalue of the first row, read off the Gram matrix of the
+    # kets, is the message a row-by-row eigvalsh would give.
+    _, gen, _ = band_gap_generators()
+    rho0 = vacuum_embedding(gen.sector, np.diag([-0.2, 1.2]))
+    with pytest.raises(InvariantViolationError, match=r"^negative population -2\.000e-01 at t=0$"):
+        evolve(gen, rho0, np.linspace(0.0, 1.0, 5))
 
 
 def ladder_generator():

@@ -215,11 +215,11 @@ def test_top_fock_populations():
     full = full_sector(layout)
     psi = basis_state(full, 0, fock=(1, 0))
     rho = np.outer(psi, psi.conj())
-    np.testing.assert_allclose(full.top_fock(rho), [1.0, 0.0], atol=1e-15)
-    # on a block: |0; 0, 2>, |0; 1, 0> and |1; 1, 2> with populations .3, .5, .2
+    np.testing.assert_allclose(full.top_fock(np.diag(rho).real), [1.0, 0.0], atol=1e-15)
+    # on a sector: |0; 0, 2>, |0; 1, 0> and |1; 1, 2> with populations .3, .5, .2
     sector = Sector(layout, [(0, 0, 2), (0, 1, 0), (1, 1, 2)])
-    block = np.diag([0.3, 0.5, 0.2]).astype(complex)
-    np.testing.assert_allclose(sector.top_fock(block), [0.7, 0.5], atol=1e-15)
+    np.testing.assert_allclose(sector.top_fock(np.array([0.3, 0.5, 0.2])), [0.7, 0.5],
+                               atol=1e-15)
 
 
 def test_expectation_equals_trace():

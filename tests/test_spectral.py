@@ -81,6 +81,21 @@ def test_centers_and_widths_need_finite_squares(center, width):
         Pole(z=complex(center, -width), residue=1j)
 
 
+def test_a_nan_density_never_passes_the_positivity_check():
+    # Residues of +-1e300 on two lines 2e-12 apart: at omega = 4e-12 their
+    # terms are -inf and +inf, beyond the float range, and sum to nan; the
+    # points beside it read positive.
+    poles = PoleSet(poles=(Pole(z=complex(0.0, -1e-20), residue=-1e300 + 0.5j),
+                           Pole(z=complex(2e-12, -1e-20), residue=1e300 + 0.5j)))
+    grid = [-1.0, 4e-12, 1.0]
+    values = eval_density(poles, grid)
+    assert np.isnan(values[1]) and (values[[0, 2]] > 0.0).all()
+    report = check_positivity_grid(poles, grid)
+    assert not report.passed
+    assert np.isnan(report.min_value) and report.min_location == 4e-12
+    assert len(report.violations) == 1
+
+
 def test_density_integral_is_two_pi():
     # the unit-weight convention normalizes the full integral to 2*pi
     for density in (SINGLE, BAND_GAP):
