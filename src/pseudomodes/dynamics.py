@@ -40,21 +40,26 @@ block through the same ``hilbert.Sector``.
 
 Every generator is propagated exactly, one output row at a time.  Where
 every jump lands in one label g (``Generator.one_excitation_ground``), as
-for one excitation with every mode in vacuum, each row is in closed form,
+for one excitation with every mode in vacuum, the jumps only refill |g><g|
+with the trace the drift removes, so from rho0 = sum_k p_k v_k v_k^dag
 
-    exp(h L) rho = U rho V + (tr rho - tr(U rho V)) |g><g|,
-    U = exp(-i h D_l),  V = exp(i h D_r),
+    rho(t) = sum_k p_k a_k b_k^dag + (tr rho0 - sum_k p_k b_k^dag a_k) |g><g|,
+    a_k(t) = exp(-i t D_l) v_k,   b_k(t) = exp(-i t D_r^dag) v_k,
 
-two |S| x |S| products, with U and V formed once per distinct span by
-``exponential``, cached for the last ROW_CACHE spans.  Any
-other sector, such as two excitations or the whole space, advances each
+with b = a for the Lindblad kinds, where D_r^dag = D_l.  ``evolve`` carries
+the kets, one for a pure start, and advances them by ``no_jump_history``:
+one (K, |S|) x (|S|, |S|) product per row, with each exponential formed
+once per distinct span by ``exponential`` and cached for the last ROW_CACHE
+spans; ``mcwf_run``'s ground route advances its no-jump ket the same way.
+Any other sector, such as two excitations or the whole space, advances each
 row's state by a truncated Taylor series that only applies L to |S| x |S|
 blocks (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 ``taylor_plan`` holds the one row-length rule: a row whose plan would need
 more than MAX_TAYLOR_INTERVALS sub-intervals is refused, naming the longest
-row that fits.  ``evolve`` records its rows in blocks of at most
-BLOCK_ENTRIES complex numbers, each read by stacked numpy calls: trace,
-truncation guard, Hermiticity, positivity, reduced state and observables.
+row that fits.  ``evolve`` reads every record of a ket row off its kets,
+and records the Taylor rows in blocks of at most BLOCK_ENTRIES complex
+numbers, each read by stacked numpy calls: trace, truncation guard,
+Hermiticity, positivity, reduced state and observables.
 A truncation guard aborts the run as soon as the top Fock level of any mode
 accumulates population beyond 1e-6; the trajectory ensemble applies the
 same ``truncation_guard`` to its mean density.
@@ -103,11 +108,12 @@ UNIT_ROUNDOFF = 2.0**-53
 #: Rows needing more Taylor sub-intervals than this indicate a runaway norm
 #: estimate or time span.
 MAX_TAYLOR_INTERVALS = 1_000_000
-#: Spans whose U and V the closed-form rows of ``evolve`` keep: every span of
-#: a linspace grid (a few dozen at most), and bounded memory on a geometric one.
+#: Spans whose exponentials the ket rows of ``evolve`` keep, per history:
+#: every span of a linspace grid (a few dozen at most), and bounded memory on
+#: a geometric one.
 ROW_CACHE = 32
-#: Complex entries of the row block ``evolve`` records at once, 1 MiB: the
-#: whole grid of a small sector, one row at a time from |S| = 256 on.
+#: Complex entries of the row block ``evolve``'s Taylor route records at once,
+#: 1 MiB: the whole grid of a small sector, one row at a time from |S| = 256 on.
 BLOCK_ENTRIES = 2**16
 
 
@@ -123,8 +129,8 @@ class Generator:
     ``sector``, so d below is |S|.  ``apply`` is matrix-free in the
     superoperator sense: it performs only d x d matrix products, so a density
     costs O(d**2) memory where the superoperator would cost O(d**4).
-    ``one_excitation_ground`` tells ``evolve`` whether its rows take the
-    closed form instead, and ``mcwf_run`` whether a jumped trajectory is the
+    ``one_excitation_ground`` tells ``evolve`` whether its rows are read off
+    kets instead, and ``mcwf_run`` whether a jumped trajectory is the
     ground ket for good.  ``h0`` is the diagonal of the free Hamiltonian H0
     that the interaction frame rotates with; the Schrodinger frame does not
     need it.
@@ -220,7 +226,7 @@ class Generator:
         i (D_l - D_r) to roundoff: each jump term is then a multiple of
         |g><g| that returns the trace the drift removes.  One excitation
         with every mode in vacuum has this structure for every kind.
-        ``evolve`` then takes each row in closed form, and ``mcwf_run``
+        ``evolve`` then reads each row off the no-jump kets, and ``mcwf_run``
         records a trajectory that has jumped as |g>, whose norm the drift
         keeps and which no jump leaves.
         """
@@ -681,7 +687,7 @@ def exponential(a: np.ndarray) -> Callable[[float], np.ndarray]:
     other.  A span is checked by ``taylor_plan`` first, so a non-finite norm
     or a span too long for the Taylor plan raises the same StepUnderflowError
     as a row of ``evolve``.  Nothing is kept: a caller that reuses spans
-    caches the function (``evolve``'s U and V at ROW_CACHE spans each).
+    caches the function (``evolve``'s kets at ROW_CACHE spans per history).
     """
     with np.errstate(over="ignore"):  # an overflow is inf, which taylor_plan refuses
         norm = float(np.linalg.norm(a))

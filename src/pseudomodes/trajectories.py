@@ -9,8 +9,8 @@ projected and renormalized.
 
 The drift is time independent, so the no-jump evolution is the exact
 exponential exp(-i D dt), formed by ``dynamics.exponential`` (which also
-forms ``evolve``'s closed-form U and V) from its truncated Taylor series
-rather than by an eigendecomposition, which a defective drift (an
+forms the exponentials of ``evolve``'s ket rows) from its truncated Taylor
+series rather than by an eigendecomposition, which a defective drift (an
 exceptional point) would not have.  Kets live on the generator's sector S,
 the states its terms reach from the initial labels: the drift and the jumps
 never leave it, so a ket carries only |S| amplitudes.
@@ -35,8 +35,8 @@ Where every jump lands in one label g (``Generator.one_excitation_ground``),
 as for one excitation with every mode in vacuum, a jumped trajectory is |g>
 for good: the drift keeps that ray and no jump leaves it, so its norm never
 falls again.  There the ensemble is the no-jump ket psi, advanced by one
-product per row, and the number n_j(i) of trajectories that have jumped by
-row i.  Each trajectory crosses in the first row whose norm falls below its
+product per row (``dynamics.no_jump_history``, as ``evolve``'s kets), and
+the number n_j(i) of trajectories that have jumped by row i.  Each trajectory crosses in the first row whose norm falls below its
 threshold, read off the running minimum of the norms by one searchsorted;
 every row is then recorded at once, the mean density as
 (n - n_j) psi psi^dag / |psi|^2 + n_j |g><g| and each sample as psi's value
