@@ -420,7 +420,8 @@ def test_the_row_map_cache_keeps_its_capacity(monkeypatch):
 @pytest.mark.parametrize("frame", FRAMES)
 def test_the_closed_form_matches_the_dense_superoperator(monkeypatch, frame):
     # A random density on each one-excitation sector, every kind: each row is
-    # U rho V plus the ground fill, with no application of L.
+    # read off the eigenkets of the start plus the ground fill, with no
+    # application of L.
     seen = spy_exponentials(monkeypatch)
     rng = np.random.default_rng(16)
     t = np.linspace(0.0, 20.0, 41)
@@ -589,8 +590,8 @@ def test_restricted_row_matches_the_full_space_row(frame):
 
 @pytest.mark.parametrize("frame", FRAMES)
 def test_the_row_map_matches_the_row_action(frame):
-    # Each row in closed form, U rho V plus the ground fill; the reference
-    # applies the Taylor series of L to each row's state.
+    # Each row read off the kets plus the ground fill; the reference applies
+    # the Taylor series of L to each row's state.
     t = np.linspace(0.0, 20.0, 41)
     for kind, mode_set, layout in four_kinds():
         gen = build_generator(TLS, mode_set, layout, excited(layout), frame=frame)
