@@ -702,7 +702,7 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     checks.append(CheckResult(
         "spectral_positivity",
         "pass" if rep.passed else "fail",
-        0.0 if rep.min_value >= 0.0 else float(-rep.min_value),  # nan for a nan
+        float(max(0.0, -rep.min_value)),
         float(-POSITIVITY_FLOOR),
         f"min density {rep.min_value:.6g} at omega={rep.min_location:.6g}",
     ))

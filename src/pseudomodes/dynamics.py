@@ -394,17 +394,12 @@ def evolve(
 
     ``rho0`` is the initial state on ``gen.sector`` (``vacuum_embedding``
     gives one).  When ``gen.one_excitation_ground()`` names a label g, rho0
-    is carried as its eigenkets v_k of nonzero weight p_k, one for a pure
-    start, and every row is
-
-        rho(t) = sum_k p_k a_k b_k^dag + f |g><g|,   f = tr rho0 - sum_k p_k b_k^dag a_k,
-
-    with a_k and b_k the ``no_jump_history`` of v_k under exp(-i h D_l) and
-    exp(-i h D_r^dag), each exponential formed once per distinct span and
-    kept for the last ROW_CACHE spans.  For the Lindblad kinds A is
-    Hermitian, so D_r^dag = D_l and b = a: one history, and rho(t) is
-    Hermitian by construction.  Every record is read from the kets: the
-    populations from a o conj(b) plus f on g, the positivity from the
+    is carried as its eigenkets v_k of nonzero weight p_k (one for a pure
+    start), and each row, sum_k p_k a_k b_k^dag + f |g><g| as the module
+    docstring sets out, is read off their ``no_jump_history``: one history
+    for the Lindblad kinds, where A is Hermitian, so b = a and every row is
+    Hermitian by construction, and two for ``pathological``.  The record
+    takes the populations from a o conj(b) plus f on g, positivity from the
     (K + 1) x (K + 1) Gram-weighted matrix of [a_1 ... a_K, |g>], the
     reduced state through the sector's pair map (``Sector.reduced_kets``)
     and each observable as sum_k p_k b_k^dag O a_k + f O_gg; ``states`` is
