@@ -230,15 +230,20 @@ class Generator:
         records a trajectory that has jumped as |g>, whose norm the drift
         keeps and which no jump leaves.
         """
-        jumps = np.array([jop for jop, _ in self._jumps]).reshape(-1, self.dim, self.dim)
-        rows = np.flatnonzero(jumps.any(axis=(0, 2)))
+        hit = np.zeros(self.dim, dtype=bool)
+        for jop, _ in self._jumps:
+            hit |= jop.any(axis=1)
+        rows = np.flatnonzero(hit)
         if rows.size != 1:
             return None
         g = int(rows[0])
         rest = np.arange(self.dim) != g
-        loss = sum(jdag @ jop for jop, jdag in self._jumps)
+        # Each jump is nonzero in row g alone, so sum_k J_k^dag J_k is one
+        # product of those rows, and a jump's column g is its entry (g, g).
+        reach = np.array([jop[g] for jop, _ in self._jumps])
+        loss = reach.conj().T @ reach
         gain = 1j * (self._left - self._right)
-        closed = not (jumps[:, :, g].any()
+        closed = not (reach[:, g].any()
                       or any(op[g, rest].any() or op[rest, g].any()
                              for op in (self._left, self._right))
                       or np.abs(loss - gain).max() > 1e-12 * np.abs((gain, loss)).max())
