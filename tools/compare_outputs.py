@@ -88,17 +88,13 @@ def run_outputs(sha: str, tree: Path) -> Path:
     return out
 
 
-def numbers(rows: list[list[str]]) -> list[list[float]]:
-    return [[float(x) for x in row] for row in rows]
-
-
 def csv_deviation(a: Path, b: Path) -> str:
     """The largest |change - parent| per column, or why they cannot be compared."""
     def read(path):
         lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()
                  if not ln.startswith("#")]
         rows = list(csv.reader(lines))
-        return rows[0], numbers(rows[1:])
+        return rows[0], [[float(x) for x in row] for row in rows[1:]]
 
     (head_a, rows_a), (head_b, rows_b) = read(a), read(b)
     if head_a != head_b or len(rows_a) != len(rows_b):
