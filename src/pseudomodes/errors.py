@@ -60,8 +60,9 @@ class TruncationGuardError(EngineError):
 class StepUnderflowError(EngineError):
     """A row is too long for the propagator's step plan, or its norm bound is unusable.
 
-    Raised while a history of kets is advanced (``dynamics.no_jump_history``),
-    ``partial`` holds the rows advanced before the refused one.
+    When it is raised while a history of kets is advanced
+    (``dynamics.no_jump_history``), ``partial`` holds the rows advanced
+    before the refused one.
     """
 
     partial = None

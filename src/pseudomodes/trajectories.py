@@ -36,8 +36,9 @@ as for one excitation with every mode in vacuum, a jumped trajectory is |g>
 for good: the drift keeps that ray and no jump leaves it, so its norm never
 falls again.  There the ensemble is the no-jump ket psi, advanced by one
 product per row (``dynamics.no_jump_history``, as ``evolve``'s kets), and
-the number n_j(i) of trajectories that have jumped by row i.  Each trajectory crosses in the first row whose norm falls below its
-threshold, read off the running minimum of the norms by one searchsorted;
+the number n_j(i) of trajectories that have jumped by row i.  Each
+trajectory crosses in the first row whose norm falls below its threshold,
+read off the running minimum of the norms by one searchsorted;
 every row is then recorded at once, the mean density as
 (n - n_j) psi psi^dag / |psi|^2 + n_j |g><g| and each sample as psi's value
 or O_gg.  No recorded row depends on where in its row a jump falls, so the
