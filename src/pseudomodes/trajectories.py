@@ -35,13 +35,19 @@ Where every jump lands in one label g (``Generator.one_excitation_ground``),
 as for one excitation with every mode in vacuum, a jumped trajectory is |g>
 for good: the drift keeps that ray and no jump leaves it, so its norm never
 falls again.  There the ensemble is the no-jump ket psi, advanced by one
-product per row (``dynamics.no_jump_history``, as ``evolve``'s kets), and
-the number n_j(i) of trajectories that have jumped by row i.  Each
-trajectory crosses in the first row whose norm falls below its threshold,
-read off the running minimum of the norms by one searchsorted;
-every row is then recorded at once, the mean density as
-(n - n_j) psi psi^dag / |psi|^2 + n_j |g><g| and each sample as psi's value
-or O_gg.  No recorded row depends on where in its row a jump falls, so the
+exponential per uniform run of the grid and its rows by doubling
+(``dynamics.no_jump_history``, as ``evolve``'s kets), and the number n_j(i)
+of trajectories that have jumped by row i.  Each trajectory crosses in the
+first row whose norm falls below its threshold, read off the running
+minimum of the norms by one searchsorted; every row is then recorded at
+once and in closed form.  The samples of a row take two values, x = psi's
+value on the m = n - n_j trajectories that have not jumped and O_gg on the
+rest, so the mean is (m x + n_j O_gg) / n and the squared standard error
+m n_j |x - O_gg|^2 / (n^2 (n - ddof)); the guards read the populations
+(m |psi_k|^2 / |psi|^2 + n_j delta_kg) / n, and the mean density
+(m psi psi^dag / |psi|^2 + n_j |g><g|) / n is formed only when it is read.
+No (n_traj, n_t) sample array and no (n_t, |S|, |S|) density is held.
+No recorded row depends on where in its row a jump falls, so the
 search places the jumps only when the result's jump counts or records are
 first read: up to the first row the truncation guard refuses, in one pass
 for all the rows with crossings that share a jump lattice (the same step q
@@ -94,8 +100,9 @@ MAX_DIGIT_BITS = 5
 #: |S| = 78).
 DIGIT_ENTRIES = BLOCK_ENTRIES // 16
 #: Row exponentials a NoJumpPropagator keeps, the least recently used dropped
-#: first: the two spacings a linspace grid alternates between within an
-#: octave of t, and the tail of a row with jumps.
+#: first: on the row route the spans of a linspace grid, which differ by
+#: rounding (9 distinct on np.linspace(0, 20, 201)) but alternate between
+#: about two within an octave of t, and the tail of a row with jumps.
 PROPAGATOR_CACHE = 4
 
 
@@ -133,25 +140,32 @@ JumpRecords = tuple[tuple[tuple[float, int], ...], ...]
 class EnsembleResult:
     """Ensemble averages, errors, guard values of the mean density per row
     (worst top Fock population, |Re tr - 1|) and the raw jump bookkeeping.
-    ``mean_density`` holds the (n_t, |S|, |S|) blocks on the generator's sector,
-    whose indices in the product space are ``support``; every entry outside
-    the block is 0.
 
-    ``jump_counts`` (trajectory x channel) and ``jump_records`` (each
-    trajectory's (time, channel) pairs) are formed on their first read, by
-    one call of ``place_jumps``, and kept: the ground route of ``mcwf_run``
-    places its jumps only then.  ``n_traj`` reads neither."""
+    ``mean_density``, the (n_t, |S|, |S|) blocks on the generator's sector
+    whose indices in the product space are ``support`` (every entry outside
+    the block is 0), is formed on its first read by one call of
+    ``form_density`` and kept: the ground route of ``mcwf_run`` holds no
+    such array until then.  ``jump_counts`` (trajectory x channel) and
+    ``jump_records`` (each trajectory's (time, channel) pairs) are formed the
+    same way, by one call of ``place_jumps``: the ground route places its
+    jumps only then.  ``n_traj`` reads neither."""
 
     times: np.ndarray
     support: np.ndarray
     observables: dict[str, np.ndarray]
     stderr: dict[str, np.ndarray]
-    mean_density: np.ndarray
     top_fock: np.ndarray
     trace_error: np.ndarray
     stream_keys: tuple[tuple[int, int], ...]
+    form_density: Callable[[], np.ndarray] | None = field(repr=False, compare=False)
     place_jumps: Callable[[], tuple[np.ndarray, JumpRecords]] | None = field(
         repr=False, compare=False)
+
+    @functools.cached_property
+    def mean_density(self) -> np.ndarray:
+        density = self.form_density()
+        self.form_density = None  # frees the run state it holds
+        return density
 
     @functools.cached_property
     def _jumps(self) -> tuple[np.ndarray, JumpRecords]:
@@ -369,21 +383,25 @@ def mcwf_run(
 
     ``psi0`` is the initial ket on ``gen.sector`` (``basis_state`` gives
     one).  Kets, the no-jump propagator, the jump operators and the
-    observables all act on the sector S, and each row's mean density is kept
-    as its S x S block, so memory follows |S|, not d.
+    observables all act on the sector S, and each row's mean density is an
+    S x S block, so memory follows |S|, not d: the row route keeps every
+    row's block, and the ground route forms them when ``mean_density`` is
+    first read.
 
-    The truncation guard of ``evolve`` runs on the mean density of each row:
-    TruncationGuardError carries the rows before the first one whose top Fock
-    population exceeds the limit, with the jumps made up to that row.
+    The truncation guard of ``evolve`` runs on the populations of each row's
+    mean density: TruncationGuardError carries the rows before the first one
+    whose top Fock population exceeds the limit, with the jumps made up to
+    that row.
 
     When ``gen.one_excitation_ground()`` names a label g, the rows take the
     ground route of the module docstring, which places the jumps when the
     result's jump counts or records are first read; any other sector takes
     the row route, one record of the distinct kets per row, whose jumps feed
     the rows and are placed as they come.  The routes place the same jumps
-    and give the same samples up to rounding: on the ground route a jumped
-    trajectory reads O_gg itself, where the row route reads it through the
-    normalized jumped ket.
+    and give the same statistics up to rounding: the ground route's rows
+    come from doubling and its means and errors from the closed forms, and
+    a jumped trajectory reads O_gg itself, where the row route reads it
+    through the normalized jumped ket.
     """
     if gen.kind not in ("lindblad_direct", "lindblad_regularized"):
         raise ClassificationError(
@@ -413,8 +431,6 @@ def mcwf_run(
     n_t = t.size
     n_traj = config.n_traj
 
-    samples = {name: np.empty((n_traj, n_t), dtype=complex) for name in obs_mats}
-    density_sum = np.empty((n_t, gen.dim, gen.dim), dtype=complex)
     top_fock = np.empty(n_t)
     trace_error = np.empty(n_t)
     jump_counts = np.zeros((n_traj, len(channels)), dtype=np.int64)
@@ -422,46 +438,29 @@ def mcwf_run(
     streams = _Streams(config.seed, n_traj)
     eta = streams.draw(np.arange(n_traj), np.zeros(n_traj, dtype=np.int64))
     view = gen.frame_view(kets=True)
+    ddof = min(n_traj - 1, 1)  # a single trajectory has a zero error
 
     def made() -> tuple[np.ndarray, JumpRecords]:
         return jump_counts, tuple(tuple(r) for r in records)
 
-    def finalize(upto: int, place_jumps=made) -> EnsembleResult:
-        """The result of the rows before ``upto``, whose jumps ``place_jumps``
-        forms when they are first read; by default the jumps the run made,
-        as a run makes none after its result."""
-        rows = {name: v[:, :upto] for name, v in samples.items()}
-        ddof = min(n_traj - 1, 1)  # a single trajectory has a zero error
+    def finalize(upto: int, mean: dict[str, np.ndarray], err: dict[str, np.ndarray],
+                 density: Callable[[], np.ndarray], place_jumps=made) -> EnsembleResult:
+        """The result of the rows before ``upto``, given each observable's
+        mean and standard error on at least those rows; ``density`` forms
+        their mean density and ``place_jumps`` their jumps when first read,
+        by default the jumps the run made, as a run makes none after its
+        result."""
         return EnsembleResult(
             times=t[:upto].copy(),
             support=sector.support,
-            observables={name: v.mean(axis=0) for name, v in rows.items()},
-            stderr={name: np.sqrt((v.real.var(axis=0, ddof=ddof)
-                                   + v.imag.var(axis=0, ddof=ddof)) / n_traj)
-                    for name, v in rows.items()},
-            mean_density=density_sum[:upto] / n_traj,
+            observables={name: v[:upto].copy() for name, v in mean.items()},
+            stderr={name: v[:upto].copy() for name, v in err.items()},
             top_fock=top_fock[:upto].copy(),
             trace_error=trace_error[:upto].copy(),
             stream_keys=tuple((config.seed, idx) for idx in range(n_traj)),
+            form_density=density,
             place_jumps=place_jumps,
         )
-
-    def record(i: int, kets: np.ndarray, cls: np.ndarray, count: np.ndarray,
-               norm2: np.ndarray) -> None:
-        """Record row i of the trajectories ``cls`` maps onto the distinct
-        ``kets``, ``count`` of them on each, whose squared norms are ``norm2``."""
-        w = 1.0 / norm2
-        if view is not None:
-            kets = view(kets, float(t[i]))
-        bra = kets.conj()
-        for name, mat_t in obs_mats.items():
-            samples[name][:, i] = (np.einsum("ni,ni->n", bra, kets @ mat_t) * w)[cls]
-        w *= count
-        density_sum[i] = kets.T @ (bra * w[:, None])
-        rho = density_sum[i] / n_traj
-        trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
-        top_fock[i] = truncation_guard(sector.top_fock(np.real(np.diagonal(rho))), float(t[i]),
-                                       lambda: finalize(i))
 
     def jump(idx: np.ndarray, psi: np.ndarray, t_jump: np.ndarray) -> np.ndarray:
         """Project the kets ``psi`` of the distinct trajectories ``idx`` that
@@ -584,25 +583,37 @@ def mcwf_run(
         first = 1 + np.searchsorted(-np.minimum.accumulate(norm2[1:]), -eta, side="right")
         crossing = np.bincount(first, minlength=n_t + 1)[:n_t]
         jumped = np.cumsum(crossing)
+        stay = n_traj - jumped
         kets = psi if view is None else view(psi, t[:, None])
         bra = kets.conj()
         # psi may have decayed to 0 in rows that every trajectory has left.
         w = np.zeros(n_t)
-        np.divide(1.0, norm2, out=w, where=jumped < n_traj)
-        before = np.arange(n_t) < first[:, None]
+        np.divide(1.0, norm2, out=w, where=stay > 0)
+        # Each row's samples are x on the m = stay trajectories that have not
+        # jumped and O_gg on the rest: the module docstring's closed forms.
+        spread = np.sqrt(stay * jumped / (n_traj - ddof)) / n_traj
+        mean, err = {}, {}
         for name, mat_t in obs_mats.items():
-            row = np.einsum("ni,ni->n", bra, kets @ mat_t) * w
-            samples[name][...] = mat_t[g, g]
-            np.copyto(samples[name], row, where=before)
-        w *= n_traj - jumped
-        np.multiply(kets[:, :, None], (bra * w[:, None])[:, None, :], out=density_sum)
-        density_sum[:, g, g] += jumped
-        rho = density_sum / n_traj
-        trace_error[:] = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
-        top = sector.top_fock(np.real(np.diagonal(rho, axis1=1, axis2=2)))
+            x = np.einsum("ni,ni->n", bra, kets @ mat_t) * w
+            mean[name] = (stay * x + jumped * mat_t[g, g]) / n_traj
+            err[name] = spread * np.abs(x - mat_t[g, g])
+        w *= stay
+        # The mean density's diagonal, (m |psi_k|**2 / |psi|**2 + n_j delta_kg) / n.
+        populations = w[:, None] * (psi.real**2 + psi.imag**2)
+        populations[:, g] += jumped
+        populations /= n_traj
+        trace_error[:] = np.abs(populations.sum(axis=1) - 1.0)
+        top = sector.top_fock(populations)
         top_fock[:] = top.max(axis=1)
         bad = np.flatnonzero(top_fock > TRUNCATION_LIMIT)
         last = int(bad[0]) if bad.size else n_t - 1
+
+        def mean_density(upto: int) -> np.ndarray:
+            """(m psi psi^dag / |psi|**2 + n_j |g><g|) / n on the rows before
+            upto, with the guards' populations on its diagonal."""
+            rho = kets[:upto, :, None] * (bra[:upto] * (w[:upto, None] / n_traj))[:, None, :]
+            np.einsum("nii->ni", rho)[...] = populations[:upto]
+            return rho
 
         def place_jumps() -> tuple[np.ndarray, JumpRecords]:
             """The jumps, up to and including the first row the guard
@@ -619,8 +630,40 @@ def mcwf_run(
             return made()
 
         if bad.size:
-            truncation_guard(top[last], float(t[last]), lambda: finalize(last, place_jumps))
-        return finalize(n_t, place_jumps)
+            truncation_guard(top[last], float(t[last]), lambda: finalize(
+                last, mean, err, lambda: mean_density(last), place_jumps))
+        return finalize(n_t, mean, err, lambda: mean_density(n_t), place_jumps)
+
+    # The row route records every sample and the mean density of each row as
+    # it comes, since its jumps feed the rows.
+    samples = {name: np.empty((n_traj, n_t), dtype=complex) for name in obs_mats}
+    density_sum = np.empty((n_t, gen.dim, gen.dim), dtype=complex)
+
+    def row_result(upto: int) -> EnsembleResult:
+        """The result of the rows before ``upto``, from their samples."""
+        rows = {name: v[:, :upto] for name, v in samples.items()}
+        return finalize(upto, {name: v.mean(axis=0) for name, v in rows.items()},
+                        {name: np.sqrt((v.real.var(axis=0, ddof=ddof)
+                                        + v.imag.var(axis=0, ddof=ddof)) / n_traj)
+                         for name, v in rows.items()},
+                        lambda: density_sum[:upto] / n_traj)
+
+    def record(i: int, kets: np.ndarray, cls: np.ndarray, count: np.ndarray,
+               norm2: np.ndarray) -> None:
+        """Record row i of the trajectories ``cls`` maps onto the distinct
+        ``kets``, ``count`` of them on each, whose squared norms are ``norm2``."""
+        w = 1.0 / norm2
+        if view is not None:
+            kets = view(kets, float(t[i]))
+        bra = kets.conj()
+        for name, mat_t in obs_mats.items():
+            samples[name][:, i] = (np.einsum("ni,ni->n", bra, kets @ mat_t) * w)[cls]
+        w *= count
+        density_sum[i] = kets.T @ (bra * w[:, None])
+        rho = density_sum[i] / n_traj
+        trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
+        top_fock[i] = truncation_guard(sector.top_fock(np.real(np.diagonal(rho))), float(t[i]),
+                                       lambda: row_result(i))
 
     # The distinct kets, one row each, the row of each trajectory and the
     # number of trajectories on each row.
@@ -650,4 +693,4 @@ def mcwf_run(
                 count = np.bincount(cls, minlength=len(kets))
         record(i, kets, cls, count, norm2)
 
-    return finalize(n_t)
+    return row_result(n_t)

@@ -420,11 +420,11 @@ def test_validate_horizon_stops_at_t_max(tmp_path, monkeypatch):
     monkeypatch.setattr(pseudomodes.dynamics, "taylor_plan", counting)
     summary = cmd_validate(load_config(write_doc(tmp_path, doc)))
     assert summary.passed
-    # The oracle's 50 rows on [0, t_max] have 7 distinct spans, and each
-    # forms U = exp(-i dt D_l) once, the one history of a Lindblad kind: one
-    # plan checks the span, one runs it.
+    # The oracle's 50 rows on [0, t_max] have 7 distinct spans but are one
+    # uniform run, which forms U = exp(-i h D_l) once, the one history of a
+    # Lindblad kind: one plan checks the span, one runs it.
     assert len(set(np.diff(np.linspace(0.0, doc["run"]["t_max"], 51)).tolist())) == 7
-    assert len(spans) == 2 * 7
+    assert len(spans) == 2
 
 
 @pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
@@ -840,11 +840,10 @@ def spy_exponentials(monkeypatch):
 
 def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monkeypatch):
     # |S| = 4 at every cutoff: the same ket rows, the same bits.  One
-    # exponential, U, on the 4 x 4 identity, formed once per distinct span of
-    # the 200 rows, and no application of L.
+    # exponential, U, on the 4 x 4 identity, formed once for the one uniform
+    # run of the 200 rows, and no application of L.
     seen = spy_exponentials(monkeypatch)
     doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
-    spans = len(set(np.diff(np.linspace(0.0, 20.0, 201)).tolist()))
     rows = {}
     for levels in (2, 6):
         doc["run"]["fock_levels"] = levels
@@ -852,7 +851,7 @@ def test_the_row_plan_follows_the_support_not_the_cutoff(tmp_path, capsys, monke
         seen.update(applied=[], built=[], formed=0)
         assert main(["evolve", write_doc(tmp_path, doc), "--out", str(out)]) == 0
         assert not seen["applied"]
-        assert seen["built"] == [(4, 4)] and seen["formed"] == spans
+        assert seen["built"] == [(4, 4)] and seen["formed"] == 1
         rows[levels] = out.read_bytes()
     capsys.readouterr()
     assert rows[2] == rows[6]
@@ -865,11 +864,11 @@ def test_each_shipped_run_takes_the_path_its_grid_pays_for(tmp_path, capsys, mon
     # Both shipped models start with one excitation, so every evolve of
     # evolve and validate takes ket rows, with no application of L: one
     # exponential, U, per evolve of a Lindblad kind, and U and V for the
-    # pathological one.  validate runs the oracle's grid (51 points, 7
-    # distinct spans) on the run's generator and, for a rotated pair, the
-    # equivalence check (41 points, 1 span): one more evolve of that
-    # generator and one of the uncorrected, pathological one, 3 exponentials
-    # of one span.
+    # pathological one, each linspace grid being one uniform run.  validate
+    # runs the oracle's grid (51 points) on the run's generator and, for a
+    # rotated pair, the equivalence check (41 points): one more evolve of
+    # that generator and one of the uncorrected, pathological one, 3
+    # exponentials.
     seen = spy_exponentials(monkeypatch)
     config = str(CONFIGS / f"{name}.yaml")
     assert main(["evolve", config, "--out", str(tmp_path / "x.csv")]) == 0
@@ -877,7 +876,7 @@ def test_each_shipped_run_takes_the_path_its_grid_pays_for(tmp_path, capsys, mon
     seen.update(applied=[], built=[], formed=0)
     assert cmd_validate(load_config(config)).passed
     assert seen["built"] == [(d, d)] * (1 + pairs * (1 + pair_evolves))
-    assert seen["formed"] == 7 + 3 * pairs
+    assert seen["formed"] == 1 + 3 * pairs
     assert not seen["applied"]
     capsys.readouterr()
 
@@ -911,8 +910,8 @@ def test_twenty_modes_run_on_their_sector_beyond_the_int64_range(tmp_path, capsy
 
 
 def test_twenty_modes_take_the_closed_form(tmp_path, capsys, monkeypatch):
-    # |S| = 22 and 500 rows: U on the 22 x 22 identity, formed once per
-    # distinct span, and no application of L.
+    # |S| = 22 and 500 rows: U on the 22 x 22 identity, formed once for the
+    # one uniform run, and no application of L.
     seen = spy_exponentials(monkeypatch)
     doc = yaml.safe_load((CONFIGS / "tls_lorentzian.yaml").read_text(encoding="utf-8"))
     doc["spectral"]["terms"] = [{"weight": 0.05, "center": 0.5 + 0.05 * k,
@@ -920,8 +919,7 @@ def test_twenty_modes_take_the_closed_form(tmp_path, capsys, monkeypatch):
     doc["run"].update(t_max=20.0, n_steps=500)
     assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / "x.csv")]) == 0
     capsys.readouterr()
-    spans = len(set(np.diff(np.linspace(0.0, 20.0, 501)).tolist()))
-    assert seen["built"] == [(22, 22)] and seen["formed"] == spans
+    assert seen["built"] == [(22, 22)] and seen["formed"] == 1
     assert not seen["applied"]
 
 

@@ -32,8 +32,8 @@ from pseudomodes import (
     vacuum_embedding,
 )
 from pseudomodes import dynamics
-from pseudomodes.dynamics import (FRAMES, ROW_CACHE, InvariantViolationError,
-                                  _taylor_interval, taylor_plan)
+from pseudomodes.dynamics import (FRAMES, InvariantViolationError, _taylor_interval,
+                                  exponential, no_jump_history, taylor_plan, uniform_runs)
 from pseudomodes.hilbert import LADDER, Sector
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -342,9 +342,10 @@ def spy_exponentials(monkeypatch):
 
 
 def test_autonomous_evolve_cost_follows_rows(monkeypatch):
-    # One series per distinct span of U = exp(-i dt D_l), and for the
-    # pathological kind of exp(-i dt D_r^dag) too, whatever the number of
-    # rows, each kept while the rows reuse it.  A Lindblad kind forms no V.
+    # A linspace grid is one uniform run: one series for U = exp(-i h D_l) at
+    # its mean span h, and for the pathological kind one for exp(-i h
+    # D_r^dag) too, whatever the number of rows, and none kept.  A Lindblad
+    # kind forms no V.
     seen = spy_exponentials(monkeypatch)
     for gen, per_span in zip(band_gap_generators()[:2], (2, 1)):
         rho0 = vacuum_embedding(gen.sector, EE)
@@ -353,16 +354,17 @@ def test_autonomous_evolve_cost_follows_rows(monkeypatch):
                 calls.clear()
             t = np.linspace(0.0, 20.0, rows + 1)
             evolve(gen, rho0, t, store_states=False)
-            spans = set(np.diff(t).tolist())
-            assert sorted(seen["formed"]) == sorted(per_span * list(spans)), gen.kind
-            assert max(seen["cached"]) == len(spans) - 1 < ROW_CACHE
+            assert len(set(np.diff(t).tolist())) > 1
+            assert seen["formed"] == per_span * [20.0 / rows], gen.kind
+            assert max(seen["cached"]) == 0
             assert not seen["applied"]
 
 
 def test_the_row_maps_are_formed_when_the_rows_pay_for_them(monkeypatch):
-    # The ket rows of a Lindblad kind form U once per distinct span, however
-    # few rows share them; the whole band-gap space (|S| = 18) has no single
-    # ground label, so each row applies the series.
+    # The ket rows of a Lindblad kind form U once per uniform run, one for a
+    # linspace grid, however many distinct spans its rounding leaves; the
+    # whole band-gap space (|S| = 18) has no single ground label, so each
+    # row applies the series.
     seen = spy_exponentials(monkeypatch)
     gen, _ = tls_direct()  # |S| = 3
     for rows, distinct in ((10, 1), (8, 1), (9, 3)):
@@ -371,7 +373,7 @@ def test_the_row_maps_are_formed_when_the_rows_pay_for_them(monkeypatch):
         seen["applied"].clear()
         seen["formed"].clear()
         evolve(gen, vacuum_embedding(gen.sector, EE), t)
-        assert len(seen["formed"]) == distinct and not seen["applied"], rows
+        assert seen["formed"] == [2.5 / rows] and not seen["applied"], rows
     _, whole, _ = band_gap_generators(every)
     assert whole.one_excitation_ground() is None
     seen["applied"].clear()
@@ -381,11 +383,11 @@ def test_the_row_maps_are_formed_when_the_rows_pay_for_them(monkeypatch):
 
 
 def test_a_geometric_grid_takes_each_row_as_an_action(monkeypatch):
-    # A distinct span per row: each row forms its own U, and for the
-    # pathological kind its own exp(-i dt D_r^dag), once, and each cache
-    # holds the last ROW_CACHE of them, however many rows there are.
+    # A distinct span per row: each row is a run of its own and forms its own
+    # U, and for the pathological kind its own exp(-i dt D_r^dag), once, and
+    # none is kept beyond the run after it, however many rows there are.
     seen = spy_exponentials(monkeypatch)
-    t = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 2 * ROW_CACHE)))
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 64)))
     rows = t.size - 1
     assert len(set(np.diff(t).tolist())) == rows
     for gen, per_span in zip(band_gap_generators()[:2], (2, 1)):
@@ -395,8 +397,84 @@ def test_a_geometric_grid_takes_each_row_as_an_action(monkeypatch):
             calls.clear()
         res = evolve(gen, rho0, t)
         assert np.abs(res.states - want).max() <= 1e-8, gen.kind
-        assert len(seen["formed"]) == per_span * rows and not seen["applied"]
-        assert max(seen["cached"]) == ROW_CACHE  # full, never beyond
+        assert seen["formed"] == per_span * np.diff(t).tolist()
+        assert not seen["applied"]
+        assert max(seen["cached"]) <= 1
+
+
+def test_a_linspace_grid_is_one_run():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 3000))
+        t = np.linspace(0.0, 10.0 ** rng.uniform(-6.0, 8.0), n)
+        assert uniform_runs(t) == [0, n - 1]
+    assert uniform_runs(np.array([0.0])) == [0]
+    assert uniform_runs(np.array([0.0, 3.0])) == [0, 1]
+    # a longer tail, and a finer grid after a coarse one, start runs of their own
+    t = np.linspace(0.0, 20.0, 201)
+    assert uniform_runs(np.append(t, 20.5)) == [0, 200, 201]
+    assert uniform_runs(np.concatenate([t, np.linspace(20.0, 21.0, 101)[1:]])) == [0, 200, 300]
+    # spans that really differ are runs of one row
+    geometric = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 64)))
+    assert uniform_runs(geometric) == list(range(65))
+    # spans that drift by less than rounding per row but not overall
+    drift = np.cumsum(np.concatenate(([0.0], 0.1 * (1.0 + 1e-15 * np.arange(200) ** 2))))
+    runs = uniform_runs(drift)
+    assert runs[0] == 0 and runs[-1] == 200 and len(runs) > 2
+
+
+def per_row_history(exp, psi0, t):
+    """No-jump kets one product per row, each with the exponential of its own
+    span: the history before uniform runs."""
+    psi = np.empty((t.size,) + np.shape(psi0), dtype=complex)
+    psi[0] = psi0
+    for i in range(1, t.size):
+        np.matmul(psi[i - 1], exp(float(t[i]) - float(t[i - 1])).T, out=psi[i])
+    return psi
+
+
+def test_a_geometric_grid_is_the_per_row_history_bit_for_bit():
+    t = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 64)))
+    for gen in band_gap_generators()[:2]:
+        exp = exponential(-1j * gen.drift())
+        ket = np.eye(1, gen.dim, 1, dtype=complex)
+        for psi0 in (ket[0], np.concatenate([ket, ket[:, ::-1]])):
+            assert np.array_equal(no_jump_history(exp, psi0, t),
+                                  per_row_history(exp, psi0, t)), gen.kind
+
+
+def test_ket_rows_are_the_exponential_of_each_time():
+    # Each row of a doubled run against exp(-i t_i D) psi0 formed directly,
+    # on band_gap.yaml's model and the 20-mode one.
+    twenty = lorentzian_to_poles(LorentzianSum(tuple(
+        LorentzianTerm(weight=0.05, center=0.5 + 0.05 * k, width=1.0 + 0.1 * k)
+        for k in range(20))))
+    layout = SpaceLayout(2, (2,) * 20)
+    models = [band_gap_generators()[1],
+              build_generator(TLS, build_discrete_modes(twenty, (1.0,)), layout,
+                              excited(layout))]
+    for gen, rows in zip(models, (200, 500)):
+        t = np.linspace(0.0, 20.0, rows + 1)
+        exp = exponential(-1j * gen.drift())
+        psi0 = np.eye(1, gen.dim, 1, dtype=complex)[0]
+        psi = no_jump_history(exp, psi0, t)
+        want = np.array([exp(float(ti)) @ psi0 for ti in t])
+        assert np.abs(psi - want).max() <= 1e-13, gen.dim
+
+
+def test_a_refused_second_run_keeps_the_rows_before_it():
+    gen = band_gap_generators()[1]
+    exp = exponential(-1j * gen.drift())
+    psi0 = np.eye(1, gen.dim, 1, dtype=complex)[0]
+    t = np.linspace(0.0, 20.0, 201)
+    long = np.append(t, 1e12)
+    assert uniform_runs(long) == [0, 200, 201]
+    with pytest.raises(StepUnderflowError) as err:
+        no_jump_history(exp, psi0, long)
+    assert np.array_equal(err.value.partial, no_jump_history(exp, psi0, t))
+    with pytest.raises(StepUnderflowError) as plan:
+        taylor_plan(np.linalg.norm(gen.drift()), 1e12 - 20.0)
+    assert str(err.value) == str(plan.value)
 
 
 def test_the_row_map_cache_keeps_its_capacity(monkeypatch):

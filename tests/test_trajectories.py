@@ -34,7 +34,7 @@ from pseudomodes import (
 )
 from pseudomodes import trajectories
 from pseudomodes.cli import main
-from pseudomodes.dynamics import TRUNCATION_LIMIT, Generator
+from pseudomodes.dynamics import TRUNCATION_LIMIT, Generator, no_jump_history
 from pseudomodes.errors import TruncationGuardError
 from pseudomodes.trajectories import (
     DIGIT_ENTRIES,
@@ -293,12 +293,14 @@ def test_truncation_guard_keeps_the_rows_before_the_first_bad_one(monkeypatch):
                      part.trace_error):
             assert len(rows) == i
         mean_density = embedded(part.mean_density, part.support, layout.dim)
-        for rho, top, err in zip(mean_density, part.top_fock, part.trace_error):
-            # each mode's top level, read off the full diagonal
+        for block, rho, top, err in zip(part.mean_density, mean_density, part.top_fock,
+                                        part.trace_error):
+            # each mode's top level, read off the full diagonal, and the
+            # trace, summed over the block's real diagonal
             pops = np.real(np.diagonal(rho)).reshape(layout.dims)
             assert top == max(np.moveaxis(pops, 1 + m, 0)[-1].sum()
                               for m in range(layout.n_modes))
-            assert err == abs(float(np.trace(rho).real) - 1.0)
+            assert err == abs(float(np.real(np.diagonal(block)).sum()) - 1.0)
         # The clean rows are those of a run that stops before the bad one.
         clean = run(t[:i])
         for name in ("mean_density", "top_fock", "trace_error"):
@@ -385,13 +387,13 @@ def test_jump_records_do_not_depend_on_batch_size():
 
 
 def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
-    # One excitation: the ground route advances the one no-jump ket, and the
-    # trajectories crossing their thresholds in all rows of one jump lattice
-    # (e, n) take one search pass together, with no search after a jump.
+    # One excitation: the ground route advances the one no-jump ket with one
+    # exponential for the grid's one uniform run, and the trajectories
+    # crossing their thresholds in all rows of one jump lattice (e, n) take
+    # one search pass together, with no search after a jump.
     gen, layout = tls_generator()
     assert gen.one_excitation_ground() is not None
     t = np.linspace(0.0, 2.5, 251)
-    spacings = set(np.diff(t).tolist())
     digits = math.ceil(math.ceil(math.log2(2.0 * (t[1] - t[0]) / JUMP_TIME_TOL))
                        / digit_bits(gen.dim))
     looked = []
@@ -401,10 +403,10 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
             calls.clear()
         ens = mcwf_run(gen, basis_state(gen.sector, 1),
                        TrajectoryConfig(n_traj=n_traj, seed=4, times=t))
-        # one product of the one ket per row, with no apply; the jumps are
+        # the rows of the one ket by doubling, with no apply; the jumps are
         # placed when the records are read
         assert not applied and not searched
-        assert [dt for dt in looked if dt in spacings] == np.diff(t).tolist()
+        assert looked == [2.5 / 250]
         records = ens.jump_records
         # the rows with crossings and the number of trajectories crossing in each
         crossing = Counter(np.searchsorted(t, rec[0][0]).item() for rec in records if rec)
@@ -511,12 +513,66 @@ def test_ground_route_matches_the_row_route(model, monkeypatch):
     assert ground.jump_counts.sum() > 20
     assert ground.jump_records == rows.jump_records
     assert np.array_equal(ground.jump_counts, rows.jump_counts)
-    for name in obs:
-        assert np.array_equal(ground.observables[name], rows.observables[name]), name
-        assert np.array_equal(ground.stderr[name], rows.stderr[name]), name
     assert np.array_equal(ground.top_fock, rows.top_fock)
-    assert np.abs(ground.mean_density - rows.mean_density).max() <= 1e-15
-    assert np.abs(ground.trace_error - rows.trace_error).max() <= 1e-15
+    # the ground route's closed forms and doubled rows against the samples
+    for name in obs:
+        assert np.abs(ground.observables[name] - rows.observables[name]).max() <= 1e-13, name
+        assert np.abs(ground.stderr[name] - rows.stderr[name]).max() <= 1e-13, name
+    assert np.abs(ground.mean_density - rows.mean_density).max() <= 1e-13
+    assert np.abs(ground.trace_error - rows.trace_error).max() <= 1e-13
+
+
+def assert_two_valued_statistics(gen, psi0, ens, obs):
+    """Check each observable's mean and standard error against numpy's over
+    the explicit samples: a trajectory reads psi's value in the rows before
+    the one it first jumps in, and O_gg from then on.  Returns the number of
+    trajectories that have jumped by each row."""
+    t, n, g = ens.times, ens.n_traj, gen.one_excitation_ground()
+    psi = no_jump_history(NoJumpPropagator(gen.drift()).exp, psi0, t)
+    first = np.array([rec[0][0] if rec else np.inf for rec in ens.jump_records])
+    before = t < first[:, None]
+    ddof = min(n - 1, 1)
+    for name, op in obs.items():
+        mat = gen.sector.operator(op)
+        x = (np.einsum("ni,ni->n", psi.conj(), psi @ mat.T)
+             / np.einsum("ni,ni->n", psi.conj(), psi).real)
+        samples = np.where(before, x, mat[g, g])
+        assert np.abs(ens.observables[name] - samples.mean(axis=0)).max() <= 1e-15, name
+        stderr = np.sqrt((samples.real.var(axis=0, ddof=ddof)
+                          + samples.imag.var(axis=0, ddof=ddof)) / n)
+        assert np.abs(ens.stderr[name] - stderr).max() <= 1e-15, name
+    return n - before.sum(axis=0)
+
+
+@pytest.mark.parametrize("n_traj", [1, 2, 40])
+def test_ground_statistics_are_those_of_the_two_valued_samples(n_traj):
+    gen, _ = tls_generator()
+    psi0 = basis_state(gen.sector, 1)
+    obs = {"ee": EE, "sx": SX, "coh": COH}
+    ens = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=n_traj, seed=6,
+                                               times=np.linspace(0.0, 20.0, 201)),
+                   observables=obs)
+    jumped = assert_two_valued_statistics(gen, psi0, ens, obs)
+    # rows where none, some (with more than one trajectory) and all have jumped
+    assert jumped[0] == 0 and jumped[-1] == n_traj
+    assert n_traj == 1 or np.any((jumped > 0) & (jumped < n_traj))
+
+
+def test_a_truncated_ground_run_keeps_the_two_valued_statistics():
+    # The weak line of the guard test: its top level crosses the limit after
+    # about half of the 50 trajectories have jumped.
+    layout = SpaceLayout(2, (2, 1))
+    gen = build_generator(TLS, build_discrete_modes(WEAK_LINE, (1.0,)), layout,
+                          excited(layout))
+    psi0 = basis_state(gen.sector, 1)
+    obs = {"ee": EE, "sx": SX}
+    with pytest.raises(TruncationGuardError) as info:
+        mcwf_run(gen, psi0, TrajectoryConfig(n_traj=50, seed=3,
+                                             times=np.linspace(0.0, 4.0, 41)),
+                 observables=obs)
+    part = info.value.partial
+    jumped = assert_two_valued_statistics(gen, psi0, part, obs)
+    assert 1 < len(part.times) < 41 and 0 < jumped[-1] < 50
 
 
 @pytest.mark.parametrize("model", sorted(ground_models()))
@@ -547,7 +603,7 @@ def test_deferred_jumps_are_the_row_routes_in_any_read_order(model, monkeypatch)
 def test_a_cli_trajectories_solve_places_no_jump(tmp_path, monkeypatch, capsys):
     # The CLI writes the mean and its error, which need no jump time: the
     # ground route makes no search pass and draws each threshold alone, and
-    # forms only the row exponentials.
+    # forms one exponential, for the grid's one uniform run.
     formed, draws = [], []
     exponential, draw = trajectories.exponential, _Streams.draw
 
@@ -572,9 +628,7 @@ def test_a_cli_trajectories_solve_places_no_jump(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert not searched and not applied
     assert draws == [500]  # the thresholds; a jump would draw its channel
-    # the row spans of a linspace grid, each formed again when the cache of
-    # PROPAGATOR_CACHE spans has dropped it
-    assert len(formed) == 9
+    assert formed == [0.1]  # the mean span of np.linspace(0, 20, 201)
 
 
 def test_ensemble_carries_only_the_reachable_support(monkeypatch):
