@@ -62,7 +62,7 @@ class StepUnderflowError(EngineError):
 
     When it is raised while a history of kets is advanced
     (``dynamics.no_jump_history``), ``partial`` holds the rows advanced
-    before the refused one.
+    before the refused run of rows.
     """
 
     partial = None
