@@ -18,6 +18,8 @@ mean density; the clean rows are kept and the file ends in an
 ``# ABORTED`` line.
 
 Outputs are deterministic: identical configs produce byte-identical files.
+Every random number (``validate``'s lags, the trajectories' draws) is drawn
+in-package, bit for bit numpy's stream, without importing ``numpy.random``.
 Numbers are printed with 17 significant digits so CSV round-trips preserve
 the underlying doubles exactly.
 """
@@ -37,6 +39,7 @@ from typing import Any
 import numpy as np
 import yaml
 
+from ._util import uniform_draws
 from .dynamics import (FRAMES, KINDS, Generator, build_generator, equivalence_check, evolve,
                        taylor_plan)
 from .errors import (
@@ -734,8 +737,10 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     worst = 0.0
     # All-zero strengths make every correlation vanish; compare absolutely then.
     scale = max(w * w for w in cfg.system.strengths) or 1.0
-    # Lags t - s of 50 (t, s) pairs, drawn as s and then t - s per pair.
-    draws = np.random.default_rng(20260817).uniform(0.0, horizon, size=(50, 2))
+    # Lags t - s of 50 (t, s) pairs, drawn as s and then t - s per pair: the
+    # stream of numpy's default_rng(20260817).uniform(0, horizon), bit for
+    # bit, drawn in-package so that no subcommand imports numpy.random.
+    draws = np.array(uniform_draws(20260817, horizon, 100)).reshape(50, 2)
     lags = (draws[:, 0] + draws[:, 1]) - draws[:, 0]
     for j in range(modes.n_transitions):
         for k in range(modes.n_transitions):
@@ -760,7 +765,7 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
         checks += [_skip(name, "the run has no time axis (t_max 0)")
                    for name in ("generator_equivalence", "oracle_population")]
         return ValidationSummary(modes.classification, len(modes), tuple(checks))
-    eq_grid = np.linspace(0.0, 2.0 * horizon, 41)
+    eq_grid = np.linspace(0.0, min(2.0 * horizon, cfg.t_max), 41)
     rho_s = np.zeros((cfg.system.dim, cfg.system.dim), dtype=complex)
     rho_s[cfg.initial_level, cfg.initial_level] = 1.0
     rotated = None

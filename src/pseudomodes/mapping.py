@@ -356,22 +356,21 @@ def _realness_roots(delta_z: complex, beta: float, samples: int = 1441) -> list[
         # identity and the swap are the natural representatives.
         return [0.0, 0.5 * math.pi]
     roots = []
-    for i in range(samples - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
+    fa, fb = vals[:-1], vals[1:]
+    for i in np.flatnonzero((fa == 0.0) | (fa * fb < 0.0)).tolist():
+        if fa[i] == 0.0:
             roots.append(float(grid[i]))
             continue
-        if fa * fb < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            flo = fa
-            while hi - lo > 1e-15:
-                mid = 0.5 * (lo + hi)
-                fm = float(f(mid))
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        flo = fa[i]
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            fm = float(f(mid))
+            if flo * fm <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        roots.append(0.5 * (lo + hi))
     deduped = []
     for r in roots:
         if not any(abs(r - q) < 1e-9 for q in deduped):

@@ -59,11 +59,12 @@ not depend on it.
 
 Trajectory idx draws from the stream of numpy's
 ``Generator(Philox(SeedSequence(seed, spawn_key=(idx,))))``, bit for bit,
-without building one.  Philox is counter-based (Salmon, Moraes, Dror and
-Shaw, SC'11): a draw is a function of the stream's key and a counter alone,
-so the keys of all streams come from one vectorized pass of SeedSequence's
-hash, and the draws of all the trajectories that jump together from one
-vectorized Philox.  Draw 0 is the first threshold; the m-th jump takes draw
+without building one or importing ``numpy.random``.  Philox is
+counter-based (Salmon, Moraes, Dror and Shaw, SC'11): a draw is a function
+of the stream's key and a counter alone, so the keys of all streams come
+from one pass of SeedSequence's hash (``_util.seed_words``, which hashes the
+seed once and only idx's word on over all streams), and the draws of all
+the trajectories that jump together from one vectorized Philox.  Draw 0 is the first threshold; the m-th jump takes draw
 1 + 2m for its channel and 2 + 2m for the next threshold.  A stack product
 multiplies each ket by its own BLAS call of one fixed shape, so a ket's
 result, and with it a trajectory's jumps, does not depend on how many others
@@ -79,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_complex_matrix, frozen, validate_grid
+from ._util import as_complex_matrix, frozen, seed_words, validate_grid
 from .errors import ClassificationError, InvalidModelError
 from .dynamics import (BLOCK_ENTRIES, TRUNCATION_LIMIT, Generator, exponential,
                        no_jump_history, truncation_guard)
@@ -266,11 +267,7 @@ def _lattice(t_lo: np.ndarray, t_hi: np.ndarray):
     return e, n, dt - np.ldexp(n, e)
 
 
-# SeedSequence's uint32 hash (numpy.random.bit_generator) and the Philox4x64
-# round constants (Salmon et al., SC'11).
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# The Philox4x64 round constants (Salmon et al., SC'11).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
@@ -278,46 +275,9 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 def _stream_keys(seed: int, n: int) -> np.ndarray:
     """(2, n) uint64: the Philox key that numpy's ``Philox`` takes from
     ``SeedSequence(seed, spawn_key=(idx,))`` for idx = 0 ... n - 1 (n <= 2**32),
-    its ``generate_state(2, np.uint64)``.
-
-    The entropy is seed's uint32 words, least significant first, padded with
-    zeros to the pool size 4, then idx.  Every word before idx is a (1,)
-    array, so the hash runs once for the seed and broadcasts over idx only
-    from idx's own word on.  Products wrap in uint32, as in numpy's C."""
-    u32, seed = np.uint32, int(seed)
-    words = [np.array([(seed >> s) & _M32], dtype=u32)
-             for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [np.zeros(1, dtype=u32)] * (4 - len(words))
-    words.append(np.arange(n, dtype=u32))
-    h = _INIT_A
-
-    def hashmix(v):
-        nonlocal h
-        v = v ^ u32(h)
-        h = (h * _MULT_A) & _M32
-        v = v * u32(h)
-        return v ^ (v >> u32(16))
-
-    def mix(x, y):
-        r = u32(_MIX_L) * x - u32(_MIX_R) * y
-        return r ^ (r >> u32(16))
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    h, state = _INIT_B, []
-    for v in pool:
-        v = v ^ u32(h)
-        h = (h * _MULT_B) & _M32
-        v = v * u32(h)
-        state.append(np.broadcast_to(v ^ (v >> u32(16)), n).astype(np.uint64))
-    return np.stack([state[0] | state[1] << np.uint64(32),
-                     state[2] | state[3] << np.uint64(32)])
+    its ``generate_state(2, np.uint64)``."""
+    w = [v.astype(np.uint64) for v in seed_words(seed, 4, np.arange(n, dtype=np.uint32))]
+    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32])
 
 
 def _philox(keys: np.ndarray, counter: np.ndarray) -> np.ndarray:
@@ -325,7 +285,7 @@ def _philox(keys: np.ndarray, counter: np.ndarray) -> np.ndarray:
     the (2, n) ``keys``.  Words 0 and 2 are multiplied side by side, the
     128-bit products formed from 32-bit halves."""
     u64 = np.uint64
-    lo32, s32 = u64(_M32), u64(32)
+    lo32, s32 = u64(2**32 - 1), u64(32)
     m = np.array(_PHILOX_M, dtype=u64)[:, None]
     m_hi, m_lo = m >> s32, m & lo32
     w = np.array(_PHILOX_W, dtype=u64)[:, None]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudomodes import ConfigError, lorentzian_to_poles, LorentzianSum, LorentzianTerm
 import pseudomodes.cli
+from pseudomodes._util import uniform_draws
 from pseudomodes.cli import (
     MAX_CONFIG_DEPTH,
     RunConfig,
@@ -425,6 +427,45 @@ def test_validate_horizon_stops_at_t_max(tmp_path, monkeypatch):
     # Lindblad kind: one plan checks the span, one runs it.
     assert len(set(np.diff(np.linspace(0.0, doc["run"]["t_max"], 51)).tolist())) == 7
     assert len(spans) == 2
+
+
+@pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
+def test_validate_checks_no_time_past_t_max(tmp_path, capsys, command):
+    # A weak coupling and one quantum per mode stay under the truncation
+    # guard up to t_max 0.2, but not to 0.32: the equivalence grid, which
+    # spans twice the horizon, ends at t_max like every other grid.
+    doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    doc["system"]["channels"][0]["strength"] = 3e-3
+    doc["run"].update(fock_levels=1, t_max=0.2, n_steps=50)
+    assert main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("horizon", [2.5, 5.0])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**200, 20260817],
+                         ids=["0", "7", "2**32-1", "2**32", "2**64+1", "2**200", "20260817"])
+def test_validate_lags_are_numpys_default_rng_stream(seed, horizon):
+    draws = np.array(uniform_draws(seed, horizon, 100)).reshape(50, 2)
+    ref = np.random.default_rng(seed).uniform(0.0, horizon, size=(50, 2))
+    assert draws.tobytes() == ref.tobytes()
+
+
+def test_no_subcommand_imports_numpy_random(tmp_path):
+    # pytest itself imports numpy.random, so the runs need a fresh process.
+    env = dict(os.environ, PYTHONPATH=str(Path(pseudomodes.__file__).resolve().parents[1]))
+    code = (
+        "import sys\n"
+        "from pseudomodes.cli import main\n"
+        f"for config in ({str(CONFIGS / 'band_gap.yaml')!r}, "
+        f"{str(CONFIGS / 'tls_lorentzian.yaml')!r}):\n"
+        "    for command in ('map', 'evolve', 'trajectories', 'validate'):\n"
+        f"        assert main([command, config, '--out', {str(tmp_path / 'x.out')!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
