@@ -131,6 +131,7 @@ def uniform_draws(seed: int, high: float, n: int) -> list[float]:
     w = seed_words(seed, 8)
     s = [w[k] | w[k + 1] << 32 for k in range(0, 8, 2)]
     inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
+    # Seeding steps from state 0 (to inc), adds the seed, and steps once more.
     state = ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _M128
     out = []
     for _ in range(n):
