@@ -123,18 +123,21 @@ class InvariantViolationError(InvalidModelError):
 
 
 class Generator:
-    """Concrete generator: matrices for A and K plus scaled jump channels.
+    """Concrete generator: matrices for A and K plus jump channels as index maps.
 
     Instances are immutable by convention; every array is kept internally and
     never handed out for mutation.  Every matrix is an S x S block on
-    ``sector``, so d below is |S|.  ``apply`` is matrix-free in the
-    superoperator sense: it performs only d x d matrix products, so a density
-    costs O(d**2) memory where the superoperator would cost O(d**4).
-    ``one_excitation_ground`` tells ``evolve`` whether its rows are read off
-    kets instead, and ``mcwf_run`` whether a jumped trajectory is the
-    ground ket for good.  ``h0`` is the diagonal of the free Hamiltonian H0
-    that the interaction frame rotates with; the Schrodinger frame does not
-    need it.
+    ``sector``, so d below is |S|.  Each channel is (rate, (rows, cols,
+    values)), the map of its b_k: the entry (rows[i], cols[i]) is values[i],
+    one entry per row and per column at most, as for any ladder move.
+    ``apply`` is matrix-free in the superoperator sense: it performs only
+    d x d matrix products and one gather per jump, so a density costs
+    O(d**2) memory where the superoperator would cost O(d**4), and a jump
+    costs its nonzeros.  ``one_excitation_ground`` tells ``evolve`` whether
+    its rows are read off kets instead, and ``mcwf_run`` whether a jumped
+    trajectory is the ground ket for good.  ``h0`` is the diagonal of the
+    free Hamiltonian H0 that the interaction frame rotates with; the
+    Schrodinger frame does not need it.
     """
 
     def __init__(
@@ -144,7 +147,7 @@ class Generator:
         sector: Sector,
         static_both: np.ndarray,
         damping: np.ndarray,
-        channels: tuple[tuple[float, np.ndarray], ...],
+        channels: tuple[tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]], ...],
         h0: np.ndarray | None = None,
     ):
         if kind not in KINDS:
@@ -163,18 +166,16 @@ class Generator:
             raise InvalidModelError("damping part K must be Hermitian")
         if kind != "pathological" and not is_hermitian(self.static_both, 1e-12):
             raise InvalidModelError(f"static part A must be Hermitian for {kind}")
-        self.channels = tuple((float(r), as_complex_matrix(b)) for r, b in channels)
+        self.channels = tuple((float(r), _index_map(jump, d)) for r, jump in channels)
         for rate, _ in self.channels:
             if rate < 0.0:
                 raise InvalidModelError(f"negative jump rate {rate}")
         if frame == "interaction" and (h0 is None or np.shape(h0) != (d,)):
             raise InvalidModelError("the interaction frame needs the diagonal of H0")
         self.h0 = h0
-        self._jumps = tuple(
-            (np.sqrt(2.0 * rate) * b, np.sqrt(2.0 * rate) * b.conj().T)
-            for rate, b in self.channels
-            if rate > 0.0
-        )
+        # the maps of J_k = sqrt(2 rate_k) b_k
+        self._jumps = tuple((rows, cols, np.sqrt(2.0 * rate) * values)
+                            for rate, (rows, cols, values) in self.channels if rate > 0.0)
         self._left = self.static_both - 1j * self.damping
         self._right = self.static_both + 1j * self.damping
 
@@ -203,27 +204,29 @@ class Generator:
         return self._left
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evaluate L[rho]."""
+        """Evaluate L[rho]: each jump J = (rows, cols, v) adds
+        v_a (rho[c_a, c_b] conj(v_b)) at (r_a, r_b), the product J (rho J^dag)."""
         out = -1j * (self._left @ rho - rho @ self._right)
-        for jop, jdag in self._jumps:
-            out += jop @ (rho @ jdag)
+        for rows, cols, v in self._jumps:
+            out[np.ix_(rows, rows)] += v[:, None] * (rho[np.ix_(cols, cols)] * v.conj())
         return out
 
     def norm_estimate(self) -> float:
         """Upper bound on the superoperator norm induced by the Frobenius norm.
 
-        It plans the Taylor series of the exact action.
+        It plans the Taylor series of the exact action.  A jump, with one
+        entry per row and per column, has the spectral norm max|v|.
         """
         est = operator_norm_bound(self._left) + operator_norm_bound(self._right)
-        for jop, _ in self._jumps:
-            est += operator_norm_bound(jop) ** 2
+        for _, _, v in self._jumps:
+            est += float(np.abs(v).max(initial=0.0)) ** 2
         return est
 
     def one_excitation_ground(self) -> int | None:
         """The label g that takes every jump, or None.
 
-        It holds when every jump's nonzero rows lie in {g} and its column g
-        is 0, D_l and D_r neither enter nor leave g, and sum_k J_k^dag J_k =
+        It holds when every jump's rows lie in {g} and its column g is
+        empty, D_l and D_r neither enter nor leave g, and sum_k J_k^dag J_k =
         i (D_l - D_r) to roundoff: each jump term is then a multiple of
         |g><g| that returns the trace the drift removes.  One excitation
         with every mode in vacuum has this structure for every kind.
@@ -231,17 +234,16 @@ class Generator:
         records a trajectory that has jumped as |g>, whose norm the drift
         keeps and which no jump leaves.
         """
-        hit = np.zeros(self.dim, dtype=bool)
-        for jop, _ in self._jumps:
-            hit |= jop.any(axis=1)
-        rows = np.flatnonzero(hit)
-        if rows.size != 1:
+        hit = set().union(*(rows.tolist() for rows, _, _ in self._jumps))
+        if len(hit) != 1:
             return None
-        g = int(rows[0])
+        (g,) = hit
         rest = np.arange(self.dim) != g
         # Each jump is nonzero in row g alone, so sum_k J_k^dag J_k is one
         # product of those rows, and a jump's column g is its entry (g, g).
-        reach = np.array([jop[g] for jop, _ in self._jumps])
+        reach = np.zeros((len(self._jumps), self.dim), dtype=complex)
+        for k, (rows, cols, v) in enumerate(self._jumps):
+            reach[k, cols] = v
         loss = reach.conj().T @ reach
         gain = 1j * (self._left - self._right)
         closed = not (reach[:, g].any()
@@ -249,6 +251,24 @@ class Generator:
                              for op in (self._left, self._right))
                       or np.abs(loss - gain).max() > 1e-12 * np.abs((gain, loss)).max())
         return g if closed else None
+
+
+def _index_map(jump, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The jump map (rows, cols, values) on d states, checked: as many of
+    each, indices in [0, d), and no row or column twice, which the gathers
+    of ``apply`` and ``mcwf_run`` and the bound of ``norm_estimate`` take
+    for granted."""
+    rows, cols, values = (np.asarray(a) for a in jump)
+    if not len(rows) == len(cols) == len(values):
+        raise InvalidModelError(f"a jump map needs as many rows, columns and values, "
+                                f"got {len(rows)}, {len(cols)} and {len(values)}")
+    for name, index in (("row", rows), ("column", cols)):
+        seen = set(index.tolist())
+        if seen and not 0 <= min(seen) <= max(seen) < d:
+            raise InvalidModelError(f"a jump map has a {name} index outside [0, {d})")
+        if len(seen) < len(index):
+            raise InvalidModelError(f"a jump map repeats a {name}")
+    return rows, cols, values.astype(complex)
 
 
 def _check_consistency(system: SystemSpec, modes: ModeSet, layout: SpaceLayout) -> None:
@@ -325,12 +345,13 @@ def build_generator(
         kind = "lindblad_regularized" if hopping else "lindblad_direct"
         g = g.real
     groups = _terms(system, modes, g)
-    sector = Sector.closure(layout, start, [term for group in groups for term in group])
+    sector, moves = Sector.closure(layout, start, [term for group in groups for term in group])
+    moves = iter(moves)  # one map per term, in the order of the terms
 
     def block(group) -> np.ndarray:
         out = np.zeros((sector.dim,) * 2, dtype=complex)
-        for coefficient, factors in group:
-            out += coefficient * sector.operator(factors)
+        for (coefficient, _), (rows, cols, values) in zip(group, moves):
+            out[rows, cols] += coefficient * values
         return out
 
     bare, bilinear, coupling, damping, *jumps = groups
@@ -345,7 +366,7 @@ def build_generator(
         sector=sector,
         static_both=static,
         damping=block(damping),
-        channels=tuple((float(rate), sector.operator(factors)) for [(rate, factors)] in jumps),
+        channels=tuple((float(rate), next(moves)) for [(rate, _)] in jumps),
         h0=h0,
     )
 

@@ -143,9 +143,10 @@ class Sector:
     Each state is a label (level, n_1 ... n_N).  ``labels`` holds them as an
     (|S|, 1 + N) array in increasing order of their index ``support`` in the
     product space, and the sector of every label is the whole space.
-    ``closure`` grows a sector through the terms of a model, and
-    ``operator`` forms the S x S block of a tensor product of factor
-    operators.  A state whose entries outside S x S are 0 is read from its
+    ``closure`` grows a sector through the terms of a model, ``moves`` gives
+    a term's nonzeros on S as an index map (rows, cols, values), one entry
+    per move of a label (``move``), and ``operator`` scatters them into the
+    S x S block.  A state whose entries outside S x S are 0 is read from its
     S x S block alone: ``reduced`` traces the modes out, as one product for a
     block or for an (n, |S|, |S|) stack of them, and ``reduced_kets`` does the
     same for a state given as weighted ket pairs; ``top_fock`` reads each
@@ -153,14 +154,8 @@ class Sector:
     """
 
     def __init__(self, layout: SpaceLayout, labels):
-        rows = sorted({tuple(int(v) for v in label) for label in labels})
+        rows = _basis_labels(layout, labels)
         dims = layout.dims
-        for label in rows:
-            if len(label) != len(dims) or not all(0 <= v < d for v, d in zip(label, dims)):
-                raise InvalidModelError(
-                    f"{label} is no basis state of a space with factor dimensions {dims}")
-        if not rows:
-            raise InvalidModelError("a sector needs at least one basis state")
         self.layout = layout
         self.labels = frozen(np.array(rows, dtype=np.intp))
         # in Python integers: a product space beyond the int64 range still indexes S
@@ -188,69 +183,86 @@ class Sector:
         return self._position[key]
 
     @classmethod
-    def closure(cls, layout: SpaceLayout, start, terms) -> Sector:
+    def closure(cls, layout: SpaceLayout, start, terms) -> tuple[Sector, list[tuple]]:
         """The sector of the labels that ``terms``, each (coefficient, factors)
-        with factors as ``operator`` takes them, reach from the labels
-        ``start``: the rows of the nonzero entries in its columns of every
-        term with a nonzero coefficient, each ladder move taken within the
-        cutoff.  A term none of whose factors moves a level (a ladder shift
-        of 0, a matrix with no nonzero off its diagonal) takes a label at
-        most to itself, so it is not walked."""
-        def mover(op, dim):
-            """level -> the levels ``op`` takes it to."""
-            if isinstance(op, str):
-                shift, entry = LADDER[op]
-                return lambda n: [n + shift] if n + shift < dim and entry(n) else []
-            return [np.flatnonzero(column).tolist() for column in np.transpose(op)].__getitem__
+        with factors as ``moves`` takes them, reach from the labels ``start``,
+        and each term's ``moves`` on it.
 
-        def moves(op) -> bool:
+        The walk takes each term with a nonzero coefficient through ``move``
+        from every label it has not taken yet, until no term reaches a new
+        label, and the moves it made are that term's nonzeros on the sector.
+        A term none of whose factors moves a level (a ladder shift of 0, a
+        matrix with no nonzero off its diagonal) takes a label at most to
+        itself, so it is not walked: it takes one pass of ``moves`` on the
+        sector, as a term with a zero coefficient does."""
+        def shifts(op) -> bool:
             if isinstance(op, str):
                 return LADDER[op][0] != 0
             return np.count_nonzero(op) > np.count_nonzero(np.diagonal(op))
 
+        # the walk's labels, in the order it found them, and their indices
         dims = layout.dims
-        live = [{f: mover(op, dims[f]) for f, op in factors.items()}
-                for coefficient, factors in terms
-                if coefficient != 0 and any(map(moves, factors.values()))]
-        seen = frontier = set(map(tuple, cls(layout, start).labels.tolist()))
-        while frontier:
-            grown = set()
-            for label, factors in itertools.product(frontier, live):
-                moved = [label]
-                for f, move in factors.items():
-                    moved = [m[:f] + (n,) + m[f + 1:] for m in moved for n in move(m[f])]
-                grown.update(moved)
-            frontier = grown - seen
-            seen = seen | frontier
-        return cls(layout, seen)
+        index = {label: i for i, label in enumerate(_basis_labels(layout, start))}
+        found = np.array(list(index), dtype=np.intp)
+        moving = [any(map(shifts, factors.values())) for _, factors in terms]
+        # each walked term's moves: the walk indices of their labels and
+        # their targets, and their entries
+        walked = {i: ([], [], []) for i, (coefficient, _) in enumerate(terms)
+                  if coefficient != 0 and moving[i]}
+        done = dict.fromkeys(walked, 0)
+        while min(done.values(), default=len(found)) < len(found):
+            for i, (cols, rows, values) in walked.items():
+                lo, done[i] = done[i], len(found)
+                if lo == len(found):
+                    continue
+                source, moved, entries = move(found[lo:], terms[i][1], dims)
+                if source.size:
+                    rows += [index.setdefault(label, len(index))
+                             for label in map(tuple, moved.tolist())]
+                    if len(index) > len(found):
+                        found = np.concatenate([found, list(itertools.islice(index, len(found),
+                                                                             None))])
+                    cols += (lo + source).tolist()
+                    values.append(entries)
+        sector = cls(layout, index)
+        at = np.array([sector._position[label] for label in index])
+        moves = []
+        for i, (_, factors) in enumerate(terms):
+            if i in walked:
+                cols, rows, values = walked[i]
+                moves.append((at[rows], at[cols], np.concatenate(values + [np.ones(0, complex)])))
+            elif moving[i]:
+                moves.append(sector.moves(factors))
+            else:  # each label at most to itself
+                cols, _, values = move(sector.labels, factors, dims)
+                moves.append((cols, cols, values))
+        return sector, moves
 
-    def operator(self, factors, name: str = "operator") -> np.ndarray:
-        """The S x S block of a tensor product of factor operators.
+    def moves(self, factors, name: str = "operator") -> tuple[np.ndarray, np.ndarray,
+                                                             np.ndarray]:
+        """The nonzeros on S of a tensor product of factor operators, as
+        (rows, cols, values): the entry (rows[k], cols[k]) is values[k].
 
         ``factors`` maps a factor index (0 the system, 1 + l mode l) to a
         matrix on that factor, or on a mode to a ``LADDER`` move; every
         other factor is the identity.  A bare matrix is an operator on the
-        system factor.
+        system factor.  Each label of S is taken through them by ``move``,
+        and a move that leaves S is dropped.
         """
         if not isinstance(factors, dict):
             factors = {0: factors}
-        dims = self.layout.dims
-        block = np.ones((self.dim,) * 2, dtype=complex)
-        for f, level in enumerate(self.labels.T):
-            if f not in factors:
-                block *= level[:, None] == level[None, :]
-        for f in sorted(factors):
-            op = factors[f]
-            if f in range(1, len(dims)) and isinstance(op, str) and op in LADDER:
-                shift, entry = LADDER[op]
-                level = self.labels[:, f]
-                block = block * np.where(level[:, None] == level + shift, entry(level), 0.0)
-            elif f in range(len(dims)) and np.shape(op) == (dims[f],) * 2:
-                level = self.labels[:, f]
-                block = block * np.asarray(op, dtype=complex)[level[:, None], level[None, :]]
-            else:
-                raise InvalidModelError(f"{name} of shape {np.shape(op)} is no operator on "
-                                        f"factor {f} of a space with factor dimensions {dims}")
+        cols, moved, values = move(self.labels, factors, self.layout.dims, name)
+        rows = np.array([self._position.get(label, -1) for label in map(tuple, moved.tolist())],
+                        dtype=np.intp)
+        inside = rows >= 0
+        return rows[inside], cols[inside], values[inside]
+
+    def operator(self, factors, name: str = "operator") -> np.ndarray:
+        """The S x S block of a tensor product of factor operators: its
+        ``moves`` in a zero block."""
+        rows, cols, values = self.moves(factors, name)
+        block = np.zeros((self.dim,) * 2, dtype=complex)
+        block[rows, cols] = values
         return block
 
     def reduced(self, block: np.ndarray) -> np.ndarray:
@@ -276,6 +288,56 @@ class Sector:
         the populations of S (a state's real diagonal), or one row of them per
         row of a stack."""
         return populations @ self._top.T
+
+
+def _basis_labels(layout: SpaceLayout, labels) -> list[tuple[int, ...]]:
+    """The distinct basis states ``labels`` of ``layout`` as sorted tuples."""
+    rows = sorted({tuple(int(v) for v in label) for label in labels})
+    dims = layout.dims
+    for label in rows:
+        if len(label) != len(dims) or not all(0 <= v < d for v, d in zip(label, dims)):
+            raise InvalidModelError(
+                f"{label} is no basis state of a space with factor dimensions {dims}")
+    if not rows:
+        raise InvalidModelError("a sector needs at least one basis state")
+    return rows
+
+
+def move(labels: np.ndarray, factors: dict, dims, name: str = "operator"):
+    """The labels ``labels``, an (n, 1 + N) array, taken through the factors
+    of a term, as ``Sector.moves`` takes them: a ``LADDER`` move shifts its
+    mode's level n to n + shift with its entry at n, and a matrix on factor
+    f takes level n to each row m of the nonzeros of its column n, with the
+    entry (m, n).  A move with an entry of 0 or past the cutoff is dropped,
+    so each label moves to at most one label per ladder factor.
+
+    Returns (source, moved, values): the index in ``labels`` of each move's
+    label, the label it moves to, and the product of the factors' entries,
+    multiplied in increasing factor order from 1.
+    """
+    source = np.arange(len(labels))
+    moved = labels
+    values = np.ones(len(labels), dtype=complex)
+    for f in sorted(factors):
+        op = factors[f]
+        ladder = isinstance(op, str) and op in LADDER and f in range(1, len(dims))
+        if not (ladder or f in range(len(dims)) and np.shape(op) == (dims[f],) * 2):
+            raise InvalidModelError(f"{name} of shape {np.shape(op)} is no operator on "
+                                    f"factor {f} of a space with factor dimensions {dims}")
+        level = moved[:, f]
+        if ladder:
+            shift, entry = LADDER[op]
+            entries = entry(level)
+            # only a raise can pass the cutoff, and its entry sqrt(n + 1) is never 0
+            (k,) = (level < dims[f] - shift).nonzero() if shift > 0 else entries.nonzero()
+            to, entries = level[k] + shift, entries[k]
+        else:
+            op = np.asarray(op, dtype=complex)
+            k, to = op.T[level].nonzero()
+            entries = op[to, level[k]]
+        source, values, moved = source[k], values[k] * entries, moved.take(k, axis=0)
+        moved[:, f] = to
+    return source, moved, values
 
 
 def eigenoperator(system: SystemSpec, j: int) -> np.ndarray:

@@ -427,13 +427,18 @@ def mcwf_run(
         reached their thresholds at ``t_jump``; the normalized results.  The
         m-th jump of a trajectory draws its channel with draw 1 + 2m of its
         stream and its next threshold with draw 2 + 2m."""
-        # Each channel's weight 2 rate ||b psi||**2 by a product of each ket
-        # of one fixed shape, as b @ psi, and the channel by one comparison
-        # with the cumulative weights.
-        kets = psi[:, :, None]
+        # Each channel's weight 2 rate ||b psi||**2, with b psi gathered into
+        # a zero ket of length |S|, and the channel by one comparison with
+        # the cumulative weights.
+        def lower(c: int, kets: np.ndarray) -> np.ndarray:
+            rows, cols, values = ops[c]
+            out = np.zeros_like(kets)
+            out[:, rows] = values * kets[:, cols]
+            return out
+
         weights = np.zeros((len(idx), len(channels)))
         for c in np.flatnonzero(rates > 0.0):
-            weights[:, c] = 2.0 * rates[c] * _norm2((ops[c] @ kets)[..., 0])
+            weights[:, c] = 2.0 * rates[c] * _norm2(lower(c, psi))
         total = weights.sum(axis=1)
         if np.any(total <= 0.0):
             raise InvalidModelError(
@@ -447,7 +452,7 @@ def mcwf_run(
         post = np.empty_like(psi)
         for c in np.unique(ch):
             on = np.flatnonzero(ch == c)
-            post[on] = (ops[c] @ kets[on])[..., 0]
+            post[on] = lower(c, psi[on])
         eta[idx] = draws[len(idx):]
         jump_counts[idx, ch] += 1
         for i, tj, c in zip(idx.tolist(), t_jump.tolist(), ch.tolist()):

@@ -823,14 +823,19 @@ def reference_jumps(gen, psi0, seed, idx, times):
     prop = NoJumpPropagator(gen.drift())
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(idx,))))
     norm2 = lambda psi: float(np.vdot(psi, psi).real)
+    channels = []  # each jump map as a dense S x S matrix
+    for rate, (rows, cols, values) in gen.channels:
+        op = np.zeros((gen.dim, gen.dim), dtype=complex)
+        op[rows, cols] = values
+        channels.append((rate, op))
 
     def jump(psi):
         weights = np.array([2.0 * rate * norm2(op @ psi) if rate > 0.0 else 0.0
-                            for rate, op in gen.channels])
+                            for rate, op in channels])
         draw = rng.random() * weights.sum()
         ch = min(int(np.searchsorted(np.cumsum(weights), draw, side="right")),
                  len(weights) - 1)
-        post = gen.channels[ch][1] @ psi
+        post = channels[ch][1] @ psi
         return post / math.sqrt(norm2(post)), ch, rng.random()
 
     eta, psi, jumps = rng.random(), psi0, []
