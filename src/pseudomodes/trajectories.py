@@ -20,8 +20,10 @@ jumped yet holds the same ket, so the ensemble starts with one row; an index
 ``cls`` maps each trajectory to its row.  A trajectory whose norm falls
 below its threshold takes a row of its own, reusing a row that no other
 trajectory stays on, so no row outlives the trajectories on it.  Each output
-row is one product of the (m, |S|) row stack with exp(-i D dt) and one norm
-check per row, and the record weights each row by the number of
+row is one product of the (m, |S|) row stack with exp(-i D h), h the mean
+span of the row's uniform run of the grid (``dynamics.uniform_runs``, as for
+``no_jump_history``), so a linspace grid forms one row exponential, and one
+norm check per row, and the record weights each row by the number of
 trajectories on it.  The trajectories that crossed then locate their jumps
 together: monotonicity of the norm lets a search from the top of the row
 place each jump on a lattice of spacing q at most 1e-10 max(1, t), b bits
@@ -83,7 +85,7 @@ import numpy as np
 from ._util import as_complex_matrix, frozen, seed_words, validate_grid
 from .errors import ClassificationError, InvalidModelError
 from .dynamics import (BLOCK_ENTRIES, TRUNCATION_LIMIT, Generator, exponential,
-                       no_jump_history, truncation_guard)
+                       no_jump_history, truncation_guard, uniform_runs)
 
 #: Relative precision of the jump times.
 JUMP_TIME_TOL = 1e-10
@@ -101,9 +103,8 @@ MAX_DIGIT_BITS = 5
 #: |S| = 78).
 DIGIT_ENTRIES = BLOCK_ENTRIES // 16
 #: Row exponentials a NoJumpPropagator keeps, the least recently used dropped
-#: first: on the row route the spans of a linspace grid, which differ by
-#: rounding (9 distinct on np.linspace(0, 20, 201)) but alternate between
-#: about two within an octave of t, and the tail of a row with jumps.
+#: first: on the row route the one span of the uniform run its rows are in,
+#: and the tails of the rows with jumps, one per row.
 PROPAGATOR_CACHE = 4
 
 
@@ -634,9 +635,14 @@ def mcwf_run(
     # number of trajectories on each row.
     kets, cls, count = psi0[None, :], np.zeros(n_traj, dtype=np.intp), np.array([n_traj])
     record(0, kets, cls, count, _norm2(kets))
+    # Each row advances by the mean span of its uniform run, as the rows of
+    # no_jump_history do: one exponential per run.
+    bounds = uniform_runs(t)
+    spans = np.repeat([(t[e] - t[b]) / (e - b) for b, e in zip(bounds, bounds[1:])],
+                      np.diff(bounds))
     for i in range(1, n_t):
         t_lo, t_hi = float(t[i - 1]), float(t[i])
-        start, kets = kets, prop.apply(kets, t_hi - t_lo)
+        start, kets = kets, prop.apply(kets, float(spans[i - 1]))
         norm2 = _norm2(kets)
         if jumps_possible:
             cross = np.flatnonzero(norm2[cls] < eta)

@@ -449,15 +449,25 @@ def test_row_route_cost_follows_rows_and_jumps(monkeypatch):
     levels = math.ceil(math.log2(2.0 * (t[1] - t[0]) / JUMP_TIME_TOL))
     per_pass = math.ceil(levels / digit_bits(gen.dim)) + 1
     applied, searched = count_products(monkeypatch)
+    formed, exponential = [], trajectories.exponential
+
+    def forming(a):
+        exp = exponential(a)
+        return lambda h: formed.append(h) or exp(h)
+
+    monkeypatch.setattr(trajectories, "exponential", forming)
     for n_traj in (10, 100, 1000):
         applied.clear()
         searched.clear()
+        formed.clear()
         ens = mcwf_run(gen, basis_state(gen.sector, 2),
                        TrajectoryConfig(n_traj=n_traj, seed=4, times=t))
         jumps = int(ens.jump_counts.sum())
         assert jumps > 0 and searched
         rows = [height for height, dt in applied if dt in spacings]
         assert len(rows) == t.size - 1  # one product per row for the ensemble
+        # 1 row exponential on the grid's one uniform run, its mean span
+        assert [h for h in formed if h in spacings] == [2.5 / 250]
         # the row stack holds one ket for the trajectories that have not
         # jumped and one for each that has
         first = np.sort([rec[0][0] for rec in ens.jump_records if rec])

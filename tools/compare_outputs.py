@@ -6,11 +6,16 @@ Each commit is written by ``git archive`` into its own checkout under
 ``.bench_work/pairs/`` (ignored; ``bench_pairs.checkout``).  In each, one
 child process runs ``pseudomodes.cli.main`` for ``map``, ``evolve``,
 ``trajectories`` and ``validate`` on every shipped config (``configs/*.yaml``
-of that commit), once per frame (``run.frame`` set to ``schrodinger`` and to
-``interaction``), with ``trajectories`` at seeds 1-8.  For each trajectory
-run it also writes the jump records of ``mcwf_run`` on the same model, grid
-and seed.  Every file lands under ``.bench_work/compare/<commit>/`` with each
-run's exit code in ``exit_codes.json``.
+of that commit) and on a two-excitation ladder, once per frame (``run.frame``
+set to ``schrodinger`` and to ``interaction``), with ``trajectories`` at
+seeds 1-8.  For each trajectory run it also writes the jump records of
+``mcwf_run`` on the same model, grid and seed.  The shipped configs take the
+one-excitation routes; the ladder (levels 0, 1, 2, one channel at frequency
+1, started in level 2, three lines of weight 1/3, centers 0.5 + k/3 and
+widths 1 + 2k/3 at ``fock_levels: 3``) takes the Taylor route in
+``evolve`` and the row route in ``trajectories``.  Every file lands under
+``.bench_work/compare/<commit>/`` with each run's exit code in
+``exit_codes.json``.
 
 The report names the files that are byte-identical and, for the rest, the
 largest absolute deviation per CSV column, per JSON check residual (with any
@@ -34,8 +39,8 @@ from bench_pairs import ROOT, checkout
 OUT = ROOT / ".bench_work" / "compare"
 SEEDS = range(1, 9)
 
-#: Runs in each checkout with its own package: every run, its exit code and,
-#: for trajectories, the jump records of the same model and seed.
+#: Runs in each checkout with its own package: every run of every model, its
+#: exit code and, for trajectories, the jump records of the same model and seed.
 CHILD = r'''
 import contextlib, io, json, sys
 from pathlib import Path
@@ -46,11 +51,20 @@ from pseudomodes.trajectories import TrajectoryConfig, mcwf_run
 
 out, seeds = Path(sys.argv[1]), [int(s) for s in sys.argv[2].split(",")]
 codes = {}
-for config in sorted(Path("configs").glob("*.yaml")):
-    doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+ladder = {
+    "spectral": {"type": "lorentzian_sum", "terms": [
+        {"weight": 1 / 3, "center": 0.5 + k / 3, "width": 1 + 2 * k / 3} for k in range(3)]},
+    "system": {"energies": [0.0, 1.0, 2.0], "channels": [{"frequency": 1.0, "strength": 1.0}]},
+    "run": {"generator": "auto", "t_max": 5.0, "n_steps": 50, "fock_levels": 3},
+    "trajectories": {"n_traj": 500, "seed": 7},
+    "output": {"observables": ["pop_1", "pop_2", "coh_1_2"]},
+}
+models = [(config.stem, yaml.safe_load(config.read_text(encoding="utf-8")))
+          for config in sorted(Path("configs").glob("*.yaml"))] + [("ladder3", ladder)]
+for model, doc in models:
     for frame in ("schrodinger", "interaction"):
         doc["run"]["frame"] = frame
-        stem = f"{config.stem}-{frame}"
+        stem = f"{model}-{frame}"
         path = out / f"{stem}.yaml"
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
         runs = [("map", f"{stem}-map.txt", []), ("evolve", f"{stem}-evolve.csv", []),
