@@ -27,12 +27,12 @@ over the modes the generator was built from.
 
 Every generator is built on the sector S of its start: the product labels
 (level, n_1 ... n_N) within the cutoffs that the terms of L (``_terms``)
-reach from the labels ``start`` (``Sector.closure``), and A, K and the jumps
-are summed from the same terms as S x S blocks read off the labels.  Because
-S is closed, L maps the S x S block into itself and every entry outside it
-stays exactly 0.0, so these blocks propagate the state exactly.  One
-excitation with every mode in vacuum stays in the one-excitation sector plus
-the ground state (Garraway, PRA 55, 2290 (1997)): 4 of the 18 basis states
+reach from the labels ``start`` (``Sector.closure``): A and K are summed
+from the index maps of the same terms into S x S blocks, and each jump is
+kept as its map.  Because S is closed, L maps the S x S block into itself
+and every entry outside it stays exactly 0.0, so the propagation is exact.
+One excitation with every mode in vacuum stays in the one-excitation sector
+plus the ground state (Garraway, PRA 55, 2290 (1997)): 4 of the 18 basis states
 of a two-mode band gap, and 5 of 1,458 for three modes at Fock cutoff 8.
 The full space is the sector of every label.  The initial state is handed
 over on the generator's sector, and every recorded quantity is read from the
@@ -126,15 +126,13 @@ class Generator:
     """Concrete generator: matrices for A and K plus jump channels as index maps.
 
     Instances are immutable by convention; every array is kept internally and
-    never handed out for mutation.  Every matrix is an S x S block on
-    ``sector``, so d below is |S|.  Each channel is (rate, (rows, cols,
-    values)), the map of its b_k: the entry (rows[i], cols[i]) is values[i],
-    one entry per row and per column at most, as for any ladder move.
-    ``apply`` is matrix-free in the superoperator sense: it performs only
-    d x d matrix products and one gather per jump, so a density costs
-    O(d**2) memory where the superoperator would cost O(d**4), and a jump
-    costs its nonzeros.  ``one_excitation_ground`` tells ``evolve`` whether
-    its rows are read off kets instead, and ``mcwf_run`` whether a jumped
+    never handed out for mutation.  A and K are S x S blocks on ``sector``,
+    so d below is |S|, and each channel is (rate, (rows, cols, values)), the
+    nonzeros of its b_k, at most one per row and per column.  ``apply`` is
+    matrix-free in the superoperator sense: d x d products and one gather
+    per jump, so a density costs O(d**2) memory where the superoperator would
+    cost O(d**4).  ``one_excitation_ground`` tells ``evolve`` whether its
+    rows are read off kets instead, and ``mcwf_run`` whether a jumped
     trajectory is the ground ket for good.  ``h0`` is the diagonal of the
     free Hamiltonian H0 that the interaction frame rotates with; the
     Schrodinger frame does not need it.
@@ -254,20 +252,16 @@ class Generator:
 
 
 def _index_map(jump, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The jump map (rows, cols, values) on d states, checked: as many of
-    each, indices in [0, d), and no row or column twice, which the gathers
-    of ``apply`` and ``mcwf_run`` and the bound of ``norm_estimate`` take
-    for granted."""
+    """The jump map (rows, cols, values) on d states, refused unless it has a
+    row and a column per value, each distinct and in [0, d): the gathers of
+    ``apply`` and ``mcwf_run`` and the bound of ``norm_estimate`` assume so."""
     rows, cols, values = (np.asarray(a) for a in jump)
-    if not len(rows) == len(cols) == len(values):
-        raise InvalidModelError(f"a jump map needs as many rows, columns and values, "
-                                f"got {len(rows)}, {len(cols)} and {len(values)}")
     for name, index in (("row", rows), ("column", cols)):
         seen = set(index.tolist())
-        if seen and not 0 <= min(seen) <= max(seen) < d:
-            raise InvalidModelError(f"a jump map has a {name} index outside [0, {d})")
-        if len(seen) < len(index):
-            raise InvalidModelError(f"a jump map repeats a {name}")
+        if len(index) != len(values):
+            raise InvalidModelError(f"a jump map has {len(index)} {name}s for {len(values)} values")
+        if len(seen) < len(index) or seen and not 0 <= min(seen) <= max(seen) < d:
+            raise InvalidModelError(f"a jump map's {name}s must be distinct indices in [0, {d})")
     return rows, cols, values.astype(complex)
 
 
@@ -330,10 +324,11 @@ def build_generator(
     ``start`` lists the product labels (level, n_1 ... n_N) the initial state
     occupies; the generator's ``sector`` is what the terms of ``_terms``
     reach from them within the cutoffs of ``layout`` (``Sector.closure``),
-    and A, K and each jump are the S x S blocks of their group's sum
-    (``ModeSet`` keeps Gamma diagonal, so K holds the rates).  Complex
-    couplings give ``pathological``; real ones give ``lindblad_regularized``
-    with a hopping (an off-diagonal Re Z) and ``lindblad_direct`` without.
+    A and K are the S x S blocks of their groups' index maps, and each jump
+    is its map (``ModeSet`` keeps Gamma diagonal, so K holds the rates).
+    Complex couplings give ``pathological``; real ones give
+    ``lindblad_regularized`` with a hopping (an off-diagonal Re Z) and
+    ``lindblad_direct`` without.
     """
     _check_consistency(system, modes, layout)
     z = modes.frequency_matrix

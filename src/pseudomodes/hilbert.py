@@ -2,11 +2,11 @@
 
 The total space is system (x) mode_1 (x) ... (x) mode_N with each mode
 truncated at a caller-chosen Fock level.  Operators and states live on a
-``Sector``, a set S of product-basis states, as dense S x S blocks: a term
-of the model is the S-block of a tensor product of factor operators, read
-off the sector's labels, so no array ever has the size of the whole space
-unless S is all of it, and a ladder move (``LADDER``) is read off them
-too, so none has the size of a mode's cutoff either.
+``Sector``, a set S of product-basis states: a term of the model, a tensor
+product of factor operators, is read off the sector's labels as the index
+map of its nonzeros (``move``), scattered into a dense S x S block where one
+is needed, so no array ever has the size of the whole space unless S is all
+of it, and a ladder move (``LADDER``) has no array of a mode's cutoff size.
 
 The system side is specified by its bare energies and, per environment
 coupling channel j, a Hermitian operator O_j together with a positive
@@ -143,14 +143,14 @@ class Sector:
     Each state is a label (level, n_1 ... n_N).  ``labels`` holds them as an
     (|S|, 1 + N) array in increasing order of their index ``support`` in the
     product space, and the sector of every label is the whole space.
-    ``closure`` grows a sector through the terms of a model, ``moves`` gives
-    a term's nonzeros on S as an index map (rows, cols, values), one entry
-    per move of a label (``move``), and ``operator`` scatters them into the
-    S x S block.  A state whose entries outside S x S are 0 is read from its
-    S x S block alone: ``reduced`` traces the modes out, as one product for a
-    block or for an (n, |S|, |S|) stack of them, and ``reduced_kets`` does the
-    same for a state given as weighted ket pairs; ``top_fock`` reads each
-    mode's top-level population off the populations of S.
+    ``closure`` grows a sector through the terms of a model, ``moves`` reads
+    a term's nonzeros on S off the labels (``move``), and ``operator``
+    scatters them into the S x S block.  A state whose entries outside S x S
+    are 0 is read from its S x S block alone: ``reduced`` traces the modes
+    out, as one product for a block or for an (n, |S|, |S|) stack of them,
+    and ``reduced_kets`` does the same for a state given as weighted ket
+    pairs; ``top_fock`` reads each mode's top-level population off the
+    populations of S.
     """
 
     def __init__(self, layout: SpaceLayout, labels):
@@ -186,54 +186,45 @@ class Sector:
     def closure(cls, layout: SpaceLayout, start, terms) -> tuple[Sector, list[tuple]]:
         """The sector of the labels that ``terms``, each (coefficient, factors)
         with factors as ``moves`` takes them, reach from the labels ``start``,
-        and each term's ``moves`` on it.
-
-        The walk takes each term with a nonzero coefficient through ``move``
-        from every label it has not taken yet, until no term reaches a new
-        label, and the moves it made are that term's nonzeros on the sector.
-        A term none of whose factors moves a level (a ladder shift of 0, a
-        matrix with no nonzero off its diagonal) takes a label at most to
-        itself, so it is not walked: it takes one pass of ``moves`` on the
-        sector, as a term with a zero coefficient does."""
+        and each term's ``moves`` on it.  A term with a nonzero coefficient
+        that moves a level (a ladder shift other than 0, a matrix with a
+        nonzero off its diagonal) is walked through ``move`` from each label
+        once, until none reaches a new label, and keeps the moves it made;
+        a term that moves no level takes each label at most to itself."""
         def shifts(op) -> bool:
             if isinstance(op, str):
                 return LADDER[op][0] != 0
             return np.count_nonzero(op) > np.count_nonzero(np.diagonal(op))
 
-        # the walk's labels, in the order it found them, and their indices
         dims = layout.dims
-        index = {label: i for i, label in enumerate(_basis_labels(layout, start))}
-        found = np.array(list(index), dtype=np.intp)
         moving = [any(map(shifts, factors.values())) for _, factors in terms]
-        # each walked term's moves: the walk indices of their labels and
-        # their targets, and their entries
+        # labels in the order the walk finds them, and each walked term's moves
+        index = {label: i for i, label in enumerate(_basis_labels(layout, start))}
+        found = np.array(list(index))
         walked = {i: ([], [], []) for i, (coefficient, _) in enumerate(terms)
                   if coefficient != 0 and moving[i]}
         done = dict.fromkeys(walked, 0)
         while min(done.values(), default=len(found)) < len(found):
-            for i, (cols, rows, values) in walked.items():
+            for i, (rows, cols, values) in walked.items():
                 lo, done[i] = done[i], len(found)
-                if lo == len(found):
-                    continue
-                source, moved, entries = move(found[lo:], terms[i][1], dims)
-                if source.size:
+                if lo < len(found):
+                    source, moved, entries = move(found[lo:], terms[i][1], dims)
                     rows += [index.setdefault(label, len(index))
                              for label in map(tuple, moved.tolist())]
-                    if len(index) > len(found):
-                        found = np.concatenate([found, list(itertools.islice(index, len(found),
-                                                                             None))])
                     cols += (lo + source).tolist()
-                    values.append(entries)
+                    values += entries.tolist()
+                    if len(index) > len(found):
+                        found = np.vstack([found, *itertools.islice(index, len(found), None)])
         sector = cls(layout, index)
         at = np.array([sector._position[label] for label in index])
         moves = []
         for i, (_, factors) in enumerate(terms):
             if i in walked:
-                cols, rows, values = walked[i]
-                moves.append((at[rows], at[cols], np.concatenate(values + [np.ones(0, complex)])))
+                rows, cols, values = walked[i]
+                moves.append((at[rows], at[cols], np.array(values, dtype=complex)))
             elif moving[i]:
                 moves.append(sector.moves(factors))
-            else:  # each label at most to itself
+            else:
                 cols, _, values = move(sector.labels, factors, dims)
                 moves.append((cols, cols, values))
         return sector, moves
@@ -291,7 +282,7 @@ class Sector:
 
 
 def _basis_labels(layout: SpaceLayout, labels) -> list[tuple[int, ...]]:
-    """The distinct basis states ``labels`` of ``layout`` as sorted tuples."""
+    """The distinct basis states ``labels`` of ``layout``, sorted, as tuples."""
     rows = sorted({tuple(int(v) for v in label) for label in labels})
     dims = layout.dims
     for label in rows:
@@ -304,17 +295,12 @@ def _basis_labels(layout: SpaceLayout, labels) -> list[tuple[int, ...]]:
 
 
 def move(labels: np.ndarray, factors: dict, dims, name: str = "operator"):
-    """The labels ``labels``, an (n, 1 + N) array, taken through the factors
-    of a term, as ``Sector.moves`` takes them: a ``LADDER`` move shifts its
-    mode's level n to n + shift with its entry at n, and a matrix on factor
-    f takes level n to each row m of the nonzeros of its column n, with the
-    entry (m, n).  A move with an entry of 0 or past the cutoff is dropped,
-    so each label moves to at most one label per ladder factor.
-
-    Returns (source, moved, values): the index in ``labels`` of each move's
-    label, the label it moves to, and the product of the factors' entries,
-    multiplied in increasing factor order from 1.
-    """
+    """The labels of the (n, 1 + N) array ``labels`` taken through a term's
+    factors, as ``Sector.moves`` takes them: a ``LADDER`` move takes level n
+    to n + shift with its entry at n, a matrix takes n to each m with a
+    nonzero (m, n), and a move with an entry of 0 or past the cutoff is
+    dropped.  Returns (source, moved, values): each move's index in
+    ``labels``, its label and its entries multiplied from 1 in factor order."""
     source = np.arange(len(labels))
     moved = labels
     values = np.ones(len(labels), dtype=complex)

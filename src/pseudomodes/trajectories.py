@@ -638,8 +638,7 @@ def mcwf_run(
     # Each row advances by the mean span of its uniform run, as the rows of
     # no_jump_history do: one exponential per run.
     bounds = uniform_runs(t)
-    spans = np.repeat([(t[e] - t[b]) / (e - b) for b, e in zip(bounds, bounds[1:])],
-                      np.diff(bounds))
+    spans = np.repeat(np.diff(t[bounds]) / np.diff(bounds), np.diff(bounds))
     for i in range(1, n_t):
         t_lo, t_hi = float(t[i - 1]), float(t[i])
         start, kets = kets, prop.apply(kets, float(spans[i - 1]))

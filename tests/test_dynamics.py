@@ -291,6 +291,24 @@ def test_frame_equivalence_all_kinds():
         assert dev < 1e-9, kind
 
 
+@pytest.mark.parametrize("jump, refusal", [
+    (([0, 1], [1, 2], [1.0]), r"^a jump map has 2 rows for 1 values$"),
+    (([0], [1, 2], [1.0]), r"^a jump map has 2 columns for 1 values$"),
+    (([0, 3], [1, 2], [1.0, 1.0]), r"^a jump map's rows must be distinct indices in \[0, 3\)$"),
+    (([0, 1], [-1, 2], [1.0, 1.0]), r"^a jump map's columns must be distinct indices in"),
+    (([1, 1], [0, 2], [1.0, 1.0]), r"^a jump map's rows must be distinct indices in"),
+    (([0, 1], [2, 2], [1.0, 1.0]), r"^a jump map's columns must be distinct indices in"),
+], ids=["lengths-rows", "lengths-columns", "outside-rows", "outside-columns",
+        "repeated-row", "repeated-column"])
+def test_a_malformed_jump_map_is_refused(jump, refusal):
+    gen, _ = tls_direct()
+    assert gen.dim == 3
+    with pytest.raises(InvalidModelError, match=refusal):
+        Generator(kind=gen.kind, frame=gen.frame, sector=gen.sector,
+                  static_both=gen.static_both, damping=gen.damping,
+                  channels=((1.0, tuple(np.array(part) for part in jump)),))
+
+
 def test_interaction_frame_needs_the_free_hamiltonian():
     gen, layout = tls_direct()
     parts = dict(kind=gen.kind, sector=gen.sector, static_both=gen.static_both,
@@ -1064,6 +1082,28 @@ def test_closure_skips_only_terms_that_move_no_label():
             assert sector.labels.tolist() == [list(label) for label in
                                               full_walk(layout, start, terms)], family
     assert skipped > 0
+
+
+def test_the_generator_holds_its_blocks_and_jump_maps_only():
+    # The N-line model at N = 100: |S| = 102.  A, K, D_l and D_r are dense
+    # S x S blocks, each jump is a map with one entry, and the sector holds
+    # its labels, so the generator holds at most 4 |S|**2 complex numbers
+    # and O(N |S|) bytes besides.
+    n = 100
+    lines = lorentzian_to_poles(LorentzianSum(tuple(
+        LorentzianTerm(weight=1.0 / n, center=0.5 + k / n, width=1.0 + 20.0 * k / n)
+        for k in range(n))))
+    modes = build_discrete_modes(lines, (1.0,))
+    layout = SpaceLayout(2, (2,) * n)
+    tracemalloc.start()
+    try:
+        gen = build_generator(TLS, modes, layout, excited(layout))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    d = gen.dim
+    assert d == n + 2 and len(gen.channels) == n
+    assert held <= 4 * d * d * 16 + 64 * n * d, f"{held / 2**20:.2f} MiB"
 
 
 def test_memory_follows_the_sector_not_the_cutoff():

@@ -14,6 +14,7 @@ from pseudomodes import (
     expectation,
     vacuum_embedding,
 )
+from pseudomodes.hilbert import LADDER
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -174,6 +175,32 @@ def test_sector_operator_is_the_block_of_the_embedding():
     for bad in (np.eye(4), {1: np.eye(3)}, {3: np.eye(2)}, {0: "b"}, {1: "b b"}, {3: "b"}):
         with pytest.raises(InvalidModelError):
             sector.operator(bad)
+
+
+def test_sector_moves_are_the_nonzeros_of_the_kron_product():
+    # Seeded: random sectors, which are not closed, and random system
+    # matrices with zeros, through each ladder move on a mode.  The moves are
+    # exactly the nonzero entries of the dense Kronecker product on S x S,
+    # one per entry; a move to a label outside S is dropped.
+    rng = np.random.default_rng(20261020)
+    layout = SpaceLayout(3, (2, 1))
+    left = 0
+    for _ in range(30):
+        support = np.sort(rng.choice(layout.dim, size=int(rng.integers(3, 13)), replace=False))
+        sector, outside = sector_of(layout, support), np.setdiff1d(np.arange(layout.dim), support)
+        sys_op = ((rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+                  * (rng.random((3, 3)) < 0.6))
+        for move in LADDER:
+            mode = int(rng.integers(1, 3))
+            b = destroy(layout.fock_levels[mode - 1])
+            op = {"b": b, "b^dag": b.conj().T, "b^dag b": b.conj().T @ b}[move]
+            dense = kron_chain(layout, 0, sys_op) @ kron_chain(layout, mode, op)
+            rows, cols, values = sector.moves({0: sys_op, mode: move})
+            want_rows, want_cols = np.nonzero(dense[np.ix_(support, support)])
+            assert sorted(zip(cols, rows)) == sorted(zip(want_cols, want_rows)), move
+            assert np.array_equal(values, dense[support[rows], support[cols]]), move
+            left += np.count_nonzero(dense[np.ix_(outside, support)])
+    assert left > 0
 
 
 def test_vacuum_embedding_and_basis_state():
