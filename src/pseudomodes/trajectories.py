@@ -15,36 +15,34 @@ exceptional point) would not have.  Kets live on the generator's sector S,
 the states its terms reach from the initial labels: the drift and the jumps
 never leave it, so a ket carries only |S| amplitudes.
 
-The ensemble carries each distinct ket once.  Every trajectory that has not
-jumped yet holds the same ket, so the ensemble starts with one row; an index
-``cls`` maps each trajectory to its row.  A trajectory whose norm falls
-below its threshold takes a row of its own, reusing a row that no other
-trajectory stays on, so no row outlives the trajectories on it.  Each output
-row is one product of the (m, |S|) row stack with exp(-i D h), h the mean
-span of the row's uniform run of the grid (``dynamics.uniform_runs``, as for
-``no_jump_history``), so a linspace grid forms one row exponential, and one
-norm check per row, and the record weights each row by the number of
-trajectories on it.  The trajectories that crossed then locate their jumps
-together: monotonicity of the norm lets a search from the top of the row
-place each jump on a lattice of spacing q at most 1e-10 max(1, t), b bits
-of the lattice index per round (``digit_bits``).  A round is one product
-per ket with the exponentials of the 2**b - 1 multiples of one power-of-two
-step side by side, with masks choosing, for each ket, the furthest multiple
-that keeps its norm at or above the threshold.  A ket that jumps searches
-again from its jump with its new threshold.
+Every trajectory follows the no-jump ket psi until its first jump.  A run
+reads psi off one ``dynamics.no_jump_history`` over the grid (one
+exponential per uniform run, its rows filled by doubling, as ``evolve``'s
+kets), and each trajectory's first jump falls in the first row whose norm
+falls below its threshold, read off the running minimum of the norms by one
+searchsorted.  The row route holds one ket per trajectory that has jumped,
+in the order of the first jumps, and reads every other row off psi.  Each
+output row is one product of the (m, |S|) stack of jumped kets with
+exp(-i D h), h the mean span of the row's uniform run of the grid
+(``dynamics.uniform_runs``), and one norm check.  The jumped kets that fall
+below their thresholds in a row, from their row starts, and the
+trajectories whose first jump falls in it, from psi at the row start, then
+locate their jumps together: monotonicity of the norm lets a search from
+the top of the row place each jump on a lattice of spacing q at most 1e-10
+max(1, t), b bits of the lattice index per round (``digit_bits``).  A round
+is one product per ket with the exponentials of the 2**b - 1 multiples of
+one power-of-two step side by side, with masks choosing, for each ket, the
+furthest multiple that keeps its norm at or above the threshold.  A ket
+that jumps searches again from its jump with its new threshold.
 
 Where every jump lands in one label g (``Generator.one_excitation_ground``),
-as for one excitation with every mode in vacuum, a jumped trajectory is |g>
-for good: the drift keeps that ray and no jump leaves it, so its norm never
-falls again.  There the ensemble is the no-jump ket psi, advanced by one
-exponential per uniform run of the grid and its rows by doubling
-(``dynamics.no_jump_history``, as ``evolve``'s kets), and the number n_j(i)
-of trajectories that have jumped by row i.  Each trajectory crosses in the
-first row whose norm falls below its threshold, read off the running
-minimum of the norms by one searchsorted; every row is then recorded at
-once and in closed form.  The samples of a row take two values, x = psi's
-value on the m = n - n_j trajectories that have not jumped and O_gg on the
-rest, so the mean is (m x + n_j O_gg) / n and the squared standard error
+as for one excitation with every mode in vacuum, a jumped ket is |g> for
+good: the drift keeps that ray and no jump leaves it, so its norm never
+falls again.  There the ensemble is psi and the number n_j(i) of
+trajectories that have jumped by row i, and every row is recorded at once
+and in closed form.  The samples of a row take two values, x = psi's value
+on the m = n - n_j trajectories that have not jumped and O_gg on the rest,
+so the mean is (m x + n_j O_gg) / n and the squared standard error
 m n_j |x - O_gg|^2 / (n^2 (n - ddof)); the guards read the populations
 (m |psi_k|^2 / |psi|^2 + n_j delta_kg) / n, and the mean density
 (m psi psi^dag / |psi|^2 + n_j |g><g|) / n is formed only when it is read.
@@ -354,15 +352,16 @@ def mcwf_run(
     whose top Fock population exceeds the limit, with the jumps made up to
     that row.
 
-    When ``gen.one_excitation_ground()`` names a label g, the rows take the
-    ground route of the module docstring, which places the jumps when the
-    result's jump counts or records are first read; any other sector takes
-    the row route, one record of the distinct kets per row, whose jumps feed
-    the rows and are placed as they come.  The routes place the same jumps
-    and give the same statistics up to rounding: the ground route's rows
-    come from doubling and its means and errors from the closed forms, and
-    a jumped trajectory reads O_gg itself, where the row route reads it
-    through the normalized jumped ket.
+    Both routes read a trajectory's rows before its first jump off one
+    no-jump history psi, formed before the route is chosen.  When
+    ``gen.one_excitation_ground()`` names a label g, the rows take the ground
+    route of the module docstring, which places the jumps when the result's
+    jump counts or records are first read; any other sector takes the row
+    route, which holds one ket per trajectory that has jumped and places the
+    jumps as they come, since they feed the rows.  The routes place the same
+    jumps and give the same statistics up to rounding: the ground route's
+    means and errors come from the closed forms, and a jumped trajectory
+    reads O_gg itself, where the row route reads it through its ket.
     """
     if gen.kind not in ("lindblad_direct", "lindblad_regularized"):
         raise ClassificationError(
@@ -384,9 +383,8 @@ def mcwf_run(
 
     prop = NoJumpPropagator(gen.drift())
     channels = gen.channels
-    rates = np.array([r for r, _ in channels])
-    ops = [b for _, b in channels]
-    jumps_possible = bool(np.any(rates > 0.0))
+    # The channels that can fire: a positive rate and a nonempty map.
+    open_ = [c for c, (rate, (rows, _, _)) in enumerate(channels) if rate > 0.0 and rows.size]
 
     t = config.times
     n_t = t.size
@@ -424,23 +422,24 @@ def mcwf_run(
         )
 
     def jump(idx: np.ndarray, psi: np.ndarray, t_jump: np.ndarray) -> np.ndarray:
-        """Project the kets ``psi`` of the distinct trajectories ``idx`` that
-        reached their thresholds at ``t_jump``; the normalized results.  The
-        m-th jump of a trajectory draws its channel with draw 1 + 2m of its
+        """Project the kets ``psi`` of the trajectories ``idx`` that reached
+        their thresholds at ``t_jump``; the normalized results.  The m-th
+        jump of a trajectory draws its channel with draw 1 + 2m of its
         stream and its next threshold with draw 2 + 2m."""
-        # Each channel's weight 2 rate ||b psi||**2, with b psi gathered into
-        # a zero ket of length |S|, and the channel by one comparison with
-        # the cumulative weights.
-        def lower(c: int, kets: np.ndarray) -> np.ndarray:
-            rows, cols, values = ops[c]
-            out = np.zeros_like(kets)
-            out[:, rows] = values * kets[:, cols]
-            return out
-
+        # One gather over the open channels' maps side by side, amp = v
+        # psi[cols], gives each weight, 2 rate times the sum of |amp|**2 over
+        # the channel's entries, and the jumped ket, from the drawn channel's
+        # entries.  Drawn against the cumulative weights, no channel of
+        # weight 0 can be.
+        rates, maps = zip(*(channels[c] for c in open_))
+        sizes = [len(rows) for rows, _, _ in maps]
+        rows, cols, values = (np.concatenate(a) for a in zip(*maps))
+        amp = values * psi[:, cols]
         weights = np.zeros((len(idx), len(channels)))
-        for c in np.flatnonzero(rates > 0.0):
-            weights[:, c] = 2.0 * rates[c] * _norm2(lower(c, psi))
-        total = weights.sum(axis=1)
+        weights[:, open_] = 2.0 * np.array(rates) * np.add.reduceat(
+            amp.real**2 + amp.imag**2, np.cumsum([0] + sizes[:-1]), axis=1)
+        cumulative = np.cumsum(weights, axis=1)
+        total = cumulative[:, -1]
         if np.any(total <= 0.0):
             raise InvalidModelError(
                 "norm decayed with no open emission channel; "
@@ -448,12 +447,10 @@ def mcwf_run(
             )
         m = 2 * jump_counts[idx].sum(axis=1)
         draws = streams.draw(np.concatenate([idx, idx]), np.concatenate([1 + m, 2 + m]))
-        below = np.cumsum(weights, axis=1) <= (draws[:len(idx)] * total)[:, None]
-        ch = np.minimum(below.sum(axis=1), len(channels) - 1)
-        post = np.empty_like(psi)
-        for c in np.unique(ch):
-            on = np.flatnonzero(ch == c)
-            post[on] = lower(c, psi[on])
+        ch = (cumulative <= (draws[:len(idx)] * total)[:, None]).sum(axis=1)
+        k, e = np.nonzero(np.repeat(open_, sizes) == ch[:, None])
+        post = np.zeros_like(psi)
+        post[k, rows[e]] = amp[k, e]
         eta[idx] = draws[len(idx):]
         jump_counts[idx, ch] += 1
         for i, tj, c in zip(idx.tolist(), t_jump.tolist(), ch.tolist()):
@@ -535,20 +532,22 @@ def mcwf_run(
                 break
         return psi
 
+    # Every trajectory follows psi until its first jump, in the first row
+    # i >= 1 with norm2[i] < eta (n_t for none, or if no channel is open);
+    # then the number crossing in each row and that have jumped by each row.
+    psi = no_jump_history(prop.exp, psi0, t)
+    norm2 = _norm2(psi)
+    first = 1 + np.searchsorted(-np.minimum.accumulate(norm2[1:]), -eta, side="right")
+    if not open_:
+        first[:] = n_t
+    crossing = np.bincount(first, minlength=n_t + 1)[:n_t]
+    jumped = np.cumsum(crossing)
+
     g = gen.one_excitation_ground()
     if g is not None:
         # Every jump lands on the ray of |g>, which the drift keeps and no
         # jump leaves, so a trajectory that has jumped is |g> from then on:
-        # the rows are the no-jump ket psi and the number of trajectories
-        # that have jumped.
-        psi = no_jump_history(prop.exp, psi0, t)
-        norm2 = _norm2(psi)
-        # The row each trajectory crosses its threshold in, the first i >= 1
-        # with norm2[i] < eta (n_t for none), the number crossing in each row
-        # and the number that have jumped by each row.
-        first = 1 + np.searchsorted(-np.minimum.accumulate(norm2[1:]), -eta, side="right")
-        crossing = np.bincount(first, minlength=n_t + 1)[:n_t]
-        jumped = np.cumsum(crossing)
+        # the rows are psi and the number of trajectories that have jumped.
         stay = n_traj - jumped
         kets = psi if view is None else view(psi, t[:, None])
         bra = kets.conj()
@@ -614,53 +613,49 @@ def mcwf_run(
                          for name, v in rows.items()},
                         lambda: density_sum[:upto] / n_traj)
 
-    def record(i: int, kets: np.ndarray, cls: np.ndarray, count: np.ndarray,
-               norm2: np.ndarray) -> None:
-        """Record row i of the trajectories ``cls`` maps onto the distinct
-        ``kets``, ``count`` of them on each, whose squared norms are ``norm2``."""
-        w = 1.0 / norm2
+    # The trajectories in the order of their first jumps: in row i the row
+    # route holds one ket for each of order[:jumped[i]], in that order.
+    order = np.argsort(first, kind="stable")
+
+    def record(i: int, kets: np.ndarray) -> None:
+        """Record row i of the trajectories order[:jumped[i]] on the
+        ``kets``, one each, and of every other one on psi[i]."""
+        kets = np.concatenate([psi[i:i + 1], kets])
+        norm2 = _norm2(kets)
+        # psi may have decayed to 0 in rows that every trajectory has left.
+        w = np.divide(1.0, norm2, out=np.zeros(len(kets)), where=norm2 > 0.0)
         if view is not None:
             kets = view(kets, float(t[i]))
         bra = kets.conj()
         for name, mat_t in obs_mats.items():
-            samples[name][:, i] = (np.einsum("ni,ni->n", bra, kets @ mat_t) * w)[cls]
-        w *= count
+            x = np.einsum("ni,ni->n", bra, kets @ mat_t) * w
+            samples[name][:, i] = x[0]
+            samples[name][order[:jumped[i]], i] = x[1:]
+        w[0] *= n_traj - jumped[i]
         density_sum[i] = kets.T @ (bra * w[:, None])
         rho = density_sum[i] / n_traj
         trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
         top_fock[i] = truncation_guard(sector.top_fock(np.real(np.diagonal(rho))), float(t[i]),
                                        lambda: row_result(i))
 
-    # The distinct kets, one row each, the row of each trajectory and the
-    # number of trajectories on each row.
-    kets, cls, count = psi0[None, :], np.zeros(n_traj, dtype=np.intp), np.array([n_traj])
-    record(0, kets, cls, count, _norm2(kets))
-    # Each row advances by the mean span of its uniform run, as the rows of
-    # no_jump_history do: one exponential per run.
+    kets = np.empty((0, psi0.size), dtype=complex)
+    record(0, kets)
+    # Each row advances the held kets by the mean span of its uniform run, as
+    # the rows of no_jump_history do: one exponential per run.
     bounds = uniform_runs(t)
     spans = np.repeat(np.diff(t[bounds]) / np.diff(bounds), np.diff(bounds))
     for i in range(1, n_t):
-        t_lo, t_hi = float(t[i - 1]), float(t[i])
-        start, kets = kets, prop.apply(kets, float(spans[i - 1]))
-        norm2 = _norm2(kets)
-        if jumps_possible:
-            cross = np.flatnonzero(norm2[cls] < eta)
-            if cross.size:
-                ends = cross_row(cross, start[cls[cross]], np.full(cross.size, t_lo),
-                                 np.full(cross.size, t_hi))
-                # Each crossing trajectory takes a row of its own: first the
-                # rows no other trajectory stays on (each had one of them),
-                # then new ones.
-                stay = np.ones(n_traj, dtype=bool)
-                stay[cross] = False
-                free = np.flatnonzero(np.bincount(cls[stay], minlength=len(kets)) == 0)
-                grow = cross.size - free.size
-                if grow:
-                    kets = np.concatenate([kets, np.empty((grow, kets.shape[1]), dtype=complex)])
-                    norm2 = np.concatenate([norm2, np.empty(grow)])
-                slots = np.concatenate([free, np.arange(len(kets) - grow, len(kets))])
-                kets[slots], norm2[slots], cls[cross] = ends, _norm2(ends), slots
-                count = np.bincount(cls, minlength=len(kets))
-        record(i, kets, cls, count, norm2)
+        # The trajectories whose first jump falls in this row join the held
+        # kets at psi[i - 1].  They and the held kets that fall below their
+        # thresholds cross the row from its start.
+        held = len(kets)
+        start = np.concatenate([kets, np.repeat(psi[i - 1:i], crossing[i], axis=0)])
+        kets = np.concatenate([prop.apply(kets, float(spans[i - 1])), start[held:]])
+        cross = np.concatenate([np.flatnonzero(_norm2(kets[:held]) < eta[order[:held]]),
+                                np.arange(held, len(kets))])
+        if cross.size:
+            kets[cross] = cross_row(order[cross], start[cross], np.full(cross.size, t[i - 1]),
+                                    np.full(cross.size, t[i]))
+        record(i, kets)
 
     return row_result(n_t)

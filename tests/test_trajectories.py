@@ -438,7 +438,7 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
 
 def test_row_route_cost_follows_rows_and_jumps(monkeypatch):
     # Two excitations: no label takes every jump, so the row route carries
-    # each distinct ket.  A search pass takes at most one product per b-bit
+    # a ket for each trajectory that has jumped.  A search pass takes at most one product per b-bit
     # digit of the lattice index and one more to the row end.  A row with
     # crossings takes one pass, and one more for each jump of the ket that
     # jumps most often in it.
@@ -468,8 +468,7 @@ def test_row_route_cost_follows_rows_and_jumps(monkeypatch):
         assert len(rows) == t.size - 1  # one product per row for the ensemble
         # 1 row exponential on the grid's one uniform run, its mean span
         assert [h for h in formed if h in spacings] == [2.5 / 250]
-        # the row stack holds one ket for the trajectories that have not
-        # jumped and one for each that has
+        # the row stack holds no more kets than trajectories have jumped
         first = np.sort([rec[0][0] for rec in ens.jump_records if rec])
         jumped = np.searchsorted(first, t[:-1], side="right")
         assert np.all(np.array(rows) <= 1 + jumped)
@@ -479,6 +478,31 @@ def test_row_route_cost_follows_rows_and_jumps(monkeypatch):
         products = len(searched) + len(applied) - len(rows)
         assert products <= per_pass * passes <= 2 * per_pass * jumps
     assert ens.jump_counts.sum(axis=1).max() == 2
+
+
+def test_the_row_route_carries_only_jumped_kets(monkeypatch):
+    # Every trajectory reads the one no-jump history, formed once over the
+    # whole grid, until its first jump: each row product advances exactly
+    # the kets of the trajectories that jumped before that row.
+    gen = ladder_generator()
+    assert gen.one_excitation_ground() is None
+    t = np.linspace(0.0, 2.5, 251)
+    spacings = set(np.diff(t).tolist())
+    histories, history = [], trajectories.no_jump_history
+
+    def counting_history(exp, psi0, times):
+        histories.append(times)
+        return history(exp, psi0, times)
+
+    monkeypatch.setattr(trajectories, "no_jump_history", counting_history)
+    applied, _ = count_products(monkeypatch)
+    ens = mcwf_run(gen, basis_state(gen.sector, 2), TrajectoryConfig(n_traj=200, seed=4, times=t))
+    assert len(histories) == 1 and np.array_equal(histories[0], t)
+    rows = [height for height, dt in applied if dt in spacings]
+    first = np.sort([rec[0][0] for rec in ens.jump_records if rec])
+    jumped = np.searchsorted(first, t[:-1], side="right")
+    assert rows == jumped.tolist()
+    assert rows[0] == 0 and 0 < rows[-1] < 200
 
 
 def ground_models():

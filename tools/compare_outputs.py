@@ -13,7 +13,9 @@ seeds 1-8.  For each trajectory run it also writes the jump records of
 one-excitation routes; the ladder (levels 0, 1, 2, one channel at frequency
 1, started in level 2, three lines of weight 1/3, centers 0.5 + k/3 and
 widths 1 + 2k/3 at ``fock_levels: 3``) takes the Taylor route in
-``evolve`` and the row route in ``trajectories``.  Every file lands under
+``evolve`` and the row route in ``trajectories``.  The ladder runs again
+with strength 0.1 as ``ladder3_weak``, where most trajectory rows stay on
+the no-jump ket that every trajectory shares.  Every file lands under
 ``.bench_work/compare/<commit>/`` with each run's exit code in
 ``exit_codes.json``.
 
@@ -59,8 +61,11 @@ ladder = {
     "trajectories": {"n_traj": 500, "seed": 7},
     "output": {"observables": ["pop_1", "pop_2", "coh_1_2"]},
 }
+weak = yaml.safe_load(yaml.safe_dump(ladder))
+weak["system"]["channels"][0]["strength"] = 0.1
 models = [(config.stem, yaml.safe_load(config.read_text(encoding="utf-8")))
-          for config in sorted(Path("configs").glob("*.yaml"))] + [("ladder3", ladder)]
+          for config in sorted(Path("configs").glob("*.yaml"))]
+models += [("ladder3", ladder), ("ladder3_weak", weak)]
 for model, doc in models:
     for frame in ("schrodinger", "interaction"):
         doc["run"]["frame"] = frame
