@@ -728,6 +728,22 @@ def test_a_long_row_jumps_as_a_fine_grid_does():
     assert one_row.observables["ee"][-1] == 0.0
 
 
+def test_the_row_route_reads_rows_where_the_history_has_decayed_to_zero(monkeypatch):
+    # Over rows of 1e3 and 1e6 the no-jump ket's squared norm underflows to
+    # 0 once every trajectory has left it: the row route weighs it by no
+    # trajectory.
+    gen = ladder_generator()
+    psi0 = basis_state(gen.sector, 2)
+    times = np.array([0.0, 1e3, 1e6])
+    psi = no_jump_history(NoJumpPropagator(gen.drift()).exp, psi0, times)
+    assert not (np.abs(psi[1:]) ** 2).sum(axis=1).any()
+    ens = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=40, seed=6, times=times),
+                   observables={"ee": np.diag([0.0, 0.0, 1.0])})
+    assert np.all(ens.jump_counts.sum(axis=1) == 2)  # every ladder has decayed
+    assert np.array_equal(ens.observables["ee"], [1.0, 0.0, 0.0])
+    assert np.isfinite(ens.mean_density).all() and ens.trace_error.max() <= 1e-14
+
+
 def test_zero_rate_channel_never_fires():
     gen, layout = band_gap_regularized()
     rates = [r for r, _ in gen.channels]
