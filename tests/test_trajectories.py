@@ -438,10 +438,10 @@ def test_propagator_cost_follows_rows_and_jumps(monkeypatch):
 
 def test_row_route_cost_follows_rows_and_jumps(monkeypatch):
     # Two excitations: no label takes every jump, so the row route carries
-    # a ket for each trajectory that has jumped.  A search pass takes at most one product per b-bit
-    # digit of the lattice index and one more to the row end.  A row with
-    # crossings takes one pass, and one more for each jump of the ket that
-    # jumps most often in it.
+    # a ket for each trajectory that has jumped.  A search pass takes at
+    # most one product per b-bit digit of the lattice index and one more to
+    # the row end.  A row with crossings takes one pass, and one more for
+    # each jump of the ket that jumps most often in it.
     gen = ladder_generator()
     assert gen.one_excitation_ground() is None
     t = np.linspace(0.0, 2.5, 251)

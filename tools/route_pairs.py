@@ -8,14 +8,15 @@ alternating pairs (10 by default):
 - ``ladder_generator``: the row route of the tests' three-level ladder
   (two lines, two modes at cutoff 3, |S| = 10), 500 trajectories on
   ``linspace(0, 20, 201)``, seed 7;
-- ``ladder4`` and ``ladder10``: the ROADMAP ladder (levels 0, 1, 2, one
+- ``ladder4`` and ``ladder10``: the ladder model (levels 0, 1, 2, one
   channel at frequency 1 and strength 1, started in level 2, N lines of
   weight 1/N, centers 0.5 + k/N and widths 1 + 2k/N, ``fock_levels: 3``)
   at N = 4 and N = 10, ``t_max: 5``, ``n_steps: 50``, 200 trajectories;
 - ``ladder10_weak``: that ladder at N = 10 with strength 0.1 and 500
   trajectories, where most trajectories stay on the no-jump ket;
-- ``nline200_read``: the first read of ``jump_counts`` on the ROADMAP N-line
-  model at N = 200 (|S| = 202, ``t_max: 20``, ``n_steps: 500``, 500
+- ``nline200_read``: the first read of ``jump_counts`` on the N-line model
+  (a two-level emitter, N lines of weight 1/N, centers 0.5 + k/N and widths
+  1 + 20k/N) at N = 200 (|S| = 202, ``t_max: 20``, ``n_steps: 500``, 500
   trajectories, seed 7), after ``mcwf_run``.
 
 Each commit is written by ``git archive`` into its own checkout under
@@ -142,6 +143,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 for quartiles")
     WORK.mkdir(parents=True, exist_ok=True)
     trees = dict(zip(SIDES, (checkout(args.parent)[1], checkout(args.change)[1])))
     for model in MODELS:
