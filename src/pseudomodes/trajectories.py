@@ -613,17 +613,19 @@ def mcwf_run(
                          for name, v in rows.items()},
                         lambda: density_sum[:upto] / n_traj)
 
-    # The trajectories in the order of their first jumps: in row i the row
-    # route holds one ket for each of order[:jumped[i]], in that order.
+    # The trajectories in the order of their first jumps.  In row i, row 0 of
+    # the stack holds psi[i] and row 1 + k the ket of trajectory order[k],
+    # for each k < jumped[i].
     order = np.argsort(first, kind="stable")
+    stack = np.empty((n_traj + 1, psi0.size), dtype=complex)
+    stack[0] = psi[0]
 
     def record(i: int, kets: np.ndarray) -> None:
-        """Record row i of the trajectories order[:jumped[i]] on the
-        ``kets``, one each, and of every other one on psi[i]."""
-        kets = np.concatenate([psi[i:i + 1], kets])
-        norm2 = _norm2(kets)
-        # psi may have decayed to 0 in rows that every trajectory has left.
-        w = np.divide(1.0, norm2, out=np.zeros(len(kets)), where=norm2 > 0.0)
+        """Record row i of every trajectory from ``kets``, the stack's first
+        1 + jumped[i] rows."""
+        stay = n_traj - jumped[i]
+        # psi's norm may underflow in rows that every trajectory has left.
+        w = np.concatenate([[1.0 / norm2[i] if stay else 0.0], 1.0 / _norm2(kets[1:])])
         if view is not None:
             kets = view(kets, float(t[i]))
         bra = kets.conj()
@@ -631,15 +633,14 @@ def mcwf_run(
             x = np.einsum("ni,ni->n", bra, kets @ mat_t) * w
             samples[name][:, i] = x[0]
             samples[name][order[:jumped[i]], i] = x[1:]
-        w[0] *= n_traj - jumped[i]
+        w[0] *= stay
         density_sum[i] = kets.T @ (bra * w[:, None])
         rho = density_sum[i] / n_traj
         trace_error[i] = abs(float(np.trace(rho).real) - 1.0)
         top_fock[i] = truncation_guard(sector.top_fock(np.real(np.diagonal(rho))), float(t[i]),
                                        lambda: row_result(i))
 
-    kets = np.empty((0, psi0.size), dtype=complex)
-    record(0, kets)
+    record(0, stack[:1])
     # Each row advances the held kets by the mean span of its uniform run, as
     # the rows of no_jump_history do: one exponential per run.
     bounds = uniform_runs(t)
@@ -648,14 +649,16 @@ def mcwf_run(
         # The trajectories whose first jump falls in this row join the held
         # kets at psi[i - 1].  They and the held kets that fall below their
         # thresholds cross the row from its start.
-        held = len(kets)
-        start = np.concatenate([kets, np.repeat(psi[i - 1:i], crossing[i], axis=0)])
-        kets = np.concatenate([prop.apply(kets, float(spans[i - 1])), start[held:]])
-        cross = np.concatenate([np.flatnonzero(_norm2(kets[:held]) < eta[order[:held]]),
-                                np.arange(held, len(kets))])
+        held, now = 1 + jumped[i - 1], 1 + jumped[i]
+        moved = prop.apply(stack[1:held], float(spans[i - 1]))
+        cross = np.concatenate([1 + np.flatnonzero(_norm2(moved) < eta[order[:held - 1]]),
+                                np.arange(held, now)])
+        stack[held:now] = stack[0]
+        start = stack[cross]
+        stack[0], stack[1:held] = psi[i], moved
         if cross.size:
-            kets[cross] = cross_row(order[cross], start[cross], np.full(cross.size, t[i - 1]),
-                                    np.full(cross.size, t[i]))
-        record(i, kets)
+            stack[cross] = cross_row(order[cross - 1], start, np.full(cross.size, t[i - 1]),
+                                     np.full(cross.size, t[i]))
+        record(i, stack[:now])
 
     return row_result(n_t)

@@ -744,6 +744,23 @@ def test_the_row_route_reads_rows_where_the_history_has_decayed_to_zero(monkeypa
     assert np.isfinite(ens.mean_density).all() and ens.trace_error.max() <= 1e-14
 
 
+def test_the_row_route_reads_rows_where_the_history_is_subnormal():
+    # On a grid of unit rows the no-jump ket's squared norm passes through
+    # subnormals, whose reciprocals overflow, before it reaches 0; every
+    # trajectory has left it by then, so no row weighs it.
+    gen = ladder_generator()
+    psi0 = basis_state(gen.sector, 2)
+    times = np.linspace(0.0, 1000.0, 1001)
+    psi = no_jump_history(NoJumpPropagator(gen.drift()).exp, psi0, times)
+    norm2 = (np.abs(psi) ** 2).sum(axis=1)
+    assert np.any((norm2 > 0.0) & (norm2 < 1.0 / np.finfo(float).max))
+    ens = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=40, seed=6, times=times),
+                   observables={"ee": np.diag([0.0, 0.0, 1.0])})
+    assert np.all(ens.jump_counts.sum(axis=1) == 2)
+    assert np.isfinite(ens.observables["ee"]).all() and np.isfinite(ens.mean_density).all()
+    assert ens.trace_error.max() <= 1e-14 and ens.top_fock.max() == 0.0
+
+
 def test_zero_rate_channel_never_fires():
     gen, layout = band_gap_regularized()
     rates = [r for r, _ in gen.channels]

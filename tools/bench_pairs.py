@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -56,6 +57,18 @@ def checkout(rev: str) -> tuple[str, Path]:
             raise SystemExit(f"git archive {sha} failed")
         partial.rename(where)
     return sha, where
+
+
+def child(tree: Path, code: str, *args: str) -> str:
+    """The standard output of the Python ``code`` run with ``args`` in the
+    checkout ``tree``, on that checkout's package and one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"a child run in {tree} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout
 
 
 def bench(checkout_dir: Path, workload: str, seed: int, trace: int) -> dict:

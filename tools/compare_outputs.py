@@ -10,14 +10,12 @@ of that commit) and on a two-excitation ladder, once per frame (``run.frame``
 set to ``schrodinger`` and to ``interaction``), with ``trajectories`` at
 seeds 1-8.  For each trajectory run it also writes the jump records of
 ``mcwf_run`` on the same model, grid and seed.  The shipped configs take the
-one-excitation routes; the ladder (levels 0, 1, 2, one channel at frequency
-1, started in level 2, three lines of weight 1/3, centers 0.5 + k/3 and
-widths 1 + 2k/3 at ``fock_levels: 3``) takes the Taylor route in
-``evolve`` and the row route in ``trajectories``.  The ladder runs again
-with strength 0.1 as ``ladder3_weak``, where most trajectory rows stay on
-the no-jump ket that every trajectory shares.  Every file lands under
-``.bench_work/compare/<commit>/`` with each run's exit code in
-``exit_codes.json``.
+one-excitation routes; the ladder of three lines (``ladder(3)``) takes the
+Taylor route in ``evolve`` and the row route in ``trajectories``.  The
+ladder runs again with strength 0.1 as ``ladder3_weak``, where most
+trajectory rows stay on the no-jump ket that every trajectory shares.
+Every file lands under ``.bench_work/compare/<commit>/`` with each run's
+exit code in ``exit_codes.json``.
 
 The report names the files that are byte-identical and, for the rest, the
 largest absolute deviation per CSV column, per JSON check residual (with any
@@ -31,12 +29,10 @@ import argparse
 import csv
 import json
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import ROOT, checkout
+from bench_pairs import ROOT, checkout, child
 
 OUT = ROOT / ".bench_work" / "compare"
 SEEDS = range(1, 9)
@@ -53,19 +49,9 @@ from pseudomodes.trajectories import TrajectoryConfig, mcwf_run
 
 out, seeds = Path(sys.argv[1]), [int(s) for s in sys.argv[2].split(",")]
 codes = {}
-ladder = {
-    "spectral": {"type": "lorentzian_sum", "terms": [
-        {"weight": 1 / 3, "center": 0.5 + k / 3, "width": 1 + 2 * k / 3} for k in range(3)]},
-    "system": {"energies": [0.0, 1.0, 2.0], "channels": [{"frequency": 1.0, "strength": 1.0}]},
-    "run": {"generator": "auto", "t_max": 5.0, "n_steps": 50, "fock_levels": 3},
-    "trajectories": {"n_traj": 500, "seed": 7},
-    "output": {"observables": ["pop_1", "pop_2", "coh_1_2"]},
-}
-weak = yaml.safe_load(yaml.safe_dump(ladder))
-weak["system"]["channels"][0]["strength"] = 0.1
 models = [(config.stem, yaml.safe_load(config.read_text(encoding="utf-8")))
           for config in sorted(Path("configs").glob("*.yaml"))]
-models += [("ladder3", ladder), ("ladder3_weak", weak)]
+models += json.loads(sys.argv[3]).items()
 for model, doc in models:
     for frame in ("schrodinger", "interaction"):
         doc["run"]["frame"] = frame
@@ -94,16 +80,31 @@ for model, doc in models:
 '''
 
 
+def ladder(n: int, strength: float = 1.0, n_traj: int = 500) -> dict:
+    """The config of the ladder: levels 0, 1, 2, one channel at frequency 1
+    and ``strength``, started in level 2, ``n`` lines of weight 1/n, centers
+    0.5 + k/n and widths 1 + 2k/n, ``fock_levels: 3``, ``t_max: 5``,
+    ``n_steps: 50``, ``n_traj`` trajectories at seed 7."""
+    return {
+        "spectral": {"type": "lorentzian_sum", "terms": [
+            {"weight": 1 / n, "center": 0.5 + k / n, "width": 1 + 2 * k / n}
+            for k in range(n)]},
+        "system": {"energies": [0.0, 1.0, 2.0],
+                   "channels": [{"frequency": 1.0, "strength": strength}]},
+        "run": {"generator": "auto", "t_max": 5.0, "n_steps": 50, "fock_levels": 3},
+        "trajectories": {"n_traj": n_traj, "seed": 7},
+        "output": {"observables": ["pop_1", "pop_2", "coh_1_2"]},
+    }
+
+
 def run_outputs(sha: str, tree: Path) -> Path:
     """Every output of the checkout ``tree`` of commit ``sha``, written afresh."""
     out = OUT / sha[:12]
     out.mkdir(parents=True, exist_ok=True)
     for old in out.iterdir():
         old.unlink()
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-c", CHILD, str(out), ",".join(map(str, SEEDS))],
-                   cwd=tree, env=env, check=True)
+    child(tree, CHILD, str(out), ",".join(map(str, SEEDS)),
+          json.dumps({"ladder3": ladder(3), "ladder3_weak": ladder(3, 0.1)}))
     return out
 
 

@@ -6,12 +6,10 @@
 alternating pairs (10 by default):
 
 - ``ladder_generator``: the row route of the tests' three-level ladder
-  (two lines, two modes at cutoff 3, |S| = 10), 500 trajectories on
+  (``tests/test_trajectories.py``, |S| = 10), 500 trajectories on
   ``linspace(0, 20, 201)``, seed 7;
-- ``ladder4`` and ``ladder10``: the ladder model (levels 0, 1, 2, one
-  channel at frequency 1 and strength 1, started in level 2, N lines of
-  weight 1/N, centers 0.5 + k/N and widths 1 + 2k/N, ``fock_levels: 3``)
-  at N = 4 and N = 10, ``t_max: 5``, ``n_steps: 50``, 200 trajectories;
+- ``ladder4`` and ``ladder10``: ``compare_outputs.ladder`` at N = 4 and
+  N = 10 lines, 200 trajectories;
 - ``ladder10_weak``: that ladder at N = 10 with strength 0.1 and 500
   trajectories, where most trajectories stay on the no-jump ket;
 - ``nline200_read``: the first read of ``jump_counts`` on the N-line model
@@ -21,90 +19,66 @@ alternating pairs (10 by default):
 
 Each commit is written by ``git archive`` into its own checkout under
 ``.bench_work/pairs/`` (``bench_pairs.checkout``).  Each run is a child
-process in its checkout with its own package and one BLAS thread: it builds
-the model, makes one untimed run, and times a second.  The two sides of a
-pair run one after the other, the parent first in odd pairs.  The report
-gives per model each side's median and [q1, q3] (25th and 75th percentiles,
-linear interpolation), the pairs the change ran faster in, and whether the
-jump records of the two sides are identical.  Model configs are written
-under ``.bench_work/route_pairs/``; nothing is written elsewhere.
+process in its checkout with its own package and one BLAS thread
+(``bench_pairs.child``): it builds the model, makes one untimed run, and
+reports the shortest of ``REPEATS`` timed ones.  The two sides of a pair run
+one after the other, the parent first in odd pairs.  The report gives per
+model each side's median and [q1, q3] (``bench_pairs.quartiles``), the pairs
+the change ran faster in, and whether the jump records of the two sides are
+identical.  Model configs are written under ``.bench_work/route_pairs/``;
+nothing is written elsewhere.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import statistics
-import subprocess
 import sys
 
-from bench_pairs import ROOT, SIDES, checkout
+from bench_pairs import ROOT, SIDES, checkout, child, quartiles
+from compare_outputs import ladder
 
 WORK = ROOT / ".bench_work" / "route_pairs"
-MODELS = ("ladder_generator", "ladder4", "ladder10", "ladder10_weak", "nline200_read")
+REPEATS = 5
+LINES = {"type": "lorentzian_sum", "terms": [
+    {"weight": 1 / 200, "center": 0.5 + k / 200, "width": 1 + 20 * k / 200} for k in range(200)]}
+#: The config of each model but ``ladder_generator``, which the child builds.
+CONFIGS = {
+    "ladder_generator": None,
+    "ladder4": ladder(4, n_traj=200),
+    "ladder10": ladder(10, n_traj=200),
+    "ladder10_weak": ladder(10, 0.1),
+    "nline200_read": {
+        "spectral": LINES, "output": {"observables": ["pop_1"]},
+        "system": {"energies": [0.0, 1.0], "channels": [{"frequency": 1.0, "strength": 1.0}]},
+        "run": {"generator": "auto", "t_max": 20.0, "n_steps": 500, "fock_levels": 2},
+        "trajectories": {"n_traj": 500, "seed": 7}},
+}
 
-#: Runs one model in a checkout with its own package and prints its time and
-#: a digest of its jump records as one JSON line.
+#: Runs one model in a checkout with its own package and prints its shortest
+#: time and a digest of its jump records as one JSON line.
 CHILD = r'''
 import hashlib, json, sys, time
 from pathlib import Path
 import numpy as np
 import yaml
-from pseudomodes import (LorentzianSum, LorentzianTerm, SpaceLayout, SystemSpec,
-                         TrajectoryConfig, basis_state, build_discrete_modes,
-                         build_generator, lorentzian_to_poles, mcwf_run)
+from pseudomodes import TrajectoryConfig, basis_state, mcwf_run
 from pseudomodes.cli import _observable_ops, _time_grid, build_model, load_config
 
-model, work = sys.argv[1], Path(sys.argv[2])
-
-
-def lines(n, widths):
-    return {"type": "lorentzian_sum", "terms": [
-        {"weight": 1 / n, "center": 0.5 + k / n, "width": 1 + widths * k / n}
-        for k in range(n)]}
-
-
-def from_config(doc):
-    path = work / f"{model}.yaml"
-    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-    cfg = load_config(str(path))
-    gen = build_model(cfg)
-    return (gen, basis_state(gen.sector, cfg.initial_level), _observable_ops(cfg),
-            TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed, times=_time_grid(cfg)))
-
-
-def ladder(n, strength, n_traj):
-    return from_config({
-        "spectral": lines(n, 2), "output": {"observables": ["pop_1", "pop_2", "coh_1_2"]},
-        "system": {"energies": [0.0, 1.0, 2.0],
-                   "channels": [{"frequency": 1.0, "strength": strength}]},
-        "run": {"generator": "auto", "t_max": 5.0, "n_steps": 50, "fock_levels": 3},
-        "trajectories": {"n_traj": n_traj, "seed": 7}})
-
-
-if model == "ladder_generator":
-    x = np.diag([1.0, 1.0], 1)
-    system = SystemSpec(energies=(0.0, 1.0, 2.0), observables=(x + x.T,),
-                        frequencies=(1.0,), strengths=(1.0,))
-    pair = lorentzian_to_poles(LorentzianSum((
-        LorentzianTerm(weight=0.5, center=0.5, width=1.0),
-        LorentzianTerm(weight=0.5, center=1.5, width=2.0))))
-    gen = build_generator(system, build_discrete_modes(pair, (1.0,)), SpaceLayout(3, (3, 3)),
-                          [(2, 0, 0)])
+model, doc, path, repeats = sys.argv[1], json.loads(sys.argv[2]), Path(sys.argv[3]), int(sys.argv[4])
+if doc is None:
+    sys.path.insert(0, "tests")
+    from test_trajectories import ladder_generator
+    gen = ladder_generator()
     psi0 = basis_state(gen.sector, 2)
     ops = {"pop_2": np.diag([0.0, 0.0, 1.0]).astype(complex)}
     config = TrajectoryConfig(n_traj=500, seed=7, times=np.linspace(0.0, 20.0, 201))
-elif model == "nline200_read":
-    gen, psi0, ops, config = from_config({
-        "spectral": lines(200, 20), "output": {"observables": ["pop_1"]},
-        "system": {"energies": [0.0, 1.0], "channels": [{"frequency": 1.0, "strength": 1.0}]},
-        "run": {"generator": "auto", "t_max": 20.0, "n_steps": 500, "fock_levels": 2},
-        "trajectories": {"n_traj": 500, "seed": 7}})
 else:
-    gen, psi0, ops, config = {"ladder4": lambda: ladder(4, 1.0, 200),
-                              "ladder10": lambda: ladder(10, 1.0, 200),
-                              "ladder10_weak": lambda: ladder(10, 0.1, 500)}[model]()
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    cfg = load_config(str(path))
+    gen = build_model(cfg)
+    psi0, ops = basis_state(gen.sector, cfg.initial_level), _observable_ops(cfg)
+    config = TrajectoryConfig(n_traj=cfg.n_traj, seed=cfg.seed, times=_time_grid(cfg))
 
 
 def timed():
@@ -119,7 +93,7 @@ def timed():
 
 
 timed()
-seconds, result = timed()
+seconds, result = min((timed() for _ in range(repeats)), key=lambda run: run[0])
 records = json.dumps([list(map(list, r)) for r in result.jump_records])
 print(json.dumps({"seconds": seconds,
                   "records": hashlib.sha256(records.encode()).hexdigest()[:16]}))
@@ -127,14 +101,10 @@ print(json.dumps({"seconds": seconds,
 
 
 def run(tree, model: str) -> dict:
-    """One timed run of ``model`` in the checkout ``tree``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", CHILD, model, str(WORK)], cwd=tree, env=env,
-                          capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{model} in {tree} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    """The shortest of ``REPEATS`` timed runs of ``model`` in the checkout ``tree``."""
+    out = child(tree, CHILD, model, json.dumps(CONFIGS[model]), str(WORK / f"{model}.yaml"),
+                str(REPEATS))
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -147,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2 for quartiles")
     WORK.mkdir(parents=True, exist_ok=True)
     trees = dict(zip(SIDES, (checkout(args.parent)[1], checkout(args.change)[1])))
-    for model in MODELS:
+    for model in CONFIGS:
         runs = {side: [] for side in SIDES}
         for k in range(args.pairs):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
@@ -155,10 +125,8 @@ def main(argv: list[str] | None = None) -> int:
         seconds = {side: [r["seconds"] for r in runs[side]] for side in SIDES}
         wins = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
         same = all(p["records"] == c["records"] for p, c in zip(*runs.values()))
-        parts = []
-        for side in SIDES:
-            q1, med, q3 = statistics.quantiles(seconds[side], n=4, method="inclusive")
-            parts.append(f"{side} {med:.4f} s [{q1:.4f}, {q3:.4f}]")
+        parts = [f"{side} {q['median']:.4f} s [{q['q1']:.4f}, {q['q3']:.4f}]"
+                 for side, q in ((side, quartiles(seconds[side])) for side in SIDES)]
         print(f"{model}: {', '.join(parts)}; change faster in {wins} of {args.pairs}; "
               f"jump records {'identical' if same else 'DIFFER'}", flush=True)
     return 0
