@@ -615,17 +615,16 @@ def mcwf_run(
 
     # The trajectories in the order of their first jumps.  In row i, row 0 of
     # the stack holds psi[i] and row 1 + k the ket of trajectory order[k],
-    # for each k < jumped[i].
+    # for each k < jumped[i]; ``norms`` holds their squared norms.
     order = np.argsort(first, kind="stable")
     stack = np.empty((n_traj + 1, psi0.size), dtype=complex)
-    stack[0] = psi[0]
+    stack[0], norms = psi[0], np.empty(n_traj + 1)
 
-    def record(i: int, kets: np.ndarray) -> None:
-        """Record row i of every trajectory from ``kets``, the stack's first
-        1 + jumped[i] rows."""
-        stay = n_traj - jumped[i]
+    def record(i: int) -> None:
+        """Record row i of every trajectory off the stack's first 1 + jumped[i] kets."""
+        kets, stay = stack[:1 + jumped[i]], n_traj - jumped[i]
         # psi's norm may underflow in rows that every trajectory has left.
-        w = np.concatenate([[1.0 / norm2[i] if stay else 0.0], 1.0 / _norm2(kets[1:])])
+        w = np.concatenate([[1.0 / norm2[i] if stay else 0.0], 1.0 / norms[1:len(kets)]])
         if view is not None:
             kets = view(kets, float(t[i]))
         bra = kets.conj()
@@ -640,7 +639,7 @@ def mcwf_run(
         top_fock[i] = truncation_guard(sector.top_fock(np.real(np.diagonal(rho))), float(t[i]),
                                        lambda: row_result(i))
 
-    record(0, stack[:1])
+    record(0)
     # Each row advances the held kets by the mean span of its uniform run, as
     # the rows of no_jump_history do: one exponential per run.
     bounds = uniform_runs(t)
@@ -651,7 +650,8 @@ def mcwf_run(
         # thresholds cross the row from its start.
         held, now = 1 + jumped[i - 1], 1 + jumped[i]
         moved = prop.apply(stack[1:held], float(spans[i - 1]))
-        cross = np.concatenate([1 + np.flatnonzero(_norm2(moved) < eta[order[:held - 1]]),
+        norms[1:held] = _norm2(moved)
+        cross = np.concatenate([1 + np.flatnonzero(norms[1:held] < eta[order[:held - 1]]),
                                 np.arange(held, now)])
         stack[held:now] = stack[0]
         start = stack[cross]
@@ -659,6 +659,7 @@ def mcwf_run(
         if cross.size:
             stack[cross] = cross_row(order[cross - 1], start, np.full(cross.size, t[i - 1]),
                                      np.full(cross.size, t[i]))
-        record(i, stack[:now])
+            norms[cross] = _norm2(stack[cross])
+        record(i)
 
     return row_result(n_t)
