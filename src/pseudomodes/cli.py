@@ -18,8 +18,9 @@ mean density; the clean rows are kept and the file ends in an
 ``# ABORTED`` line.
 
 Outputs are deterministic: identical configs produce byte-identical files.
-Every random number (``validate``'s lags, the trajectories' draws) is drawn
-in-package, bit for bit numpy's stream, without importing ``numpy.random``.
+Every random number (``validate``'s lags, the trajectories' draws) comes
+from one source, numpy's Philox streams computed in-package, bit for bit,
+without importing ``numpy.random``.
 Numbers are printed with 17 significant digits so CSV round-trips preserve
 the underlying doubles exactly.
 """
@@ -39,7 +40,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from ._util import uniform_draws
+from ._util import _Streams
 from .dynamics import (FRAMES, KINDS, Generator, build_generator, equivalence_check, evolve,
                        taylor_plan)
 from .errors import (
@@ -611,8 +612,9 @@ def _write_trace(cfg: RunConfig, out_override: str | None, run) -> RunOutput:
             lines.append(f"# {tail}")
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         plot = csv_path.with_name(csv_path.stem + "_plot.py")
-        plot.write_text(_PLOT_TEMPLATE.format(csv_name=csv_path.name),
-                        encoding="utf-8", newline="\n")
+        # JSON escapes are valid in a Python string, so the name is one literal.
+        name = json.dumps(csv_path.name, ensure_ascii=False)[1:-1]
+        plot.write_text(_PLOT_TEMPLATE.format(csv_name=name), encoding="utf-8", newline="\n")
         return RunOutput(csv_path, plot)
 
     try:
@@ -737,10 +739,11 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     worst = 0.0
     # All-zero strengths make every correlation vanish; compare absolutely then.
     scale = max(w * w for w in cfg.system.strengths) or 1.0
-    # Lags t - s of 50 (t, s) pairs, drawn as s and then t - s per pair: the
-    # stream of numpy's default_rng(20260817).uniform(0, horizon), bit for
-    # bit, drawn in-package so that no subcommand imports numpy.random.
-    draws = np.array(uniform_draws(20260817, horizon, 100)).reshape(50, 2)
+    # Lags t - s of 50 (t, s) pairs, drawn as s and then t - s per pair:
+    # pair k is draws 0 and 1 of the Philox stream SeedSequence(20260817,
+    # spawn_key=(k,)), the trajectories' generator, scaled to [0, horizon).
+    k = np.arange(100)
+    draws = (horizon * _Streams(20260817, 50).draw(k // 2, k % 2)).reshape(50, 2)
     lags = (draws[:, 0] + draws[:, 1]) - draws[:, 0]
     for j in range(modes.n_transitions):
         for k in range(modes.n_transitions):

@@ -75,7 +75,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_complex_matrix, is_hermitian, operator_norm_bound, validate_grid
+from ._util import (as_complex_matrix, is_hermitian, operator_norm_bound, uniform_runs,
+                    validate_grid)
 from .errors import (
     InvalidModelError,
     StepUnderflowError,
@@ -109,10 +110,6 @@ UNIT_ROUNDOFF = 2.0**-53
 #: Rows needing more Taylor sub-intervals than this indicate a runaway norm
 #: estimate or time span.
 MAX_TAYLOR_INTERVALS = 1_000_000
-#: How far from its run's line t_b + k h a row may lie, relative to the run's
-#: last time: 4 machine epsilons (2**-52), where the rows of a linspace grid
-#: deviate by at most 1.5 (20,000 random grids of 2 to 3,000 rows).
-RUN_TOL = 8 * UNIT_ROUNDOFF
 #: Complex entries of the row block ``evolve``'s Taylor route records at once,
 #: 1 MiB: the whole grid of a small sector, one row at a time from |S| = 256 on.
 BLOCK_ENTRIES = 2**16
@@ -611,33 +608,6 @@ def evolve(
     if refused is not None:
         raise refused
     return finalize(n)
-
-
-def uniform_runs(t: np.ndarray) -> list[int]:
-    """Row indices 0 = b_0 < b_1 < ... < b_m = len(t) - 1 that split the grid
-    ``t`` into uniform runs: the rows b_j ... b_(j+1) lie on t[b_j] + k h,
-    with h = (t[b_(j+1)] - t[b_j]) / (b_(j+1) - b_j) the run's mean span, to
-    within RUN_TOL times the run's last time.
-
-    Three rows within RUN_TOL t of one line have a second difference of at
-    most 4 RUN_TOL t, t the last of their times, so a row whose second
-    difference is larger ends a run.  Each stretch between such rows is one
-    run if all its rows fit their line, and runs of one row if not: a
-    linspace grid is one run, and a grid whose spans really differ is runs
-    of one row."""
-    last = t.size - 1
-    if last == 0:
-        return [0]
-    bends = 1 + np.flatnonzero(np.abs(np.diff(t, 2)) > 4 * RUN_TOL * t[2:])
-    bounds = [0]
-    for e in bends.tolist() + [last]:
-        b = bounds[-1]
-        if e - b > 1:
-            line = t[b] + np.arange(e - b + 1) * ((t[e] - t[b]) / (e - b))
-            if not np.abs(t[b:e + 1] - line).max() <= RUN_TOL * t[e]:
-                bounds += range(b + 1, e)
-        bounds.append(e)
-    return bounds
 
 
 def no_jump_history(exp: Callable[[float], np.ndarray], psi0: np.ndarray,

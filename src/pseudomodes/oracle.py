@@ -5,12 +5,13 @@ exchanging one quantum with its environment, where the full problem collapses
 to a small linear ODE for probability amplitudes.  Two routes are provided:
 
 * :func:`single_excitation_solve` integrates the amplitudes of the excited
-  level and of each mode of a mode set by fixed-step RK4, each output row as
-  one power of the RK4 step matrix of its own small amplitude matrix, built
-  from the mode matrix Z rather than a master-equation generator (and apart
-  from the Taylor action of ``evolve``).  Its excited-amplitude magnitude
-  must reproduce the populations that the full density-matrix propagation
-  yields, and for one resonant mode it has a closed form.
+  level and of each mode of a mode set by fixed-step RK4, each uniform run
+  of the grid as one power of the RK4 step matrix of its own small
+  amplitude matrix, built from the mode matrix Z rather than a
+  master-equation generator (and apart from the Taylor action of
+  ``evolve``).  Its excited-amplitude magnitude must reproduce the
+  populations that the full density-matrix propagation yields, and for one
+  resonant mode it has a closed form.
 * :func:`discretized_bath_solve` brute-forces the original continuum: a large
   but finite comb of undamped oscillators sampled from the spectral density,
   evolved unitarily.  As the comb refines, its reduced dynamics converges to
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import frozen, validate_grid
+from ._util import frozen, uniform_runs, validate_grid
 from .errors import InvalidModelError, StepUnderflowError
 from .mapping import ModeSet
 from .spectral import PoleSet, eval_density
@@ -107,8 +108,9 @@ def single_excitation_solve(
 
     which for a diagonal Z is (i (w0 - xi_l) - lam_l) c_l - i g_l c_e.  It is
     integrated by RK4 with step at most 1e-3 / max(lam, W, |detuning|,
-    |hopping|), taken over every entry of Z, each row as one cached power of
-    the RK4 step matrix.  The system is a two-level one by construction here:
+    |hopping|), taken over every entry of Z: each of the ``uniform_runs`` of
+    the grid forms one power of the RK4 step matrix, at the run's mean
+    span, and applies it row by row.  The system is a two-level one by construction here:
     one amplitude, one transition.
     """
     if not 0 <= channel < modes.n_transitions:
@@ -129,13 +131,13 @@ def single_excitation_solve(
     scale = max(float(modes.rates.max()), float(strength), detuning, hopping, 1e-12)
     amps = np.zeros((t.size, n + 1), dtype=complex)
     amps[0, 0] = 1.0
-    h_cap = 1e-3 / scale
-    powers: dict[tuple[int, float], np.ndarray] = {}
-    for i in range(1, t.size):
-        plan = _rk4_substeps(float(t[i - 1]), float(t[i]), h_cap)
-        if plan not in powers:
-            powers[plan] = _rk4_step_power(mat, *plan)
-        amps[i] = powers[plan] @ amps[i - 1]
+    bounds = uniform_runs(t)
+    for b, e in zip(bounds, bounds[1:]):
+        t_b = float(t[b])
+        h = (float(t[e]) - t_b) / (e - b)
+        step = _rk4_step_power(mat, *_rk4_substeps(t_b, t_b + h, 1e-3 / scale))
+        for i in range(b + 1, e + 1):
+            amps[i] = step @ amps[i - 1]
     return AmplitudeState(times=t, excited=amps[:, 0], modes=amps[:, 1:])
 
 

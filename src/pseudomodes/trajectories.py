@@ -24,7 +24,7 @@ searchsorted.  The row route holds one ket per trajectory that has jumped,
 in the order of the first jumps, and reads every other row off psi.  Each
 output row is one product of the (m, |S|) stack of jumped kets with
 exp(-i D h), h the mean span of the row's uniform run of the grid
-(``dynamics.uniform_runs``), and one norm check.  The jumped kets that fall
+(``_util.uniform_runs``), and one norm check.  The jumped kets that fall
 below their thresholds in a row, from their row starts, and the
 trajectories whose first jump falls in it, from psi at the row start, then
 locate their jumps together: monotonicity of the norm lets a search from
@@ -57,15 +57,15 @@ The generator's frame only changes how the recorded states are viewed
 (psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times do
 not depend on it.
 
-Trajectory idx draws from the stream of numpy's
-``Generator(Philox(SeedSequence(seed, spawn_key=(idx,))))``, bit for bit,
-without building one or importing ``numpy.random``.  Philox is
-counter-based (Salmon, Moraes, Dror and Shaw, SC'11): a draw is a function
-of the stream's key and a counter alone, so the keys of all streams come
-from one pass of SeedSequence's hash (``_util.seed_words``, which hashes the
-seed once and only idx's word on over all streams), and the draws of all
-the trajectories that jump together from one vectorized Philox.  Draw 0 is the first threshold; the m-th jump takes draw
-1 + 2m for its channel and 2 + 2m for the next threshold.  A stack product
+Trajectory idx draws from stream idx of the package's one random source,
+``_util._Streams``: numpy's ``Generator(Philox(SeedSequence(seed,
+spawn_key=(idx,))))``, bit for bit, without building one or importing
+``numpy.random``.  Philox is counter-based (Salmon, Moraes, Dror and Shaw,
+SC'11): a draw is a function of the stream's key and a counter alone, so
+the keys of all streams come from one pass of SeedSequence's hash, and the
+draws of all the trajectories that jump together from one vectorized
+Philox.  Draw 0 is the first threshold; the m-th jump takes draw 1 + 2m for
+its channel and 2 + 2m for the next threshold.  A stack product
 multiplies each ket by its own BLAS call of one fixed shape, so a ket's
 result, and with it a trajectory's jumps, does not depend on how many others
 run beside it or on their values.
@@ -80,10 +80,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_complex_matrix, frozen, seed_words, validate_grid
+from ._util import _Streams, as_complex_matrix, frozen, uniform_runs, validate_grid
 from .errors import ClassificationError, InvalidModelError
 from .dynamics import (BLOCK_ENTRIES, TRUNCATION_LIMIT, Generator, exponential,
-                       no_jump_history, truncation_guard, uniform_runs)
+                       no_jump_history, truncation_guard)
 
 #: Relative precision of the jump times.
 JUMP_TIME_TOL = 1e-10
@@ -148,7 +148,8 @@ class EnsembleResult:
     such array until then.  ``jump_counts`` (trajectory x channel) and
     ``jump_records`` (each trajectory's (time, channel) pairs) are formed the
     same way, by one call of ``place_jumps``: the ground route places its
-    jumps only then.  ``n_traj`` reads neither."""
+    jumps only then.  Its ``n_traj`` trajectories drew from the streams
+    ``SeedSequence(seed, spawn_key=(idx,))``, idx = 0 ... n_traj - 1."""
 
     times: np.ndarray
     support: np.ndarray
@@ -156,7 +157,8 @@ class EnsembleResult:
     stderr: dict[str, np.ndarray]
     top_fock: np.ndarray
     trace_error: np.ndarray
-    stream_keys: tuple[tuple[int, int], ...]
+    seed: int
+    n_traj: int
     form_density: Callable[[], np.ndarray] | None = field(repr=False, compare=False)
     place_jumps: Callable[[], tuple[np.ndarray, JumpRecords]] | None = field(
         repr=False, compare=False)
@@ -180,10 +182,6 @@ class EnsembleResult:
     @property
     def jump_records(self) -> JumpRecords:
         return self._jumps[1]
-
-    @property
-    def n_traj(self) -> int:
-        return len(self.stream_keys)
 
 
 class NoJumpPropagator:
@@ -264,66 +262,6 @@ def _lattice(t_lo: np.ndarray, t_hi: np.ndarray):
     e = np.frexp(JUMP_TIME_TOL * np.maximum(1.0, t_hi))[1] - 1
     n = np.floor(np.ldexp(dt, -e))
     return e, n, dt - np.ldexp(n, e)
-
-
-# The Philox4x64 round constants (Salmon et al., SC'11).
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-def _stream_keys(seed: int, n: int) -> np.ndarray:
-    """(2, n) uint64: the Philox key that numpy's ``Philox`` takes from
-    ``SeedSequence(seed, spawn_key=(idx,))`` for idx = 0 ... n - 1 (n <= 2**32),
-    its ``generate_state(2, np.uint64)``."""
-    w = [v.astype(np.uint64) for v in seed_words(seed, 4, np.arange(n, dtype=np.uint32))]
-    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32])
-
-
-def _philox(keys: np.ndarray, counter: np.ndarray) -> np.ndarray:
-    """(4, n) uint64: Philox4x64-10 of the counters (counter, 0, 0, 0) under
-    the (2, n) ``keys``.  Words 0 and 2 are multiplied side by side, the
-    128-bit products formed from 32-bit halves."""
-    u64 = np.uint64
-    lo32, s32 = u64(2**32 - 1), u64(32)
-    m = np.array(_PHILOX_M, dtype=u64)[:, None]
-    m_hi, m_lo = m >> s32, m & lo32
-    w = np.array(_PHILOX_W, dtype=u64)[:, None]
-    even = np.stack([counter.astype(u64), np.zeros_like(counter, dtype=u64)])
-    odd = np.zeros_like(even)
-    for r in range(10):
-        if r:
-            keys = keys + w
-        x_hi, x_lo = even >> s32, even & lo32
-        ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-        mid = (ll >> s32) + (lh & lo32) + (hl & lo32)
-        hi = m_hi * x_hi + (lh >> s32) + (hl >> s32) + (mid >> s32)
-        even, odd = hi[::-1] ^ odd ^ keys, (m * even)[::-1]
-    return np.stack([even[0], odd[0], even[1], odd[1]])
-
-
-class _Streams:
-    """The random streams of trajectories 0 ... n - 1 under ``seed``: the
-    stream of trajectory idx is ``Generator(Philox(SeedSequence(seed,
-    spawn_key=(idx,))))``, computed without building one.  Its draw j is
-    word j % 4 of ``_philox`` at counter 1 + j // 4, shifted right by 11 and
-    scaled by 2**-53.  Block 1, draws 0 ... 3 of every stream, is formed at
-    once and kept: it holds each first threshold and the draws of each
-    first jump."""
-
-    def __init__(self, seed: int, n: int):
-        self.keys = _stream_keys(seed, n)
-        self.head = _philox(self.keys, np.ones(n, dtype=np.uint64))
-
-    def draw(self, idx: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Draw j[k] of the stream of trajectory idx[k], for each k."""
-        j = np.asarray(j, dtype=np.uint64)
-        four = np.uint64(4)
-        words = self.head[(j % four).astype(np.intp), idx]
-        late = np.flatnonzero(j >= four)
-        if late.size:
-            block = _philox(self.keys[:, idx[late]], np.uint64(1) + j[late] // four)
-            words[late] = block[(j[late] % four).astype(np.intp), np.arange(late.size)]
-        return (words >> np.uint64(11)) * 2.0**-53
 
 
 def mcwf_run(
@@ -416,7 +354,8 @@ def mcwf_run(
             stderr={name: v[:upto].copy() for name, v in err.items()},
             top_fock=top_fock[:upto].copy(),
             trace_error=trace_error[:upto].copy(),
-            stream_keys=tuple((config.seed, idx) for idx in range(n_traj)),
+            seed=config.seed,
+            n_traj=n_traj,
             form_density=density,
             place_jumps=place_jumps,
         )

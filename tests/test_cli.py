@@ -1,5 +1,6 @@
 """Config parsing, subcommands, exit codes, and output files."""
 
+import ast
 import json
 import math
 import os
@@ -16,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from pseudomodes import ConfigError, lorentzian_to_poles, LorentzianSum, LorentzianTerm
 import pseudomodes.cli
-from pseudomodes._util import uniform_draws
 from pseudomodes.cli import (
     MAX_CONFIG_DEPTH,
     RunConfig,
@@ -442,12 +442,24 @@ def test_validate_checks_no_time_past_t_max(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("horizon", [2.5, 5.0])
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**200, 20260817],
-                         ids=["0", "7", "2**32-1", "2**32", "2**64+1", "2**200", "20260817"])
-def test_validate_lags_are_numpys_default_rng_stream(seed, horizon):
-    draws = np.array(uniform_draws(seed, horizon, 100)).reshape(50, 2)
-    ref = np.random.default_rng(seed).uniform(0.0, horizon, size=(50, 2))
-    assert draws.tobytes() == ref.tobytes()
+def test_validate_lags_are_the_philox_streams(tmp_path, monkeypatch, horizon):
+    # Pair k is draws 0 and 1 of the Philox stream SeedSequence(20260817,
+    # spawn_key=(k,)), the trajectories' generator, bit for bit.
+    lags = []
+    mode_correlation = pseudomodes.cli.mode_correlation
+
+    def keep(modes, j, k, tau):
+        lags.append(tau.copy())
+        return mode_correlation(modes, j, k, tau)
+
+    monkeypatch.setattr(pseudomodes.cli, "mode_correlation", keep)
+    doc = yaml.safe_load((CONFIGS / "band_gap.yaml").read_text(encoding="utf-8"))
+    doc["run"]["t_max"] = horizon  # below 5 / lambda_min, so it is the horizon
+    cmd_validate(load_config(write_doc(tmp_path, doc)))
+    pairs = np.array([np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        20260817, spawn_key=(k,)))).uniform(0.0, horizon, 2) for k in range(50)])
+    ref = (pairs[:, 0] + pairs[:, 1]) - pairs[:, 0]
+    assert len(lags) == 1 and lags[0].tobytes() == ref.tobytes()
 
 
 def test_no_subcommand_imports_numpy_random(tmp_path):
@@ -590,6 +602,26 @@ def test_main_evolve_writes_csv_and_plot(tmp_path, capsys):
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0 and first[1] == 1.0
     assert (tmp_path / "trace_plot.py").exists()
+
+
+@pytest.mark.parametrize("name", ['we"ird.csv', "a\\N.csv", 'q"""\\x.csv', "tab\tand é.csv"])
+def test_plot_script_is_valid_python_for_any_output_name(tmp_path, capsys, name):
+    doc = with_run(SINGLE_DOC, t_max=1.0, n_steps=2)
+    assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    plot = (tmp_path / name).with_name(Path(name).stem + "_plot.py")
+    tree = ast.parse(plot.read_text(encoding="utf-8"))
+    compile(tree, str(plot), "exec")
+    assert ast.get_docstring(tree, clean=False) == f"Plot the observable columns of {name}."
+    assert name in [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+
+
+def test_plot_script_of_an_ordinary_name_is_unchanged(tmp_path, capsys):
+    doc = with_run(SINGLE_DOC, t_max=1.0, n_steps=2)
+    assert main(["evolve", write_doc(tmp_path, doc), "--out", str(tmp_path / "tr.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "tr_plot.py").read_text(encoding="utf-8") == (
+        pseudomodes.cli._PLOT_TEMPLATE.replace("{csv_name}", "tr.csv"))
 
 
 def test_main_missing_output_path_is_config_error(tmp_path, capsys):

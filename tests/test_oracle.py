@@ -19,6 +19,7 @@ from pseudomodes import (
     single_excitation_solve,
     two_mode_regularize,
 )
+from pseudomodes import oracle
 from pseudomodes.errors import StepUnderflowError
 from pseudomodes.oracle import MAX_SUBSTEPS, _rk4_step_power, _rk4_substeps
 
@@ -219,6 +220,29 @@ def test_step_power_keeps_the_trapped_population_over_long_rows():
     assert n_sub > 10**6
     sol = single_excitation_solve(modes, 1.0, 1.0, t)
     np.testing.assert_allclose(np.abs(sol.excited[1:]) ** 2, 4.0 / 9.0, rtol=0, atol=1e-9)
+
+
+def test_oracle_forms_one_step_power_per_uniform_run(monkeypatch):
+    # validate's band-gap grid is one uniform run of 7 distinct float spans;
+    # a row of another span after it starts a second run.
+    modes = build_discrete_modes(BAND_GAP, (1.0,))
+    h_cap = 1e-3 / float(modes.rates.max())
+    calls = []
+    monkeypatch.setattr(oracle, "_rk4_step_power",
+                        lambda *args: calls.append(args) or _rk4_step_power(*args))
+    t = np.linspace(0.0, 5.0, 51)
+    assert len(set(np.diff(t).tolist())) == 7
+    for grid, runs in ((t, 1), (np.append(t, 5.7), 2)):
+        calls.clear()
+        sol = single_excitation_solve(modes, 1.0, 1.0, grid)
+        assert len(calls) == runs
+        # Each row stepped by the power of its own span stays within 1e-13.
+        rows = [np.eye(len(calls[0][0]))[0]]
+        for t0, t1 in zip(grid[:-1].tolist(), grid[1:].tolist()):
+            rows.append(_rk4_step_power(calls[0][0], *_rk4_substeps(t0, t1, h_cap)) @ rows[-1])
+        rows = np.array(rows)
+        np.testing.assert_allclose(sol.excited, rows[:, 0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sol.modes, rows[:, 1:], rtol=0, atol=1e-13)
 
 
 def test_step_power_refuses_a_row_beyond_max_substeps():

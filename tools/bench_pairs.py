@@ -16,7 +16,8 @@ The side that runs first alternates with the seed's parity: the parent runs
 first on odd seeds.  The output has the layout of BENCH_15.json: per pair the
 end-to-end metrics of both sides and their solve counts; per metric each
 side's q1, median and q3 (25th, 50th and 75th percentiles, linear
-interpolation) and the number of pairs the change read lower in.  With
+interpolation), the number of pairs the change read lower in and the
+claim-rule verdict (``verdict``), also printed.  With
 ``--traced-seed`` one traced run (``--trace 1``) per side of each workload
 adds its per-layer metrics: ``validate_band_gap`` runs every layer but
 trajectories, and ``trajectories_band_gap`` runs trajectories.
@@ -40,6 +41,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def checkout(rev: str) -> tuple[str, Path]:
@@ -89,6 +91,28 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(med, 5), "q1": round(q1, 5), "q3": round(q3, 5)}
 
 
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """The claim rule on one metric's paired runs (lower is better):
+
+    * ``gain``: the change reads lower in at least 9 of 10 pairs (ties count
+      for neither), and the medians differ by more than the parent's q3 - q1;
+    * ``worse``: the change's median is above the parent's by more than the
+      relative ``bound``;
+    * ``unresolved``: the parent's q3 - q1 exceeds ``bound`` times its
+      median, and not every change run is below every parent run;
+    * ``flat``: anything else."""
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    change_median = statistics.median(change)
+    lower = sum(c < p for p, c in zip(parent, change))
+    if 10 * lower >= 9 * len(parent) and median - change_median > q3 - q1:
+        return "gain"
+    if change_median > median * (1.0 + bound):
+        return "worse"
+    if q3 - q1 > bound * median and not max(change) < min(parent):
+        return "unresolved"
+    return "flat"
+
+
 def seed_list(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -124,10 +148,12 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(pair), flush=True)
         workloads[name] = {"pairs": pairs}
         for m in END_TO_END:
-            workloads[name][m] = {side: quartiles([p[f"{side}_{m}"] for p in pairs])
-                                  for side in SIDES}
+            runs = {side: [p[f"{side}_{m}"] for p in pairs] for side in SIDES}
+            workloads[name][m] = {side: quartiles(runs[side]) for side in SIDES}
             workloads[name][m]["change_lower_in_pairs"] = sum(
                 p[f"change_{m}"] < p[f"parent_{m}"] for p in pairs)
+            workloads[name][m]["verdict"] = verdict(runs["parent"], runs["change"], BOUNDS[m])
+            print(f"{name} {m}: {workloads[name][m]['verdict']}", flush=True)
         workloads[name]["failed_solves"] = {side: sum(p[f"{side}_failed"] for p in pairs)
                                             for side in SIDES}
 
