@@ -742,8 +742,8 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
     # Lags t - s of 50 (t, s) pairs, drawn as s and then t - s per pair:
     # pair k is draws 0 and 1 of the Philox stream SeedSequence(20260817,
     # spawn_key=(k,)), the trajectories' generator, scaled to [0, horizon).
-    k = np.arange(100)
-    draws = (horizon * _Streams(20260817, 50).draw(k // 2, k % 2)).reshape(50, 2)
+    n = np.arange(100)
+    draws = (horizon * _Streams(20260817, 50).draw(n // 2, n % 2)).reshape(50, 2)
     lags = (draws[:, 0] + draws[:, 1]) - draws[:, 0]
     for j in range(modes.n_transitions):
         for k in range(modes.n_transitions):

@@ -110,8 +110,8 @@ def single_excitation_solve(
     integrated by RK4 with step at most 1e-3 / max(lam, W, |detuning|,
     |hopping|), taken over every entry of Z: each of the ``uniform_runs`` of
     the grid forms one power of the RK4 step matrix, at the run's mean
-    span, and applies it row by row.  The system is a two-level one by construction here:
-    one amplitude, one transition.
+    span, and applies it row by row.  The system is a two-level one by
+    construction here: one amplitude, one transition.
     """
     if not 0 <= channel < modes.n_transitions:
         raise InvalidModelError(f"channel {channel} out of range")
