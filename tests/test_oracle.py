@@ -236,7 +236,7 @@ def test_oracle_forms_one_step_power_per_uniform_run(monkeypatch):
         calls.clear()
         sol = single_excitation_solve(modes, 1.0, 1.0, grid)
         assert len(calls) == runs
-        # Each row stepped by the power of its own span stays within 1e-13.
+        # Within 1e-13 of each row stepped by the power of its own span.
         rows = [np.eye(len(calls[0][0]))[0]]
         for t0, t1 in zip(grid[:-1].tolist(), grid[1:].tolist()):
             rows.append(_rk4_step_power(calls[0][0], *_rk4_substeps(t0, t1, h_cap)) @ rows[-1])
