@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudomodes import ConfigError, lorentzian_to_poles, LorentzianSum, LorentzianTerm
 import pseudomodes.cli
+from pseudomodes._util import _Streams
 from pseudomodes.cli import (
     MAX_CONFIG_DEPTH,
     RunConfig,
@@ -439,6 +440,19 @@ def test_validate_checks_no_time_past_t_max(tmp_path, capsys, command):
     doc["run"].update(fock_levels=1, t_max=0.2, n_steps=50)
     assert main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "x.out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("horizon", [2.5, 5.0])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**200, 20260817],
+                         ids=["0", "7", "2**32-1", "2**32", "2**64+1", "2**200", "20260817"])
+def test_validate_lags_are_numpys_default_rng_stream(seed, horizon):
+    # validate's draw rule, pair k = horizon * draws 0 and 1 of stream k, is
+    # numpy's default_rng over the Philox bit generator of that stream.
+    n = np.arange(100)
+    draws = (horizon * _Streams(seed, 50).draw(n // 2, n % 2)).reshape(50, 2)
+    ref = np.array([np.random.default_rng(np.random.Philox(np.random.SeedSequence(
+        seed, spawn_key=(k,)))).uniform(0.0, horizon, 2) for k in range(50)])
+    assert draws.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("horizon", [2.5, 5.0])
