@@ -57,7 +57,6 @@ from .dynamics import (
     build_generator,
     equivalence_check,
     evolve,
-    rotate_frame,
 )
 from .trajectories import (
     EnsembleResult,
@@ -122,7 +121,6 @@ __all__ = [
     "lorentzian_to_poles",
     "mcwf_run",
     "mode_correlation",
-    "rotate_frame",
     "single_excitation_solve",
     "two_mode_regularize",
     "vacuum_embedding",

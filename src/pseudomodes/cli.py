@@ -12,7 +12,9 @@ block knows is a config error naming its full key path.
 
 ``evolve`` and ``trajectories`` share one CSV writer: a ``t`` column, then
 ``_re``/``_im`` (and for the ensemble ``_se``) columns per observable, then
-the worst top Fock population and the trace error per row.  Both stop on
+the worst top Fock population and the trace error per row.  Both engines
+record the Schrodinger picture; ``run.frame: interaction`` writes each
+coherence column coh_m_n times exp(i (e_m - e_n) t).  Both stop on
 the truncation guard of ``dynamics``, ``trajectories`` on the ensemble's
 mean density; the clean rows are kept and the file ends in an
 ``# ABORTED`` line.
@@ -41,8 +43,7 @@ import numpy as np
 import yaml
 
 from ._util import _Streams
-from .dynamics import (FRAMES, KINDS, Generator, build_generator, equivalence_check, evolve,
-                       taylor_plan)
+from .dynamics import KINDS, Generator, build_generator, equivalence_check, evolve, taylor_plan
 from .errors import (
     ClassificationError,
     ConfigError,
@@ -81,6 +82,7 @@ from .spectral import (
 )
 from .trajectories import EnsembleResult, TrajectoryConfig, mcwf_run
 
+FRAMES = ("schrodinger", "interaction")
 CORRELATION_TOL = 1e-12
 ROTATION_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-8
@@ -457,7 +459,7 @@ def build_model(cfg: RunConfig) -> Generator:
     modes = build_discrete_modes(cfg.pole_set, cfg.system.strengths)
     mode_set = resolve_generator_kind(cfg.generator_kind, modes)
     layout = _layout_for(cfg, len(modes))
-    return build_generator(cfg.system, mode_set, layout, _start(cfg, layout), cfg.frame)
+    return build_generator(cfg.system, mode_set, layout, _start(cfg, layout))
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
@@ -585,14 +587,21 @@ def _write_trace(cfg: RunConfig, out_override: str | None, run) -> RunOutput:
     """Run ``run(ops)`` and write its rows as the CSV trace plus a plot script.
 
     ``run`` returns an EvolutionResult or an EnsembleResult, whose rows also
-    get a ``_se`` column after each observable's ``_re`` and ``_im``.  The
-    output path is resolved before the run.  On a truncation abort the clean
-    prefix is written, the file is closed with an `# ABORTED` comment line,
-    and the error is re-raised for the exit-code mapping.
+    get a ``_se`` column after each observable's ``_re`` and ``_im``.  In the
+    interaction frame each coherence coh_m_n is written times exp(i (e_m -
+    e_n) t): the modes' part of H0 cancels under the partial trace.  The
+    output path is resolved, and refused unless it encodes as UTF-8, before
+    the run.  On a truncation abort the clean prefix is written, the file is
+    closed with an `# ABORTED` comment line, and the error is re-raised for
+    the exit-code mapping.
     """
     out = out_override if out_override is not None else cfg.out_path
     if out is None:
         raise ConfigError("no output path: set output.path or pass --out")
+    try:
+        out.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"output path {ascii(out)} is not valid UTF-8") from None
     csv_path, ops = Path(out), _observable_ops(cfg)
 
     def write(result, tail: str | None = None) -> RunOutput:
@@ -603,6 +612,10 @@ def _write_trace(cfg: RunConfig, out_override: str | None, run) -> RunOutput:
         columns = [result.times]
         for name in ops:
             v = result.observables[name]
+            if cfg.frame == "interaction" and name.startswith("coh_"):
+                e_m, e_n = (cfg.system.energies[int(k)] for k in name.split("_")[1:])
+                # + 0j turns the -0.0 of a rotated exact zero into 0.0
+                v = v * np.exp(1j * (e_m - e_n) * result.times) + 0j
             columns += [v.real, v.imag, result.stderr[name]] if se else [v.real, v.imag]
         columns += [result.top_fock, result.trace_error]
         # "%.17g" of a float is _fmt's text
@@ -837,8 +850,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=summary)
         p.add_argument("config", help="path to a YAML run description")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override trajectories.seed")
+        if name == "trajectories":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override trajectories.seed")
         p.add_argument("--out", default=None, help="override output.path")
     return parser
 

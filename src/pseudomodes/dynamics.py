@@ -19,11 +19,8 @@ rates are the diagonal of Gamma.  The kind follows from the set:
 * ``lindblad_regularized``: real couplings with a real intermode hopping,
   the rotated two-mode form.  Valid Lindblad form.
 
-Every generator is built in the Schrodinger picture and is time
-independent, as the auxiliary model is.  The frame is a way of viewing the
-state: in the interaction frame each recorded state is
-rho_I(t) = exp(i H0 t) rho(t) exp(-i H0 t) with H0 = H_S0 + sum_l xi_l n_l
-over the modes the generator was built from.
+Every generator is built, and every state recorded, in the Schrodinger
+picture, and every generator is time independent, as the auxiliary model is.
 
 Every generator is built on the sector S of its start: the product labels
 (level, n_1 ... n_N) within the cutoffs that the terms of L (``_terms``)
@@ -92,7 +89,6 @@ from .hilbert import (
 from .mapping import ModeSet
 
 KINDS = ("lindblad_direct", "pathological", "lindblad_regularized")
-FRAMES = ("schrodinger", "interaction")
 
 #: Snapshot population of any top Fock level beyond this aborts the run.
 TRUNCATION_LIMIT = 1e-6
@@ -130,27 +126,20 @@ class Generator:
     per jump, so a density costs O(d**2) memory where the superoperator would
     cost O(d**4).  ``one_excitation_ground`` tells ``evolve`` whether its
     rows are read off kets instead, and ``mcwf_run`` whether a jumped
-    trajectory is the ground ket for good.  ``h0`` is the diagonal of the
-    free Hamiltonian H0 that the interaction frame rotates with; the
-    Schrodinger frame does not need it.
+    trajectory is the ground ket for good.
     """
 
     def __init__(
         self,
         kind: str,
-        frame: str,
         sector: Sector,
         static_both: np.ndarray,
         damping: np.ndarray,
         channels: tuple[tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]], ...],
-        h0: np.ndarray | None = None,
     ):
         if kind not in KINDS:
             raise InvalidModelError(f"unknown generator kind {kind!r}")
-        if frame not in FRAMES:
-            raise InvalidModelError(f"unknown frame {frame!r}")
         self.kind = kind
-        self.frame = frame
         self.sector = sector
         self.static_both = as_complex_matrix(static_both, "static part")
         self.damping = as_complex_matrix(damping, "damping part")
@@ -165,9 +154,6 @@ class Generator:
         for rate, _ in self.channels:
             if rate < 0.0:
                 raise InvalidModelError(f"negative jump rate {rate}")
-        if frame == "interaction" and (h0 is None or np.shape(h0) != (d,)):
-            raise InvalidModelError("the interaction frame needs the diagonal of H0")
-        self.h0 = h0
         # the maps of J_k = sqrt(2 rate_k) b_k
         self._jumps = tuple((rows, cols, np.sqrt(2.0 * rate) * values)
                             for rate, (rows, cols, values) in self.channels if rate > 0.0)
@@ -177,22 +163,6 @@ class Generator:
     @property
     def dim(self) -> int:
         return self.static_both.shape[0]
-
-    def frame_view(
-        self, kets: bool = False
-    ) -> Callable[[np.ndarray, float], np.ndarray] | None:
-        """Map (Schrodinger state, t) to the state seen in ``frame``.
-
-        The state is a density matrix or an (n, d, d) stack of them, one time
-        each, or with ``kets`` a ket or an (n, d) stack of kets.  Returns
-        None in the Schrodinger frame, where the view is the identity.
-        """
-        if self.frame == "schrodinger":
-            return None
-        h0 = self.h0
-        if kets:
-            return lambda state, t: np.exp(1j * h0 * t) * state
-        return lambda state, t: rotate_frame(state, h0, -t)
 
     def drift(self) -> np.ndarray:
         """Non-Hermitian drift A - iK governing no-jump evolution."""
@@ -313,7 +283,6 @@ def build_generator(
     modes: ModeSet,
     layout: SpaceLayout,
     start,
-    frame: str = "schrodinger",
 ) -> Generator:
     """Generator of the auxiliary master equation on the sector of ``start``;
     its kind follows from ``modes``.
@@ -347,27 +316,13 @@ def build_generator(
         return out
 
     bare, bilinear, coupling, damping, *jumps = groups
-    static = block(bare) + block(bilinear) + block(coupling)
-    # H0 = H_S0 + sum_l xi_l n_l, the diagonal the interaction frame rotates with
-    h0 = np.asarray(system.energies, dtype=float)[sector.labels[:, 0]]
-    for l, xi in enumerate(modes.frequencies):
-        h0 = h0 + xi * sector.labels[:, 1 + l]
     return Generator(
         kind=kind,
-        frame=frame,
         sector=sector,
-        static_both=static,
+        static_both=block(bare) + block(bilinear) + block(coupling),
         damping=block(damping),
         channels=tuple((float(rate), next(moves)) for [(rate, _)] in jumps),
-        h0=h0,
     )
-
-
-def rotate_frame(rho: np.ndarray, h0_diag: np.ndarray, t) -> np.ndarray:
-    """Map an interaction-picture state at time t back to the Schrodinger one;
-    an (n, d, d) stack of states takes n times."""
-    ph = np.exp(-1j * np.multiply.outer(t, h0_diag))
-    return ph[..., :, None] * rho * ph.conj()[..., None, :]
 
 
 @dataclass
@@ -425,8 +380,7 @@ def evolve(
     formed only when stored.  Any other sector advances each row's state by
     a Taylor series planned on ``gen.norm_estimate()``, into blocks of
     max(1, BLOCK_ENTRIES // |S|**2) states, views of ``states`` when they
-    are stored, each recorded by stacked numpy calls.  Either way the rows
-    are recorded as seen in ``gen.frame``.
+    are stored, each recorded by stacked numpy calls.
     ``observables`` maps names to operators, each a matrix on the system
     factor or a mapping of factor operators, formed on the sector once
     (``Sector.operator``).
@@ -514,13 +468,10 @@ def evolve(
     if g is None:
         per_block = min(n_t, max(1, BLOCK_ENTRIES // (d * d)))
         work = states if states is not None else np.empty((per_block, d, d), dtype=complex)
-        view = gen.frame_view()
         est = gen.norm_estimate()
 
         def record_block(i0: int, block: np.ndarray) -> None:
-            """Record the rows i0, i0 + 1, ... held by ``block``, in place."""
-            if view is not None:
-                block[...] = view(block, t[i0:i0 + len(block)])
+            """Record the rows i0, i0 + 1, ... held by ``block``."""
             herm = adjoint = None
             if checked:
                 adjoint = block.conj().transpose(0, 2, 1)
@@ -586,14 +537,10 @@ def evolve(
         m = q.conj().transpose(0, 2, 1) @ (p[:, :, None] * q)
         return np.linalg.eigvalsh(root[:, :, None] * m * root[:, None, :]).min(axis=1)
 
-    view = gen.frame_view(kets=True)
     level = sector.labels[g, 0]
 
     def write(_: int, upto: int) -> None:
         left, right = a[:upto], b[:upto]
-        if view is not None:
-            left = view(left, t[:upto, None, None])
-            right = left if checked else view(right, t[:upto, None, None])
         system_states[:upto] = sector.reduced_kets(left, right, weights)
         system_states[:upto, level, level] += fill[:upto]
         bra = right.conj()

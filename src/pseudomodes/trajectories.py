@@ -13,7 +13,8 @@ forms the exponentials of ``evolve``'s ket rows) from its truncated Taylor
 series rather than by an eigendecomposition, which a defective drift (an
 exceptional point) would not have.  Kets live on the generator's sector S,
 the states its terms reach from the initial labels: the drift and the jumps
-never leave it, so a ket carries only |S| amplitudes.
+never leave it, so a ket carries only |S| amplitudes.  Kets, rows and jumps
+are recorded in the Schrodinger picture, as ``evolve``'s states are.
 
 Every trajectory follows the no-jump ket psi until its first jump.  A run
 reads psi off one ``dynamics.no_jump_history`` over the grid (one
@@ -53,9 +54,6 @@ first read: up to the first row the truncation guard refuses, in one pass
 for all the rows with crossings that share a jump lattice (the same step q
 and the same count of steps).  The draws are functions of (stream, counter)
 alone, so placing them later changes no bit.
-The generator's frame only changes how the recorded states are viewed
-(psi_I = exp(i H0 t) psi in the interaction frame); jumps and their times do
-not depend on it.
 
 Trajectory idx draws from stream idx of the package's one random source,
 ``_util._Streams``: numpy's ``Generator(Philox(SeedSequence(seed,
@@ -334,7 +332,6 @@ def mcwf_run(
     records: list[list[tuple[float, int]]] = [[] for _ in range(n_traj)]
     streams = _Streams(config.seed, n_traj)
     eta = streams.draw(np.arange(n_traj), np.zeros(n_traj, dtype=np.int64))
-    view = gen.frame_view(kets=True)
     ddof = min(n_traj - 1, 1)  # a single trajectory has a zero error
 
     def made() -> tuple[np.ndarray, JumpRecords]:
@@ -488,8 +485,7 @@ def mcwf_run(
         # jump leaves, so a trajectory that has jumped is |g> from then on:
         # the rows are psi and the number of trajectories that have jumped.
         stay = n_traj - jumped
-        kets = psi if view is None else view(psi, t[:, None])
-        bra = kets.conj()
+        bra = psi.conj()
         # psi may have decayed to 0 in rows that every trajectory has left.
         w = np.zeros(n_t)
         np.divide(1.0, norm2, out=w, where=stay > 0)
@@ -498,7 +494,7 @@ def mcwf_run(
         spread = np.sqrt(stay * jumped / (n_traj - ddof)) / n_traj
         mean, err = {}, {}
         for name, mat_t in obs_mats.items():
-            x = np.einsum("ni,ni->n", bra, kets @ mat_t) * w
+            x = np.einsum("ni,ni->n", bra, psi @ mat_t) * w
             mean[name] = (stay * x + jumped * mat_t[g, g]) / n_traj
             err[name] = spread * np.abs(x - mat_t[g, g])
         w *= stay
@@ -515,7 +511,7 @@ def mcwf_run(
         def mean_density(upto: int) -> np.ndarray:
             """(m psi psi^dag / |psi|**2 + n_j |g><g|) / n on the rows before
             upto, with the guards' populations on its diagonal."""
-            rho = kets[:upto, :, None] * (bra[:upto] * (w[:upto, None] / n_traj))[:, None, :]
+            rho = psi[:upto, :, None] * (bra[:upto] * (w[:upto, None] / n_traj))[:, None, :]
             np.einsum("nii->ni", rho)[...] = populations[:upto]
             return rho
 
@@ -564,8 +560,6 @@ def mcwf_run(
         kets, stay = stack[:1 + jumped[i]], n_traj - jumped[i]
         # psi's norm may underflow in rows that every trajectory has left.
         w = np.concatenate([[1.0 / norm2[i] if stay else 0.0], 1.0 / norms[1:len(kets)]])
-        if view is not None:
-            kets = view(kets, float(t[i]))
         bra = kets.conj()
         for name, mat_t in obs_mats.items():
             x = np.einsum("ni,ni->n", bra, kets @ mat_t) * w

@@ -19,6 +19,7 @@ from pseudomodes import ConfigError, lorentzian_to_poles, LorentzianSum, Lorentz
 import pseudomodes.cli
 from pseudomodes._util import _Streams
 from pseudomodes.cli import (
+    FRAMES,
     MAX_CONFIG_DEPTH,
     RunConfig,
     build_model,
@@ -32,8 +33,8 @@ from pseudomodes.cli import (
 )
 from pseudomodes.errors import ClassificationError, RegularizationError
 from pseudomodes import dynamics
-from pseudomodes.dynamics import (FRAMES, KINDS, MAX_TAYLOR_INTERVALS, Generator,
-                                  build_generator, taylor_plan)
+from pseudomodes.dynamics import (KINDS, MAX_TAYLOR_INTERVALS, Generator, build_generator,
+                                  taylor_plan)
 from pseudomodes.hilbert import Sector, SpaceLayout, basis_state
 from pseudomodes.mapping import build_discrete_modes, two_mode_regularize
 from pseudomodes.trajectories import NoJumpPropagator
@@ -61,6 +62,23 @@ BAND_GAP_DOC = {
         "energies": [0.0, 1.0],
         "channels": [{"frequency": 1.0, "strength": 1.0}],
     },
+}
+
+#: Two channels on levels 0, 1 and 3: channel 1 couples levels 0 and 1, and
+#: channel 2, at frequency 3 and strength 0.7, levels 0 and 2, through one
+#: line.  Started in level 1, the mode's excitation also reaches level 2, so
+#: <1|rho_S|2> grows to 0.14, where every shipped start keeps it at 0.
+TWO_CHANNEL_DOC = {
+    "spectral": {
+        "type": "lorentzian_sum",
+        "terms": [{"weight": 1.0, "center": 1.0, "width": 1.0}],
+    },
+    "system": {
+        "energies": [0.0, 1.0, 3.0],
+        "channels": [{"frequency": 1.0, "strength": 1.0},
+                     {"frequency": 3.0, "strength": 0.7}],
+    },
+    "output": {"observables": ["pop_1", "pop_2", "coh_1_2", "coh_2_1"]},
 }
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -706,6 +724,59 @@ def test_interaction_frame_runs_every_subcommand(tmp_path, capsys, command, conf
     doc["output"]["path"] = str(tmp_path / "out.csv")
     assert main([command, write_doc(tmp_path, doc)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["evolve", "trajectories"])
+def test_the_interaction_frame_phases_only_the_coherence_columns(tmp_path, capsys, command):
+    # Each coh_m_n column is <m|rho_S|n> times exp(i (e_m - e_n) t); every
+    # other column, _se included, is the Schrodinger frame's, byte for byte.
+    lines = {}
+    for frame in FRAMES:
+        doc = with_run(TWO_CHANNEL_DOC, frame=frame, initial_level=1)
+        out = tmp_path / f"{frame}.csv"
+        assert main([command, write_doc(tmp_path, doc), "--out", str(out)]
+                    + (["--seed", "3"] if command == "trajectories" else [])) == 0
+        lines[frame] = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()]
+    capsys.readouterr()
+    schro, inter = lines["schrodinger"], lines["interaction"]
+    header = schro[0]
+    assert inter[0] == header and len(inter) == len(schro) == 102
+    phased = [k for k, name in enumerate(header)
+              if name.startswith("coh_") and name.endswith(("_re", "_im"))]
+    assert len(phased) == 4
+    for a, b in zip(schro, inter):
+        assert ([x for k, x in enumerate(a) if k not in phased]
+                == [x for k, x in enumerate(b) if k not in phased])
+    schro, inter = (np.array(rows[1:], dtype=float) for rows in (schro, inter))
+    t, energies = schro[:, 0], TWO_CHANNEL_DOC["system"]["energies"]
+    for m, n in ((1, 2), (2, 1)):
+        re, im = header.index(f"coh_{m}_{n}_re"), header.index(f"coh_{m}_{n}_im")
+        seen = schro[:, re] + 1j * schro[:, im]
+        assert np.abs(seen).max() >= 0.1
+        want = seen * np.exp(1j * (energies[m] - energies[n]) * t)
+        assert np.abs(inter[:, re] + 1j * inter[:, im] - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("command", ["evolve", "trajectories"])
+def test_an_output_name_that_is_not_utf8_is_refused_before_any_write(tmp_path, capsys,
+                                                                    command):
+    cfg = write_doc(tmp_path, with_run(SINGLE_DOC, t_max=1.0, n_steps=2))
+    before = sorted(tmp_path.iterdir())
+    out = str(tmp_path / "x\udcff.csv")  # the name x<0xff>.csv as Python holds it
+    assert main([command, cfg, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: output path {ascii(out)} is not valid UTF-8"]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["map", "evolve", "validate"])
+def test_seed_is_an_option_of_trajectories_alone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(CONFIGS / "tls_lorentzian.yaml"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_trajectories_run_at_an_exceptional_point(tmp_path, capsys):

@@ -26,14 +26,14 @@ from pseudomodes import (
     expectation,
     lorentzian_to_poles,
     ModeSet,
-    rotate_frame,
     StepUnderflowError,
     two_mode_regularize,
     vacuum_embedding,
 )
 from pseudomodes import dynamics
-from pseudomodes.dynamics import (FRAMES, InvariantViolationError, _taylor_interval,
-                                  exponential, no_jump_history, taylor_plan, uniform_runs)
+from pseudomodes.cli import FRAMES
+from pseudomodes.dynamics import (InvariantViolationError, _taylor_interval, exponential,
+                                  no_jump_history, taylor_plan, uniform_runs)
 from pseudomodes.hilbert import LADDER, Sector
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -178,11 +178,34 @@ def dense_power_reference(gen, rho0, span, rows):
     return np.array(out).reshape(rows + 1, *rho0.shape)
 
 
-def free_diagonal(gen, frequencies):
-    """H0 = H_S0 + sum_l xi_l n_l on the sector's labels."""
-    labels = gen.sector.labels
-    return np.array([TLS.energies[level] + sum(xi * n for xi, n in zip(frequencies, fock))
-                     for level, *fock in labels.tolist()])
+def interaction_view(sector, frequencies, states, t, system=TLS):
+    """The reduced states of exp(i H0 t) rho exp(-i H0 t), H0 = H_S0 + sum_l
+    xi_l n_l, for the ``states`` on ``sector`` (one, or an (n, |S|, |S|)
+    stack) at the times ``t``: the full state's interaction frame, mode
+    phases included."""
+    labels = sector.labels
+    h0 = np.asarray(system.energies)[labels[:, 0]] + labels[:, 1:] @ np.asarray(frequencies)
+    phase = np.exp(1j * np.multiply.outer(t, h0))
+    return sector.reduced(phase[..., :, None] * states * phase.conj()[..., None, :])
+
+
+def phased(system_states, t, system=TLS):
+    """Each <m|rho_S|n> of the recorded ``system_states`` at the times ``t``
+    times exp(i (e_m - e_n) t): the interaction frame the CLI writes."""
+    e = np.asarray(system.energies)
+    return system_states * np.exp(1j * np.multiply.outer(t, np.subtract.outer(e, e)))
+
+
+def seen_alike(frame, res, want, sector, frequencies) -> float:
+    """The largest deviation of the rows of ``res`` from the reference states
+    ``want`` on its ``sector``, as ``frame`` shows them: of the states
+    themselves in the Schrodinger frame; in the interaction frame of the
+    recorded reduced states, phased as the CLI writes them, from the reduced
+    interaction view of ``want``."""
+    if frame == "schrodinger":
+        return float(np.abs(res.states - want).max())
+    return float(np.abs(phased(res.system_states, res.times)
+                        - interaction_view(sector, frequencies, want, res.times)).max())
 
 
 def test_trace_conserved_per_application_all_kinds():
@@ -260,35 +283,27 @@ def test_real_rotation_of_equal_rate_modes_keeps_reduced_dynamics():
 
 
 def test_frame_equivalence_all_kinds():
-    # Record in the interaction frame, rotate back, compare snapshots.  Both
-    # runs propagate the same Schrodinger-frame generator, so this checks the
-    # frame transform; test_exact_action_matches_the_dense_superoperator
-    # checks the propagation against an independent reference.
-    detuned = lorentzian_to_poles(LorentzianSum((
-        LorentzianTerm(weight=2.0, center=0.4, width=2.0),
-        LorentzianTerm(weight=-1.0, center=0.4, width=1.0),
-    )))
-    modes = build_discrete_modes(detuned, (1.0,))
-    reg = two_mode_regularize(modes)
+    # The engine records one picture, and the CLI writes the interaction
+    # frame as a phase on each coherence of the reduced state.  On three
+    # levels with two channels at different gaps, from a random density,
+    # that phase gives the reduced state of the full interaction view, mode
+    # phases included, for every kind.
+    ones = np.ones((3, 3), dtype=complex)
+    system = SystemSpec(energies=(0.0, 1.0, 3.0), observables=(ones, ones),
+                        frequencies=(1.0, 3.0), strengths=(1.0, 0.7))
+    modes = build_discrete_modes(BAND_GAP, system.strengths)
+    rng = np.random.default_rng(32)
     t = np.linspace(0.0, 2.0, 21)
-    cases = [
-        ("pathological", modes, SpaceLayout(2, (2, 2))),
-        ("lindblad_regularized", reg, SpaceLayout(2, (2, 2))),
-        ("lindblad_direct", build_discrete_modes(SINGLE, (1.0,)), SpaceLayout(2, (2,))),
-    ]
-    for kind, mode_set, layout in cases:
-        gs = build_generator(TLS, mode_set, layout, excited(layout))
-        gi = build_generator(TLS, mode_set, layout, excited(layout), frame="interaction")
-        assert gi.kind == kind
-        rho0 = vacuum_embedding(gs.sector, EE)
-        rs = evolve(gs, rho0, t)
-        ri = evolve(gi, rho0, t)
-        h0 = free_diagonal(gi, mode_set.frequencies)
-        dev = max(
-            np.abs(rotate_frame(ri.states[i], h0, t[i]) - rs.states[i]).max()
-            for i in range(len(t))
-        )
-        assert dev < 1e-9, kind
+    for kind, mode_set in (("pathological", modes),
+                           ("lindblad_regularized", two_mode_regularize(modes)),
+                           ("lindblad_direct", build_discrete_modes(SINGLE, system.strengths))):
+        layout = SpaceLayout(3, (2,) * len(mode_set))
+        gen = build_generator(system, mode_set, layout, excited(layout))
+        assert gen.kind == kind
+        res = evolve(gen, random_hermitian_density(rng, gen.dim), t)
+        assert np.abs(res.system_states[:, 1, 2]).max() > 0.01, kind
+        full = interaction_view(gen.sector, mode_set.frequencies, res.states, t, system)
+        assert np.abs(phased(res.system_states, t, system) - full).max() <= 1e-14, kind
 
 
 @pytest.mark.parametrize("jump, refusal", [
@@ -304,19 +319,9 @@ def test_a_malformed_jump_map_is_refused(jump, refusal):
     gen, _ = tls_direct()
     assert gen.dim == 3
     with pytest.raises(InvalidModelError, match=refusal):
-        Generator(kind=gen.kind, frame=gen.frame, sector=gen.sector,
+        Generator(kind=gen.kind, sector=gen.sector,
                   static_both=gen.static_both, damping=gen.damping,
                   channels=((1.0, tuple(np.array(part) for part in jump)),))
-
-
-def test_interaction_frame_needs_the_free_hamiltonian():
-    gen, layout = tls_direct()
-    parts = dict(kind=gen.kind, sector=gen.sector, static_both=gen.static_both,
-                 damping=gen.damping, channels=gen.channels)
-    with pytest.raises(InvalidModelError):
-        Generator(frame="interaction", **parts)
-    assert Generator(frame="interaction", h0=gen.h0, **parts).frame_view() is not None
-    assert Generator(frame="schrodinger", **parts).frame_view() is None
 
 
 def test_step_halving_is_converged():
@@ -532,7 +537,7 @@ def test_the_closed_form_matches_the_dense_superoperator(monkeypatch, frame):
     rng = np.random.default_rng(16)
     t = np.linspace(0.0, 20.0, 41)
     for kind, mode_set, layout in four_kinds():
-        gen = build_generator(TLS, mode_set, layout, excited(layout), frame=frame)
+        gen = build_generator(TLS, mode_set, layout, excited(layout))
         ground = gen.sector.labels[gen.one_excitation_ground()]
         assert ground.tolist() == [0] * (1 + len(mode_set))
         rho0 = random_hermitian_density(rng, gen.dim)
@@ -540,10 +545,7 @@ def test_the_closed_form_matches_the_dense_superoperator(monkeypatch, frame):
         res = evolve(gen, rho0, t)
         assert not seen["applied"]
         want = dense_reference(gen, rho0, t)
-        view = gen.frame_view()
-        if view is not None:
-            want = np.array([view(rho, ti) for rho, ti in zip(want, t)])
-        assert np.abs(res.states - want).max() <= 1e-12, kind
+        assert seen_alike(frame, res, want, gen.sector, mode_set.frequencies) <= 1e-12, kind
 
 
 @pytest.mark.parametrize("frame", FRAMES)
@@ -565,19 +567,17 @@ def test_ket_rows_match_the_dense_superoperator_on_random_lorentzian_sums(monkey
                 weights / weights.sum(), rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 3.0, n)))
             modes = build_discrete_modes(lorentzian_to_poles(LorentzianSum(terms)), (1.0,))
             layout = SpaceLayout(2, (2,) * n)
-            gen = build_generator(TLS, modes, layout, excited(layout), frame=frame)
+            gen = build_generator(TLS, modes, layout, excited(layout))
             assert gen.one_excitation_ground() is not None
             kinds.add(gen.kind)
-            view = gen.frame_view()
             obs = {"ee": EE, "sx": SX}
             for rho0 in (vacuum_embedding(gen.sector, EE), random_hermitian_density(rng, gen.dim)):
                 seen["applied"].clear()
                 res = evolve(gen, rho0, t, observables=obs)
                 assert not seen["applied"]
                 want = dense_power_reference(gen, rho0, t[1], t.size - 1)
-                if view is not None:
-                    want = np.array([view(rho, ti) for rho, ti in zip(want, t)])
-                assert np.abs(res.states - want).max() <= 1e-12, (n, gen.kind)
+                assert seen_alike(frame, res, want, gen.sector, modes.frequencies) <= 1e-12, (
+                    n, gen.kind)
                 assert np.abs(res.system_states - gen.sector.reduced(want)).max() <= 1e-12
                 for name, op in obs.items():
                     mat = gen.sector.operator(op)
@@ -619,7 +619,7 @@ def test_sectors_without_one_ground_take_the_series(monkeypatch):
     leaky = []
     for width in (4.0, 1e-7):
         direct, _ = tls_direct(width=width)
-        leaky.append(Generator(kind=direct.kind, frame=direct.frame, sector=direct.sector,
+        leaky.append(Generator(kind=direct.kind, sector=direct.sector,
                                static_both=direct.static_both,
                                damping=direct.damping * (1.0 + 1e-9),
                                channels=direct.channels))
@@ -679,19 +679,20 @@ def test_reachable_support_is_every_index_at_full_rank():
 def test_restricted_row_matches_the_full_space_row(frame):
     dt = 0.5
     for kind, mode_set, layout in four_kinds():
-        gen = build_generator(TLS, mode_set, layout, excited(layout), frame=frame)
-        whole = build_generator(TLS, mode_set, layout, every(layout), frame=frame)
+        gen = build_generator(TLS, mode_set, layout, excited(layout))
+        whole = build_generator(TLS, mode_set, layout, every(layout))
         assert gen.kind == whole.kind == kind
         assert gen.dim < whole.dim == layout.dim
         res = evolve(gen, vacuum_embedding(gen.sector, EE), [0.0, dt])
-        row = embedded(res.states[1], res.support, layout.dim)
         # The same row propagated on the whole space, seen in the same frame.
         full = _taylor_interval(whole.apply, vacuum_embedding(whole.sector, EE), dt,
                                 whole.norm_estimate())
-        view = whole.frame_view()
-        if view is not None:
-            full = view(full, dt)
-        assert np.abs(row - full).max() <= 1e-14, kind
+        if frame == "schrodinger":
+            dev = np.abs(embedded(res.states[1], res.support, layout.dim) - full).max()
+        else:
+            dev = np.abs(phased(res.system_states[1], dt)
+                         - interaction_view(whole.sector, mode_set.frequencies, full, dt)).max()
+        assert dev <= 1e-14, kind
 
 
 @pytest.mark.parametrize("frame", FRAMES)
@@ -700,15 +701,15 @@ def test_the_row_map_matches_the_row_action(frame):
     # the Taylor series of L to each row's state.
     t = np.linspace(0.0, 20.0, 41)
     for kind, mode_set, layout in four_kinds():
-        gen = build_generator(TLS, mode_set, layout, excited(layout), frame=frame)
+        gen = build_generator(TLS, mode_set, layout, excited(layout))
         assert gen.one_excitation_ground() is not None
-        rho = vacuum_embedding(gen.sector, EE)
-        res = evolve(gen, rho, t)
-        view = gen.frame_view()
+        want = [vacuum_embedding(gen.sector, EE)]
+        res = evolve(gen, want[0], t)
         for i in range(1, t.size):
-            rho = _taylor_interval(gen.apply, rho, t[i] - t[i - 1], gen.norm_estimate())
-            want = rho if view is None else view(rho, t[i])
-            assert np.abs(res.states[i] - want).max() <= 1e-13, (kind, i)
+            want.append(_taylor_interval(gen.apply, want[-1], t[i] - t[i - 1],
+                                         gen.norm_estimate()))
+        dev = seen_alike(frame, res, np.array(want), gen.sector, mode_set.frequencies)
+        assert dev <= 1e-13, kind
 
 
 def test_taylor_plan_minimises_applications():
@@ -766,16 +767,15 @@ def test_a_grid_longer_than_one_block_matches_row_by_row_records(monkeypatch, fr
     t = np.linspace(0.0, 20.0, 401)
     assert dynamics.BLOCK_ENTRIES // 18**2 == 202
     obs = {"ee": EE, "sx": SX}
-    for gen in band_gap_generators(every)[:2]:
-        gen = Generator(kind=gen.kind, frame=frame, sector=gen.sector,
-                        static_both=gen.static_both, damping=gen.damping,
-                        channels=gen.channels, h0=gen.h0)
+    modes, layout = build_discrete_modes(BAND_GAP, (1.0,)), SpaceLayout(2, (2, 2))
+    for mode_set in (modes, two_mode_regularize(modes)):
+        gen = build_generator(TLS, mode_set, layout, every(layout))
         rho0 = vacuum_embedding(gen.sector, EE)
         res = evolve(gen, rho0, t, observables=obs)
         by_row = evolve_in_blocks(monkeypatch, 1, gen, rho0, t, observables=obs)
         monkeypatch.undo()
         np.testing.assert_array_equal(res.states, by_row.states)
-        layout = gen.sector.layout
+        assert seen_alike(frame, res, by_row.states, gen.sector, mode_set.frequencies) <= 1e-14
         tops = [gen.sector.labels[:, 1 + l] == n for l, n in enumerate(layout.fock_levels)]
         for i, rho in enumerate(res.states):
             assert res.trace_error[i] == pytest.approx(abs(np.trace(rho) - 1.0), abs=1e-15)
@@ -834,7 +834,7 @@ def test_an_invariant_violation_in_the_second_block_raises_as_row_by_row(monkeyp
     # removes, and the trace is off by more than 1e-8 from row 10 on.  Blocks
     # of 6 rows put it in the second block; rows after it never count.
     direct, _ = tls_direct()
-    leaky = Generator(kind=direct.kind, frame=direct.frame, sector=direct.sector,
+    leaky = Generator(kind=direct.kind, sector=direct.sector,
                       static_both=direct.static_both, damping=direct.damping * (1.0 + 4e-8),
                       channels=direct.channels)
     rho0 = vacuum_embedding(leaky.sector, EE)

@@ -249,18 +249,29 @@ def test_stack_rows_do_not_depend_on_the_stack_with_two_blas_threads():
 
 @pytest.mark.parametrize("frame", ["schrodinger", "interaction"])
 def test_recorded_observables_match_the_mean_density(frame):
+    # In the interaction frame: the recorded <0|rho_S|1> times exp(-i t), as
+    # the CLI writes it, against the mean density seen as exp(i H0 t) rho
+    # exp(-i H0 t), mode phases included.
     layout = SpaceLayout(2, (2, 2))
     reg = two_mode_regularize(build_discrete_modes(BAND_GAP, (1.0,)))
-    gen = build_generator(TLS, reg, layout, either(layout), frame=frame)
+    gen = build_generator(TLS, reg, layout, either(layout))
     psi0 = (basis_state(gen.sector, 0) + basis_state(gen.sector, 1)) / np.sqrt(2.0)
-    cfg = TrajectoryConfig(n_traj=60, seed=5, times=np.linspace(0.0, 4.0, 21))
-    ens = mcwf_run(gen, psi0, cfg, observables={"sx": SX})
+    t = np.linspace(0.0, 4.0, 21)
+    ens = mcwf_run(gen, psi0, TrajectoryConfig(n_traj=60, seed=5, times=t),
+                   observables={"sx": SX, "coh": COH})
     assert ens.jump_counts.sum() > 0
-    mean_density = embedded(ens.mean_density, ens.support, layout.dim)
-    sx = np.kron(SX, np.eye(layout.dim // 2))  # SX on the system, the identity on the modes
-    from_density = np.einsum("ij,tji->t", sx, mean_density)
-    assert np.abs(ens.observables["sx"].real).max() > 0.1
-    assert np.abs(ens.observables["sx"] - from_density).max() <= 1e-12
+    op, recorded, density = SX, ens.observables["sx"], ens.mean_density
+    if frame == "interaction":
+        op, recorded = COH, ens.observables["coh"] * np.exp(-1j * t)
+        labels = gen.sector.labels
+        h0 = np.asarray(TLS.energies)[labels[:, 0]] + labels[:, 1:] @ reg.frequencies
+        phase = np.exp(1j * np.multiply.outer(t, h0))
+        density = phase[:, :, None] * density * phase.conj()[:, None, :]
+    mean_density = embedded(density, ens.support, layout.dim)
+    full = np.kron(op, np.eye(layout.dim // 2))  # op on the system, the identity on the modes
+    from_density = np.einsum("ij,tji->t", full, mean_density)
+    assert np.abs(recorded.real).max() > 0.1
+    assert np.abs(recorded - from_density).max() <= 1e-12
 
 
 def test_truncation_guard_keeps_the_rows_before_the_first_bad_one(monkeypatch):
@@ -515,10 +526,10 @@ def ground_models():
         gen, _ = band_gap_regularized()
         return gen, basis_state(gen.sector, 1), np.linspace(0.0, 20.0, 201)
 
-    def either_start(frame):
+    def either_schrodinger():
         layout = SpaceLayout(2, (2, 2))
         reg = two_mode_regularize(build_discrete_modes(BAND_GAP, (1.0,)))
-        gen = build_generator(TLS, reg, layout, either(layout), frame=frame)
+        gen = build_generator(TLS, reg, layout, either(layout))
         psi0 = (basis_state(gen.sector, 0) + basis_state(gen.sector, 1)) / np.sqrt(2.0)
         return gen, psi0, np.linspace(0.0, 20.0, 201)
 
@@ -529,9 +540,7 @@ def ground_models():
         assert gen.dim == 22
         return gen, basis_state(gen.sector, 1), np.linspace(0.0, 20.0, 201)
 
-    return {"tls": tls, "band_gap": band_gap,
-            "either_schrodinger": lambda: either_start("schrodinger"),
-            "either_interaction": lambda: either_start("interaction"),
+    return {"tls": tls, "band_gap": band_gap, "either_schrodinger": either_schrodinger,
             "twenty_modes": twenty_modes}
 
 
@@ -796,28 +805,6 @@ def test_one_sided_generator_is_refused():
     with pytest.raises(ClassificationError):
         mcwf_run(gen, basis_state(gen.sector, 1),
                  TrajectoryConfig(n_traj=1, seed=0, times=np.array([0.0, 1.0])))
-
-
-def test_interaction_frame_only_rotates_the_recorded_states():
-    modes = build_discrete_modes(BAND_GAP, (1.0,))
-    reg = two_mode_regularize(modes)
-    layout = SpaceLayout(2, (2, 2))
-    cfg = TrajectoryConfig(n_traj=20, seed=3, times=np.linspace(0.0, 5.0, 11))
-    obs = {"ee": EE, "coh": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)}
-    schro, inter = (
-        mcwf_run(gen, (basis_state(gen.sector, 0) + basis_state(gen.sector, 1)) / np.sqrt(2.0),
-                 cfg, observables=obs)
-        for gen in (build_generator(TLS, reg, layout, either(layout), frame=frame)
-                    for frame in ("schrodinger", "interaction"))
-    )
-    assert sum(len(r) for r in schro.jump_records) > 0
-    assert inter.jump_records == schro.jump_records
-    assert np.abs(inter.observables["ee"] - schro.observables["ee"]).max() <= 1e-12
-    # <0|rho_I|1> = e^{i (e_0 - e_1) t} <0|rho|1>: the free system phase is removed
-    phase = np.exp(-1j * cfg.times)
-    assert np.abs(schro.observables["coh"]).max() > 0.1
-    np.testing.assert_allclose(inter.observables["coh"],
-                               phase * schro.observables["coh"], atol=1e-12)
 
 
 def test_initial_state_validation():

@@ -6,14 +6,17 @@ Each commit is written by ``git archive`` into its own checkout under
 ``.bench_work/pairs/`` (ignored; ``bench_pairs.checkout``).  In each, one
 child process runs ``pseudomodes.cli.main`` for ``map``, ``evolve``,
 ``trajectories`` and ``validate`` on every shipped config (``configs/*.yaml``
-of that commit) and on a two-excitation ladder, once per frame (``run.frame``
-set to ``schrodinger`` and to ``interaction``), with ``trajectories`` at
-seeds 1-8.  For each trajectory run it also writes the jump records of
+of that commit), on a two-excitation ladder and on a two-channel model, once
+per frame (``run.frame`` set to ``schrodinger`` and to ``interaction``), with
+``trajectories`` at seeds 1-8.  For each trajectory run it also writes the jump records of
 ``mcwf_run`` on the same model, grid and seed.  The shipped configs take the
 one-excitation routes; the ladder of three lines (``ladder(3)``) takes the
 Taylor route in ``evolve`` and the row route in ``trajectories``.  The
 ladder runs again with strength 0.1 as ``ladder3_weak``, where most
-trajectory rows stay on the no-jump ket that every trajectory shares.
+trajectory rows stay on the no-jump ket that every trajectory shares.  The
+two-channel model (``two_channel``) grows a coherence <1|rho_S|2> of 0.14,
+where every other start keeps its coherences at 0, so its interaction-frame
+CSVs show the frame's phase.
 Every file lands under ``.bench_work/compare/<commit>/`` with each run's
 exit code in ``exit_codes.json``.
 
@@ -97,6 +100,24 @@ def ladder(n: int, strength: float = 1.0, n_traj: int = 500) -> dict:
     }
 
 
+def two_channel() -> dict:
+    """The config of the two-channel model: levels 0, 1 and 3, channel 1 at
+    frequency 1 coupling levels 0 and 1, channel 2 at frequency 3 and
+    strength 0.7 coupling levels 0 and 2, one Lorentzian line (1, 1, 1),
+    started in level 1, ``t_max: 10``, ``n_steps: 100``, 500 trajectories at
+    seed 3."""
+    return {
+        "spectral": {"type": "lorentzian_sum",
+                     "terms": [{"weight": 1.0, "center": 1.0, "width": 1.0}]},
+        "system": {"energies": [0.0, 1.0, 3.0],
+                   "channels": [{"frequency": 1.0, "strength": 1.0},
+                                {"frequency": 3.0, "strength": 0.7}]},
+        "run": {"t_max": 10.0, "n_steps": 100, "initial_level": 1},
+        "trajectories": {"n_traj": 500, "seed": 3},
+        "output": {"observables": ["pop_1", "pop_2", "coh_1_2", "coh_2_1"]},
+    }
+
+
 def run_outputs(sha: str, tree: Path) -> Path:
     """Every output of the checkout ``tree`` of commit ``sha``, written afresh."""
     out = OUT / sha[:12]
@@ -104,7 +125,8 @@ def run_outputs(sha: str, tree: Path) -> Path:
     for old in out.iterdir():
         old.unlink()
     child(tree, CHILD, str(out), ",".join(map(str, SEEDS)),
-          json.dumps({"ladder3": ladder(3), "ladder3_weak": ladder(3, 0.1)}))
+          json.dumps({"ladder3": ladder(3), "two_channel": two_channel(),
+                      "ladder3_weak": ladder(3, 0.1)}))
     return out
 
 
