@@ -112,25 +112,31 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
-def seed_words(seed: int, n_words: int, spawn: np.ndarray) -> list[np.ndarray]:
-    """numpy's ``SeedSequence(seed, spawn_key=(idx,)).generate_state(n_words,
-    np.uint32)`` for each idx of ``spawn``, a uint32 array, as n_words uint32
-    arrays.
+def _stream_keys(seed: int, n: int) -> np.ndarray:
+    """(2, n) uint64: the Philox key that numpy's ``Philox`` takes from
+    ``SeedSequence(seed, spawn_key=(idx,))`` for idx = 0 ... n - 1 (n <= 2**32),
+    its ``generate_state(2, np.uint64)``, from the ``generate_state(4,
+    np.uint32)`` words w_0 ... w_3 as w_0 | w_1 << 32 and w_2 | w_3 << 32.
 
     The entropy is seed's uint32 words, least significant first, padded with
     zeros to the pool size 4, then idx.  The seed's words are hashed once as
-    ints, masked to 32 bits as numpy's C wraps them; only idx's word on runs
-    on arrays, whose uint32 products wrap by themselves."""
+    ints, masked to 32 bits as numpy's C wraps them; idx's word is mixed into
+    the four pool words side by side, as (4, n) uint32 arrays whose products
+    wrap by themselves."""
     seed = int(seed)
     words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words)) + [spawn]
+    words += [0] * (4 - len(words))
     h = _INIT_A
 
-    def hashmix(v):
+    def step(mult):
+        """The hash constant and its successor under ``mult``, advancing it."""
         nonlocal h
-        v = v ^ h
-        h = h * _MULT_A & _M32
-        v = v * h & _M32
+        h_in, h = h, h * mult & _M32
+        return h_in, h
+
+    def hashmix(v):
+        h_in, h_out = step(_MULT_A)
+        v = (v ^ h_in) * h_out & _M32
         return v ^ v >> 16
 
     def mix(x, y):
@@ -145,21 +151,18 @@ def seed_words(seed: int, n_words: int, spawn: np.ndarray) -> list[np.ndarray]:
     for w in words[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(w))
-    h, state = _INIT_B, []
-    for i in range(n_words):
-        v = pool[i % 4] ^ h
-        h = h * _MULT_B & _M32
-        v = v * h & _M32
-        state.append(v ^ v >> 16)
-    return state
-
-
-def _stream_keys(seed: int, n: int) -> np.ndarray:
-    """(2, n) uint64: the Philox key that numpy's ``Philox`` takes from
-    ``SeedSequence(seed, spawn_key=(idx,))`` for idx = 0 ... n - 1 (n <= 2**32),
-    its ``generate_state(2, np.uint64)``."""
-    w = [v.astype(np.uint64) for v in seed_words(seed, 4, np.arange(n, dtype=np.uint32))]
-    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32])
+    u32 = np.uint32
+    h_pairs = np.array([step(_MULT_A) for _ in range(4)], dtype=u32)
+    v = (np.arange(n, dtype=u32) ^ h_pairs[:, :1]) * h_pairs[:, 1:]
+    v ^= v >> u32(16)
+    pool = np.array([_MIX_L * x & _M32 for x in pool], dtype=u32)[:, None] - _MIX_R * v
+    pool ^= pool >> u32(16)
+    h = _INIT_B
+    h_pairs = np.array([step(_MULT_B) for _ in range(4)], dtype=u32)
+    state = (pool ^ h_pairs[:, :1]) * h_pairs[:, 1:]
+    state ^= state >> u32(16)
+    w = state.astype(np.uint64)
+    return w[0::2] | w[1::2] << np.uint64(32)
 
 
 def _philox(keys: np.ndarray, counter: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -285,15 +285,19 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         # The parsers keep their own stacks, but composing a document
         # recurses once per level, in PyYAML's C extension as in its Python,
-        # so the depth is bounded from the parse events first.
-        depth = 0
-        for event in yaml.parse(text, Loader=_ConfigLoader):
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > MAX_CONFIG_DEPTH:
-                    raise ConfigError(f"config {p} is nested too deeply to parse")
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
+        # so the depth is bounded from the parse events first.  Each
+        # collection starts at an indicator of its own ('[', '{', a '-'
+        # entry, a ':' or '?' key), so a text with no more of these
+        # characters than the bound nests within it and needs no such pass.
+        if sum(map(text.count, "[{-:?")) > MAX_CONFIG_DEPTH:
+            depth = 0
+            for event in yaml.parse(text, Loader=_ConfigLoader):
+                if isinstance(event, yaml.CollectionStartEvent):
+                    depth += 1
+                    if depth > MAX_CONFIG_DEPTH:
+                        raise ConfigError(f"config {p} is nested too deeply to parse")
+                elif isinstance(event, yaml.CollectionEndEvent):
+                    depth -= 1
         doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {p} is not valid YAML: {exc}") from exc
@@ -583,6 +587,26 @@ class RunOutput:
     plot_path: Path
 
 
+def _output_path(out: str) -> Path:
+    """The output file ``out``, refused before any run when it names a
+    directory or lies in a directory that does not exist."""
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError(f"output path {ascii(out)} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"output path {ascii(out)} is in a directory that does not exist")
+    return path
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write an output file; a failed write, such as a refused permission, is
+    an EngineError naming the file (exit 2)."""
+    try:
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise EngineError(f"cannot write {ascii(str(path))}: {exc.strerror or exc}") from None
+
+
 def _write_trace(cfg: RunConfig, out_override: str | None, run) -> RunOutput:
     """Run ``run(ops)`` and write its rows as the CSV trace plus a plot script.
 
@@ -591,7 +615,8 @@ def _write_trace(cfg: RunConfig, out_override: str | None, run) -> RunOutput:
     interaction frame each coherence coh_m_n is written times exp(i (e_m -
     e_n) t): the modes' part of H0 cancels under the partial trace.  The
     output path is resolved, and refused unless it encodes as UTF-8, before
-    the run.  On a truncation abort the clean prefix is written, the file is
+    the run, as is one that names a directory or lies in a directory that
+    does not exist (``_output_path``).  On a truncation abort the clean prefix is written, the file is
     closed with an `# ABORTED` comment line, and the error is re-raised for
     the exit-code mapping.
     """
@@ -602,7 +627,8 @@ def _write_trace(cfg: RunConfig, out_override: str | None, run) -> RunOutput:
         out.encode("utf-8")
     except UnicodeEncodeError:
         raise ConfigError(f"output path {ascii(out)} is not valid UTF-8") from None
-    csv_path, ops = Path(out), _observable_ops(cfg)
+    csv_path, ops = _output_path(out), _observable_ops(cfg)
+    plot = _output_path(str(csv_path.with_name(csv_path.stem + "_plot.py")))
 
     def write(result, tail: str | None = None) -> RunOutput:
         se = isinstance(result, EnsembleResult)
@@ -623,11 +649,10 @@ def _write_trace(cfg: RunConfig, out_override: str | None, run) -> RunOutput:
         lines += [row % x for x in zip(*(c.tolist() for c in columns))]
         if tail is not None:
             lines.append(f"# {tail}")
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        plot = csv_path.with_name(csv_path.stem + "_plot.py")
+        _write_text(csv_path, "\n".join(lines) + "\n")
         # JSON escapes are valid in a Python string, so the name is one literal.
         name = json.dumps(csv_path.name, ensure_ascii=False)[1:-1]
-        plot.write_text(_PLOT_TEMPLATE.format(csv_name=name), encoding="utf-8", newline="\n")
+        _write_text(plot, _PLOT_TEMPLATE.format(csv_name=name))
         return RunOutput(csv_path, plot)
 
     try:
@@ -690,7 +715,8 @@ class ValidationSummary:
         doc = {
             "classification": self.classification,
             "n_modes": self.n_modes,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{"name": c.name, "status": c.status, "residual": c.residual,
+                        "tolerance": c.tolerance, "detail": c.detail} for c in self.checks],
             "passed": self.passed,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -861,26 +887,25 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.command == "map":
-            report = cmd_map(cfg)
-            sys.stdout.write(report.text)
-            out = args.out if args.out is not None else cfg.out_path
-            if out is not None:
-                Path(out).write_text(report.text, encoding="utf-8", newline="\n")
-            return 0
         if args.command in ("evolve", "trajectories"):
             output = (cmd_evolve(cfg, args.out) if args.command == "evolve"
                       else cmd_trajectories(cfg, args.out, args.seed))
             print(f"wrote {output.csv_path}")
             print(f"wrote {output.plot_path}")
             return 0
-        summary = cmd_validate(cfg)
-        text = summary.to_json() + "\n"
-        sys.stdout.write(text)
         out = args.out if args.out is not None else cfg.out_path
-        if out is not None:
-            Path(out).write_text(text, encoding="utf-8", newline="\n")
-        return 0 if summary.passed else 1
+        path = None if out is None else _output_path(out)
+        if args.command == "map":
+            text = cmd_map(cfg).text
+            code = 0
+        else:
+            summary = cmd_validate(cfg)
+            text = summary.to_json() + "\n"
+            code = 0 if summary.passed else 1
+        sys.stdout.write(text)
+        if path is not None:
+            _write_text(path, text)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -188,7 +188,7 @@ class Generator:
         return est
 
     def one_excitation_ground(self) -> int | None:
-        """The label g that takes every jump, or None.
+        """The label g that takes every jump, or None, found once per generator.
 
         It holds when every jump's rows lie in {g} and its column g is
         empty, D_l and D_r neither enter nor leave g, and sum_k J_k^dag J_k =
@@ -199,6 +199,11 @@ class Generator:
         records a trajectory that has jumped as |g>, whose norm the drift
         keeps and which no jump leaves.
         """
+        if not hasattr(self, "_ground"):
+            self._ground = self._find_ground()
+        return self._ground
+
+    def _find_ground(self) -> int | None:
         hit = set().union(*(rows.tolist() for rows, _, _ in self._jumps))
         if len(hit) != 1:
             return None
@@ -529,10 +534,14 @@ def evolve(
     def lowest(upto: int) -> np.ndarray:
         # rho = W P W^dag with W = [a_1 ... a_K, |g>] and P = diag(p, f): its
         # nonzero eigenvalues are those of G^(1/2) P G^(1/2), G = W^dag W.
-        w = np.concatenate([a[:upto], np.broadcast_to(np.eye(1, d, g), (upto, 1, d))], axis=1)
+        k = weights.size
+        w = np.zeros((upto, k + 1, d), dtype=complex)
+        w[:, :k] = a[:upto]
+        w[:, k, g] = 1.0
         lam, q = np.linalg.eigh(w.conj() @ w.transpose(0, 2, 1))
-        p = np.concatenate([np.broadcast_to(weights, (upto, weights.size)),
-                            fill[:upto, None].real], axis=1)
+        p = np.empty((upto, k + 1))
+        p[:, :k] = weights
+        p[:, k] = fill[:upto].real
         root = np.sqrt(np.maximum(lam, 0.0))
         m = q.conj().transpose(0, 2, 1) @ (p[:, :, None] * q)
         return np.linalg.eigvalsh(root[:, :, None] * m * root[:, None, :]).min(axis=1)
@@ -625,19 +634,26 @@ def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float) -> n
     s sub-intervals, each a Taylor series of degree at most m that stops once
     two successive terms fall below the unit roundoff relative to the partial
     sum.  Norms are Frobenius norms, the ones ``Generator.norm_estimate``
-    bounds the superoperator in.
+    bounds the superoperator in.  The partial sum's norm is formed only once
+    the stopping test could pass: ``bound``, the norm of the last partial sum
+    formed plus those of the terms since, with a relative margin of 2**-20
+    per term for the roundoff of the sums and norms, is at least the norm
+    the test would read, so below it the test fails as it would.
     """
     m, s = taylor_plan(norm_rate, span)
     h = span / s
     for _ in range(s):
         term = rho
-        c1 = _frobenius(term)
+        c1 = bound = _frobenius(term)
         for k in range(1, m + 1):
             term = (h / k) * apply(term)
             c2 = _frobenius(term)
             rho = rho + term
-            if c1 + c2 <= UNIT_ROUNDOFF * _frobenius(rho):
-                break
+            bound = (bound + c2) * (1.0 + 2.0**-20)
+            if c1 + c2 <= UNIT_ROUNDOFF * bound:
+                bound = _frobenius(rho)
+                if c1 + c2 <= UNIT_ROUNDOFF * bound:
+                    break
             c1 = c2
     return rho
 

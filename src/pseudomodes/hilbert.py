@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,8 +33,10 @@ from .errors import InvalidModelError
 GAP_TOL = 1e-12
 #: The moves a mode factor may name: level n goes to n + shift with the entry
 #: of ``destroy`` or its product, sqrt(n), sqrt(n + 1) or sqrt(n) sqrt(n).
-LADDER = {"b": (-1, lambda n: np.sqrt(n)), "b^dag": (1, lambda n: np.sqrt(n + 1)),
-          "b^dag b": (0, lambda n: np.sqrt(n) * np.sqrt(n))}
+#: The entry takes the square root to use, numpy's for arrays of levels.
+LADDER = {"b": (-1, lambda n, sqrt=np.sqrt: sqrt(n)),
+          "b^dag": (1, lambda n, sqrt=np.sqrt: sqrt(n + 1)),
+          "b^dag b": (0, lambda n, sqrt=np.sqrt: sqrt(n) * sqrt(n))}
 
 
 @dataclass(frozen=True)
@@ -198,23 +201,30 @@ class Sector:
 
         dims = layout.dims
         moving = [any(map(shifts, factors.values())) for _, factors in terms]
-        # labels in the order the walk finds them, and each walked term's moves
+        # labels in the order the walk finds them, as tuples (the keys of
+        # index) and as rows of found, and each walked term's moves
         index = {label: i for i, label in enumerate(_basis_labels(layout, start))}
         found = np.array(list(index))
         walked = {i: ([], [], []) for i, (coefficient, _) in enumerate(terms)
                   if coefficient != 0 and moving[i]}
         done = dict.fromkeys(walked, 0)
-        while min(done.values(), default=len(found)) < len(found):
+        while min(done.values(), default=len(index)) < len(index):
             for i, (rows, cols, values) in walked.items():
-                lo, done[i] = done[i], len(found)
-                if lo < len(found):
-                    source, moved, entries = move(found[lo:], terms[i][1], dims)
-                    rows += [index.setdefault(label, len(index))
-                             for label in map(tuple, moved.tolist())]
-                    cols += (lo + source).tolist()
-                    values += entries.tolist()
-                    if len(index) > len(found):
+                lo, done[i] = done[i], len(index)
+                if lo == len(index):
+                    continue
+
+                def batch(lo=lo) -> np.ndarray:
+                    nonlocal found
+                    if len(found) < len(index):
                         found = np.vstack([found, *itertools.islice(index, len(found), None)])
+                    return found[lo:]
+
+                source, moved, entries = _listed_moves(
+                    list(itertools.islice(index, lo, None)), batch, terms[i][1], dims)
+                rows += [index.setdefault(label, len(index)) for label in moved]
+                cols += [lo + k for k in source]
+                values += entries
         sector = cls(layout, index)
         at = np.array([sector._position[label] for label in index])
         moves = []
@@ -225,8 +235,10 @@ class Sector:
             elif moving[i]:
                 moves.append(sector.moves(factors))
             else:
-                cols, _, values = move(sector.labels, factors, dims)
-                moves.append((cols, cols, values))
+                cols, _, values = _listed_moves(list(sector._position), lambda: sector.labels,
+                                                factors, dims)
+                cols = np.array(cols, dtype=np.intp)
+                moves.append((cols, cols, np.array(values, dtype=complex)))
         return sector, moves
 
     def moves(self, factors, name: str = "operator") -> tuple[np.ndarray, np.ndarray,
@@ -326,6 +338,46 @@ def move(labels: np.ndarray, factors: dict, dims, name: str = "operator"):
     return source, moved, values
 
 
+def _listed_moves(labels: list[tuple[int, ...]], array: Callable[[], np.ndarray],
+                  factors: dict, dims) -> tuple[list[int], list[tuple[int, ...]], list[complex]]:
+    """``move`` of the labels ``labels``, whose array ``array()`` gives, as
+    lists.  At most four labels are moved one at a time without array calls,
+    where ``move``'s calls cost more than the moves (on ``band_gap.yaml``
+    about 9 us a call against 2 us a label), in the order and with the
+    entries ``move`` gives: the model's terms have at most one matrix factor,
+    so each product is exact but for one factor with a nonzero imaginary
+    part, which Python and numpy round alike."""
+    if len(labels) > 4:
+        source, moved, values = move(array(), factors, dims)
+        return source.tolist(), list(map(tuple, moved.tolist())), values.tolist()
+    steps = []
+    for f in sorted(factors):
+        op = factors[f]
+        if not (isinstance(op, str) and op in LADDER and f in range(1, len(dims))):
+            if not (f in range(len(dims)) and np.shape(op) == (dims[f],) * 2):
+                move(array(), factors, dims)  # raises what move raises
+            op = np.asarray(op, dtype=complex).T.tolist()
+        steps.append((f, op))
+    out = ([], [], [])
+    for k, label in enumerate(labels):
+        moves = [(label, 1 + 0j)]
+        for f, op in steps:
+            if isinstance(op, str):
+                shift, entry = LADDER[op]
+                moves = [(m[:f] + (m[f] + shift,) + m[f + 1:], v * e)
+                         for m, v in moves
+                         for e in [entry(m[f], math.sqrt)]
+                         if (m[f] < dims[f] - shift if shift > 0 else e != 0.0)]
+            else:
+                moves = [(m[:f] + (to,) + m[f + 1:], v * e)
+                         for m, v in moves for to, e in enumerate(op[m[f]]) if e != 0]
+        for m, v in moves:
+            out[0].append(k)
+            out[1].append(m)
+            out[2].append(v)
+    return out
+
+
 def eigenoperator(system: SystemSpec, j: int) -> np.ndarray:
     """Lowering eigenoperator of channel j on the system factor.
 
@@ -376,15 +428,16 @@ def vacuum_embedding(sector: Sector, rho_system: np.ndarray) -> np.ndarray:
     if rho_system.shape != (d, d):
         raise InvalidModelError(
             f"system state has shape {rho_system.shape}, expected {(d, d)}")
-    vacuum = np.flatnonzero((sector.labels[:, 1:] == 0).all(axis=1))
+    vacuum = np.flatnonzero(~sector.labels[:, 1:].any(axis=1))
     levels = sector.labels[vacuum, 0]
-    occupied = np.flatnonzero((rho_system != 0).any(axis=0) | (rho_system != 0).any(axis=1))
+    nonzero = rho_system != 0
+    occupied = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     missing = sorted(set(occupied.tolist()) - set(levels.tolist()))
     if missing:
         raise InvalidModelError(
             f"system levels {missing} with every mode in vacuum are not in the sector")
     out = np.zeros((sector.dim,) * 2, dtype=complex)
-    out[np.ix_(vacuum, vacuum)] = rho_system[np.ix_(levels, levels)]
+    out[vacuum[:, None], vacuum] = rho_system[levels[:, None], levels]
     return out
 
 

@@ -430,17 +430,14 @@ def verify_rotation_numeric(
         if min(-zt[0, 0].imag, -zt[1, 1].imag) < -1e-9:
             continue
         feasible += 1
-        for s1 in (1.0, -1.0):
-            for s2 in (1.0, -1.0):
-                s = np.array([s1, s2])
-                zt_g = zt * np.outer(s, s)
-                gt_g = gt.real * s
-                dev = max(
-                    float(np.abs(zt_g - zt_ref).max()),
-                    float(np.abs(gt_g - gt_ref).max()),
-                )
-                checked += 1
-                best = min(best, dev)
+        # the four sign gauges (s1, s2) side by side
+        signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        zt_g = zt * (signs[:, :, None] * signs[:, None, :])
+        gt_g = gt.real * signs[:, None, :]
+        dev = np.maximum(np.abs(zt_g - zt_ref).max(axis=(1, 2)),
+                         np.abs(gt_g - gt_ref).max(axis=(1, 2)))
+        checked += len(signs)
+        best = min(best, float(dev.min()))
     if feasible == 0 or math.isinf(best):
         raise PositivityViolationError(
             "no rotation angle satisfies realness and positivity together",

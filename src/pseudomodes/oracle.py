@@ -137,7 +137,7 @@ def single_excitation_solve(
         h = (float(t[e]) - t_b) / (e - b)
         step = _rk4_step_power(mat, *_rk4_substeps(t_b, t_b + h, 1e-3 / scale))
         for i in range(b + 1, e + 1):
-            amps[i] = step @ amps[i - 1]
+            np.matmul(step, amps[i - 1], out=amps[i])
     return AmplitudeState(times=t, excited=amps[:, 0], modes=amps[:, 1:])
 
 

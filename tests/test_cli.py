@@ -771,6 +771,41 @@ def test_an_output_name_that_is_not_utf8_is_refused_before_any_write(tmp_path, c
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
+@pytest.mark.parametrize("where, message", [
+    ("nodir/x.out", "is in a directory that does not exist"),
+    ("adir", "is a directory"),
+])
+def test_an_output_that_cannot_be_written_is_refused_before_the_run(
+        tmp_path, capsys, monkeypatch, command, where, message):
+    cfg = write_doc(tmp_path, with_run(SINGLE_DOC, t_max=1.0, n_steps=2))
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(pseudomodes.cli, "build_discrete_modes",
+                        lambda *args: pytest.fail("the run started"))
+    out = str(tmp_path / where)
+    assert main([command, cfg, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: output path {ascii(out)} {message}"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["map", "evolve", "trajectories", "validate"])
+def test_a_failed_output_write_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command):
+    cfg = write_doc(tmp_path, with_run(SINGLE_DOC, t_max=1.0, n_steps=2))
+    out = tmp_path / "x.out"
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert main([command, cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: cannot write {ascii(str(out))}: Permission denied"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["map", "evolve", "validate"])
 def test_seed_is_an_option_of_trajectories_alone(capsys, command):
     with pytest.raises(SystemExit) as exc:
