@@ -71,7 +71,7 @@ def validate_grid(t_grid) -> np.ndarray:
         raise InvalidModelError("time grid must be a non-empty 1-d array")
     if abs(t[0]) > 1e-12:
         raise InvalidModelError(f"time grid must start at 0, got {t[0]}")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
+    if t.size > 1 and not (t[1:] > t[:-1]).all():
         raise InvalidModelError("time grid must be strictly increasing")
     return t
 
@@ -91,7 +91,8 @@ def uniform_runs(t: np.ndarray) -> list[int]:
     last = t.size - 1
     if last == 0:
         return [0]
-    bends = 1 + np.flatnonzero(np.abs(np.diff(t, 2)) > 4 * RUN_TOL * t[2:])
+    span = t[1:] - t[:-1]
+    bends = 1 + np.flatnonzero(np.abs(span[1:] - span[:-1]) > 4 * RUN_TOL * t[2:])
     bounds = [0]
     for e in bends.tolist() + [last]:
         b = bounds[-1]
@@ -167,23 +168,25 @@ def _stream_keys(seed: int, n: int) -> np.ndarray:
 
 def _philox(keys: np.ndarray, counter: np.ndarray) -> np.ndarray:
     """(4, n) uint64: Philox4x64-10 of the counters (counter, 0, 0, 0) under
-    the (2, n) ``keys``.  Words 0 and 2 are multiplied side by side, the
-    128-bit products formed from 32-bit halves."""
+    the (2, n) ``keys``.  Words 0 and 2 are multiplied side by side, the high
+    half of each 128-bit product formed from 32-bit halves x = x_h 2**32 +
+    x_l and m = m_h 2**32 + m_l: with c = x_l m_h + (x_l m_l >> 32) and
+    c' = x_h m_l + (c mod 2**32), neither beyond 64 bits, it is x_h m_h +
+    (c >> 32) + (c' >> 32)."""
     u64 = np.uint64
     lo32, s32 = u64(2**32 - 1), u64(32)
     m = np.array(_PHILOX_M, dtype=u64)[:, None]
     m_hi, m_lo = m >> s32, m & lo32
+    # the key of round r is keys + r w, all ten formed at once (mod 2**64)
     w = np.array(_PHILOX_W, dtype=u64)[:, None]
+    round_keys = keys + np.arange(10, dtype=u64)[:, None, None] * w
     even = np.stack([counter.astype(u64), np.zeros_like(counter, dtype=u64)])
     odd = np.zeros_like(even)
-    for r in range(10):
-        if r:
-            keys = keys + w
+    for key in round_keys:
         x_hi, x_lo = even >> s32, even & lo32
-        ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-        mid = (ll >> s32) + (lh & lo32) + (hl & lo32)
-        hi = m_hi * x_hi + (lh >> s32) + (hl >> s32) + (mid >> s32)
-        even, odd = hi[::-1] ^ odd ^ keys, (m * even)[::-1]
+        c = x_lo * m_hi + ((x_lo * m_lo) >> s32)
+        hi = x_hi * m_hi + (c >> s32) + ((x_hi * m_lo + (c & lo32)) >> s32)
+        even, odd = hi[::-1] ^ odd ^ key, (m * even)[::-1]
     return np.stack([even[0], odd[0], even[1], odd[1]])
 
 

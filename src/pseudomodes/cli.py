@@ -33,6 +33,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -590,12 +591,11 @@ class RunOutput:
 def _output_path(out: str) -> Path:
     """The output file ``out``, refused before any run when it names a
     directory or lies in a directory that does not exist."""
-    path = Path(out)
-    if path.is_dir():
+    if os.path.isdir(out):
         raise ConfigError(f"output path {ascii(out)} is a directory")
-    if not path.parent.is_dir():
+    if not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"output path {ascii(out)} is in a directory that does not exist")
-    return path
+    return Path(out)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -712,14 +712,21 @@ class ValidationSummary:
         return all(c.status != "fail" for c in self.checks)
 
     def to_json(self) -> str:
-        doc = {
-            "classification": self.classification,
-            "n_modes": self.n_modes,
-            "checks": [{"name": c.name, "status": c.status, "residual": c.residual,
-                        "tolerance": c.tolerance, "detail": c.detail} for c in self.checks],
-            "passed": self.passed,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        """``json.dumps(doc, indent=2, sort_keys=True)`` of the summary's
+        fields, each flat mapping written by json's C encoder with the
+        separators that indentation puts between its items."""
+        def flat(mapping: dict, indent: str) -> str:
+            text = json.dumps(mapping, sort_keys=True, separators=(",\n" + indent, ": "))
+            return "{\n" + indent + text[1:-1] + "\n" + indent[2:] + "}"
+
+        checks = ",\n    ".join(
+            flat({"name": c.name, "status": c.status, "residual": c.residual,
+                  "tolerance": c.tolerance, "detail": c.detail}, " " * 6)
+            for c in self.checks)
+        rest = flat({"classification": self.classification, "n_modes": self.n_modes,
+                     "passed": self.passed}, "  ")
+        return ('{\n  "checks": ' + (f"[\n    {checks}\n  ]" if checks else "[]") + ",\n  "
+                + rest[4:])
 
 
 def _check(name: str, residual: float, tol: float, detail: str) -> CheckResult:
@@ -788,8 +795,8 @@ def cmd_validate(cfg: RunConfig) -> ValidationSummary:
         for k in range(modes.n_transitions):
             refs = correlation(spec, j, k, lags).tolist()
             vals = mode_correlation(run_modes, j, k, lags).tolist()
-            for ref, val in zip(refs, vals):
-                worst = max(worst, abs(val - ref) / max(abs(ref), 1e-6 * scale))
+            worst = max((worst, *(abs(val - ref) / max(abs(ref), 1e-6 * scale)
+                                  for ref, val in zip(refs, vals))))
     used = (
         "mode sum in the square-root gauge g_jl = W_j sqrt(-i r_l) vs the pole "
         "sum over the same poles" if regularized is None else

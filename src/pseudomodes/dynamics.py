@@ -208,7 +208,6 @@ class Generator:
         if len(hit) != 1:
             return None
         (g,) = hit
-        rest = np.arange(self.dim) != g
         # Each jump is nonzero in row g alone, so sum_k J_k^dag J_k is one
         # product of those rows, and a jump's column g is its entry (g, g).
         reach = np.zeros((len(self._jumps), self.dim), dtype=complex)
@@ -217,9 +216,10 @@ class Generator:
         loss = reach.conj().T @ reach
         gain = 1j * (self._left - self._right)
         closed = not (reach[:, g].any()
-                      or any(op[g, rest].any() or op[rest, g].any()
-                             for op in (self._left, self._right))
-                      or np.abs(loss - gain).max() > 1e-12 * np.abs((gain, loss)).max())
+                      or any(np.count_nonzero(op[g]) + np.count_nonzero(op[:, g])
+                             > 2 * (op[g, g] != 0) for op in (self._left, self._right))
+                      or np.abs(loss - gain).max()
+                      > 1e-12 * max(np.abs(gain).max(), np.abs(loss).max()))
         return g if closed else None
 
 
@@ -407,7 +407,7 @@ def evolve(
         raise InvalidModelError(
             f"initial state has shape {rho.shape}, generator needs {(d, d)}"
         )
-    if abs(complex(np.trace(rho)) - 1.0) > 1e-10:
+    if abs(complex(rho.trace()) - 1.0) > 1e-10:
         raise InvalidModelError("initial state must have unit trace")
     if not is_hermitian(rho, 1e-10):
         raise InvalidModelError("initial state must be Hermitian")
@@ -424,14 +424,16 @@ def evolve(
     obs_out = {name: np.empty(n_t, dtype=complex) for name in obs}
 
     def finalize(upto: int) -> EvolutionResult:
+        # the arrays of this call are handed out as they are; the grid may
+        # be the caller's
         return EvolutionResult(
             times=t[:upto].copy(),
             support=sector.support,
-            states=states[:upto].copy() if store_states else None,
-            system_states=system_states[:upto].copy(),
-            observables={k: v[:upto].copy() for k, v in obs_out.items()},
-            top_fock=top_fock[:upto].copy(),
-            trace_error=trace_error[:upto].copy(),
+            states=states[:upto] if store_states else None,
+            system_states=system_states[:upto],
+            observables={k: v[:upto] for k, v in obs_out.items()},
+            top_fock=top_fock[:upto],
+            trace_error=trace_error[:upto],
             kind=gen.kind,
         )
 
@@ -454,7 +456,7 @@ def evolve(
         ok = int(np.argmax(fails)) if fails.any() else len(trace)
         if checked:  # positivity only for the rows that passed the other checks
             low = lowest(ok)
-            negative = np.flatnonzero(low < POSITIVITY_TOL)
+            negative = (low < POSITIVITY_TOL).nonzero()[0]
             ok = int(negative[0]) if negative.size else ok
         trace_error[i0:i0 + ok] = trace[:ok]
         top_fock[i0:i0 + ok] = worst[:ok]
@@ -508,9 +510,13 @@ def evolve(
             record_block(i0, block)
         return finalize(n_t)
 
-    # rho0 on its support, as eigenkets of nonzero weight
-    occupied = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
-    weights, vecs = np.linalg.eigh(rho[np.ix_(occupied, occupied)])
+    # rho0 on its support, as eigenkets of nonzero weight; on one state the
+    # eigenproblem is LAPACK's 1 x 1 case, the entry's real part and 1
+    occupied = (rho.any(axis=0) | rho.any(axis=1)).nonzero()[0]
+    if occupied.size == 1:
+        weights, vecs = rho[occupied, occupied].real, np.ones((1, 1), dtype=complex)
+    else:
+        weights, vecs = np.linalg.eigh(rho[np.ix_(occupied, occupied)])
     keep = weights != 0.0
     weights, kets = weights[keep], np.zeros((np.count_nonzero(keep), d), dtype=complex)
     kets[:, occupied] = vecs[:, keep].T
@@ -528,7 +534,7 @@ def evolve(
             a = a[:len(b)]
     n = len(a)
     populations = np.einsum("k,nki,nki->ni", weights, a, b.conj())
-    fill = np.trace(rho) - populations.sum(axis=1)
+    fill = rho.trace() - populations.sum(axis=1)
     populations[:, g] += fill
 
     def lowest(upto: int) -> np.ndarray:
@@ -589,10 +595,10 @@ def no_jump_history(exp: Callable[[float], np.ndarray], psi0: np.ndarray,
         except StepUnderflowError as exc:
             exc.partial = psi[:b + 1]
             raise
-        np.matmul(psi[b], u.T, out=psi[b + 1])
+        psi[b].dot(u.T, out=psi[b + 1])  # psi[b] @ u.T, by ndarray.dot's one BLAS call
         n = 1  # the rows b ... b + 2n - 1 are filled, and u is U^n
         while b + 2 * n <= e:
-            u = u @ u
+            u = u.dot(u)
             n *= 2
             m = min(n, e - b - n + 1)
             np.matmul(psi[b:b + m], u.T, out=psi[b + n:b + n + m])
@@ -621,10 +627,12 @@ def taylor_plan(norm_rate: float, span: float) -> tuple[int, int]:
         raise StepUnderflowError(
             f"a row of {span:.6g} time units is too long for the norm bound "
             f"{norm_rate:.6g}; rows of at most {fits:.3g} time units fit")
-    return min(
-        ((m, math.ceil(norm / theta)) for m, theta in TAYLOR_THETA),
-        key=lambda plan: plan[0] * plan[1],
-    )
+    best = None
+    for m, theta in TAYLOR_THETA:
+        s = math.ceil(norm / theta)
+        if best is None or m * s < best[0] * best[1]:
+            best = m, s
+    return best
 
 
 def _taylor_interval(apply, rho: np.ndarray, span: float, norm_rate: float) -> np.ndarray:
@@ -684,10 +692,11 @@ def exponential(a: np.ndarray) -> Callable[[float], np.ndarray]:
         halvings = 0
         while norm * math.ldexp(h, -halvings) > TAYLOR_THETA[-1][1]:
             halvings += 1
-        u = _taylor_interval(a.__matmul__, np.eye(len(a), dtype=complex),
+        # ndarray.dot calls the BLAS product that @ calls, with less overhead
+        u = _taylor_interval(a.dot, np.eye(len(a), dtype=complex),
                              math.ldexp(h, -halvings), norm)
         for _ in range(halvings):
-            u = u @ u
+            u = u.dot(u)
         return u
 
     return exp

@@ -19,10 +19,11 @@ satisfies [H_S0, c_j] = -w_j c_j and is the operator the modes couple to.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -130,6 +131,12 @@ class SpaceLayout:
     def n_modes(self) -> int:
         return len(self.fock_levels)
 
+    @functools.cached_property
+    def _sectors(self) -> list:
+        """The sectors ``Sector.closure`` found on this layout: generators
+        built on it that reach the same labels share one."""
+        return []
+
     @property
     def dims(self) -> tuple[int, ...]:
         return (self.system_dim,) + tuple(n + 1 for n in self.fock_levels)
@@ -171,8 +178,8 @@ class Sector:
         self._pairs = a, b
         into = self.labels[a, 0] * layout.system_dim + self.labels[b, 0]
         self._trace_map = np.eye(layout.system_dim**2, dtype=complex)[into]
-        self._top = np.array([level == n for level, n in zip(self.labels[:, 1:].T,
-                                                              layout.fock_levels)], dtype=float)
+        self._top = (self.labels[:, 1:] == np.array(layout.fock_levels, dtype=np.intp)).T.astype(
+            float, order="C")
 
     @property
     def dim(self) -> int:
@@ -201,31 +208,52 @@ class Sector:
 
         dims = layout.dims
         moving = [any(map(shifts, factors.values())) for _, factors in terms]
-        # labels in the order the walk finds them, as tuples (the keys of
-        # index) and as rows of found, and each walked term's moves
+        # At most `few` labels are moved one at a time without array calls
+        # (_step_moves), where move's calls cost more than the moves: on
+        # band_gap.yaml about 9 us a call against 2 us a label.
+        few = 4
+        compiled = {}
+
+        def steps(i: int) -> list:
+            if i not in compiled:
+                compiled[i] = _steps(terms[i][1], dims)
+            return compiled[i]
+
+        # labels in the order the walk finds them, as the keys of index, as
+        # the list order and as the rows of found, and each walked term's moves
         index = {label: i for i, label in enumerate(_basis_labels(layout, start))}
-        found = np.array(list(index))
+        order = list(index)
+        found = np.array(order)
         walked = {i: ([], [], []) for i, (coefficient, _) in enumerate(terms)
                   if coefficient != 0 and moving[i]}
         done = dict.fromkeys(walked, 0)
-        while min(done.values(), default=len(index)) < len(index):
+        while min(done.values(), default=len(order)) < len(order):
             for i, (rows, cols, values) in walked.items():
-                lo, done[i] = done[i], len(index)
-                if lo == len(index):
+                lo, done[i] = done[i], len(order)
+                if lo == len(order):
                     continue
-
-                def batch(lo=lo) -> np.ndarray:
-                    nonlocal found
-                    if len(found) < len(index):
-                        found = np.vstack([found, *itertools.islice(index, len(found), None)])
-                    return found[lo:]
-
-                source, moved, entries = _listed_moves(
-                    list(itertools.islice(index, lo, None)), batch, terms[i][1], dims)
+                if len(order) - lo <= few:
+                    source, moved, entries = _step_moves(order[lo:], steps(i))
+                    source = [lo + k for k in source]
+                else:
+                    if len(found) < len(order):
+                        found = np.vstack([found, *order[len(found):]])
+                    source, moved, entries = move(found[lo:], terms[i][1], dims)
+                    source, moved, entries = ((lo + source).tolist(), map(tuple, moved.tolist()),
+                                              entries.tolist())
                 rows += [index.setdefault(label, len(index)) for label in moved]
-                cols += [lo + k for k in source]
+                cols += source
                 values += entries
-        sector = cls(layout, index)
+                if len(order) < len(index):
+                    order += itertools.islice(index, len(order), None)
+        # a sector of the same labels found before on this layout is shared
+        for sector in layout._sectors:
+            if (type(sector) is cls and sector.dim == len(index)
+                    and all(label in sector._position for label in index)):
+                break
+        else:
+            sector = cls(layout, index)
+            layout._sectors.append(sector)
         at = np.array([sector._position[label] for label in index])
         moves = []
         for i, (_, factors) in enumerate(terms):
@@ -234,11 +262,13 @@ class Sector:
                 moves.append((at[rows], at[cols], np.array(values, dtype=complex)))
             elif moving[i]:
                 moves.append(sector.moves(factors))
-            else:
-                cols, _, values = _listed_moves(list(sector._position), lambda: sector.labels,
-                                                factors, dims)
+            elif sector.dim <= few:
+                cols, _, values = _step_moves(list(sector._position), steps(i))
                 cols = np.array(cols, dtype=np.intp)
                 moves.append((cols, cols, np.array(values, dtype=complex)))
+            else:
+                cols, _, values = move(sector.labels, factors, dims)
+                moves.append((cols, cols, values))
         return sector, moves
 
     def moves(self, factors, name: str = "operator") -> tuple[np.ndarray, np.ndarray,
@@ -338,44 +368,46 @@ def move(labels: np.ndarray, factors: dict, dims, name: str = "operator"):
     return source, moved, values
 
 
-def _listed_moves(labels: list[tuple[int, ...]], array: Callable[[], np.ndarray],
-                  factors: dict, dims) -> tuple[list[int], list[tuple[int, ...]], list[complex]]:
-    """``move`` of the labels ``labels``, whose array ``array()`` gives, as
-    lists.  At most four labels are moved one at a time without array calls,
-    where ``move``'s calls cost more than the moves (on ``band_gap.yaml``
-    about 9 us a call against 2 us a label), in the order and with the
-    entries ``move`` gives: the model's terms have at most one matrix factor,
-    so each product is exact but for one factor with a nonzero imaginary
-    part, which Python and numpy round alike."""
-    if len(labels) > 4:
-        source, moved, values = move(array(), factors, dims)
-        return source.tolist(), list(map(tuple, moved.tolist())), values.tolist()
+def _steps(factors: dict, dims) -> list[tuple[int, str | list[list[complex]], int]]:
+    """A term's factors in factor order as ``_step_moves`` takes them, each
+    (factor, operator, factor dimension), the operator a ``LADDER`` name or
+    a matrix as the list of its columns.  A factor that ``move`` refuses is
+    refused alike."""
     steps = []
     for f in sorted(factors):
         op = factors[f]
         if not (isinstance(op, str) and op in LADDER and f in range(1, len(dims))):
             if not (f in range(len(dims)) and np.shape(op) == (dims[f],) * 2):
-                move(array(), factors, dims)  # raises what move raises
+                move(np.empty((0, len(dims)), dtype=np.intp), factors, dims)
             op = np.asarray(op, dtype=complex).T.tolist()
-        steps.append((f, op))
-    out = ([], [], [])
+        steps.append((f, op, dims[f]))
+    return steps
+
+
+def _step_moves(labels: Sequence[tuple[int, ...]], steps) -> tuple[list[int], list[tuple], list]:
+    """``move`` of the labels ``labels`` through a term's ``_steps``, as
+    lists, one label at a time: the same moves in the same order, with the
+    same entries, since the model's terms have at most one matrix factor, so
+    each product is exact but for one factor with a nonzero imaginary part,
+    which Python and numpy round alike."""
+    source, moved, values = [], [], []
     for k, label in enumerate(labels):
         moves = [(label, 1 + 0j)]
-        for f, op in steps:
+        for f, op, size in steps:
             if isinstance(op, str):
                 shift, entry = LADDER[op]
                 moves = [(m[:f] + (m[f] + shift,) + m[f + 1:], v * e)
                          for m, v in moves
                          for e in [entry(m[f], math.sqrt)]
-                         if (m[f] < dims[f] - shift if shift > 0 else e != 0.0)]
+                         if (m[f] < size - shift if shift > 0 else e != 0.0)]
             else:
                 moves = [(m[:f] + (to,) + m[f + 1:], v * e)
                          for m, v in moves for to, e in enumerate(op[m[f]]) if e != 0]
         for m, v in moves:
-            out[0].append(k)
-            out[1].append(m)
-            out[2].append(v)
-    return out
+            source.append(k)
+            moved.append(m)
+            values.append(v)
+    return source, moved, values
 
 
 def eigenoperator(system: SystemSpec, j: int) -> np.ndarray:

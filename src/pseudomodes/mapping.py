@@ -28,6 +28,7 @@ forms live here too.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,14 +81,14 @@ class ModeSet:
                 f"coupling matrix has shape {g.shape}; {len(strengths)} transitions "
                 f"and {n} modes need {(len(strengths), n)}"
             )
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(g))):
+        if not (np.isfinite(z).all() and np.isfinite(g).all()):
             raise InvalidModelError("mode and coupling matrices must be finite")
-        if not np.array_equal(z, z.T):
+        if not (z == z.T).all():
             raise InvalidModelError("mode matrix must be symmetric, Z = Z^T")
         gamma = -z.imag
-        if np.any(gamma[~np.eye(n, dtype=bool)] != 0.0):
+        if np.count_nonzero(gamma) > np.count_nonzero(gamma.diagonal()):
             raise InvalidModelError("damping matrix -Im Z must be diagonal")
-        if np.any(np.diag(gamma) < 0.0):
+        if (gamma.diagonal() < 0.0).any():
             raise InvalidModelError(f"damping rates must be >= 0, got {np.diag(gamma)}")
         for j, w in enumerate(strengths):
             if not (np.isfinite(w) and w >= 0.0):
@@ -109,17 +110,17 @@ class ModeSet:
     def n_transitions(self) -> int:
         return len(self.strengths)
 
-    @property
+    @functools.cached_property
     def frequencies(self) -> np.ndarray:
-        """Mode frequencies, the diagonal of H = Re Z."""
-        return np.diag(self.frequency_matrix).real
+        """Mode frequencies, the diagonal of H = Re Z (read-only, formed once)."""
+        return frozen(np.diag(self.frequency_matrix).real)
 
-    @property
+    @functools.cached_property
     def rates(self) -> np.ndarray:
-        """Damping rates, the diagonal of Gamma = -Im Z."""
-        return -np.diag(self.frequency_matrix).imag
+        """Damping rates, the diagonal of Gamma = -Im Z (read-only, formed once)."""
+        return frozen(-np.diag(self.frequency_matrix).imag)
 
-    @property
+    @functools.cached_property
     def classification(self) -> str:
         """'all_real' when every coupling is real to working precision, else 'complex'."""
         g = self.coupling_matrix

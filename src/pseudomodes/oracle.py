@@ -135,9 +135,9 @@ def single_excitation_solve(
     for b, e in zip(bounds, bounds[1:]):
         t_b = float(t[b])
         h = (float(t[e]) - t_b) / (e - b)
-        step = _rk4_step_power(mat, *_rk4_substeps(t_b, t_b + h, 1e-3 / scale))
+        product = _rk4_step_power(mat, *_rk4_substeps(t_b, t_b + h, 1e-3 / scale)).dot
         for i in range(b + 1, e + 1):
-            np.matmul(step, amps[i - 1], out=amps[i])
+            product(amps[i - 1], out=amps[i])  # step @ amps[i - 1], one BLAS call
     return AmplitudeState(times=t, excited=amps[:, 0], modes=amps[:, 1:])
 
 

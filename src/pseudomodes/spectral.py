@@ -246,10 +246,10 @@ def eval_density(pole_set: PoleSet, omega):
     with np.errstate(over="ignore", invalid="ignore"):
         for p in pole_set.poles:
             dw = w - p.center
-            e = np.frexp(np.maximum(np.abs(dw), p.width))[1]
-            x, y = np.ldexp(dw, -e), np.ldexp(p.width, -e)
+            e = -np.frexp(np.maximum(np.abs(dw), p.width))[1]
+            x, y = np.ldexp(dw, e), np.ldexp(p.width, e)
             out = out + np.ldexp(2.0 * (p.residue.real * x + y * p.residue.imag)
-                                 / (x**2 + y**2), -e)
+                                 / (x**2 + y**2), e)
     if np.ndim(omega) == 0:
         return float(out[()])
     return out

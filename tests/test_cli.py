@@ -20,6 +20,7 @@ import pseudomodes.cli
 from pseudomodes._util import _Streams
 from pseudomodes.cli import (
     FRAMES,
+    CheckResult,
     MAX_CONFIG_DEPTH,
     RunConfig,
     build_model,
@@ -29,6 +30,7 @@ from pseudomodes.cli import (
     main,
     resolve_generator_kind,
     serialize_config,
+    ValidationSummary,
     _observable_ops,
 )
 from pseudomodes.errors import ClassificationError, RegularizationError
@@ -686,6 +688,20 @@ def test_main_truncation_abort(tmp_path, capsys):
     assert tails["evolve"] == tails["trajectories"] == "t=0.10000000000000001"
 
 
+@pytest.mark.parametrize("checks", [
+    (),
+    (CheckResult("a", "pass", 1.5e-15, 1e-12, 'quote " backslash \\ accent é sum ∑\nline'),
+     CheckResult("b", "skip", None, None, "y"),
+     CheckResult("c", "fail", float("nan"), float("inf"), "")),
+])
+def test_the_validate_json_is_what_json_dumps_writes(checks):
+    summary = ValidationSummary("complex", 2, checks)
+    doc = {"classification": "complex", "n_modes": 2, "passed": summary.passed,
+           "checks": [{"name": c.name, "status": c.status, "residual": c.residual,
+                       "tolerance": c.tolerance, "detail": c.detail} for c in checks]}
+    assert summary.to_json() == json.dumps(doc, indent=2, sort_keys=True)
+
+
 def test_main_validate_passes_and_fails(tmp_path, capsys):
     out = tmp_path / "summary.json"
     code = main(["validate", write_doc(tmp_path, BAND_GAP_DOC), "--out", str(out)])
@@ -1119,7 +1135,8 @@ def test_twenty_modes_take_the_closed_form(tmp_path, capsys, monkeypatch):
 def test_a_pure_start_forms_no_density_row(tmp_path, capsys, monkeypatch):
     # The 20-mode run (|S| = 22) and validate of band_gap.yaml (|S| = 4) start
     # from one ket: every row is read off the kets, so the record reduces and
-    # diagonalizes no |S| x |S| block; positivity takes 2 x 2 Gram matrices.
+    # diagonalizes no |S| x |S| block; positivity takes 2 x 2 Gram matrices,
+    # and the start's support of one state needs no eigensolver call.
     seen = {"blocks": [], "diagonalized": []}
     reduced = Sector.reduced
 
@@ -1144,7 +1161,7 @@ def test_a_pure_start_forms_no_density_row(tmp_path, capsys, monkeypatch):
     assert cmd_validate(load_config(str(CONFIGS / "band_gap.yaml"))).passed
     capsys.readouterr()
     assert not seen["blocks"]
-    assert set(seen["diagonalized"]) == {(1, 1), (2, 2)}  # the start's support, then Gram
+    assert set(seen["diagonalized"]) == {(2, 2)}  # the Gram matrices
 
 
 def test_deeply_nested_yaml_is_a_config_error(tmp_path, capsys):
