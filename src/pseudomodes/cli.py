@@ -616,9 +616,9 @@ def _write_trace(cfg: RunConfig, out_override: str | None, run) -> RunOutput:
     e_n) t): the modes' part of H0 cancels under the partial trace.  The
     output path is resolved, and refused unless it encodes as UTF-8, before
     the run, as is one that names a directory or lies in a directory that
-    does not exist (``_output_path``).  On a truncation abort the clean prefix is written, the file is
-    closed with an `# ABORTED` comment line, and the error is re-raised for
-    the exit-code mapping.
+    does not exist (``_output_path``).  On a truncation abort the clean
+    prefix is written, the file is closed with an `# ABORTED` comment line,
+    and the error is re-raised for the exit-code mapping.
     """
     out = out_override if out_override is not None else cfg.out_path
     if out is None:

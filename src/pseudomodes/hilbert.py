@@ -200,7 +200,9 @@ class Sector:
         that moves a level (a ladder shift other than 0, a matrix with a
         nonzero off its diagonal) is walked through ``move`` from each label
         once, until none reaches a new label, and keeps the moves it made;
-        a term that moves no level takes each label at most to itself."""
+        a term that moves no level takes each label at most to itself.
+        Generators built on one layout that reach the same labels share one
+        sector."""
         def shifts(op) -> bool:
             if isinstance(op, str):
                 return LADDER[op][0] != 0
