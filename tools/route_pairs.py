@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         seconds = {side: [r["seconds"] for r in runs[side]] for side in SIDES}
         wins = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
         same = all(p["records"] == c["records"] for p, c in zip(*runs.values()))
-        parts = [f"{side} {q['median']:.4f} s [{q['q1']:.4f}, {q['q3']:.4f}]"
+        parts = [f"{side} {q['median']:.5f} s [{q['q1']:.5f}, {q['q3']:.5f}]"
                  for side, q in ((side, quartiles(seconds[side])) for side in SIDES)]
         what = "outputs" if model.startswith("cli_") else "jump records"
         print(f"{model}: {', '.join(parts)}; change faster in {wins} of {args.pairs}; "
